@@ -1,22 +1,13 @@
-//! Event-queue micro-benchmark: events/sec through the hierarchical
-//! timing wheel vs the binary-heap baseline.
+//! Whole-engine throughput benchmark: events/sec through `Simulation`.
 //!
-//! Two measurements, both seeded and deterministic:
-//!
-//! 1. **Raw queue ops** — the classic *hold* model: fill the queue to a
-//!    fixed depth, then repeatedly pop the earliest event and push a
-//!    replacement at a random offset past it. This isolates the data
-//!    structure: the heap pays `O(log n)` cache-missing sift per op at
-//!    every depth, the wheel pays amortized `O(1)` slot insertion.
-//! 2. **Whole engine** — the same process population run through
-//!    `Simulation` twice, once on the default wheel queue and once on
-//!    the heap via [`Simulation::with_heap_queue`]. The two reports
-//!    must be **bit-identical** (same end time, same event count, same
-//!    per-process finish instants) — the wheel is a drop-in replacement,
-//!    not an approximation — and the wall-clock ratio is the headline.
+//! A seeded population of processes spins through compute phases of
+//! log-uniform length (1 µs to 10 ms, the spacing of the engine's flow
+//! updates), so the pending-event set stays at population depth and the
+//! measurement isolates the event loop. The run is repeated and the two
+//! reports must be bit-identical (same end time, same event count).
 //!
 //! Always writes `BENCH_des_events.json` (schema-stable, one object) so
-//! successive runs seed a perf trajectory. `--smoke` shrinks every scale
+//! successive runs seed a perf trajectory. `--smoke` shrinks the scale
 //! for CI.
 //!
 //! ```text
@@ -24,105 +15,13 @@
 //! ```
 
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_des::{Action, Process, Resume, SimDuration, SimTime, Simulation, TimingWheel};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::hint::black_box;
+use pmemflow_des::{Action, Process, Resume, SimDuration, SimTime, Simulation};
 use std::time::Instant;
 
-/// An event key with the engine's exact ordering: earliest time first,
-/// ties broken by insertion sequence (`f64::total_cmp`, like the heap
-/// inside `Simulation`).
-#[derive(PartialEq)]
-struct Key(SimTime, u64);
-
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0 .0.total_cmp(&other.0 .0).then(self.1.cmp(&other.1))
-    }
-}
-
 /// Log-uniform delay in `[lo, hi]` seconds — the engine's event spacing
-/// spans decades (µs flow updates to multi-second phase timers), so a
-/// log-uniform draw is the representative shape.
+/// spans decades, so a log-uniform draw is the representative shape.
 fn log_uniform(rng: &mut SplitMix64, lo: f64, hi: f64) -> f64 {
     (lo.ln() + rng.next_f64() * (hi.ln() - lo.ln())).exp()
-}
-
-/// A delay profile for the hold model.
-#[derive(Clone, Copy)]
-struct Profile {
-    name: &'static str,
-    lo: f64,
-    hi: f64,
-}
-
-/// The engine's dominant regime: workload-simulation flow events spaced
-/// microseconds to milliseconds apart.
-const SHORT: Profile = Profile {
-    name: "short (1us-10ms)",
-    lo: 1e-6,
-    hi: 1e-2,
-};
-/// Stress regime: long phase timers spread over a minute, forcing
-/// events through the wheel's upper levels.
-const LONG: Profile = Profile {
-    name: "long  (1us-60s)",
-    lo: 1e-6,
-    hi: 60.0,
-};
-
-/// Hold-model ops/sec at a fixed queue depth: `ops` iterations of
-/// pop-earliest + push-replacement against a queue pre-filled to `depth`.
-fn hold_wheel(depth: usize, ops: u64, p: Profile, seed: u64) -> (f64, f64) {
-    let mut rng = SplitMix64::new(seed);
-    let mut q: TimingWheel<u32> = TimingWheel::new();
-    let mut seq = 0u64;
-    for _ in 0..depth {
-        q.push(SimTime(log_uniform(&mut rng, p.lo, p.hi)), seq, 0u32);
-        seq += 1;
-    }
-    let t0 = Instant::now();
-    let mut last = 0.0f64;
-    for _ in 0..ops {
-        let (t, _, _) = q.pop().expect("queue never drains");
-        last = t.0;
-        q.push(SimTime(t.0 + log_uniform(&mut rng, p.lo, p.hi)), seq, 0u32);
-        seq += 1;
-    }
-    (ops as f64 / t0.elapsed().as_secs_f64(), black_box(last))
-}
-
-/// Same hold model against a `BinaryHeap` with the engine's event order.
-fn hold_heap(depth: usize, ops: u64, p: Profile, seed: u64) -> (f64, f64) {
-    let mut rng = SplitMix64::new(seed);
-    let mut q: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    for _ in 0..depth {
-        q.push(Reverse(Key(
-            SimTime(log_uniform(&mut rng, p.lo, p.hi)),
-            seq,
-        )));
-        seq += 1;
-    }
-    let t0 = Instant::now();
-    let mut last = 0.0f64;
-    for _ in 0..ops {
-        let Reverse(Key(t, _)) = q.pop().expect("queue never drains");
-        last = t.0;
-        q.push(Reverse(Key(
-            SimTime(t.0 + log_uniform(&mut rng, p.lo, p.hi)),
-            seq,
-        )));
-        seq += 1;
-    }
-    (ops as f64 / t0.elapsed().as_secs_f64(), black_box(last))
 }
 
 /// A process that spins through `steps` compute phases of seeded
@@ -148,11 +47,8 @@ impl Process for Spinner {
 }
 
 /// Run `procs` spinners of `steps` events each; returns (report, wall s).
-fn run_engine(procs: usize, steps: u32, heap: bool) -> (pmemflow_des::SimReport, f64) {
+fn run_engine(procs: usize, steps: u32) -> (pmemflow_des::SimReport, f64) {
     let mut sim = Simulation::new();
-    if heap {
-        sim = sim.with_heap_queue();
-    }
     for p in 0..procs {
         sim.spawn(Box::new(Spinner {
             rng: SplitMix64::new(0x5EED_0000 ^ p as u64),
@@ -173,92 +69,33 @@ fn main() {
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_des_events.json".to_string());
 
-    let (depths, hold_ops, engine_procs, engine_steps): (&[usize], u64, usize, u32) = if smoke {
-        (&[1_000, 8_000], 200_000, 2_000, 25)
-    } else {
-        (&[1_000, 32_000, 256_000], 2_000_000, 20_000, 100)
-    };
+    let (procs, steps): (usize, u32) = if smoke { (2_000, 25) } else { (20_000, 100) };
 
-    println!("DES EVENT-QUEUE THROUGHPUT — timing wheel vs binary heap\n");
-    println!("hold model ({hold_ops} pop+push ops at fixed depth):");
-    println!(
-        "  {:<18} {:>9} {:>16} {:>16} {:>8}",
-        "delay profile", "depth", "wheel ops/s", "heap ops/s", "ratio"
-    );
-    let mut hold_rows = Vec::new();
-    for profile in [SHORT, LONG] {
-        for &depth in depths {
-            let (w, _) = hold_wheel(depth, hold_ops, profile, 0xD0E5);
-            let (h, _) = hold_heap(depth, hold_ops, profile, 0xD0E5);
-            println!(
-                "  {:<18} {:>9} {:>16.0} {:>16.0} {:>7.2}x",
-                profile.name,
-                depth,
-                w,
-                h,
-                w / h
-            );
-            hold_rows.push((profile.name, depth, w, h));
-        }
-    }
-
-    let events = engine_procs as u64 * (engine_steps as u64 + 1); // +1 Done
-    println!(
-        "\nwhole engine ({engine_procs} processes x {engine_steps} timer events, \
-         ~{events} events total):"
-    );
-    let (wheel_report, wheel_s) = run_engine(engine_procs, engine_steps, false);
-    let (heap_report, heap_s) = run_engine(engine_procs, engine_steps, true);
-
-    // The wheel is a drop-in replacement: identical timeline, bit for bit.
+    println!("DES ENGINE THROUGHPUT\n");
+    let events = procs as u64 * (steps as u64 + 1); // +1 Done
+    println!("{procs} processes x {steps} timer events, ~{events} events total:");
+    let (first, first_s) = run_engine(procs, steps);
+    let (second, second_s) = run_engine(procs, steps);
     assert_eq!(
-        wheel_report.events_processed, heap_report.events_processed,
+        first.events_processed, second.events_processed,
         "event counts must match"
     );
     assert_eq!(
-        wheel_report.end_time.0.to_bits(),
-        heap_report.end_time.0.to_bits(),
+        first.end_time.0.to_bits(),
+        second.end_time.0.to_bits(),
         "end times must be bit-identical"
     );
-    for (w, h) in wheel_report
-        .processes
-        .iter()
-        .zip(heap_report.processes.iter())
-    {
-        assert_eq!(
-            w.finished_at.map(|t| t.0.to_bits()),
-            h.finished_at.map(|t| t.0.to_bits()),
-            "per-process finish instants must be bit-identical"
-        );
-    }
-    let wheel_eps = wheel_report.events_processed as f64 / wheel_s;
-    let heap_eps = heap_report.events_processed as f64 / heap_s;
+    let eps = first.events_processed as f64 / first_s.min(second_s);
     println!(
-        "  wheel: {:>12.0} events/s   heap: {:>12.0} events/s   ratio {:.2}x",
-        wheel_eps,
-        heap_eps,
-        wheel_eps / heap_eps
+        "  {eps:>12.0} events/s (best of 2), max queue depth {}",
+        first.max_heap_depth
     );
-    println!("  reports bit-identical: end_time, events_processed, per-process finishes");
 
-    // Schema-stable JSON for the perf trajectory.
-    let mut hold_json = String::new();
-    for (i, (name, depth, w, h)) in hold_rows.iter().enumerate() {
-        if i > 0 {
-            hold_json.push(',');
-        }
-        hold_json.push_str(&format!(
-            "{{\"profile\":\"{name}\",\"depth\":{depth},\
-             \"wheel_ops_per_sec\":{w:.0},\"heap_ops_per_sec\":{h:.0}}}"
-        ));
-    }
     let json = format!(
-        "{{\"bench\":\"des_events\",\"smoke\":{smoke},\"hold\":[{hold_json}],\
-         \"engine\":{{\"processes\":{engine_procs},\"events\":{},\
-         \"wheel_events_per_sec\":{wheel_eps:.0},\"heap_events_per_sec\":{heap_eps:.0},\
-         \"speedup\":{:.3},\"bit_identical\":true}}}}\n",
-        wheel_report.events_processed,
-        wheel_eps / heap_eps,
+        "{{\"bench\":\"des_events\",\"smoke\":{smoke},\
+         \"engine\":{{\"processes\":{procs},\"events\":{},\"max_queue_depth\":{},\
+         \"events_per_sec\":{eps:.0},\"deterministic\":true}}}}\n",
+        first.events_processed, first.max_heap_depth,
     );
     std::fs::write(&out, &json).expect("write bench JSON");
     println!("\nwrote {out}");

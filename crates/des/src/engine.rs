@@ -1,9 +1,8 @@
 //! The discrete-event engine.
 //!
-//! The engine advances a virtual clock through a queue of timestamped
-//! events — a hierarchical timing wheel by default (see [`crate::wheel`]),
-//! with the original binary heap retained as a benchmark baseline.
-//! Two event kinds exist: process wake-ups (compute phases ending) and
+//! The engine advances a virtual clock through a binary heap of
+//! timestamped events; real runs keep at most a few dozen pending. Two
+//! event kinds exist: process wake-ups (compute phases ending) and
 //! resource checks (the earliest moment a fluid flow can complete under the
 //! current rate assignment). Whenever the set of flows on a resource changes,
 //! rates are recomputed by the resource's [`RateAllocator`] and a fresh check
@@ -12,13 +11,18 @@
 //! Determinism: events are ordered by `(time, sequence)`, all arithmetic is
 //! pure `f64`, and no randomness or wall-clock input exists anywhere in the
 //! engine, so identical inputs yield bit-identical reports.
+//!
+//! Apart from what a run records (marks, timelines) and what an allocator
+//! keeps for itself, the per-event paths do not allocate once a run has
+//! warmed up: each resource owns the scratch its allocator reads and
+//! writes, completed flows go through one reused buffer, and each channel
+//! keeps its parked waiters so a publish visits only them.
 
 use crate::flow::{ActiveFlow, FlowId, FlowView, RateAllocator};
 use crate::process::{Action, ChannelId, Process, ProcessId, ResourceId, Resume};
-use crate::stats::{ProcessReport, ResourceReport, SimReport};
+use crate::stats::{ClassBytes, ProcessReport, ResourceReport, SimReport};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{ProcessTimeline, Span, SpanKind, Timeline};
-use crate::wheel::TimingWheel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -98,38 +102,6 @@ impl PartialOrd for Event {
     }
 }
 
-/// The pending-event structure. The timing wheel is the default; the
-/// legacy binary heap is kept as a benchmark baseline and differential
-/// test oracle. Both deliver events in identical `(time, seq)` order,
-/// so a run's output is bit-identical either way.
-enum EventQueue {
-    Wheel(TimingWheel<EventKind>),
-    Heap(BinaryHeap<Reverse<Event>>),
-}
-
-impl EventQueue {
-    fn push(&mut self, ev: Event) {
-        match self {
-            EventQueue::Wheel(w) => w.push(ev.time, ev.seq, ev.kind),
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Wheel(w) => w.pop().map(|(time, seq, kind)| Event { time, seq, kind }),
-            EventQueue::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     /// Waiting for a scheduled wake (fresh, or in a compute phase).
@@ -157,15 +129,28 @@ struct ProcSlot {
 struct ResourceState {
     allocator: Box<dyn RateAllocator>,
     flows: Vec<ActiveFlow>,
+    /// Allocator input and output, rebuilt in place on every reallocation.
+    views: Vec<FlowView>,
+    rates: Vec<f64>,
+    class_bytes: ClassBytes,
     last_update: SimTime,
     epoch: u64,
     report: ResourceReport,
+}
+
+impl ResourceState {
+    fn into_report(mut self) -> ResourceReport {
+        self.class_bytes.fold_into(&mut self.report.bytes_by_class);
+        self.report
+    }
 }
 
 #[derive(Debug, Default)]
 struct ChannelState {
     published: u64,
     has_published: bool,
+    /// Processes parked on this channel, in process-id order.
+    waiters: Vec<ProcessId>,
 }
 
 /// A configured simulation: resources, channels, and processes, plus run
@@ -173,10 +158,12 @@ struct ChannelState {
 pub struct Simulation {
     now: SimTime,
     seq: u64,
-    events: EventQueue,
+    events: BinaryHeap<Reverse<Event>>,
     procs: Vec<ProcSlot>,
     resources: Vec<ResourceState>,
     channels: Vec<ChannelState>,
+    /// Flows completed by the current resource check (reused buffer).
+    finished: Vec<ActiveFlow>,
     next_flow_id: u64,
     event_budget: u64,
     horizon: SimTime,
@@ -197,10 +184,11 @@ impl Simulation {
         Self {
             now: SimTime::ZERO,
             seq: 0,
-            events: EventQueue::Wheel(TimingWheel::new()),
+            events: BinaryHeap::new(),
             procs: Vec::new(),
             resources: Vec::new(),
             channels: Vec::new(),
+            finished: Vec::new(),
             next_flow_id: 0,
             event_budget: 200_000_000,
             horizon: SimTime(1e9),
@@ -208,16 +196,6 @@ impl Simulation {
             max_heap_depth: 0,
             record_timeline: false,
         }
-    }
-
-    /// Use the legacy binary-heap event queue instead of the timing
-    /// wheel. Event delivery order — and therefore every report — is
-    /// bit-identical under both queues; this exists as the baseline for
-    /// the `des_events` micro-benchmark and for differential tests.
-    /// Call before [`Simulation::run`].
-    pub fn with_heap_queue(mut self) -> Self {
-        self.events = EventQueue::Heap(BinaryHeap::new());
-        self
     }
 
     /// Record per-process span timelines (compute/io/wait) for rendering
@@ -247,6 +225,9 @@ impl Simulation {
         self.resources.push(ResourceState {
             allocator,
             flows: Vec::new(),
+            views: Vec::new(),
+            rates: Vec::new(),
+            class_bytes: ClassBytes::default(),
             last_update: SimTime::ZERO,
             epoch: 0,
             report: ResourceReport {
@@ -288,7 +269,7 @@ impl Simulation {
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.events.push(Event { time, seq, kind });
+        self.events.push(Reverse(Event { time, seq, kind }));
         self.max_heap_depth = self.max_heap_depth.max(self.events.len());
     }
 
@@ -300,7 +281,7 @@ impl Simulation {
         }
         let mut first_call = vec![true; self.procs.len()];
 
-        while let Some(ev) = self.events.pop() {
+        while let Some(Reverse(ev)) = self.events.pop() {
             self.events_processed += 1;
             if self.events_processed > self.event_budget {
                 return Err(SimError::EventBudgetExhausted {
@@ -354,7 +335,11 @@ impl Simulation {
         Ok(SimReport {
             end_time: self.now,
             processes: self.procs.into_iter().map(|p| p.report).collect(),
-            resources: self.resources.into_iter().map(|r| r.report).collect(),
+            resources: self
+                .resources
+                .into_iter()
+                .map(ResourceState::into_report)
+                .collect(),
             events_processed: self.events_processed,
             max_heap_depth: self.max_heap_depth,
             timeline,
@@ -424,6 +409,10 @@ impl Simulation {
                         version,
                         since: self.now,
                     };
+                    let waiters = &mut self.channels[channel.0].waiters;
+                    if let Err(at) = waiters.binary_search(&pid) {
+                        waiters.insert(at, pid);
+                    }
                     return;
                 }
                 Action::Publish { channel, version } => {
@@ -432,34 +421,37 @@ impl Simulation {
                     ch.published = ch.published.max(version);
                     let published = ch.published;
                     // Wake satisfied waiters via events at the current time
-                    // (deterministic order by process id).
-                    let mut to_wake: Vec<ProcessId> = Vec::new();
-                    for (i, p) in self.procs.iter().enumerate() {
-                        if let ProcState::WaitingVersion {
-                            channel: c,
-                            version: v,
-                            ..
-                        } = p.state
-                        {
-                            if c == channel && v <= published {
-                                to_wake.push(ProcessId(i));
-                            }
+                    // (deterministic order by process id). Waking only
+                    // pushes events, so nobody parks on this channel while
+                    // its waiter list is taken out.
+                    let mut waiters = std::mem::take(&mut ch.waiters);
+                    let mut kept = 0;
+                    for i in 0..waiters.len() {
+                        let wid = waiters[i];
+                        let ProcState::WaitingVersion { version, since, .. } =
+                            self.procs[wid.0].state
+                        else {
+                            unreachable!("channel waiter {wid:?} is not parked");
+                        };
+                        if version > published {
+                            waiters[kept] = wid;
+                            kept += 1;
+                            continue;
                         }
-                    }
-                    for wid in to_wake {
-                        if let ProcState::WaitingVersion { since, .. } = self.procs[wid.0].state {
-                            self.procs[wid.0].report.wait_time += self.now.since(since);
-                            if self.record_timeline {
-                                self.procs[wid.0].timeline.spans.push(Span {
-                                    start: since,
-                                    end: self.now,
-                                    kind: SpanKind::Wait,
-                                });
-                            }
+                        let slot = &mut self.procs[wid.0];
+                        slot.report.wait_time += self.now.since(since);
+                        if self.record_timeline {
+                            slot.timeline.spans.push(Span {
+                                start: since,
+                                end: self.now,
+                                kind: SpanKind::Wait,
+                            });
                         }
-                        self.procs[wid.0].state = ProcState::Scheduled;
+                        slot.state = ProcState::Scheduled;
                         self.push_event(self.now, EventKind::Wake(wid));
                     }
+                    waiters.truncate(kept);
+                    self.channels[channel.0].waiters = waiters;
                     continue;
                 }
                 Action::Mark(label) => {
@@ -485,8 +477,7 @@ impl Simulation {
             for fl in &mut res.flows {
                 let moved = (fl.rate * dt.seconds()).min(fl.remaining);
                 fl.remaining -= moved;
-                res.report
-                    .record_bytes(fl.attrs.direction, fl.attrs.locality, moved);
+                res.class_bytes.add(&fl.attrs, moved);
             }
         }
         res.last_update = self.now;
@@ -500,24 +491,16 @@ impl Simulation {
         if res.flows.is_empty() {
             return;
         }
-        let views: Vec<FlowView> = res
-            .flows
-            .iter()
-            .map(|f| FlowView {
-                attrs: f.attrs,
-                remaining: f.remaining,
-            })
-            .collect();
-        let rates = res.allocator.allocate(&views);
-        assert_eq!(
-            rates.len(),
-            res.flows.len(),
-            "allocator returned {} rates for {} flows",
-            rates.len(),
-            res.flows.len()
-        );
+        res.views.clear();
+        res.views.extend(res.flows.iter().map(|f| FlowView {
+            attrs: f.attrs,
+            remaining: f.remaining,
+        }));
+        res.rates.clear();
+        res.rates.resize(res.flows.len(), 0.0);
+        res.allocator.allocate(&res.views, &mut res.rates);
         let mut next_done = f64::INFINITY;
-        for (fl, &r) in res.flows.iter_mut().zip(rates.iter()) {
+        for (fl, &r) in res.flows.iter_mut().zip(res.rates.iter()) {
             let r = r.min(fl.attrs.intrinsic_rate()).max(MIN_RATE);
             fl.rate = r;
             next_done = next_done.min(fl.remaining / r);
@@ -538,15 +521,17 @@ impl Simulation {
     fn resource_check(&mut self, rid: ResourceId) {
         self.settle(rid);
         let res = &mut self.resources[rid.0];
-        let mut finished: Vec<ActiveFlow> = Vec::new();
-        let mut i = 0;
-        while i < res.flows.len() {
-            if res.flows[i].remaining <= EPS_BYTES {
-                finished.push(res.flows.remove(i));
-            } else {
-                i += 1;
+        let finished = &mut self.finished;
+        debug_assert!(finished.is_empty());
+        // Flows stay in submission (== flow-id) order, so the finished
+        // ones come out in the order their owners are woken.
+        res.flows.retain(|fl| {
+            let done = fl.remaining <= EPS_BYTES;
+            if done {
+                finished.push(*fl);
             }
-        }
+            !done
+        });
         if finished.is_empty() {
             // Float residue left every flow marginally unfinished: force the
             // nearest one to completion so the clock always advances.
@@ -558,8 +543,7 @@ impl Simulation {
                 .map(|(i, _)| i)
             {
                 let mut fl = res.flows.remove(min_idx);
-                res.report
-                    .record_bytes(fl.attrs.direction, fl.attrs.locality, fl.remaining);
+                res.class_bytes.add(&fl.attrs, fl.remaining);
                 fl.remaining = 0.0;
                 finished.push(fl);
             }
@@ -571,8 +555,11 @@ impl Simulation {
             .max(res.flows.len() + finished.len());
         self.reallocate(rid);
         // Wake owners in flow-id order (== submission order): deterministic.
-        finished.sort_by_key(|f| f.id);
-        for fl in finished {
+        // Waking never re-enters a resource check, so the buffer can be
+        // taken out while owners step and handed back empty afterwards.
+        let mut finished = std::mem::take(&mut self.finished);
+        debug_assert!(finished.windows(2).all(|w| w[0].id < w[1].id));
+        for fl in &finished {
             let slot = &mut self.procs[fl.owner.0];
             if let ProcState::InIo { io_started } = slot.state {
                 slot.report.io_time += self.now.since(io_started);
@@ -588,6 +575,8 @@ impl Simulation {
             slot.state = ProcState::Scheduled;
             self.step_process(fl.owner, Resume::ActionDone);
         }
+        finished.clear();
+        self.finished = finished;
     }
 }
 
@@ -762,6 +751,42 @@ mod tests {
     }
 
     #[test]
+    fn publish_wakes_only_satisfied_waiters() {
+        let mut sim = Simulation::new();
+        let a = sim.add_channel();
+        let b = sim.add_channel();
+        let publish = |channel, version| Action::Publish { channel, version };
+        let wait = |channel, version| Action::WaitVersion { channel, version };
+        sim.spawn(Box::new(ScriptProcess::new(
+            "writer",
+            vec![
+                Action::Compute(SimDuration(1.0)),
+                publish(a, 1),
+                Action::Compute(SimDuration(1.0)),
+                publish(a, 2),
+                Action::Compute(SimDuration(1.0)),
+                publish(b, 1),
+            ],
+        )));
+        for (name, channel, version) in [("a2", a, 2), ("a1", a, 1), ("b1", b, 1), ("a1'", a, 1)] {
+            sim.spawn(Box::new(ScriptProcess::new(
+                name,
+                vec![wait(channel, version)],
+            )));
+        }
+        let rep = sim.run().unwrap();
+        let finished: Vec<f64> = rep.processes[1..]
+            .iter()
+            .map(|p| p.finished_at.unwrap().seconds())
+            .collect();
+        assert_eq!(finished, [2.0, 1.0, 3.0, 1.0]);
+        for p in &rep.processes[1..] {
+            assert_eq!(p.wait_time.seconds(), p.finished_at.unwrap().seconds());
+            assert_eq!(p.channel_waits, 1);
+        }
+    }
+
+    #[test]
     fn deadlock_detected() {
         let mut sim = Simulation::new();
         let ch = sim.add_channel();
@@ -845,67 +870,6 @@ mod tests {
                 pa.io_time.seconds().to_bits(),
                 pb.io_time.seconds().to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn wheel_and_heap_queues_are_bit_identical() {
-        let build = |heap: bool| {
-            let mut sim = Simulation::new();
-            if heap {
-                sim = sim.with_heap_queue();
-            }
-            let r = sim.add_resource(Box::new(FairShareAllocator::new(2.7e9)));
-            let ch = sim.add_channel();
-            for i in 0..9 {
-                sim.spawn(Box::new(ScriptProcess::new(
-                    format!("w{i}"),
-                    vec![
-                        Action::Compute(SimDuration(0.37 * (i + 1) as f64)),
-                        io(r, 0.9e9 + i as f64 * 2.3e8, 6e9),
-                        Action::Publish {
-                            channel: ch,
-                            version: i as u64 + 1,
-                        },
-                        Action::Compute(SimDuration(0.011 * (i + 3) as f64)),
-                        io(r, 4.1e8, 6e9),
-                    ],
-                )));
-            }
-            sim.spawn(Box::new(ScriptProcess::new(
-                "r",
-                vec![
-                    Action::WaitVersion {
-                        channel: ch,
-                        version: 9,
-                    },
-                    io(r, 7e9, 8e9),
-                ],
-            )));
-            sim.run().unwrap()
-        };
-        let wheel = build(false);
-        let heap = build(true);
-        assert_eq!(
-            wheel.end_time.seconds().to_bits(),
-            heap.end_time.seconds().to_bits()
-        );
-        assert_eq!(wheel.events_processed, heap.events_processed);
-        assert_eq!(wheel.max_heap_depth, heap.max_heap_depth);
-        for (pw, ph) in wheel.processes.iter().zip(heap.processes.iter()) {
-            assert_eq!(
-                pw.io_time.seconds().to_bits(),
-                ph.io_time.seconds().to_bits()
-            );
-            assert_eq!(
-                pw.wait_time.seconds().to_bits(),
-                ph.wait_time.seconds().to_bits()
-            );
-            assert_eq!(pw.finished_at, ph.finished_at);
-        }
-        for (rw, rh) in wheel.resources.iter().zip(heap.resources.iter()) {
-            assert_eq!(rw.total_bytes().to_bits(), rh.total_bytes().to_bits());
-            assert_eq!(rw.flows_completed, rh.flows_completed);
         }
     }
 

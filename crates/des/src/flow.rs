@@ -130,15 +130,17 @@ pub struct FlowId(pub(crate) u64);
 
 /// A rate-allocation policy for one shared resource.
 ///
-/// Implementations receive every active flow and return an **end-to-end**
-/// rate (bytes/s, software time included) per flow, in the same order. The
-/// engine guarantees the slice is non-empty. Returned rates must be strictly
-/// positive and no larger than each flow's [`FlowAttrs::intrinsic_rate`];
-/// the engine clamps violations defensively but relies on allocators for
-/// model fidelity.
+/// Implementations receive every active flow and write an **end-to-end**
+/// rate (bytes/s, software time included) per flow into `rates`, in the
+/// same order; the engine owns both slices and guarantees they are
+/// non-empty and of equal length. Rates must be strictly positive and no
+/// larger than each flow's [`FlowAttrs::intrinsic_rate`]; the engine clamps
+/// violations defensively but relies on allocators for model fidelity.
+/// `&mut self` lets an allocator keep scratch space or a memo across calls;
+/// the engine gives each resource its own allocator.
 pub trait RateAllocator: Send {
-    /// Compute rates for the current flow set.
-    fn allocate(&self, flows: &[FlowView]) -> Vec<f64>;
+    /// Compute rates for the current flow set into `rates`.
+    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]);
 
     /// A human-readable name for traces and reports.
     fn name(&self) -> &str {
@@ -152,8 +154,10 @@ pub trait RateAllocator: Send {
 pub struct UncontendedAllocator;
 
 impl RateAllocator for UncontendedAllocator {
-    fn allocate(&self, flows: &[FlowView]) -> Vec<f64> {
-        flows.iter().map(|f| f.attrs.intrinsic_rate()).collect()
+    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
+        for (r, f) in rates.iter_mut().zip(flows) {
+            *r = f.attrs.intrinsic_rate();
+        }
     }
 
     fn name(&self) -> &str {
@@ -168,21 +172,29 @@ impl RateAllocator for UncontendedAllocator {
 pub struct FairShareAllocator {
     /// Aggregate capacity in bytes/second.
     pub capacity: f64,
+    caps: Vec<f64>,
+    order: Vec<usize>,
 }
 
 impl FairShareAllocator {
     /// Create an allocator with `capacity` bytes/second total.
     pub fn new(capacity: f64) -> Self {
         assert!(capacity > 0.0, "capacity must be positive");
-        Self { capacity }
+        Self {
+            capacity,
+            caps: Vec::new(),
+            order: Vec::new(),
+        }
     }
 }
 
 impl RateAllocator for FairShareAllocator {
-    fn allocate(&self, flows: &[FlowView]) -> Vec<f64> {
+    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
         // Max-min fair (water-filling) against per-flow intrinsic caps.
-        let caps: Vec<f64> = flows.iter().map(|f| f.attrs.intrinsic_rate()).collect();
-        water_fill(&caps, self.capacity)
+        self.caps.clear();
+        self.caps
+            .extend(flows.iter().map(|f| f.attrs.intrinsic_rate()));
+        water_fill(&self.caps, self.capacity, &mut self.order, rates);
     }
 
     fn name(&self) -> &str {
@@ -190,33 +202,32 @@ impl RateAllocator for FairShareAllocator {
     }
 }
 
-/// Max-min fair allocation of `capacity` across flows with `caps`.
+/// Max-min fair allocation of `capacity` across flows with `caps`, written
+/// into `rates` (same length as `caps`). `order` is caller-owned scratch.
 ///
 /// Classic water-filling: repeatedly give every unfrozen flow an equal share;
 /// flows whose cap is below the share are frozen at their cap and the slack
-/// is redistributed. Runs in `O(n log n)`.
-pub fn water_fill(caps: &[f64], capacity: f64) -> Vec<f64> {
-    let n = caps.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| caps[a].total_cmp(&caps[b]));
-    let mut rates = vec![0.0; n];
+/// is redistributed. Flows are visited in ascending cap order, ties by
+/// index. Runs in `O(n log n)` and does not allocate once `order` has grown
+/// to `caps.len()`.
+pub fn water_fill(caps: &[f64], capacity: f64, order: &mut Vec<usize>, rates: &mut [f64]) {
+    assert_eq!(caps.len(), rates.len(), "one rate per cap");
+    order.clear();
+    order.extend(0..caps.len());
+    order.sort_unstable_by(|&a, &b| caps[a].total_cmp(&caps[b]).then(a.cmp(&b)));
     let mut left = capacity.max(0.0);
-    let mut remaining = n;
-    for &i in &order {
+    let mut remaining = caps.len();
+    for &i in order.iter() {
         let share = left / remaining as f64;
         let r = caps[i].min(share).max(0.0);
         rates[i] = r;
         left = (left - r).max(0.0);
         remaining -= 1;
     }
-    rates
 }
 
 /// Internal state of a live flow.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ActiveFlow {
     pub id: FlowId,
     pub owner: crate::process::ProcessId,
@@ -273,36 +284,40 @@ mod tests {
         assert_eq!(a.end_to_end_rate(-1.0), 0.0);
     }
 
+    fn fill(caps: &[f64], capacity: f64) -> Vec<f64> {
+        let mut rates = vec![f64::NAN; caps.len()];
+        water_fill(caps, capacity, &mut Vec::new(), &mut rates);
+        rates
+    }
+
     #[test]
     fn water_fill_even_split() {
-        let rates = water_fill(&[10.0, 10.0, 10.0], 9.0);
-        for r in rates {
+        for r in fill(&[10.0, 10.0, 10.0], 9.0) {
             assert!((r - 3.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn water_fill_respects_caps() {
-        let rates = water_fill(&[1.0, 10.0], 8.0);
+        let rates = fill(&[1.0, 10.0], 8.0);
         assert!((rates[0] - 1.0).abs() < 1e-12);
         assert!((rates[1] - 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn water_fill_caps_below_capacity() {
-        let rates = water_fill(&[1.0, 2.0], 100.0);
-        assert_eq!(rates, vec![1.0, 2.0]);
+        assert_eq!(fill(&[1.0, 2.0], 100.0), vec![1.0, 2.0]);
     }
 
     #[test]
     fn water_fill_empty() {
-        assert!(water_fill(&[], 5.0).is_empty());
+        assert!(fill(&[], 5.0).is_empty());
     }
 
     #[test]
     fn water_fill_conserves_capacity() {
         let caps = [3.0, 5.0, 0.5, 9.0, 2.0];
-        let rates = water_fill(&caps, 10.0);
+        let rates = fill(&caps, 10.0);
         let total: f64 = rates.iter().sum();
         assert!(total <= 10.0 + 1e-9);
         // Capacity is scarce, so it should be fully used.
@@ -313,24 +328,37 @@ mod tests {
     }
 
     #[test]
+    fn water_fill_reuses_dirty_scratch() {
+        // Leftover scratch from a larger call must not leak into a smaller one.
+        let mut order = vec![7, 3, 9, 1];
+        let mut rates = [0.0; 2];
+        water_fill(&[4.0, 1.0], 3.0, &mut order, &mut rates);
+        assert_eq!(rates, [2.0, 1.0]);
+    }
+
+    #[test]
     fn fair_share_allocator_splits() {
-        let alloc = FairShareAllocator::new(10e9);
+        let mut alloc = FairShareAllocator::new(10e9);
         let f = FlowView {
             attrs: attrs(0.0, 100e9),
             remaining: 1e9,
         };
-        let rates = alloc.allocate(&[f.clone(), f]);
+        let mut rates = [0.0; 2];
+        alloc.allocate(&[f.clone(), f], &mut rates);
         assert!((rates[0] - 5e9).abs() < 1.0);
     }
 
     #[test]
     fn uncontended_allocator_gives_intrinsic() {
-        let alloc = UncontendedAllocator;
         let a = attrs(1e-9, 1e9);
-        let rates = alloc.allocate(&[FlowView {
-            attrs: a,
-            remaining: 1.0,
-        }]);
+        let mut rates = [0.0];
+        UncontendedAllocator.allocate(
+            &[FlowView {
+                attrs: a,
+                remaining: 1.0,
+            }],
+            &mut rates,
+        );
         assert!((rates[0] - a.intrinsic_rate()).abs() < 1e-6);
     }
 }

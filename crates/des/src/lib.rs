@@ -58,7 +58,6 @@ pub mod rng;
 mod stats;
 mod time;
 pub mod trace;
-pub mod wheel;
 
 pub use engine::{SimError, Simulation};
 pub use flow::{
@@ -70,4 +69,3 @@ pub use process::{Action, ChannelId, Process, ProcessId, ResourceId, Resume, Scr
 pub use stats::{ProcessReport, ResourceReport, SimReport};
 pub use time::{SimDuration, SimTime};
 pub use trace::{ProcessTimeline, Span, SpanKind, Timeline};
-pub use wheel::TimingWheel;

@@ -1,6 +1,6 @@
 //! Per-process and per-resource accounting collected during a run.
 
-use crate::flow::{Direction, Locality};
+use crate::flow::{Direction, FlowAttrs, Locality};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -72,13 +72,6 @@ impl ResourceReport {
         }
     }
 
-    pub(crate) fn record_bytes(&mut self, dir: Direction, loc: Locality, bytes: f64) {
-        *self
-            .bytes_by_class
-            .entry((dir.label(), loc.label()))
-            .or_insert(0.0) += bytes;
-    }
-
     /// Total bytes moved through the resource.
     pub fn total_bytes(&self) -> f64 {
         self.bytes_by_class.values().sum()
@@ -99,6 +92,38 @@ impl ResourceReport {
             0.0
         } else {
             self.total_bytes() / self.busy_time.seconds()
+        }
+    }
+}
+
+/// Bytes moved per (direction, locality) class, as `(touched, sum)`.
+///
+/// The engine adds to these on every settle instead of updating
+/// [`ResourceReport::bytes_by_class`] directly. Each class sees the same
+/// additions in the same order, and only touched classes are folded into
+/// the map, so the report is bit-identical to per-record map updates.
+#[derive(Debug, Default)]
+pub(crate) struct ClassBytes([(bool, f64); 4]);
+
+impl ClassBytes {
+    const CLASSES: [(Direction, Locality); 4] = [
+        (Direction::Read, Locality::Local),
+        (Direction::Read, Locality::Remote),
+        (Direction::Write, Locality::Local),
+        (Direction::Write, Locality::Remote),
+    ];
+
+    pub(crate) fn add(&mut self, attrs: &FlowAttrs, bytes: f64) {
+        let (touched, sum) = &mut self.0[attrs.direction as usize * 2 + attrs.locality as usize];
+        *touched = true;
+        *sum += bytes;
+    }
+
+    pub(crate) fn fold_into(&self, map: &mut BTreeMap<(&'static str, &'static str), f64>) {
+        for (&(dir, loc), &(touched, sum)) in Self::CLASSES.iter().zip(&self.0) {
+            if touched {
+                map.insert((dir.label(), loc.label()), sum);
+            }
         }
     }
 }
@@ -150,12 +175,42 @@ mod tests {
         let mut r = ResourceReport::default();
         r.record_interval(SimDuration(2.0), 3);
         r.record_interval(SimDuration(1.0), 0);
-        r.record_bytes(Direction::Read, Locality::Local, 10.0);
-        r.record_bytes(Direction::Read, Locality::Local, 5.0);
+        let mut bytes = ClassBytes::default();
+        let attrs = FlowAttrs {
+            direction: Direction::Read,
+            locality: Locality::Local,
+            access_bytes: 4096,
+            sw_time_per_byte: 0.0,
+            peak_device_rate: 1e9,
+        };
+        bytes.add(&attrs, 10.0);
+        bytes.add(&attrs, 5.0);
+        bytes.fold_into(&mut r.bytes_by_class);
+        assert_eq!(r.bytes_by_class.len(), 1, "untouched classes stay out");
         assert_eq!(r.busy_time.seconds(), 2.0);
         assert!((r.mean_busy_concurrency() - 3.0).abs() < 1e-12);
         assert_eq!(r.total_bytes(), 15.0);
         assert!((r.busy_throughput() - 7.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn class_bytes_keep_classes_apart() {
+        let mut bytes = ClassBytes::default();
+        for (i, &(direction, locality)) in ClassBytes::CLASSES.iter().enumerate() {
+            let attrs = FlowAttrs {
+                direction,
+                locality,
+                access_bytes: 4096,
+                sw_time_per_byte: 0.0,
+                peak_device_rate: 1e9,
+            };
+            bytes.add(&attrs, i as f64 + 1.0);
+        }
+        let mut map = BTreeMap::new();
+        bytes.fold_into(&mut map);
+        for (i, &(dir, loc)) in ClassBytes::CLASSES.iter().enumerate() {
+            assert_eq!(map[&(dir.label(), loc.label())], i as f64 + 1.0);
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@ fn attrs() -> FlowAttrs {
 struct OverpromisingAllocator;
 
 impl RateAllocator for OverpromisingAllocator {
-    fn allocate(&self, flows: &[FlowView]) -> Vec<f64> {
-        flows.iter().map(|_| 1e18).collect()
+    fn allocate(&mut self, _flows: &[FlowView], rates: &mut [f64]) {
+        rates.fill(1e18);
     }
 }
 
@@ -31,8 +31,8 @@ impl RateAllocator for OverpromisingAllocator {
 struct StingyAllocator;
 
 impl RateAllocator for StingyAllocator {
-    fn allocate(&self, flows: &[FlowView]) -> Vec<f64> {
-        flows.iter().map(|_| 0.0).collect()
+    fn allocate(&mut self, _flows: &[FlowView], rates: &mut [f64]) {
+        rates.fill(0.0);
     }
 }
 
@@ -75,13 +75,12 @@ fn zero_rates_still_terminate() {
 struct FlipFlopAllocator;
 
 impl RateAllocator for FlipFlopAllocator {
-    fn allocate(&self, flows: &[FlowView]) -> Vec<f64> {
+    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
         // Rate depends on the remaining bytes: decreasing as flows drain,
         // which exercises settle-then-reallocate paths.
-        flows
-            .iter()
-            .map(|f| (f.remaining / 2.0).max(2.0).min(f.attrs.intrinsic_rate()))
-            .collect()
+        for (r, f) in rates.iter_mut().zip(flows) {
+            *r = (f.remaining / 2.0).max(2.0).min(f.attrs.intrinsic_rate());
+        }
     }
 }
 

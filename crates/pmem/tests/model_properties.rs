@@ -20,6 +20,12 @@ fn flow(dir: Direction, loc: Locality, access: u64, sw_tpb: f64) -> FlowView {
     }
 }
 
+fn allocate(alloc: &mut OptaneAllocator, flows: &[FlowView]) -> Vec<f64> {
+    let mut rates = vec![0.0; flows.len()];
+    alloc.allocate(flows, &mut rates);
+    rates
+}
+
 fn random_flow(rng: &mut SplitMix64) -> FlowView {
     let access = [2048u64, 4608, 1 << 20, 64 << 20][rng.range_usize(0, 4)];
     let sw_ns_per_kb = rng.range_u64(0, 3000);
@@ -51,13 +57,13 @@ fn allocation_is_permutation_invariant() {
     let mut rng = SplitMix64::new(0x0de1_0001);
     for _case in 0..40 {
         let flows = random_flows(&mut rng, 2, 12);
-        let alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-        let rates = alloc.allocate(&flows);
+        let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
+        let rates = allocate(&mut alloc, &flows);
         let i = rng.range_usize(0, flows.len());
         let j = rng.range_usize(0, flows.len());
         let mut permuted = flows.clone();
         permuted.swap(i, j);
-        let rates_p = alloc.allocate(&permuted);
+        let rates_p = allocate(&mut alloc, &permuted);
         // Water-filling breaks ties among equal caps by position, so the
         // guarantee is equality up to float noise, not bitwise.
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.max(b).max(1.0);
@@ -87,7 +93,7 @@ fn identical_flows_get_identical_rates() {
     let mut rng = SplitMix64::new(0x0de1_0002);
     for _case in 0..40 {
         let n = rng.range_usize(2, 24);
-        let alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
+        let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
         let f = flow(
             if rng.next_bool() {
                 Direction::Read
@@ -103,7 +109,7 @@ fn identical_flows_get_identical_rates() {
             1e-10,
         );
         let flows: Vec<FlowView> = (0..n).map(|_| f.clone()).collect();
-        let rates = alloc.allocate(&flows);
+        let rates = allocate(&mut alloc, &flows);
         for r in &rates {
             assert!((r - rates[0]).abs() < 1e-6 * rates[0]);
         }
@@ -145,11 +151,11 @@ fn adding_a_flow_never_speeds_others_up_once_saturated() {
         let n = rng.range_usize(18, 25);
         let flows: Vec<FlowView> = (0..n).map(|_| saturated_flow(&mut rng)).collect();
         let extra = saturated_flow(&mut rng);
-        let alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-        let before = alloc.allocate(&flows);
+        let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
+        let before = allocate(&mut alloc, &flows);
         let mut more = flows.clone();
         more.push(extra);
-        let after = alloc.allocate(&more);
+        let after = allocate(&mut alloc, &more);
         for (b, a) in before.iter().zip(after.iter()) {
             assert!(*a <= b * (1.0 + 5e-2), "rate rose from {b} to {a}");
         }
@@ -162,12 +168,12 @@ fn adding_a_flow_never_speeds_others_up_once_saturated() {
 /// restricted to the saturated regime.
 #[test]
 fn read_aggregate_scales_below_saturation() {
-    let alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-    let agg = |n: usize| {
+    let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
+    let mut agg = |n: usize| {
         let flows: Vec<FlowView> = (0..n)
             .map(|_| flow(Direction::Read, Locality::Local, 64 << 20, 0.0))
             .collect();
-        alloc.allocate(&flows).iter().sum::<f64>()
+        allocate(&mut alloc, &flows).iter().sum::<f64>()
     };
     let mut prev = 0.0;
     for n in [1usize, 2, 4, 8, 12, 16] {
@@ -202,10 +208,10 @@ fn class_capacity_is_finite_positive() {
 fn gen1_placement_asymmetries_hold_at_scale() {
     // The two asymmetries the paper's placement decision rests on, checked
     // end-to-end through the allocator at 24 ranks.
-    let alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-    let agg = |dir, loc| {
+    let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
+    let mut agg = |dir, loc| {
         let flows: Vec<FlowView> = (0..24).map(|_| flow(dir, loc, 64 << 20, 0.0)).collect();
-        alloc.allocate(&flows).iter().sum::<f64>()
+        allocate(&mut alloc, &flows).iter().sum::<f64>()
     };
     let wl = agg(Direction::Write, Locality::Local);
     let wr = agg(Direction::Write, Locality::Remote);

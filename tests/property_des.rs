@@ -129,8 +129,9 @@ fn allocator_rates_are_bounded() {
                 remaining: 1e9,
             });
         }
-        let alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-        let rates = alloc.allocate(&flows);
+        let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
+        let mut rates = vec![0.0; flows.len()];
+        alloc.allocate(&flows, &mut rates);
         assert_eq!(rates.len(), flows.len());
         let mut agg = 0.0;
         for (rate, flow) in rates.iter().zip(flows.iter()) {
