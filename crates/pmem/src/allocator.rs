@@ -85,9 +85,11 @@ impl FlowClass {
     }
 }
 
-/// Multiply-rotate word hasher for memo keys. The keys are short runs of
-/// machine words built by the simulator itself, so SipHash's resistance to
-/// crafted collisions buys nothing, and hashing is a visible share of a hit.
+/// Multiply-rotate word hasher for the memo tables. Their keys are short
+/// runs of words the simulator derives from its workload models, never raw
+/// outside input, and both tables are bounded with the memo, so SipHash's
+/// resistance to crafted collisions buys nothing; hashing is a visible
+/// share of a hit.
 #[derive(Default)]
 struct WordHasher(u64);
 
