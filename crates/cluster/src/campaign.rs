@@ -526,6 +526,15 @@ fn enqueue(queue: &mut VecDeque<Queued>, index: &mut QueueIndex, q: Queued, now:
     queue.insert(at, q);
 }
 
+/// Position of the first queued entry at or past `(arrival, id)` in the
+/// queue's order. A DAG's stages share its arrival and hold contiguous
+/// ids, so its queued stages form one run starting at
+/// `seek(queue, d.arrival, d.first_stage_id)`, and stage `si` (if
+/// queued) sits at `seek(queue, d.arrival, d.first_stage_id + si)`.
+fn seek(queue: &VecDeque<Queued>, arrival: f64, id: u64) -> usize {
+    queue.partition_point(|o| (o.job.arrival, o.job.id) < (arrival, id))
+}
+
 /// What became of an interrupted attempt.
 enum Interrupted {
     /// Back to the queue, to resume from `resume` after the backoff.
@@ -593,8 +602,11 @@ fn interrupt(r: Running, node: usize, now: f64, ckpt: &CheckpointSpec) -> Interr
 }
 
 /// Rebuild one node's policy-facing view in place, reusing its
-/// `residents` allocation. Field-for-field identical to constructing
-/// the view from scratch at the same instant.
+/// `residents` and `staging_holds` allocations. Field-for-field
+/// identical to constructing the view from scratch at the same instant.
+/// The holds come from the node's [`StagingState::homed`] index, so a
+/// refresh costs O(residents + DAGs homed here), not a scan over every
+/// DAG the campaign has seen.
 fn refresh_view(
     view: &mut NodeView,
     n: &NodeState,
@@ -616,22 +628,43 @@ fn refresh_view(
     view.staging_reserved = staging.reserved[view.id];
     view.staged_gib = staging.live[view.id];
     view.staging_holds.clear();
-    view.staging_holds.extend(
-        dags.iter()
-            .filter(|d| d.home == Some(view.id) && d.unsettled > 0)
-            .map(|d| (now + d.remaining_solo(), d.reservation)),
+    view.staging_holds
+        .extend(staging.homed[view.id].iter().map(|&di| {
+            let d = &dags[di as usize];
+            (now + d.remaining_solo(), d.reservation)
+        }));
+    debug_assert_eq!(
+        view.staging_holds,
+        staging_holds_reference(dags, view.id, now),
+        "homed index diverged from the reference scan"
     );
+}
+
+/// A node's staging holds by a scan over every DAG ever submitted: the
+/// reference the [`StagingState::homed`] index is asserted equal to
+/// under `debug_assertions`. `home` is `Some` only while stages remain
+/// unsettled, so the second condition is a belt-and-braces check.
+fn staging_holds_reference(dags: &[DagRun], node: usize, now: f64) -> Vec<(f64, f64)> {
+    dags.iter()
+        .filter(|d| d.home == Some(node) && d.unsettled > 0)
+        .map(|d| (now + d.remaining_solo(), d.reservation))
+        .collect()
 }
 
 /// Per-node PMEM staging occupancy — the second schedulable resource.
 /// `reserved` is what placements are checked against (hard capacity);
 /// `live` tracks the staged intermediates actually resident, which the
-/// interference-aware policy prices as pressure.
+/// interference-aware policy prices as pressure; `homed` says which
+/// DAGs hold the reservations, so node views read their holds from it.
 struct StagingState {
     capacity: f64,
     reserved: Vec<f64>,
     live: Vec<f64>,
     peak: Vec<f64>,
+    /// Per node, the indices of the DAGs homed there, ascending — the
+    /// order the policies see their holds in. A DAG enters when its
+    /// first stage is placed and leaves when its last stage settles.
+    homed: Vec<Vec<u32>>,
 }
 
 impl StagingState {
@@ -641,12 +674,27 @@ impl StagingState {
             reserved: vec![0.0; nodes],
             live: vec![0.0; nodes],
             peak: vec![0.0; nodes],
+            homed: vec![Vec::new(); nodes],
         }
     }
 
-    fn reserve(&mut self, node: usize, gib: f64) {
+    /// Home DAG `di` on `node`: reserve its whole footprint `gib` and
+    /// index it in submission order.
+    fn home(&mut self, node: usize, di: u32, gib: f64) {
         self.reserved[node] += gib;
         self.peak[node] = self.peak[node].max(self.reserved[node]);
+        let homed = &mut self.homed[node];
+        let at = homed.binary_search(&di).expect_err("DAG homed twice");
+        homed.insert(at, di);
+    }
+
+    /// Release DAG `di`'s reservation and live bytes on its home `node`.
+    fn release(&mut self, node: usize, di: u32, reserved: f64, live: f64) {
+        self.reserved[node] -= reserved;
+        self.live[node] -= live;
+        let homed = &mut self.homed[node];
+        let at = homed.binary_search(&di).expect("homed DAG is indexed");
+        homed.remove(at);
     }
 }
 
@@ -764,11 +812,15 @@ impl Ord for OrdF64 {
 struct QueueIndex {
     /// Backoff expiries of queued entries, lazily pruned. An entry is
     /// pushed when it enters the queue with `eligible` still in the
-    /// future and becomes stale once `now` passes that instant. Entries
-    /// that have *left* the queue left it past their expiry (a job is
-    /// never placed during backoff), so they are stale by the same rule —
-    /// pruning on read keeps the live set exact without tracking removal.
+    /// future and becomes stale once `now` passes that instant. A placed
+    /// entry left the queue past its expiry (a job is never placed
+    /// during backoff), so it is stale by the same rule.
     backoff: BinaryHeap<Reverse<OrdF64>>,
+    /// Expiries of entries that left the queue still inside their
+    /// backoff — a failed DAG cascades its queued stages out whatever
+    /// their backoff. Each cancels one equal `backoff` entry when both
+    /// reach the top, so a removed job never surfaces as an event.
+    cancelled: BinaryHeap<Reverse<OrdF64>>,
     /// Multiset of `ranks` over the whole queue, backoff state ignored.
     /// Exact for eligibility-filtered queries while no backoff is
     /// pending, which is every round of a fault-free campaign.
@@ -779,6 +831,7 @@ impl QueueIndex {
     fn new() -> QueueIndex {
         QueueIndex {
             backoff: BinaryHeap::new(),
+            cancelled: BinaryHeap::new(),
             rank_counts: BTreeMap::new(),
         }
     }
@@ -790,7 +843,10 @@ impl QueueIndex {
         }
     }
 
-    fn on_remove(&mut self, q: &Queued) {
+    fn on_remove(&mut self, q: &Queued, now: f64) {
+        if q.eligible > now {
+            self.cancelled.push(Reverse(OrdF64(q.eligible)));
+        }
         match self.rank_counts.get_mut(&q.job.ranks) {
             Some(1) => {
                 self.rank_counts.remove(&q.job.ranks);
@@ -800,15 +856,22 @@ impl QueueIndex {
         }
     }
 
-    /// Drop expiries at or before `now`; what remains are exactly the
-    /// queued entries still in backoff.
+    /// Drop expiries at or before `now` and cancel removed entries at the
+    /// top; what remains are exactly the queued entries still in backoff
+    /// (`cancelled` stays a sub-multiset of `backoff`, so when their
+    /// minima differ the `backoff` minimum is live).
     fn prune(&mut self, now: f64) {
-        while self
-            .backoff
-            .peek()
-            .is_some_and(|Reverse(OrdF64(e))| *e <= now)
-        {
+        let expired =
+            |h: &BinaryHeap<Reverse<OrdF64>>| h.peek().is_some_and(|Reverse(OrdF64(e))| *e <= now);
+        while expired(&self.backoff) {
             self.backoff.pop();
+        }
+        while expired(&self.cancelled) {
+            self.cancelled.pop();
+        }
+        while self.backoff.peek().is_some() && self.backoff.peek() == self.cancelled.peek() {
+            self.backoff.pop();
+            self.cancelled.pop();
         }
     }
 
@@ -984,9 +1047,11 @@ fn failed_stage_record(
     }
 }
 
-/// Release the staging reservation and fire the owning client once the
-/// last stage settles. Idempotent: home and client are taken.
+/// Release the staging reservation (and DAG `di`'s place in the homed
+/// index) and fire the owning client once the last stage settles.
+/// Idempotent: home and client are taken.
 fn finish_dag_if_settled(
+    di: u32,
     d: &mut DagRun,
     staging: &mut StagingState,
     finished_clients: &mut Vec<usize>,
@@ -995,8 +1060,7 @@ fn finish_dag_if_settled(
         return;
     }
     if let Some(h) = d.home.take() {
-        staging.reserved[h] -= d.reservation;
-        staging.live[h] -= d.live_gib;
+        staging.release(h, di, d.reservation, d.live_gib);
         d.live_gib = 0.0;
     }
     if let Some(c) = d.client.take() {
@@ -1044,7 +1108,7 @@ fn stage_completed(
             }
         }
     }
-    finish_dag_if_settled(d, staging, finished_clients);
+    finish_dag_if_settled(di, d, staging, finished_clients);
 }
 
 /// Handle an interrupted attempt end to end: requeue it (stage jobs come
@@ -1136,11 +1200,16 @@ fn settle_interrupted(
                         d.unsettled -= 1;
                     }
                     StageState::Ready => {
-                        let qi = queue
-                            .iter()
-                            .position(|q| q.dag == Some((di, sj)))
-                            .expect("ready stage is queued");
-                        qindex.on_remove(&queue[qi]);
+                        let qi = seek(queue, d.arrival, d.first_stage_id + sj as u64);
+                        assert!(
+                            queue.get(qi).is_some_and(|q| q.dag == Some((di, sj))),
+                            "ready stage is queued"
+                        );
+                        debug_assert_eq!(
+                            Some(qi),
+                            queue.iter().position(|q| q.dag == Some((di, sj)))
+                        );
+                        qindex.on_remove(&queue[qi], now);
                         let q = queue.remove(qi).expect("index in range");
                         records.push(failed_stage_record(d, sj, Some(&q), now, oracle));
                         d.state[sj] = StageState::Settled;
@@ -1149,7 +1218,7 @@ fn settle_interrupted(
                     StageState::Running | StageState::Settled => {}
                 }
             }
-            finish_dag_if_settled(d, staging, finished_clients);
+            finish_dag_if_settled(di, d, staging, finished_clients);
         }
     }
 }
@@ -1492,10 +1561,7 @@ pub fn run_campaign_with_oracle(
             for c in finished_clients {
                 if let Some(a) = state.submit(now + state.think, c) {
                     // Insert keeping pending sorted by (time, id).
-                    let at = pending
-                        .iter()
-                        .position(|p| (p.time, p.id) > (a.time, a.id))
-                        .unwrap_or(pending.len());
+                    let at = pending.partition_point(|p| (p.time, p.id) <= (a.time, a.id));
                     pending.insert(at, a);
                 }
             }
@@ -1705,22 +1771,30 @@ pub fn run_campaign_with_oracle(
                     // stage homed the DAG elsewhere); re-consult.
                     continue;
                 }
-                qindex.on_remove(&queue[qi]);
+                qindex.on_remove(&queue[qi], now);
                 let q = queue.remove(qi).expect("placement index in range");
                 if let Some((di, si)) = q.dag {
                     let d = &mut dags[di as usize];
                     if d.home.is_none() {
                         // First placement homes the DAG: reserve its
                         // whole staging footprint here for its lifetime
-                        // and pin every queued sibling to this node.
+                        // and pin every queued sibling to this node. The
+                        // siblings are one contiguous run of the queue.
                         d.home = Some(p.node);
-                        staging.reserve(p.node, d.reservation);
-                        for o in queue.iter_mut() {
-                            if o.dag.is_some_and(|(odi, _)| odi == di) {
-                                o.job.home = Some(p.node);
-                                o.job.staging = 0.0;
-                            }
+                        staging.home(p.node, di, d.reservation);
+                        let run = seek(&queue, d.arrival, d.first_stage_id);
+                        let sibling = |o: &Queued| o.dag.is_some_and(|(odi, _)| odi == di);
+                        for o in queue.range_mut(run..).take_while(|o| sibling(o)) {
+                            o.job.home = Some(p.node);
+                            o.job.staging = 0.0;
                         }
+                        debug_assert!(
+                            queue
+                                .iter()
+                                .filter(|o| sibling(o))
+                                .all(|o| o.job.home == Some(p.node)),
+                            "a queued sibling escaped the pinning run"
+                        );
                     }
                     d.state[si] = StageState::Running;
                 }
@@ -1779,6 +1853,10 @@ pub fn run_campaign_with_oracle(
             policy.name()
         )));
     }
+    debug_assert!(
+        staging.homed.iter().all(Vec::is_empty),
+        "a settled DAG is still indexed as homed"
+    );
     records.sort_by_key(|r| r.id);
     Ok(CampaignOutcome {
         policy: policy.name().to_string(),
@@ -1800,6 +1878,7 @@ pub fn run_campaign_with_oracle(
 mod tests {
     use super::*;
     use crate::policy::{all_policies, Fcfs};
+    use std::collections::BTreeMap;
 
     fn micro_config(n_arrivals: u64, nodes: usize) -> CampaignConfig {
         CampaignConfig {
@@ -2152,7 +2231,7 @@ mod tests {
         let mut index = QueueIndex::new();
         let mut now = 0.0f64;
         for id in 0..2_000u64 {
-            match rng.range_u64(0, 4) {
+            match rng.range_u64(0, 5) {
                 // Enqueue: half already eligible, half in future backoff.
                 0 | 1 => {
                     let ranks = [8, 16, 24][rng.range_usize(0, 3)];
@@ -2167,13 +2246,21 @@ mod tests {
                     };
                 }
                 // Remove a random *eligible* entry, like a placement.
-                _ => {
+                3 => {
                     let eligible: Vec<usize> = (0..queue.len())
                         .filter(|&i| backoff_expired(&queue[i], now))
                         .collect();
                     if !eligible.is_empty() {
                         let qi = eligible[rng.range_usize(0, eligible.len())];
-                        index.on_remove(&queue[qi]);
+                        index.on_remove(&queue[qi], now);
+                        queue.remove(qi);
+                    }
+                }
+                // Remove any entry, in backoff or not, like a DAG cascade.
+                _ => {
+                    if !queue.is_empty() {
+                        let qi = rng.range_usize(0, queue.len());
+                        index.on_remove(&queue[qi], now);
                         queue.remove(qi);
                     }
                 }
@@ -2383,5 +2470,84 @@ mod tests {
         let reference = out.to_jsonl();
         let got = run_campaign(&cfg, &Fcfs, 8).unwrap().to_jsonl();
         assert_eq!(reference, got);
+    }
+
+    /// The per-node homed index behind `NodeView::staging_holds` must give
+    /// the reference scan's holds, values and order, at every view
+    /// refresh, and drain to empty once the campaign settles. Both are
+    /// asserted inside the campaign loop under `debug_assertions`. This
+    /// campaign drives every path that homes or settles a DAG: crashes
+    /// requeue pinned stages, job failures exhaust the retry budget and
+    /// cascade, banked checkpoints revive stages, and the backfilling
+    /// policies home DAGs out of submission order, which inserts into the
+    /// middle of a node's list. The checks below prove each path ran.
+    #[test]
+    fn staging_holds_match_reference_scan_under_churn() {
+        let cfg = CampaignConfig {
+            nodes: 3,
+            arrivals: ArrivalSpec::parse("poisson:rate=1,n=60,mix=all+dag").unwrap(),
+            seed: 42,
+            faults: FaultSpec {
+                seed: 1234,
+                mtbf: 40.0,
+                repair: 10.0,
+                degrade_mtbf: 60.0,
+                degrade_duration: 15.0,
+                job_fail_prob: 0.1,
+                ..FaultSpec::default()
+            },
+            checkpoint: CheckpointSpec {
+                interval: 3.0,
+                retry_budget: 2,
+                ..CheckpointSpec::default()
+            },
+            ..CampaignConfig::default()
+        };
+        let arrivals = generate_open(&cfg.arrivals, cfg.seed).unwrap();
+        let expected: usize = arrivals
+            .iter()
+            .map(|a| a.dag.as_ref().map_or(1, |d| d.stages.len()))
+            .sum();
+        let oracle = Oracle::build(&cfg.arrivals.alphabet(), &cfg.exec, 2).unwrap();
+        let (mut restarts, mut cascaded, mut revived, mut out_of_order) = (0, 0, 0, 0);
+        for policy in all_policies() {
+            let out = run_campaign_with_oracle(&cfg, policy.as_ref(), &oracle).unwrap();
+            assert_eq!(out.jobs.len(), expected, "{}", policy.name());
+            restarts += out.total_restarts();
+            let stages = out.jobs.iter().filter(|j| !j.dag.is_empty());
+            // Never-started stages settled by a DAG failure.
+            cascaded += stages
+                .clone()
+                .filter(|j| !j.completed && j.start == j.finish)
+                .count();
+            // A revival requeues with lost work kept and restarts reset.
+            revived += stages
+                .clone()
+                .filter(|j| j.lost_work > 0.0 && j.restarts == 0)
+                .count();
+            // Per DAG (in submission order): home node, homing time (its
+            // first stage start) and settle time (its last stage finish).
+            let mut spans: BTreeMap<u64, (usize, f64, f64)> = BTreeMap::new();
+            for j in stages {
+                let id = j.dag.rsplit('#').next().unwrap().parse().unwrap();
+                let span = spans.entry(id).or_insert((j.node, j.start, j.finish));
+                assert_eq!(span.0, j.node, "every stage of a DAG runs at home");
+                span.1 = span.1.min(j.start);
+                span.2 = span.2.max(j.finish);
+            }
+            // A DAG homed while a later-submitted one is still held on the
+            // same node lands mid-list, not at the end.
+            let spans: Vec<_> = spans.into_values().collect();
+            for (i, a) in spans.iter().enumerate() {
+                out_of_order += spans[i + 1..]
+                    .iter()
+                    .filter(|b| b.0 == a.0 && b.1 < a.1 && a.1 < b.2)
+                    .count();
+            }
+        }
+        assert!(restarts > 0, "no crash or job failure restarted a stage");
+        assert!(cascaded > 0, "no DAG failure cascaded");
+        assert!(revived > 0, "no banked checkpoint revived a stage");
+        assert!(out_of_order > 0, "every DAG was homed in submission order");
     }
 }

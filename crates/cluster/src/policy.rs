@@ -103,7 +103,8 @@ pub struct NodeView {
     pub staged_gib: f64,
     /// Active staging holds as `(estimated_release_time, gib)` — the
     /// release estimate is the sum of the owning DAG's unsettled stages'
-    /// solo runtimes. EASY's dual-resource shadow walks these.
+    /// solo runtimes. One hold per DAG homed on the node, in ascending
+    /// DAG-submission order. EASY's dual-resource shadow walks these.
     pub staging_holds: Vec<(f64, f64)>,
 }
 
