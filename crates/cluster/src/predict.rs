@@ -21,32 +21,23 @@
 //! and `pmemflow_serve` populates it lazily as queries arrive. Both see
 //! bit-identical predictions for the same inputs.
 //!
-//! # Replication
+//! # Concurrency
 //!
-//! Both caches are read-mostly — a miss characterizes a workload or
-//! prices a multiset once, then every placement decision and every warm
-//! request reads the memo — so by default they ride
-//! [`pmemflow_nr::Replicated`]: writes append first-wins insert ops to
-//! a shared log, and each reader thread replays the log tail onto its
-//! local replica instead of contending on a global mutex. Every logged
-//! value is a pure function of its key, so answers are byte-identical
-//! to the locked single-copy layout regardless of thread interleaving.
-//! Set `PMEMFLOW_ORACLE=locked` (or construct via [`Oracle::new_locked`]
-//! / [`Oracle::build_locked`]) to force the pre-replication locked
-//! backing — CI diffs a campaign run under each mode to prove the bytes
-//! match.
+//! Both caches live in one `Mutex`. It is held only to look up or to
+//! insert, never across a simulation: a miss looks up, simulates
+//! unlocked, then inserts first-wins. Every value is a pure function of
+//! its key, so two threads that race on one miss simulate the same
+//! bytes and whichever inserts first is what everyone reads.
 
+use pmemflow_core::sync::lock_recover;
 use pmemflow_core::{
     execute_coscheduled_with_baselines, map_ordered, sweep, ConfigSweep, ExecError,
     ExecutionParams, SchedConfig, Tenant, TenantBreakdown,
 };
-use pmemflow_nr::{Dispatch, MaybeReplicated, NrStats};
 use pmemflow_sched::{characterize, classify, recommend, RuleThresholds, WorkflowProfile};
 use pmemflow_workloads::WorkflowSpec;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use crate::pricing::PriceStore;
+use std::sync::{Arc, Mutex};
 
 /// Identity of a tenant for pricing purposes: everything that affects the
 /// device model sees of it.
@@ -77,186 +68,57 @@ struct AlphabetEntry {
     profile: WorkflowProfile,
 }
 
-/// The replicated state machine behind the oracle: both memo tables.
-/// Ops are first-wins inserts whose values are deterministic functions
-/// of their keys, so apply order never changes the bytes a reader sees.
+/// Both memo tables of the oracle.
+#[derive(Default)]
 struct OracleMaps {
     entries: BTreeMap<(String, usize), Arc<AlphabetEntry>>,
     corun: BTreeMap<Arc<[TenantKey]>, Arc<Vec<TenantBreakdown>>>,
 }
 
-enum OracleOp {
-    /// Memoize one workload's characterization (first insert wins).
-    Entry((String, usize), Arc<AlphabetEntry>),
-    /// Memoize one co-residency's priced breakdown (first insert wins).
-    Corun(Arc<[TenantKey]>, Arc<Vec<TenantBreakdown>>),
-}
-
-enum OracleResp {
-    /// Acknowledgement only: readers fetch entries via their replica.
-    Entry,
-    Corun(Arc<Vec<TenantBreakdown>>),
-}
-
-impl Dispatch for OracleMaps {
-    type Op = OracleOp;
-    type Resp = OracleResp;
-    fn apply(&mut self, op: &OracleOp) -> OracleResp {
-        match op {
-            OracleOp::Entry(key, value) => {
-                self.entries
-                    .entry(key.clone())
-                    .or_insert_with(|| Arc::clone(value));
-                OracleResp::Entry
-            }
-            OracleOp::Corun(key, value) => OracleResp::Corun(Arc::clone(
-                self.corun
-                    .entry(Arc::clone(key))
-                    .or_insert_with(|| Arc::clone(value)),
-            )),
-        }
-    }
-}
-
-impl OracleMaps {
-    fn empty() -> OracleMaps {
-        OracleMaps {
-            entries: BTreeMap::new(),
-            corun: BTreeMap::new(),
-        }
-    }
-}
-
-/// True unless `PMEMFLOW_ORACLE=locked` forces the single-mutex layout.
-fn replicated_mode() -> bool {
-    !matches!(
-        std::env::var("PMEMFLOW_ORACLE").as_deref(),
-        Ok("locked") | Ok("LOCKED")
-    )
-}
-
-/// Default replica count: one per hardware thread, clamped so a
-/// single-core box still gets the contention win (two replicas keep
-/// readers off the combiner's lock) and a large box does not pay
-/// per-replica replay for dozens of idle copies.
-fn default_replicas() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(2, 16)
-}
-
 /// The shared prediction oracle (see module docs).
 pub struct Oracle {
-    store: MaybeReplicated<OracleMaps>,
-    prices: PriceStore,
+    maps: Mutex<OracleMaps>,
     exec: ExecutionParams,
 }
 
 impl Oracle {
     /// An empty oracle that populates on demand through [`Oracle::ensure`].
-    /// Backing is replicated unless `PMEMFLOW_ORACLE=locked`.
     pub fn new(exec: &ExecutionParams) -> Oracle {
-        if replicated_mode() {
-            Oracle::with_replicas(exec, default_replicas())
-        } else {
-            Oracle::new_locked(exec)
-        }
-    }
-
-    /// An empty oracle with the pre-replication single-mutex backing.
-    pub fn new_locked(exec: &ExecutionParams) -> Oracle {
         Oracle {
-            store: MaybeReplicated::locked(OracleMaps::empty()),
-            prices: PriceStore::locked(),
-            exec: exec.clone(),
-        }
-    }
-
-    /// An empty oracle sized for a daemon with `threads` reader threads:
-    /// one replica per thread, unless `PMEMFLOW_ORACLE=locked` forces
-    /// the locked backing (the A/B and CI-determinism escape hatch).
-    pub fn for_threads(exec: &ExecutionParams, threads: usize) -> Oracle {
-        if replicated_mode() {
-            Oracle::with_replicas(exec, threads.max(1))
-        } else {
-            Oracle::new_locked(exec)
-        }
-    }
-
-    /// An empty oracle with `replicas` log-replicated copies of each
-    /// memo table. The serve daemon passes one replica per io/worker
-    /// thread.
-    pub fn with_replicas(exec: &ExecutionParams, replicas: usize) -> Oracle {
-        Oracle {
-            store: MaybeReplicated::replicated(replicas, OracleMaps::empty),
-            prices: PriceStore::replicated(replicas),
+            maps: Mutex::new(OracleMaps::default()),
             exec: exec.clone(),
         }
     }
 
     /// Characterize every workload of `alphabet` with up to `jobs`
-    /// parallel simulations. Results are independent of `jobs`. Backing
-    /// is replicated unless `PMEMFLOW_ORACLE=locked`.
+    /// parallel simulations. Results are independent of `jobs`.
     pub fn build(
         alphabet: &[(String, usize, WorkflowSpec)],
         exec: &ExecutionParams,
         jobs: usize,
     ) -> Result<Oracle, ExecError> {
-        let oracle = Oracle::new(exec);
-        oracle.build_into(alphabet, jobs)?;
-        Ok(oracle)
-    }
-
-    /// [`Oracle::build`] with the locked backing, for A/B comparisons.
-    pub fn build_locked(
-        alphabet: &[(String, usize, WorkflowSpec)],
-        exec: &ExecutionParams,
-        jobs: usize,
-    ) -> Result<Oracle, ExecError> {
-        let oracle = Oracle::new_locked(exec);
-        oracle.build_into(alphabet, jobs)?;
-        Ok(oracle)
-    }
-
-    /// [`Oracle::build`] with an explicit replica count.
-    pub fn build_with_replicas(
-        alphabet: &[(String, usize, WorkflowSpec)],
-        exec: &ExecutionParams,
-        jobs: usize,
-        replicas: usize,
-    ) -> Result<Oracle, ExecError> {
-        let oracle = Oracle::with_replicas(exec, replicas);
-        oracle.build_into(alphabet, jobs)?;
-        Ok(oracle)
-    }
-
-    fn build_into(
-        &self,
-        alphabet: &[(String, usize, WorkflowSpec)],
-        jobs: usize,
-    ) -> Result<(), ExecError> {
         let items: Vec<(String, usize, WorkflowSpec)> = alphabet.to_vec();
-        let results = map_ordered(items, jobs, |(_, _, spec)| {
-            characterize_one(spec, &self.exec)
-        });
-        let mut ops = Vec::with_capacity(alphabet.len());
+        let results = map_ordered(items, jobs, |(_, _, spec)| characterize_one(spec, exec));
+        let mut entries = BTreeMap::new();
         for ((name, ranks, spec), result) in alphabet.iter().cloned().zip(results) {
             let (sweep, profile) = result
                 .map_err(|panic| ExecError::Spec(format!("characterization panicked: {panic}")))?
                 .map_err(|e| ExecError::Spec(format!("characterizing {name}@{ranks}: {e}")))?;
-            ops.push(OracleOp::Entry(
-                (name, ranks),
+            entries.entry((name, ranks)).or_insert_with(|| {
                 Arc::new(AlphabetEntry {
                     spec,
                     sweep,
                     profile,
-                }),
-            ));
+                })
+            });
         }
-        // One log batch for the whole alphabet.
-        self.store.execute_all(ops);
-        Ok(())
+        Ok(Oracle {
+            maps: Mutex::new(OracleMaps {
+                entries,
+                corun: BTreeMap::new(),
+            }),
+            exec: exec.clone(),
+        })
     }
 
     /// Make sure `workflow@ranks` is characterized, simulating the four
@@ -269,33 +131,36 @@ impl Oracle {
         ranks: usize,
         spec: &WorkflowSpec,
     ) -> Result<(), ExecError> {
-        let key = (workflow.to_string(), ranks);
-        if self.store.read(|m| m.entries.contains_key(&key)) {
+        if self.contains(workflow, ranks) {
             return Ok(());
         }
         let (sweep, profile) = characterize_one(spec, &self.exec)
             .map_err(|e| ExecError::Spec(format!("characterizing {workflow}@{ranks}: {e}")))?;
-        self.store.execute(OracleOp::Entry(
-            key,
-            Arc::new(AlphabetEntry {
-                spec: spec.clone(),
-                sweep,
-                profile,
-            }),
-        ));
+        lock_recover(&self.maps)
+            .entries
+            .entry((workflow.to_string(), ranks))
+            .or_insert_with(|| {
+                Arc::new(AlphabetEntry {
+                    spec: spec.clone(),
+                    sweep,
+                    profile,
+                })
+            });
         Ok(())
     }
 
     /// Whether `workflow@ranks` has been characterized already.
     pub fn contains(&self, workflow: &str, ranks: usize) -> bool {
         let key = (workflow.to_string(), ranks);
-        self.store.read(|m| m.entries.contains_key(&key))
+        lock_recover(&self.maps).entries.contains_key(&key)
     }
 
     fn entry(&self, workflow: &str, ranks: usize) -> Arc<AlphabetEntry> {
         let key = (workflow.to_string(), ranks);
-        self.store
-            .read(|m| m.entries.get(&key).cloned())
+        lock_recover(&self.maps)
+            .entries
+            .get(&key)
+            .cloned()
             .unwrap_or_else(|| panic!("{workflow}@{ranks} not in the campaign alphabet"))
     }
 
@@ -363,9 +228,10 @@ impl Oracle {
         order.sort_by(|&a, &b| set[a].cmp(&set[b]));
         let canonical: Vec<TenantKey> = order.iter().map(|&i| set[i].clone()).collect();
 
-        let cached = self
-            .store
-            .read(|m| m.corun.get(canonical.as_slice()).cloned());
+        let cached = lock_recover(&self.maps)
+            .corun
+            .get(canonical.as_slice())
+            .cloned();
         let breakdowns = match cached {
             Some(b) => b,
             None => {
@@ -390,13 +256,12 @@ impl Oracle {
                     execute_coscheduled_with_baselines(&tenants, &self.exec, Some(&baselines))?;
                 // First insert wins: a racing thread that simulated the
                 // same multiset produced the same bytes.
-                match self
-                    .store
-                    .execute(OracleOp::Corun(canonical.into(), Arc::new(out.breakdown)))
-                {
-                    OracleResp::Corun(b) => b,
-                    OracleResp::Entry => unreachable!("corun op answers with corun resp"),
-                }
+                Arc::clone(
+                    lock_recover(&self.maps)
+                        .corun
+                        .entry(canonical.into())
+                        .or_insert_with(|| Arc::new(out.breakdown)),
+                )
             }
         };
         // Un-permute back to input order, restoring input indices.
@@ -411,39 +276,17 @@ impl Oracle {
 
     /// Number of distinct co-residency sets priced so far (diagnostics).
     pub fn corun_cache_len(&self) -> usize {
-        self.store.read(|m| m.corun.len())
+        lock_recover(&self.maps).corun.len()
     }
 
     /// Number of workloads characterized so far (diagnostics).
     pub fn alphabet_len(&self) -> usize {
-        self.store.read(|m| m.entries.len())
+        lock_recover(&self.maps).entries.len()
     }
 
     /// The execution parameters every prediction runs under.
     pub fn exec(&self) -> &ExecutionParams {
         &self.exec
-    }
-
-    /// The campaign-shared solo-baseline price table (same backing mode
-    /// as the memo tables).
-    pub(crate) fn prices(&self) -> &PriceStore {
-        &self.prices
-    }
-
-    /// Replication counters of the alphabet/co-run memo store, when
-    /// replicated (`None` under `PMEMFLOW_ORACLE=locked`).
-    pub fn nr_stats(&self) -> Option<NrStats> {
-        self.store.nr_stats()
-    }
-
-    /// Replication counters of the shared price table, when replicated.
-    pub fn price_nr_stats(&self) -> Option<NrStats> {
-        self.prices.nr_stats()
-    }
-
-    /// Whether this oracle runs on the replicated backing.
-    pub fn is_replicated(&self) -> bool {
-        self.store.is_replicated()
     }
 }
 
@@ -570,19 +413,13 @@ mod tests {
         assert_eq!(oracle.corun_cache_len(), 0);
     }
 
-    /// Satellite: the replicated oracle must answer byte-identically to
-    /// the locked oracle under a seeded concurrent op schedule.
+    /// Threads racing to price overlapping co-residencies through one
+    /// oracle get, bit for bit, what a fresh oracle answers sequentially.
     #[test]
-    fn locked_and_replicated_oracles_are_bit_identical_under_contention() {
+    fn concurrent_pricing_matches_a_sequential_oracle() {
         let exec = ExecutionParams::default();
-        let locked = Oracle::build_locked(&tiny_alphabet(), &exec, 2).unwrap();
-        let replicated =
-            Arc::new(Oracle::build_with_replicas(&tiny_alphabet(), &exec, 2, 3).unwrap());
-        assert!(!locked.is_replicated());
-        assert!(replicated.is_replicated());
-
-        // Seeded concurrent schedule: several threads price overlapping
-        // co-residencies through the replicated oracle.
+        let sequential = Oracle::build(&tiny_alphabet(), &exec, 1).unwrap();
+        let shared = Arc::new(Oracle::build(&tiny_alphabet(), &exec, 2).unwrap());
         let keys = [
             TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W),
             TenantKey::new("micro-64MB", 8, SchedConfig::P_LOC_R),
@@ -593,7 +430,7 @@ mod tests {
         let barrier = Arc::new(Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let replicated = Arc::clone(&replicated);
+                let shared = Arc::clone(&shared);
                 let keys = keys.clone();
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
@@ -605,7 +442,7 @@ mod tests {
                         let set: Vec<TenantKey> = (0..n)
                             .map(|_| keys[rng.range_usize(0, keys.len())].clone())
                             .collect();
-                        let priced = replicated.corun_slowdowns(&set).unwrap();
+                        let priced = shared.corun_slowdowns(&set).unwrap();
                         sets.push((set, priced));
                     }
                     sets
@@ -613,33 +450,14 @@ mod tests {
             })
             .collect();
         for handle in handles {
-            // Every concurrent answer must match the locked oracle's
-            // sequential answer for the same set, bit for bit.
             for (set, priced) in handle.join().unwrap() {
-                let want = locked.corun_slowdowns(&set).unwrap();
+                let want = sequential.corun_slowdowns(&set).unwrap();
                 assert_eq!(priced.len(), want.len());
                 for (got, want) in priced.iter().zip(&want) {
                     assert_eq!(got.to_bits(), want.to_bits());
                 }
             }
         }
-        assert!(locked.nr_stats().is_none());
-        let stats = replicated
-            .nr_stats()
-            .expect("replicated oracle exposes stats");
-        assert_eq!(stats.replicas, 3);
-        assert!(stats.log_tail >= 2, "alphabet ops are logged");
-    }
-
-    #[test]
-    fn env_override_forces_the_locked_backing() {
-        // Construct explicitly instead of mutating the process env (other
-        // tests run concurrently): the two constructors are exactly what
-        // `PMEMFLOW_ORACLE` switches between.
-        let exec = ExecutionParams::default();
-        assert!(!Oracle::new_locked(&exec).is_replicated());
-        assert!(Oracle::with_replicas(&exec, 2).is_replicated());
-        assert!(Oracle::with_replicas(&exec, 2).nr_stats().is_some());
-        assert!(Oracle::new_locked(&exec).nr_stats().is_none());
+        assert_eq!(shared.corun_cache_len(), sequential.corun_cache_len());
     }
 }

@@ -1,5 +1,4 @@
-//! Campaign-local incremental co-residency pricing over a shared,
-//! replicated solo-baseline price table.
+//! Campaign-local incremental co-residency pricing.
 //!
 //! The campaign loop re-prices a node only when its resident multiset
 //! changes, but the inherited path paid heavily for every one of those
@@ -13,22 +12,16 @@
 //! sort, a fresh canonical `Vec<u32>` allocation, and a vector hash per
 //! call.
 //!
-//! Two layers fix that:
-//!
-//! * [`PriceStore`] — the oracle-owned source of truth. Tenant
-//!   identities intern to globally-stable dense `u32`s, solo baselines
-//!   and priced multisets are memoized once per oracle, and the whole
-//!   table rides [`pmemflow_nr::MaybeReplicated`] in the same mode as
-//!   the oracle's memo maps: concurrent campaign streams (`--jobs N`)
-//!   share every baseline and priced set instead of re-simulating them
-//!   per stream, and readers replay a local replica instead of
-//!   contending on one mutex.
-//! * [`PriceCache`] — the per-stream hot path. It mirrors the store
-//!   into unsynchronized locals so a repeat membership (by far the
-//!   common case under churn) costs one stable sort of *integer ranks*
-//!   (`id → canonical ordinal`, no string compares), a slice-borrow
-//!   hash lookup against `Arc<[u32]>` keys, and zero allocation, zero
-//!   locking, zero replica traffic.
+//! [`PriceCache`] is the per-stream hot path in front of the oracle. It
+//! interns each tenant identity to a dense `u32` local to the stream,
+//! takes the identity's solo baseline from [`Oracle::solo_runtime`], and
+//! mirrors every priced multiset into an unsynchronized local map, so a
+//! repeat membership (by far the common case under churn) costs one
+//! stable sort of *integer ranks* (`id → canonical ordinal`, no string
+//! compares), a slice-borrow hash lookup against `Arc<[u32]>` keys, and
+//! zero allocation and zero locking. The oracle stays the one shared
+//! memo of multiset → slowdowns: a local miss asks it, and concurrent
+//! streams (`--jobs N`) share every set another stream already priced.
 //!
 //! **Bit-identity contract.** On a miss the cache calls
 //! [`Oracle::corun_slowdowns`] with the keys already in canonical order,
@@ -43,146 +36,26 @@
 
 use crate::predict::{Oracle, TenantKey};
 use pmemflow_core::{ExecError, SchedConfig};
-use pmemflow_nr::{Dispatch, MaybeReplicated, NrStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The replicated state machine: every interned tenant identity, its
-/// solo baseline, and every priced canonical multiset. All ops are
-/// first-wins and all values are pure functions of their keys, so apply
-/// order never changes the bytes a reader sees.
-pub(crate) struct PriceTable {
+/// Per-stream interning and memoization front for the oracle.
+pub(crate) struct PriceCache {
+    /// Identity → stream-local id.
+    ids: HashMap<TenantKey, u32>,
     /// `keys[id]` is the identity of tenant `id`.
     keys: Vec<TenantKey>,
-    /// Reverse map for interning.
-    ids: HashMap<TenantKey, u32>,
-    /// Solo runtime per interned tenant.
+    /// `solos[id]` is the solo baseline of tenant `id`.
     solos: Vec<f64>,
+    /// Ids sorted by key (re-sorted on intern, which is rare: once per
+    /// distinct identity per stream).
+    by_key: Vec<u32>,
+    /// Id → canonical rank among interned ids. Ranks order exactly as
+    /// `TenantKey`s do, so sorting by rank equals sorting by key — in
+    /// integer compares.
+    rank: Vec<u32>,
     /// Canonically sorted id multiset → per-tenant slowdowns in the
     /// same canonical order.
-    sets: HashMap<Arc<[u32]>, Arc<[f64]>>,
-}
-
-pub(crate) enum PriceOp {
-    /// Intern an identity with its solo baseline (first insert wins;
-    /// the id answered is the winner's).
-    Intern(TenantKey, f64),
-    /// Memoize a priced canonical multiset (first insert wins).
-    Set(Arc<[u32]>, Arc<[f64]>),
-}
-
-pub(crate) enum PriceResp {
-    Id(u32),
-    Set(Arc<[f64]>),
-}
-
-impl Dispatch for PriceTable {
-    type Op = PriceOp;
-    type Resp = PriceResp;
-    fn apply(&mut self, op: &PriceOp) -> PriceResp {
-        match op {
-            PriceOp::Intern(key, solo) => {
-                if let Some(&id) = self.ids.get(key) {
-                    return PriceResp::Id(id);
-                }
-                let id = self.keys.len() as u32;
-                self.keys.push(key.clone());
-                self.solos.push(*solo);
-                self.ids.insert(key.clone(), id);
-                PriceResp::Id(id)
-            }
-            PriceOp::Set(ids, vals) => PriceResp::Set(Arc::clone(
-                self.sets
-                    .entry(Arc::clone(ids))
-                    .or_insert_with(|| Arc::clone(vals)),
-            )),
-        }
-    }
-}
-
-impl PriceTable {
-    fn empty() -> PriceTable {
-        PriceTable {
-            keys: Vec::new(),
-            ids: HashMap::new(),
-            solos: Vec::new(),
-            sets: HashMap::new(),
-        }
-    }
-}
-
-/// Oracle-owned shared price table (see module docs). Constructed by
-/// the oracle in the same locked/replicated mode as its memo maps.
-pub(crate) struct PriceStore {
-    inner: MaybeReplicated<PriceTable>,
-}
-
-impl PriceStore {
-    pub(crate) fn locked() -> PriceStore {
-        PriceStore {
-            inner: MaybeReplicated::locked(PriceTable::empty()),
-        }
-    }
-
-    pub(crate) fn replicated(replicas: usize) -> PriceStore {
-        PriceStore {
-            inner: MaybeReplicated::replicated(replicas, PriceTable::empty),
-        }
-    }
-
-    /// Id and solo baseline of an already-interned identity.
-    fn lookup(&self, key: &TenantKey) -> Option<(u32, f64)> {
-        self.inner
-            .read(|t| t.ids.get(key).map(|&id| (id, t.solos[id as usize])))
-    }
-
-    /// Intern an identity (first-wins), returning its global id.
-    fn intern(&self, key: TenantKey, solo: f64) -> u32 {
-        match self.inner.execute(PriceOp::Intern(key, solo)) {
-            PriceResp::Id(id) => id,
-            PriceResp::Set(_) => unreachable!("intern op answers with an id"),
-        }
-    }
-
-    /// The identities of interned ids, in the order given.
-    fn keys_of(&self, ids: &[u32]) -> Vec<TenantKey> {
-        self.inner
-            .read(|t| ids.iter().map(|&id| t.keys[id as usize].clone()).collect())
-    }
-
-    /// A previously priced canonical multiset.
-    fn lookup_set(&self, canonical: &[u32]) -> Option<Arc<[f64]>> {
-        self.inner.read(|t| t.sets.get(canonical).cloned())
-    }
-
-    /// Memoize a priced multiset; the winner (first writer) is returned.
-    fn publish_set(&self, canonical: Arc<[u32]>, vals: Arc<[f64]>) -> Arc<[f64]> {
-        match self.inner.execute(PriceOp::Set(canonical, vals)) {
-            PriceResp::Set(s) => s,
-            PriceResp::Id(_) => unreachable!("set op answers with a set"),
-        }
-    }
-
-    /// Replication counters, when replicated.
-    pub(crate) fn nr_stats(&self) -> Option<NrStats> {
-        self.inner.nr_stats()
-    }
-}
-
-/// Per-stream interning and memoization front for the shared store.
-pub(crate) struct PriceCache {
-    /// Local mirror: identity → global id.
-    ids: HashMap<TenantKey, u32>,
-    /// Locally seen identities, kept sorted by key (rebuilt on intern,
-    /// which is rare: once per distinct identity per stream).
-    local: Vec<(TenantKey, u32)>,
-    /// Global id → canonical rank among locally seen ids. Ranks order
-    /// exactly as `TenantKey`s do, so sorting by rank equals sorting by
-    /// key — in integer compares.
-    rank: Vec<u32>,
-    /// Global id → solo baseline (locally mirrored).
-    solos: Vec<f64>,
-    /// Local mirror of priced multisets.
     sets: HashMap<Arc<[u32]>, Arc<[f64]>>,
     /// Scratch permutation (node position order), reused across calls.
     order: Vec<u32>,
@@ -194,18 +67,18 @@ impl PriceCache {
     pub(crate) fn new() -> PriceCache {
         PriceCache {
             ids: HashMap::new(),
-            local: Vec::new(),
-            rank: Vec::new(),
+            keys: Vec::new(),
             solos: Vec::new(),
+            by_key: Vec::new(),
+            rank: Vec::new(),
             sets: HashMap::new(),
             order: Vec::new(),
             canonical: Vec::new(),
         }
     }
 
-    /// Intern a tenant identity, fetching its solo baseline on first
-    /// sight (from the shared store when another stream already paid
-    /// for it). Returns the globally stable dense id.
+    /// Intern a tenant identity, fetching its solo baseline from the
+    /// oracle on first sight. Returns the stream-local dense id.
     pub(crate) fn intern(
         &mut self,
         oracle: &Oracle,
@@ -217,27 +90,17 @@ impl PriceCache {
         if let Some(&id) = self.ids.get(&key) {
             return id;
         }
-        let store = oracle.prices();
-        let (id, solo) = match store.lookup(&key) {
-            Some(found) => found,
-            None => {
-                let solo = oracle.solo_runtime(workflow, ranks, config);
-                // First-wins: a racing stream interning the same key gets
-                // the same id, and solos are key-deterministic.
-                (store.intern(key.clone(), solo), solo)
-            }
-        };
-        let slot = id as usize;
-        if self.rank.len() <= slot {
-            self.rank.resize(slot + 1, 0);
-            self.solos.resize(slot + 1, 0.0);
-        }
-        self.solos[slot] = solo;
+        let id = self.keys.len() as u32;
+        let keys = &self.keys;
+        let at = self.by_key.partition_point(|&i| keys[i as usize] < key);
+        self.by_key.insert(at, id);
+        self.solos
+            .push(oracle.solo_runtime(workflow, ranks, config));
         self.ids.insert(key.clone(), id);
-        let at = self.local.partition_point(|(k, _)| k < &key);
-        self.local.insert(at, (key, id));
-        for (rank, &(_, local_id)) in self.local.iter().enumerate() {
-            self.rank[local_id as usize] = rank as u32;
+        self.keys.push(key);
+        self.rank.push(0);
+        for (rank, &i) in self.by_key.iter().enumerate() {
+            self.rank[i as usize] = rank as u32;
         }
         id
     }
@@ -275,19 +138,15 @@ impl PriceCache {
         let slowdowns = match self.sets.get(self.canonical.as_slice()) {
             Some(s) => s.clone(),
             None => {
-                let store = oracle.prices();
-                let s = match store.lookup_set(&self.canonical) {
-                    Some(s) => s,
-                    None => {
-                        // Keys go to the oracle already canonically
-                        // sorted, so its internal permutation is the
-                        // identity and the values come back in canonical
-                        // order.
-                        let keys = store.keys_of(&self.canonical);
-                        let vals: Arc<[f64]> = oracle.corun_slowdowns(&keys)?.into();
-                        store.publish_set(self.canonical.as_slice().into(), vals)
-                    }
-                };
+                // Keys go to the oracle already canonically sorted, so
+                // its internal permutation is the identity and the values
+                // come back in canonical order.
+                let keys: Vec<TenantKey> = self
+                    .canonical
+                    .iter()
+                    .map(|&id| self.keys[id as usize].clone())
+                    .collect();
+                let s: Arc<[f64]> = oracle.corun_slowdowns(&keys)?.into();
                 self.sets
                     .insert(self.canonical.as_slice().into(), s.clone());
                 s
@@ -345,9 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn interned_ids_are_shared_across_streams() {
-        // Two campaign streams on the same oracle agree on ids and never
-        // re-fetch a baseline the other already paid for.
+    fn streams_interning_in_different_orders_price_identically() {
+        // Ids are stream-local, so two streams that meet the same
+        // identities in opposite orders number them differently; the
+        // prices and the oracle's one memo entry are shared all the same.
         let oracle = tiny_oracle();
         let mut one = PriceCache::new();
         let mut two = PriceCache::new();
@@ -355,9 +215,16 @@ mod tests {
         let b1 = one.intern(&oracle, "micro-2KB", 8, SchedConfig::P_LOC_R);
         let b2 = two.intern(&oracle, "micro-2KB", 8, SchedConfig::P_LOC_R);
         let a2 = two.intern(&oracle, "micro-64MB", 8, SchedConfig::S_LOC_W);
-        assert_eq!(a1, a2, "global ids are stream-order independent");
-        assert_eq!(b1, b2);
+        assert_eq!((a1, b1), (b2, a2), "ids follow each stream's first sight");
         assert_eq!(one.solo(a1).to_bits(), two.solo(a2).to_bits());
+        let (mut out1, mut out2) = (Vec::new(), Vec::new());
+        one.price(&oracle, &[a1, b1], &mut out1).unwrap();
+        two.price(&oracle, &[a2, b2], &mut out2).unwrap();
+        assert_eq!(
+            out1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            out2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(oracle.corun_cache_len(), 1, "one multiset, one simulation");
     }
 
     #[test]
@@ -437,49 +304,5 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits());
             }
         }
-    }
-
-    /// Satellite: the same churn schedule through a locked-backing and a
-    /// replicated-backing oracle must price identically, bit for bit.
-    #[test]
-    fn locked_and_replicated_price_tables_are_bit_identical() {
-        let alphabet = tiny_alphabet();
-        let exec = ExecutionParams::default();
-        let locked = Oracle::build_locked(&alphabet, &exec, 2).unwrap();
-        let replicated = Oracle::build_with_replicas(&alphabet, &exec, 2, 3).unwrap();
-        let mut cache_l = PriceCache::new();
-        let mut cache_r = PriceCache::new();
-        let idents = [
-            ("micro-64MB", SchedConfig::S_LOC_W),
-            ("micro-2KB", SchedConfig::P_LOC_R),
-            ("micro-2KB", SchedConfig::S_LOC_W),
-        ];
-        let mut rng = SplitMix64::new(0xB00C_0002);
-        let mut node_l: Vec<u32> = Vec::new();
-        let mut node_r: Vec<u32> = Vec::new();
-        let (mut out_l, mut out_r) = (Vec::new(), Vec::new());
-        for _ in 0..150 {
-            match rng.range_u64(0, 3) {
-                0 if node_l.len() < 3 => {
-                    let (wf, cfg) = idents[rng.range_usize(0, idents.len())];
-                    node_l.push(cache_l.intern(&locked, wf, 8, cfg));
-                    node_r.push(cache_r.intern(&replicated, wf, 8, cfg));
-                }
-                1 if !node_l.is_empty() => {
-                    let at = rng.range_usize(0, node_l.len());
-                    node_l.remove(at);
-                    node_r.remove(at);
-                }
-                _ => {}
-            }
-            cache_l.price(&locked, &node_l, &mut out_l).unwrap();
-            cache_r.price(&replicated, &node_r, &mut out_r).unwrap();
-            assert_eq!(out_l.len(), out_r.len());
-            for (l, r) in out_l.iter().zip(&out_r) {
-                assert_eq!(l.to_bits(), r.to_bits());
-            }
-        }
-        assert!(replicated.price_nr_stats().is_some());
-        assert!(locked.price_nr_stats().is_none());
     }
 }

@@ -86,48 +86,6 @@ fn identical_seed_means_byte_identical_jsonl_across_jobs() {
     assert_ne!(a.to_jsonl(), b.to_jsonl());
 }
 
-#[test]
-fn replicated_oracle_campaign_is_byte_identical_to_locked() {
-    // The op-log replicated oracle must be invisible in the output: the
-    // same campaign through a locked oracle (the `PMEMFLOW_ORACLE=locked`
-    // escape hatch) and a replicated one, sequential and parallel, all
-    // produce one JSONL byte string.
-    let cfg = contended_config(12, 2, 9);
-    let alphabet = cfg.arrivals.alphabet();
-    let locked = Oracle::build_locked(&alphabet, &cfg.exec, 1).unwrap();
-    assert!(!locked.is_replicated());
-    let references: Vec<String> = all_policies()
-        .iter()
-        .map(|p| {
-            run_campaign_with_oracle(&cfg, p.as_ref(), &locked)
-                .unwrap()
-                .to_jsonl()
-        })
-        .collect();
-    for jobs in [1, 4, 8] {
-        // A fresh replicated oracle per concurrency level: `jobs` is the
-        // characterization fan-out, so each build fills the op log under
-        // a different interleaving.
-        let replicated = Oracle::build_with_replicas(&alphabet, &cfg.exec, jobs, 4).unwrap();
-        assert!(replicated.is_replicated());
-        for (policy, reference) in all_policies().iter().zip(&references) {
-            let out = run_campaign_with_oracle(&cfg, policy.as_ref(), &replicated)
-                .unwrap()
-                .to_jsonl();
-            assert_eq!(
-                reference,
-                &out,
-                "{} differs between locked and replicated oracles at --jobs {jobs}",
-                policy.name()
-            );
-        }
-        // The replicated oracle really worked for its answers: ops
-        // flowed through the shared log, not a per-thread side channel.
-        let stats = replicated.nr_stats().expect("replicated backing");
-        assert!(stats.log_tail > 0 && stats.flushes > 0);
-    }
-}
-
 /// A dense failure trace over the contended stream: crashes and transient
 /// degradation both well inside the campaign's lifetime, with
 /// checkpointing on so restarts resume mid-flight.

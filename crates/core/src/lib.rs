@@ -28,6 +28,7 @@ mod metrics;
 pub mod native;
 pub mod report;
 pub mod runner;
+pub mod sync;
 
 pub use config::{ExecMode, Placement, SchedConfig};
 pub use coschedule::{

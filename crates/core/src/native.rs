@@ -14,9 +14,9 @@
 //! concurrency, while absolute timing fidelity remains the DES's job.
 
 use crate::config::{ExecMode, SchedConfig};
+use crate::sync::lock_recover;
 use pmemflow_des::{Direction, Locality};
 use pmemflow_iostack::{NovaFs, NvStore, ObjectStore, StackKind};
-use pmemflow_nr::lock_recover;
 use pmemflow_platform::SocketId;
 use pmemflow_pmem::{DeviceProfile, InterleaveGeometry, PmemRegion};
 use pmemflow_workloads::WorkflowSpec;

@@ -18,8 +18,8 @@
 use crate::config::SchedConfig;
 use crate::executor::{execute, ExecutionParams};
 use crate::metrics::RunMetrics;
+use crate::sync::lock_recover;
 use pmemflow_iostack::StackKind;
-use pmemflow_nr::lock_recover;
 use pmemflow_workloads::{paper_suite, WorkflowSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

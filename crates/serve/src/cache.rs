@@ -11,7 +11,7 @@
 //! The LRU itself is an intrusive doubly-linked list threaded through a
 //! slab, so hit, insert and evict are all O(1) plus the `HashMap` lookup.
 
-use crate::sync::lock_recover;
+use pmemflow_core::sync::lock_recover;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -37,6 +37,7 @@ struct Entry<V> {
 
 /// One LRU shard: slab + index + recency list (head = most recent).
 struct Shard<V> {
+    capacity: usize,
     map: HashMap<String, usize>,
     slab: Vec<Entry<V>>,
     free: Vec<usize>,
@@ -45,8 +46,9 @@ struct Shard<V> {
 }
 
 impl<V: Clone> Shard<V> {
-    fn new() -> Self {
+    fn new(capacity: usize) -> Self {
         Shard {
+            capacity,
             map: HashMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -88,9 +90,9 @@ impl<V: Clone> Shard<V> {
         Some(self.slab[i].value.clone())
     }
 
-    /// Insert (or refresh) `key`; evict the LRU entry if over `capacity`.
+    /// Insert (or refresh) `key`; evict the LRU entry if over capacity.
     /// Returns the evicted key, if any.
-    fn insert(&mut self, key: &str, value: V, capacity: usize) -> Option<String> {
+    fn insert(&mut self, key: &str, value: V) -> Option<String> {
         if let Some(&i) = self.map.get(key) {
             self.slab[i].value = value;
             self.unlink(i);
@@ -115,7 +117,7 @@ impl<V: Clone> Shard<V> {
         };
         self.map.insert(key.to_string(), i);
         self.push_front(i);
-        if self.map.len() > capacity {
+        if self.map.len() > self.capacity {
             let victim = self.tail;
             debug_assert!(victim != NIL && victim != i);
             self.unlink(victim);
@@ -143,17 +145,22 @@ impl<V: Clone> Shard<V> {
 /// A sharded LRU with a global capacity split evenly across shards.
 pub struct ShardedLru<V> {
     shards: Vec<Mutex<Shard<V>>>,
-    per_shard_capacity: usize,
 }
 
 impl<V: Clone> ShardedLru<V> {
-    /// `capacity` total entries (≥ 1 enforced per shard) spread over
-    /// `shards` independently locked shards (clamped to ≥ 1).
+    /// `capacity` total entries (clamped to ≥ 1) spread over `shards`
+    /// independently locked shards (clamped to 1..=capacity). The first
+    /// `capacity % shards` shards hold one entry more than the rest.
     pub fn new(capacity: usize, shards: usize) -> ShardedLru<V> {
-        let shards = shards.max(1).min(capacity.max(1));
+        let capacity = capacity.max(1);
+        let shards = shards.clamp(1, capacity);
         ShardedLru {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            per_shard_capacity: capacity.div_ceil(shards).max(1),
+            shards: (0..shards)
+                .map(|i| {
+                    let extra = usize::from(i < capacity % shards);
+                    Mutex::new(Shard::new(capacity / shards + extra))
+                })
+                .collect(),
         }
     }
 
@@ -168,7 +175,7 @@ impl<V: Clone> ShardedLru<V> {
 
     /// Insert `key`, possibly evicting its shard's LRU entry (returned).
     pub fn insert(&self, key: &str, value: V) -> Option<String> {
-        lock_recover(self.shard(key)).insert(key, value, self.per_shard_capacity)
+        lock_recover(self.shard(key)).insert(key, value)
     }
 
     /// Entries currently cached, across all shards.
@@ -269,5 +276,17 @@ mod tests {
         // exceed its global capacity.
         assert!(c.len() <= 64);
         assert!(c.len() >= 32, "suspiciously many evictions: {}", c.len());
+    }
+
+    #[test]
+    fn uneven_capacity_never_exceeds_the_global_capacity() {
+        // 10 entries over 8 shards: two shards of 2, six of 1.
+        let c: ShardedLru<usize> = ShardedLru::new(10, 8);
+        let split: Vec<usize> = c.shards.iter().map(|s| lock_recover(s).capacity).collect();
+        assert_eq!(split, vec![2, 2, 1, 1, 1, 1, 1, 1]);
+        for i in 0..500 {
+            c.insert(&format!("k{i}"), i);
+        }
+        assert!(c.len() <= 10, "holds {} entries", c.len());
     }
 }

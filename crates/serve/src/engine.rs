@@ -9,19 +9,15 @@
 //! worker's simulation. When the leader finishes it inserts the result
 //! into the cache and fulfills every parked waiter.
 //!
+//! Every probe — the io threads' warm fast path and both miss-side
+//! re-checks — is [`ShardedLru::get`], so a hit refreshes the key's
+//! recency and a hot key survives eviction pressure from cold ones.
+//!
 //! The classic single-flight race (a follower misses the cache, then
 //! finds no in-flight entry because the leader just finished) is closed
-//! by ordering: the leader **publishes to the read index before**
-//! removing the in-flight entry (`Replicated::execute` returns only
-//! once the op is on the log), so a follower that misses the in-flight
+//! by ordering: the leader **inserts into its cache shard before**
+//! removing the in-flight entry, so a follower that misses the in-flight
 //! map re-probes and is guaranteed to find the value there.
-//!
-//! ## Replicated reads
-//!
-//! Probes — the warm fast path and both miss-side re-checks — read a
-//! per-thread replica of the cache contents maintained through
-//! [`pmemflow_nr::Replicated`]; only leaders (rare, one per distinct
-//! key) write. See [`Engine`] for the eviction trade-off.
 //!
 //! ## Panic isolation
 //!
@@ -35,8 +31,7 @@
 
 use crate::cache::ShardedLru;
 use crate::metrics::Metrics;
-use crate::sync::lock_recover;
-use pmemflow_nr::{Dispatch, NrStats, Replicated};
+use pmemflow_core::sync::lock_recover;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
@@ -80,87 +75,22 @@ pub struct ComputeFailed;
 /// ring an eventfd waker; tests wrap an `mpsc` sender.
 pub type Waiter<V> = Box<dyn FnOnce(Result<V, ComputeFailed>, Source) + Send>;
 
-/// The replicated read index: a plain map mirroring the LRU's contents,
-/// maintained through insert/remove ops on the shared log so each
-/// io/worker thread answers probes from its own replica without
-/// touching a shard lock. Values are key-deterministic, so every
-/// replica serves byte-identical bodies regardless of replay timing.
-struct ReadIndex<V> {
-    map: HashMap<String, V>,
-}
-
-enum IndexOp<V> {
-    /// Mirror a cache insert (last write wins; values for one key are
-    /// identical bytes, so order is immaterial).
-    Insert(String, V),
-    /// Mirror an LRU eviction.
-    Remove(String),
-}
-
-impl<V: Clone + Send + Sync + 'static> Dispatch for ReadIndex<V> {
-    type Op = IndexOp<V>;
-    type Resp = ();
-    fn apply(&mut self, op: &IndexOp<V>) {
-        match op {
-            IndexOp::Insert(key, value) => {
-                self.map.insert(key.clone(), value.clone());
-            }
-            IndexOp::Remove(key) => {
-                self.map.remove(key);
-            }
-        }
-    }
-}
-
 /// Cache + single-flight front over an arbitrary computation.
-///
-/// The [`ShardedLru`] remains the capacity/eviction authority, but all
-/// *probes* (the warm fast path and both miss-side re-checks) go to a
-/// [`Replicated`] read index instead of the shard locks: io threads and
-/// workers each read a local replica, so a storm of warm hits never
-/// convoys on a mutex. The trade is that reads no longer refresh LRU
-/// recency — eviction degrades to insertion order — which only changes
-/// *which* deterministic value gets evicted, never any response bytes.
 pub struct Engine<V: Clone + Send + Sync + 'static> {
     cache: ShardedLru<V>,
-    readers: Replicated<ReadIndex<V>>,
     inflight: Mutex<HashMap<String, Vec<Waiter<V>>>>,
     metrics: Arc<Metrics>,
 }
 
 impl<V: Clone + Send + Sync + 'static> Engine<V> {
     /// An engine with a result cache of `capacity` entries over `shards`
-    /// shards, reporting into `metrics`. Read replicas default to the
-    /// hardware thread count (clamped); the daemon sizes them explicitly
-    /// with [`Engine::with_replicas`], one per io/worker thread.
+    /// shards, reporting into `metrics`.
     pub fn new(capacity: usize, shards: usize, metrics: Arc<Metrics>) -> Engine<V> {
-        let replicas = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(2, 16);
-        Engine::with_replicas(capacity, shards, replicas, metrics)
-    }
-
-    /// [`Engine::new`] with an explicit read-replica count.
-    pub fn with_replicas(
-        capacity: usize,
-        shards: usize,
-        replicas: usize,
-        metrics: Arc<Metrics>,
-    ) -> Engine<V> {
         Engine {
             cache: ShardedLru::new(capacity, shards),
-            readers: Replicated::new(replicas, || ReadIndex {
-                map: HashMap::new(),
-            }),
             inflight: Mutex::new(HashMap::new()),
             metrics,
         }
-    }
-
-    /// Probe the calling thread's read replica.
-    fn probe(&self, key: &str) -> Option<V> {
-        self.readers.read(|index| index.map.get(key).cloned())
     }
 
     /// Resolve `key`, replying through `waiter` exactly once — either
@@ -175,7 +105,7 @@ impl<V: Clone + Send + Sync + 'static> Engine<V> {
     /// [`ComputeFailed`] and the panic is propagated to this call's
     /// caller via [`std::panic::resume_unwind`].
     pub fn execute<F: FnOnce() -> V>(&self, key: &str, waiter: Waiter<V>, compute: F) {
-        if let Some(v) = self.probe(key) {
+        if let Some(v) = self.cache.get(key) {
             self.metrics.cache_hits.fetch_add(1, Relaxed);
             waiter(Ok(v), Source::CacheHit);
             return;
@@ -188,11 +118,9 @@ impl<V: Clone + Send + Sync + 'static> Engine<V> {
                 return;
             }
             // The leader may have finished between our probe and this
-            // lock: the read-index publish happens-before entry removal
-            // (`Replicated::execute` returns only after the op is on the
-            // log, and our replica replays to the published tail), so a
-            // second probe is conclusive.
-            if let Some(v) = self.probe(key) {
+            // lock: its cache insert happens-before the in-flight entry's
+            // removal, so a second probe is conclusive.
+            if let Some(v) = self.cache.get(key) {
                 self.metrics.cache_hits.fetch_add(1, Relaxed);
                 waiter(Ok(v), Source::CacheHit);
                 return;
@@ -206,20 +134,12 @@ impl<V: Clone + Send + Sync + 'static> Engine<V> {
         self.metrics.cache_misses.fetch_add(1, Relaxed);
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(compute)) {
             Ok(value) => {
-                // The LRU stays the eviction authority; the read index
-                // mirrors its insert (and the eviction, if any) in one
-                // log batch. Ops are fully published when `execute_all`
-                // returns — strictly before the in-flight entry below is
-                // removed, which is what makes the follower's second
+                // Insert strictly before the in-flight entry below is
+                // removed: that is what makes the follower's second
                 // probe conclusive.
-                let evicted = self.cache.insert(key, value.clone());
-                let mut ops = Vec::with_capacity(2);
-                ops.push(IndexOp::Insert(key.to_string(), value.clone()));
-                if let Some(old) = evicted {
+                if self.cache.insert(key, value.clone()).is_some() {
                     self.metrics.evictions.fetch_add(1, Relaxed);
-                    ops.push(IndexOp::Remove(old));
                 }
-                self.readers.execute_all(ops);
                 let waiters = lock_recover(&self.inflight).remove(key).unwrap_or_default();
                 waiter(Ok(value.clone()), Source::Computed);
                 for w in waiters {
@@ -246,7 +166,7 @@ impl<V: Clone + Send + Sync + 'static> Engine<V> {
     /// not counted (only a leading `execute` records a miss, so the
     /// hit/miss ledger still sums to one entry per computation).
     pub fn try_cached(&self, key: &str) -> Option<V> {
-        let v = self.probe(key)?;
+        let v = self.cache.get(key)?;
         self.metrics.cache_hits.fetch_add(1, Relaxed);
         Some(v)
     }
@@ -254,11 +174,6 @@ impl<V: Clone + Send + Sync + 'static> Engine<V> {
     /// Entries currently cached.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Replication counters of the read index (`/metrics`).
-    pub fn nr_stats(&self) -> NrStats {
-        self.readers.stats()
     }
 }
 
@@ -383,27 +298,31 @@ mod tests {
     }
 
     #[test]
-    fn computed_value_is_visible_on_every_read_replica() {
-        // Read-your-writes across replicas: once execute() returns, any
-        // thread (hence any replica) must see the identical bytes via
-        // the lock-free probe path.
-        let e: Arc<Engine<String>> = Arc::new(Engine::with_replicas(8, 1, 4, metrics()));
-        let (tx, rx) = waiter();
-        e.execute("k", tx, || "deterministic-body".to_string());
-        let (computed, _) = rx.recv().unwrap();
-        let computed = computed.unwrap();
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let e = Arc::clone(&e);
-                std::thread::spawn(move || e.try_cached("k"))
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap().as_deref(), Some(computed.as_str()));
+    fn hot_key_survives_eviction_pressure() {
+        // Capacity 2, one shard: every cold insert evicts the least
+        // recently used entry. Probing `hot` between cold inserts keeps
+        // it most recent, so the cold keys are what get evicted.
+        let m = metrics();
+        let e: Engine<u32> = Engine::new(2, 1, m.clone());
+        let computes = AtomicUsize::new(0);
+        let (tx, _rx) = waiter();
+        e.execute("hot", tx, || {
+            computes.fetch_add(1, Relaxed);
+            0
+        });
+        for i in 1..=8 {
+            assert_eq!(e.try_cached("hot"), Some(0), "hot evicted before cold {i}");
+            let (tx, _rx) = waiter();
+            e.execute(&format!("cold-{i}"), tx, || i);
         }
-        let stats = e.nr_stats();
-        assert_eq!(stats.replicas, 4);
-        assert!(stats.log_tail >= 1, "insert op must be logged");
+        let (tx, rx) = waiter();
+        e.execute("hot", tx, || {
+            computes.fetch_add(1, Relaxed);
+            0
+        });
+        assert_eq!(rx.recv().unwrap(), (Ok(0), Source::CacheHit));
+        assert_eq!(computes.load(Relaxed), 1, "hot must never recompute");
+        assert_eq!(m.evictions.load(Relaxed), 7);
     }
 
     #[test]

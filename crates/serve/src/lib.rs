@@ -47,10 +47,11 @@
 //! follower (each answers `500`), nothing is cached, and the worker
 //! supervisor respawns the worker — all of it visible as
 //! `panics_total` / `worker_restarts_total` in `/metrics`. Mutexes that
-//! a panic may have poisoned recover through [`sync::lock_recover`]. On
-//! the transport side, a per-request read deadline (armed at the first
-//! byte, so idle keep-alive costs nothing) reaps slowloris clients with
-//! `408`; fd exhaustion (`EMFILE`/`ENFILE`) pauses the acceptor with
+//! a panic may have poisoned recover through
+//! [`pmemflow_core::sync::lock_recover`]. On the transport side, a
+//! per-request read deadline (armed at the first byte, so idle
+//! keep-alive costs nothing) reaps slowloris clients with `408`; fd
+//! exhaustion (`EMFILE`/`ENFILE`) pauses the acceptor with
 //! jittered exponential backoff instead of spinning or crashing
 //! (`fd_exhausted_total` counts the strikes); and
 //! [`FaultInjectingBackend`] gives tests and CI a deterministic
@@ -65,7 +66,6 @@ pub mod model;
 pub mod query;
 pub mod rig;
 pub mod server;
-pub mod sync;
 
 pub use engine::{ComputeFailed, Engine, Source};
 pub use metrics::Metrics;
@@ -76,4 +76,3 @@ pub use pmemflow_cluster::predict::{Oracle, TenantKey};
 pub use query::Query;
 pub use rig::{run_rig, RigBackend, RigConfig, RigReport};
 pub use server::{Server, ServerConfig};
-pub use sync::lock_recover;

@@ -6,7 +6,6 @@
 //! log-spaced histogram (powers of two in microseconds) from which
 //! p50/p95/p99 are estimated by linear interpolation within the bucket.
 
-use pmemflow_nr::NrStats;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// The endpoints the daemon tracks individually.
@@ -291,107 +290,9 @@ impl Metrics {
     }
 }
 
-/// Render the replication counters of every op-log-backed structure the
-/// daemon runs (the engine's read index, the oracles' memo tables, the
-/// shared price tables) as Prometheus text. Each metric family is
-/// declared once with one labeled sample per structure — appended to
-/// [`Metrics::exposition`] by the `/metrics` handler, which is the only
-/// place that can see the engine and backend.
-pub fn nr_exposition(structures: &[(String, NrStats)], out: &mut String) {
-    if structures.is_empty() {
-        return;
-    }
-    let gauge = |out: &mut String, name: &str, pick: &dyn Fn(&NrStats) -> u64, kind: &str| {
-        out.push_str(&format!("# TYPE pmemflow_serve_nr_{name} {kind}\n"));
-        for (structure, stats) in structures {
-            out.push_str(&format!(
-                "pmemflow_serve_nr_{name}{{structure=\"{structure}\"}} {}\n",
-                pick(stats)
-            ));
-        }
-    };
-    gauge(out, "replicas", &|s| s.replicas as u64, "gauge");
-    gauge(out, "log_tail_total", &|s| s.log_tail, "counter");
-    gauge(out, "log_retained", &|s| s.log_retained, "gauge");
-    gauge(out, "combiner_flushes_total", &|s| s.flushes, "counter");
-    gauge(out, "combiner_ops_total", &|s| s.flushed_ops, "counter");
-    gauge(out, "combiner_batch_max", &|s| s.max_batch, "gauge");
-    gauge(out, "forced_syncs_total", &|s| s.forced_syncs, "counter");
-    /// Selects one per-replica counter vector out of [`NrStats`].
-    type PerReplica = fn(&NrStats) -> &[u64];
-    fn applied(s: &NrStats) -> &[u64] {
-        &s.replica_applied
-    }
-    fn replays(s: &NrStats) -> &[u64] {
-        &s.replica_replays
-    }
-    fn replayed_ops(s: &NrStats) -> &[u64] {
-        &s.replica_replayed_ops
-    }
-    let per_replica: [(&str, PerReplica); 3] = [
-        ("replica_applied_total", applied),
-        ("replica_replays_total", replays),
-        ("replica_replayed_ops_total", replayed_ops),
-    ];
-    for (name, pick) in per_replica {
-        out.push_str(&format!("# TYPE pmemflow_serve_nr_{name} counter\n"));
-        for (structure, stats) in structures {
-            for (replica, v) in pick(stats).iter().enumerate() {
-                out.push_str(&format!(
-                    "pmemflow_serve_nr_{name}{{structure=\"{structure}\",replica=\"{replica}\"}} {v}\n",
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nr_exposition_declares_each_family_once_with_labeled_samples() {
-        let stats = NrStats {
-            replicas: 2,
-            log_tail: 10,
-            log_retained: 4,
-            flushes: 6,
-            flushed_ops: 10,
-            max_batch: 3,
-            forced_syncs: 1,
-            replica_applied: vec![10, 8],
-            replica_replays: vec![0, 5],
-            replica_replayed_ops: vec![0, 8],
-        };
-        let mut out = String::new();
-        nr_exposition(
-            &[
-                ("result_cache".to_string(), stats.clone()),
-                ("oracle_nvstream".to_string(), stats),
-            ],
-            &mut out,
-        );
-        for needle in [
-            "pmemflow_serve_nr_log_tail_total{structure=\"result_cache\"} 10",
-            "pmemflow_serve_nr_log_tail_total{structure=\"oracle_nvstream\"} 10",
-            "pmemflow_serve_nr_combiner_flushes_total{structure=\"result_cache\"} 6",
-            "pmemflow_serve_nr_combiner_batch_max{structure=\"result_cache\"} 3",
-            "pmemflow_serve_nr_replica_replays_total{structure=\"result_cache\",replica=\"1\"} 5",
-            "pmemflow_serve_nr_replicas{structure=\"result_cache\"} 2",
-        ] {
-            assert!(out.contains(needle), "missing {needle}\n{out}");
-        }
-        assert_eq!(
-            out.matches("# TYPE pmemflow_serve_nr_log_tail_total counter")
-                .count(),
-            1,
-            "each family declared exactly once"
-        );
-        // Nothing replicated → nothing appended.
-        let mut empty = String::new();
-        nr_exposition(&[], &mut empty);
-        assert!(empty.is_empty());
-    }
 
     #[test]
     fn histogram_quantiles_bracket_observations() {

@@ -46,13 +46,6 @@ pub trait Backend: Send + Sync + 'static {
     /// Answer one decoded query. Must be deterministic in the query's
     /// canonical key.
     fn answer(&self, query: &Query) -> Answer;
-
-    /// Replication counters of every op-log-backed structure this
-    /// backend runs, labeled for `/metrics`. Stub backends (and a
-    /// backend forced onto the locked path) report none.
-    fn nr_stats(&self) -> Vec<(String, pmemflow_nr::NrStats)> {
-        Vec::new()
-    }
 }
 
 /// The real backend: two lazily populated oracles, one per stack.
@@ -69,30 +62,11 @@ impl Default for ModelBackend {
 
 impl ModelBackend {
     /// A backend with empty oracles for both stacks under the default
-    /// node parameters. Oracle replica count defaults to the hardware
-    /// thread count; the daemon sizes it explicitly with
-    /// [`ModelBackend::with_replicas`].
+    /// node parameters.
     pub fn new() -> ModelBackend {
         ModelBackend {
             nvstream: Oracle::new(&ExecutionParams::default().with_stack(StackKind::NvStream)),
             nova: Oracle::new(&ExecutionParams::default().with_stack(StackKind::Nova)),
-        }
-    }
-
-    /// A backend whose oracles carry one replica per daemon reader
-    /// thread (io threads + workers), so every thread that answers from
-    /// the oracle replays a local copy instead of contending on a lock.
-    /// `PMEMFLOW_ORACLE=locked` still forces the locked backing.
-    pub fn with_replicas(replicas: usize) -> ModelBackend {
-        ModelBackend {
-            nvstream: Oracle::for_threads(
-                &ExecutionParams::default().with_stack(StackKind::NvStream),
-                replicas,
-            ),
-            nova: Oracle::for_threads(
-                &ExecutionParams::default().with_stack(StackKind::Nova),
-                replicas,
-            ),
         }
     }
 
@@ -275,10 +249,6 @@ impl FaultInjectingBackend {
 }
 
 impl Backend for FaultInjectingBackend {
-    fn nr_stats(&self) -> Vec<(String, pmemflow_nr::NrStats)> {
-        self.inner.nr_stats()
-    }
-
     fn answer(&self, query: &Query) -> Answer {
         let n = self
             .calls
@@ -292,19 +262,6 @@ impl Backend for FaultInjectingBackend {
 }
 
 impl Backend for ModelBackend {
-    fn nr_stats(&self) -> Vec<(String, pmemflow_nr::NrStats)> {
-        let mut out = Vec::new();
-        for (stack, oracle) in [("nvstream", &self.nvstream), ("nova", &self.nova)] {
-            if let Some(stats) = oracle.nr_stats() {
-                out.push((format!("oracle_{stack}"), stats));
-            }
-            if let Some(stats) = oracle.price_nr_stats() {
-                out.push((format!("prices_{stack}"), stats));
-            }
-        }
-        out
-    }
-
     fn answer(&self, query: &Query) -> Answer {
         let rendered = match query {
             Query::Sweep {

@@ -38,7 +38,7 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::model::{Answer, Backend, FaultInjectingBackend, ModelBackend};
 use crate::query::Query;
-use crate::sync::lock_recover;
+use pmemflow_core::sync::lock_recover;
 use pmemflow_des::json::json_escape;
 use pmemflow_net::{
     drain_read, is_fd_exhaustion, AcceptBackoff, ChaosListener, ChaosPlan, ChaosSpec, Interest,
@@ -149,9 +149,6 @@ struct Mailbox {
 struct Shared {
     metrics: Arc<Metrics>,
     engine: Arc<Engine<Arc<Answer>>>,
-    /// Held so `/metrics` can append the backend's replication counters
-    /// (oracle memo tables, price tables) to the exposition.
-    backend: Arc<dyn Backend>,
     shutdown: AtomicBool,
     deadline: Duration,
     read_deadline: Duration,
@@ -249,11 +246,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Boot with the real model backend, its oracles carrying one read
-    /// replica per daemon thread (io threads + workers).
+    /// Boot with the real model backend.
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
-        let readers = config.io_threads.max(1) + config.workers.max(1);
-        Server::start_with_backend(config, Arc::new(ModelBackend::with_replicas(readers)))
+        Server::start_with_backend(config, Arc::new(ModelBackend::new()))
     }
 
     /// Boot with an arbitrary backend (tests inject stubs here).
@@ -300,14 +295,9 @@ impl Server {
             backend
         };
         let metrics = Arc::new(Metrics::default());
-        // One read replica per thread that probes the result cache:
-        // every worker and every io thread answers warm hits from its
-        // own replica without touching a shard lock.
-        let reader_threads = config.io_threads.max(1) + config.workers.max(1);
-        let engine: Arc<Engine<Arc<Answer>>> = Arc::new(Engine::with_replicas(
+        let engine: Arc<Engine<Arc<Answer>>> = Arc::new(Engine::new(
             config.cache_capacity.max(1),
             config.shards.max(1),
-            reader_threads,
             metrics.clone(),
         ));
         let (queue, jobs) = sync_channel::<Job>(config.queue_capacity.max(1));
@@ -355,7 +345,6 @@ impl Server {
         let shared = Arc::new(Shared {
             metrics: metrics.clone(),
             engine: engine.clone(),
-            backend: backend.clone(),
             shutdown: AtomicBool::new(false),
             deadline: config.deadline,
             read_deadline: config.read_deadline,
@@ -809,10 +798,7 @@ impl<L: NetListener> IoThread<L> {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz") => answer_now(self, 200, "text/plain", &[], b"ok\n"),
             ("GET", "/metrics") => {
-                let mut text = shared.metrics.exposition();
-                let mut structures = vec![("result_cache".to_string(), shared.engine.nr_stats())];
-                structures.extend(shared.backend.nr_stats());
-                crate::metrics::nr_exposition(&structures, &mut text);
+                let text = shared.metrics.exposition();
                 answer_now(self, 200, "text/plain; version=0.0.4", &[], text.as_bytes());
             }
             ("POST", "/admin/shutdown") => {

@@ -156,17 +156,12 @@ fn serves_every_endpoint_and_shuts_down_cleanly() {
         .body
         .contains("pmemflow_serve_request_latency_seconds{quantile=\"0.99\"}"));
 
-    // Replication observability: the engine's read index and the
-    // backend's oracle/price structures all publish op-log counters.
-    for series in [
-        "pmemflow_serve_nr_replicas{structure=\"result_cache\"}",
-        "pmemflow_serve_nr_replicas{structure=\"oracle_nvstream\"}",
-        "pmemflow_serve_nr_replicas{structure=\"prices_nvstream\"}",
-        "pmemflow_serve_nr_log_tail_total{structure=\"result_cache\"}",
-        "pmemflow_serve_nr_replica_applied_total{structure=\"result_cache\",replica=\"0\"}",
-    ] {
-        assert!(metrics.body.contains(series), "missing {series}");
-    }
+    // No op-log replication families are exposed any more.
+    assert!(
+        !metrics.body.contains("pmemflow_serve_nr_"),
+        "stale replication metrics:\n{}",
+        metrics.body
+    );
 
     // Graceful drain: in-band shutdown, then the port must refuse work.
     let daemon_metrics = server.metrics().clone();
@@ -562,8 +557,8 @@ fn responses_are_byte_identical_across_worker_counts() {
         server.join();
         out
     };
-    // Replication sizes one read replica per io/worker thread, so the
-    // sweep also proves replica count never leaks into response bytes.
+    // Workers race to populate the shared oracle and result cache, so
+    // the sweep also proves that race never leaks into response bytes.
     let reference = answers(1);
     for workers in [4, 8] {
         assert_eq!(
