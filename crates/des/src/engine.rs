@@ -5,8 +5,13 @@
 //! event kinds exist: process wake-ups (compute phases ending) and
 //! resource checks (the earliest moment a fluid flow can complete under the
 //! current rate assignment). Whenever the set of flows on a resource changes,
-//! rates are recomputed by the resource's [`RateAllocator`] and a fresh check
-//! is scheduled; stale checks are invalidated by an epoch counter.
+//! its pending check goes stale (an epoch counter) and the next check's
+//! sequence number is reserved. Rates are recomputed by the resource's
+//! [`RateAllocator`] once per simulated instant, when the instant ends, and
+//! the fresh check is scheduled under that reserved number: many ranks
+//! starting or finishing I/O together cost one allocation, and events pop in
+//! the order an allocation per change would give. A check that could land
+//! at the current instant is scheduled at once instead.
 //!
 //! Determinism: events are ordered by `(time, sequence)`, all arithmetic is
 //! pure `f64`, and no randomness or wall-clock input exists anywhere in the
@@ -135,6 +140,9 @@ struct ResourceState {
     class_bytes: ClassBytes,
     last_update: SimTime,
     epoch: u64,
+    /// Sequence number reserved for the check of a reallocation deferred
+    /// to the end of the current instant.
+    deferred_seq: Option<u64>,
     report: ResourceReport,
 }
 
@@ -164,6 +172,8 @@ pub struct Simulation {
     channels: Vec<ChannelState>,
     /// Flows completed by the current resource check (reused buffer).
     finished: Vec<ActiveFlow>,
+    /// Resources whose flows changed during the current instant.
+    deferred: Vec<ResourceId>,
     next_flow_id: u64,
     event_budget: u64,
     horizon: SimTime,
@@ -189,6 +199,7 @@ impl Simulation {
             resources: Vec::new(),
             channels: Vec::new(),
             finished: Vec::new(),
+            deferred: Vec::new(),
             next_flow_id: 0,
             event_budget: 200_000_000,
             horizon: SimTime(1e9),
@@ -230,6 +241,7 @@ impl Simulation {
             class_bytes: ClassBytes::default(),
             last_update: SimTime::ZERO,
             epoch: 0,
+            deferred_seq: None,
             report: ResourceReport {
                 name,
                 ..Default::default()
@@ -269,6 +281,10 @@ impl Simulation {
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
+        self.push_event_at(time, seq, kind);
+    }
+
+    fn push_event_at(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         self.events.push(Reverse(Event { time, seq, kind }));
         self.max_heap_depth = self.max_heap_depth.max(self.events.len());
     }
@@ -281,7 +297,19 @@ impl Simulation {
         }
         let mut first_call = vec![true; self.procs.len()];
 
-        while let Some(Reverse(ev)) = self.events.pop() {
+        loop {
+            // The instant ends when the next event is later, or none is left.
+            if !self.deferred.is_empty()
+                && self
+                    .events
+                    .peek()
+                    .is_none_or(|Reverse(ev)| ev.time > self.now)
+            {
+                self.flush_deferred();
+            }
+            let Some(Reverse(ev)) = self.events.pop() else {
+                break;
+            };
             self.events_processed += 1;
             if self.events_processed > self.event_budget {
                 return Err(SimError::EventBudgetExhausted {
@@ -395,7 +423,7 @@ impl Simulation {
                         remaining: bytes,
                         rate: 0.0,
                     });
-                    self.reallocate(resource);
+                    self.invalidate(resource);
                     return;
                 }
                 Action::WaitVersion { channel, version } => {
@@ -483,14 +511,56 @@ impl Simulation {
         res.last_update = self.now;
     }
 
-    /// Recompute rates after a membership change and schedule the next
-    /// completion check. Must be called with flows settled to `self.now`.
-    fn reallocate(&mut self, rid: ResourceId) {
+    /// Note a membership change on `rid`, whose flows must be settled to
+    /// `self.now`. The pending check goes stale at once and the next one's
+    /// sequence number is reserved, but the rates wait for the end of the
+    /// instant: a later change at the same instant would replace them
+    /// before any time passed, and `settle` moves no bytes over a zero
+    /// interval.
+    fn invalidate(&mut self, rid: ResourceId) {
         let res = &mut self.resources[rid.0];
         res.epoch += 1;
         if res.flows.is_empty() {
+            res.deferred_seq = None;
             return;
         }
+        let seq = self.seq;
+        self.seq += 1;
+        // No flow can finish sooner than the fewest bytes left over the
+        // largest rate cap `reallocate` can give. If even that rounds to
+        // `now`, the check may belong before later events of this instant,
+        // so it is scheduled at once.
+        let mut min_remaining = f64::INFINITY;
+        let mut max_cap = 0.0_f64;
+        for fl in &res.flows {
+            min_remaining = min_remaining.min(fl.remaining);
+            max_cap = max_cap.max(fl.attrs.intrinsic_rate().max(MIN_RATE));
+        }
+        if self.now + SimDuration::from_secs(min_remaining / max_cap) == self.now {
+            res.deferred_seq = None;
+            self.reallocate(rid, seq);
+        } else if res.deferred_seq.replace(seq).is_none() {
+            self.deferred.push(rid);
+        }
+    }
+
+    /// Reallocate every resource whose flows changed during the instant
+    /// that is ending.
+    fn flush_deferred(&mut self) {
+        let mut deferred = std::mem::take(&mut self.deferred);
+        for &rid in &deferred {
+            if let Some(seq) = self.resources[rid.0].deferred_seq.take() {
+                self.reallocate(rid, seq);
+            }
+        }
+        deferred.clear();
+        self.deferred = deferred;
+    }
+
+    /// Recompute the rates on `rid` and schedule its next completion check
+    /// under the reserved `seq`. Flows must be settled to `self.now`.
+    fn reallocate(&mut self, rid: ResourceId, seq: u64) {
+        let res = &mut self.resources[rid.0];
         res.views.clear();
         res.views.extend(res.flows.iter().map(|f| FlowView {
             attrs: f.attrs,
@@ -507,8 +577,9 @@ impl Simulation {
         }
         let epoch = res.epoch;
         let t = self.now + SimDuration::from_secs(next_done);
-        self.push_event(
+        self.push_event_at(
             t,
+            seq,
             EventKind::ResourceCheck {
                 resource: rid,
                 epoch,
@@ -521,6 +592,10 @@ impl Simulation {
     fn resource_check(&mut self, rid: ResourceId) {
         self.settle(rid);
         let res = &mut self.resources[rid.0];
+        debug_assert!(
+            res.deferred_seq.is_none(),
+            "a live check outran its reallocation"
+        );
         let finished = &mut self.finished;
         debug_assert!(finished.is_empty());
         // Flows stay in submission (== flow-id) order, so the finished
@@ -553,7 +628,7 @@ impl Simulation {
             .report
             .peak_concurrency
             .max(res.flows.len() + finished.len());
-        self.reallocate(rid);
+        self.invalidate(rid);
         // Wake owners in flow-id order (== submission order): deterministic.
         // Waking never re-enters a resource check, so the buffer can be
         // taken out while owners step and handed back empty afterwards.
@@ -585,6 +660,7 @@ mod tests {
     use super::*;
     use crate::flow::{Direction, FairShareAllocator, FlowAttrs, Locality, UncontendedAllocator};
     use crate::process::ScriptProcess;
+    use std::sync::{Arc, Mutex};
 
     fn io(resource: ResourceId, bytes: f64, peak: f64) -> Action {
         Action::Io {
@@ -955,5 +1031,124 @@ mod tests {
         let b = rep.resources[0].bytes_by_class.get(&("R", "rem")).copied();
         assert!((b.unwrap() - 1e9).abs() < 1.0);
         assert_eq!(rep.resources[0].flows_completed, 1);
+    }
+
+    /// Records the flow count of every allocation it forwards.
+    struct CountingAllocator {
+        inner: FairShareAllocator,
+        calls: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl RateAllocator for CountingAllocator {
+        fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
+            self.calls.lock().unwrap().push(flows.len());
+            self.inner.allocate(flows, rates);
+        }
+    }
+
+    /// Forwards a script, logging each mark into a log shared across
+    /// processes, so the order of same-time events is observable.
+    struct LoggedScript {
+        script: ScriptProcess,
+        log: Arc<Mutex<Vec<&'static str>>>,
+    }
+
+    impl Process for LoggedScript {
+        fn next(&mut self, now: SimTime, resume: Resume) -> Action {
+            let action = self.script.next(now, resume);
+            if let Action::Mark(label) = action {
+                self.log.lock().unwrap().push(label);
+            }
+            action
+        }
+    }
+
+    #[test]
+    fn same_instant_arrivals_allocate_once() {
+        // Four ranks compute 1 s, then each submits k GB (k = 1..=4) to a
+        // 2 GB/s fair-share device. Equal shares give the closed form
+        // T_k = T_{k-1} + 1 GB * (5 - k) / 2 GB/s after T_0 = 1 s.
+        const N: usize = 4;
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Simulation::new();
+        let r = sim.add_resource(Box::new(CountingAllocator {
+            inner: FairShareAllocator::new(2e9),
+            calls: Arc::clone(&calls),
+        }));
+        for k in 1..=N {
+            sim.spawn(Box::new(ScriptProcess::new(
+                format!("w{k}"),
+                vec![
+                    Action::Compute(SimDuration(1.0)),
+                    io(r, k as f64 * 1e9, 10e9),
+                ],
+            )));
+        }
+        let rep = sim.run().unwrap();
+        // One allocation for the arrival instant, then one per departure
+        // that leaves flows behind.
+        assert_eq!(*calls.lock().unwrap(), [4, 3, 2, 1]);
+        let mut want = 1.0;
+        for (k, p) in rep.processes.iter().enumerate() {
+            want += 1e9 * (N - k) as f64 / 2e9;
+            let got = p.finished_at.unwrap().seconds();
+            assert!((got - want).abs() < 1e-9, "w{}: {got} vs {want}", k + 1);
+        }
+        // Two wakes per rank (start, compute end) and one live check per
+        // departure: no stale check was ever pushed.
+        assert_eq!(rep.events_processed, (2 * N + N) as u64);
+    }
+
+    #[test]
+    fn check_due_this_instant_keeps_its_place() {
+        // At t = 1e6 s a 1-byte flow on a 1e12 B/s device is due 1e-12 s
+        // later, which rounds to the same instant. Its check is scheduled
+        // under a lower sequence number than the wake that the publisher's
+        // event pushes right after, so it must be handled first.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Simulation::new();
+        let r = sim.add_resource(Box::new(UncontendedAllocator));
+        let ch = sim.add_channel();
+        let scripts = [
+            (
+                "io",
+                vec![
+                    Action::Compute(SimDuration(1e6)),
+                    io(r, 1.0, 1e12),
+                    Action::Mark("io-done"),
+                ],
+            ),
+            (
+                "publisher",
+                vec![
+                    Action::Compute(SimDuration(1e6)),
+                    Action::Publish {
+                        channel: ch,
+                        version: 1,
+                    },
+                ],
+            ),
+            (
+                "waiter",
+                vec![
+                    Action::WaitVersion {
+                        channel: ch,
+                        version: 1,
+                    },
+                    Action::Mark("woken"),
+                ],
+            ),
+        ];
+        for (name, actions) in scripts {
+            sim.spawn(Box::new(LoggedScript {
+                script: ScriptProcess::new(name, actions),
+                log: Arc::clone(&log),
+            }));
+        }
+        let rep = sim.run().unwrap();
+        assert_eq!(*log.lock().unwrap(), ["io-done", "woken"]);
+        assert_eq!(rep.processes[0].mark("io-done"), Some(SimTime(1e6)));
+        assert_eq!(rep.processes[2].mark("woken"), Some(SimTime(1e6)));
+        assert_eq!(rep.end_time, SimTime(1e6));
     }
 }
