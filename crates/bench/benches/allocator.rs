@@ -1,9 +1,13 @@
 //! Benchmarks of the Optane rate allocator — the innermost loop of the
-//! fluid engine (called on every flow arrival/departure).
+//! fluid engine (called once per simulated instant at which a resource's
+//! flow set changed).
 //!
 //! `warm` repeats one flow set, so every call after the first is a memo
 //! hit. `cold` cycles through more distinct sets than the memo holds, so
-//! every call is a miss and runs the full damped fixed point.
+//! every call is a miss and runs the full damped fixed point. The numbered
+//! `cold` cases have about one class per flow; `cold/2classes/20` has the
+//! suite's shape, 20 flows in two runs of one class each, and
+//! `cold/2tied/20` interleaves two classes whose normalized caps tie.
 
 use pmemflow_bench::harness::bench;
 use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
@@ -46,6 +50,54 @@ fn flows(n: usize, variant: usize) -> Vec<FlowView> {
         .collect()
 }
 
+/// 20 flows of two classes: ten small local writes with software cost,
+/// then ten large local reads. `tied` instead alternates two classes whose
+/// intrinsic rate exceeds their capacity, so both are capped at the full
+/// device. `variant` shifts one class's software cost for a distinct key.
+fn two_classes(tied: bool, variant: usize) -> Vec<FlowView> {
+    let p = DeviceProfile::optane_gen1();
+    let jitter = variant as f64 * 1e-15;
+    let class = |dir, access, sw: f64, boost: f64| FlowAttrs {
+        direction: dir,
+        locality: Locality::Local,
+        access_bytes: access,
+        sw_time_per_byte: sw,
+        peak_device_rate: p.single_thread_rate(dir, Locality::Local, access) * boost,
+    };
+    let (a, b) = if tied {
+        (
+            class(Direction::Write, 64 << 20, jitter, 1e3),
+            class(Direction::Read, 64 << 20, 0.0, 1e3),
+        )
+    } else {
+        (
+            class(Direction::Write, 2048, 4e-10 + jitter, 1.0),
+            class(Direction::Read, 64 << 20, 0.0, 1.0),
+        )
+    };
+    (0..20)
+        .map(|i| FlowView {
+            attrs: if (tied && i % 2 == 0) || (!tied && i < 10) {
+                a
+            } else {
+                b
+            },
+            remaining: 1e9,
+        })
+        .collect()
+}
+
+fn cold(name: &str, sets: &[Vec<FlowView>]) {
+    let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
+    let mut rates = vec![0.0; sets[0].len()];
+    let mut next = 0;
+    bench(name, || {
+        alloc.allocate(black_box(&sets[next]), &mut rates);
+        black_box(&rates);
+        next = (next + 1) % sets.len();
+    });
+}
+
 fn main() {
     for n in [1usize, 8, 16, 48] {
         let mut rates = vec![0.0; n];
@@ -57,14 +109,15 @@ fn main() {
             black_box(&rates);
         });
 
-        let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
         let sets: Vec<Vec<FlowView>> = (0..COLD_SETS).map(|v| flows(n, v)).collect();
-        let mut next = 0;
-        bench(&format!("allocate/cold/{n}"), || {
-            alloc.allocate(black_box(&sets[next]), &mut rates);
-            black_box(&rates);
-            next = (next + 1) % COLD_SETS;
-        });
+        cold(&format!("allocate/cold/{n}"), &sets);
+    }
+    for (name, tied) in [
+        ("allocate/cold/2classes/20", false),
+        ("allocate/cold/2tied/20", true),
+    ] {
+        let sets: Vec<Vec<FlowView>> = (0..COLD_SETS).map(|v| two_classes(tied, v)).collect();
+        cold(name, &sets);
     }
 
     let caps: Vec<f64> = (0..48).map(|i| 1.0 + (i % 7) as f64).collect();

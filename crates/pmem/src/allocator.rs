@@ -51,12 +51,16 @@
 //! memo, so an entry costs 12 bytes per flow (index plus rate).
 //!
 //! A miss does not allocate beyond the memo entry it adds: every working
-//! array lives in reused scratch, class capacities are evaluated once per
-//! distinct (direction, locality, access size) per round rather than once
-//! per flow, and intrinsic rates once per call.
+//! array lives in reused scratch. It solves per class, not per flow: it
+//! groups the flows by class and takes each class's intrinsic rate once
+//! per call, and each round takes each class's capacity and normalized cap
+//! once and sorts classes, not flows. Only duty cycles stay per flow. The
+//! duty sums and water-filling's running share step through the flows in
+//! the order of [`pmemflow_des::water_fill`] with its float operations, so
+//! the rates match a per-flow solve to the bit.
 
 use crate::profile::DeviceProfile;
-use pmemflow_des::{water_fill, Direction, FlowAttrs, FlowView, Locality, RateAllocator};
+use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -127,15 +131,31 @@ impl Hasher for WordHasher {
 
 type Words = BuildHasherDefault<WordHasher>;
 
-/// Working arrays reused across calls, one slot per flow.
+/// One distinct class of the set being solved, with everything its members
+/// share: their attributes, intrinsic rate and, per round, capacity and
+/// normalized cap.
+#[derive(Debug, Clone, Copy)]
+struct Class {
+    id: u32,
+    attrs: FlowAttrs,
+    intrinsic: f64,
+    cap: f64,
+    x_cap: f64,
+}
+
+/// Working arrays reused across calls.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     key: Vec<u32>,
-    intrinsic: Vec<f64>,
+    /// Per flow: its index in `classes`.
+    class_of: Vec<usize>,
     duty: Vec<f64>,
-    caps: Vec<f64>,
-    x_caps: Vec<f64>,
-    x: Vec<f64>,
+    classes: Vec<Class>,
+    /// Flow indices grouped by class, ascending within a class: class `c`
+    /// owns `members[start[c]..start[c + 1]]`.
+    members: Vec<usize>,
+    start: Vec<usize>,
+    /// Classes in ascending `x_cap` order.
     order: Vec<usize>,
     /// This round's capacity per distinct (direction, locality, access).
     class_caps: Vec<((Direction, Locality, u64), f64)>,
@@ -203,60 +223,77 @@ impl OptaneAllocator {
         let p = &self.profile;
         let s = &mut self.scratch;
         let n = flows.len();
-        s.intrinsic.clear();
-        s.intrinsic
-            .extend(flows.iter().map(|f| f.attrs.intrinsic_rate()));
+        s.classes.clear();
+        s.class_of.clear();
+        for (f, &id) in flows.iter().zip(&s.key) {
+            let found = match s.class_of.last() {
+                Some(&c) if s.classes[c].id == id => Some(c),
+                _ => s.classes.iter().position(|c| c.id == id),
+            };
+            s.class_of.push(found.unwrap_or_else(|| {
+                s.classes.push(Class {
+                    id,
+                    attrs: f.attrs,
+                    intrinsic: f.attrs.intrinsic_rate(),
+                    cap: 0.0,
+                    x_cap: 0.0,
+                });
+                s.classes.len() - 1
+            }));
+        }
+        // Counting sort by class: `start[c + 1]` is class `c`'s fill cursor.
+        let k = s.classes.len();
+        s.start.clear();
+        s.start.resize(k + 2, 0);
+        s.class_of.iter().for_each(|&c| s.start[c + 2] += 1);
+        (2..k + 2).for_each(|c| s.start[c] += s.start[c - 1]);
+        s.members.resize(n, 0);
+        for (i, &c) in s.class_of.iter().enumerate() {
+            s.members[s.start[c + 1]] = i;
+            s.start[c + 1] += 1;
+        }
         s.duty.clear();
         s.duty.resize(n, 1.0);
-        for v in [&mut s.caps, &mut s.x_caps, &mut s.x] {
-            v.clear();
-            v.resize(n, 0.0);
-        }
 
-        let (mixed, any_small) = {
-            let mut has_r = false;
-            let mut has_w = false;
-            let mut small = false;
-            let stripe = p.geometry.stripe_bytes();
-            for f in flows {
-                match f.attrs.direction {
-                    Direction::Read => has_r = true,
-                    Direction::Write => has_w = true,
-                }
-                small |= f.attrs.access_bytes < stripe;
-            }
-            (has_r && has_w, small)
-        };
+        let has = |dir| s.classes.iter().any(|c| c.attrs.direction == dir);
+        let mixed = has(Direction::Read) && has(Direction::Write);
+        let stripe = p.geometry.stripe_bytes();
+        let any_small = s.classes.iter().any(|c| c.attrs.access_bytes < stripe);
 
         for _ in 0..p.duty_iterations {
             let n_eff_total: f64 = s.duty.iter().sum();
-            let n_eff_remote: f64 = flows
-                .iter()
-                .zip(s.duty.iter())
-                .filter(|(f, _)| f.attrs.locality == Locality::Remote)
-                .map(|(_, d)| *d)
+            let n_eff_remote: f64 = (s.duty.iter().zip(&s.class_of))
+                .filter(|&(_, &c)| s.classes[c].attrs.locality == Locality::Remote)
+                .map(|(d, _)| *d)
                 .sum();
 
-            // Every flow of one (direction, locality, access) class sees the
-            // same capacity this round: evaluate it once per class.
+            // Classes that differ only in software cost or peak rate share
+            // a capacity: evaluate it once per (direction, locality, access).
             s.class_caps.clear();
-            for (f, cap) in flows.iter().zip(s.caps.iter_mut()) {
-                let a = &f.attrs;
+            for c in &mut s.classes {
+                let a = &c.attrs;
                 let key = (a.direction, a.locality, a.access_bytes);
-                *cap = match s.class_caps.iter().find(|(k, _)| *k == key) {
-                    Some(&(_, c)) => c,
+                c.cap = match s.class_caps.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, cap)) => cap,
                     None => {
-                        let c = p.class_capacity(
+                        let cap = p.class_capacity(
                             a.direction,
                             a.locality,
                             a.access_bytes,
                             n_eff_total.max(1.0),
                             n_eff_remote,
                         );
-                        s.class_caps.push((key, c));
-                        c
+                        s.class_caps.push((key, cap));
+                        cap
                     }
                 };
+                // Normalized water-filling on *end-to-end* rates: a flow
+                // running at end-to-end rate `r` against class capacity `C`
+                // consumes `r / C` of the device on average (its software
+                // time is off-device), so the budget constraint is
+                // Σ rᵢ/Cᵢ ≤ B with per-flow caps at the intrinsic
+                // (uncontended) rate.
+                c.x_cap = (c.intrinsic / c.cap).min(1.0);
             }
 
             let budget = if mixed {
@@ -270,22 +307,41 @@ impl OptaneAllocator {
                 1.0
             };
 
-            // Normalized water-filling on *end-to-end* rates: a flow running
-            // at end-to-end rate `r` against class capacity `C` consumes
-            // `r / C` of the device on average (its software time is
-            // off-device), so the budget constraint is Σ rᵢ/Cᵢ ≤ B with
-            // per-flow caps at the intrinsic (uncontended) rate.
-            for ((xc, &intr), &c) in s.x_caps.iter_mut().zip(&s.intrinsic).zip(&s.caps) {
-                *xc = (intr / c).min(1.0);
-            }
-            water_fill(&s.x_caps, budget, &mut s.order, &mut s.x);
-
-            for (i, f) in flows.iter().enumerate() {
-                let r = (s.x[i] * s.caps[i]).min(s.intrinsic[i]).max(1.0);
+            let mut left = budget.max(0.0);
+            let mut remaining = n;
+            // One step of `water_fill`'s sweep, then the flow's rate.
+            let mut fill = |i: usize, c: &Class| {
+                let x = c.x_cap.min(left / remaining as f64).max(0.0);
+                left = (left - x).max(0.0);
+                remaining -= 1;
+                let r = (x * c.cap).min(c.intrinsic).max(1.0);
                 rates[i] = r;
                 // Damped duty update for stability.
-                let d = f.attrs.duty_cycle(r).clamp(0.02, 1.0);
+                let d = c.attrs.duty_cycle(r).clamp(0.02, 1.0);
                 s.duty[i] = 0.5 * s.duty[i] + 0.5 * d;
+            };
+            s.order.clear();
+            s.order.extend(0..k);
+            let x_cap = |c: usize| s.classes[c].x_cap;
+            s.order
+                .sort_unstable_by(|&a, &b| x_cap(a).total_cmp(&x_cap(b)));
+            for tied in s
+                .order
+                .chunk_by(|&a, &b| x_cap(a).to_bits() == x_cap(b).to_bits())
+            {
+                if let [c] = *tied {
+                    for &i in &s.members[s.start[c]..s.start[c + 1]] {
+                        fill(i, &s.classes[c]);
+                    }
+                } else {
+                    // Equal caps fill in flow order, whatever their class.
+                    let level = x_cap(tied[0]).to_bits();
+                    for (i, &c) in s.class_of.iter().enumerate() {
+                        if x_cap(c).to_bits() == level {
+                            fill(i, &s.classes[c]);
+                        }
+                    }
+                }
             }
         }
     }

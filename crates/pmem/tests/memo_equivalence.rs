@@ -1,10 +1,10 @@
-//! The allocator's memo is exact: a warm allocator, whose answers mostly
-//! come from the memo, returns bit for bit what a fresh allocator computes,
-//! across seeded streams of flow sets large enough to overflow and clear
-//! the memo several times.
+//! The allocator is exact twice over. Its per-class solve returns bit for
+//! bit what the per-flow solve it replaced computes, and its memo returns
+//! bit for bit what a fresh allocator computes, across seeded streams of
+//! flow sets large enough to overflow and clear the memo several times.
 
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
+use pmemflow_des::{water_fill, Direction, FlowAttrs, FlowView, Locality, RateAllocator};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
 
 fn allocate(alloc: &mut OptaneAllocator, flows: &[FlowView]) -> Vec<f64> {
@@ -162,4 +162,241 @@ fn the_set_that_clears_the_memo_is_keyed_afresh() {
     allocate(&mut warm, &set(&[a]));
     let ab = set(&[a, b]);
     assert_eq!(bits(&allocate(&mut warm, &ab)), bits(&fresh(&ab)));
+}
+
+/// The per-flow solve, kept as the reference for the allocator's per-class
+/// one: the same damped rounds, with a capacity lookup, a cap and an
+/// intrinsic rate for every flow and a full [`water_fill`] per round.
+/// `seen` records which cases the sweep reaches.
+fn per_flow_solve(p: &DeviceProfile, flows: &[FlowView], seen: &mut Coverage) -> Vec<f64> {
+    let n = flows.len();
+    let class_of = class_numbers(flows);
+    let intrinsic: Vec<f64> = flows.iter().map(|f| f.attrs.intrinsic_rate()).collect();
+    let mut duty = vec![1.0; n];
+    let (mut caps, mut x_caps, mut x, mut rates) =
+        (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let (mut order, mut class_caps) = (Vec::new(), Vec::new());
+    let has = |dir| flows.iter().any(|f| f.attrs.direction == dir);
+    let mixed = has(Direction::Read) && has(Direction::Write);
+    let stripe = p.geometry.stripe_bytes();
+    let any_small = flows.iter().any(|f| f.attrs.access_bytes < stripe);
+    for _ in 0..p.duty_iterations {
+        let n_eff_total: f64 = duty.iter().sum();
+        let n_eff_remote: f64 = flows
+            .iter()
+            .zip(&duty)
+            .filter(|(f, _)| f.attrs.locality == Locality::Remote)
+            .map(|(_, d)| *d)
+            .sum();
+        class_caps.clear();
+        for (f, cap) in flows.iter().zip(&mut caps) {
+            let a = &f.attrs;
+            let key = (a.direction, a.locality, a.access_bytes);
+            *cap = match class_caps.iter().find(|(k, _)| *k == key) {
+                Some(&(_, c)) => c,
+                None => {
+                    let c = p.class_capacity(
+                        a.direction,
+                        a.locality,
+                        a.access_bytes,
+                        n_eff_total.max(1.0),
+                        n_eff_remote,
+                    );
+                    class_caps.push((key, c));
+                    c
+                }
+            };
+        }
+        let budget = if mixed {
+            let b = p.mix_budget.eval(n_eff_total);
+            if any_small {
+                b * p.small_mix_budget.eval(n_eff_total)
+            } else {
+                b
+            }
+        } else {
+            1.0
+        };
+        for ((xc, &intr), &c) in x_caps.iter_mut().zip(&intrinsic).zip(&caps) {
+            *xc = (intr / c).min(1.0);
+        }
+        seen.round(&class_of, &x_caps);
+        water_fill(&x_caps, budget, &mut order, &mut x);
+        for (i, f) in flows.iter().enumerate() {
+            let r = (x[i] * caps[i]).min(intrinsic[i]).max(1.0);
+            rates[i] = r;
+            let d = f.attrs.duty_cycle(r).clamp(0.02, 1.0);
+            duty[i] = 0.5 * duty[i] + 0.5 * d;
+        }
+    }
+    seen.set(&class_of, &rates);
+    rates
+}
+
+/// Number each flow's class (every attribute, floats by bits) in order of
+/// first appearance.
+fn class_numbers(flows: &[FlowView]) -> Vec<usize> {
+    let mut met = Vec::new();
+    flows
+        .iter()
+        .map(|f| {
+            let a = &f.attrs;
+            let class = (
+                a.direction,
+                a.locality,
+                a.access_bytes,
+                a.sw_time_per_byte.to_bits(),
+                a.peak_device_rate.to_bits(),
+            );
+            met.iter().position(|&c| c == class).unwrap_or_else(|| {
+                met.push(class);
+                met.len() - 1
+            })
+        })
+        .collect()
+}
+
+/// How often the sweep reached the cases where a per-class solve could
+/// part from a per-flow one.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// Rounds where two classes tie on their normalized cap and their
+    /// members interleave, so water-filling alternates between them.
+    tied_interleaved: usize,
+    /// Sets where members of one class end with different rate bits: the
+    /// water level landed inside that class.
+    split_class: usize,
+    /// Sets of a single class.
+    single_class: usize,
+}
+
+impl Coverage {
+    fn round(&mut self, class_of: &[usize], x_caps: &[f64]) {
+        // At one cap, a class that comes back after another interleaves.
+        let mut left = vec![false; class_of.len()];
+        let mut last_at: Vec<(u64, usize)> = Vec::new();
+        for (&c, x) in class_of.iter().zip(x_caps) {
+            match last_at.iter_mut().find(|(level, _)| *level == x.to_bits()) {
+                None => last_at.push((x.to_bits(), c)),
+                Some((_, last)) if *last == c => {}
+                Some((_, last)) if left[c] => {
+                    self.tied_interleaved += 1;
+                    return;
+                }
+                Some((_, last)) => {
+                    left[*last] = true;
+                    *last = c;
+                }
+            }
+        }
+    }
+
+    fn set(&mut self, class_of: &[usize], rates: &[f64]) {
+        let mut first = vec![None; class_of.len()];
+        let mut split = false;
+        for (&c, r) in class_of.iter().zip(rates) {
+            split |= *first[c].get_or_insert(r.to_bits()) != r.to_bits();
+        }
+        self.split_class += split as usize;
+        self.single_class += class_of.iter().all(|&c| c == 0) as usize;
+    }
+}
+
+/// Up to six classes. Peak rates far above a single thread's make the
+/// intrinsic rate exceed capacity, so several classes tie at a normalized
+/// cap of 1; repeated (direction, locality, access) triples share a
+/// capacity.
+fn sweep_classes(rng: &mut SplitMix64, p: &DeviceProfile) -> Vec<FlowAttrs> {
+    let triples = rng.range_usize(1, 4);
+    let triple: Vec<(Direction, Locality, u64)> = (0..triples)
+        .map(|_| {
+            let dir = if rng.next_bool() {
+                Direction::Read
+            } else {
+                Direction::Write
+            };
+            let loc = if rng.next_bool() {
+                Locality::Remote
+            } else {
+                Locality::Local
+            };
+            (
+                dir,
+                loc,
+                [2048u64, 4608, 1 << 20, 64 << 20][rng.range_usize(0, 4)],
+            )
+        })
+        .collect();
+    (0..rng.range_usize(1, 7))
+        .map(|_| {
+            let (dir, loc, access) = triple[rng.range_usize(0, triples)];
+            let sw = if rng.next_bool() {
+                0.0
+            } else {
+                rng.range_u64(1, 3000) as f64 * 1e-9 / 1024.0
+            };
+            let boost = [1.0, 1.0, 8.0, 1e3][rng.range_usize(0, 4)];
+            FlowAttrs {
+                direction: dir,
+                locality: loc,
+                access_bytes: access,
+                sw_time_per_byte: sw,
+                peak_device_rate: p.single_thread_rate(dir, loc, access) * boost,
+            }
+        })
+        .collect()
+}
+
+/// Up to 64 flows of `classes`, in runs of one class or interleaved.
+fn sweep_set(rng: &mut SplitMix64, classes: &[FlowAttrs]) -> Vec<FlowView> {
+    let mut c = 0;
+    (0..rng.range_usize(1, 65))
+        .map(|_| {
+            if rng.next_bool() {
+                c = rng.range_usize(0, classes.len());
+            }
+            FlowView {
+                attrs: classes[c],
+                remaining: 1e9,
+            }
+        })
+        .collect()
+}
+
+/// `sets` seeded sets, each solved by the reference, a fresh allocator and
+/// one warm allocator, which is also asked again for the set before.
+fn sweep(seed: u64, sets: usize) -> Coverage {
+    let p = DeviceProfile::optane_gen1();
+    let mut rng = SplitMix64::new(seed);
+    let mut seen = Coverage::default();
+    let mut warm = OptaneAllocator::new(p.clone());
+    let mut previous: Option<(Vec<FlowView>, Vec<u64>)> = None;
+    for set in 0..sets {
+        let classes = sweep_classes(&mut rng, &p);
+        let flows = sweep_set(&mut rng, &classes);
+        let expected = bits(&per_flow_solve(&p, &flows, &mut seen));
+        let at = format_args!("seed {seed:#x} set {set}");
+        assert_eq!(bits(&fresh(&flows)), expected, "fresh, {at}");
+        assert_eq!(bits(&allocate(&mut warm, &flows)), expected, "warm, {at}");
+        if let Some((flows, expected)) = previous.take() {
+            assert_eq!(bits(&allocate(&mut warm, &flows)), expected, "again, {at}");
+        }
+        previous = Some((flows, expected));
+    }
+    seen
+}
+
+#[test]
+fn per_class_solve_matches_per_flow_reference_bitwise() {
+    // Two halves on two threads keep a debug build within a few seconds.
+    let halves: Vec<Coverage> = std::thread::scope(|scope| {
+        let workers: Vec<_> = [0x3e30_0004u64, 0x3e30_0005]
+            .map(|seed| scope.spawn(move || sweep(seed, 10_000)))
+            .into();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let total = |field: fn(&Coverage) -> usize| halves.iter().map(field).sum::<usize>();
+    assert!(total(|c| c.tied_interleaved) >= 1000, "{halves:?}");
+    assert!(total(|c| c.split_class) >= 1000, "{halves:?}");
+    assert!(total(|c| c.single_class) >= 1000, "{halves:?}");
 }
