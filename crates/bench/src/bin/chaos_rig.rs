@@ -14,23 +14,9 @@
 //!           [--trace-out PATH] [--out PATH]
 //! ```
 
+use pmemflow_bench::{flag_value, parse_or};
 use pmemflow_serve::rig::{run_rig, RigConfig, RigReport};
 use std::fmt::Write as _;
-
-fn flag_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    flag_value(args, key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
-        })
-        .unwrap_or(default)
-}
 
 /// FNV-1a over the trace text: a compact fingerprint for the BENCH json
 /// (the full text goes to `--trace-out`).

@@ -17,26 +17,12 @@
 //!           [--staging GIB] [--jobs N] [--out PATH]
 //! ```
 
+use pmemflow_bench::{flag_value, parse_or};
 use pmemflow_cluster::{
     all_policies, run_campaign_with_oracle, ArrivalSpec, CampaignConfig, DagClass, Oracle,
 };
 use pmemflow_core::ExecutionParams;
 use std::time::Instant;
-
-fn flag_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    flag_value(args, key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
-        })
-        .unwrap_or(default)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

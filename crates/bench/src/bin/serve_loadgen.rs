@@ -49,6 +49,7 @@
 //! exponential backoff, and goodput must still reach 100% with zero
 //! exhausted retry budgets and a clean, conservation-checked drain.
 
+use pmemflow_bench::{flag_value, parse_or};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_net::{
     drain_read, ChaosPlan, ChaosProxy, ChaosSpec, Event, Interest, ProxyConfig, Reactor, Token,
@@ -423,21 +424,6 @@ fn summary_json(s: &Summary) -> String {
          \"p50_ms\":{:.4},\"p95_ms\":{:.4},\"p99_ms\":{:.4}}}",
         s.connections, s.requests, s.elapsed_s, s.req_per_s, s.p50_ms, s.p95_ms, s.p99_ms
     )
-}
-
-fn flag_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    flag_value(args, key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
-        })
-        .unwrap_or(default)
 }
 
 /// Blocking single-connection exchange for the chaos passes, where the

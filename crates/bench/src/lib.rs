@@ -44,6 +44,28 @@ impl SuiteResult {
     }
 }
 
+/// The value following `key` in a bench binary's `--key value`
+/// arguments, if `key` is present.
+pub fn flag_value(args: &[String], key: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == key)
+        .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// `key`'s value parsed as `T`, or `default` when `key` is absent.
+///
+/// # Panics
+///
+/// When the value does not parse; the message names the flag.
+pub fn parse_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
+    flag_value(args, key)
+        .map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("{key} expects a number, got {v:?}"))
+        })
+        .unwrap_or(default)
+}
+
 /// The default worker count for suite fan-out: one per available core.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())

@@ -26,13 +26,15 @@
 //! **Bit-identity contract.** On a miss the cache calls
 //! [`Oracle::corun_slowdowns`] with the keys already in canonical order,
 //! so the oracle's own canonicalization is the identity permutation and
-//! the slowdowns come back exactly as the full-reprice path would have
-//! produced them (the co-simulation itself is memoized per multiset via
-//! `execute_coscheduled_with_baselines`). The rank sort is stable and
-//! ranks order exactly as `TenantKey`s do, so the permutation — and the
-//! un-permute back to node order — matches the inherited string sort
-//! case for case, including duplicate identities. The property tests in
-//! the campaign module hold the two paths to byte-identical JSONL.
+//! the slowdowns come back exactly as a node-order call to the oracle
+//! would have produced them (the co-simulation itself is memoized per
+//! multiset via `execute_coscheduled_with_baselines`). The rank sort is
+//! stable and ranks order exactly as `TenantKey`s do, so the permutation
+//! — and the un-permute back to node order — matches the inherited
+//! string sort case for case, including duplicate identities. Under
+//! `cfg(test)` the campaign's `Repricer` checks every reprice against
+//! [`Oracle::corun_slowdowns`] on the same residents, bit for bit, so
+//! every campaign test exercises this contract.
 
 use crate::predict::{Oracle, TenantKey};
 use pmemflow_core::{ExecError, SchedConfig};
@@ -40,6 +42,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-stream interning and memoization front for the oracle.
+#[derive(Default)]
 pub(crate) struct PriceCache {
     /// Identity → stream-local id.
     ids: HashMap<TenantKey, u32>,
@@ -64,19 +67,6 @@ pub(crate) struct PriceCache {
 }
 
 impl PriceCache {
-    pub(crate) fn new() -> PriceCache {
-        PriceCache {
-            ids: HashMap::new(),
-            keys: Vec::new(),
-            solos: Vec::new(),
-            by_key: Vec::new(),
-            rank: Vec::new(),
-            sets: HashMap::new(),
-            order: Vec::new(),
-            canonical: Vec::new(),
-        }
-    }
-
     /// Intern a tenant identity, fetching its solo baseline from the
     /// oracle on first sight. Returns the stream-local dense id.
     pub(crate) fn intern(
@@ -187,7 +177,7 @@ mod tests {
     #[test]
     fn interning_is_stable_and_solo_matches_oracle() {
         let oracle = tiny_oracle();
-        let mut cache = PriceCache::new();
+        let mut cache = PriceCache::default();
         let a = cache.intern(&oracle, "micro-64MB", 8, SchedConfig::S_LOC_W);
         let b = cache.intern(&oracle, "micro-2KB", 8, SchedConfig::P_LOC_R);
         assert_ne!(a, b);
@@ -209,8 +199,8 @@ mod tests {
         // identities in opposite orders number them differently; the
         // prices and the oracle's one memo entry are shared all the same.
         let oracle = tiny_oracle();
-        let mut one = PriceCache::new();
-        let mut two = PriceCache::new();
+        let mut one = PriceCache::default();
+        let mut two = PriceCache::default();
         let a1 = one.intern(&oracle, "micro-64MB", 8, SchedConfig::S_LOC_W);
         let b1 = one.intern(&oracle, "micro-2KB", 8, SchedConfig::P_LOC_R);
         let b2 = two.intern(&oracle, "micro-2KB", 8, SchedConfig::P_LOC_R);
@@ -230,7 +220,7 @@ mod tests {
     #[test]
     fn priced_sets_match_the_oracle_bitwise_in_node_order() {
         let oracle = tiny_oracle();
-        let mut cache = PriceCache::new();
+        let mut cache = PriceCache::default();
         let a = cache.intern(&oracle, "micro-64MB", 8, SchedConfig::S_LOC_W);
         let b = cache.intern(&oracle, "micro-2KB", 8, SchedConfig::P_LOC_R);
         let ka = TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W);
@@ -255,7 +245,7 @@ mod tests {
     #[test]
     fn singletons_and_empty_sets_never_simulate() {
         let oracle = tiny_oracle();
-        let mut cache = PriceCache::new();
+        let mut cache = PriceCache::default();
         let a = cache.intern(&oracle, "micro-64MB", 8, SchedConfig::S_LOC_W);
         let mut out = vec![7.0];
         cache.price(&oracle, &[], &mut out).unwrap();
@@ -266,11 +256,11 @@ mod tests {
     }
 
     /// Randomized admission/completion churn: every priced membership
-    /// must match a fresh full reprice through the oracle, bit for bit.
+    /// must match a fresh reprice through the oracle, bit for bit.
     #[test]
-    fn randomized_churn_matches_full_reprice() {
+    fn randomized_churn_matches_oracle() {
         let oracle = tiny_oracle();
-        let mut cache = PriceCache::new();
+        let mut cache = PriceCache::default();
         let idents = [
             ("micro-64MB", SchedConfig::S_LOC_W),
             ("micro-64MB", SchedConfig::P_LOC_R),

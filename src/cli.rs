@@ -7,15 +7,23 @@
 use pmemflow_core::SchedConfig;
 use pmemflow_iostack::StackKind;
 use pmemflow_workloads::{Family, WorkflowSpec};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command line: a subcommand plus `--key value` options.
+///
+/// Every key looked up through [`Args::get`] or [`Args::get_parse`] is
+/// recorded, so once a subcommand has read its options,
+/// [`Args::reject_unread`] turns a key nothing read (a typo, or an option
+/// another subcommand takes) into an error instead of silently ignoring it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: String,
     /// `--key value` pairs, in input order for duplicates last-wins.
     pub options: BTreeMap<String, String>,
+    /// Keys looked up so far.
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Errors from parsing or resolving arguments.
@@ -27,6 +35,13 @@ pub enum CliError {
     MissingValue(String),
     /// A positional argument where an option was expected.
     UnexpectedPositional(String),
+    /// An option the subcommand does not read.
+    UnusedOption {
+        /// The subcommand.
+        command: String,
+        /// The option name.
+        option: String,
+    },
     /// An option value failed to parse.
     BadValue {
         /// The option name.
@@ -55,6 +70,10 @@ impl std::fmt::Display for CliError {
             CliError::UnexpectedPositional(p) => {
                 write!(f, "unexpected positional argument {p:?}")
             }
+            CliError::UnusedOption { command, option } => write!(
+                f,
+                "`pmemflow {command}` takes no option --{option}; try `pmemflow help`"
+            ),
             CliError::BadValue {
                 option,
                 value,
@@ -90,11 +109,16 @@ impl Args {
                 return Err(CliError::UnexpectedPositional(a));
             }
         }
-        Ok(Args { command, options })
+        Ok(Args {
+            command,
+            options,
+            read: RefCell::default(),
+        })
     }
 
     /// A string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.options.get(key).map(String::as_str)
     }
 
@@ -105,12 +129,44 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, CliError> {
-        match self.options.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| CliError::BadValue {
                 option: key.into(),
-                value: v.clone(),
+                value: v.into(),
                 expected,
+            }),
+        }
+    }
+
+    /// A parsed count option with a default; zero is rejected.
+    pub fn get_positive<T: std::str::FromStr + Default + PartialEq>(
+        &self,
+        key: &str,
+        default: T,
+        expected: &'static str,
+    ) -> Result<T, CliError> {
+        let value = self.get_parse(key, default, expected)?;
+        if value == T::default() {
+            return Err(CliError::BadValue {
+                option: key.into(),
+                value: "0".into(),
+                expected,
+            });
+        }
+        Ok(value)
+    }
+
+    /// Fail on the first option that no [`Args::get`] or
+    /// [`Args::get_parse`] call has read. Call it once the subcommand has
+    /// read all of its options, before it does any work.
+    pub fn reject_unread(&self) -> Result<(), CliError> {
+        let read = self.read.borrow();
+        match self.options.keys().find(|k| !read.contains(*k)) {
+            None => Ok(()),
+            Some(option) => Err(CliError::UnusedOption {
+                command: self.command.clone(),
+                option: option.clone(),
             }),
         }
     }
@@ -220,6 +276,30 @@ mod tests {
             a.get_parse("ranks", 8usize, "an integer"),
             Err(CliError::BadValue { .. })
         ));
+    }
+
+    #[test]
+    fn unread_options_are_rejected() {
+        // A misspelt option is named in the error, not silently ignored.
+        let a = args(&["suite", "--jbos", "4"]).unwrap();
+        assert_eq!(a.get_parse("jobs", 1usize, "int").unwrap(), 1);
+        let e = a.reject_unread().unwrap_err();
+        assert_eq!(
+            e,
+            CliError::UnusedOption {
+                command: "suite".into(),
+                option: "jbos".into(),
+            }
+        );
+        assert!(e.to_string().contains("--jbos"), "{e}");
+        // Both accessors mark a key read, whether or not it was given.
+        let a = args(&["sweep", "--workload", "micro-2kb", "--ranks", "8"]).unwrap();
+        assert_eq!(a.get("workload"), Some("micro-2kb"));
+        assert!(a.get("stack").is_none());
+        assert!(a.reject_unread().is_err(), "--ranks is still unread");
+        a.get_parse("ranks", 0usize, "int").unwrap();
+        assert_eq!(a.reject_unread(), Ok(()));
+        assert_eq!(args(&["devicebench"]).unwrap().reject_unread(), Ok(()));
     }
 
     #[test]

@@ -115,12 +115,14 @@ WORKLOADS: micro-64mb, micro-2kb, gtc-readonly, gtc-matmult,
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(std::env::args().skip(1))?;
-    let mut params = ExecutionParams::default();
-    if let Some(stack) = args.get("stack") {
-        params.stack = stack_by_name(Some(stack))?;
-    }
-    let ranks: usize = args.get_parse("ranks", 8, "a rank count")?;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Each subcommand reads only the options it takes, then calls
+    // `reject_unread` before doing any work.
+    let stack_params = || -> Result<ExecutionParams, CliError> {
+        Ok(ExecutionParams::default().with_stack(stack_by_name(args.get("stack"))?))
+    };
     let need_workload = || -> Result<_, Box<dyn std::error::Error>> {
+        let ranks: usize = args.get_parse("ranks", 8, "a rank count")?;
         let name = args
             .get("workload")
             .ok_or_else(|| format!("--workload is required; choices: {WORKLOAD_CHOICES}"))?;
@@ -129,7 +131,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     match args.command.as_str() {
         "sweep" => {
+            let params = stack_params()?;
             let spec = need_workload()?;
+            args.reject_unread()?;
             let result = sweep(&spec, &params)?;
             print!("{}", panel_table(&result));
             println!(
@@ -138,7 +142,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         "characterize" => {
+            let params = stack_params()?;
             let spec = need_workload()?;
+            args.reject_unread()?;
             let p = characterize(&spec, &params)?;
             println!("workflow: {}", p.name);
             println!(
@@ -170,7 +176,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         "recommend" => {
+            let params = stack_params()?;
             let spec = need_workload()?;
+            args.reject_unread()?;
             let profile = characterize(&spec, &params)?;
             let rule = recommend(&profile, &RuleThresholds::default());
             println!("rule-based: {}", rule.config);
@@ -192,12 +200,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         "plan" => {
+            let params = stack_params()?;
             let spec = need_workload()?;
             let deadline: f64 = args.get_parse("deadline", f64::INFINITY, "seconds")?;
             let candidates = match args.get("candidates") {
                 Some(c) => parse_rank_list(c)?,
                 None => vec![8, 16, 24],
             };
+            args.reject_unread()?;
             let p = plan(&spec, &candidates, deadline, &params)?;
             println!("ranks  config   runtime_s  core_seconds  efficiency");
             for pt in &p.frontier {
@@ -219,8 +229,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "gantt" => {
+            let mut params = stack_params()?;
             let spec = need_workload()?;
             let config = config_by_name(args.get("config"))?.unwrap_or(SchedConfig::P_LOC_R);
+            let chrome = args.get("chrome");
+            args.reject_unread()?;
             params.record_timeline = true;
             let m = execute(&spec, config, &params)?;
             let tl = m.timeline.as_ref().expect("timeline recorded");
@@ -230,31 +243,24 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 "device saw ≥2 concurrent I/O flows {:.0}% of the run",
                 tl.io_overlap_fraction(2) * 100.0
             );
-            if let Some(path) = args.get("chrome") {
+            if let Some(path) = chrome {
                 std::fs::write(path, tl.chrome_trace_json())?;
                 println!("chrome trace written to {path}");
             }
         }
         "suite" => {
-            let jobs: usize = args.get_parse(
-                "jobs",
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-                "a positive worker count",
-            )?;
-            if jobs == 0 {
-                return Err(CliError::BadValue {
-                    option: "jobs".into(),
-                    value: "0".into(),
-                    expected: "a positive worker count",
-                }
-                .into());
-            }
-            if args.get("trace-dir").is_some() {
-                params.record_timeline = true;
-            }
+            let jobs: usize = args.get_positive("jobs", cores, "a positive worker count")?;
+            let (out, trace_dir) = (args.get("out"), args.get("trace-dir"));
+            args.reject_unread()?;
+            // Each matrix run sets its own I/O stack, so `suite` takes no
+            // `--stack`.
+            let params = ExecutionParams {
+                record_timeline: trace_dir.is_some(),
+                ..ExecutionParams::default()
+            };
             let outcomes = run_matrix(full_matrix(), &params, jobs);
 
-            if let Some(path) = args.get("out") {
+            if let Some(path) = out {
                 let mut buf = String::with_capacity(outcomes.len() * 512);
                 for o in &outcomes {
                     buf.push_str(&o.to_jsonl());
@@ -263,7 +269,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 std::fs::write(path, buf)?;
                 println!("{} JSONL records written to {path}\n", outcomes.len());
             }
-            if let Some(dir) = args.get("trace-dir") {
+            if let Some(dir) = trace_dir {
                 std::fs::create_dir_all(dir)?;
                 let mut written = 0;
                 for o in &outcomes {
@@ -328,28 +334,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         "cluster" => {
-            let nodes: usize = args.get_parse("nodes", 4, "a positive node count")?;
-            if nodes == 0 {
-                return Err(CliError::BadValue {
-                    option: "nodes".into(),
-                    value: "0".into(),
-                    expected: "a positive node count",
-                }
-                .into());
-            }
-            let jobs: usize = args.get_parse(
-                "jobs",
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-                "a positive worker count",
-            )?;
-            if jobs == 0 {
-                return Err(CliError::BadValue {
-                    option: "jobs".into(),
-                    value: "0".into(),
-                    expected: "a positive worker count",
-                }
-                .into());
-            }
+            let nodes: usize = args.get_positive("nodes", 4, "a positive node count")?;
+            let jobs: usize = args.get_positive("jobs", cores, "a positive worker count")?;
             let seed: u64 = args.get_parse("seed", 42, "an unsigned seed")?;
             let spec = args
                 .get("arrivals")
@@ -365,31 +351,18 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 nodes,
                 arrivals,
                 seed,
-                exec: params.clone(),
+                exec: stack_params()?,
                 staging_gib: staging_flag(&args, 1536.0)?,
                 faults,
                 checkpoint,
-                full_reprice: args.get_parse("full-reprice", false, "true|false")?,
             };
-            run_policies(&config, policies, jobs, args.get("out"))?;
+            let out = args.get("out");
+            args.reject_unread()?;
+            run_policies(&config, policies, jobs, out)?;
         }
         "dag" => {
-            let nodes: usize = args.get_parse("nodes", 2, "a positive node count")?;
-            let jobs: usize = args.get_parse(
-                "jobs",
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-                "a positive worker count",
-            )?;
-            for (option, value) in [("nodes", nodes), ("jobs", jobs)] {
-                if value == 0 {
-                    return Err(CliError::BadValue {
-                        option: option.into(),
-                        value: "0".into(),
-                        expected: "a positive count",
-                    }
-                    .into());
-                }
-            }
+            let nodes: usize = args.get_positive("nodes", 2, "a positive node count")?;
+            let jobs: usize = args.get_positive("jobs", cores, "a positive worker count")?;
             let graph = args.get("graph").unwrap_or("all");
             let dags: Vec<DagClass> = if graph.eq_ignore_ascii_case("all") {
                 DagClass::all().to_vec()
@@ -400,17 +373,13 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                     choices: DAG_CLASS_CHOICES,
                 })?]
             };
-            let count: u64 = args.get_parse("n", 8, "a positive submission count")?;
+            let count: u64 = args.get_positive("n", 8, "a positive submission count")?;
             let rate: f64 = args.get_parse("rate", 0.0015, "arrivals per second (> 0)")?;
-            if count == 0 || !rate.is_finite() || rate <= 0.0 {
+            if !rate.is_finite() || rate <= 0.0 {
                 return Err(CliError::BadValue {
-                    option: if count == 0 { "n" } else { "rate" }.into(),
-                    value: if count == 0 {
-                        "0".into()
-                    } else {
-                        rate.to_string()
-                    },
-                    expected: "a positive value",
+                    option: "rate".into(),
+                    value: rate.to_string(),
+                    expected: "arrivals per second (> 0)",
                 }
                 .into());
             }
@@ -426,31 +395,28 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                     dags,
                 },
                 seed,
-                exec: params.clone(),
+                exec: stack_params()?,
                 staging_gib: staging_flag(&args, 256.0)?,
                 faults,
                 checkpoint,
-                full_reprice: args.get_parse("full-reprice", false, "true|false")?,
             };
-            run_policies(&config, policies, jobs, args.get("out"))?;
+            let out = args.get("out");
+            args.reject_unread()?;
+            run_policies(&config, policies, jobs, out)?;
         }
         "serve" => {
             let port: u16 = args.get_parse("port", 7777, "a TCP port (0..=65535)")?;
-            let workers: usize = args.get_parse(
-                "workers",
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-                "a positive worker count",
-            )?;
+            let workers: usize = args.get_positive("workers", cores, "a positive worker count")?;
             let io_threads: usize =
-                args.get_parse("io-threads", 1, "a positive io thread count")?;
+                args.get_positive("io-threads", 1, "a positive io thread count")?;
             let cache_capacity: usize =
-                args.get_parse("cache-capacity", 256, "a positive entry count")?;
+                args.get_positive("cache-capacity", 256, "a positive entry count")?;
             let queue_capacity: usize =
-                args.get_parse("queue-capacity", 64, "a positive queue depth")?;
+                args.get_positive("queue-capacity", 64, "a positive queue depth")?;
             let deadline_ms: u64 =
-                args.get_parse("deadline-ms", 30_000, "a positive millisecond count")?;
+                args.get_positive("deadline-ms", 30_000, "a positive millisecond count")?;
             let read_deadline_ms: u64 =
-                args.get_parse("read-deadline-ms", 5_000, "a positive millisecond count")?;
+                args.get_positive("read-deadline-ms", 5_000, "a positive millisecond count")?;
             let fault_rate: f64 = args.get_parse("fault-rate", 0.0, "a fraction in [0,1)")?;
             if !fault_rate.is_finite() || !(0.0..1.0).contains(&fault_rate) {
                 return Err(CliError::BadValue {
@@ -460,31 +426,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 .into());
             }
-            for (option, value, expected) in [
-                ("workers", workers, "a positive worker count"),
-                ("io-threads", io_threads, "a positive io thread count"),
-                ("cache-capacity", cache_capacity, "a positive entry count"),
-                ("queue-capacity", queue_capacity, "a positive queue depth"),
-                (
-                    "deadline-ms",
-                    deadline_ms as usize,
-                    "a positive millisecond count",
-                ),
-                (
-                    "read-deadline-ms",
-                    read_deadline_ms as usize,
-                    "a positive millisecond count",
-                ),
-            ] {
-                if value == 0 {
-                    return Err(CliError::BadValue {
-                        option: option.into(),
-                        value: "0".into(),
-                        expected,
-                    }
-                    .into());
-                }
-            }
+            args.reject_unread()?;
             let server = Server::start(ServerConfig {
                 port,
                 workers,
@@ -507,6 +449,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             server.join();
         }
         "devicebench" => {
+            args.reject_unread()?;
             let profile = DeviceProfile::optane_gen1();
             println!("threads  local-read  local-write  remote-read  remote-write (GB/s)");
             for row in bandwidth_table(&profile, &[1.0, 4.0, 8.0, 17.0, 24.0]) {
@@ -528,7 +471,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 h.read_drop_at_24
             );
         }
-        "help" | "--help" | "-h" => println!("{HELP}"),
+        "help" | "--help" | "-h" => {
+            args.reject_unread()?;
+            println!("{HELP}");
+        }
         other => {
             return Err(format!("unknown command {other:?}; try `pmemflow help`").into());
         }

@@ -50,6 +50,20 @@ fn rejects_unknown_policy() {
 }
 
 #[test]
+fn rejects_options_it_does_not_read() {
+    // The retired pricing switch and a misspelt flag both fail up front,
+    // naming the option, instead of running a campaign that ignores them.
+    for (flag, value) in [("--full-reprice", "true"), ("--nodse", "2")] {
+        let (ok, _, stderr) = run(&["cluster", flag, value]);
+        assert!(!ok, "{flag} accepted");
+        assert!(
+            stderr.contains(flag) && stderr.contains("pmemflow cluster"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn rejects_malformed_arrivals() {
     for bad in ["uniform:rate=1,n=5", "poisson:rate=0,n=5", "poisson:rate=1"] {
         let (ok, _, stderr) = run(&["cluster", "--arrivals", bad]);
