@@ -1,0 +1,299 @@
+//! DAG submissions in flight, the per-node PMEM staging they reserve,
+//! and how a campaign settles their stages.
+
+use super::queue::{enqueue, seek, Queued};
+use super::Campaign;
+use crate::arrivals::Arrival;
+use crate::policy::QueuedJob;
+use crate::predict::Oracle;
+use pmemflow_core::ExecutionParams;
+use pmemflow_dag::{stage_io_seconds, DagSpec, StageKind, GIB};
+use std::sync::Arc;
+
+/// Per-node PMEM staging occupancy — the second schedulable resource.
+/// `reserved` is what placements are checked against (hard capacity);
+/// `live` tracks the staged intermediates actually resident, which the
+/// interference-aware policy prices as pressure; `homed` says which
+/// DAGs hold the reservations, so node views read their holds from it.
+pub(super) struct StagingState {
+    pub(super) reserved: Vec<f64>,
+    pub(super) live: Vec<f64>,
+    pub(super) peak: Vec<f64>,
+    /// Per node, the indices of the DAGs homed there, ascending — the
+    /// order the policies see their holds in. A DAG enters when its
+    /// first stage is placed and leaves when its last stage settles.
+    pub(super) homed: Vec<Vec<u32>>,
+}
+
+impl StagingState {
+    pub(super) fn new(nodes: usize) -> StagingState {
+        StagingState {
+            reserved: vec![0.0; nodes],
+            live: vec![0.0; nodes],
+            peak: vec![0.0; nodes],
+            homed: vec![Vec::new(); nodes],
+        }
+    }
+
+    /// Home DAG `di` on `node`: reserve its whole footprint `gib` and
+    /// index it in submission order.
+    pub(super) fn home(&mut self, node: usize, di: u32, gib: f64) {
+        self.reserved[node] += gib;
+        self.peak[node] = self.peak[node].max(self.reserved[node]);
+        let homed = &mut self.homed[node];
+        let at = homed.binary_search(&di).expect_err("DAG homed twice");
+        homed.insert(at, di);
+    }
+
+    /// Release DAG `di`'s reservation and live bytes on its home `node`.
+    pub(super) fn release(&mut self, node: usize, di: u32, reserved: f64, live: f64) {
+        self.reserved[node] -= reserved;
+        self.live[node] -= live;
+        let homed = &mut self.homed[node];
+        let at = homed.binary_search(&di).expect("homed DAG is indexed");
+        homed.remove(at);
+    }
+}
+
+/// Where one DAG stage is in its lifecycle.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum StageState {
+    /// Dependencies unmet: invisible to policies.
+    Held,
+    /// In the queue (ready or in backoff).
+    Ready,
+    /// Resident on the home node.
+    Running,
+    /// Done: completed, failed, or cascade-failed.
+    Settled,
+}
+
+/// One in-flight DAG submission's state.
+pub(super) struct DagRun {
+    /// DAG label ("class#id"), the JSONL `dag` field of every stage.
+    pub(super) label: Arc<str>,
+    pub(super) spec: DagSpec,
+    pub(super) arrival: f64,
+    pub(super) client: Option<usize>,
+    /// Job id of stage 0; stage `i` is `first_stage_id + i`.
+    pub(super) first_stage_id: u64,
+    /// Per-stage count of predecessors not yet completed.
+    pub(super) deps_left: Vec<usize>,
+    pub(super) state: Vec<StageState>,
+    /// Stages not yet settled; 0 means the DAG is finished.
+    pub(super) unsettled: usize,
+    /// Per-stage estimated solo runtime (oracle best-config solo plus
+    /// staged-I/O seconds) — release-time estimates for EASY's dual
+    /// shadow and the solo of cascade-failed records.
+    pub(super) est_solo: Vec<f64>,
+    /// Per-stage staged-I/O solo-seconds, added onto the oracle solo at
+    /// placement.
+    pub(super) extra_solo: Vec<f64>,
+    /// Whole-DAG staging footprint, GiB, co-reserved on `home` from the
+    /// first stage placement until the last stage settles.
+    pub(super) reservation: f64,
+    /// Node holding the reservation (set at first placement).
+    pub(super) home: Option<usize>,
+    /// GiB of intermediates currently live on the home node.
+    pub(super) live_gib: f64,
+    /// Banked checkpoint revivals: one per completed checkpoint stage.
+    pub(super) tokens: u32,
+    /// A stage exhausted its retry budget with no revival banked; held
+    /// and queued stages were settled as failed, nothing new releases.
+    pub(super) failed: bool,
+}
+
+impl DagRun {
+    /// Expand DAG submission `a` (graph `spec`) into its stages, with job
+    /// ids contiguous from `first_stage_id` in stage order: sources are
+    /// ready, the rest held until their dependencies complete.
+    pub(super) fn new(
+        a: &Arrival,
+        spec: DagSpec,
+        first_stage_id: u64,
+        oracle: &Oracle,
+        exec: &ExecutionParams,
+    ) -> DagRun {
+        let n = spec.stages.len();
+        let extra_solo: Vec<f64> = (0..n).map(|i| stage_io_seconds(&spec, i, exec)).collect();
+        let est_solo: Vec<f64> = spec
+            .stages
+            .iter()
+            .zip(&extra_solo)
+            .map(|(st, extra)| {
+                let name = st.family.name();
+                oracle.solo_runtime(name, st.ranks, oracle.best_config(name, st.ranks)) + extra
+            })
+            .collect();
+        let deps_left: Vec<usize> = (0..n).map(|i| spec.predecessors(i).len()).collect();
+        let state = deps_left
+            .iter()
+            .map(|&dl| {
+                if dl == 0 {
+                    StageState::Ready
+                } else {
+                    StageState::Held
+                }
+            })
+            .collect();
+        DagRun {
+            label: Arc::from(a.workflow.as_str()),
+            reservation: spec.staging_gib(),
+            spec,
+            arrival: a.time,
+            client: a.client,
+            first_stage_id,
+            deps_left,
+            state,
+            unsettled: n,
+            est_solo,
+            extra_solo,
+            home: None,
+            live_gib: 0.0,
+            tokens: 0,
+            failed: false,
+        }
+    }
+
+    /// Estimated solo-seconds of work left: the release horizon of the
+    /// staging hold.
+    pub(super) fn remaining_solo(&self) -> f64 {
+        self.state
+            .iter()
+            .zip(&self.est_solo)
+            .filter(|(st, _)| **st != StageState::Settled)
+            .map(|(_, s)| s)
+            .sum()
+    }
+
+    /// GiB of staged intermediates stage `i` touches (in + out edges).
+    pub(super) fn stage_staging_gib(&self, i: usize) -> f64 {
+        (self.spec.stage_in_bytes(i) + self.spec.stage_out_bytes(i)) as f64 / GIB
+    }
+
+    /// What a queued stage of this DAG reserves: the whole footprint
+    /// while the DAG is un-homed, nothing once it holds its home.
+    pub(super) fn entry_staging(&self) -> f64 {
+        self.home.map_or(self.reservation, |_| 0.0)
+    }
+
+    /// The queue entry of released (or source) stage `si` of this DAG,
+    /// index `di`. The entry keeps the DAG's arrival as its priority; an
+    /// un-homed DAG's stages each carry the whole reservation (the first
+    /// one placed homes the DAG and the siblings are rewritten pinned and
+    /// weightless).
+    pub(super) fn stage_entry(&self, di: u32, si: usize, now: f64) -> Queued {
+        let stage = &self.spec.stages[si];
+        let job = QueuedJob {
+            id: self.first_stage_id + si as u64,
+            workflow: stage.family.name().into(),
+            ranks: stage.ranks,
+            arrival: self.arrival,
+            staging: self.entry_staging(),
+            home: self.home,
+        };
+        Queued::fresh(job, None, now, Some((di, si)))
+    }
+}
+
+/// A node's staging holds by a scan over every DAG ever submitted: the
+/// reference the [`StagingState::homed`] index is asserted equal to
+/// under `debug_assertions`. `home` is `Some` only while stages remain
+/// unsettled, so the second condition is a belt-and-braces check.
+pub(super) fn staging_holds_reference(dags: &[DagRun], node: usize, now: f64) -> Vec<(f64, f64)> {
+    dags.iter()
+        .filter(|d| d.home == Some(node) && d.unsettled > 0)
+        .map(|d| (now + d.remaining_solo(), d.reservation))
+        .collect()
+}
+
+impl Campaign<'_> {
+    /// Bookkeeping after stage `si` of dag `di` completes on `node`: bank a
+    /// checkpoint revival, roll the node's live staged bytes (outputs
+    /// appear, consumed inputs free), release ready successors into the
+    /// queue at the DAG's arrival priority, and close out the DAG when this
+    /// was the last stage.
+    pub(super) fn stage_completed(&mut self, di: u32, si: usize, node: usize) {
+        let now = self.now;
+        let d = &mut self.dags[di as usize];
+        d.state[si] = StageState::Settled;
+        d.unsettled -= 1;
+        if d.spec.stages[si].kind == StageKind::Checkpoint {
+            d.tokens += 1;
+        }
+        let delta = (d.spec.stage_out_bytes(si) as f64 - d.spec.stage_in_bytes(si) as f64) / GIB;
+        d.live_gib += delta;
+        self.staging.live[node] += delta;
+        if !d.failed {
+            for succ in d.spec.successors(si) {
+                if d.state[succ] != StageState::Held {
+                    continue;
+                }
+                d.deps_left[succ] -= 1;
+                if d.deps_left[succ] == 0 {
+                    self.held -= 1;
+                    d.state[succ] = StageState::Ready;
+                    let q = d.stage_entry(di, succ, now);
+                    enqueue(&mut self.queue, &mut self.qindex, q, now);
+                }
+            }
+        }
+        self.finish_dag_if_settled(di);
+    }
+
+    /// Stage `si` of DAG `di` failed for good: fail the DAG. Held and
+    /// ready siblings settle as failed records; running siblings drain
+    /// normally but release nothing new.
+    pub(super) fn fail_dag(&mut self, di: u32, si: usize) {
+        let now = self.now;
+        let d = &mut self.dags[di as usize];
+        d.state[si] = StageState::Settled;
+        d.unsettled -= 1;
+        d.failed = true;
+        for sj in 0..d.spec.stages.len() {
+            let d = &self.dags[di as usize];
+            let q = match d.state[sj] {
+                StageState::Held => {
+                    self.held -= 1;
+                    d.stage_entry(di, sj, now)
+                }
+                StageState::Ready => {
+                    let qi = seek(&self.queue, d.arrival, d.first_stage_id + sj as u64);
+                    assert!(
+                        self.queue.get(qi).is_some_and(|q| q.dag == Some((di, sj))),
+                        "ready stage is queued"
+                    );
+                    debug_assert_eq!(
+                        Some(qi),
+                        self.queue.iter().position(|q| q.dag == Some((di, sj)))
+                    );
+                    self.qindex.on_remove(&self.queue[qi], now);
+                    self.queue.remove(qi).expect("index in range")
+                }
+                StageState::Running | StageState::Settled => continue,
+            };
+            let (home, solo) = (d.home.unwrap_or(0), d.est_solo[sj]);
+            self.record(&q, home, solo, false);
+            let d = &mut self.dags[di as usize];
+            d.state[sj] = StageState::Settled;
+            d.unsettled -= 1;
+        }
+        self.finish_dag_if_settled(di);
+    }
+
+    /// Release the staging reservation (and DAG `di`'s place in the homed
+    /// index) and fire the owning client once the last stage settles.
+    /// Idempotent: home and client are taken.
+    fn finish_dag_if_settled(&mut self, di: u32) {
+        let d = &mut self.dags[di as usize];
+        if d.unsettled > 0 {
+            return;
+        }
+        if let Some(h) = d.home.take() {
+            self.staging.release(h, di, d.reservation, d.live_gib);
+        }
+        if let Some(c) = d.client.take() {
+            self.finished_clients.push(c);
+        }
+    }
+}

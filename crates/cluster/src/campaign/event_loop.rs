@@ -1,0 +1,647 @@
+//! The campaign event loop: each step of an event instant is one
+//! method on [`Campaign`].
+
+use super::dag::{DagRun, StageState, StagingState};
+use super::node::{NodeState, Repricer, Running};
+use super::queue::{backoff_expired, enqueue, next_backoff_expiry, seek, QueueIndex, Queued};
+use super::{Campaign, CampaignConfig, CampaignOutcome, ClusterError, JobRecord};
+use crate::arrivals::{arrival_for_draw, draw_submission, generate_open, Arrival, ArrivalSpec};
+use crate::policy::{NodeView, Placement, Policy, QueuedJob};
+use crate::predict::Oracle;
+use pmemflow_dag::DagClass;
+use pmemflow_des::rng::SplitMix64;
+use pmemflow_des::{Direction, Locality};
+use pmemflow_fault::{requeue_backoff, FaultEventKind, FaultPlan};
+use std::collections::VecDeque;
+
+/// Closed-loop stream state inside the loop.
+pub(super) struct ClosedLoop {
+    think: f64,
+    mix: Vec<pmemflow_workloads::Family>,
+    dags: Vec<DagClass>,
+    rng: SplitMix64,
+    /// Submissions not yet made.
+    budget: u64,
+    next_id: u64,
+}
+
+impl ClosedLoop {
+    fn submit(&mut self, time: f64, client: usize) -> Option<Arrival> {
+        if self.budget == 0 {
+            return None;
+        }
+        self.budget -= 1;
+        let draw = draw_submission(&self.mix, &self.dags, &mut self.rng);
+        let id = self.next_id;
+        self.next_id += 1;
+        let arrival = arrival_for_draw(draw, id, time, Some(client), &mut self.rng);
+        Some(arrival)
+    }
+}
+
+impl<'a> Campaign<'a> {
+    /// A campaign at t = 0: every node up and empty, and the arrival
+    /// stream generated (closed loop: each client's first submission).
+    pub(super) fn new(
+        config: &'a CampaignConfig,
+        policy: &'a dyn Policy,
+        oracle: &'a Oracle,
+    ) -> Campaign<'a> {
+        let ckpt = &config.checkpoint;
+        // Checkpoint tax: one image of `state_bytes` (written as
+        // `object_bytes` objects) into local PMEM every `interval`
+        // solo-seconds, charged through the same stack cost model the
+        // in-situ I/O pays — heavier software stacks tax checkpoints harder.
+        let ckpt_frac = if ckpt.interval > 0.0 {
+            let cost = config
+                .exec
+                .cost_override
+                .unwrap_or_else(|| config.exec.stack.cost_model());
+            let objects = ckpt.state_bytes.div_ceil(ckpt.object_bytes);
+            let latency = config
+                .exec
+                .profile
+                .latency(Direction::Write, Locality::Local);
+            cost.snapshot_sw_time(Direction::Write, objects, ckpt.object_bytes, latency)
+                / ckpt.interval
+        } else {
+            0.0
+        };
+        let mut pending = VecDeque::new();
+        let closed = match &config.arrivals {
+            ArrivalSpec::Closed {
+                clients,
+                think,
+                count,
+                mix,
+                dags,
+            } => {
+                let mut state = ClosedLoop {
+                    think: *think,
+                    mix: mix.clone(),
+                    dags: dags.clone(),
+                    rng: SplitMix64::new(config.seed),
+                    budget: *count,
+                    next_id: 0,
+                };
+                // Every client submits its first job at t = 0.
+                pending.extend((0..*clients).filter_map(|c| state.submit(0.0, c)));
+                Some(state)
+            }
+            open => {
+                pending.extend(generate_open(open, config.seed).expect("open stream"));
+                None
+            }
+        };
+        let cores_per_socket = config.exec.node.cores_per_socket();
+        Campaign {
+            config,
+            policy,
+            oracle,
+            cores_per_socket,
+            ckpt_frac,
+            ckpt_mult: 1.0 + ckpt_frac,
+            plan: FaultPlan::new(&config.faults, config.nodes),
+            pending,
+            closed,
+            nodes: (0..config.nodes)
+                .map(|_| NodeState {
+                    running: Vec::new(),
+                    busy_core_secs: 0.0,
+                    up: true,
+                    degrade: 1.0,
+                })
+                .collect(),
+            queue: VecDeque::new(),
+            qindex: QueueIndex::default(),
+            records: Vec::new(),
+            staging: StagingState::new(config.nodes),
+            dags: Vec::new(),
+            held: 0,
+            next_job_id: 0,
+            now: 0.0,
+            makespan: 0.0,
+            repricer: Repricer::default(),
+            node_views: (0..config.nodes)
+                .map(|id| NodeView {
+                    id,
+                    cores_per_socket,
+                    up: true,
+                    residents: Vec::new(),
+                    staging_capacity: config.staging_gib,
+                    staging_reserved: 0.0,
+                    staged_gib: 0.0,
+                    staging_holds: Vec::new(),
+                })
+                .collect(),
+            finished_clients: Vec::new(),
+        }
+    }
+
+    /// Serve the campaign to the end, one event instant at a time.
+    pub(super) fn run(mut self) -> Result<CampaignOutcome, ClusterError> {
+        while let Some(t) = self.next_event() {
+            self.advance(t);
+            self.fire_faults();
+            let changed = self.settle_due_jobs();
+            self.resubmit_finished_clients();
+            self.admit_arrivals()?;
+            for ni in changed {
+                self.repricer.reprice(&mut self.nodes[ni], self.oracle)?;
+            }
+            self.schedule()?;
+        }
+        self.outcome()
+    }
+
+    /// The next event: the earliest of (arrival, per-job completion or
+    /// self-failure on an up node, backoff expiry, scheduled fault).
+    /// `None` stops the loop once nothing is in flight anywhere (the
+    /// fault plan is an infinite stream, so it only counts as an event
+    /// source while there is work it could affect), or when work remains
+    /// but no event can release it (the outcome reports the stuck jobs).
+    fn next_event(&mut self) -> Option<f64> {
+        let (now, ckpt_mult) = (self.now, self.ckpt_mult);
+        let work_remains = !self.pending.is_empty()
+            || !self.queue.is_empty()
+            || self.held > 0
+            || self.nodes.iter().any(|n| !n.running.is_empty());
+        if !work_remains {
+            return None;
+        }
+        let next_arrival = self.pending.front().map(|a| a.time);
+        let next_job_event = self
+            .nodes
+            .iter()
+            .filter(|n| n.up)
+            .flat_map(|n| {
+                n.running
+                    .iter()
+                    .map(move |r| r.projected_event(now, n.degrade, ckpt_mult))
+            })
+            .min_by(f64::total_cmp);
+        let next_eligible = self.qindex.next_expiry(now);
+        debug_assert_eq!(
+            next_eligible.map(f64::to_bits),
+            next_backoff_expiry(&self.queue, now).map(f64::to_bits),
+            "backoff index diverged from the reference scan"
+        );
+        let next_fault = self.plan.peek_time();
+        let t = [next_arrival, next_job_event, next_eligible, next_fault]
+            .into_iter()
+            .flatten()
+            .min_by(f64::total_cmp)?;
+        debug_assert!(t >= now - 1e-9, "time went backwards: {t} < {now}");
+        Some(t.max(now))
+    }
+
+    /// Advance running work and busy time to `t`. Rates are piecewise
+    /// constant on [now, t] because every rate change (membership,
+    /// degrade window, crash) is itself an event candidate.
+    /// A zero-length step adds exactly +0.0 everywhere (progress and
+    /// busy time are never -0.0), so skipping it is bit-identical.
+    fn advance(&mut self, t: f64) {
+        let dt = (t - self.now).max(0.0);
+        if dt > 0.0 {
+            for node in self.nodes.iter_mut().filter(|n| n.up) {
+                let env_mult = node.degrade * self.ckpt_mult;
+                for r in &mut node.running {
+                    r.progress += dt / (r.slowdown * env_mult);
+                    // Of the dt wall-seconds, the checkpoint writes claim
+                    // the f/(1+f) share (both numerator and denominator
+                    // stretch with slowdown and degrade alike).
+                    r.q.ckpt_overhead += dt * self.ckpt_frac / self.ckpt_mult;
+                    node.busy_core_secs += 2.0 * r.q.job.ranks as f64 * dt;
+                }
+            }
+        }
+        self.now = t;
+    }
+
+    /// Scheduled faults due now, in the plan's deterministic order.
+    fn fire_faults(&mut self) {
+        let now = self.now;
+        while self.plan.peek_time().is_some_and(|ft| ft <= now + 1e-9) {
+            let e = self.plan.pop().expect("peeked event exists");
+            let node = &mut self.nodes[e.node];
+            match e.kind {
+                FaultEventKind::Crash => {
+                    node.up = false;
+                    // Evacuate every resident back to its last checkpoint.
+                    for r in std::mem::take(&mut node.running) {
+                        self.settle_interrupted(r, e.node);
+                    }
+                }
+                FaultEventKind::Repair => node.up = true,
+                FaultEventKind::DegradeStart => node.degrade = self.config.faults.degrade_factor,
+                FaultEventKind::DegradeEnd => node.degrade = 1.0,
+            }
+        }
+    }
+
+    /// Per-job events due now (tolerance for float drift): completions,
+    /// or the attempt's own failure. They settle in node order, residents
+    /// in placement order; settling never touches `nodes`, so every due
+    /// job is taken out first. Returns the nodes whose residents changed.
+    fn settle_due_jobs(&mut self) -> Vec<usize> {
+        let (now, ckpt_mult) = (self.now, self.ckpt_mult);
+        let (mut due, mut changed) = (Vec::new(), Vec::new());
+        for (ni, node) in self.nodes.iter_mut().enumerate().filter(|(_, n)| n.up) {
+            let before = due.len();
+            let mut i = 0;
+            while i < node.running.len() {
+                if node.running[i].projected_event(now, node.degrade, ckpt_mult) <= now + 1e-9 {
+                    due.push((ni, node.running.remove(i)));
+                } else {
+                    i += 1;
+                }
+            }
+            if due.len() > before {
+                changed.push(ni);
+            }
+        }
+        for (ni, r) in due {
+            if r.fail_at.is_some() {
+                // The attempt dies of its own cause (fail_at < solo).
+                self.settle_interrupted(r, ni);
+            } else {
+                self.record(&r.q, ni, r.solo, true);
+                if let Some((di, si)) = r.q.dag {
+                    self.stage_completed(di, si, ni);
+                }
+            }
+        }
+        changed
+    }
+
+    /// Closed loop: each finished submission (completed or failed)
+    /// triggers its client's next think.
+    fn resubmit_finished_clients(&mut self) {
+        self.finished_clients.sort_unstable();
+        let Some(state) = self.closed.as_mut() else {
+            return;
+        };
+        for c in self.finished_clients.drain(..) {
+            if let Some(a) = state.submit(self.now + state.think, c) {
+                // Insert keeping pending sorted by (time, id).
+                let at = self
+                    .pending
+                    .partition_point(|p| (p.time, p.id) <= (a.time, a.id));
+                self.pending.insert(at, a);
+            }
+        }
+    }
+
+    /// Arrivals due now. A plain submission takes one job id; a DAG
+    /// submission expands into one stage job per graph node, sources
+    /// queued now and the rest held until their dependencies complete.
+    pub(super) fn admit_arrivals(&mut self) -> Result<(), ClusterError> {
+        let now = self.now;
+        while self.pending.front().is_some_and(|a| a.time <= now + 1e-9) {
+            let mut a = self.pending.pop_front().expect("front exists");
+            let Some(spec) = a.dag.take() else {
+                let job = QueuedJob {
+                    id: self.next_job_id,
+                    workflow: a.workflow.into(),
+                    ranks: a.ranks,
+                    arrival: a.time,
+                    staging: 0.0,
+                    home: None,
+                };
+                self.next_job_id += 1;
+                let q = Queued::fresh(job, a.client, a.time, None);
+                enqueue(&mut self.queue, &mut self.qindex, q, now);
+                continue;
+            };
+            let di = self.dags.len() as u32;
+            let d = DagRun::new(&a, spec, self.next_job_id, self.oracle, &self.config.exec);
+            if d.reservation > self.config.staging_gib + 1e-9 {
+                return Err(ClusterError::Config(format!(
+                    "DAG {} needs {:.1} GiB staging but nodes hold {:.1}",
+                    a.workflow, d.reservation, self.config.staging_gib
+                )));
+            }
+            self.next_job_id += d.state.len() as u64;
+            for (si, &st) in d.state.iter().enumerate() {
+                match st {
+                    StageState::Held => self.held += 1,
+                    _ => enqueue(
+                        &mut self.queue,
+                        &mut self.qindex,
+                        d.stage_entry(di, si, now),
+                        now,
+                    ),
+                }
+            }
+            self.dags.push(d);
+        }
+        Ok(())
+    }
+
+    /// Policy rounds: consult, apply what fits, re-price, repeat until
+    /// the policy places nothing more (each round shrinks the queue, so
+    /// this terminates). Policies only see jobs past their backoff and
+    /// the up/down state of every node.
+    fn schedule(&mut self) -> Result<(), ClusterError> {
+        let now = self.now;
+        let mut views_fresh = false;
+        let mut touched: Vec<usize> = Vec::new();
+        // Capacity precheck per round: when even the narrowest eligible
+        // job cannot fit the freest up node, no capacity-respecting
+        // policy can place anything — skip building the queue and node
+        // snapshots and consulting the policy at all. (A placement that
+        // does not fit would be skipped below and the round would end
+        // with nothing placed anyway, so the outcome is identical
+        // for any deterministic policy.) Running before the snapshot
+        // build matters: on a backlogged campaign this turns a
+        // head-of-line-blocked round into one integer scan instead of an
+        // O(queue) snapshot allocation.
+        while let Some(min_ranks) = self.min_eligible_ranks() {
+            let max_free = self
+                .nodes
+                .iter()
+                .filter(|n| n.up)
+                .map(|n| self.cores_per_socket.saturating_sub(n.used_cores()))
+                .max()
+                .unwrap_or(0);
+            if min_ranks > max_free {
+                break;
+            }
+            // First round at this instant: every view is stale (the
+            // projections moved with `now`, faults may have flipped
+            // `up`). Later rounds: only nodes the previous round placed
+            // on (and re-priced) changed — refresh exactly those.
+            if views_fresh {
+                for &ni in &touched {
+                    self.refresh_view(ni);
+                }
+            } else {
+                for ni in 0..self.nodes.len() {
+                    self.refresh_view(ni);
+                }
+                views_fresh = true;
+            }
+            // Backoff pending: the view is the eligible subset. None
+            // pending (all of a fault-free campaign): every queued entry
+            // is past its backoff, so the filter is the identity — skip
+            // the predicate and collect with an exact size hint.
+            let queue_view: Vec<&QueuedJob> = if self.qindex.has_backoff(now) {
+                self.queue
+                    .iter()
+                    .filter(|q| backoff_expired(q, now))
+                    .map(|q| &q.job)
+                    .collect()
+            } else {
+                debug_assert!(self.queue.iter().all(|q| backoff_expired(q, now)));
+                self.queue.iter().map(|q| &q.job).collect()
+            };
+            let batch = self
+                .policy
+                .schedule(now, &queue_view, &self.node_views, self.oracle)?;
+            touched.clear();
+            for p in batch {
+                if self.place(p)? && !touched.contains(&p.node) {
+                    touched.push(p.node);
+                }
+            }
+            for &ni in &touched {
+                self.repricer.reprice(&mut self.nodes[ni], self.oracle)?;
+            }
+            if touched.is_empty() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// The narrowest eligible job's `ranks`; `None` when nothing is past
+    /// its backoff — no round to run. The rank multiset answers whenever
+    /// no entry is inside its backoff (every queued entry is eligible,
+    /// so the unfiltered multiset is exact — the whole of a fault-free
+    /// campaign); otherwise the reference scan does.
+    fn min_eligible_ranks(&mut self) -> Option<usize> {
+        let now = self.now;
+        if self.qindex.has_backoff(now) {
+            return self
+                .queue
+                .iter()
+                .filter(|q| backoff_expired(q, now))
+                .map(|q| q.job.ranks)
+                .min();
+        }
+        debug_assert_eq!(
+            self.qindex.min_ranks(),
+            self.queue.iter().map(|q| q.job.ranks).min(),
+            "rank multiset diverged from the queue"
+        );
+        self.qindex.min_ranks()
+    }
+
+    /// Apply one placement of the policy's batch. `false` when it no
+    /// longer fits: the batch raced its own earlier placements (or
+    /// another stage homed the DAG elsewhere); the next round re-consults.
+    pub(super) fn place(&mut self, p: Placement) -> Result<bool, ClusterError> {
+        let Some(qi) = self.queue.iter().position(|q| q.job.id == p.job) else {
+            return Err(ClusterError::Config(format!(
+                "policy {} placed unknown job {}",
+                self.policy.name(),
+                p.job
+            )));
+        };
+        let (node, job) = (&self.nodes[p.node], &self.queue[qi].job);
+        if !node.up
+            || node.used_cores() + job.ranks > self.cores_per_socket
+            || job.home.is_some_and(|h| h != p.node)
+            || self.staging.reserved[p.node] + job.staging > self.config.staging_gib + 1e-9
+        {
+            return Ok(false);
+        }
+        let now = self.now;
+        self.qindex.on_remove(&self.queue[qi], now);
+        let mut q = self.queue.remove(qi).expect("placement index in range");
+        if let Some((di, si)) = q.dag {
+            let d = &mut self.dags[di as usize];
+            // A queued stage carries its DAG's pin, and the whole
+            // reservation exactly while the DAG is un-homed: a stage
+            // requeued with the reservation would count it twice.
+            debug_assert!(
+                q.job.home == d.home && q.job.staging == d.entry_staging(),
+                "stage {si} of DAG {di} lost its home pin or staging reservation"
+            );
+            if d.home.is_none() {
+                // First placement homes the DAG: reserve its whole
+                // staging footprint here for its lifetime and pin every
+                // queued sibling to this node. The siblings are one
+                // contiguous run of the queue.
+                d.home = Some(p.node);
+                self.staging.home(p.node, di, d.reservation);
+                let run = seek(&self.queue, d.arrival, d.first_stage_id);
+                let sibling = |o: &Queued| o.dag.is_some_and(|(odi, _)| odi == di);
+                for o in self.queue.range_mut(run..).take_while(|o| sibling(o)) {
+                    o.job.home = Some(p.node);
+                    o.job.staging = 0.0;
+                }
+                debug_assert!(
+                    self.queue
+                        .iter()
+                        .filter(|o| sibling(o))
+                        .all(|o| o.job.home == Some(p.node)),
+                    "a queued sibling escaped the pinning run"
+                );
+            }
+            d.state[si] = StageState::Running;
+        }
+        // A restarted job keeps the configuration its checkpoint was
+        // written under, whatever the policy prefers now.
+        let config = *q.config.get_or_insert(p.config);
+        q.first_start.get_or_insert(now);
+        let prices = &mut self.repricer.prices;
+        let tenant = prices.intern(self.oracle, &q.job.workflow, q.job.ranks, config);
+        // A stage additionally pays its staged I/O (edge volumes through
+        // the PMEM snapshot path) on top of the oracle solo of its
+        // workflow.
+        let solo = prices.solo(tenant)
+            + q.dag
+                .map_or(0.0, |(di, si)| self.dags[di as usize].extra_solo[si]);
+        let fail_at = self
+            .plan
+            .job_failure(q.job.id, q.restarts as u64)
+            .map(|frac| q.resume + frac * (solo - q.resume))
+            .filter(|&fa| fa > q.resume && fa < solo - 1e-9);
+        self.nodes[p.node].running.push(Running {
+            progress: q.resume,
+            q,
+            tenant,
+            solo,
+            slowdown: 1.0,
+            fail_at,
+        });
+        Ok(true)
+    }
+
+    /// Book the one record of `q`'s submission, ending now on `node`. An
+    /// entry that ran carries its pinned configuration and first start;
+    /// one that never ran gets the oracle's best configuration and starts
+    /// now. A plain job's closed-loop client is finished here; a DAG's
+    /// when its last stage settles.
+    pub(super) fn record(&mut self, q: &Queued, node: usize, solo: f64, completed: bool) {
+        let (dag, stage, staging_gib) = match q.dag {
+            Some((di, si)) => {
+                let d = &self.dags[di as usize];
+                let stage = d.spec.stages[si].name.clone();
+                (d.label.to_string(), stage, d.stage_staging_gib(si))
+            }
+            None => (String::new(), String::new(), 0.0),
+        };
+        let job = &q.job;
+        self.records.push(JobRecord {
+            id: job.id,
+            workflow: job.workflow.to_string(),
+            ranks: job.ranks,
+            config: q
+                .config
+                .unwrap_or_else(|| self.oracle.best_config(&job.workflow, job.ranks)),
+            node,
+            arrival: job.arrival,
+            start: q.first_start.unwrap_or(self.now),
+            finish: self.now,
+            solo,
+            restarts: q.restarts,
+            lost_work: q.lost_work,
+            ckpt_overhead: q.ckpt_overhead,
+            completed,
+            dag,
+            stage,
+            staging_gib,
+        });
+        self.makespan = self.makespan.max(self.now);
+        if let Some(c) = q.client {
+            self.finished_clients.push(c);
+        }
+    }
+
+    /// Handle an interrupted attempt end to end. Roll it back to its
+    /// last checkpoint; then, under the retry budget, requeue it (stage
+    /// jobs come back pinned home). Past the budget, revive it from a
+    /// banked checkpoint snapshot, or fail it — and on a stage failure,
+    /// fail the whole DAG.
+    pub(super) fn settle_interrupted(&mut self, r: Running, node: usize) {
+        let config = self.config;
+        let ckpt = &config.checkpoint;
+        let mut q = r.q;
+        let resume = if ckpt.interval > 0.0 {
+            ((r.progress / ckpt.interval).floor() * ckpt.interval).min(r.progress)
+        } else {
+            0.0
+        };
+        q.lost_work += (r.progress - resume).max(0.0);
+        q.restarts += 1;
+        // A stage restarts where its staged inputs live: PMEM staging
+        // survives the crash, the attempt does not. The reservation
+        // persists across restarts (it is held for the DAG's lifetime) —
+        // a restarted stage carries none.
+        q.job.home = q.dag.map(|_| node);
+        q.job.staging = 0.0;
+        if q.restarts <= ckpt.retry_budget {
+            q.resume = resume;
+            q.eligible = self.now + requeue_backoff(ckpt.backoff_base, q.restarts);
+            return self.requeue(q);
+        }
+        let Some((di, si)) = q.dag else {
+            return self.record(&q, node, r.solo, false);
+        };
+        let d = &mut self.dags[di as usize];
+        if d.tokens > 0 && !d.failed {
+            // A completed checkpoint stage banked a revival: restart
+            // this stage fresh from the staged snapshot after one base
+            // backoff instead of failing the workflow.
+            d.tokens -= 1;
+            q.restarts = 0;
+            q.resume = 0.0;
+            q.eligible = self.now + ckpt.backoff_base;
+            return self.requeue(q);
+        }
+        self.record(&q, node, r.solo, false);
+        self.fail_dag(di, si);
+    }
+
+    /// Put an interrupted attempt's entry back in the queue.
+    fn requeue(&mut self, q: Queued) {
+        if let Some((di, si)) = q.dag {
+            self.dags[di as usize].state[si] = StageState::Ready;
+        }
+        enqueue(&mut self.queue, &mut self.qindex, q, self.now);
+    }
+
+    /// The per-job records and campaign aggregates once the loop stops,
+    /// or the stuck jobs if work remains.
+    fn outcome(mut self) -> Result<CampaignOutcome, ClusterError> {
+        if !self.queue.is_empty() || self.held > 0 {
+            return Err(ClusterError::Config(format!(
+                "campaign drained with {} jobs still queued and {} stages held (policy {})",
+                self.queue.len(),
+                self.held,
+                self.policy.name()
+            )));
+        }
+        debug_assert!(
+            self.staging.homed.iter().all(Vec::is_empty),
+            "a settled DAG is still indexed as homed"
+        );
+        self.records.sort_by_key(|r| r.id);
+        Ok(CampaignOutcome {
+            policy: self.policy.name().to_string(),
+            seed: self.config.seed,
+            nodes: self.config.nodes,
+            jobs: self.records,
+            makespan: self.makespan,
+            busy_core_secs: self.nodes.iter().map(|n| n.busy_core_secs).collect(),
+            cores_per_node: 2 * self.cores_per_socket,
+            staging_capacity: self.config.staging_gib,
+            peak_staging_gib: self.staging.peak,
+            corun_sets_priced: self.oracle.corun_cache_len(),
+            reprice_secs: self.repricer.spent_ns as f64 / 1e9,
+            reprice_calls: self.repricer.calls,
+        })
+    }
+}

@@ -1,0 +1,250 @@
+//! The online cluster campaign: admit, queue, place, drain — and recover.
+//!
+//! A campaign serves a stream of workflow arrivals over `N` modeled nodes.
+//! The loop is an event-driven simulation one level above the per-workflow
+//! DES: its events are arrivals, job completions, scheduled faults, and
+//! backoff expiries, and the service-time model for each running job comes
+//! from the device model below it.
+//!
+//! ## Service model
+//!
+//! Each job carries `solo` — its predicted solo runtime (from the oracle's
+//! per-configuration sweep) in *solo-seconds* — and `progress`, how many of
+//! those it has banked. While a set `S` of jobs is resident on a node,
+//! every job `j ∈ S` progresses at rate
+//! `1 / (slowdown_j(S) · degrade · (1 + f))`, where the slowdowns come
+//! from co-simulating `S` against the shared PMEM device
+//! ([`Oracle::corun_slowdowns`], memoized per multiset), `degrade` is the
+//! node's transient bandwidth-class penalty from the fault plan, and `f`
+//! is the checkpoint tax (below). Whenever `S` changes — an admission, a
+//! completion, or an interruption — the node is re-priced and progress
+//! carries over. This is a quantized mean-field approximation:
+//! interference is exact for each resident set, held piecewise-constant
+//! between membership changes.
+//!
+//! ## Faults and checkpoint/restart
+//!
+//! A [`FaultSpec`] expands into a deterministic [`FaultPlan`]: per-node
+//! crash/repair and degradation windows plus per-attempt job failures.
+//! When checkpointing is on ([`CheckpointSpec::interval`] > 0), every job
+//! writes a checkpoint image into node-local PMEM each `interval`
+//! solo-seconds; the write is charged through the I/O-stack cost model
+//! ([`snapshot_sw_time`](../../pmemflow_iostack/struct.StackCostModel.html)),
+//! so heavier stacks pay a bigger tax `f = image_cost / interval` exactly
+//! as the paper couples software cost to device latency. On a crash (or a
+//! job-level failure) every resident is interrupted: its progress rolls
+//! back to the last checkpoint boundary (to zero without checkpointing),
+//! the difference is booked as *lost work*, and the job is re-queued with
+//! exponential backoff — keeping its original arrival priority and its
+//! original configuration (a checkpoint image is only valid under the
+//! configuration that wrote it). A job interrupted more times than its
+//! retry budget is reported as `failed` instead of silently vanishing:
+//! every submission ends in exactly one job record.
+//!
+//! ## Workflow DAGs and staging as a second resource
+//!
+//! A DAG-shaped submission ([`Arrival::dag`]) expands at arrival into one
+//! stage job per graph node, each a plain coupled workflow the oracle
+//! already prices. Stages with unmet dependencies are *held* (invisible
+//! to policies) and released — at the DAG's original arrival priority —
+//! the instant their last predecessor completes; each stage's solo time
+//! additionally carries its staged-I/O seconds
+//! ([`stage_io_seconds`](pmemflow_dag::stage_io_seconds)). The DAG's
+//! whole staging footprint
+//! ([`DagSpec::staging_gib`](pmemflow_dag::DagSpec::staging_gib)) is
+//! co-reserved on the node its first stage lands on (the *home* node)
+//! and held until every stage settles; later stages are pinned home,
+//! where their staged inputs live. Capacity is hard: no placement may
+//! push a node's reserved GiB past [`CampaignConfig::staging_gib`].
+//! A completed checkpoint stage banks one revival: a later stage that
+//! exhausts its retry budget consumes it and restarts fresh from the
+//! staged snapshot instead of failing the workflow; with no banked
+//! revival the DAG fails and its not-yet-running stages settle as failed
+//! records (running siblings drain normally, releasing nothing new).
+//!
+//! ## Determinism
+//!
+//! Everything is ordered by `(time, id)` with total f64 comparisons, the
+//! arrival stream and the fault plan are seeded independently, and all
+//! parallelism (`jobs`) lives in caches whose values are bit-identical
+//! however they are computed — so a campaign's JSONL is byte-identical
+//! for any `--jobs` and across runs.
+
+mod dag;
+mod event_loop;
+mod node;
+mod queue;
+mod record;
+
+pub use record::{CampaignOutcome, JobRecord, BSLD_TAU};
+
+use crate::arrivals::{Arrival, ArrivalSpec};
+use crate::policy::{NodeView, Policy};
+use crate::predict::Oracle;
+use dag::{DagRun, StagingState};
+use event_loop::ClosedLoop;
+use node::{NodeState, Repricer};
+use pmemflow_core::{ExecError, ExecutionParams};
+use pmemflow_fault::{CheckpointSpec, FaultPlan, FaultSpec};
+use queue::{QueueIndex, Queued};
+use std::collections::VecDeque;
+
+/// Everything a campaign needs besides the policy.
+#[derive(Debug, Clone)]
+pub struct CampaignConfig {
+    /// Number of identical nodes (each the paper's dual-socket testbed
+    /// unless `exec.node` says otherwise).
+    pub nodes: usize,
+    /// The arrival stream.
+    pub arrivals: ArrivalSpec,
+    /// Stream seed.
+    pub seed: u64,
+    /// Per-node execution parameters (device profile, I/O stack, ...).
+    pub exec: ExecutionParams,
+    /// Fault-injection schedule (default: nothing ever breaks).
+    pub faults: FaultSpec,
+    /// Checkpoint/restart parameters (default: checkpointing off — an
+    /// interrupted job restarts from scratch).
+    pub checkpoint: CheckpointSpec,
+    /// Per-node PMEM staging capacity in GiB — the second schedulable
+    /// resource. DAG submissions co-reserve their whole footprint here
+    /// for their lifetime. Default 1536 GiB (12 x 128 GB DIMMs).
+    pub staging_gib: f64,
+}
+
+impl Default for CampaignConfig {
+    fn default() -> CampaignConfig {
+        CampaignConfig {
+            nodes: 1,
+            arrivals: ArrivalSpec::Poisson {
+                rate: 0.01,
+                count: 0,
+                mix: pmemflow_workloads::Family::all().to_vec(),
+                dags: Vec::new(),
+            },
+            seed: 0,
+            exec: ExecutionParams::default(),
+            faults: FaultSpec::default(),
+            checkpoint: CheckpointSpec::default(),
+            staging_gib: 1536.0,
+        }
+    }
+}
+
+/// Errors from running a campaign.
+#[derive(Debug)]
+pub enum ClusterError {
+    /// Bad campaign configuration.
+    Config(String),
+    /// A simulation below the campaign failed.
+    Exec(ExecError),
+}
+
+impl std::fmt::Display for ClusterError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClusterError::Config(s) => write!(f, "invalid campaign: {s}"),
+            ClusterError::Exec(e) => write!(f, "campaign simulation failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ClusterError {}
+
+impl From<ExecError> for ClusterError {
+    fn from(e: ExecError) -> Self {
+        ClusterError::Exec(e)
+    }
+}
+
+/// One campaign in flight: everything the event loop mutates. Its
+/// methods live with their seam: the loop in `event_loop`, DAG settling
+/// in `dag`, node views in `node`.
+struct Campaign<'a> {
+    config: &'a CampaignConfig,
+    policy: &'a dyn Policy,
+    oracle: &'a Oracle,
+    cores_per_socket: usize,
+    /// Checkpoint tax `f` (see [`Campaign::new`]) and the wall-time
+    /// multiplier `1 + f` it puts on every running job.
+    ckpt_frac: f64,
+    ckpt_mult: f64,
+    plan: FaultPlan,
+    /// Submissions not yet admitted, sorted by `(time, id)`.
+    pending: VecDeque<Arrival>,
+    closed: Option<ClosedLoop>,
+    nodes: Vec<NodeState>,
+    queue: VecDeque<Queued>,
+    qindex: QueueIndex,
+    records: Vec<JobRecord>,
+    staging: StagingState,
+    dags: Vec<DagRun>,
+    /// Stages whose dependencies are unmet: invisible to policies, but
+    /// still work in flight.
+    held: usize,
+    /// Job ids are assigned in pop order: one per plain submission (so
+    /// plain streams keep id == arrival id) and one per stage of a DAG
+    /// submission, contiguous in stage order.
+    next_job_id: u64,
+    now: f64,
+    makespan: f64,
+    repricer: Repricer,
+    /// Node-view scratch, alive for the whole campaign and refreshed in
+    /// place: each node keeps its `residents` allocation across rounds,
+    /// so a consult costs field writes, not a thousand fresh `Vec`s.
+    /// (The queue view is still borrowed per round — it holds references
+    /// into `queue`, which the loop mutates between rounds.)
+    node_views: Vec<NodeView>,
+    /// Closed-loop clients whose submission ended at this instant.
+    finished_clients: Vec<usize>,
+}
+
+/// Serve `config.arrivals` with `policy`, using up to `jobs` parallel
+/// simulations for the oracle warm-up (never affecting results). Returns
+/// the per-job records and campaign aggregates.
+pub fn run_campaign(
+    config: &CampaignConfig,
+    policy: &dyn Policy,
+    jobs: usize,
+) -> Result<CampaignOutcome, ClusterError> {
+    validate(config)?;
+    let oracle = Oracle::build(&config.arrivals.alphabet(), &config.exec, jobs)?;
+    run_campaign_with_oracle(config, policy, &oracle)
+}
+
+fn validate(config: &CampaignConfig) -> Result<(), ClusterError> {
+    if config.nodes == 0 {
+        return Err(ClusterError::Config("at least one node required".into()));
+    }
+    config.faults.validate().map_err(ClusterError::Config)?;
+    config.checkpoint.validate().map_err(ClusterError::Config)?;
+    if !config.staging_gib.is_finite() || config.staging_gib <= 0.0 {
+        return Err(ClusterError::Config(
+            "staging capacity must be positive and finite".into(),
+        ));
+    }
+    let cores_per_socket = config.exec.node.cores_per_socket();
+    // Reject alphabet entries that cannot run even on an empty node —
+    // better a config error up front than a stuck queue later.
+    for (name, ranks, _) in config.arrivals.alphabet() {
+        if ranks > cores_per_socket {
+            return Err(ClusterError::Config(format!(
+                "{name}@{ranks} can never fit a {cores_per_socket}-core socket"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// [`run_campaign`] against a pre-built (shareable) oracle.
+pub fn run_campaign_with_oracle(
+    config: &CampaignConfig,
+    policy: &dyn Policy,
+    oracle: &Oracle,
+) -> Result<CampaignOutcome, ClusterError> {
+    validate(config)?;
+    Campaign::new(config, policy, oracle).run()
+}
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,271 @@
+//! Per-job records and the campaign outcome, with its JSONL encoding.
+
+use pmemflow_core::{json_escape, json_f64, SchedConfig};
+
+/// Runtime threshold for bounded slowdown (seconds): jobs shorter than
+/// this are not allowed to dominate the metric (Feitelson's BSLD).
+pub const BSLD_TAU: f64 = 10.0;
+
+/// The fate of one served job.
+#[derive(Debug, Clone)]
+pub struct JobRecord {
+    /// Submission id (arrival order).
+    pub id: u64,
+    /// Workflow display name.
+    pub workflow: String,
+    /// Ranks per component.
+    pub ranks: usize,
+    /// Configuration it ran under (pinned across restarts).
+    pub config: SchedConfig,
+    /// Node it ran on last.
+    pub node: usize,
+    /// Submission time.
+    pub arrival: f64,
+    /// First admission time (restarts do not reset it).
+    pub start: f64,
+    /// Completion time — or, for a failed job, the time of the final
+    /// interruption that exhausted its retry budget.
+    pub finish: f64,
+    /// Predicted solo runtime under `config` (the job's work).
+    pub solo: f64,
+    /// How many times the job was interrupted and re-queued.
+    pub restarts: u32,
+    /// Solo-seconds of progress rolled back across all interruptions.
+    pub lost_work: f64,
+    /// Wall-seconds spent writing checkpoint images into local PMEM.
+    pub ckpt_overhead: f64,
+    /// Whether the job ran to completion (`false`: retry budget exhausted).
+    pub completed: bool,
+    /// Owning DAG label for stage jobs (e.g. "diamond#3"); empty for
+    /// plain jobs.
+    pub dag: String,
+    /// Stage name within the DAG (e.g. "sim", "viz"); empty for plain
+    /// jobs.
+    pub stage: String,
+    /// GiB of staged intermediates this stage moves (in + out edges);
+    /// 0 for plain jobs.
+    pub staging_gib: f64,
+}
+
+impl JobRecord {
+    /// Queue wait: first admission − submission.
+    pub fn wait(&self) -> f64 {
+        self.start - self.arrival
+    }
+
+    /// Response time: completion − submission.
+    pub fn response(&self) -> f64 {
+        self.finish - self.arrival
+    }
+
+    /// Stretch since first admission (interference, faults, requeue delays
+    /// and checkpoint tax included): time in service over solo time.
+    pub fn stretch(&self) -> f64 {
+        (self.finish - self.start) / self.solo
+    }
+
+    /// Bounded slowdown: `max(response / max(solo, tau), 1)`.
+    pub fn bounded_slowdown(&self, tau: f64) -> f64 {
+        (self.response() / self.solo.max(tau)).max(1.0)
+    }
+
+    /// JSONL `outcome` field value.
+    pub fn outcome(&self) -> &'static str {
+        if self.completed {
+            "completed"
+        } else {
+            "failed"
+        }
+    }
+}
+
+/// The result of one campaign.
+#[derive(Debug, Clone)]
+pub struct CampaignOutcome {
+    /// Policy that served the campaign.
+    pub policy: String,
+    /// Stream seed.
+    pub seed: u64,
+    /// Node count.
+    pub nodes: usize,
+    /// Every served job, in submission order — completed *and* failed:
+    /// each submission produces exactly one record.
+    pub jobs: Vec<JobRecord>,
+    /// Time the last job finished (or failed).
+    pub makespan: f64,
+    /// Per-node busy core-seconds (both sockets).
+    pub busy_core_secs: Vec<f64>,
+    /// Total cores per node (both sockets).
+    pub cores_per_node: usize,
+    /// Per-node PMEM staging capacity, GiB.
+    pub staging_capacity: f64,
+    /// Per-node peak of co-reserved staging GiB over the campaign — the
+    /// high-water mark the hard capacity check enforced.
+    pub peak_staging_gib: Vec<f64>,
+    /// Distinct co-residency sets priced against the device model so far.
+    /// Diagnostics only: with a shared oracle this counts other concurrent
+    /// campaigns' pricing too, so it is NOT deterministic and is excluded
+    /// from the JSONL.
+    pub corun_sets_priced: usize,
+    /// Wall seconds spent inside node re-pricing (the campaign-local
+    /// price cache). Timing diagnostics — NOT deterministic, excluded
+    /// from the JSONL. Pricing is a small fraction of the loop, below
+    /// end-to-end timer noise, so benchmarks read its cost here.
+    pub reprice_secs: f64,
+    /// How many node re-pricings the campaign performed (deterministic).
+    pub reprice_calls: u64,
+}
+
+impl CampaignOutcome {
+    /// The jobs that ran to completion (queueing aggregates cover these;
+    /// failed jobs are counted separately, not averaged in).
+    pub fn completed_jobs(&self) -> impl Iterator<Item = &JobRecord> {
+        self.jobs.iter().filter(|j| j.completed)
+    }
+
+    /// How many jobs completed.
+    pub fn completed(&self) -> usize {
+        self.completed_jobs().count()
+    }
+
+    /// How many jobs exhausted their retry budget.
+    pub fn failed(&self) -> usize {
+        self.jobs.len() - self.completed()
+    }
+
+    /// Total interruptions across all jobs.
+    pub fn total_restarts(&self) -> u64 {
+        self.jobs.iter().map(|j| j.restarts as u64).sum()
+    }
+
+    /// Total solo-seconds rolled back across all jobs.
+    pub fn total_lost_work(&self) -> f64 {
+        self.jobs.iter().map(|j| j.lost_work).sum()
+    }
+
+    /// Total wall-seconds spent writing checkpoints across all jobs.
+    pub fn total_ckpt_overhead(&self) -> f64 {
+        self.jobs.iter().map(|j| j.ckpt_overhead).sum()
+    }
+
+    /// Mean queue wait over completed jobs, seconds.
+    pub fn mean_wait(&self) -> f64 {
+        mean(self.completed_jobs().map(JobRecord::wait))
+    }
+
+    /// 95th-percentile queue wait over completed jobs (nearest-rank).
+    pub fn p95_wait(&self) -> f64 {
+        let mut waits: Vec<f64> = self.completed_jobs().map(JobRecord::wait).collect();
+        if waits.is_empty() {
+            return 0.0;
+        }
+        waits.sort_by(f64::total_cmp);
+        waits[((waits.len() as f64 * 0.95).ceil() as usize).clamp(1, waits.len()) - 1]
+    }
+
+    /// Mean response time over completed jobs, seconds.
+    pub fn mean_response(&self) -> f64 {
+        mean(self.completed_jobs().map(JobRecord::response))
+    }
+
+    /// Mean bounded slowdown over completed jobs (tau = [`BSLD_TAU`]).
+    pub fn mean_bounded_slowdown(&self) -> f64 {
+        mean(self.completed_jobs().map(|j| j.bounded_slowdown(BSLD_TAU)))
+    }
+
+    /// Maximum bounded slowdown over completed jobs.
+    pub fn max_bounded_slowdown(&self) -> f64 {
+        self.completed_jobs()
+            .map(|j| j.bounded_slowdown(BSLD_TAU))
+            .fold(1.0, f64::max)
+    }
+
+    /// Per-node utilization: busy core-seconds over `cores × makespan`.
+    pub fn utilization(&self) -> Vec<f64> {
+        let denom = self.cores_per_node as f64 * self.makespan;
+        self.busy_core_secs
+            .iter()
+            .map(|&b| if denom > 0.0 { b / denom } else { 0.0 })
+            .collect()
+    }
+
+    /// Serialize the campaign as JSON Lines: one `"kind":"job"` record per
+    /// job (submission order) and one closing `"kind":"campaign"` summary.
+    /// Every field is deterministic.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::with_capacity((self.jobs.len() + 1) * 256);
+        for j in &self.jobs {
+            out.push_str(&format!(
+                "{{\"kind\":\"job\",\"policy\":\"{}\",\"seed\":{},\"id\":{},\"workflow\":\"{}\",\
+                 \"ranks\":{},\"config\":\"{}\",\"dag\":\"{}\",\"stage\":\"{}\",\
+                 \"staging_gib\":{},\"node\":{},\"arrival_s\":{},\"start_s\":{},\
+                 \"finish_s\":{},\"wait_s\":{},\"response_s\":{},\"solo_s\":{},\"stretch\":{},\
+                 \"bounded_slowdown\":{},\"restarts\":{},\"lost_work_s\":{},\
+                 \"ckpt_overhead_s\":{},\"outcome\":\"{}\"}}\n",
+                json_escape(&self.policy),
+                self.seed,
+                j.id,
+                json_escape(&j.workflow),
+                j.ranks,
+                j.config.label(),
+                json_escape(&j.dag),
+                json_escape(&j.stage),
+                json_f64(j.staging_gib),
+                j.node,
+                json_f64(j.arrival),
+                json_f64(j.start),
+                json_f64(j.finish),
+                json_f64(j.wait()),
+                json_f64(j.response()),
+                json_f64(j.solo),
+                json_f64(j.stretch()),
+                json_f64(j.bounded_slowdown(BSLD_TAU)),
+                j.restarts,
+                json_f64(j.lost_work),
+                json_f64(j.ckpt_overhead),
+                j.outcome(),
+            ));
+        }
+        let json_list = |v: &[f64]| v.iter().map(|x| json_f64(*x)).collect::<Vec<_>>().join(",");
+        out.push_str(&format!(
+            "{{\"kind\":\"campaign\",\"policy\":\"{}\",\"seed\":{},\"nodes\":{},\"jobs\":{},\
+             \"completed\":{},\"failed\":{},\"makespan_s\":{},\"mean_wait_s\":{},\
+             \"p95_wait_s\":{},\"mean_response_s\":{},\"mean_bounded_slowdown\":{},\
+             \"max_bounded_slowdown\":{},\"total_restarts\":{},\"total_lost_work_s\":{},\
+             \"total_ckpt_overhead_s\":{},\"staging_capacity_gib\":{},\
+             \"peak_staging_gib\":[{}],\"utilization\":[{}]}}\n",
+            json_escape(&self.policy),
+            self.seed,
+            self.nodes,
+            self.jobs.len(),
+            self.completed(),
+            self.failed(),
+            json_f64(self.makespan),
+            json_f64(self.mean_wait()),
+            json_f64(self.p95_wait()),
+            json_f64(self.mean_response()),
+            json_f64(self.mean_bounded_slowdown()),
+            json_f64(self.max_bounded_slowdown()),
+            self.total_restarts(),
+            json_f64(self.total_lost_work()),
+            json_f64(self.total_ckpt_overhead()),
+            json_f64(self.staging_capacity),
+            json_list(&self.peak_staging_gib),
+            json_list(&self.utilization()),
+        ));
+        out
+    }
+}
+
+fn mean(it: impl Iterator<Item = f64>) -> f64 {
+    let (mut sum, mut n) = (0.0, 0u64);
+    for v in it {
+        sum += v;
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
