@@ -8,14 +8,21 @@
 //! `cold` cases have about one class per flow; `cold/2classes/20` has the
 //! suite's shape, 20 flows in two runs of one class each, and
 //! `cold/2tied/20` interleaves two classes whose normalized caps tie.
+//! `warm/permuted/20` cycles through as many interleavings of the
+//! suite-shaped set: the memo is keyed on the multiset of classes, so every
+//! call after the first is a hit, each reached from another order than the
+//! call before. Keyed on the ordered sequence, each call would miss.
 
 use pmemflow_bench::harness::bench;
+use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
+use std::collections::HashSet;
 use std::hint::black_box;
 
-/// Distinct flow sets the cold case cycles through: more than the memo
-/// holds, so each set has been evicted before it comes round again.
+/// Distinct flow sets the cold and permuted cases cycle through: more than
+/// the memo holds, so each set has been evicted before it comes round
+/// again.
 const COLD_SETS: usize = 300;
 
 /// `n` flows; `variant` perturbs the first flow's software cost so each
@@ -87,7 +94,29 @@ fn two_classes(tied: bool, variant: usize) -> Vec<FlowView> {
         .collect()
 }
 
-fn cold(name: &str, sets: &[Vec<FlowView>]) {
+/// `COLD_SETS` distinct orders of the suite-shaped set `two_classes(false,
+/// 0)`: one multiset of classes.
+fn interleavings() -> Vec<Vec<FlowView>> {
+    let base = two_classes(false, 0);
+    let mut rng = SplitMix64::new(20);
+    let (mut seen, mut sets) = (HashSet::new(), Vec::new());
+    while sets.len() < COLD_SETS {
+        let mut set = base.clone();
+        for i in (1..set.len()).rev() {
+            set.swap(i, rng.range_usize(0, i + 1));
+        }
+        let writes: Vec<bool> = (set.iter())
+            .map(|f| f.attrs.direction == Direction::Write)
+            .collect();
+        if seen.insert(writes) {
+            sets.push(set);
+        }
+    }
+    sets
+}
+
+/// Call one allocator on `sets` in turn.
+fn cycle(name: &str, sets: &[Vec<FlowView>]) {
     let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
     let mut rates = vec![0.0; sets[0].len()];
     let mut next = 0;
@@ -110,15 +139,17 @@ fn main() {
         });
 
         let sets: Vec<Vec<FlowView>> = (0..COLD_SETS).map(|v| flows(n, v)).collect();
-        cold(&format!("allocate/cold/{n}"), &sets);
+        cycle(&format!("allocate/cold/{n}"), &sets);
     }
     for (name, tied) in [
         ("allocate/cold/2classes/20", false),
         ("allocate/cold/2tied/20", true),
     ] {
         let sets: Vec<Vec<FlowView>> = (0..COLD_SETS).map(|v| two_classes(tied, v)).collect();
-        cold(name, &sets);
+        cycle(name, &sets);
     }
+
+    cycle("allocate/warm/permuted/20", &interleavings());
 
     let caps: Vec<f64> = (0..48).map(|i| 1.0 + (i % 7) as f64).collect();
     let (mut order, mut out) = (Vec::new(), vec![0.0; caps.len()]);

@@ -419,6 +419,7 @@ impl Simulation {
                         id: fid,
                         owner: pid,
                         attrs,
+                        intrinsic: attrs.intrinsic_rate(),
                         total: bytes,
                         remaining: bytes,
                         rate: 0.0,
@@ -534,7 +535,7 @@ impl Simulation {
         let mut max_cap = 0.0_f64;
         for fl in &res.flows {
             min_remaining = min_remaining.min(fl.remaining);
-            max_cap = max_cap.max(fl.attrs.intrinsic_rate().max(MIN_RATE));
+            max_cap = max_cap.max(fl.intrinsic.max(MIN_RATE));
         }
         if self.now + SimDuration::from_secs(min_remaining / max_cap) == self.now {
             res.deferred_seq = None;
@@ -571,7 +572,7 @@ impl Simulation {
         res.allocator.allocate(&res.views, &mut res.rates);
         let mut next_done = f64::INFINITY;
         for (fl, &r) in res.flows.iter_mut().zip(res.rates.iter()) {
-            let r = r.min(fl.attrs.intrinsic_rate()).max(MIN_RATE);
+            let r = r.min(fl.intrinsic).max(MIN_RATE);
             fl.rate = r;
             next_done = next_done.min(fl.remaining / r);
         }

@@ -232,6 +232,8 @@ pub(crate) struct ActiveFlow {
     pub id: FlowId,
     pub owner: crate::process::ProcessId,
     pub attrs: FlowAttrs,
+    /// `attrs.intrinsic_rate()`, taken once at submission.
+    pub intrinsic: f64,
     pub total: f64,
     pub remaining: f64,
     pub rate: f64,

@@ -30,34 +30,30 @@
 //! # Memo
 //!
 //! A run revisits the same flow sets over and over: every rank of a
-//! component issues the same phase each iteration, so the engine asks for
-//! the same allocation again and again (81% of the suite's 145,588 calls
-//! are memo hits). The allocator therefore remembers its answers, keyed by
-//! the exact ordered sequence of flow classes. A class is all five
-//! [`FlowAttrs`] fields, with the `f64` fields compared bit for bit.
+//! component issues the same phase each iteration, in varying
+//! interleavings. Max-min fairness does not care which rank reached the
+//! device first, and neither does the allocator: its rates are a pure
+//! function of the *multiset* of flow classes, memoized under that
+//! multiset (each class with its count, sorted by class). A class is all
+//! five [`FlowAttrs`] fields, floats by bits, ordered field by field.
 //!
-//! The memo is *exact*: the rates are a pure function of that sequence and
-//! of the profile, which cannot change after construction, and the
-//! allocator never reads [`FlowView::remaining`]. A hit therefore returns
-//! the very bits a fresh computation would. Sets that differ only in bytes
-//! left share one entry; the same classes in another order do not.
+//! The solve runs over class-major slots, the members of a class in input
+//! order. Duty sums run over the slots, and classes fill in ascending
+//! normalized cap, ties in class order: to the bit, the per-flow solve of
+//! the flows stably sorted by class. Every call, hit or miss, scatters: the
+//! k-th flow of a class in the input takes that class's k-th slot.
 //!
-//! The memo is *bounded*: it holds at most [`MEMO_CAPACITY`] flow sets and
-//! starts over when full. One allocator serves one simulation, so the memo
-//! lives for one run and is never shared between threads. Clearing when
-//! full keeps most of the hits of an unbounded memo while the largest runs
-//! would otherwise accumulate thousands of sets. Keys are compact: each
-//! class is interned to an index into a table that is emptied with the
-//! memo, so an entry costs 12 bytes per flow (index plus rate).
+//! The memo is *exact*: the profile cannot change after construction and
+//! [`FlowView::remaining`] is never read, so a hit returns the very bits a
+//! fresh computation would. It is *bounded*: it holds at most
+//! [`MEMO_CAPACITY`] flow sets and starts over when full, which keeps most
+//! of the hits of an unbounded memo. One allocator serves one simulation,
+//! so the memo lives for one run and is never shared between threads.
 //!
-//! A miss does not allocate beyond the memo entry it adds: every working
-//! array lives in reused scratch. It solves per class, not per flow: it
-//! groups the flows by class and takes each class's intrinsic rate once
-//! per call, and each round takes each class's capacity and normalized cap
-//! once and sorts classes, not flows. Only duty cycles stay per flow. The
-//! duty sums and water-filling's running share step through the flows in
-//! the order of [`pmemflow_des::water_fill`] with its float operations, so
-//! the rates match a per-flow solve to the bit.
+//! A call allocates nothing but the memo entry a miss adds: grouping, the
+//! key and the solve's working arrays live in reused scratch. Each round
+//! takes each class's capacity and normalized cap once and sorts classes,
+//! not flows; only duty cycles stay per slot.
 
 use crate::profile::DeviceProfile;
 use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
@@ -68,10 +64,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 const MEMO_CAPACITY: usize = 256;
 
 /// One flow's memo identity: every [`FlowAttrs`] field, floats by bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Its order, field by field, is the canonical class order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct FlowClass {
-    direction: Direction,
-    locality: Locality,
+    write: bool,
+    remote: bool,
     access_bytes: u64,
     sw_time_per_byte: u64,
     peak_device_rate: u64,
@@ -80,20 +77,32 @@ struct FlowClass {
 impl FlowClass {
     fn of(a: &FlowAttrs) -> Self {
         Self {
-            direction: a.direction,
-            locality: a.locality,
+            write: a.direction == Direction::Write,
+            remote: a.locality == Locality::Remote,
             access_bytes: a.access_bytes,
             sw_time_per_byte: a.sw_time_per_byte.to_bits(),
             peak_device_rate: a.peak_device_rate.to_bits(),
         }
     }
+
+    fn attrs(&self) -> FlowAttrs {
+        FlowAttrs {
+            direction: [Direction::Read, Direction::Write][self.write as usize],
+            locality: [Locality::Local, Locality::Remote][self.remote as usize],
+            access_bytes: self.access_bytes,
+            sw_time_per_byte: f64::from_bits(self.sw_time_per_byte),
+            peak_device_rate: f64::from_bits(self.peak_device_rate),
+        }
+    }
 }
 
-/// Multiply-rotate word hasher for the memo tables. Their keys are short
-/// runs of words the simulator derives from its workload models, never raw
-/// outside input, and both tables are bounded with the memo, so SipHash's
-/// resistance to crafted collisions buys nothing; hashing is a visible
-/// share of a hit.
+/// A class with its number of flows in a set.
+type Counted = (FlowClass, u64);
+
+/// Multiply-rotate word hasher for the memo. Its keys are short runs of
+/// words the simulator derives from its workload models, never raw outside
+/// input, and the memo is bounded, so SipHash's resistance to crafted
+/// collisions buys nothing; hashing is a visible share of a hit.
 #[derive(Default)]
 struct WordHasher(u64);
 
@@ -109,11 +118,7 @@ impl Hasher for WordHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
+        bytes.iter().for_each(|&b| self.add(b.into()));
     }
 
     fn write_u64(&mut self, v: u64) {
@@ -123,22 +128,19 @@ impl Hasher for WordHasher {
     fn write_usize(&mut self, v: usize) {
         self.add(v as u64);
     }
-
-    fn write_isize(&mut self, v: isize) {
-        self.add(v as u64);
-    }
 }
 
 type Words = BuildHasherDefault<WordHasher>;
 
-/// One distinct class of the set being solved, with everything its members
-/// share: their attributes, intrinsic rate and, per round, capacity and
-/// normalized cap.
+/// One class of the set being solved, with everything its members share:
+/// their attributes, intrinsic rate, slots `start..end` and, per round,
+/// capacity and normalized cap.
 #[derive(Debug, Clone, Copy)]
 struct Class {
-    id: u32,
     attrs: FlowAttrs,
     intrinsic: f64,
+    start: usize,
+    end: usize,
     cap: f64,
     x_cap: f64,
 }
@@ -146,19 +148,66 @@ struct Class {
 /// Working arrays reused across calls.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    key: Vec<u32>,
-    /// Per flow: its index in `classes`.
+    /// Per class in order of first appearance: the class and its flow
+    /// count, then the slot of its next member.
+    met: Vec<Counted>,
+    /// `met` indices in class order.
+    rank: Vec<usize>,
+    /// The memo key: each class with its flow count, sorted by class.
+    key: Vec<Counted>,
+    /// Per flow: its class's index in `met`.
     class_of: Vec<usize>,
+    /// Per slot: the rate and the duty cycle.
+    rates: Vec<f64>,
     duty: Vec<f64>,
     classes: Vec<Class>,
-    /// Flow indices grouped by class, ascending within a class: class `c`
-    /// owns `members[start[c]..start[c + 1]]`.
-    members: Vec<usize>,
-    start: Vec<usize>,
     /// Classes in ascending `x_cap` order.
     order: Vec<usize>,
     /// This round's capacity per distinct (direction, locality, access).
     class_caps: Vec<((Direction, Locality, u64), f64)>,
+}
+
+impl Scratch {
+    /// Group `flows` by class: the memo key into `key`, each flow's class
+    /// into `class_of` and each class's first slot into `met`.
+    fn group(&mut self, flows: &[FlowView]) {
+        self.met.clear();
+        self.class_of.clear();
+        for f in flows {
+            let class = FlowClass::of(&f.attrs);
+            // Neighbouring flows usually share a class (ranks of one
+            // component), so only a change of class needs a search.
+            let j = match self.class_of.last() {
+                Some(&j) if self.met[j].0 == class => j,
+                _ => (self.met.iter().position(|&(c, _)| c == class)).unwrap_or_else(|| {
+                    self.met.push((class, 0));
+                    self.met.len() - 1
+                }),
+            };
+            self.met[j].1 += 1;
+            self.class_of.push(j);
+        }
+        self.rank.clear();
+        self.rank.extend(0..self.met.len());
+        self.rank.sort_unstable_by_key(|&j| self.met[j].0);
+        self.key.clear();
+        self.key.extend(self.rank.iter().map(|&j| self.met[j]));
+        // A class's first slot follows the flows of all lower classes.
+        let mut next = 0;
+        for &j in &self.rank {
+            next += std::mem::replace(&mut self.met[j].1, next);
+        }
+    }
+
+    /// Give each flow the next slot of its class in the class-major
+    /// `solved`: the k-th flow of a class takes its class's k-th slot.
+    fn scatter(&mut self, solved: &[f64], rates: &mut [f64]) {
+        for (r, &j) in rates.iter_mut().zip(&self.class_of) {
+            let next = &mut self.met[j].1;
+            *r = solved[*next as usize];
+            *next += 1;
+        }
+    }
 }
 
 /// Rate allocator implementing the Optane contention model for one socket's
@@ -166,9 +215,7 @@ struct Scratch {
 #[derive(Debug, Clone)]
 pub struct OptaneAllocator {
     profile: DeviceProfile,
-    memo: HashMap<Box<[u32]>, Box<[f64]>, Words>,
-    /// Memo keys name each class by its index here. Emptied with the memo.
-    class_ids: HashMap<FlowClass, u32, Words>,
+    memo: HashMap<Box<[Counted]>, Box<[f64]>, Words>,
     scratch: Scratch,
 }
 
@@ -178,7 +225,6 @@ impl OptaneAllocator {
         Self {
             profile,
             memo: HashMap::default(),
-            class_ids: HashMap::default(),
             scratch: Scratch::default(),
         }
     }
@@ -194,64 +240,30 @@ impl OptaneAllocator {
         self.memo.len()
     }
 
-    /// Build the memo key for `flows` in `scratch.key`: one class index per
-    /// flow, interning classes not seen since the memo was last cleared.
-    fn intern(&mut self, flows: &[FlowView]) {
-        let key = &mut self.scratch.key;
-        key.clear();
-        // Neighbouring flows usually share a class (ranks of one
-        // component), so only a change of class needs a table lookup.
-        let mut last: Option<(FlowClass, u32)> = None;
-        for f in flows {
-            let class = FlowClass::of(&f.attrs);
-            let id = match last {
-                Some((c, id)) if c == class => id,
-                _ => {
-                    let next = self.class_ids.len() as u32;
-                    *self.class_ids.entry(class).or_insert(next)
-                }
-            };
-            last = Some((class, id));
-            key.push(id);
-        }
-    }
-
-    /// Compute rates from scratch: `duty_iterations` damped rounds of
-    /// capacity evaluation and water-filling, starting from full duty
-    /// (pessimistic: maximum contention) and relaxing.
-    fn solve(&mut self, flows: &[FlowView], rates: &mut [f64]) {
+    /// Compute the class-major rates of the set keyed in `scratch.key`
+    /// into `scratch.rates`: `duty_iterations` damped rounds of capacity
+    /// evaluation and water-filling, starting from full duty (pessimistic:
+    /// maximum contention) and relaxing.
+    fn solve(&mut self) {
         let p = &self.profile;
         let s = &mut self.scratch;
-        let n = flows.len();
         s.classes.clear();
-        s.class_of.clear();
-        for (f, &id) in flows.iter().zip(&s.key) {
-            let found = match s.class_of.last() {
-                Some(&c) if s.classes[c].id == id => Some(c),
-                _ => s.classes.iter().position(|c| c.id == id),
-            };
-            s.class_of.push(found.unwrap_or_else(|| {
-                s.classes.push(Class {
-                    id,
-                    attrs: f.attrs,
-                    intrinsic: f.attrs.intrinsic_rate(),
-                    cap: 0.0,
-                    x_cap: 0.0,
-                });
-                s.classes.len() - 1
-            }));
+        let mut n = 0;
+        for &(class, count) in &s.key {
+            let attrs = class.attrs();
+            let start = n;
+            n += count as usize;
+            s.classes.push(Class {
+                attrs,
+                intrinsic: attrs.intrinsic_rate(),
+                start,
+                end: n,
+                cap: 0.0,
+                x_cap: 0.0,
+            });
         }
-        // Counting sort by class: `start[c + 1]` is class `c`'s fill cursor.
-        let k = s.classes.len();
-        s.start.clear();
-        s.start.resize(k + 2, 0);
-        s.class_of.iter().for_each(|&c| s.start[c + 2] += 1);
-        (2..k + 2).for_each(|c| s.start[c] += s.start[c - 1]);
-        s.members.resize(n, 0);
-        for (i, &c) in s.class_of.iter().enumerate() {
-            s.members[s.start[c + 1]] = i;
-            s.start[c + 1] += 1;
-        }
+        s.rates.clear();
+        s.rates.resize(n, 0.0);
         s.duty.clear();
         s.duty.resize(n, 1.0);
 
@@ -262,9 +274,9 @@ impl OptaneAllocator {
 
         for _ in 0..p.duty_iterations {
             let n_eff_total: f64 = s.duty.iter().sum();
-            let n_eff_remote: f64 = (s.duty.iter().zip(&s.class_of))
-                .filter(|&(_, &c)| s.classes[c].attrs.locality == Locality::Remote)
-                .map(|(d, _)| *d)
+            let n_eff_remote: f64 = (s.classes.iter())
+                .filter(|c| c.attrs.locality == Locality::Remote)
+                .flat_map(|c| &s.duty[c.start..c.end])
                 .sum();
 
             // Classes that differ only in software cost or peak rate share
@@ -307,40 +319,25 @@ impl OptaneAllocator {
                 1.0
             };
 
-            let mut left = budget.max(0.0);
-            let mut remaining = n;
-            // One step of `water_fill`'s sweep, then the flow's rate.
-            let mut fill = |i: usize, c: &Class| {
-                let x = c.x_cap.min(left / remaining as f64).max(0.0);
-                left = (left - x).max(0.0);
-                remaining -= 1;
-                let r = (x * c.cap).min(c.intrinsic).max(1.0);
-                rates[i] = r;
-                // Damped duty update for stability.
-                let d = c.attrs.duty_cycle(r).clamp(0.02, 1.0);
-                s.duty[i] = 0.5 * s.duty[i] + 0.5 * d;
-            };
+            // The sweep of `pmemflow_des::water_fill` over the slots:
+            // ascending normalized cap, ties in class order.
             s.order.clear();
-            s.order.extend(0..k);
+            s.order.extend(0..s.classes.len());
             let x_cap = |c: usize| s.classes[c].x_cap;
             s.order
-                .sort_unstable_by(|&a, &b| x_cap(a).total_cmp(&x_cap(b)));
-            for tied in s
-                .order
-                .chunk_by(|&a, &b| x_cap(a).to_bits() == x_cap(b).to_bits())
-            {
-                if let [c] = *tied {
-                    for &i in &s.members[s.start[c]..s.start[c + 1]] {
-                        fill(i, &s.classes[c]);
-                    }
-                } else {
-                    // Equal caps fill in flow order, whatever their class.
-                    let level = x_cap(tied[0]).to_bits();
-                    for (i, &c) in s.class_of.iter().enumerate() {
-                        if x_cap(c).to_bits() == level {
-                            fill(i, &s.classes[c]);
-                        }
-                    }
+                .sort_unstable_by(|&a, &b| x_cap(a).total_cmp(&x_cap(b)).then(a.cmp(&b)));
+            let mut left = budget.max(0.0);
+            let mut remaining = n;
+            for c in s.order.iter().map(|&c| &s.classes[c]) {
+                for i in c.start..c.end {
+                    let x = c.x_cap.min(left / remaining as f64).max(0.0);
+                    left = (left - x).max(0.0);
+                    remaining -= 1;
+                    let r = (x * c.cap).min(c.intrinsic).max(1.0);
+                    s.rates[i] = r;
+                    // Damped duty update for stability.
+                    let d = c.attrs.duty_cycle(r).clamp(0.02, 1.0);
+                    s.duty[i] = 0.5 * s.duty[i] + 0.5 * d;
                 }
             }
         }
@@ -349,19 +346,20 @@ impl OptaneAllocator {
 
 impl RateAllocator for OptaneAllocator {
     fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
-        self.intern(flows);
+        self.scratch.group(flows);
         if let Some(hit) = self.memo.get(self.scratch.key.as_slice()) {
-            rates.copy_from_slice(hit);
+            self.scratch.scatter(hit, rates);
             return;
         }
-        self.solve(flows, rates);
+        self.solve();
         if self.memo.len() >= MEMO_CAPACITY {
             self.memo.clear();
-            self.class_ids.clear();
-            self.intern(flows);
         }
-        self.memo
-            .insert(self.scratch.key.as_slice().into(), (&*rates).into());
+        let s = &mut self.scratch;
+        let solved = (self.memo)
+            .entry(s.key.as_slice().into())
+            .or_insert_with(|| s.rates.as_slice().into());
+        s.scatter(solved, rates);
     }
 
     fn name(&self) -> &str {

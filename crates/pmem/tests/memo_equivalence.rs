@@ -1,11 +1,14 @@
 //! The allocator is exact twice over. Its per-class solve returns bit for
-//! bit what the per-flow solve it replaced computes, and its memo returns
-//! bit for bit what a fresh allocator computes, across seeded streams of
-//! flow sets large enough to overflow and clear the memo several times.
+//! bit what a per-flow solve of the flows stably sorted by class computes,
+//! scattered back to input order, and its memo returns bit for bit what a
+//! fresh allocator computes, across seeded streams of flow sets large
+//! enough to overflow and clear the memo several times. Its answer depends
+//! on the multiset of flow classes, not on their interleaving.
 
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{water_fill, Direction, FlowAttrs, FlowView, Locality, RateAllocator};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
+use std::collections::BTreeMap;
 
 fn allocate(alloc: &mut OptaneAllocator, flows: &[FlowView]) -> Vec<f64> {
     let mut rates = vec![f64::NAN; flows.len()];
@@ -101,7 +104,7 @@ fn warm_allocator_matches_fresh_allocator_bitwise() {
 }
 
 #[test]
-fn a_permutation_is_a_different_entry() {
+fn a_permutation_hits_the_same_entry() {
     let read = attrs(Direction::Read, Locality::Local, 64 << 20, 0.0);
     let write = attrs(Direction::Write, Locality::Remote, 2048, 5e-10);
     let view = |attrs| FlowView {
@@ -113,9 +116,48 @@ fn a_permutation_is_a_different_entry() {
     let mut warm = OptaneAllocator::new(DeviceProfile::optane_gen1());
     let rates_ab = allocate(&mut warm, &ab);
     let rates_ba = allocate(&mut warm, &ba);
-    assert_eq!(warm.memoized(), 2, "each order is its own entry");
-    assert_ne!(bits(&rates_ab), bits(&rates_ba));
+    assert_eq!(warm.memoized(), 1, "both orders share one entry");
     assert_eq!(bits(&rates_ba), bits(&fresh(&ba)));
+    assert_eq!(bits(&rates_ab[..2]), bits(&rates_ba[1..]));
+    assert_eq!(rates_ab[2].to_bits(), rates_ba[0].to_bits());
+}
+
+/// Shuffle `flows` in place (Fisher-Yates).
+fn shuffle(rng: &mut SplitMix64, flows: &mut [FlowView]) {
+    for i in (1..flows.len()).rev() {
+        flows.swap(i, rng.range_usize(0, i + 1));
+    }
+}
+
+/// Each class's rates, in the input order of its members.
+fn by_class(flows: &[FlowView], rates: &[f64]) -> BTreeMap<ClassKey, Vec<u64>> {
+    let mut per = BTreeMap::new();
+    for (f, r) in flows.iter().zip(rates) {
+        per.entry(class_key(f))
+            .or_insert_with(Vec::new)
+            .push(r.to_bits());
+    }
+    per
+}
+
+#[test]
+fn interleavings_of_one_multiset_give_each_class_the_same_rates() {
+    let p = DeviceProfile::optane_gen1();
+    let mut rng = SplitMix64::new(0x3e30_0006);
+    for set in 0..300 {
+        let classes = sweep_classes(&mut rng, &p);
+        let mut flows = sweep_set(&mut rng, &classes);
+        let expected = by_class(&flows, &fresh(&flows));
+        let mut warm = OptaneAllocator::new(p.clone());
+        for round in 0..8 {
+            shuffle(&mut rng, &mut flows);
+            let at = format_args!("set {set} round {round}");
+            assert_eq!(by_class(&flows, &fresh(&flows)), expected, "fresh, {at}");
+            let warm_rates = allocate(&mut warm, &flows);
+            assert_eq!(by_class(&flows, &warm_rates), expected, "warm, {at}");
+        }
+        assert_eq!(warm.memoized(), 1, "set {set}: every interleaving hits");
+    }
 }
 
 #[test]
@@ -134,9 +176,9 @@ fn bytes_left_do_not_split_entries() {
     assert_eq!(bits(&first), bits(&second));
 }
 
-/// The set whose miss clears a full memo must be keyed against the fresh
-/// class table, or a later set that interns in another order would hit its
-/// rates.
+/// A result never depends on the memo's clear history: the set whose miss
+/// clears a full memo, and the sets after it, get what a fresh allocator
+/// gives them.
 #[test]
 fn the_set_that_clears_the_memo_is_keyed_afresh() {
     let a = attrs(Direction::Read, Locality::Local, 64 << 20, 0.0);
@@ -156,7 +198,8 @@ fn the_set_that_clears_the_memo_is_keyed_afresh() {
         allocate(&mut warm, &set(&vec![a; k]));
         k += 1;
     }
-    allocate(&mut warm, &set(&[b, a]));
+    let ba = set(&[b, a]);
+    assert_eq!(bits(&allocate(&mut warm, &ba)), bits(&fresh(&ba)));
     assert_eq!(warm.memoized(), 1, "a miss on a full memo clears it");
     allocate(&mut warm, &set(&[b]));
     allocate(&mut warm, &set(&[a]));
@@ -164,10 +207,40 @@ fn the_set_that_clears_the_memo_is_keyed_afresh() {
     assert_eq!(bits(&allocate(&mut warm, &ab)), bits(&fresh(&ab)));
 }
 
-/// The per-flow solve, kept as the reference for the allocator's per-class
-/// one: the same damped rounds, with a capacity lookup, a cap and an
-/// intrinsic rate for every flow and a full [`water_fill`] per round.
-/// `seen` records which cases the sweep reaches.
+/// The flow's class, every attribute with floats by bits, in the canonical
+/// class order: reads before writes, local before remote, then access size,
+/// software cost and peak rate.
+type ClassKey = (bool, bool, u64, u64, u64);
+
+fn class_key(f: &FlowView) -> ClassKey {
+    let a = &f.attrs;
+    (
+        a.direction == Direction::Write,
+        a.locality == Locality::Remote,
+        a.access_bytes,
+        a.sw_time_per_byte.to_bits(),
+        a.peak_device_rate.to_bits(),
+    )
+}
+
+/// The allocator's contract: the per-flow solve of the flows stably sorted
+/// by class, each rate scattered back to its flow's input position. `seen`
+/// records which cases the sweep reaches.
+fn reference(p: &DeviceProfile, flows: &[FlowView], seen: &mut Coverage) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..flows.len()).collect();
+    order.sort_by_key(|&i| class_key(&flows[i]));
+    let sorted: Vec<FlowView> = order.iter().map(|&i| flows[i].clone()).collect();
+    let mut rates = vec![f64::NAN; flows.len()];
+    for (&i, r) in order.iter().zip(per_flow_solve(p, &sorted, seen)) {
+        rates[i] = r;
+    }
+    seen.set(&class_numbers(flows), &rates);
+    rates
+}
+
+/// The per-flow solve the allocator's per-class one replaced: the same
+/// damped rounds, with a capacity lookup, a cap and an intrinsic rate for
+/// every flow and a full [`water_fill`] per round.
 fn per_flow_solve(p: &DeviceProfile, flows: &[FlowView], seen: &mut Coverage) -> Vec<f64> {
     let n = flows.len();
     let class_of = class_numbers(flows);
@@ -229,7 +302,6 @@ fn per_flow_solve(p: &DeviceProfile, flows: &[FlowView], seen: &mut Coverage) ->
             duty[i] = 0.5 * duty[i] + 0.5 * d;
         }
     }
-    seen.set(&class_of, &rates);
     rates
 }
 
@@ -240,14 +312,7 @@ fn class_numbers(flows: &[FlowView]) -> Vec<usize> {
     flows
         .iter()
         .map(|f| {
-            let a = &f.attrs;
-            let class = (
-                a.direction,
-                a.locality,
-                a.access_bytes,
-                a.sw_time_per_byte.to_bits(),
-                a.peak_device_rate.to_bits(),
-            );
+            let class = class_key(f);
             met.iter().position(|&c| c == class).unwrap_or_else(|| {
                 met.push(class);
                 met.len() - 1
@@ -260,38 +325,42 @@ fn class_numbers(flows: &[FlowView]) -> Vec<usize> {
 /// part from a per-flow one.
 #[derive(Debug, Default)]
 struct Coverage {
-    /// Rounds where two classes tie on their normalized cap and their
-    /// members interleave, so water-filling alternates between them.
+    /// Sets whose input interleaves classes, and where two classes tied on
+    /// their normalized cap in some round: flow order would fill them
+    /// alternately, class order fills one after the other.
     tied_interleaved: usize,
     /// Sets where members of one class end with different rate bits: the
     /// water level landed inside that class.
     split_class: usize,
     /// Sets of a single class.
     single_class: usize,
+    /// Whether a round of the set being solved had a tie.
+    tied: bool,
 }
 
 impl Coverage {
     fn round(&mut self, class_of: &[usize], x_caps: &[f64]) {
-        // At one cap, a class that comes back after another interleaves.
-        let mut left = vec![false; class_of.len()];
-        let mut last_at: Vec<(u64, usize)> = Vec::new();
+        let mut met: Vec<(u64, usize)> = Vec::new();
         for (&c, x) in class_of.iter().zip(x_caps) {
-            match last_at.iter_mut().find(|(level, _)| *level == x.to_bits()) {
-                None => last_at.push((x.to_bits(), c)),
-                Some((_, last)) if *last == c => {}
-                Some((_, last)) if left[c] => {
-                    self.tied_interleaved += 1;
-                    return;
-                }
-                Some((_, last)) => {
-                    left[*last] = true;
-                    *last = c;
-                }
+            let level = x.to_bits();
+            if !met.contains(&(level, c)) {
+                self.tied |= met.iter().any(|&(l, _)| l == level);
+                met.push((level, c));
             }
         }
     }
 
     fn set(&mut self, class_of: &[usize], rates: &[f64]) {
+        // A class that comes back after another interleaves.
+        let mut left = vec![false; class_of.len()];
+        let mut interleaved = false;
+        for pair in class_of.windows(2) {
+            if pair[0] != pair[1] {
+                left[pair[0]] = true;
+                interleaved |= left[pair[1]];
+            }
+        }
+        self.tied_interleaved += (std::mem::take(&mut self.tied) && interleaved) as usize;
         let mut first = vec![None; class_of.len()];
         let mut split = false;
         for (&c, r) in class_of.iter().zip(rates) {
@@ -374,7 +443,7 @@ fn sweep(seed: u64, sets: usize) -> Coverage {
     for set in 0..sets {
         let classes = sweep_classes(&mut rng, &p);
         let flows = sweep_set(&mut rng, &classes);
-        let expected = bits(&per_flow_solve(&p, &flows, &mut seen));
+        let expected = bits(&reference(&p, &flows, &mut seen));
         let at = format_args!("seed {seed:#x} set {set}");
         assert_eq!(bits(&fresh(&flows)), expected, "fresh, {at}");
         assert_eq!(bits(&allocate(&mut warm, &flows)), expected, "warm, {at}");

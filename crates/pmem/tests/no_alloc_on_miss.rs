@@ -1,7 +1,9 @@
-//! A memo miss allocates its memo entry and nothing else (DESIGN.md §4.2,
-//! "No allocation per event"). Once the memo and the class table have been
-//! through one full cycle, each further miss makes exactly two allocations,
-//! the entry's key and its rates; the solve's scratch makes none.
+//! A memo miss allocates its memo entry and nothing else, and a hit
+//! allocates nothing (DESIGN.md §4.2, "No allocation per event"). Once the
+//! memo has been through one full cycle, each further miss makes exactly
+//! two allocations, the entry's key and its rates; grouping, the key and
+//! the solve's scratch make none, and neither does a hit reached from
+//! another interleaving of the same flows.
 
 use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
@@ -52,42 +54,79 @@ fn attrs(dir: Direction, loc: Locality, access: u64, sw: f64, boost: f64) -> Flo
     }
 }
 
-#[test]
-fn a_warm_miss_allocates_only_its_memo_entry() {
-    // A suite-like run of one class, then two classes that tie at a
-    // normalized cap of 1 and interleave.
+/// 64 flows of three classes: a suite-like run of small writes, then two
+/// classes that tie at a normalized cap of 1, the second spread evenly
+/// through the third. Each `s` below 600 gives a distinct multiset.
+fn set(s: usize) -> Vec<FlowView> {
     let classes = [
         attrs(Direction::Write, Locality::Local, 2048, 4e-10, 1.0),
         attrs(Direction::Read, Locality::Remote, 64 << 20, 0.0, 1e3),
         attrs(Direction::Read, Locality::Local, 64 << 20, 0.0, 1e3),
     ];
-    // 64 flows; each `s` below 600 gives a distinct class sequence.
-    let set = |s: usize| -> Vec<FlowView> {
-        let (run, tail) = (1 + s % 30, 1 + s / 30);
-        (0..64)
-            .map(|f| FlowView {
-                attrs: classes[if f < run { 0 } else { 1 + (f / tail) % 2 }],
+    let (run, second) = (1 + s % 30, 1 + s / 30);
+    let tail = 64 - run;
+    (0..64usize)
+        .map(|f| {
+            let c = match f.checked_sub(run) {
+                None => 0,
+                Some(t) if (t + 1) * second / tail > t * second / tail => 1,
+                Some(_) => 2,
+            };
+            FlowView {
+                attrs: classes[c],
                 remaining: 1e9,
-            })
-            .collect()
-    };
-    let sets: Vec<Vec<FlowView>> = (0..600).map(set).collect();
+            }
+        })
+        .collect()
+}
+
+fn allocations(alloc: &mut OptaneAllocator, flows: &[FlowView], rates: &mut [f64]) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    alloc.allocate(flows, rates);
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// An allocator whose memo has been through one full cycle: filled, then
+/// cleared by the next miss.
+fn cycled(sets: &[Vec<FlowView>], rates: &mut [f64]) -> OptaneAllocator {
     let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-    let mut rates = vec![0.0; 64];
-    // One full cycle: fill the memo, then the miss that clears it.
     for flows in &sets[..257] {
-        alloc.allocate(flows, &mut rates);
+        alloc.allocate(flows, rates);
     }
     assert_eq!(alloc.memoized(), 1, "the warm-up must clear the memo once");
-    let mut per_miss = Vec::new();
-    for flows in &sets[257..] {
-        let before = ALLOCATIONS.with(Cell::get);
-        alloc.allocate(flows, &mut rates);
-        per_miss.push(ALLOCATIONS.with(Cell::get) - before);
-    }
+    alloc
+}
+
+#[test]
+fn a_warm_miss_allocates_only_its_memo_entry() {
+    let sets: Vec<Vec<FlowView>> = (0..600).map(set).collect();
+    let mut rates = vec![0.0; 64];
+    let mut alloc = cycled(&sets, &mut rates);
+    let per_miss: Vec<usize> = (sets[257..].iter())
+        .map(|flows| allocations(&mut alloc, flows, &mut rates))
+        .collect();
     assert!(
         alloc.memoized() < 343,
         "the measured misses clear the memo too"
     );
     assert!(per_miss.iter().all(|&n| n == 2), "{per_miss:?}");
+}
+
+#[test]
+fn a_hit_allocates_nothing() {
+    let sets: Vec<Vec<FlowView>> = (0..600).map(set).collect();
+    let mut rates = vec![0.0; 64];
+    let mut alloc = cycled(&sets, &mut rates);
+    for flows in &sets[257..300] {
+        alloc.allocate(flows, &mut rates);
+        let entries = alloc.memoized();
+        let mut reversed = flows.clone();
+        reversed.reverse();
+        let mut rotated = flows.clone();
+        rotated.rotate_left(7);
+        for again in [flows, &reversed, &rotated] {
+            assert_eq!(allocations(&mut alloc, again, &mut rates), 0);
+        }
+        assert_eq!(alloc.memoized(), entries, "every order hits");
+    }
 }
