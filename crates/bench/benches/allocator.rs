@@ -2,20 +2,20 @@
 //! fluid engine (called once per simulated instant at which a resource's
 //! flow set changed).
 //!
-//! `warm` repeats one flow set, so every call after the first is a memo
-//! hit. `cold` cycles through more distinct sets than the memo holds, so
-//! every call is a miss and runs the full damped fixed point. The numbered
-//! `cold` cases have about one class per flow; `cold/2classes/20` has the
-//! suite's shape, 20 flows in two runs of one class each, and
-//! `cold/2tied/20` interleaves two classes whose normalized caps tie.
-//! `warm/permuted/20` cycles through as many interleavings of the
-//! suite-shaped set: the memo is keyed on the multiset of classes, so every
-//! call after the first is a hit, each reached from another order than the
-//! call before. Keyed on the ordered sequence, each call would miss.
+//! Every case hands the allocator a flow set the way the engine does: the
+//! flows grouped into one view per class, in class order. `warm` repeats
+//! one flow set, so every call after the first is a memo hit. `cold`
+//! cycles through more distinct sets than the memo holds, so every call is
+//! a miss and runs the full damped fixed point. The numbered `cold` cases
+//! have about one class per flow; `cold/2classes/20` has the suite's shape,
+//! 20 flows of two classes, and `cold/2tied/20` has two classes whose
+//! normalized caps tie. `warm/permuted/20` cycles through as many
+//! interleavings of the suite-shaped set: each groups into the same class
+//! views, so every call after the first is a hit.
 
 use pmemflow_bench::harness::bench;
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
+use pmemflow_des::{ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -25,9 +25,24 @@ use std::hint::black_box;
 /// again.
 const COLD_SETS: usize = 300;
 
+/// `flows` grouped into class views, in class order, as the engine hands
+/// them to an allocator.
+fn views(flows: &[FlowAttrs]) -> Vec<ClassView> {
+    let mut sorted = flows.to_vec();
+    sorted.sort_by_key(FlowClass::of);
+    let mut views: Vec<ClassView> = Vec::new();
+    for attrs in sorted {
+        match views.last_mut() {
+            Some(v) if FlowClass::of(&v.attrs) == FlowClass::of(&attrs) => v.count += 1,
+            _ => views.push(ClassView { attrs, count: 1 }),
+        }
+    }
+    views
+}
+
 /// `n` flows; `variant` perturbs the first flow's software cost so each
 /// variant is a distinct memo key.
-fn flows(n: usize, variant: usize) -> Vec<FlowView> {
+fn flows(n: usize, variant: usize) -> Vec<FlowAttrs> {
     let p = DeviceProfile::optane_gen1();
     (0..n)
         .map(|i| {
@@ -43,15 +58,12 @@ fn flows(n: usize, variant: usize) -> Vec<FlowView> {
             };
             let access = if i % 2 == 0 { 2048 } else { 64 << 20 };
             let jitter = if i == 0 { variant as f64 * 1e-15 } else { 0.0 };
-            FlowView {
-                attrs: FlowAttrs {
-                    direction: dir,
-                    locality: loc,
-                    access_bytes: access,
-                    sw_time_per_byte: 1e-10 * (i % 5) as f64 + jitter,
-                    peak_device_rate: p.single_thread_rate(dir, loc, access),
-                },
-                remaining: 1e9,
+            FlowAttrs {
+                direction: dir,
+                locality: loc,
+                access_bytes: access,
+                sw_time_per_byte: 1e-10 * (i % 5) as f64 + jitter,
+                peak_device_rate: p.single_thread_rate(dir, loc, access),
             }
         })
         .collect()
@@ -61,7 +73,7 @@ fn flows(n: usize, variant: usize) -> Vec<FlowView> {
 /// then ten large local reads. `tied` instead alternates two classes whose
 /// intrinsic rate exceeds their capacity, so both are capped at the full
 /// device. `variant` shifts one class's software cost for a distinct key.
-fn two_classes(tied: bool, variant: usize) -> Vec<FlowView> {
+fn two_classes(tied: bool, variant: usize) -> Vec<FlowAttrs> {
     let p = DeviceProfile::optane_gen1();
     let jitter = variant as f64 * 1e-15;
     let class = |dir, access, sw: f64, boost: f64| FlowAttrs {
@@ -83,20 +95,19 @@ fn two_classes(tied: bool, variant: usize) -> Vec<FlowView> {
         )
     };
     (0..20)
-        .map(|i| FlowView {
-            attrs: if (tied && i % 2 == 0) || (!tied && i < 10) {
+        .map(|i| {
+            if (tied && i % 2 == 0) || (!tied && i < 10) {
                 a
             } else {
                 b
-            },
-            remaining: 1e9,
+            }
         })
         .collect()
 }
 
 /// `COLD_SETS` distinct orders of the suite-shaped set `two_classes(false,
-/// 0)`: one multiset of classes.
-fn interleavings() -> Vec<Vec<FlowView>> {
+/// 0)`: one multiset of classes, so one list of class views.
+fn interleavings() -> Vec<Vec<ClassView>> {
     let base = two_classes(false, 0);
     let mut rng = SplitMix64::new(20);
     let (mut seen, mut sets) = (HashSet::new(), Vec::new());
@@ -106,19 +117,19 @@ fn interleavings() -> Vec<Vec<FlowView>> {
             set.swap(i, rng.range_usize(0, i + 1));
         }
         let writes: Vec<bool> = (set.iter())
-            .map(|f| f.attrs.direction == Direction::Write)
+            .map(|f| f.direction == Direction::Write)
             .collect();
         if seen.insert(writes) {
-            sets.push(set);
+            sets.push(views(&set));
         }
     }
     sets
 }
 
 /// Call one allocator on `sets` in turn.
-fn cycle(name: &str, sets: &[Vec<FlowView>]) {
+fn cycle(name: &str, sets: &[Vec<ClassView>]) {
     let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-    let mut rates = vec![0.0; sets[0].len()];
+    let mut rates = vec![0.0; sets[0].iter().map(|c| c.count).sum()];
     let mut next = 0;
     bench(name, || {
         alloc.allocate(black_box(&sets[next]), &mut rates);
@@ -132,20 +143,22 @@ fn main() {
         let mut rates = vec![0.0; n];
 
         let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-        let fs = flows(n, 0);
+        let set = views(&flows(n, 0));
         bench(&format!("allocate/warm/{n}"), || {
-            alloc.allocate(black_box(&fs), &mut rates);
+            alloc.allocate(black_box(&set), &mut rates);
             black_box(&rates);
         });
 
-        let sets: Vec<Vec<FlowView>> = (0..COLD_SETS).map(|v| flows(n, v)).collect();
+        let sets: Vec<Vec<ClassView>> = (0..COLD_SETS).map(|v| views(&flows(n, v))).collect();
         cycle(&format!("allocate/cold/{n}"), &sets);
     }
     for (name, tied) in [
         ("allocate/cold/2classes/20", false),
         ("allocate/cold/2tied/20", true),
     ] {
-        let sets: Vec<Vec<FlowView>> = (0..COLD_SETS).map(|v| two_classes(tied, v)).collect();
+        let sets: Vec<Vec<ClassView>> = (0..COLD_SETS)
+            .map(|v| views(&two_classes(tied, v)))
+            .collect();
         cycle(name, &sets);
     }
 

@@ -17,13 +17,22 @@
 //! pure `f64`, and no randomness or wall-clock input exists anywhere in the
 //! engine, so identical inputs yield bit-identical reports.
 //!
+//! Each resource keeps a class table: a flow's [`FlowClass`] is interned
+//! once, at submission, and the table counts the live flows of every class
+//! and keeps the live classes in class order, changing that order only
+//! when a class appears or empties. A reallocation hands the allocator one
+//! [`ClassView`] per live class and takes back class-major rates; the k-th
+//! live flow of a class, in submission order, runs at its class's k-th
+//! slot. The resource also keeps the fewest bytes any live flow has left,
+//! so noting a change never walks the flows.
+//!
 //! Apart from what a run records (marks, timelines) and what an allocator
 //! keeps for itself, the per-event paths do not allocate once a run has
 //! warmed up: each resource owns the scratch its allocator reads and
 //! writes, completed flows go through one reused buffer, and each channel
 //! keeps its parked waiters so a publish visits only them.
 
-use crate::flow::{ActiveFlow, FlowId, FlowView, RateAllocator};
+use crate::flow::{ActiveFlow, ClassView, FlowAttrs, FlowClass, FlowId, RateAllocator};
 use crate::process::{Action, ChannelId, Process, ProcessId, ResourceId, Resume};
 use crate::stats::{ClassBytes, ProcessReport, ResourceReport, SimReport};
 use crate::time::{SimDuration, SimTime};
@@ -131,11 +140,94 @@ struct ProcSlot {
     timeline: ProcessTimeline,
 }
 
+/// One class interned by a resource.
+struct ClassEntry {
+    class: FlowClass,
+    attrs: FlowAttrs,
+    /// The largest rate a member can be given: its intrinsic rate, taken
+    /// once, at least `MIN_RATE`.
+    cap: f64,
+    /// Live flows of the class.
+    live: usize,
+    /// During a reallocation's scatter: the slot of the next member.
+    next_slot: usize,
+}
+
+/// The classes a resource's flows have had, each interned at the first
+/// submission of one of its flows and kept for the rest of the run.
+#[derive(Default)]
+struct ClassTable {
+    entries: Vec<ClassEntry>,
+    /// Indices of the entries with live flows, in ascending class order.
+    live: Vec<usize>,
+}
+
+impl ClassTable {
+    /// Count a new live flow with `attrs`, returning its class's index.
+    fn join(&mut self, attrs: &FlowAttrs) -> usize {
+        let class = FlowClass::of(attrs);
+        let c = match self.entries.iter().position(|e| e.class == class) {
+            Some(c) => c,
+            None => {
+                self.entries.push(ClassEntry {
+                    class,
+                    attrs: *attrs,
+                    cap: attrs.intrinsic_rate().max(MIN_RATE),
+                    live: 0,
+                    next_slot: 0,
+                });
+                self.entries.len() - 1
+            }
+        };
+        self.entries[c].live += 1;
+        if self.entries[c].live == 1 {
+            let at = (self.live).partition_point(|&j| self.entries[j].class < class);
+            self.live.insert(at, c);
+        }
+        c
+    }
+
+    /// Count one live flow of class `c` fewer.
+    fn leave(&mut self, c: usize) {
+        self.entries[c].live -= 1;
+        if self.entries[c].live == 0 {
+            let at = self.live.iter().position(|&j| j == c);
+            self.live.remove(at.expect("an emptied class is live"));
+        }
+    }
+
+    /// The largest rate cap over the live classes (0 if none).
+    fn max_cap(&self) -> f64 {
+        (self.live.iter()).fold(0.0, |m: f64, &c| m.max(self.entries[c].cap))
+    }
+
+    /// Write one view per live class, in class order, into `views`, and
+    /// point each live class at its first class-major slot.
+    fn views(&mut self, views: &mut Vec<ClassView>) {
+        views.clear();
+        let mut next = 0;
+        for &c in &self.live {
+            let e = &mut self.entries[c];
+            e.next_slot = next;
+            next += e.live;
+            views.push(ClassView {
+                attrs: e.attrs,
+                count: e.live,
+            });
+        }
+    }
+}
+
 struct ResourceState {
     allocator: Box<dyn RateAllocator>,
+    /// Live flows in submission (== flow-id) order.
     flows: Vec<ActiveFlow>,
+    classes: ClassTable,
+    /// The fewest bytes a live flow has left (∞ with none), kept by
+    /// `settle`, submission and `resource_check`.
+    min_remaining: f64,
     /// Allocator input and output, rebuilt in place on every reallocation.
-    views: Vec<FlowView>,
+    views: Vec<ClassView>,
     rates: Vec<f64>,
     class_bytes: ClassBytes,
     last_update: SimTime,
@@ -236,6 +328,8 @@ impl Simulation {
         self.resources.push(ResourceState {
             allocator,
             flows: Vec::new(),
+            classes: ClassTable::default(),
+            min_remaining: f64::INFINITY,
             views: Vec::new(),
             rates: Vec::new(),
             class_bytes: ClassBytes::default(),
@@ -415,11 +509,11 @@ impl Simulation {
                     self.next_flow_id += 1;
                     self.settle(resource);
                     let res = &mut self.resources[resource.0];
+                    res.min_remaining = res.min_remaining.min(bytes);
                     res.flows.push(ActiveFlow {
                         id: fid,
                         owner: pid,
-                        attrs,
-                        intrinsic: attrs.intrinsic_rate(),
+                        class: res.classes.join(&attrs),
                         total: bytes,
                         remaining: bytes,
                         rate: 0.0,
@@ -503,10 +597,13 @@ impl Simulation {
         if !dt.is_zero() {
             let n = res.flows.len();
             res.report.record_interval(dt, n);
+            res.min_remaining = f64::INFINITY;
             for fl in &mut res.flows {
                 let moved = (fl.rate * dt.seconds()).min(fl.remaining);
                 fl.remaining -= moved;
-                res.class_bytes.add(&fl.attrs, moved);
+                res.class_bytes
+                    .add(&res.classes.entries[fl.class].attrs, moved);
+                res.min_remaining = res.min_remaining.min(fl.remaining);
             }
         }
         res.last_update = self.now;
@@ -531,13 +628,8 @@ impl Simulation {
         // largest rate cap `reallocate` can give. If even that rounds to
         // `now`, the check may belong before later events of this instant,
         // so it is scheduled at once.
-        let mut min_remaining = f64::INFINITY;
-        let mut max_cap = 0.0_f64;
-        for fl in &res.flows {
-            min_remaining = min_remaining.min(fl.remaining);
-            max_cap = max_cap.max(fl.intrinsic.max(MIN_RATE));
-        }
-        if self.now + SimDuration::from_secs(min_remaining / max_cap) == self.now {
+        let soonest = res.min_remaining / res.classes.max_cap();
+        if self.now + SimDuration::from_secs(soonest) == self.now {
             res.deferred_seq = None;
             self.reallocate(rid, seq);
         } else if res.deferred_seq.replace(seq).is_none() {
@@ -562,17 +654,22 @@ impl Simulation {
     /// under the reserved `seq`. Flows must be settled to `self.now`.
     fn reallocate(&mut self, rid: ResourceId, seq: u64) {
         let res = &mut self.resources[rid.0];
-        res.views.clear();
-        res.views.extend(res.flows.iter().map(|f| FlowView {
-            attrs: f.attrs,
-            remaining: f.remaining,
-        }));
+        res.classes.views(&mut res.views);
+        debug_assert!(
+            (res.views.windows(2)).all(|w| FlowClass::of(&w[0].attrs) < FlowClass::of(&w[1].attrs))
+                && res.views.iter().all(|v| v.count > 0)
+                && res.views.iter().map(|v| v.count).sum::<usize>() == res.flows.len(),
+            "class views out of class order or miscounted"
+        );
         res.rates.clear();
         res.rates.resize(res.flows.len(), 0.0);
         res.allocator.allocate(&res.views, &mut res.rates);
+        // Scatter: each class's members take its slots in submission order.
         let mut next_done = f64::INFINITY;
-        for (fl, &r) in res.flows.iter_mut().zip(res.rates.iter()) {
-            let r = r.min(fl.intrinsic).max(MIN_RATE);
+        for fl in &mut res.flows {
+            let class = &mut res.classes.entries[fl.class];
+            let r = res.rates[class.next_slot].min(class.cap).max(MIN_RATE);
+            class.next_slot += 1;
             fl.rate = r;
             next_done = next_done.min(fl.remaining / r);
         }
@@ -601,10 +698,15 @@ impl Simulation {
         debug_assert!(finished.is_empty());
         // Flows stay in submission (== flow-id) order, so the finished
         // ones come out in the order their owners are woken.
+        let (classes, min_remaining) = (&mut res.classes, &mut res.min_remaining);
+        *min_remaining = f64::INFINITY;
         res.flows.retain(|fl| {
             let done = fl.remaining <= EPS_BYTES;
             if done {
+                classes.leave(fl.class);
                 finished.push(*fl);
+            } else {
+                *min_remaining = min_remaining.min(fl.remaining);
             }
             !done
         });
@@ -619,9 +721,13 @@ impl Simulation {
                 .map(|(i, _)| i)
             {
                 let mut fl = res.flows.remove(min_idx);
-                res.class_bytes.add(&fl.attrs, fl.remaining);
+                res.classes.leave(fl.class);
+                res.class_bytes
+                    .add(&res.classes.entries[fl.class].attrs, fl.remaining);
                 fl.remaining = 0.0;
                 finished.push(fl);
+                res.min_remaining =
+                    (res.flows.iter()).fold(f64::INFINITY, |m, f| m.min(f.remaining));
             }
         }
         res.report.flows_completed += finished.len() as u64;
@@ -659,7 +765,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{Direction, FairShareAllocator, FlowAttrs, Locality, UncontendedAllocator};
+    use crate::flow::{Direction, FairShareAllocator, Locality, UncontendedAllocator};
     use crate::process::ScriptProcess;
     use std::sync::{Arc, Mutex};
 
@@ -1041,9 +1147,9 @@ mod tests {
     }
 
     impl RateAllocator for CountingAllocator {
-        fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
-            self.calls.lock().unwrap().push(flows.len());
-            self.inner.allocate(flows, rates);
+        fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
+            self.calls.lock().unwrap().push(rates.len());
+            self.inner.allocate(classes, rates);
         }
     }
 
@@ -1151,5 +1257,135 @@ mod tests {
         assert_eq!(rep.processes[0].mark("io-done"), Some(SimTime(1e6)));
         assert_eq!(rep.processes[2].mark("woken"), Some(SimTime(1e6)));
         assert_eq!(rep.end_time, SimTime(1e6));
+    }
+
+    fn attrs(direction: Direction, peak: f64) -> FlowAttrs {
+        FlowAttrs {
+            direction,
+            locality: Locality::Local,
+            access_bytes: 1 << 20,
+            sw_time_per_byte: 0.0,
+            peak_device_rate: peak,
+        }
+    }
+
+    /// One allocator call: each class's direction and count.
+    type Call = Vec<(Direction, usize)>;
+
+    /// Records each call's class views, then gives slot i of the
+    /// class-major rates `(i + 1)` GB/s, or defers to `inner`.
+    struct RecordingAllocator {
+        inner: Option<UncontendedAllocator>,
+        calls: Arc<Mutex<Vec<Call>>>,
+    }
+
+    impl RateAllocator for RecordingAllocator {
+        fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
+            let call = classes.iter().map(|c| (c.attrs.direction, c.count));
+            self.calls.lock().unwrap().push(call.collect());
+            match &mut self.inner {
+                Some(inner) => inner.allocate(classes, rates),
+                None => (rates.iter_mut().enumerate()).for_each(|(i, r)| *r = (i + 1) as f64 * 1e9),
+            }
+        }
+    }
+
+    fn recording(
+        sim: &mut Simulation,
+        inner: Option<UncontendedAllocator>,
+    ) -> (ResourceId, Arc<Mutex<Vec<Call>>>) {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let r = sim.add_resource(Box::new(RecordingAllocator {
+            inner,
+            calls: Arc::clone(&calls),
+        }));
+        (r, calls)
+    }
+
+    #[test]
+    fn kth_member_of_a_class_runs_at_its_kth_slot() {
+        // Reads sort before writes, so the four reads take slots 0..4 and
+        // the three writes 4..7, each class in submission order. Each flow
+        // moves (slot + 1) GB, so at its slot's (slot + 1) GB/s every flow
+        // ends at exactly t = 1; any other slot would end it elsewhere.
+        let (read, write) = (Direction::Read, Direction::Write);
+        let arrivals = [write, read, write, read, read, write, read];
+        let mut sim = Simulation::new();
+        let (r, calls) = recording(&mut sim, None);
+        let mut next_slot = [0, 4];
+        for (i, &dir) in arrivals.iter().enumerate() {
+            let slot = &mut next_slot[(dir == write) as usize];
+            *slot += 1;
+            let io = Action::Io {
+                resource: r,
+                bytes: *slot as f64 * 1e9,
+                attrs: attrs(dir, 1e15),
+            };
+            sim.spawn(Box::new(ScriptProcess::new(format!("p{i}"), vec![io])));
+        }
+        let rep = sim.run().unwrap();
+        for p in &rep.processes {
+            assert_eq!(p.finished_at, Some(SimTime(1.0)), "{}", p.name);
+        }
+        assert_eq!(*calls.lock().unwrap(), [vec![(read, 4), (write, 3)]]);
+    }
+
+    #[test]
+    fn a_class_that_empties_and_returns_rejoins_in_class_order() {
+        // A long write spans two reads; the read class empties at t = 1
+        // and comes back at t = 2, after the write class in submission
+        // order but before it in class order.
+        let mut sim = Simulation::new();
+        let (r, calls) = recording(&mut sim, Some(UncontendedAllocator));
+        let (read, write) = (attrs(Direction::Read, 1e9), attrs(Direction::Write, 1e9));
+        let io = |attrs, bytes| Action::Io {
+            resource: r,
+            bytes,
+            attrs,
+        };
+        sim.spawn(Box::new(ScriptProcess::new("w", vec![io(write, 10e9)])));
+        sim.spawn(Box::new(ScriptProcess::new(
+            "r",
+            vec![
+                io(read, 1e9),
+                Action::Compute(SimDuration(1.0)),
+                io(read, 1e9),
+            ],
+        )));
+        let rep = sim.run().unwrap();
+        assert_eq!(rep.processes[1].finished_at, Some(SimTime(3.0)));
+        let both = vec![(Direction::Read, 1), (Direction::Write, 1)];
+        let alone = vec![(Direction::Write, 1)];
+        assert_eq!(
+            *calls.lock().unwrap(),
+            [both.clone(), alone.clone(), both, alone]
+        );
+    }
+
+    #[test]
+    fn a_forced_completion_leaves_its_class() {
+        // Two writes of one class at t = 1e6 s. The 150-byte one is due
+        // 1.5e-10 s later, which rounds to one step of the clock (about
+        // 1.16e-10 s): its check finds 33.6 bytes left, so no flow is done
+        // and the engine forces the nearest one to completion.
+        let (start, peak, bytes) = (SimTime(1e6), 1e12, 150.0);
+        let step = (start + SimDuration::from_secs(bytes / peak)).since(start);
+        assert!(bytes - peak * step.seconds() > EPS_BYTES);
+        let mut sim = Simulation::new();
+        let (r, calls) = recording(&mut sim, Some(UncontendedAllocator));
+        for (name, bytes) in [("short", bytes), ("long", 1e13)] {
+            let io = Action::Io {
+                resource: r,
+                bytes,
+                attrs: attrs(Direction::Write, peak),
+            };
+            let script = vec![Action::Compute(SimDuration(start.seconds())), io];
+            sim.spawn(Box::new(ScriptProcess::new(name, script)));
+        }
+        let rep = sim.run().unwrap();
+        assert_eq!(rep.processes[0].finished_at, Some(start + step));
+        assert_eq!(rep.processes[0].io_bytes, bytes);
+        let (two, one) = (vec![(Direction::Write, 2)], vec![(Direction::Write, 1)]);
+        assert_eq!(*calls.lock().unwrap(), [two, one]);
     }
 }

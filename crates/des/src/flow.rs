@@ -115,13 +115,39 @@ impl FlowAttrs {
     }
 }
 
-/// A live flow inside a resource, visible to the allocator.
-#[derive(Debug, Clone)]
-pub struct FlowView {
-    /// Attributes supplied at submission.
+/// A flow's class: every [`FlowAttrs`] field, floats by bits. Flows of one
+/// class are interchangeable to an allocator. The derived order, field by
+/// field (reads before writes, local before remote, then access size,
+/// software cost and peak rate), is the canonical class order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FlowClass {
+    write: bool,
+    remote: bool,
+    access_bytes: u64,
+    sw_time_per_byte: u64,
+    peak_device_rate: u64,
+}
+
+impl FlowClass {
+    /// The class of a flow with attributes `a`.
+    pub fn of(a: &FlowAttrs) -> Self {
+        Self {
+            write: a.direction == Direction::Write,
+            remote: a.locality == Locality::Remote,
+            access_bytes: a.access_bytes,
+            sw_time_per_byte: a.sw_time_per_byte.to_bits(),
+            peak_device_rate: a.peak_device_rate.to_bits(),
+        }
+    }
+}
+
+/// One class of the live flows on a resource, visible to the allocator.
+#[derive(Debug, Clone, Copy)]
+pub struct ClassView {
+    /// Attributes every flow of the class shares.
     pub attrs: FlowAttrs,
-    /// Bytes still to move.
-    pub remaining: f64,
+    /// Number of live flows of the class; always positive.
+    pub count: usize,
 }
 
 /// Identifier of a flow within the engine.
@@ -130,17 +156,21 @@ pub struct FlowId(pub(crate) u64);
 
 /// A rate-allocation policy for one shared resource.
 ///
-/// Implementations receive every active flow and write an **end-to-end**
-/// rate (bytes/s, software time included) per flow into `rates`, in the
-/// same order; the engine owns both slices and guarantees they are
-/// non-empty and of equal length. Rates must be strictly positive and no
-/// larger than each flow's [`FlowAttrs::intrinsic_rate`]; the engine clamps
-/// violations defensively but relies on allocators for model fidelity.
-/// `&mut self` lets an allocator keep scratch space or a memo across calls;
-/// the engine gives each resource its own allocator.
+/// Implementations receive the live flows grouped by class: one
+/// [`ClassView`] per class, in ascending [`FlowClass`] order, each with a
+/// positive count. They write an **end-to-end** rate (bytes/s, software
+/// time included) per flow into `rates`, class-major: the first class's
+/// `count` slots, then the next class's. The engine owns both slices,
+/// `classes` is non-empty and `rates` holds Σ `count` slots. The k-th live
+/// flow of a class, in submission order, runs at that class's k-th slot.
+/// Rates must be strictly positive and no larger than each flow's
+/// [`FlowAttrs::intrinsic_rate`]; the engine clamps violations defensively
+/// but relies on allocators for model fidelity. `&mut self` lets an
+/// allocator keep scratch space or a memo across calls; the engine gives
+/// each resource its own allocator.
 pub trait RateAllocator: Send {
-    /// Compute rates for the current flow set into `rates`.
-    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]);
+    /// Compute class-major rates for the current class set into `rates`.
+    fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]);
 
     /// A human-readable name for traces and reports.
     fn name(&self) -> &str {
@@ -154,9 +184,11 @@ pub trait RateAllocator: Send {
 pub struct UncontendedAllocator;
 
 impl RateAllocator for UncontendedAllocator {
-    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
-        for (r, f) in rates.iter_mut().zip(flows) {
-            *r = f.attrs.intrinsic_rate();
+    fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
+        let mut slots = rates.iter_mut();
+        for c in classes {
+            let r = c.attrs.intrinsic_rate();
+            slots.by_ref().take(c.count).for_each(|slot| *slot = r);
         }
     }
 
@@ -189,11 +221,13 @@ impl FairShareAllocator {
 }
 
 impl RateAllocator for FairShareAllocator {
-    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
+    fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
         // Max-min fair (water-filling) against per-flow intrinsic caps.
         self.caps.clear();
-        self.caps
-            .extend(flows.iter().map(|f| f.attrs.intrinsic_rate()));
+        for c in classes {
+            let cap = c.attrs.intrinsic_rate();
+            self.caps.extend(std::iter::repeat_n(cap, c.count));
+        }
         water_fill(&self.caps, self.capacity, &mut self.order, rates);
     }
 
@@ -231,9 +265,9 @@ pub fn water_fill(caps: &[f64], capacity: f64, order: &mut Vec<usize>, rates: &m
 pub(crate) struct ActiveFlow {
     pub id: FlowId,
     pub owner: crate::process::ProcessId,
-    pub attrs: FlowAttrs,
-    /// `attrs.intrinsic_rate()`, taken once at submission.
-    pub intrinsic: f64,
+    /// Index of the flow's class in its resource's class table, which
+    /// holds the flow's attributes.
+    pub class: usize,
     pub total: f64,
     pub remaining: f64,
     pub rate: f64,
@@ -341,26 +375,25 @@ mod tests {
     #[test]
     fn fair_share_allocator_splits() {
         let mut alloc = FairShareAllocator::new(10e9);
-        let f = FlowView {
+        let c = ClassView {
             attrs: attrs(0.0, 100e9),
-            remaining: 1e9,
+            count: 2,
         };
         let mut rates = [0.0; 2];
-        alloc.allocate(&[f.clone(), f], &mut rates);
+        alloc.allocate(&[c], &mut rates);
         assert!((rates[0] - 5e9).abs() < 1.0);
+        assert_eq!(rates[0], rates[1]);
     }
 
     #[test]
     fn uncontended_allocator_gives_intrinsic() {
-        let a = attrs(1e-9, 1e9);
-        let mut rates = [0.0];
-        UncontendedAllocator.allocate(
-            &[FlowView {
-                attrs: a,
-                remaining: 1.0,
-            }],
-            &mut rates,
+        let (a, b) = (attrs(1e-9, 1e9), attrs(0.0, 2e9));
+        let mut rates = [0.0; 3];
+        let view = |attrs, count| ClassView { attrs, count };
+        UncontendedAllocator.allocate(&[view(a, 1), view(b, 2)], &mut rates);
+        assert_eq!(
+            rates,
+            [a.intrinsic_rate(), b.intrinsic_rate(), b.intrinsic_rate()]
         );
-        assert!((rates[0] - a.intrinsic_rate()).abs() < 1e-6);
     }
 }

@@ -11,7 +11,10 @@
 //!   with a byte total; a pluggable [`RateAllocator`] (the Optane device
 //!   model lives in `pmemflow-pmem`) assigns every concurrent flow a rate,
 //!   re-evaluated exactly at the instants the flow set changes. Between
-//!   changes rates are constant, so the integration is exact.
+//!   changes rates are constant, so the integration is exact. Flows with
+//!   equal attributes form a [`FlowClass`]; each resource keeps its live
+//!   flows counted by class, and the allocator sees one [`ClassView`] per
+//!   class, never the flows themselves.
 //!
 //! This keeps event counts bounded by the number of *phases*, not the number
 //! of object operations — essential when a single 2 KB-object workload from
@@ -61,7 +64,7 @@ pub mod trace;
 
 pub use engine::{SimError, Simulation};
 pub use flow::{
-    water_fill, Direction, FairShareAllocator, FlowAttrs, FlowId, FlowView, Locality,
+    water_fill, ClassView, Direction, FairShareAllocator, FlowAttrs, FlowClass, FlowId, Locality,
     RateAllocator, UncontendedAllocator,
 };
 pub use json::{json_escape, json_f64};

@@ -3,7 +3,7 @@
 //! guarantees, even adversarial ones that return pathological rates.
 
 use pmemflow_des::{
-    Action, Direction, FlowAttrs, FlowView, Locality, RateAllocator, ScriptProcess, Simulation,
+    Action, ClassView, Direction, FlowAttrs, Locality, RateAllocator, ScriptProcess, Simulation,
 };
 
 fn attrs() -> FlowAttrs {
@@ -21,7 +21,7 @@ fn attrs() -> FlowAttrs {
 struct OverpromisingAllocator;
 
 impl RateAllocator for OverpromisingAllocator {
-    fn allocate(&mut self, _flows: &[FlowView], rates: &mut [f64]) {
+    fn allocate(&mut self, _classes: &[ClassView], rates: &mut [f64]) {
         rates.fill(1e18);
     }
 }
@@ -31,7 +31,7 @@ impl RateAllocator for OverpromisingAllocator {
 struct StingyAllocator;
 
 impl RateAllocator for StingyAllocator {
-    fn allocate(&mut self, _flows: &[FlowView], rates: &mut [f64]) {
+    fn allocate(&mut self, _classes: &[ClassView], rates: &mut [f64]) {
         rates.fill(0.0);
     }
 }
@@ -72,14 +72,20 @@ fn zero_rates_still_terminate() {
 
 /// An allocator that alternates rates across calls must not break byte
 /// conservation (rates only apply forward in time).
-struct FlipFlopAllocator;
+#[derive(Default)]
+struct FlipFlopAllocator {
+    calls: usize,
+}
 
 impl RateAllocator for FlipFlopAllocator {
-    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
-        // Rate depends on the remaining bytes: decreasing as flows drain,
-        // which exercises settle-then-reallocate paths.
-        for (r, f) in rates.iter_mut().zip(flows) {
-            *r = (f.remaining / 2.0).max(2.0).min(f.attrs.intrinsic_rate());
+    fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
+        // Every call gives every slot another fraction of its intrinsic
+        // rate, which exercises settle-then-reallocate paths.
+        self.calls += 1;
+        let slots = (classes.iter()).flat_map(|c| std::iter::repeat_n(c.attrs, c.count));
+        for (i, (r, attrs)) in rates.iter_mut().zip(slots).enumerate() {
+            let share = [0.9, 0.2, 0.55][(self.calls + i) % 3];
+            *r = share * attrs.intrinsic_rate();
         }
     }
 }
@@ -87,7 +93,7 @@ impl RateAllocator for FlipFlopAllocator {
 #[test]
 fn time_varying_rates_conserve_bytes() {
     let mut sim = Simulation::new();
-    let r = sim.add_resource(Box::new(FlipFlopAllocator));
+    let r = sim.add_resource(Box::<FlipFlopAllocator>::default());
     for i in 0..4 {
         sim.spawn(Box::new(ScriptProcess::new(
             format!("w{i}"),

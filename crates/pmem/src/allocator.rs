@@ -32,72 +32,38 @@
 //! A run revisits the same flow sets over and over: every rank of a
 //! component issues the same phase each iteration, in varying
 //! interleavings. Max-min fairness does not care which rank reached the
-//! device first, and neither does the allocator: its rates are a pure
-//! function of the *multiset* of flow classes, memoized under that
-//! multiset (each class with its count, sorted by class). A class is all
-//! five [`FlowAttrs`] fields, floats by bits, ordered field by field.
+//! device first, and neither does the allocator: the engine hands it the
+//! live flows grouped by [`FlowClass`], one [`ClassView`] per class in
+//! class order, and it returns class-major rates, a pure function of that
+//! multiset. The memo is keyed on it, each class with its count, built in
+//! one pass over the views; a hit copies the stored rates out.
 //!
-//! The solve runs over class-major slots, the members of a class in input
-//! order. Duty sums run over the slots, and classes fill in ascending
-//! normalized cap, ties in class order: to the bit, the per-flow solve of
-//! the flows stably sorted by class. Every call, hit or miss, scatters: the
-//! k-th flow of a class in the input takes that class's k-th slot.
+//! The solve runs over class-major slots. Duty sums run over the slots,
+//! and classes fill in ascending normalized cap, ties in class order: to
+//! the bit, the per-flow solve of the flows in class-major order.
 //!
-//! The memo is *exact*: the profile cannot change after construction and
-//! [`FlowView::remaining`] is never read, so a hit returns the very bits a
-//! fresh computation would. It is *bounded*: it holds at most
-//! [`MEMO_CAPACITY`] flow sets and starts over when full, which keeps most
-//! of the hits of an unbounded memo. One allocator serves one simulation,
-//! so the memo lives for one run and is never shared between threads.
+//! The memo is *exact*: the profile cannot change after construction, so a
+//! hit returns the very bits a fresh computation would. It is *bounded*: it
+//! holds at most [`MEMO_CAPACITY`] flow sets and starts over when full,
+//! which keeps most of the hits of an unbounded memo. One allocator serves
+//! one simulation, so the memo lives for one run and is never shared
+//! between threads.
 //!
-//! A call allocates nothing but the memo entry a miss adds: grouping, the
-//! key and the solve's working arrays live in reused scratch. Each round
-//! takes each class's capacity and normalized cap once and sorts classes,
-//! not flows; only duty cycles stay per slot.
+//! A call allocates nothing but the memo entry a miss adds: the key and the
+//! solve's working arrays live in reused scratch. Each round takes each
+//! class's capacity and normalized cap once and sorts classes, not flows;
+//! only duty cycles stay per slot.
 
 use crate::profile::DeviceProfile;
-use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
+use pmemflow_des::{ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Most flow sets the memo holds before it is cleared.
 const MEMO_CAPACITY: usize = 256;
 
-/// One flow's memo identity: every [`FlowAttrs`] field, floats by bits.
-/// Its order, field by field, is the canonical class order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct FlowClass {
-    write: bool,
-    remote: bool,
-    access_bytes: u64,
-    sw_time_per_byte: u64,
-    peak_device_rate: u64,
-}
-
-impl FlowClass {
-    fn of(a: &FlowAttrs) -> Self {
-        Self {
-            write: a.direction == Direction::Write,
-            remote: a.locality == Locality::Remote,
-            access_bytes: a.access_bytes,
-            sw_time_per_byte: a.sw_time_per_byte.to_bits(),
-            peak_device_rate: a.peak_device_rate.to_bits(),
-        }
-    }
-
-    fn attrs(&self) -> FlowAttrs {
-        FlowAttrs {
-            direction: [Direction::Read, Direction::Write][self.write as usize],
-            locality: [Locality::Local, Locality::Remote][self.remote as usize],
-            access_bytes: self.access_bytes,
-            sw_time_per_byte: f64::from_bits(self.sw_time_per_byte),
-            peak_device_rate: f64::from_bits(self.peak_device_rate),
-        }
-    }
-}
-
 /// A class with its number of flows in a set.
-type Counted = (FlowClass, u64);
+type Counted = (FlowClass, usize);
 
 /// Multiply-rotate word hasher for the memo. Its keys are short runs of
 /// words the simulator derives from its workload models, never raw outside
@@ -148,15 +114,8 @@ struct Class {
 /// Working arrays reused across calls.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// Per class in order of first appearance: the class and its flow
-    /// count, then the slot of its next member.
-    met: Vec<Counted>,
-    /// `met` indices in class order.
-    rank: Vec<usize>,
-    /// The memo key: each class with its flow count, sorted by class.
+    /// The memo key: each class with its flow count, in class order.
     key: Vec<Counted>,
-    /// Per flow: its class's index in `met`.
-    class_of: Vec<usize>,
     /// Per slot: the rate and the duty cycle.
     rates: Vec<f64>,
     duty: Vec<f64>,
@@ -165,49 +124,6 @@ struct Scratch {
     order: Vec<usize>,
     /// This round's capacity per distinct (direction, locality, access).
     class_caps: Vec<((Direction, Locality, u64), f64)>,
-}
-
-impl Scratch {
-    /// Group `flows` by class: the memo key into `key`, each flow's class
-    /// into `class_of` and each class's first slot into `met`.
-    fn group(&mut self, flows: &[FlowView]) {
-        self.met.clear();
-        self.class_of.clear();
-        for f in flows {
-            let class = FlowClass::of(&f.attrs);
-            // Neighbouring flows usually share a class (ranks of one
-            // component), so only a change of class needs a search.
-            let j = match self.class_of.last() {
-                Some(&j) if self.met[j].0 == class => j,
-                _ => (self.met.iter().position(|&(c, _)| c == class)).unwrap_or_else(|| {
-                    self.met.push((class, 0));
-                    self.met.len() - 1
-                }),
-            };
-            self.met[j].1 += 1;
-            self.class_of.push(j);
-        }
-        self.rank.clear();
-        self.rank.extend(0..self.met.len());
-        self.rank.sort_unstable_by_key(|&j| self.met[j].0);
-        self.key.clear();
-        self.key.extend(self.rank.iter().map(|&j| self.met[j]));
-        // A class's first slot follows the flows of all lower classes.
-        let mut next = 0;
-        for &j in &self.rank {
-            next += std::mem::replace(&mut self.met[j].1, next);
-        }
-    }
-
-    /// Give each flow the next slot of its class in the class-major
-    /// `solved`: the k-th flow of a class takes its class's k-th slot.
-    fn scatter(&mut self, solved: &[f64], rates: &mut [f64]) {
-        for (r, &j) in rates.iter_mut().zip(&self.class_of) {
-            let next = &mut self.met[j].1;
-            *r = solved[*next as usize];
-            *next += 1;
-        }
-    }
 }
 
 /// Rate allocator implementing the Optane contention model for one socket's
@@ -240,19 +156,18 @@ impl OptaneAllocator {
         self.memo.len()
     }
 
-    /// Compute the class-major rates of the set keyed in `scratch.key`
-    /// into `scratch.rates`: `duty_iterations` damped rounds of capacity
-    /// evaluation and water-filling, starting from full duty (pessimistic:
-    /// maximum contention) and relaxing.
-    fn solve(&mut self) {
+    /// Compute the class-major rates of `views` into `scratch.rates`:
+    /// `duty_iterations` damped rounds of capacity evaluation and
+    /// water-filling, starting from full duty (pessimistic: maximum
+    /// contention) and relaxing.
+    fn solve(&mut self, views: &[ClassView]) {
         let p = &self.profile;
         let s = &mut self.scratch;
         s.classes.clear();
         let mut n = 0;
-        for &(class, count) in &s.key {
-            let attrs = class.attrs();
+        for &ClassView { attrs, count } in views {
             let start = n;
-            n += count as usize;
+            n += count;
             s.classes.push(Class {
                 attrs,
                 intrinsic: attrs.intrinsic_rate(),
@@ -345,21 +260,22 @@ impl OptaneAllocator {
 }
 
 impl RateAllocator for OptaneAllocator {
-    fn allocate(&mut self, flows: &[FlowView], rates: &mut [f64]) {
-        self.scratch.group(flows);
-        if let Some(hit) = self.memo.get(self.scratch.key.as_slice()) {
-            self.scratch.scatter(hit, rates);
+    fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
+        let key = &mut self.scratch.key;
+        key.clear();
+        key.extend(classes.iter().map(|c| (FlowClass::of(&c.attrs), c.count)));
+        if let Some(hit) = self.memo.get(key.as_slice()) {
+            rates.copy_from_slice(hit);
             return;
         }
-        self.solve();
+        self.solve(classes);
         if self.memo.len() >= MEMO_CAPACITY {
             self.memo.clear();
         }
-        let s = &mut self.scratch;
-        let solved = (self.memo)
-            .entry(s.key.as_slice().into())
-            .or_insert_with(|| s.rates.as_slice().into());
-        s.scatter(solved, rates);
+        let s = &self.scratch;
+        rates.copy_from_slice(&s.rates);
+        self.memo
+            .insert(s.key.as_slice().into(), s.rates.as_slice().into());
     }
 
     fn name(&self) -> &str {
@@ -371,29 +287,42 @@ impl RateAllocator for OptaneAllocator {
 mod tests {
     use super::*;
     use crate::profile::GB;
-    use pmemflow_des::FlowAttrs;
 
     fn profile() -> DeviceProfile {
         DeviceProfile::optane_gen1()
     }
 
-    fn flow(dir: Direction, loc: Locality, access: u64, sw_tpb: f64) -> FlowView {
-        let p = profile();
-        FlowView {
-            attrs: FlowAttrs {
-                direction: dir,
-                locality: loc,
-                access_bytes: access,
-                sw_time_per_byte: sw_tpb,
-                peak_device_rate: p.single_thread_rate(dir, loc, access),
-            },
-            remaining: 1e9,
+    fn flow(dir: Direction, loc: Locality, access: u64, sw_tpb: f64) -> FlowAttrs {
+        FlowAttrs {
+            direction: dir,
+            locality: loc,
+            access_bytes: access,
+            sw_time_per_byte: sw_tpb,
+            peak_device_rate: profile().single_thread_rate(dir, loc, access),
         }
     }
 
-    fn allocate(a: &mut OptaneAllocator, flows: &[FlowView]) -> Vec<f64> {
+    /// Each flow's rate, handed out as the engine does: the flows grouped
+    /// into class views, the k-th flow of a class taking its k-th slot.
+    fn allocate(a: &mut OptaneAllocator, flows: &[FlowAttrs]) -> Vec<f64> {
+        let mut order: Vec<usize> = (0..flows.len()).collect();
+        order.sort_by_key(|&i| FlowClass::of(&flows[i]));
+        let mut views: Vec<ClassView> = Vec::new();
+        for &i in &order {
+            match views.last_mut() {
+                Some(v) if FlowClass::of(&v.attrs) == FlowClass::of(&flows[i]) => v.count += 1,
+                _ => views.push(ClassView {
+                    attrs: flows[i],
+                    count: 1,
+                }),
+            }
+        }
+        let mut solved = vec![0.0; flows.len()];
+        a.allocate(&views, &mut solved);
         let mut rates = vec![0.0; flows.len()];
-        a.allocate(flows, &mut rates);
+        for (&i, r) in order.iter().zip(solved) {
+            rates[i] = r;
+        }
         rates
     }
 
@@ -406,7 +335,7 @@ mod tests {
         let mut a = OptaneAllocator::new(profile());
         let f = flow(Direction::Write, Locality::Local, 64 << 20, 0.0);
         let rates = allocate(&mut a, std::slice::from_ref(&f));
-        assert!((rates[0] - f.attrs.peak_device_rate).abs() / rates[0] < 0.01);
+        assert!((rates[0] - f.peak_device_rate).abs() / rates[0] < 0.01);
     }
 
     #[test]
@@ -485,9 +414,9 @@ mod tests {
         let p = profile();
         let naive_cap = p.class_capacity(Direction::Write, Locality::Local, 2048, 24.0, 0.0);
         let naive_dev = naive_cap / 24.0;
-        let naive_rate = heavy_sw[0].attrs.end_to_end_rate(naive_dev);
+        let naive_rate = heavy_sw[0].end_to_end_rate(naive_dev);
         for (r, f) in rates.iter().zip(heavy_sw.iter()) {
-            let intr = f.attrs.intrinsic_rate();
+            let intr = f.intrinsic_rate();
             assert!(*r > naive_rate, "rate {r} vs naive {naive_rate}");
             assert!(*r > 0.5 * intr, "rate {r} vs intrinsic {intr}");
         }
@@ -533,7 +462,7 @@ mod tests {
                 })
                 .collect();
             for (r, f) in allocate(&mut a, &flows).iter().zip(flows.iter()) {
-                assert!(*r <= f.attrs.intrinsic_rate() * (1.0 + 1e-9));
+                assert!(*r <= f.intrinsic_rate() * (1.0 + 1e-9));
                 assert!(*r > 0.0);
             }
         }

@@ -1,30 +1,56 @@
 //! The allocator is exact twice over. Its per-class solve returns bit for
-//! bit what a per-flow solve of the flows stably sorted by class computes,
-//! scattered back to input order, and its memo returns bit for bit what a
-//! fresh allocator computes, across seeded streams of flow sets large
-//! enough to overflow and clear the memo several times. Its answer depends
-//! on the multiset of flow classes, not on their interleaving.
+//! bit what a per-flow solve of the class-major expansion of its input
+//! computes, and its memo returns bit for bit what a fresh allocator
+//! computes, across seeded streams of flow sets large enough to overflow
+//! and clear the memo several times. Run in the engine, its answer depends
+//! on the multiset of flow classes, not on the order the flows arrived in.
 
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_des::{water_fill, Direction, FlowAttrs, FlowView, Locality, RateAllocator};
+use pmemflow_des::{
+    water_fill, Action, ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator,
+    ScriptProcess, Simulation,
+};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
-fn allocate(alloc: &mut OptaneAllocator, flows: &[FlowView]) -> Vec<f64> {
-    let mut rates = vec![f64::NAN; flows.len()];
-    alloc.allocate(flows, &mut rates);
+fn allocate(alloc: &mut OptaneAllocator, classes: &[ClassView]) -> Vec<f64> {
+    let mut rates = vec![f64::NAN; classes.iter().map(|c| c.count).sum()];
+    alloc.allocate(classes, &mut rates);
     rates
 }
 
-fn fresh(flows: &[FlowView]) -> Vec<f64> {
+fn fresh(classes: &[ClassView]) -> Vec<f64> {
     allocate(
         &mut OptaneAllocator::new(DeviceProfile::optane_gen1()),
-        flows,
+        classes,
     )
 }
 
 fn bits(rates: &[f64]) -> Vec<u64> {
     rates.iter().map(|r| r.to_bits()).collect()
+}
+
+/// The allocator's input for `flows`, as the engine builds it: one view
+/// per class, in class order, with its number of flows.
+fn views_of(flows: &[FlowAttrs]) -> Vec<ClassView> {
+    let mut sorted = flows.to_vec();
+    sorted.sort_by_key(FlowClass::of);
+    let mut views: Vec<ClassView> = Vec::new();
+    for attrs in sorted {
+        match views.last_mut() {
+            Some(v) if FlowClass::of(&v.attrs) == FlowClass::of(&attrs) => v.count += 1,
+            _ => views.push(ClassView { attrs, count: 1 }),
+        }
+    }
+    views
+}
+
+/// One flow per class-major slot of `views`.
+fn expand(views: &[ClassView]) -> Vec<FlowAttrs> {
+    (views.iter())
+        .flat_map(|v| std::iter::repeat_n(v.attrs, v.count))
+        .collect()
 }
 
 fn attrs(dir: Direction, loc: Locality, access: u64, sw_time_per_byte: f64) -> FlowAttrs {
@@ -58,14 +84,12 @@ fn random_classes(rng: &mut SplitMix64) -> Vec<FlowAttrs> {
         .collect()
 }
 
-/// Up to 48 flows, each of one of `classes`, with arbitrary bytes left.
-fn random_set(rng: &mut SplitMix64, classes: &[FlowAttrs]) -> Vec<FlowView> {
-    (0..rng.range_usize(1, 49))
-        .map(|_| FlowView {
-            attrs: classes[rng.range_usize(0, classes.len())],
-            remaining: rng.range_f64(1.0, 1e10),
-        })
-        .collect()
+/// Up to 48 flows, each of one of `classes`, grouped into class views.
+fn random_set(rng: &mut SplitMix64, classes: &[FlowAttrs]) -> Vec<ClassView> {
+    let flows: Vec<FlowAttrs> = (0..rng.range_usize(1, 49))
+        .map(|_| classes[rng.range_usize(0, classes.len())])
+        .collect();
+    views_of(&flows)
 }
 
 #[test]
@@ -75,7 +99,7 @@ fn warm_allocator_matches_fresh_allocator_bitwise() {
         let classes = random_classes(&mut rng);
         // A pool of distinct sets, larger than the memo, drawn from with
         // heavy repetition: recent sets hit, evicted ones miss again.
-        let pool: Vec<Vec<FlowView>> = (0..400).map(|_| random_set(&mut rng, &classes)).collect();
+        let pool: Vec<Vec<ClassView>> = (0..400).map(|_| random_set(&mut rng, &classes)).collect();
         let expected: Vec<Vec<u64>> = pool.iter().map(|set| bits(&fresh(set))).collect();
         let mut warm = OptaneAllocator::new(DeviceProfile::optane_gen1());
         let (mut peak, mut clears) = (0, 0);
@@ -103,77 +127,92 @@ fn warm_allocator_matches_fresh_allocator_bitwise() {
     }
 }
 
-#[test]
-fn a_permutation_hits_the_same_entry() {
-    let read = attrs(Direction::Read, Locality::Local, 64 << 20, 0.0);
-    let write = attrs(Direction::Write, Locality::Remote, 2048, 5e-10);
-    let view = |attrs| FlowView {
-        attrs,
-        remaining: 1e9,
-    };
-    let ab = [view(read), view(read), view(write)];
-    let ba = [view(write), view(read), view(read)];
-    let mut warm = OptaneAllocator::new(DeviceProfile::optane_gen1());
-    let rates_ab = allocate(&mut warm, &ab);
-    let rates_ba = allocate(&mut warm, &ba);
-    assert_eq!(warm.memoized(), 1, "both orders share one entry");
-    assert_eq!(bits(&rates_ba), bits(&fresh(&ba)));
-    assert_eq!(bits(&rates_ab[..2]), bits(&rates_ba[1..]));
-    assert_eq!(rates_ab[2].to_bits(), rates_ba[0].to_bits());
+/// Forwards to a shared allocator and records every call: each class with
+/// its slots' rate bits.
+struct Recorder {
+    alloc: Arc<Mutex<OptaneAllocator>>,
+    calls: Arc<Mutex<Vec<Call>>>,
+}
+
+type Call = Vec<(FlowClass, Vec<u64>)>;
+
+impl RateAllocator for Recorder {
+    fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
+        self.alloc.lock().unwrap().allocate(classes, rates);
+        let mut slots = rates.iter().map(|r| r.to_bits());
+        let call = (classes.iter())
+            .map(|c| {
+                (
+                    FlowClass::of(&c.attrs),
+                    slots.by_ref().take(c.count).collect(),
+                )
+            })
+            .collect();
+        self.calls.lock().unwrap().push(call);
+    }
+}
+
+/// Run `flows` on one device through `alloc`, one rank per flow, all
+/// arriving at once in the given order. The k-th flow of a class moves
+/// k + 1 GB. Returns every allocator call, and per class the I/O time
+/// bits of its flows in arrival order.
+fn run(
+    alloc: &Arc<Mutex<OptaneAllocator>>,
+    flows: &[FlowAttrs],
+) -> (Vec<Call>, BTreeMap<FlowClass, Vec<u64>>) {
+    let calls = Arc::default();
+    let mut sim = Simulation::new();
+    let device = sim.add_resource(Box::new(Recorder {
+        alloc: Arc::clone(alloc),
+        calls: Arc::clone(&calls),
+    }));
+    let mut members: BTreeMap<FlowClass, Vec<usize>> = BTreeMap::new();
+    for (i, &attrs) in flows.iter().enumerate() {
+        let of_class = members.entry(FlowClass::of(&attrs)).or_default();
+        of_class.push(i);
+        let io = Action::Io {
+            resource: device,
+            bytes: 1e9 * of_class.len() as f64,
+            attrs,
+        };
+        sim.spawn(Box::new(ScriptProcess::new(format!("r{i}"), vec![io])));
+    }
+    let report = sim.run().unwrap();
+    let io_time = |i: usize| report.processes[i].io_time.seconds().to_bits();
+    let per_class = (members.into_iter())
+        .map(|(class, ranks)| (class, ranks.into_iter().map(io_time).collect()))
+        .collect();
+    let calls = std::mem::take(&mut *calls.lock().unwrap());
+    (calls, per_class)
 }
 
 /// Shuffle `flows` in place (Fisher-Yates).
-fn shuffle(rng: &mut SplitMix64, flows: &mut [FlowView]) {
+fn shuffle(rng: &mut SplitMix64, flows: &mut [FlowAttrs]) {
     for i in (1..flows.len()).rev() {
         flows.swap(i, rng.range_usize(0, i + 1));
     }
 }
 
-/// Each class's rates, in the input order of its members.
-fn by_class(flows: &[FlowView], rates: &[f64]) -> BTreeMap<ClassKey, Vec<u64>> {
-    let mut per = BTreeMap::new();
-    for (f, r) in flows.iter().zip(rates) {
-        per.entry(class_key(f))
-            .or_insert_with(Vec::new)
-            .push(r.to_bits());
-    }
-    per
-}
-
 #[test]
 fn interleavings_of_one_multiset_give_each_class_the_same_rates() {
     let p = DeviceProfile::optane_gen1();
+    let allocator = || Arc::new(Mutex::new(OptaneAllocator::new(p.clone())));
     let mut rng = SplitMix64::new(0x3e30_0006);
     for set in 0..300 {
         let classes = sweep_classes(&mut rng, &p);
         let mut flows = sweep_set(&mut rng, &classes);
-        let expected = by_class(&flows, &fresh(&flows));
-        let mut warm = OptaneAllocator::new(p.clone());
+        let warm = allocator();
+        let expected = run(&warm, &flows);
+        let entries = warm.lock().unwrap().memoized();
         for round in 0..8 {
             shuffle(&mut rng, &mut flows);
             let at = format_args!("set {set} round {round}");
-            assert_eq!(by_class(&flows, &fresh(&flows)), expected, "fresh, {at}");
-            let warm_rates = allocate(&mut warm, &flows);
-            assert_eq!(by_class(&flows, &warm_rates), expected, "warm, {at}");
+            assert_eq!(run(&allocator(), &flows), expected, "fresh, {at}");
+            assert_eq!(run(&warm, &flows), expected, "warm, {at}");
         }
-        assert_eq!(warm.memoized(), 1, "set {set}: every interleaving hits");
+        let now = warm.lock().unwrap().memoized();
+        assert_eq!(now, entries, "set {set}: every interleaving hits");
     }
-}
-
-#[test]
-fn bytes_left_do_not_split_entries() {
-    let mut rng = SplitMix64::new(0x3e30_0003);
-    let classes = random_classes(&mut rng);
-    let set = random_set(&mut rng, &classes);
-    let mut drained = set.clone();
-    for f in &mut drained {
-        f.remaining *= 1e-6;
-    }
-    let mut warm = OptaneAllocator::new(DeviceProfile::optane_gen1());
-    let first = allocate(&mut warm, &set);
-    let second = allocate(&mut warm, &drained);
-    assert_eq!(warm.memoized(), 1, "the drained set hits the same entry");
-    assert_eq!(bits(&first), bits(&second));
 }
 
 /// A result never depends on the memo's clear history: the set whose miss
@@ -183,15 +222,7 @@ fn bytes_left_do_not_split_entries() {
 fn the_set_that_clears_the_memo_is_keyed_afresh() {
     let a = attrs(Direction::Read, Locality::Local, 64 << 20, 0.0);
     let b = attrs(Direction::Write, Locality::Remote, 2048, 5e-10);
-    let set = |classes: &[FlowAttrs]| -> Vec<FlowView> {
-        classes
-            .iter()
-            .map(|&attrs| FlowView {
-                attrs,
-                remaining: 1e9,
-            })
-            .collect()
-    };
+    let set = |classes: &[FlowAttrs]| views_of(classes);
     let mut warm = OptaneAllocator::new(DeviceProfile::optane_gen1());
     let mut k = 1;
     while warm.memoized() < 256 {
@@ -207,63 +238,47 @@ fn the_set_that_clears_the_memo_is_keyed_afresh() {
     assert_eq!(bits(&allocate(&mut warm, &ab)), bits(&fresh(&ab)));
 }
 
-/// The flow's class, every attribute with floats by bits, in the canonical
-/// class order: reads before writes, local before remote, then access size,
-/// software cost and peak rate.
-type ClassKey = (bool, bool, u64, u64, u64);
-
-fn class_key(f: &FlowView) -> ClassKey {
-    let a = &f.attrs;
-    (
-        a.direction == Direction::Write,
-        a.locality == Locality::Remote,
-        a.access_bytes,
-        a.sw_time_per_byte.to_bits(),
-        a.peak_device_rate.to_bits(),
-    )
-}
-
-/// The allocator's contract: the per-flow solve of the flows stably sorted
-/// by class, each rate scattered back to its flow's input position. `seen`
-/// records which cases the sweep reaches.
-fn reference(p: &DeviceProfile, flows: &[FlowView], seen: &mut Coverage) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..flows.len()).collect();
-    order.sort_by_key(|&i| class_key(&flows[i]));
-    let sorted: Vec<FlowView> = order.iter().map(|&i| flows[i].clone()).collect();
-    let mut rates = vec![f64::NAN; flows.len()];
-    for (&i, r) in order.iter().zip(per_flow_solve(p, &sorted, seen)) {
-        rates[i] = r;
-    }
-    seen.set(&class_numbers(flows), &rates);
+/// The allocator's contract: the per-flow solve of the class-major
+/// expansion of `views`. `seen` records which cases the sweep reaches;
+/// `interleaved` says whether the flows arrived with their classes
+/// interleaved.
+fn reference(
+    p: &DeviceProfile,
+    views: &[ClassView],
+    interleaved: bool,
+    seen: &mut Coverage,
+) -> Vec<f64> {
+    let flows = expand(views);
+    let rates = per_flow_solve(p, &flows, seen);
+    seen.set(interleaved, &class_numbers(&flows), &rates);
     rates
 }
 
 /// The per-flow solve the allocator's per-class one replaced: the same
 /// damped rounds, with a capacity lookup, a cap and an intrinsic rate for
 /// every flow and a full [`water_fill`] per round.
-fn per_flow_solve(p: &DeviceProfile, flows: &[FlowView], seen: &mut Coverage) -> Vec<f64> {
+fn per_flow_solve(p: &DeviceProfile, flows: &[FlowAttrs], seen: &mut Coverage) -> Vec<f64> {
     let n = flows.len();
     let class_of = class_numbers(flows);
-    let intrinsic: Vec<f64> = flows.iter().map(|f| f.attrs.intrinsic_rate()).collect();
+    let intrinsic: Vec<f64> = flows.iter().map(|f| f.intrinsic_rate()).collect();
     let mut duty = vec![1.0; n];
     let (mut caps, mut x_caps, mut x, mut rates) =
         (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     let (mut order, mut class_caps) = (Vec::new(), Vec::new());
-    let has = |dir| flows.iter().any(|f| f.attrs.direction == dir);
+    let has = |dir| flows.iter().any(|f| f.direction == dir);
     let mixed = has(Direction::Read) && has(Direction::Write);
     let stripe = p.geometry.stripe_bytes();
-    let any_small = flows.iter().any(|f| f.attrs.access_bytes < stripe);
+    let any_small = flows.iter().any(|f| f.access_bytes < stripe);
     for _ in 0..p.duty_iterations {
         let n_eff_total: f64 = duty.iter().sum();
         let n_eff_remote: f64 = flows
             .iter()
             .zip(&duty)
-            .filter(|(f, _)| f.attrs.locality == Locality::Remote)
+            .filter(|(f, _)| f.locality == Locality::Remote)
             .map(|(_, d)| *d)
             .sum();
         class_caps.clear();
-        for (f, cap) in flows.iter().zip(&mut caps) {
-            let a = &f.attrs;
+        for (a, cap) in flows.iter().zip(&mut caps) {
             let key = (a.direction, a.locality, a.access_bytes);
             *cap = match class_caps.iter().find(|(k, _)| *k == key) {
                 Some(&(_, c)) => c,
@@ -298,7 +313,7 @@ fn per_flow_solve(p: &DeviceProfile, flows: &[FlowView], seen: &mut Coverage) ->
         for (i, f) in flows.iter().enumerate() {
             let r = (x[i] * caps[i]).min(intrinsic[i]).max(1.0);
             rates[i] = r;
-            let d = f.attrs.duty_cycle(r).clamp(0.02, 1.0);
+            let d = f.duty_cycle(r).clamp(0.02, 1.0);
             duty[i] = 0.5 * duty[i] + 0.5 * d;
         }
     }
@@ -307,12 +322,12 @@ fn per_flow_solve(p: &DeviceProfile, flows: &[FlowView], seen: &mut Coverage) ->
 
 /// Number each flow's class (every attribute, floats by bits) in order of
 /// first appearance.
-fn class_numbers(flows: &[FlowView]) -> Vec<usize> {
+fn class_numbers(flows: &[FlowAttrs]) -> Vec<usize> {
     let mut met = Vec::new();
     flows
         .iter()
         .map(|f| {
-            let class = class_key(f);
+            let class = FlowClass::of(f);
             met.iter().position(|&c| c == class).unwrap_or_else(|| {
                 met.push(class);
                 met.len() - 1
@@ -325,9 +340,9 @@ fn class_numbers(flows: &[FlowView]) -> Vec<usize> {
 /// part from a per-flow one.
 #[derive(Debug, Default)]
 struct Coverage {
-    /// Sets whose input interleaves classes, and where two classes tied on
-    /// their normalized cap in some round: flow order would fill them
-    /// alternately, class order fills one after the other.
+    /// Sets whose flows arrived with classes interleaved, and where two
+    /// classes tied on their normalized cap in some round: arrival order
+    /// would fill them alternately, class order fills one after the other.
     tied_interleaved: usize,
     /// Sets where members of one class end with different rate bits: the
     /// water level landed inside that class.
@@ -350,16 +365,7 @@ impl Coverage {
         }
     }
 
-    fn set(&mut self, class_of: &[usize], rates: &[f64]) {
-        // A class that comes back after another interleaves.
-        let mut left = vec![false; class_of.len()];
-        let mut interleaved = false;
-        for pair in class_of.windows(2) {
-            if pair[0] != pair[1] {
-                left[pair[0]] = true;
-                interleaved |= left[pair[1]];
-            }
-        }
+    fn set(&mut self, interleaved: bool, class_of: &[usize], rates: &[f64]) {
         self.tied_interleaved += (std::mem::take(&mut self.tied) && interleaved) as usize;
         let mut first = vec![None; class_of.len()];
         let mut split = false;
@@ -416,41 +422,55 @@ fn sweep_classes(rng: &mut SplitMix64, p: &DeviceProfile) -> Vec<FlowAttrs> {
         .collect()
 }
 
-/// Up to 64 flows of `classes`, in runs of one class or interleaved.
-fn sweep_set(rng: &mut SplitMix64, classes: &[FlowAttrs]) -> Vec<FlowView> {
+/// Up to 64 flows of `classes` in arrival order, in runs of one class or
+/// interleaved.
+fn sweep_set(rng: &mut SplitMix64, classes: &[FlowAttrs]) -> Vec<FlowAttrs> {
     let mut c = 0;
     (0..rng.range_usize(1, 65))
         .map(|_| {
             if rng.next_bool() {
                 c = rng.range_usize(0, classes.len());
             }
-            FlowView {
-                attrs: classes[c],
-                remaining: 1e9,
-            }
+            classes[c]
         })
         .collect()
 }
 
-/// `sets` seeded sets, each solved by the reference, a fresh allocator and
-/// one warm allocator, which is also asked again for the set before.
+/// Whether a class comes back after another in `class_of`.
+fn interleaves(class_of: &[usize]) -> bool {
+    let mut left = vec![false; class_of.len()];
+    let mut interleaved = false;
+    for pair in class_of.windows(2) {
+        if pair[0] != pair[1] {
+            left[pair[0]] = true;
+            interleaved |= left[pair[1]];
+        }
+    }
+    interleaved
+}
+
+/// `sets` seeded sets, each grouped into class views as the engine groups
+/// them and solved by the reference, a fresh allocator and one warm
+/// allocator, which is also asked again for the set before.
 fn sweep(seed: u64, sets: usize) -> Coverage {
     let p = DeviceProfile::optane_gen1();
     let mut rng = SplitMix64::new(seed);
     let mut seen = Coverage::default();
     let mut warm = OptaneAllocator::new(p.clone());
-    let mut previous: Option<(Vec<FlowView>, Vec<u64>)> = None;
+    let mut previous: Option<(Vec<ClassView>, Vec<u64>)> = None;
     for set in 0..sets {
         let classes = sweep_classes(&mut rng, &p);
         let flows = sweep_set(&mut rng, &classes);
-        let expected = bits(&reference(&p, &flows, &mut seen));
+        let views = views_of(&flows);
+        let interleaved = interleaves(&class_numbers(&flows));
+        let expected = bits(&reference(&p, &views, interleaved, &mut seen));
         let at = format_args!("seed {seed:#x} set {set}");
-        assert_eq!(bits(&fresh(&flows)), expected, "fresh, {at}");
-        assert_eq!(bits(&allocate(&mut warm, &flows)), expected, "warm, {at}");
-        if let Some((flows, expected)) = previous.take() {
-            assert_eq!(bits(&allocate(&mut warm, &flows)), expected, "again, {at}");
+        assert_eq!(bits(&fresh(&views)), expected, "fresh, {at}");
+        assert_eq!(bits(&allocate(&mut warm, &views)), expected, "warm, {at}");
+        if let Some((views, expected)) = previous.take() {
+            assert_eq!(bits(&allocate(&mut warm, &views)), expected, "again, {at}");
         }
-        previous = Some((flows, expected));
+        previous = Some((views, expected));
     }
     seen
 }

@@ -3,30 +3,45 @@
 //! the flow space (fixed seed, reproducible failures).
 
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_des::{Direction, FlowAttrs, FlowView, Locality, RateAllocator};
+use pmemflow_des::{ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
 
-fn flow(dir: Direction, loc: Locality, access: u64, sw_tpb: f64) -> FlowView {
+fn flow(dir: Direction, loc: Locality, access: u64, sw_tpb: f64) -> FlowAttrs {
     let p = DeviceProfile::optane_gen1();
-    FlowView {
-        attrs: FlowAttrs {
-            direction: dir,
-            locality: loc,
-            access_bytes: access,
-            sw_time_per_byte: sw_tpb,
-            peak_device_rate: p.single_thread_rate(dir, loc, access),
-        },
-        remaining: 1e9,
+    FlowAttrs {
+        direction: dir,
+        locality: loc,
+        access_bytes: access,
+        sw_time_per_byte: sw_tpb,
+        peak_device_rate: p.single_thread_rate(dir, loc, access),
     }
 }
 
-fn allocate(alloc: &mut OptaneAllocator, flows: &[FlowView]) -> Vec<f64> {
+/// Each flow's rate, handed out as the engine does: the flows grouped
+/// into class views, the k-th flow of a class taking its k-th slot.
+fn allocate(alloc: &mut OptaneAllocator, flows: &[FlowAttrs]) -> Vec<f64> {
+    let mut order: Vec<usize> = (0..flows.len()).collect();
+    order.sort_by_key(|&i| FlowClass::of(&flows[i]));
+    let mut views: Vec<ClassView> = Vec::new();
+    for &i in &order {
+        match views.last_mut() {
+            Some(v) if FlowClass::of(&v.attrs) == FlowClass::of(&flows[i]) => v.count += 1,
+            _ => views.push(ClassView {
+                attrs: flows[i],
+                count: 1,
+            }),
+        }
+    }
+    let mut solved = vec![0.0; flows.len()];
+    alloc.allocate(&views, &mut solved);
     let mut rates = vec![0.0; flows.len()];
-    alloc.allocate(flows, &mut rates);
+    for (&i, r) in order.iter().zip(solved) {
+        rates[i] = r;
+    }
     rates
 }
 
-fn random_flow(rng: &mut SplitMix64) -> FlowView {
+fn random_flow(rng: &mut SplitMix64) -> FlowAttrs {
     let access = [2048u64, 4608, 1 << 20, 64 << 20][rng.range_usize(0, 4)];
     let sw_ns_per_kb = rng.range_u64(0, 3000);
     flow(
@@ -45,7 +60,7 @@ fn random_flow(rng: &mut SplitMix64) -> FlowView {
     )
 }
 
-fn random_flows(rng: &mut SplitMix64, lo: usize, hi: usize) -> Vec<FlowView> {
+fn random_flows(rng: &mut SplitMix64, lo: usize, hi: usize) -> Vec<FlowAttrs> {
     let n = rng.range_usize(lo, hi);
     (0..n).map(|_| random_flow(rng)).collect()
 }
@@ -108,7 +123,7 @@ fn identical_flows_get_identical_rates() {
             1 << 20,
             1e-10,
         );
-        let flows: Vec<FlowView> = (0..n).map(|_| f.clone()).collect();
+        let flows: Vec<FlowAttrs> = vec![f; n];
         let rates = allocate(&mut alloc, &flows);
         for r in &rates {
             assert!((r - rates[0]).abs() < 1e-6 * rates[0]);
@@ -149,7 +164,7 @@ fn adding_a_flow_never_speeds_others_up_once_saturated() {
     };
     for _case in 0..40 {
         let n = rng.range_usize(18, 25);
-        let flows: Vec<FlowView> = (0..n).map(|_| saturated_flow(&mut rng)).collect();
+        let flows: Vec<FlowAttrs> = (0..n).map(|_| saturated_flow(&mut rng)).collect();
         let extra = saturated_flow(&mut rng);
         let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
         let before = allocate(&mut alloc, &flows);
@@ -170,7 +185,7 @@ fn adding_a_flow_never_speeds_others_up_once_saturated() {
 fn read_aggregate_scales_below_saturation() {
     let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
     let mut agg = |n: usize| {
-        let flows: Vec<FlowView> = (0..n)
+        let flows: Vec<FlowAttrs> = (0..n)
             .map(|_| flow(Direction::Read, Locality::Local, 64 << 20, 0.0))
             .collect();
         allocate(&mut alloc, &flows).iter().sum::<f64>()
@@ -210,7 +225,7 @@ fn gen1_placement_asymmetries_hold_at_scale() {
     // end-to-end through the allocator at 24 ranks.
     let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
     let mut agg = |dir, loc| {
-        let flows: Vec<FlowView> = (0..24).map(|_| flow(dir, loc, 64 << 20, 0.0)).collect();
+        let flows: Vec<FlowAttrs> = (0..24).map(|_| flow(dir, loc, 64 << 20, 0.0)).collect();
         allocate(&mut alloc, &flows).iter().sum::<f64>()
     };
     let wl = agg(Direction::Write, Locality::Local);

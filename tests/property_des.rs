@@ -5,8 +5,8 @@
 
 use pmemflow::des::rng::SplitMix64;
 use pmemflow::des::{
-    Action, Direction, FairShareAllocator, FlowAttrs, Locality, RateAllocator, ScriptProcess,
-    SimDuration, Simulation,
+    Action, ClassView, Direction, FairShareAllocator, FlowAttrs, Locality, RateAllocator,
+    ScriptProcess, SimDuration, Simulation,
 };
 use pmemflow::pmem::{DeviceProfile, OptaneAllocator};
 
@@ -116,27 +116,27 @@ fn allocator_rates_are_bounded() {
         let sw_ns_per_kb = rng.range_u64(0, 4000);
         let access = if small { 2048 } else { 64 << 20 };
         let sw_tpb = sw_ns_per_kb as f64 * 1e-9 / 1024.0;
-        let mut flows = Vec::new();
-        for _ in 0..n_w {
-            flows.push(pmemflow::des::FlowView {
-                attrs: attrs(Direction::Write, Locality::Remote, access, sw_tpb),
-                remaining: 1e9,
-            });
-        }
-        for _ in 0..n_r {
-            flows.push(pmemflow::des::FlowView {
-                attrs: attrs(Direction::Read, Locality::Local, access, sw_tpb),
-                remaining: 1e9,
-            });
-        }
+        // Classes in `FlowClass` order: reads before writes.
+        let classes: Vec<ClassView> = [
+            (attrs(Direction::Read, Locality::Local, access, sw_tpb), n_r),
+            (
+                attrs(Direction::Write, Locality::Remote, access, sw_tpb),
+                n_w,
+            ),
+        ]
+        .into_iter()
+        .filter(|&(_, count)| count > 0)
+        .map(|(attrs, count)| ClassView { attrs, count })
+        .collect();
         let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
-        let mut rates = vec![0.0; flows.len()];
-        alloc.allocate(&flows, &mut rates);
-        assert_eq!(rates.len(), flows.len());
+        let mut rates = vec![0.0; n_w + n_r];
+        alloc.allocate(&classes, &mut rates);
+        let slots = (classes.iter()).flat_map(|c| std::iter::repeat_n(c.attrs, c.count));
+        assert_eq!(slots.clone().count(), rates.len());
         let mut agg = 0.0;
-        for (rate, flow) in rates.iter().zip(flows.iter()) {
+        for (rate, attrs) in rates.iter().zip(slots) {
             assert!(*rate > 0.0);
-            assert!(*rate <= flow.attrs.intrinsic_rate() * (1.0 + 1e-9));
+            assert!(*rate <= attrs.intrinsic_rate() * (1.0 + 1e-9));
             agg += rate;
         }
         // Aggregate cannot beat the local read peak (the fastest class).
