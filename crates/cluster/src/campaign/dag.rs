@@ -155,8 +155,9 @@ impl DagRun {
         }
     }
 
-    /// Estimated solo-seconds of work left: the release horizon of the
-    /// staging hold.
+    /// Estimated solo-seconds of work left: the staging hold releases
+    /// this long after any instant it is read at. It changes only when a
+    /// stage settles.
     pub(super) fn remaining_solo(&self) -> f64 {
         self.state
             .iter()
@@ -200,10 +201,10 @@ impl DagRun {
 /// reference the [`StagingState::homed`] index is asserted equal to
 /// under `debug_assertions`. `home` is `Some` only while stages remain
 /// unsettled, so the second condition is a belt-and-braces check.
-pub(super) fn staging_holds_reference(dags: &[DagRun], node: usize, now: f64) -> Vec<(f64, f64)> {
+pub(super) fn staging_holds_reference(dags: &[DagRun], node: usize) -> Vec<(f64, f64)> {
     dags.iter()
         .filter(|d| d.home == Some(node) && d.unsettled > 0)
-        .map(|d| (now + d.remaining_solo(), d.reservation))
+        .map(|d| (d.remaining_solo(), d.reservation))
         .collect()
 }
 

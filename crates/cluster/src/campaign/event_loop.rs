@@ -2,11 +2,11 @@
 //! method on [`Campaign`].
 
 use super::dag::{DagRun, StageState, StagingState};
-use super::node::{NodeState, Repricer, Running};
+use super::node::{EventHeap, FreeCores, NodeState, Repricer, Running, Views};
 use super::queue::{backoff_expired, enqueue, next_backoff_expiry, seek, QueueIndex, Queued};
 use super::{Campaign, CampaignConfig, CampaignOutcome, ClusterError, JobRecord};
 use crate::arrivals::{arrival_for_draw, draw_submission, generate_open, Arrival, ArrivalSpec};
-use crate::policy::{NodeView, Placement, Policy, QueuedJob};
+use crate::policy::{Placement, Policy, QueuedJob};
 use crate::predict::Oracle;
 use pmemflow_dag::DagClass;
 use pmemflow_des::rng::SplitMix64;
@@ -104,14 +104,7 @@ impl<'a> Campaign<'a> {
             plan: FaultPlan::new(&config.faults, config.nodes),
             pending,
             closed,
-            nodes: (0..config.nodes)
-                .map(|_| NodeState {
-                    running: Vec::new(),
-                    busy_core_secs: 0.0,
-                    up: true,
-                    degrade: 1.0,
-                })
-                .collect(),
+            nodes: (0..config.nodes).map(|_| NodeState::new()).collect(),
             queue: VecDeque::new(),
             qindex: QueueIndex::default(),
             records: Vec::new(),
@@ -122,18 +115,9 @@ impl<'a> Campaign<'a> {
             now: 0.0,
             makespan: 0.0,
             repricer: Repricer::default(),
-            node_views: (0..config.nodes)
-                .map(|id| NodeView {
-                    id,
-                    cores_per_socket,
-                    up: true,
-                    residents: Vec::new(),
-                    staging_capacity: config.staging_gib,
-                    staging_reserved: 0.0,
-                    staged_gib: 0.0,
-                    staging_holds: Vec::new(),
-                })
-                .collect(),
+            events: EventHeap::default(),
+            free: FreeCores::new(config.nodes, cores_per_socket),
+            views: Views::new(config.nodes, cores_per_socket, config.staging_gib),
             finished_clients: Vec::new(),
         }
     }
@@ -141,13 +125,13 @@ impl<'a> Campaign<'a> {
     /// Serve the campaign to the end, one event instant at a time.
     pub(super) fn run(mut self) -> Result<CampaignOutcome, ClusterError> {
         while let Some(t) = self.next_event() {
-            self.advance(t);
+            self.now = t;
             self.fire_faults();
             let changed = self.settle_due_jobs();
             self.resubmit_finished_clients();
             self.admit_arrivals()?;
             for ni in changed {
-                self.repricer.reprice(&mut self.nodes[ni], self.oracle)?;
+                self.reprice(ni)?;
             }
             self.schedule()?;
         }
@@ -155,31 +139,25 @@ impl<'a> Campaign<'a> {
     }
 
     /// The next event: the earliest of (arrival, per-job completion or
-    /// self-failure on an up node, backoff expiry, scheduled fault).
-    /// `None` stops the loop once nothing is in flight anywhere (the
-    /// fault plan is an infinite stream, so it only counts as an event
-    /// source while there is work it could affect), or when work remains
-    /// but no event can release it (the outcome reports the stuck jobs).
+    /// self-failure, backoff expiry, scheduled fault). `None` stops the
+    /// loop once nothing is in flight anywhere (the fault plan is an
+    /// infinite stream, so it only counts as an event source while there
+    /// is work it could affect), or when work remains but no event can
+    /// release it (the outcome reports the stuck jobs).
     fn next_event(&mut self) -> Option<f64> {
-        let (now, ckpt_mult) = (self.now, self.ckpt_mult);
+        let now = self.now;
+        // A node holds a live heap entry exactly while it holds a resident.
+        let next_job_event = self.events.next(&self.nodes);
+        #[cfg(debug_assertions)]
+        self.check_indexes(next_job_event);
         let work_remains = !self.pending.is_empty()
             || !self.queue.is_empty()
             || self.held > 0
-            || self.nodes.iter().any(|n| !n.running.is_empty());
+            || next_job_event.is_some();
         if !work_remains {
             return None;
         }
         let next_arrival = self.pending.front().map(|a| a.time);
-        let next_job_event = self
-            .nodes
-            .iter()
-            .filter(|n| n.up)
-            .flat_map(|n| {
-                n.running
-                    .iter()
-                    .map(move |r| r.projected_event(now, n.degrade, ckpt_mult))
-            })
-            .min_by(f64::total_cmp);
         let next_eligible = self.qindex.next_expiry(now);
         debug_assert_eq!(
             next_eligible.map(f64::to_bits),
@@ -195,46 +173,28 @@ impl<'a> Campaign<'a> {
         Some(t.max(now))
     }
 
-    /// Advance running work and busy time to `t`. Rates are piecewise
-    /// constant on [now, t] because every rate change (membership,
-    /// degrade window, crash) is itself an event candidate.
-    /// A zero-length step adds exactly +0.0 everywhere (progress and
-    /// busy time are never -0.0), so skipping it is bit-identical.
-    fn advance(&mut self, t: f64) {
-        let dt = (t - self.now).max(0.0);
-        if dt > 0.0 {
-            for node in self.nodes.iter_mut().filter(|n| n.up) {
-                let env_mult = node.degrade * self.ckpt_mult;
-                for r in &mut node.running {
-                    r.progress += dt / (r.slowdown * env_mult);
-                    // Of the dt wall-seconds, the checkpoint writes claim
-                    // the f/(1+f) share (both numerator and denominator
-                    // stretch with slowdown and degrade alike).
-                    r.q.ckpt_overhead += dt * self.ckpt_frac / self.ckpt_mult;
-                    node.busy_core_secs += 2.0 * r.q.job.ranks as f64 * dt;
-                }
-            }
-        }
-        self.now = t;
-    }
-
     /// Scheduled faults due now, in the plan's deterministic order.
     fn fire_faults(&mut self) {
         let now = self.now;
         while self.plan.peek_time().is_some_and(|ft| ft <= now + 1e-9) {
             let e = self.plan.pop().expect("peeked event exists");
-            let node = &mut self.nodes[e.node];
+            let ni = e.node;
             match e.kind {
                 FaultEventKind::Crash => {
-                    node.up = false;
-                    // Evacuate every resident back to its last checkpoint.
-                    for r in std::mem::take(&mut node.running) {
-                        self.settle_interrupted(r, e.node);
+                    self.set_up(ni, false);
+                    // Evacuate every resident back to its last checkpoint,
+                    // in placement order.
+                    while !self.nodes[ni].running.is_empty() {
+                        let r = self.take_resident(ni, 0);
+                        self.settle_interrupted(r, ni);
                     }
+                    self.reschedule(ni);
                 }
-                FaultEventKind::Repair => node.up = true,
-                FaultEventKind::DegradeStart => node.degrade = self.config.faults.degrade_factor,
-                FaultEventKind::DegradeEnd => node.degrade = 1.0,
+                FaultEventKind::Repair => self.set_up(ni, true),
+                FaultEventKind::DegradeStart => {
+                    self.set_degrade(ni, self.config.faults.degrade_factor)
+                }
+                FaultEventKind::DegradeEnd => self.set_degrade(ni, 1.0),
             }
         }
     }
@@ -244,22 +204,9 @@ impl<'a> Campaign<'a> {
     /// in placement order; settling never touches `nodes`, so every due
     /// job is taken out first. Returns the nodes whose residents changed.
     fn settle_due_jobs(&mut self) -> Vec<usize> {
-        let (now, ckpt_mult) = (self.now, self.ckpt_mult);
-        let (mut due, mut changed) = (Vec::new(), Vec::new());
-        for (ni, node) in self.nodes.iter_mut().enumerate().filter(|(_, n)| n.up) {
-            let before = due.len();
-            let mut i = 0;
-            while i < node.running.len() {
-                if node.running[i].projected_event(now, node.degrade, ckpt_mult) <= now + 1e-9 {
-                    due.push((ni, node.running.remove(i)));
-                } else {
-                    i += 1;
-                }
-            }
-            if due.len() > before {
-                changed.push(ni);
-            }
-        }
+        let due = self.take_due(self.now + 1e-9);
+        let mut changed: Vec<usize> = due.iter().map(|&(ni, _)| ni).collect();
+        changed.dedup();
         for (ni, r) in due {
             if r.fail_at.is_some() {
                 // The attempt dies of its own cause (fail_at < solo).
@@ -344,7 +291,6 @@ impl<'a> Campaign<'a> {
     /// the up/down state of every node.
     fn schedule(&mut self) -> Result<(), ClusterError> {
         let now = self.now;
-        let mut views_fresh = false;
         let mut touched: Vec<usize> = Vec::new();
         // Capacity precheck per round: when even the narrowest eligible
         // job cannot fit the freest up node, no capacity-respecting
@@ -354,33 +300,16 @@ impl<'a> Campaign<'a> {
         // with nothing placed anyway, so the outcome is identical
         // for any deterministic policy.) Running before the snapshot
         // build matters: on a backlogged campaign this turns a
-        // head-of-line-blocked round into one integer scan instead of an
+        // head-of-line-blocked round into an index lookup instead of an
         // O(queue) snapshot allocation.
         while let Some(min_ranks) = self.min_eligible_ranks() {
-            let max_free = self
-                .nodes
-                .iter()
-                .filter(|n| n.up)
-                .map(|n| self.cores_per_socket.saturating_sub(n.used_cores()))
-                .max()
-                .unwrap_or(0);
-            if min_ranks > max_free {
+            if min_ranks > self.free.max_free() {
                 break;
             }
-            // First round at this instant: every view is stale (the
-            // projections moved with `now`, faults may have flipped
-            // `up`). Later rounds: only nodes the previous round placed
-            // on (and re-priced) changed — refresh exactly those.
-            if views_fresh {
-                for &ni in &touched {
-                    self.refresh_view(ni);
-                }
-            } else {
-                for ni in 0..self.nodes.len() {
-                    self.refresh_view(ni);
-                }
-                views_fresh = true;
-            }
+            // Only nodes that changed since the last round — this
+            // instant's settles, faults and the previous round's
+            // placements — are refreshed.
+            self.refresh_views();
             // Backoff pending: the view is the eligible subset. None
             // pending (all of a fault-free campaign): every queued entry
             // is past its backoff, so the filter is the identity — skip
@@ -397,7 +326,7 @@ impl<'a> Campaign<'a> {
             };
             let batch = self
                 .policy
-                .schedule(now, &queue_view, &self.node_views, self.oracle)?;
+                .schedule(now, &queue_view, &self.views.views, self.oracle)?;
             touched.clear();
             for p in batch {
                 if self.place(p)? && !touched.contains(&p.node) {
@@ -405,7 +334,7 @@ impl<'a> Campaign<'a> {
                 }
             }
             for &ni in &touched {
-                self.repricer.reprice(&mut self.nodes[ni], self.oracle)?;
+                self.reprice(ni)?;
             }
             if touched.is_empty() {
                 break;
@@ -441,7 +370,9 @@ impl<'a> Campaign<'a> {
     /// longer fits: the batch raced its own earlier placements (or
     /// another stage homed the DAG elsewhere); the next round re-consults.
     pub(super) fn place(&mut self, p: Placement) -> Result<bool, ClusterError> {
-        let Some(qi) = self.queue.iter().position(|q| q.job.id == p.job) else {
+        // The queue is in (arrival, id) order and ids are issued in
+        // admission order, so ids ascend along it (`enqueue` asserts so).
+        let Ok(qi) = self.queue.binary_search_by_key(&p.job, |q| q.job.id) else {
             return Err(ClusterError::Config(format!(
                 "policy {} placed unknown job {}",
                 self.policy.name(),
@@ -450,7 +381,7 @@ impl<'a> Campaign<'a> {
         };
         let (node, job) = (&self.nodes[p.node], &self.queue[qi].job);
         if !node.up
-            || node.used_cores() + job.ranks > self.cores_per_socket
+            || node.used + job.ranks > self.cores_per_socket
             || job.home.is_some_and(|h| h != p.node)
             || self.staging.reserved[p.node] + job.staging > self.config.staging_gib + 1e-9
         {
@@ -508,14 +439,9 @@ impl<'a> Campaign<'a> {
             .job_failure(q.job.id, q.restarts as u64)
             .map(|frac| q.resume + frac * (solo - q.resume))
             .filter(|&fa| fa > q.resume && fa < solo - 1e-9);
-        self.nodes[p.node].running.push(Running {
-            progress: q.resume,
-            q,
-            tenant,
-            solo,
-            slowdown: 1.0,
-            fail_at,
-        });
+        let env = self.nodes[p.node].degrade * self.ckpt_mult;
+        let r = Running::new(q, tenant, solo, fail_at, now, env);
+        self.join(p.node, r);
         Ok(true)
     }
 

@@ -22,6 +22,18 @@
 //! interference is exact for each resident set, held piecewise-constant
 //! between membership changes.
 //!
+//! Between rate changes progress is affine in time, so the loop stores
+//! it that way: each resident keeps an anchor time, the progress banked
+//! there and its rate, and re-anchors only when its node is re-priced,
+//! degrades or crashes. Its next event (completion or own failure) is
+//! then an absolute time that does not move while the rate holds; a
+//! `(time, node, epoch)` heap over the nodes' earliest events picks the
+//! next one, and a re-anchored node's older entries are cancelled by
+//! epoch. A node's busy core-seconds and an attempt's checkpoint tax
+//! accrue when membership changes, and node views are refreshed only
+//! for the nodes that changed — an instant costs work in proportion to
+//! what changed at it, not to the node count.
+//!
 //! ## Faults and checkpoint/restart
 //!
 //! A [`FaultSpec`] expands into a deterministic [`FaultPlan`]: per-node
@@ -79,11 +91,11 @@ mod record;
 pub use record::{CampaignOutcome, JobRecord, BSLD_TAU};
 
 use crate::arrivals::{Arrival, ArrivalSpec};
-use crate::policy::{NodeView, Policy};
+use crate::policy::Policy;
 use crate::predict::Oracle;
 use dag::{DagRun, StagingState};
 use event_loop::ClosedLoop;
-use node::{NodeState, Repricer};
+use node::{EventHeap, FreeCores, NodeState, Repricer, Views};
 use pmemflow_core::{ExecError, ExecutionParams};
 use pmemflow_fault::{CheckpointSpec, FaultPlan, FaultSpec};
 use queue::{QueueIndex, Queued};
@@ -159,7 +171,7 @@ impl From<ExecError> for ClusterError {
 
 /// One campaign in flight: everything the event loop mutates. Its
 /// methods live with their seam: the loop in `event_loop`, DAG settling
-/// in `dag`, node views in `node`.
+/// in `dag`, residents, their events and node views in `node`.
 struct Campaign<'a> {
     config: &'a CampaignConfig,
     policy: &'a dyn Policy,
@@ -189,12 +201,12 @@ struct Campaign<'a> {
     now: f64,
     makespan: f64,
     repricer: Repricer,
-    /// Node-view scratch, alive for the whole campaign and refreshed in
-    /// place: each node keeps its `residents` allocation across rounds,
-    /// so a consult costs field writes, not a thousand fresh `Vec`s.
-    /// (The queue view is still borrowed per round — it holds references
-    /// into `queue`, which the loop mutates between rounds.)
-    node_views: Vec<NodeView>,
+    /// Each node's earliest resident event, epoch-cancelled.
+    events: EventHeap,
+    /// Up nodes by cores in use: the capacity precheck's answer.
+    free: FreeCores,
+    /// The node views policies read, refreshed where marked stale.
+    views: Views,
     /// Closed-loop clients whose submission ended at this instant.
     finished_clients: Vec<usize>,
 }

@@ -62,6 +62,14 @@ impl Queued {
 pub(super) fn enqueue(queue: &mut VecDeque<Queued>, index: &mut QueueIndex, q: Queued, now: f64) {
     index.on_enqueue(&q, now);
     let at = queue.partition_point(|o| (o.job.arrival, o.job.id) <= (q.job.arrival, q.job.id));
+    // Ids are issued in admission order, so they ascend along the queue
+    // too: `Campaign::place` binary-searches on them.
+    debug_assert!(
+        (at == 0 || queue[at - 1].job.id < q.job.id)
+            && queue.get(at).is_none_or(|o| q.job.id < o.job.id),
+        "job {} breaks the queue's id order",
+        q.job.id
+    );
     queue.insert(at, q);
 }
 

@@ -8,8 +8,8 @@ use crate::arrivals::{arrival_for_draw, generate_open, Draw};
 use crate::policy::{all_policies, Fcfs, Placement};
 use pmemflow_dag::{stage_io_seconds, DagClass, GIB};
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_fault::requeue_backoff;
-use std::collections::BTreeMap;
+use pmemflow_fault::{requeue_backoff, FaultEventKind};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn micro_config(n_arrivals: u64, nodes: usize) -> CampaignConfig {
     CampaignConfig {
@@ -592,7 +592,8 @@ fn place_and_take(c: &mut Campaign, id: u64) -> Running {
         config,
     };
     assert!(c.place(placement).unwrap(), "job {id} fits the empty node");
-    c.nodes[0].running.pop().unwrap()
+    let last = c.nodes[0].running.len() - 1;
+    c.take_resident(0, last)
 }
 
 /// Run the source `sim` to completion: its analytics stages are queued
@@ -693,5 +694,64 @@ fn exhausted_stage_without_revival_fails_the_dag() {
     assert_eq!((failed.restarts, failed.lost_work), (3, 7.0));
     for j in c.records.iter().filter(|j| j.id > 1) {
         assert_eq!((j.start, j.restarts), (c.now, 0), "never started");
+    }
+}
+
+/// The per-node indexes the loop keeps instead of scanning every node —
+/// the event heap, the used-core counts behind the free-core index, and
+/// the node views refreshed only where marked stale — are checked
+/// against from-scratch scans at every instant and every policy round
+/// under `debug_assertions`. This campaign spreads that churn over
+/// eight nodes: crashes evacuate residents, degrade windows re-anchor
+/// them, job failures and crashes requeue with backoff, exhausted
+/// stages cascade through their DAGs, and every policy places. The
+/// checks below prove each path ran.
+#[test]
+fn node_indexes_match_reference_scans_under_churn() {
+    let cfg = CampaignConfig {
+        nodes: 8,
+        arrivals: ArrivalSpec::parse("poisson:rate=4,n=160,mix=all+dag").unwrap(),
+        seed: 7,
+        faults: FaultSpec {
+            seed: 99,
+            mtbf: 60.0,
+            repair: 8.0,
+            degrade_mtbf: 30.0,
+            degrade_duration: 10.0,
+            job_fail_prob: 0.15,
+            ..FaultSpec::default()
+        },
+        checkpoint: CheckpointSpec {
+            interval: 3.0,
+            retry_budget: 1,
+            backoff_base: 2.0,
+            ..CheckpointSpec::default()
+        },
+        ..CampaignConfig::default()
+    };
+    let oracle = Oracle::build(&cfg.arrivals.alphabet(), &cfg.exec, 2).unwrap();
+    for policy in all_policies() {
+        let out = run_campaign_with_oracle(&cfg, policy.as_ref(), &oracle).unwrap();
+        let name = policy.name();
+        assert!(out.total_restarts() > 0, "{name}: nothing restarted");
+        assert!(out.failed() > 0, "{name}: no retry budget ran out");
+        assert!(
+            out.jobs
+                .iter()
+                .any(|j| !j.dag.is_empty() && !j.completed && j.start == j.finish),
+            "{name}: no DAG failure cascaded"
+        );
+        let nodes: BTreeSet<usize> = out.jobs.iter().map(|j| j.node).collect();
+        assert_eq!(nodes.len(), cfg.nodes, "{name}: a node never ran a job");
+        assert!(out.total_ckpt_overhead() > 0.0, "{name}: no checkpoint tax");
+        // Crashes and degrade windows both fall inside the campaign.
+        let mut plan = FaultPlan::new(&cfg.faults, cfg.nodes);
+        let mut kinds = Vec::new();
+        while let Some(e) = plan.pop().filter(|e| e.time < out.makespan) {
+            kinds.push(e.kind);
+        }
+        for kind in [FaultEventKind::Crash, FaultEventKind::DegradeStart] {
+            assert!(kinds.contains(&kind), "{name}: no {} fired", kind.label());
+        }
     }
 }

@@ -68,7 +68,7 @@ pub struct QueuedJob {
 }
 
 /// A running job, as policies see it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResidentView {
     /// Submission id.
     pub id: u64,
@@ -78,12 +78,13 @@ pub struct ResidentView {
     pub ranks: usize,
     /// Configuration it runs under.
     pub config: SchedConfig,
-    /// Projected completion time at the current interference rate.
+    /// Projected completion time at the current interference rate (an
+    /// absolute time: it holds until the node's rates next change).
     pub projected_finish: f64,
 }
 
 /// One node's occupancy, as policies see it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeView {
     /// Node id.
     pub id: usize,
@@ -101,10 +102,13 @@ pub struct NodeView {
     /// GiB of staged intermediates currently live on the node (always
     /// within the reserved amount; interference pressure input).
     pub staged_gib: f64,
-    /// Active staging holds as `(estimated_release_time, gib)` — the
-    /// release estimate is the sum of the owning DAG's unsettled stages'
-    /// solo runtimes. One hold per DAG homed on the node, in ascending
-    /// DAG-submission order. EASY's dual-resource shadow walks these.
+    /// Active staging holds as `(remaining_solo_seconds, gib)` — the
+    /// hold is estimated to release the sum of the owning DAG's
+    /// unsettled stages' solo runtimes after the instant it is read at,
+    /// so a policy consulted at `now` reads the release time as
+    /// `now + remaining`. One hold per DAG homed on the node, in
+    /// ascending DAG-submission order. EASY's dual-resource shadow walks
+    /// these.
     pub staging_holds: Vec<(f64, f64)>,
 }
 
@@ -354,7 +358,11 @@ impl Policy for EasyBackfill {
             if head.staging <= staging_free + STAGING_EPS {
                 staging_at = Some(now);
             } else {
-                let mut holds = node.staging_holds.clone();
+                let mut holds: Vec<(f64, f64)> = node
+                    .staging_holds
+                    .iter()
+                    .map(|&(remaining, gib)| (now + remaining, gib))
+                    .collect();
                 holds.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
                 for (release, gib) in holds {
                     staging_free += gib;

@@ -25,6 +25,9 @@
 #![warn(missing_docs)]
 
 use pmemflow_des::rng::SplitMix64;
+use pmemflow_des::SimTime;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Parameters of a fault campaign. All times are seconds of simulated
 /// campaign time; a zero `mtbf`/`degrade_mtbf`/`job_fail_prob` disables
@@ -304,6 +307,9 @@ impl Alternator {
 pub struct FaultPlan {
     spec: FaultSpec,
     streams: Vec<Alternator>,
+    /// Every enabled stream's head as `(time, node, stream)`, so the next
+    /// event costs a heap peek, not a scan over `2 × nodes` streams.
+    heads: BinaryHeap<Reverse<(SimTime, usize, usize)>>,
 }
 
 impl FaultPlan {
@@ -330,9 +336,15 @@ impl FaultPlan {
                 FaultEventKind::DegradeEnd,
             ));
         }
+        let heads = streams
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.peek().map(|e| Reverse((SimTime(e.time), e.node, i))))
+            .collect();
         FaultPlan {
             spec: spec.clone(),
             streams,
+            heads,
         }
     }
 
@@ -341,27 +353,21 @@ impl FaultPlan {
         &self.spec
     }
 
-    /// Index of the stream holding the globally next event, by total
-    /// `(time, node, stream)` order.
-    fn next_stream(&self) -> Option<usize> {
-        self.streams
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.peek().map(|e| (e.time, e.node, i)))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)))
-            .map(|(_, _, i)| i)
-    }
-
     /// Time of the next scheduled event, if any fault class is active.
     pub fn peek_time(&self) -> Option<f64> {
-        self.next_stream()
-            .and_then(|i| self.streams[i].peek().map(|e| e.time))
+        self.heads.peek().map(|Reverse((t, _, _))| t.0)
     }
 
-    /// Consume and return the next scheduled event.
+    /// Consume and return the next scheduled event: the head of the
+    /// stream first in total `(time, node, stream)` order.
     pub fn pop(&mut self) -> Option<FaultEvent> {
-        let i = self.next_stream()?;
-        self.streams[i].pop()
+        let Reverse((_, _, i)) = self.heads.pop()?;
+        let stream = &mut self.streams[i];
+        let event = stream.pop();
+        if let Some(e) = stream.peek() {
+            self.heads.push(Reverse((SimTime(e.time), e.node, i)));
+        }
+        event
     }
 
     /// Stateless per-attempt job failure draw: does attempt `attempt`
@@ -506,6 +512,56 @@ mod tests {
             .take(40)
             .collect();
         assert_eq!(solo, wide);
+    }
+
+    /// The stream a scan over every head picks, by total
+    /// `(time, node, stream)` order: the reference the heap must match.
+    fn scan_next(plan: &FaultPlan) -> Option<usize> {
+        plan.streams
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.peek().map(|e| (e.time, e.node, i)))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)))
+            .map(|(_, _, i)| i)
+    }
+
+    /// The head heap pops exactly the events a full scan would, in the
+    /// same order, over seeded specs with crashes, degrade windows or
+    /// both, on clusters of 1 to 64 nodes.
+    #[test]
+    fn head_heap_matches_reference_scan() {
+        let mut rng = SplitMix64::new(0xFA_017);
+        for case in 0..60u64 {
+            let class = case % 3;
+            let spec = FaultSpec {
+                seed: rng.next_u64(),
+                mtbf: if class != 1 {
+                    rng.range_f64(5.0, 200.0)
+                } else {
+                    0.0
+                },
+                repair: rng.range_f64(1.0, 40.0),
+                degrade_mtbf: if class != 0 {
+                    rng.range_f64(5.0, 200.0)
+                } else {
+                    0.0
+                },
+                degrade_duration: rng.range_f64(1.0, 40.0),
+                ..FaultSpec::default()
+            };
+            let nodes = 1 + rng.range_usize(0, 64);
+            let mut plan = FaultPlan::new(&spec, nodes);
+            for step in 0..400 {
+                let want = scan_next(&plan).expect("streams are infinite");
+                let e = plan.streams[want].peek().copied().expect("head exists");
+                assert_eq!(
+                    plan.peek_time().map(f64::to_bits),
+                    Some(e.time.to_bits()),
+                    "case {case} step {step}"
+                );
+                assert_eq!(plan.pop(), Some(e), "case {case} step {step}");
+            }
+        }
     }
 
     #[test]
