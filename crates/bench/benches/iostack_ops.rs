@@ -4,17 +4,11 @@
 
 use pmemflow_bench::harness::{bench, bench_with_setup, report_throughput};
 use pmemflow_iostack::{NovaFs, NvStore, ObjectStore};
-use pmemflow_pmem::{InterleaveGeometry, PmemRegion};
+use pmemflow_pmem::PmemRegion;
 use std::hint::black_box;
 
 fn region(len: usize) -> PmemRegion {
-    PmemRegion::new(
-        len,
-        InterleaveGeometry {
-            dimms: 6,
-            chunk_bytes: 4096,
-        },
-    )
+    PmemRegion::new(len)
 }
 
 fn main() {

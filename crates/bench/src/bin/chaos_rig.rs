@@ -15,19 +15,9 @@
 //! ```
 
 use pmemflow_bench::{flag_value, parse_or};
-use pmemflow_serve::rig::{run_rig, RigConfig, RigReport};
+use pmemflow_iostack::fnv1a;
+use pmemflow_serve::{run_rig, RigConfig, RigReport};
 use std::fmt::Write as _;
-
-/// FNV-1a over the trace text: a compact fingerprint for the BENCH json
-/// (the full text goes to `--trace-out`).
-fn fnv1a(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn report_json(r: &RigReport, trace_hash: u64) -> String {
     format!(
@@ -87,7 +77,7 @@ fn main() {
             bad = true;
             eprintln!("seed {seed}: trace DIVERGED between identical runs");
         }
-        let hash = fnv1a(&first.trace);
+        let hash = fnv1a(first.trace.as_bytes());
         println!(
             "{}  trace={:016x}{}",
             first.summary(),

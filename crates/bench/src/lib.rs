@@ -36,12 +36,6 @@ impl SuiteResult {
     pub fn matches_paper(&self) -> bool {
         self.model_winner() == self.paper_winner()
     }
-
-    /// Normalized runtime of the paper's winner under the model
-    /// (1.0 = the model agrees it is fastest).
-    pub fn paper_winner_normalized(&self) -> f64 {
-        self.sweep.normalized(self.paper_winner())
-    }
 }
 
 /// The value following `key` in a bench binary's `--key value`
@@ -66,15 +60,16 @@ pub fn parse_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) ->
         .unwrap_or(default)
 }
 
-/// The default worker count for suite fan-out: one per available core.
-pub fn default_jobs() -> usize {
+/// The worker count for suite fan-out: one per available core.
+fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Run the full 18-workload suite under `params`, fanning the 72 runs
-/// over `jobs` worker threads. Results are independent deterministic
-/// simulations, so the output is identical for any `jobs ≥ 1`.
-pub fn run_suite_jobs(params: &ExecutionParams, jobs: usize) -> Vec<SuiteResult> {
+/// over one worker thread per core. Results are independent
+/// deterministic simulations, so the output is identical for any
+/// worker count.
+pub fn run_suite(params: &ExecutionParams) -> Vec<SuiteResult> {
     let entries = paper_suite();
     let mut requests = Vec::with_capacity(entries.len() * SchedConfig::ALL.len());
     for entry in &entries {
@@ -88,7 +83,7 @@ pub fn run_suite_jobs(params: &ExecutionParams, jobs: usize) -> Vec<SuiteResult>
             });
         }
     }
-    let outcomes = run_matrix(requests, params, jobs);
+    let outcomes = run_matrix(requests, params, default_jobs());
     entries
         .into_iter()
         .zip(outcomes.chunks(SchedConfig::ALL.len()))
@@ -104,11 +99,6 @@ pub fn run_suite_jobs(params: &ExecutionParams, jobs: usize) -> Vec<SuiteResult>
             SuiteResult { entry, sweep }
         })
         .collect()
-}
-
-/// Run the full 18-workload suite under `params` with one worker per core.
-pub fn run_suite(params: &ExecutionParams) -> Vec<SuiteResult> {
-    run_suite_jobs(params, default_jobs())
 }
 
 /// Format a one-line-per-workload comparison against Table II.

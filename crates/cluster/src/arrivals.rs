@@ -35,7 +35,7 @@ use pmemflow_workloads::{paper_suite, Family, WorkflowSpec};
 
 /// One workflow submission.
 #[derive(Debug, Clone)]
-pub struct Arrival {
+pub(crate) struct Arrival {
     /// Submission index (0-based, unique, in submission order).
     pub id: u64,
     /// Virtual submission time, seconds.
@@ -44,9 +44,6 @@ pub struct Arrival {
     pub workflow: String,
     /// Ranks per component.
     pub ranks: usize,
-    /// The workflow to run (for a DAG submission: the source stage's
-    /// workflow, kept so every arrival remains runnable stand-alone).
-    pub spec: WorkflowSpec,
     /// Owning client for closed-loop streams (`None` for open streams).
     pub client: Option<usize>,
     /// The stage graph, for DAG-shaped submissions. `workflow` is then
@@ -101,7 +98,7 @@ pub struct TraceRow {
 /// Resolve a family key (CLI workload names, case-insensitive) through
 /// the shared alias table in `pmemflow-workloads` — the same folding the
 /// suite lookup, DAG stage specs, and the serve cache key use.
-pub fn family_by_key(key: &str) -> Option<Family> {
+fn family_by_key(key: &str) -> Option<Family> {
     Family::parse(key)
 }
 
@@ -288,7 +285,7 @@ impl ArrivalSpec {
 
 /// Parse trace text: whitespace-separated `time workload ranks` rows,
 /// `#` comments and blank lines ignored.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceRow>, String> {
+pub(crate) fn parse_trace(text: &str) -> Result<Vec<TraceRow>, String> {
     let mut rows = Vec::new();
     let mut last_time = 0.0f64;
     for (lineno, line) in text.lines().enumerate() {
@@ -369,20 +366,17 @@ pub(crate) fn arrival_for_draw(
             time,
             workflow: family.name().to_string(),
             ranks,
-            spec: family.build(ranks),
             client,
             dag: None,
         },
         Draw::Dag(class) => {
             let label = format!("{}#{id}", class.name());
             let dag = generate_dag(class, &label, rng);
-            let source = &dag.stages[0];
             Arrival {
                 id,
                 time,
                 workflow: label,
                 ranks: dag.stages.iter().map(|s| s.ranks).sum(),
-                spec: source.family.build(source.ranks),
                 client,
                 dag: Some(dag),
             }
@@ -393,7 +387,7 @@ pub(crate) fn arrival_for_draw(
 /// Pre-generate the arrivals of an *open* stream (Poisson or trace).
 /// Closed-loop arrivals depend on completions and are generated by the
 /// campaign loop itself.
-pub fn generate_open(spec: &ArrivalSpec, seed: u64) -> Option<Vec<Arrival>> {
+pub(crate) fn generate_open(spec: &ArrivalSpec, seed: u64) -> Option<Vec<Arrival>> {
     match spec {
         ArrivalSpec::Poisson {
             rate,
@@ -420,7 +414,6 @@ pub fn generate_open(spec: &ArrivalSpec, seed: u64) -> Option<Vec<Arrival>> {
                     time: row.time,
                     workflow: row.family.name().to_string(),
                     ranks: row.ranks,
-                    spec: row.family.build(row.ranks),
                     client: None,
                     dag: None,
                 })

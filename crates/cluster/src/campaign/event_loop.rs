@@ -565,7 +565,6 @@ impl<'a> Campaign<'a> {
             cores_per_node: 2 * self.cores_per_socket,
             staging_capacity: self.config.staging_gib,
             peak_staging_gib: self.staging.peak,
-            corun_sets_priced: self.oracle.corun_cache_len(),
             reprice_secs: self.repricer.spent_ns as f64 / 1e9,
             reprice_calls: self.repricer.calls,
         })

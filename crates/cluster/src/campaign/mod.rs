@@ -88,7 +88,7 @@ mod node;
 mod queue;
 mod record;
 
-pub use record::{CampaignOutcome, JobRecord, BSLD_TAU};
+pub use record::{CampaignOutcome, JobRecord};
 
 use crate::arrivals::{Arrival, ArrivalSpec};
 use crate::policy::Policy;
@@ -211,19 +211,6 @@ struct Campaign<'a> {
     finished_clients: Vec<usize>,
 }
 
-/// Serve `config.arrivals` with `policy`, using up to `jobs` parallel
-/// simulations for the oracle warm-up (never affecting results). Returns
-/// the per-job records and campaign aggregates.
-pub fn run_campaign(
-    config: &CampaignConfig,
-    policy: &dyn Policy,
-    jobs: usize,
-) -> Result<CampaignOutcome, ClusterError> {
-    validate(config)?;
-    let oracle = Oracle::build(&config.arrivals.alphabet(), &config.exec, jobs)?;
-    run_campaign_with_oracle(config, policy, &oracle)
-}
-
 fn validate(config: &CampaignConfig) -> Result<(), ClusterError> {
     if config.nodes == 0 {
         return Err(ClusterError::Config("at least one node required".into()));
@@ -248,7 +235,8 @@ fn validate(config: &CampaignConfig) -> Result<(), ClusterError> {
     Ok(())
 }
 
-/// [`run_campaign`] against a pre-built (shareable) oracle.
+/// Serve `config.arrivals` with `policy` against a pre-built (shareable)
+/// oracle. Returns the per-job records and campaign aggregates.
 pub fn run_campaign_with_oracle(
     config: &CampaignConfig,
     policy: &dyn Policy,

@@ -1,10 +1,11 @@
 //! Per-job records and the campaign outcome, with its JSONL encoding.
 
-use pmemflow_core::{json_escape, json_f64, SchedConfig};
+use pmemflow_core::SchedConfig;
+use pmemflow_des::{json_escape, json_f64};
 
 /// Runtime threshold for bounded slowdown (seconds): jobs shorter than
 /// this are not allowed to dominate the metric (Feitelson's BSLD).
-pub const BSLD_TAU: f64 = 10.0;
+pub(crate) const BSLD_TAU: f64 = 10.0;
 
 /// The fate of one served job.
 #[derive(Debug, Clone)]
@@ -65,7 +66,7 @@ impl JobRecord {
     }
 
     /// Bounded slowdown: `max(response / max(solo, tau), 1)`.
-    pub fn bounded_slowdown(&self, tau: f64) -> f64 {
+    fn bounded_slowdown(&self, tau: f64) -> f64 {
         (self.response() / self.solo.max(tau)).max(1.0)
     }
 
@@ -102,11 +103,6 @@ pub struct CampaignOutcome {
     /// Per-node peak of co-reserved staging GiB over the campaign — the
     /// high-water mark the hard capacity check enforced.
     pub peak_staging_gib: Vec<f64>,
-    /// Distinct co-residency sets priced against the device model so far.
-    /// Diagnostics only: with a shared oracle this counts other concurrent
-    /// campaigns' pricing too, so it is NOT deterministic and is excluded
-    /// from the JSONL.
-    pub corun_sets_priced: usize,
     /// Wall seconds spent inside node re-pricing (the campaign-local
     /// price cache). Timing diagnostics — NOT deterministic, excluded
     /// from the JSONL. Pricing is a small fraction of the loop, below
@@ -119,7 +115,7 @@ pub struct CampaignOutcome {
 impl CampaignOutcome {
     /// The jobs that ran to completion (queueing aggregates cover these;
     /// failed jobs are counted separately, not averaged in).
-    pub fn completed_jobs(&self) -> impl Iterator<Item = &JobRecord> {
+    fn completed_jobs(&self) -> impl Iterator<Item = &JobRecord> {
         self.jobs.iter().filter(|j| j.completed)
     }
 
@@ -164,11 +160,11 @@ impl CampaignOutcome {
     }
 
     /// Mean response time over completed jobs, seconds.
-    pub fn mean_response(&self) -> f64 {
+    pub(crate) fn mean_response(&self) -> f64 {
         mean(self.completed_jobs().map(JobRecord::response))
     }
 
-    /// Mean bounded slowdown over completed jobs (tau = [`BSLD_TAU`]).
+    /// Mean bounded slowdown over completed jobs (tau = `BSLD_TAU`, 10 s).
     pub fn mean_bounded_slowdown(&self) -> f64 {
         mean(self.completed_jobs().map(|j| j.bounded_slowdown(BSLD_TAU)))
     }

@@ -11,6 +11,18 @@ use pmemflow_des::rng::SplitMix64;
 use pmemflow_fault::{requeue_backoff, FaultEventKind};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Build the oracle with up to `jobs` parallel simulations (never
+/// affecting results), then run the campaign.
+fn run_campaign(
+    config: &CampaignConfig,
+    policy: &dyn Policy,
+    jobs: usize,
+) -> Result<CampaignOutcome, ClusterError> {
+    validate(config)?;
+    let oracle = Oracle::build(&config.arrivals.alphabet(), &config.exec, jobs)?;
+    run_campaign_with_oracle(config, policy, &oracle)
+}
+
 fn micro_config(n_arrivals: u64, nodes: usize) -> CampaignConfig {
     CampaignConfig {
         nodes,

@@ -8,18 +8,18 @@
 //!
 //! Three layers:
 //!
-//! * [`arrivals`] — deterministic workflow arrival streams (Poisson,
+//! * [`ArrivalSpec`] — deterministic workflow arrival streams (Poisson,
 //!   closed-loop, trace-file) over the paper's 18-workload suite, plus
 //!   DAG-shaped submissions (`mix=dag`): whole generated stage graphs
 //!   ([`pmemflow_dag`]) that the campaign expands into dependency-gated
 //!   stage jobs.
-//! * [`predict`] — the shared prediction oracle: per-workload
+//! * [`Oracle`] — the shared prediction oracle: per-workload
 //!   configuration sweeps and memoized co-run pricing through the real
 //!   device model.
-//! * [`policy`] + [`campaign`] — four pluggable queue policies (FCFS,
-//!   EASY backfill, Table II rules, interference-aware best fit) driven
-//!   by an event loop that re-prices node interference on every
-//!   resident-set change and emits per-job queueing metrics as
+//! * [`Policy`] + [`run_campaign_with_oracle`] — four pluggable queue
+//!   policies (FCFS, EASY backfill, Table II rules, interference-aware
+//!   best fit) driven by an event loop that re-prices node interference
+//!   on every resident-set change and emits per-job queueing metrics as
 //!   deterministic JSONL.
 //!
 //! PMEM staging capacity is a second schedulable resource: a DAG's
@@ -37,7 +37,8 @@
 //!
 //! ```no_run
 //! use pmemflow_cluster::{
-//!     run_campaign, ArrivalSpec, CampaignConfig, CheckpointSpec, FaultSpec, Fcfs,
+//!     run_campaign_with_oracle, ArrivalSpec, CampaignConfig, CheckpointSpec, FaultSpec, Fcfs,
+//!     Oracle,
 //! };
 //!
 //! let config = CampaignConfig {
@@ -48,28 +49,25 @@
 //!     checkpoint: CheckpointSpec { interval: 60.0, ..CheckpointSpec::default() },
 //!     ..CampaignConfig::default()
 //! };
-//! let outcome = run_campaign(&config, &Fcfs, 4).unwrap();
+//! let oracle = Oracle::build(&config.arrivals.alphabet(), &config.exec, 4).unwrap();
+//! let outcome = run_campaign_with_oracle(&config, &Fcfs, &oracle).unwrap();
 //! println!("{}", outcome.to_jsonl());
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod arrivals;
-pub mod campaign;
-pub mod policy;
-pub mod predict;
+mod arrivals;
+mod campaign;
+mod policy;
+mod predict;
 mod pricing;
 
-pub use arrivals::{generate_open, parse_trace, Arrival, ArrivalSpec, TraceRow};
-pub use campaign::{
-    run_campaign, run_campaign_with_oracle, CampaignConfig, CampaignOutcome, ClusterError,
-    JobRecord, BSLD_TAU,
-};
+pub use arrivals::{ArrivalSpec, TraceRow};
+pub use campaign::{run_campaign_with_oracle, CampaignConfig, CampaignOutcome, ClusterError};
 pub use policy::{
-    all_policies, policy_by_name, EasyBackfill, Fcfs, InterferenceAware, NodeView, Placement,
-    Policy, QueuedJob, ResidentView, Table2Rule, POLICY_CHOICES,
+    all_policies, policy_by_name, Fcfs, NodeView, Placement, Policy, QueuedJob, POLICY_CHOICES,
 };
 pub use predict::{Oracle, TenantKey};
 
-pub use pmemflow_dag::{DagClass, DagSpec, StageKind, StageSpec, DAG_CLASS_CHOICES};
-pub use pmemflow_fault::{CheckpointSpec, FaultEvent, FaultEventKind, FaultPlan, FaultSpec};
+pub use pmemflow_dag::{DagClass, DAG_CLASS_CHOICES};
+pub use pmemflow_fault::{CheckpointSpec, FaultSpec};

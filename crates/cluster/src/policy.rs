@@ -115,7 +115,7 @@ pub struct NodeView {
 impl NodeView {
     /// Cores used per socket (every job pins `ranks` writers on one socket
     /// and `ranks` readers on the other, so both sockets carry the sum).
-    pub fn used_cores(&self) -> usize {
+    fn used_cores(&self) -> usize {
         self.residents.iter().map(|r| r.ranks).sum()
     }
 
@@ -124,13 +124,8 @@ impl NodeView {
         self.up && self.used_cores() + ranks <= self.cores_per_socket
     }
 
-    /// Remaining staging capacity, GiB.
-    pub fn staging_free(&self) -> f64 {
-        self.staging_capacity - self.staging_reserved
-    }
-
     /// The tenant keys of the residents (for co-run pricing).
-    pub fn resident_keys(&self) -> Vec<TenantKey> {
+    fn resident_keys(&self) -> Vec<TenantKey> {
         self.residents
             .iter()
             .map(|r| TenantKey::new(&r.workflow, r.ranks, r.config))
@@ -276,7 +271,7 @@ impl Policy for Fcfs {
 }
 
 /// EASY backfilling over FCFS (see module docs).
-pub struct EasyBackfill;
+pub(crate) struct EasyBackfill;
 
 impl Policy for EasyBackfill {
     fn name(&self) -> &'static str {
@@ -406,7 +401,7 @@ impl Policy for EasyBackfill {
 }
 
 /// Table II rule-based placement (see module docs).
-pub struct Table2Rule;
+pub(crate) struct Table2Rule;
 
 impl Policy for Table2Rule {
     fn name(&self) -> &'static str {
@@ -438,7 +433,7 @@ impl Policy for Table2Rule {
 }
 
 /// Interference-aware best fit (see module docs).
-pub struct InterferenceAware {
+pub(crate) struct InterferenceAware {
     /// Largest acceptable marginal aggregate slowdown for a non-head job
     /// to join a node. A lone tenant costs exactly 1.0, so the default
     /// allows co-location only while the *total* added stretch (the job's

@@ -187,7 +187,7 @@ impl Oracle {
 
     /// The Table II recommendation: the matching table row's configuration
     /// when one exists, otherwise the rule engine's pick.
-    pub fn table2_config(&self, workflow: &str, ranks: usize) -> SchedConfig {
+    pub(crate) fn table2_config(&self, workflow: &str, ranks: usize) -> SchedConfig {
         let profile = self.profile(workflow, ranks);
         match classify(&profile) {
             Some(row) => row.config,
@@ -279,11 +279,6 @@ impl Oracle {
         lock_recover(&self.maps).corun.len()
     }
 
-    /// Number of workloads characterized so far (diagnostics).
-    pub fn alphabet_len(&self) -> usize {
-        lock_recover(&self.maps).entries.len()
-    }
-
     /// The execution parameters every prediction runs under.
     pub fn exec(&self) -> &ExecutionParams {
         &self.exec
@@ -337,7 +332,7 @@ mod tests {
         let exec = ExecutionParams::default();
         let prebuilt = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
         let lazy = Oracle::new(&exec);
-        assert_eq!(lazy.alphabet_len(), 0);
+        assert_eq!(lock_recover(&lazy.maps).entries.len(), 0);
         for (name, ranks, spec) in tiny_alphabet() {
             assert!(!lazy.contains(&name, ranks));
             lazy.ensure(&name, ranks, &spec).unwrap();
@@ -358,7 +353,7 @@ mod tests {
                 prebuilt.table2_config(&name, ranks)
             );
         }
-        assert_eq!(lazy.alphabet_len(), 2);
+        assert_eq!(lock_recover(&lazy.maps).entries.len(), 2);
     }
 
     #[test]

@@ -3,9 +3,20 @@
 //! output across worker counts.
 
 use pmemflow_cluster::{
-    all_policies, run_campaign, run_campaign_with_oracle, ArrivalSpec, CampaignConfig,
-    CheckpointSpec, FaultSpec, Fcfs, Oracle,
+    all_policies, run_campaign_with_oracle, ArrivalSpec, CampaignConfig, CampaignOutcome,
+    CheckpointSpec, ClusterError, FaultSpec, Fcfs, Oracle, Policy,
 };
+
+/// Build the oracle with up to `jobs` parallel simulations, as the CLI
+/// does, then run the campaign.
+fn run_campaign(
+    config: &CampaignConfig,
+    policy: &dyn Policy,
+    jobs: usize,
+) -> Result<CampaignOutcome, ClusterError> {
+    let oracle = Oracle::build(&config.arrivals.alphabet(), &config.exec, jobs)?;
+    run_campaign_with_oracle(config, policy, &oracle)
+}
 
 /// A bursty stream over one micro family (3 rank levels): high rate so the
 /// queue actually builds and placements contend for capacity.

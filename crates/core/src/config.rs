@@ -92,7 +92,7 @@ impl SchedConfig {
     }
 
     /// The writer's locality relative to the PMEM channel.
-    pub fn writer_locality(&self) -> Locality {
+    pub(crate) fn writer_locality(&self) -> Locality {
         match self.placement {
             Placement::LocW => Locality::Local,
             Placement::LocR => Locality::Remote,
@@ -100,7 +100,7 @@ impl SchedConfig {
     }
 
     /// The reader's locality relative to the PMEM channel.
-    pub fn reader_locality(&self) -> Locality {
+    pub(crate) fn reader_locality(&self) -> Locality {
         match self.placement {
             Placement::LocW => Locality::Remote,
             Placement::LocR => Locality::Local,

@@ -22,12 +22,12 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod coschedule;
+mod coschedule;
 mod executor;
 mod metrics;
 pub mod native;
 pub mod report;
-pub mod runner;
+mod runner;
 pub mod sync;
 
 pub use config::{ExecMode, Placement, SchedConfig};
@@ -39,6 +39,4 @@ pub use executor::{
     execute, execute_component_standalone, sweep, ExecError, ExecutionParams, StandaloneReport,
 };
 pub use metrics::{ComponentMetrics, ConfigSweep, RunMetrics};
-pub use runner::{
-    full_matrix, json_escape, json_f64, map_ordered, run_matrix, RunOutcome, RunRequest,
-};
+pub use runner::{full_matrix, map_ordered, run_matrix, RunOutcome, RunRequest};

@@ -4,7 +4,7 @@
 //! workflow: writer threads generate payloads and `put` them into a real
 //! [`ObjectStore`] (NOVA-like or NVStream-like over a [`PmemRegion`]),
 //! reader threads `get` and verify every version. Device behaviour is
-//! imposed by a [`Shaper`] that delays each operation according to the same
+//! imposed by a rate shaper that delays each operation according to the same
 //! [`DeviceProfile`] curves the DES uses — scaled by `time_scale` so demos
 //! finish quickly on commodity hardware.
 //!
@@ -17,8 +17,7 @@ use crate::config::{ExecMode, SchedConfig};
 use crate::sync::lock_recover;
 use pmemflow_des::{Direction, Locality};
 use pmemflow_iostack::{NovaFs, NvStore, ObjectStore, StackKind};
-use pmemflow_platform::SocketId;
-use pmemflow_pmem::{DeviceProfile, InterleaveGeometry, PmemRegion};
+use pmemflow_pmem::{DeviceProfile, PmemRegion};
 use pmemflow_workloads::WorkflowSpec;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -73,7 +72,7 @@ pub struct NativeReport {
 /// rate comes from the device profile's class capacity at the current
 /// concurrency — the same quantities the fluid model uses, applied
 /// per-operation.
-pub struct Shaper {
+struct Shaper {
     profile: DeviceProfile,
     time_scale: f64,
     in_flight: Mutex<[usize; 4]>,
@@ -102,20 +101,14 @@ impl Shaper {
 
     /// Total shaping delay handed out so far, across all threads. This is
     /// the model's view of device time, free of thread-scheduling noise.
-    pub fn shaped_total(&self) -> Duration {
+    fn shaped_total(&self) -> Duration {
         Duration::from_secs_f64(*lock_recover(&self.shaped_total))
     }
 
     /// Compute the shaping delay for an operation of `bytes` bytes. The
     /// operation counts as in-flight for the duration of the returned
     /// delay, so concurrent callers see each other's pressure.
-    pub fn delay_for(
-        &self,
-        dir: Direction,
-        loc: Locality,
-        object_bytes: u64,
-        bytes: u64,
-    ) -> Duration {
+    fn delay_for(&self, dir: Direction, loc: Locality, object_bytes: u64, bytes: u64) -> Duration {
         let idx = class_index(dir, loc);
         let (n_total, n_remote, n_class) = {
             let g = lock_recover(&self.in_flight);
@@ -154,13 +147,7 @@ impl Shaper {
 }
 
 fn make_store(params: &NativeParams) -> Box<dyn ObjectStore + Send> {
-    let region = PmemRegion::new(
-        params.region_bytes,
-        InterleaveGeometry {
-            dimms: 6,
-            chunk_bytes: 4096,
-        },
-    );
+    let region = PmemRegion::new(params.region_bytes);
     match params.stack {
         StackKind::Nova => Box::new(
             NovaFs::format(region, 64, 1 << 20).expect("region large enough for NOVA layout"),
@@ -224,11 +211,6 @@ pub fn run_native(
     let shaper = Arc::new(Shaper::new(params.profile.clone(), params.time_scale));
     let w_loc = config.writer_locality();
     let r_loc = config.reader_locality();
-    // Socket bookkeeping mirrors the DES deployment (channel on socket 0).
-    let _writer_socket = match config.placement {
-        crate::config::Placement::LocW => SocketId(0),
-        crate::config::Placement::LocR => SocketId(1),
-    };
 
     let object_bytes = spec.writer.io.object_bytes;
     let objects = spec.writer.io.objects_per_snapshot;

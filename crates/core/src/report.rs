@@ -1,27 +1,9 @@
-//! Plain-text/CSV/Markdown emitters for run results.
+//! Plain-text emitter for run results.
 //!
-//! The figure binaries in `pmemflow-bench` print the same rows and series
-//! the paper's plots show; these helpers keep the formatting in one place.
+//! The figure binaries in `pmemflow-bench` print the same rows the
+//! paper's plots show; this keeps the formatting in one place.
 
-use crate::config::SchedConfig;
 use crate::metrics::ConfigSweep;
-
-/// Format seconds with three decimals.
-pub fn fmt_secs(s: f64) -> String {
-    format!("{s:.3}")
-}
-
-/// Format bytes as a human-readable power-of-two quantity.
-pub fn fmt_bytes(b: f64) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = b;
-    let mut u = 0;
-    while v >= 1024.0 && u < UNITS.len() - 1 {
-        v /= 1024.0;
-        u += 1;
-    }
-    format!("{v:.1}{}", UNITS[u])
-}
 
 /// One figure-panel table: runtimes per configuration, split for serial
 /// runs (the paper's split bar graphs).
@@ -35,11 +17,11 @@ pub fn panel_table(sweep: &ConfigSweep) -> String {
             crate::config::ExecMode::Parallel => (run.writer.finish_time, 0.0),
         };
         out.push_str(&format!(
-            "{:<7} {:>8} {:>9} {:>9} {:>5.2}{}\n",
+            "{:<7} {:>8.3} {:>9.3} {:>9.3} {:>5.2}{}\n",
             run.config.label(),
-            fmt_secs(run.total),
-            fmt_secs(w),
-            fmt_secs(r),
+            run.total,
+            w,
+            r,
             sweep.normalized(run.config),
             if run.config == sweep.best().config {
                 "  <- best"
@@ -51,35 +33,10 @@ pub fn panel_table(sweep: &ConfigSweep) -> String {
     out
 }
 
-/// CSV rows (one per config) with a header, for plotting.
-pub fn panel_csv(sweep: &ConfigSweep) -> String {
-    let mut out =
-        String::from("workflow,config,total_s,writer_finish_s,reader_finish_s,normalized\n");
-    for run in &sweep.runs {
-        out.push_str(&format!(
-            "{},{},{:.6},{:.6},{:.6},{:.6}\n",
-            sweep.workflow,
-            run.config.label(),
-            run.total,
-            run.writer.finish_time,
-            run.reader.finish_time,
-            sweep.normalized(run.config)
-        ));
-    }
-    out
-}
-
-/// The Fig. 10 style normalized series for one sweep.
-pub fn normalized_series(sweep: &ConfigSweep) -> Vec<(SchedConfig, f64)> {
-    SchedConfig::ALL
-        .iter()
-        .map(|&c| (c, sweep.normalized(c)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedConfig;
     use crate::metrics::{ComponentMetrics, RunMetrics};
     use pmemflow_des::ResourceReport;
 
@@ -114,33 +71,11 @@ mod tests {
     }
 
     #[test]
-    fn fmt_bytes_units() {
-        assert_eq!(fmt_bytes(512.0), "512.0B");
-        assert_eq!(fmt_bytes(2048.0), "2.0KiB");
-        assert_eq!(fmt_bytes((80u64 << 30) as f64), "80.0GiB");
-    }
-
-    #[test]
     fn table_marks_best() {
         let t = panel_table(&sweep());
         assert!(t.contains("S-LocW"));
         assert!(t
             .lines()
             .any(|l| l.contains("S-LocW") && l.contains("best")));
-    }
-
-    #[test]
-    fn csv_has_header_and_four_rows() {
-        let csv = panel_csv(&sweep());
-        assert_eq!(csv.lines().count(), 5);
-        assert!(csv.starts_with("workflow,config"));
-    }
-
-    #[test]
-    fn normalized_series_ordering() {
-        let s = normalized_series(&sweep());
-        assert_eq!(s.len(), 4);
-        assert!((s[0].1 - 1.0).abs() < 1e-12);
-        assert!((s[3].1 - 2.0).abs() < 1e-12);
     }
 }

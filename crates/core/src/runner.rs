@@ -19,6 +19,7 @@ use crate::config::SchedConfig;
 use crate::executor::{execute, ExecutionParams};
 use crate::metrics::RunMetrics;
 use crate::sync::lock_recover;
+use pmemflow_des::{json_escape, json_f64};
 use pmemflow_iostack::StackKind;
 use pmemflow_workloads::{paper_suite, WorkflowSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -163,13 +164,6 @@ pub fn full_matrix() -> Vec<RunRequest> {
     }
     requests
 }
-
-// The canonical JSON string/number formatting rules live in the engine
-// crate ([`pmemflow_des::json`]) so every emitter in the workspace —
-// JSONL records here, Chrome traces in `des`, the serving daemon's
-// response bodies — shares one implementation. Re-exported under the
-// original paths for compatibility.
-pub use pmemflow_des::json::{json_escape, json_f64};
 
 impl RunOutcome {
     /// Serialize as one JSON Lines record (no trailing newline).

@@ -13,10 +13,8 @@
 //!   ([`DagEdge`]) carry data volumes that are staged through PMEM
 //!   between stages, priced through the iostack snapshot path
 //!   ([`stage_io_seconds`]).
-//! * A deterministic topological planner — [`DagSpec::topo_order`]
-//!   (Kahn's algorithm, smallest-index-first, so the order is a pure
-//!   function of the graph) and [`topo_schedule`] (earliest-start plan +
-//!   critical path given per-stage solo runtimes).
+//! * [`DagSpec::validate`] rejects cycles (Kahn's algorithm) and
+//!   malformed edges before a graph reaches a campaign.
 //! * A seeded generator ([`generate`]) over four DAG classes
 //!   ([`DagClass`]: pipeline, fan-out, fan-in, diamond) that multiplies
 //!   the 18-workload suite into hundreds of scenarios.
@@ -34,4 +32,4 @@ mod schedule;
 
 pub use generate::{generate, DagClass, DAG_CLASS_CHOICES};
 pub use graph::{DagEdge, DagError, DagSpec, StageKind, StageSpec, GIB};
-pub use schedule::{stage_io_seconds, topo_schedule, DagPlan, StagePlan};
+pub use schedule::stage_io_seconds;

@@ -1,4 +1,4 @@
-//! Staging-I/O pricing and the deterministic topological planner.
+//! Staging-I/O pricing.
 
 use crate::graph::DagSpec;
 use pmemflow_core::ExecutionParams;
@@ -43,71 +43,10 @@ pub fn stage_io_seconds(spec: &DagSpec, stage: usize, exec: &ExecutionParams) ->
     secs
 }
 
-/// One stage's slot in a [`DagPlan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct StagePlan {
-    /// Stage index in the spec.
-    pub stage: usize,
-    /// Earliest start: max over predecessors' finishes (0 for sources).
-    pub start: f64,
-    /// `start + runtime[stage]`.
-    pub finish: f64,
-}
-
-/// An earliest-start execution plan on unbounded resources — the
-/// dependency-only lower bound the campaign's realized schedule is
-/// compared against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPlan {
-    /// Per-stage slots, in deterministic topological order.
-    pub stages: Vec<StagePlan>,
-    /// Critical-path length: the latest finish.
-    pub critical_path: f64,
-    /// Sum of all stage runtimes (the serial lower bound).
-    pub total_work: f64,
-}
-
-/// Plan the DAG against per-stage solo runtimes (seconds, indexed like
-/// `spec.stages`): earliest-start times assuming unlimited capacity.
-/// Deterministic — stages are visited in [`DagSpec::topo_order`].
-///
-/// Panics if the graph is cyclic or `runtime` is mis-sized; validate
-/// first.
-pub fn topo_schedule(spec: &DagSpec, runtime: &[f64]) -> DagPlan {
-    assert_eq!(
-        runtime.len(),
-        spec.stages.len(),
-        "one runtime per stage of {:?}",
-        spec.name
-    );
-    let mut finish = vec![0.0f64; spec.stages.len()];
-    let mut stages = Vec::with_capacity(spec.stages.len());
-    for i in spec.topo_order() {
-        let start = spec
-            .predecessors(i)
-            .into_iter()
-            .map(|p| finish[p])
-            .fold(0.0f64, f64::max);
-        finish[i] = start + runtime[i];
-        stages.push(StagePlan {
-            stage: i,
-            start,
-            finish: finish[i],
-        });
-    }
-    DagPlan {
-        critical_path: finish.iter().copied().fold(0.0, f64::max),
-        total_work: runtime.iter().sum(),
-        stages,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{generate, DagClass};
     use crate::graph::{DagEdge, StageKind, StageSpec};
-    use pmemflow_des::rng::SplitMix64;
     use pmemflow_workloads::Family;
 
     fn chain() -> DagSpec {
@@ -137,28 +76,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn plan_respects_dependencies_and_critical_path() {
-        let plan = topo_schedule(&chain(), &[10.0, 20.0, 5.0]);
-        assert_eq!(plan.stages[0].start, 0.0);
-        assert_eq!(plan.stages[1].start, 10.0);
-        assert_eq!(plan.stages[2].start, 30.0);
-        assert_eq!(plan.critical_path, 35.0);
-        assert_eq!(plan.total_work, 35.0);
-    }
-
-    #[test]
-    fn fanout_stages_start_together() {
-        let mut rng = SplitMix64::new(3);
-        let d = generate(DagClass::FanOut, "f", &mut rng);
-        let runtimes: Vec<f64> = (0..d.stages.len()).map(|i| 10.0 + i as f64).collect();
-        let plan = topo_schedule(&d, &runtimes);
-        for sp in &plan.stages[1..] {
-            assert_eq!(sp.start, runtimes[0]);
-        }
-        assert!(plan.critical_path < plan.total_work);
     }
 
     #[test]

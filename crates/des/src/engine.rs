@@ -309,18 +309,6 @@ impl Simulation {
         self
     }
 
-    /// Cap the number of events processed before the run aborts.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
-    /// Cap the virtual clock before the run aborts.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
     /// Register a fluid resource governed by `allocator`.
     pub fn add_resource(&mut self, allocator: Box<dyn RateAllocator>) -> ResourceId {
         let id = ResourceId(self.resources.len());
@@ -988,7 +976,8 @@ mod tests {
 
     #[test]
     fn event_budget_enforced() {
-        let mut sim = Simulation::new().with_event_budget(10);
+        let mut sim = Simulation::new();
+        sim.event_budget = 10;
         let mut actions = Vec::new();
         for _ in 0..100 {
             actions.push(Action::Compute(SimDuration(0.001)));
@@ -1002,7 +991,8 @@ mod tests {
 
     #[test]
     fn horizon_enforced() {
-        let mut sim = Simulation::new().with_horizon(SimTime(1.0));
+        let mut sim = Simulation::new();
+        sim.horizon = SimTime(1.0);
         sim.spawn(Box::new(ScriptProcess::new(
             "slow",
             vec![Action::Compute(SimDuration(5.0))],

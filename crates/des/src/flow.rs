@@ -93,26 +93,6 @@ impl FlowAttrs {
     pub fn duty_cycle(&self, rate: f64) -> f64 {
         (1.0 - rate * self.sw_time_per_byte).clamp(0.0, 1.0)
     }
-
-    /// Given a *device* rate grant `dev_rate` (bytes/s while on the device),
-    /// the resulting end-to-end rate including software time.
-    pub fn end_to_end_rate(&self, dev_rate: f64) -> f64 {
-        if dev_rate <= 0.0 {
-            return 0.0;
-        }
-        1.0 / (self.sw_time_per_byte + 1.0 / dev_rate)
-    }
-
-    /// Invert [`FlowAttrs::end_to_end_rate`]: the device rate needed to
-    /// sustain end-to-end rate `rate`.
-    pub fn device_rate_for(&self, rate: f64) -> f64 {
-        let denom = 1.0 - rate * self.sw_time_per_byte;
-        if denom <= 0.0 {
-            f64::INFINITY
-        } else {
-            rate / denom
-        }
-    }
 }
 
 /// A flow's class: every [`FlowAttrs`] field, floats by bits. Flows of one
@@ -152,7 +132,7 @@ pub struct ClassView {
 
 /// Identifier of a flow within the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowId(pub(crate) u64);
+pub(crate) struct FlowId(pub(crate) u64);
 
 /// A rate-allocation policy for one shared resource.
 ///
@@ -302,22 +282,6 @@ mod tests {
         // At the intrinsic rate, half the time is software.
         let d = b.duty_cycle(b.intrinsic_rate());
         assert!((d - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn end_to_end_roundtrip() {
-        let a = attrs(2e-10, 5e9);
-        let dev = 3e9;
-        let e2e = a.end_to_end_rate(dev);
-        let back = a.device_rate_for(e2e);
-        assert!((back - dev).abs() / dev < 1e-9);
-    }
-
-    #[test]
-    fn end_to_end_zero_device_rate() {
-        let a = attrs(1e-9, 1e9);
-        assert_eq!(a.end_to_end_rate(0.0), 0.0);
-        assert_eq!(a.end_to_end_rate(-1.0), 0.0);
     }
 
     fn fill(caps: &[f64], capacity: f64) -> Vec<f64> {

@@ -55,16 +55,16 @@
 
 mod engine;
 mod flow;
-pub mod json;
+mod json;
 mod process;
 pub mod rng;
 mod stats;
 mod time;
-pub mod trace;
+mod trace;
 
 pub use engine::{SimError, Simulation};
 pub use flow::{
-    water_fill, ClassView, Direction, FairShareAllocator, FlowAttrs, FlowClass, FlowId, Locality,
+    water_fill, ClassView, Direction, FairShareAllocator, FlowAttrs, FlowClass, Locality,
     RateAllocator, UncontendedAllocator,
 };
 pub use json::{json_escape, json_f64};

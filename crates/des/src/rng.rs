@@ -57,7 +57,7 @@ impl SplitMix64 {
     }
 
     /// Fill `buf` with pseudorandom bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
+    fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(8);
         for chunk in &mut chunks {
             chunk.copy_from_slice(&self.next_u64().to_le_bytes());

@@ -35,15 +35,6 @@ impl ProcessReport {
             .find(|(_, l)| *l == label)
             .map(|(t, _)| *t)
     }
-
-    /// The last mark with the given label, if any.
-    pub fn last_mark(&self, label: &str) -> Option<SimTime> {
-        self.marks
-            .iter()
-            .rev()
-            .find(|(_, l)| *l == label)
-            .map(|(t, _)| *t)
-    }
 }
 
 /// Traffic and occupancy accounting for one fluid resource.
@@ -146,26 +137,6 @@ pub struct SimReport {
     pub timeline: Option<crate::trace::Timeline>,
 }
 
-impl SimReport {
-    /// Latest finish time across processes whose name passes `pred`.
-    pub fn finish_time_where(&self, pred: impl Fn(&str) -> bool) -> Option<SimTime> {
-        self.processes
-            .iter()
-            .filter(|p| pred(&p.name))
-            .filter_map(|p| p.finished_at)
-            .max()
-    }
-
-    /// Earliest mark with `label` across processes whose name passes `pred`.
-    pub fn first_mark_where(&self, label: &str, pred: impl Fn(&str) -> bool) -> Option<SimTime> {
-        self.processes
-            .iter()
-            .filter(|p| pred(&p.name))
-            .filter_map(|p| p.mark(label))
-            .min()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +195,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(p.mark("io-start"), Some(SimTime(1.0)));
-        assert_eq!(p.last_mark("io-start"), Some(SimTime(2.0)));
         assert_eq!(p.mark("missing"), None);
     }
 }

@@ -69,12 +69,6 @@ impl SimDuration {
         Self::from_secs(us * 1e-6)
     }
 
-    /// Construct from nanoseconds.
-    #[inline]
-    pub fn from_nanos(ns: f64) -> SimDuration {
-        Self::from_secs(ns * 1e-9)
-    }
-
     /// The span in seconds.
     #[inline]
     pub fn seconds(self) -> f64 {
@@ -83,7 +77,7 @@ impl SimDuration {
 
     /// True if this span is zero (or numerically indistinguishable from it).
     #[inline]
-    pub fn is_zero(self) -> bool {
+    pub(crate) fn is_zero(self) -> bool {
         self.0 <= 0.0
     }
 }
@@ -234,7 +228,6 @@ mod tests {
     #[test]
     fn unit_constructors() {
         assert!((SimDuration::from_micros(1.0).seconds() - 1e-6).abs() < 1e-18);
-        assert!((SimDuration::from_nanos(90.0).seconds() - 9e-8).abs() < 1e-20);
     }
 
     #[test]

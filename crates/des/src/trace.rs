@@ -22,7 +22,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Single-character glyph for ASCII rendering.
-    pub fn glyph(self) -> char {
+    fn glyph(self) -> char {
         match self {
             SpanKind::Compute => '#',
             SpanKind::Io => '=',

@@ -55,7 +55,7 @@ fn overpromised_rates_are_clamped_to_intrinsic() {
 
 #[test]
 fn zero_rates_still_terminate() {
-    let mut sim = Simulation::new().with_horizon(pmemflow_des::SimTime(1e8));
+    let mut sim = Simulation::new();
     let r = sim.add_resource(Box::new(StingyAllocator));
     sim.spawn(Box::new(ScriptProcess::new(
         "w",

@@ -71,11 +71,6 @@ impl Default for FaultSpec {
 }
 
 impl FaultSpec {
-    /// Whether any fault class is active.
-    pub fn enabled(&self) -> bool {
-        self.mtbf > 0.0 || self.degrade_mtbf > 0.0 || self.job_fail_prob > 0.0
-    }
-
     /// Validate ranges, returning a human-readable complaint.
     pub fn validate(&self) -> Result<(), String> {
         for (name, v) in [
@@ -445,7 +440,6 @@ mod tests {
     #[test]
     fn default_spec_is_silent() {
         let spec = FaultSpec::default();
-        assert!(!spec.enabled());
         spec.validate().unwrap();
         let mut plan = FaultPlan::new(&spec, 8);
         assert_eq!(plan.peek_time(), None);

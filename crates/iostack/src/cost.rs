@@ -93,7 +93,7 @@ pub struct StackCostModel {
 
 impl StackCostModel {
     /// CPU seconds per operation for the given direction.
-    pub fn op_cost(&self, dir: Direction) -> f64 {
+    fn op_cost(&self, dir: Direction) -> f64 {
         match dir {
             Direction::Read => self.read_op_cost,
             Direction::Write => self.write_op_cost,
@@ -101,7 +101,7 @@ impl StackCostModel {
     }
 
     /// CPU seconds per byte for the given direction.
-    pub fn byte_cost(&self, dir: Direction) -> f64 {
+    fn byte_cost(&self, dir: Direction) -> f64 {
         match dir {
             Direction::Read => self.read_byte_cost,
             Direction::Write => self.write_byte_cost,

@@ -18,7 +18,7 @@ pub fn fnv1a(data: &[u8]) -> u64 {
 }
 
 /// FNV-1a over several slices, as if concatenated.
-pub fn fnv1a_multi(parts: &[&[u8]]) -> u64 {
+pub(crate) fn fnv1a_multi(parts: &[&[u8]]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0100_0000_01b3;
     let mut h = OFFSET;

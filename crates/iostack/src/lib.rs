@@ -26,7 +26,7 @@ mod nvstream;
 mod store;
 
 pub use cost::{StackCostModel, StackKind};
-pub use hash::{fnv1a, fnv1a_multi};
+pub use hash::fnv1a;
 pub use nova::NovaFs;
 pub use nvstream::NvStore;
 pub use store::{CrashPoint, ObjectStore, StoreError};

@@ -276,7 +276,7 @@ impl NovaFs {
 
     /// Create a stream (an inode). Idempotent: returns the existing inode
     /// if the name is already present.
-    pub fn create(&mut self, name: &str) -> Result<u64, StoreError> {
+    fn create(&mut self, name: &str) -> Result<u64, StoreError> {
         if name.is_empty() || name.len() > MAX_NAME {
             return Err(StoreError::Invalid(format!(
                 "name must be 1..={MAX_NAME} bytes"
@@ -408,83 +408,6 @@ impl NovaFs {
         Ok(())
     }
 
-    /// Drop every version of `stream` older than `keep_from`. The inode's
-    /// log head moves forward past the truncated prefix (an atomic 8-byte
-    /// update, as in NOVA's log truncation); the freed log entries and
-    /// payloads become garbage until a compactor reclaims them — exactly
-    /// the trade NOVA makes to keep truncation O(1) in persistence ops.
-    pub fn truncate_before(&mut self, stream: &str, keep_from: u64) -> Result<u64, StoreError> {
-        let Some(&ino) = self.inodes.get(stream) else {
-            return Err(StoreError::UnknownStream(stream.to_string()));
-        };
-        // Find the first surviving entry by walking the chain.
-        let ibuf = self.read_inode(ino);
-        let mut entry_off = get_u64(&ibuf, INO_OFF_HEAD);
-        let mut dropped = 0u64;
-        let mut new_head = 0u64;
-        while entry_off != 0 {
-            let ebuf = self.read_entry_buf(entry_off)?;
-            let version = get_u64(&ebuf, ENT_OFF_VERSION);
-            if version >= keep_from {
-                new_head = entry_off;
-                break;
-            }
-            self.index.remove(&(ino, version));
-            dropped += 1;
-            entry_off = get_u64(&ebuf, ENT_OFF_NEXT);
-        }
-        if entry_off == 0 {
-            // Everything truncated: clear head and tail together via the
-            // journal (two locations).
-            let tail_probe = {
-                let ibuf = self.read_inode(ino);
-                get_u64(&ibuf, INO_OFF_TAIL)
-            };
-            if tail_probe != 0 {
-                let off_head = self.inode_off(ino) + INO_OFF_HEAD as u64;
-                let off_tail = self.inode_off(ino) + INO_OFF_TAIL as u64;
-                let zero = [0u8; 8];
-                self.region.write(off_head, &zero, StoreMode::Cached);
-                self.region.write(off_tail, &zero, StoreMode::Cached);
-                self.region.flush(off_head, 8);
-                self.region.flush(off_tail, 8);
-                self.region.fence();
-            }
-            return Ok(dropped);
-        }
-        // Atomic head advance.
-        let off = self.inode_off(ino) + INO_OFF_HEAD as u64;
-        let mut b = [0u8; 8];
-        put_u64(&mut b, 0, new_head);
-        self.region.write(off, &b, StoreMode::Cached);
-        self.region.persist(off, 8);
-        Ok(dropped)
-    }
-
-    /// Remove `stream` entirely: clears the inode's used flag (the commit
-    /// point, one atomic persist) and forgets its versions. The log chain
-    /// and payloads become garbage.
-    pub fn unlink(&mut self, stream: &str) -> Result<(), StoreError> {
-        let Some(&ino) = self.inodes.get(stream) else {
-            return Err(StoreError::UnknownStream(stream.to_string()));
-        };
-        let off = self.inode_off(ino);
-        let zero = [0u8; 8];
-        self.region
-            .write(off + INO_OFF_FLAGS as u64, &zero, StoreMode::Cached);
-        self.region.persist(off + INO_OFF_FLAGS as u64, 8);
-        self.inodes.remove(stream);
-        let keys: Vec<(u64, u64)> = self
-            .index
-            .range((ino, 0)..=(ino, u64::MAX))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in keys {
-            self.index.remove(&k);
-        }
-        Ok(())
-    }
-
     /// Borrow the backing region (e.g. to inject a crash in tests).
     pub fn region_mut(&mut self) -> &mut PmemRegion {
         &mut self.region
@@ -493,16 +416,6 @@ impl NovaFs {
     /// Consume the filesystem, returning the region.
     pub fn into_region(self) -> PmemRegion {
         self.region
-    }
-
-    /// Bytes of data area used.
-    pub fn data_bytes_used(&self) -> u64 {
-        self.data_bump - self.data_start
-    }
-
-    /// Number of log entries allocated.
-    pub fn log_entries_used(&self) -> u64 {
-        (self.log_bump - self.log_start) / ENTRY_BYTES
     }
 }
 
@@ -553,16 +466,9 @@ impl ObjectStore for NovaFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmemflow_pmem::InterleaveGeometry;
 
     fn region(len: usize) -> PmemRegion {
-        PmemRegion::new(
-            len,
-            InterleaveGeometry {
-                dimms: 6,
-                chunk_bytes: 4096,
-            },
-        )
+        PmemRegion::new(len)
     }
 
     fn fs() -> NovaFs {
@@ -584,7 +490,6 @@ mod tests {
         }
         assert_eq!(f.versions("s"), (1..=10).collect::<Vec<_>>());
         assert_eq!(f.get("s", 7).unwrap(), b"payload-7");
-        assert_eq!(f.log_entries_used(), 10);
     }
 
     #[test]
@@ -760,73 +665,5 @@ mod tests {
     #[test]
     fn kind_is_nova() {
         assert_eq!(fs().kind(), StackKind::Nova);
-    }
-
-    #[test]
-    fn truncate_before_drops_prefix_and_survives_recovery() {
-        let mut f = fs();
-        for v in 1..=8u64 {
-            f.put("s", v, format!("v{v}").as_bytes()).unwrap();
-        }
-        let dropped = f.truncate_before("s", 5).unwrap();
-        assert_eq!(dropped, 4);
-        assert_eq!(f.versions("s"), vec![5, 6, 7, 8]);
-        assert!(f.get("s", 3).is_err());
-        assert_eq!(f.get("s", 6).unwrap(), b"v6");
-        // Durable: the head advance persists across a crash.
-        let mut r = f.into_region();
-        r.crash();
-        let mut f2 = NovaFs::recover(r).unwrap();
-        assert_eq!(f2.versions("s"), vec![5, 6, 7, 8]);
-        assert_eq!(f2.get("s", 8).unwrap(), b"v8");
-        // Appending continues to work after truncation.
-        f2.put("s", 9, b"v9").unwrap();
-        assert_eq!(f2.get("s", 9).unwrap(), b"v9");
-    }
-
-    #[test]
-    fn truncate_everything_resets_stream() {
-        let mut f = fs();
-        for v in 1..=3u64 {
-            f.put("s", v, b"x").unwrap();
-        }
-        assert_eq!(f.truncate_before("s", 100).unwrap(), 3);
-        assert!(f.versions("s").is_empty());
-        f.put("s", 101, b"fresh").unwrap();
-        assert_eq!(f.get("s", 101).unwrap(), b"fresh");
-        let mut r = f.into_region();
-        r.crash();
-        let f2 = NovaFs::recover(r).unwrap();
-        assert_eq!(f2.versions("s"), vec![101]);
-    }
-
-    #[test]
-    fn unlink_removes_stream_durably() {
-        let mut f = fs();
-        f.put("a", 1, b"x").unwrap();
-        f.put("b", 1, b"y").unwrap();
-        f.unlink("a").unwrap();
-        assert!(matches!(f.get("a", 1), Err(StoreError::UnknownStream(_))));
-        assert_eq!(f.get("b", 1).unwrap(), b"y");
-        let mut r = f.into_region();
-        r.crash();
-        let mut f2 = NovaFs::recover(r).unwrap();
-        assert_eq!(f2.streams(), vec!["b"]);
-        // The inode slot is reusable.
-        f2.put("c", 1, b"z").unwrap();
-        assert_eq!(f2.get("c", 1).unwrap(), b"z");
-    }
-
-    #[test]
-    fn truncate_unknown_stream_errors() {
-        let mut f = fs();
-        assert!(matches!(
-            f.truncate_before("nope", 1),
-            Err(StoreError::UnknownStream(_))
-        ));
-        assert!(matches!(
-            f.unlink("nope"),
-            Err(StoreError::UnknownStream(_))
-        ));
     }
 }

@@ -2,16 +2,10 @@
 //! persistent state, never silently return wrong data.
 
 use pmemflow_iostack::{NovaFs, NvStore, ObjectStore, StoreError};
-use pmemflow_pmem::{InterleaveGeometry, PmemRegion, StoreMode};
+use pmemflow_pmem::{PmemRegion, StoreMode};
 
 fn region(len: usize) -> PmemRegion {
-    PmemRegion::new(
-        len,
-        InterleaveGeometry {
-            dimms: 6,
-            chunk_bytes: 4096,
-        },
-    )
+    PmemRegion::new(len)
 }
 
 /// Flip one byte somewhere in the region (simulating media corruption) and

@@ -3,6 +3,7 @@
 //! [`NetIo`] seam so a fault-injecting transport ([`crate::chaos`])
 //! exercises the exact code paths real sockets take.
 
+use crate::rng::Sm64;
 use std::io::{self, Read, Write};
 
 /// The transport seam the byte plumbing is written against: a
@@ -136,20 +137,20 @@ impl WriteBuf {
 pub struct AcceptBackoff {
     /// Consecutive exhaustion events (resets on a successful accept).
     strikes: u32,
-    rng: u64,
+    rng: Sm64,
 }
 
 impl AcceptBackoff {
     /// Base delay for the first strike.
-    pub const BASE_MS: u64 = 25;
+    const BASE_MS: u64 = 25;
     /// Ceiling on the exponential part.
-    pub const MAX_MS: u64 = 2_000;
+    const MAX_MS: u64 = 2_000;
 
     /// A fresh backoff with a jitter seed.
     pub fn new(seed: u64) -> AcceptBackoff {
         AcceptBackoff {
             strikes: 0,
-            rng: seed | 1,
+            rng: Sm64(seed | 1),
         }
     }
 
@@ -160,13 +161,7 @@ impl AcceptBackoff {
             .saturating_shl(self.strikes.min(16))
             .min(Self::MAX_MS);
         self.strikes = self.strikes.saturating_add(1);
-        // SplitMix64 step for the jitter draw — no external RNG crates.
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let jitter = z % (exp / 2 + 1);
+        let jitter = self.rng.next_u64() % (exp / 2 + 1);
         std::time::Duration::from_millis(exp + jitter)
     }
 

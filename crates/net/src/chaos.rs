@@ -36,35 +36,10 @@
 
 use crate::buffer::NetIo;
 use crate::reactor::NetListener;
+use crate::rng::Sm64;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// SplitMix64, same constants as `pmemflow_des::rng` (this crate stays
-/// dependency-free, so the three-line generator is restated here).
-struct Sm64(u64);
-
-impl Sm64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[lo, hi]` (inclusive; `hi < lo` collapses to `lo`).
-    fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        if hi <= lo {
-            return lo;
-        }
-        lo + self.next_u64() % (hi - lo + 1)
-    }
-}
 
 /// An independent stream for one entity, derived statelessly from
 /// `(seed, salt, id)` — the `pmemflow-fault` idiom: no draw order
@@ -356,7 +331,7 @@ impl ChaosPlan {
     /// Does accept number `k` (0-based, global order) fail with
     /// `EMFILE`? Stateless hashed draw, same idiom as per-attempt fault
     /// decisions in `pmemflow-fault`.
-    pub fn accept_fails(&self, k: u64) -> bool {
+    fn accept_fails(&self, k: u64) -> bool {
         if self.spec.p_accept_emfile <= 0.0 {
             return false;
         }
@@ -453,20 +428,6 @@ impl<T> ChaosIo<T> {
     /// Faults applied so far, in application order.
     pub fn applied(&self) -> &[AppliedFault] {
         &self.applied
-    }
-
-    /// The terminal that has triggered, if any.
-    pub fn terminal_hit(&self) -> Option<Terminal> {
-        if self.reset_hit || self.eof_hit {
-            Some(self.sched.terminal)
-        } else {
-            None
-        }
-    }
-
-    /// The wrapped transport.
-    pub fn get_ref(&self) -> &T {
-        &self.inner
     }
 
     /// First armed offset at or beyond `pos` among the remaining faults
@@ -1365,7 +1326,7 @@ mod tests {
         wb.push(&(0..32u8).collect::<Vec<_>>());
         // flush retries Interrupted and partial writes internally.
         assert!(wb.flush(&mut io).unwrap());
-        assert_eq!(io.get_ref().written, (0..32u8).collect::<Vec<_>>());
+        assert_eq!(io.inner.written, (0..32u8).collect::<Vec<_>>());
         assert_eq!(io.applied().len(), 2);
         assert!(!io.applied()[0].read);
         assert_eq!(io.applied()[0].offset, 3);
@@ -1390,7 +1351,8 @@ mod tests {
             io::ErrorKind::ConnectionReset,
             "a triggered reset poisons writes too"
         );
-        assert_eq!(io.terminal_hit(), Some(Terminal::Reset(10)));
+        assert!(io.reset_hit && !io.eof_hit);
+        assert_eq!(io.sched.terminal, Terminal::Reset(10));
     }
 
     #[test]

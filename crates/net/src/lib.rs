@@ -1,28 +1,28 @@
 //! `pmemflow_net` — a std-only epoll readiness reactor.
 //!
-//! The serving daemon ([`pmemflow_serve`]) needs to multiplex thousands
+//! The serving daemon (`pmemflow_serve`) needs to multiplex thousands
 //! of keep-alive connections from one or two I/O threads; the workspace
 //! builds with **zero external crates**, so this crate brings its own
-//! floor: a raw syscall shim ([`sys`], `epoll`/`eventfd`/`prlimit64` by
+//! floor: a raw syscall shim (`sys`: `epoll`/`eventfd`/`setsockopt` by
 //! number through the C library's `syscall(2)` entry point), a readiness
-//! [`reactor`] (edge- or level-triggered interest, cross-thread
-//! [`reactor::Waker`]), an integer-tick hashed [`timer`] wheel for
-//! connection deadlines, a generation-stamped [`slab`] whose keys ride
-//! in epoll tokens, and the byte plumbing nonblocking sockets need
-//! ([`buffer`]: drain-reads, partial-write buffers, jittered
-//! fd-exhaustion backoff).
+//! [`Reactor`] (edge- or level-triggered interest, cross-thread
+//! [`Waker`]), an integer-tick hashed [`TimerWheel`] for connection
+//! deadlines, a generation-stamped [`Slab`] whose keys ride in epoll
+//! tokens, and the byte plumbing nonblocking sockets need
+//! ([`drain_read`], the partial-write [`WriteBuf`], the jittered
+//! fd-exhaustion [`AcceptBackoff`]).
 //!
 //! Nothing in here knows about HTTP or the model — the crate is the
 //! event loop floor; protocol state machines live with their protocol.
 //!
-//! The floor is also torturable: [`chaos`] compiles a seed into
+//! The floor is also torturable: [`ChaosPlan`] compiles a seed into
 //! per-connection byte-offset fault schedules (the `pmemflow-fault`
 //! discipline applied to sockets) and injects them either inside the
-//! process — [`chaos::ChaosIo`] over the [`buffer::NetIo`] seam,
-//! [`chaos::ChaosListener`] over the [`reactor::NetListener`] seam — or
-//! from outside through a reactor-based loopback proxy
-//! ([`chaos::ChaosProxy`]) that fragments, stalls, half-closes, and
-//! RSTs real TCP connections, byte-identically per seed.
+//! process — [`ChaosIo`] over the [`NetIo`] seam, [`ChaosListener`]
+//! over the [`NetListener`] seam — or from outside through a
+//! reactor-based loopback proxy ([`ChaosProxy`]) that fragments,
+//! stalls, half-closes, and RSTs real TCP connections,
+//! byte-identically per seed.
 //!
 //! ```text
 //!    Waker (eventfd) ──┐
@@ -32,16 +32,17 @@
 //!   TimerWheel ── next deadline as poll timeout ─┘ (advance on tick)
 //! ```
 
-pub mod buffer;
-pub mod chaos;
-pub mod reactor;
-pub mod slab;
-pub mod sys;
-pub mod timer;
+mod buffer;
+mod chaos;
+mod reactor;
+mod rng;
+mod slab;
+mod sys;
+mod timer;
 
 pub use buffer::{drain_read, is_fd_exhaustion, AcceptBackoff, NetIo, ReadOutcome, WriteBuf};
 pub use chaos::{
-    AppliedFault, ChaosIo, ChaosListener, ChaosPlan, ChaosProxy, ChaosSpec, ConnSchedule, FaultAt,
+    AppliedFault, ChaosIo, ChaosListener, ChaosPlan, ChaosProxy, ChaosSpec, ConnSchedule,
     FaultKind, ProxyConfig, Terminal,
 };
 pub use reactor::{Event, Interest, NetListener, Reactor, Token, Waker};

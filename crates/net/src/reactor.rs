@@ -60,13 +60,13 @@ impl NetListener for TcpListener {
 }
 
 /// Caller-chosen cookie identifying a registered fd. The reactor
-/// reserves [`Token::WAKER`] for its internal eventfd.
+/// reserves `Token(u64::MAX)` for its internal eventfd.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Token(pub u64);
 
 impl Token {
     /// Reserved for the reactor's own wakeup eventfd; never delivered.
-    pub const WAKER: Token = Token(u64::MAX);
+    pub(crate) const WAKER: Token = Token(u64::MAX);
 }
 
 /// What to watch for on a registered fd.
@@ -86,16 +86,8 @@ pub struct Interest {
 }
 
 impl Interest {
-    /// Level-triggered readable.
-    pub const READ: Interest = Interest {
-        readable: true,
-        writable: false,
-        edge: false,
-        exclusive: false,
-    };
-
     /// Edge-triggered readable.
-    pub const fn edge_read() -> Interest {
+    pub(crate) const fn edge_read() -> Interest {
         Interest {
             readable: true,
             writable: false,
@@ -205,17 +197,6 @@ impl Reactor {
         sys::epoll_ctl(
             self.epfd.as_fd(),
             sys::EPOLL_CTL_ADD,
-            fd,
-            interest.bits(),
-            token.0,
-        )
-    }
-
-    /// Change what `fd` is watched for.
-    pub fn reregister(&self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        sys::epoll_ctl(
-            self.epfd.as_fd(),
-            sys::EPOLL_CTL_MOD,
             fd,
             interest.bits(),
             token.0,

@@ -243,15 +243,8 @@ mod tests {
     /// alias live entries. Model-checked against a plain map.
     #[test]
     fn stale_keys_never_alias_live_entries_under_random_churn() {
-        let mut rng = 0x5eed_cafe_u64;
-        let mut next = move || {
-            // SplitMix64 step (self-contained; no external crates).
-            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = crate::rng::Sm64(0x5eed_cafe_u64);
+        let mut next = move || rng.next_u64();
         let mut slab: Slab<u64> = Slab::new();
         let mut live: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         let mut dead: Vec<Key> = Vec::new();

@@ -5,7 +5,7 @@
 //! library, which exports the variadic `syscall(2)` entry point — this
 //! module declares that one symbol and issues the handful of calls the
 //! reactor needs (`epoll_create1`, `epoll_ctl`, `epoll_pwait`,
-//! `eventfd2`, `prlimit64`, and `read`/`write` for the eventfd) by
+//! `eventfd2`, `setsockopt`, and `read`/`write` for the eventfd) by
 //! number, with per-architecture tables for x86_64 and aarch64. File
 //! descriptors ride in and out as [`std::os::fd`] types so ownership and
 //! close-on-drop stay in std's hands.
@@ -28,7 +28,6 @@ mod nr {
     pub const EPOLL_PWAIT: super::c_long = 281;
     pub const EVENTFD2: super::c_long = 290;
     pub const EPOLL_CREATE1: super::c_long = 291;
-    pub const PRLIMIT64: super::c_long = 302;
     pub const SETSOCKOPT: super::c_long = 54;
 }
 
@@ -40,7 +39,6 @@ mod nr {
     pub const EPOLL_PWAIT: super::c_long = 22;
     pub const EVENTFD2: super::c_long = 19;
     pub const EPOLL_CREATE1: super::c_long = 20;
-    pub const PRLIMIT64: super::c_long = 261;
     pub const SETSOCKOPT: super::c_long = 208;
 }
 
@@ -55,7 +53,6 @@ const EFD_CLOEXEC_NONBLOCK: c_int = 0o2000000 | 0o4000;
 /// `epoll_ctl` operations.
 pub const EPOLL_CTL_ADD: c_int = 1;
 pub const EPOLL_CTL_DEL: c_int = 2;
-pub const EPOLL_CTL_MOD: c_int = 3;
 
 /// Readiness flag bits (`EPOLL*` from `sys/epoll.h`).
 pub const EPOLLIN: u32 = 0x001;
@@ -239,55 +236,6 @@ pub fn set_linger_zero(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
-/// `RLIMIT_NOFILE` resource id.
-const RLIMIT_NOFILE: c_int = 7;
-
-#[repr(C)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Rlimit64 {
-    cur: u64,
-    max: u64,
-}
-
-/// The process's (soft, hard) open-file limits via `prlimit64`.
-pub fn rlimit_nofile() -> io::Result<(u64, u64)> {
-    let mut old = Rlimit64 { cur: 0, max: 0 };
-    cvt(unsafe {
-        syscall(
-            nr::PRLIMIT64,
-            0 as c_long, // self
-            RLIMIT_NOFILE as c_long,
-            std::ptr::null::<Rlimit64>(),
-            &mut old as *mut Rlimit64,
-        )
-    })?;
-    Ok((old.cur, old.max))
-}
-
-/// Raise the soft `RLIMIT_NOFILE` toward the hard limit, returning the
-/// resulting soft limit. Needs no privileges; a no-op when the soft
-/// limit already meets `want`.
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    let (cur, max) = rlimit_nofile()?;
-    if cur >= want {
-        return Ok(cur);
-    }
-    let new = Rlimit64 {
-        cur: want.min(max),
-        max,
-    };
-    cvt(unsafe {
-        syscall(
-            nr::PRLIMIT64,
-            0 as c_long,
-            RLIMIT_NOFILE as c_long,
-            &new as *const Rlimit64,
-            std::ptr::null_mut::<Rlimit64>(),
-        )
-    })?;
-    Ok(new.cur)
-}
-
 /// Tiny helper so call sites stay terse: a `BorrowedFd` as the `c_long`
 /// the variadic syscall ABI expects.
 trait AsRawFdLong {
@@ -332,14 +280,5 @@ mod tests {
         // Drained, the readiness clears.
         eventfd_drain(efd.as_fd());
         assert_eq!(epoll_wait(ep.as_fd(), &mut events, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn nofile_limit_reads_and_reraises() {
-        let (cur, max) = rlimit_nofile().expect("prlimit64 read");
-        assert!(cur > 0 && max >= cur);
-        // Re-asserting the current limit must succeed and change nothing.
-        let after = raise_nofile_limit(cur).expect("prlimit64 write");
-        assert_eq!(after, cur);
     }
 }

@@ -161,14 +161,8 @@ mod tests {
     /// past-deadlines.
     #[test]
     fn wheel_matches_reference_model_under_random_schedules() {
-        let mut rng = 0x7157_0001_u64;
-        let mut next = move || {
-            rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = rng;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut rng = crate::rng::Sm64(0x7157_0001_u64);
+        let mut next = move || rng.next_u64();
         for slots in [2usize, 8, 16] {
             let mut wheel = TimerWheel::new(slots);
             // deadline -> ids, mirroring the wheel's clamp rule.

@@ -65,11 +65,6 @@ impl Node {
         &self.sockets[id.0]
     }
 
-    /// Total core count.
-    pub fn total_cores(&self) -> usize {
-        self.sockets.iter().map(|s| s.cores.len()).sum()
-    }
-
     /// Cores per socket (assumes a homogeneous node).
     pub fn cores_per_socket(&self) -> usize {
         self.sockets[0].cores.len()
@@ -84,7 +79,7 @@ mod tests {
     fn paper_testbed_shape() {
         let n = Node::paper_testbed();
         assert_eq!(n.sockets.len(), 2);
-        assert_eq!(n.total_cores(), 56);
+        assert_eq!(n.sockets.iter().map(|s| s.cores.len()).sum::<usize>(), 56);
         assert_eq!(n.cores_per_socket(), 28);
         assert_eq!(n.socket(SocketId(1)).pmem_bytes, 6 * 512 * 1_000_000_000);
     }

@@ -414,7 +414,7 @@ mod tests {
         let p = profile();
         let naive_cap = p.class_capacity(Direction::Write, Locality::Local, 2048, 24.0, 0.0);
         let naive_dev = naive_cap / 24.0;
-        let naive_rate = heavy_sw[0].end_to_end_rate(naive_dev);
+        let naive_rate = 1.0 / (heavy_sw[0].sw_time_per_byte + 1.0 / naive_dev);
         for (r, f) in rates.iter().zip(heavy_sw.iter()) {
             let intr = f.intrinsic_rate();
             assert!(*r > naive_rate, "rate {r} vs naive {naive_rate}");

@@ -97,7 +97,7 @@ impl Curve {
 /// and a large-access plateau. Used for single-thread bandwidth as a
 /// function of access (object) granularity: tiny accesses waste stripe and
 /// XPLine bandwidth, large streaming accesses reach the device peak.
-pub fn log_size_interp(
+pub(crate) fn log_size_interp(
     size_bytes: u64,
     small_size: u64,
     small_value: f64,

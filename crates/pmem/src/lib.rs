@@ -13,8 +13,9 @@
 //! * [`OptaneAllocator`] — the fluid rate allocator plugged into
 //!   `pmemflow-des`, turning concurrent flow sets into per-flow bandwidth
 //!   under contention, locality, granularity and mixing effects.
-//! * [`Interleaver`] / [`XpBuffer`] — mechanistic models of striping and
-//!   the device-internal write-combining cache.
+//! * [`Interleaver`] / [`simulate_random_access`] — a mechanistic
+//!   DIMM-queue model of striping, a cross-check of the calibrated
+//!   small-access efficiency.
 //! * [`PmemRegion`] — real bytes with durability tracking.
 //! * [`bandwidth_table`] / [`headline_ratios`] — §II-B characterization
 //!   tables regenerated from the model.
@@ -28,13 +29,11 @@ mod dimmsim;
 mod interleave;
 mod profile;
 mod region;
-mod xpbuffer;
 
 pub use allocator::OptaneAllocator;
-pub use curves::{log_size_interp, Curve};
+pub use curves::Curve;
 pub use devicebench::{bandwidth_table, headline_ratios, BandwidthRow, HeadlineRatios};
 pub use dimmsim::{granularity_sweep, simulate_random_access, DimmSimResult};
 pub use interleave::{DimmSegment, Interleaver};
 pub use profile::{DeviceProfile, InterleaveGeometry, GB};
-pub use region::{PmemRegion, RegionStats, StoreMode, CACHE_LINE};
-pub use xpbuffer::{XpBuffer, XpBufferStats, XPLINE_BYTES};
+pub use region::{PmemRegion, StoreMode};

@@ -16,16 +16,12 @@
 //!
 //! [`PmemRegion::crash`] discards everything volatile, exactly like a power
 //! cut; recovery tests in the I/O stacks run against the surviving media
-//! image. The region also accounts per-DIMM traffic via the interleaver and
-//! media write amplification via the XPBuffer model.
+//! image.
 
-use crate::interleave::Interleaver;
-use crate::profile::InterleaveGeometry;
-use crate::xpbuffer::XpBuffer;
 use std::collections::BTreeMap;
 
 /// CPU cache-line size used by the volatile overlay.
-pub const CACHE_LINE: u64 = 64;
+pub(crate) const CACHE_LINE: u64 = 64;
 
 /// How a store travels to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,23 +32,6 @@ pub enum StoreMode {
     NonTemporal,
 }
 
-/// Traffic accounting for a region.
-#[derive(Debug, Clone, Default)]
-pub struct RegionStats {
-    /// Bytes written by callers (either mode).
-    pub bytes_written: u64,
-    /// Bytes read by callers.
-    pub bytes_read: u64,
-    /// Bytes that reached the media (flushes + fences).
-    pub bytes_persisted: u64,
-    /// Per-DIMM byte totals (reads + persisted writes).
-    pub per_dimm_bytes: Vec<u64>,
-    /// Number of `flush` calls.
-    pub flushes: u64,
-    /// Number of `fence` calls.
-    pub fences: u64,
-}
-
 /// A simulated PMEM device region storing real bytes.
 #[derive(Debug)]
 pub struct PmemRegion {
@@ -61,26 +40,15 @@ pub struct PmemRegion {
     overlay: BTreeMap<u64, [u8; CACHE_LINE as usize]>,
     /// Non-temporal stores awaiting a fence, in program order.
     wc_pending: Vec<(u64, Vec<u8>)>,
-    interleaver: Interleaver,
-    xpbuffer: XpBuffer,
-    stats: RegionStats,
 }
 
 impl PmemRegion {
-    /// Allocate a zeroed region of `len` bytes with the given interleave
-    /// geometry.
-    pub fn new(len: usize, geometry: InterleaveGeometry) -> Self {
-        let dimms = geometry.dimms;
+    /// Allocate a zeroed region of `len` bytes.
+    pub fn new(len: usize) -> Self {
         Self {
             media: vec![0u8; len],
             overlay: BTreeMap::new(),
             wc_pending: Vec::new(),
-            interleaver: Interleaver::new(geometry),
-            xpbuffer: XpBuffer::new(16 * 1024),
-            stats: RegionStats {
-                per_dimm_bytes: vec![0; dimms],
-                ..Default::default()
-            },
         }
     }
 
@@ -107,7 +75,6 @@ impl PmemRegion {
     /// Store `data` at `offset` with the given mode.
     pub fn write(&mut self, offset: u64, data: &[u8], mode: StoreMode) {
         self.check_range(offset, data.len());
-        self.stats.bytes_written += data.len() as u64;
         match mode {
             StoreMode::Cached => {
                 // Spread the bytes over cache lines in the overlay.
@@ -140,15 +107,6 @@ impl PmemRegion {
     /// (reads see the newest store, durable or not).
     pub fn read(&mut self, offset: u64, out: &mut [u8]) {
         self.check_range(offset, out.len());
-        self.stats.bytes_read += out.len() as u64;
-        for (d, b) in self
-            .interleaver
-            .bytes_per_dimm(offset, out.len() as u64)
-            .into_iter()
-            .enumerate()
-        {
-            self.stats.per_dimm_bytes[d] += b;
-        }
         out.copy_from_slice(&self.media[offset as usize..offset as usize + out.len()]);
         // Newest-wins: cached overlay first, then pending NT stores in
         // program order (an NT store after a cached store to the same bytes
@@ -185,7 +143,6 @@ impl PmemRegion {
             return;
         }
         self.check_range(offset, len as usize);
-        self.stats.flushes += 1;
         let first_line = offset / CACHE_LINE;
         let last_line = (offset + len - 1) / CACHE_LINE;
         let lines: Vec<u64> = self
@@ -198,18 +155,14 @@ impl PmemRegion {
             let s = (line * CACHE_LINE) as usize;
             let e = (s + CACHE_LINE as usize).min(self.media.len());
             self.media[s..e].copy_from_slice(&contents[..e - s]);
-            self.account_persist(line * CACHE_LINE, (e - s) as u64);
         }
     }
 
     /// Fence (`sfence`): commit all pending non-temporal stores to media.
     pub fn fence(&mut self) {
-        self.stats.fences += 1;
-        let pending = std::mem::take(&mut self.wc_pending);
-        for (offset, data) in pending {
+        for (offset, data) in self.wc_pending.drain(..) {
             let s = offset as usize;
             self.media[s..s + data.len()].copy_from_slice(&data);
-            self.account_persist(offset, data.len() as u64);
         }
     }
 
@@ -217,19 +170,6 @@ impl PmemRegion {
     pub fn persist(&mut self, offset: u64, len: u64) {
         self.flush(offset, len);
         self.fence();
-    }
-
-    fn account_persist(&mut self, offset: u64, len: u64) {
-        self.stats.bytes_persisted += len;
-        for (d, b) in self
-            .interleaver
-            .bytes_per_dimm(offset, len)
-            .into_iter()
-            .enumerate()
-        {
-            self.stats.per_dimm_bytes[d] += b;
-        }
-        self.xpbuffer.write(offset, len);
     }
 
     /// Power cut: all volatile state (cache overlay, pending NT stores) is
@@ -245,31 +185,6 @@ impl PmemRegion {
         self.wc_pending.clear();
         lost
     }
-
-    /// Bytes that would be lost if the machine crashed now.
-    pub fn volatile_bytes(&self) -> u64 {
-        self.overlay.len() as u64 * CACHE_LINE
-            + self
-                .wc_pending
-                .iter()
-                .map(|(_, d)| d.len() as u64)
-                .sum::<u64>()
-    }
-
-    /// Traffic statistics.
-    pub fn stats(&self) -> &RegionStats {
-        &self.stats
-    }
-
-    /// Media write amplification observed by the XPBuffer model.
-    pub fn write_amplification(&self) -> f64 {
-        self.xpbuffer.stats().write_amplification()
-    }
-
-    /// The interleaver used for address mapping.
-    pub fn interleaver(&self) -> &Interleaver {
-        &self.interleaver
-    }
 }
 
 #[cfg(test)]
@@ -277,13 +192,7 @@ mod tests {
     use super::*;
 
     fn region() -> PmemRegion {
-        PmemRegion::new(
-            1 << 20,
-            InterleaveGeometry {
-                dimms: 6,
-                chunk_bytes: 4096,
-            },
-        )
+        PmemRegion::new(1 << 20)
     }
 
     #[test]
@@ -384,32 +293,16 @@ mod tests {
     }
 
     #[test]
-    fn volatile_bytes_accounting() {
+    fn crash_reports_the_volatile_bytes_it_drops() {
         let mut r = region();
-        assert_eq!(r.volatile_bytes(), 0);
         r.write(0, &[1u8; 64], StoreMode::Cached);
-        assert_eq!(r.volatile_bytes(), 64);
         r.write(1000, &[2u8; 100], StoreMode::NonTemporal);
-        assert_eq!(r.volatile_bytes(), 164);
+        assert_eq!(r.crash(), 164);
+        r.write(0, &[1u8; 64], StoreMode::Cached);
+        r.write(1000, &[2u8; 100], StoreMode::NonTemporal);
         r.flush(0, 64);
         r.fence();
-        assert_eq!(r.volatile_bytes(), 0);
-    }
-
-    #[test]
-    fn stats_track_traffic() {
-        let mut r = region();
-        r.write(0, &[0u8; 4096], StoreMode::NonTemporal);
-        r.fence();
-        let mut buf = vec![0u8; 4096];
-        r.read(0, &mut buf);
-        let s = r.stats();
-        assert_eq!(s.bytes_written, 4096);
-        assert_eq!(s.bytes_read, 4096);
-        assert_eq!(s.bytes_persisted, 4096);
-        // 4 KB at offset 0 lands entirely on DIMM 0; the read adds 4 KB too.
-        assert_eq!(s.per_dimm_bytes[0], 8192);
-        assert_eq!(s.per_dimm_bytes[1], 0);
+        assert_eq!(r.crash(), 0);
     }
 
     #[test]

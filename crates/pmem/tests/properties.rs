@@ -2,10 +2,7 @@
 //! (seeded generator, reproducible failures).
 
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_pmem::{
-    Curve, DeviceProfile, InterleaveGeometry, Interleaver, PmemRegion, StoreMode, XpBuffer,
-    XPLINE_BYTES,
-};
+use pmemflow_pmem::{Curve, DeviceProfile, InterleaveGeometry, Interleaver, PmemRegion, StoreMode};
 use std::collections::BTreeMap;
 
 /// Curve evaluation stays within the convex hull of the calibration points
@@ -72,13 +69,7 @@ fn region_read_your_writes_and_durability() {
         let len = rng.range_usize(1, 2000);
         let data = rng.bytes(len);
         let cached = rng.next_bool();
-        let mut r = PmemRegion::new(
-            1 << 16,
-            InterleaveGeometry {
-                dimms: 6,
-                chunk_bytes: 4096,
-            },
-        );
+        let mut r = PmemRegion::new(1 << 16);
         if offset as usize + data.len() > r.len() {
             continue;
         }
@@ -115,13 +106,7 @@ fn region_unpersisted_is_lost() {
             *b = (*b % 255) + 1; // 1..=255, never 0
         }
         let cached = rng.next_bool();
-        let mut r = PmemRegion::new(
-            1 << 16,
-            InterleaveGeometry {
-                dimms: 6,
-                chunk_bytes: 4096,
-            },
-        );
+        let mut r = PmemRegion::new(1 << 16);
         if offset as usize + data.len() > r.len() {
             continue;
         }
@@ -139,29 +124,6 @@ fn region_unpersisted_is_lost() {
             out.iter().all(|&b| b == 0),
             "unpersisted bytes visible after crash"
         );
-    }
-}
-
-/// XPBuffer: write amplification is always within bounds once drained,
-/// and media bytes are a multiple of the XPLine size.
-#[test]
-fn xpbuffer_amplification_bounds() {
-    let mut rng = SplitMix64::new(0xc0_0005);
-    for _case in 0..256 {
-        let n_writes = rng.range_usize(1, 200);
-        let mut buf = XpBuffer::new(16 * 1024);
-        for _ in 0..n_writes {
-            buf.write(rng.range_u64(0, 100_000), rng.range_u64(1, 2048));
-        }
-        buf.drain();
-        let s = buf.stats();
-        assert_eq!(s.media_bytes % XPLINE_BYTES, 0);
-        // Amplification can't exceed (XPLINE per touched line) / 1 byte,
-        // but with ≥1-byte writes it is at most 256; with drained buffer
-        // it is at least... media ≥ host only when writes don't coalesce;
-        // the hard invariant is media ≥ lines touched × 256 ≥ host/256.
-        assert!(s.write_amplification() >= 1.0 / 256.0);
-        assert!(s.media_bytes >= s.host_bytes / 256);
     }
 }
 

@@ -69,7 +69,6 @@ pub fn characterize(
 
     let sim_io_index = writer.component.io_index();
     let analytics_io_index = reader.component.io_index();
-    let sim_throughput = writer.device.busy_throughput();
     // Effective device concurrency: flow concurrency weighted by duty
     // cycle (software time is off-device) and by the fraction of the run
     // the component's I/O is active — §VIII's "the actual level of
@@ -102,7 +101,6 @@ pub fn characterize(
         analytics_io_index,
         sim_device_concurrency: n_w,
         analytics_device_concurrency: n_r,
-        sim_throughput,
         write_saturation,
     })
 }

@@ -25,7 +25,7 @@ pub enum Level {
 impl Level {
     /// Classify an I/O index (0..1): the fraction of a component's
     /// iteration spent in I/O when run standalone with local PMEM.
-    pub fn from_io_index(idx: f64) -> Level {
+    pub(crate) fn from_io_index(idx: f64) -> Level {
         if idx >= 0.6 {
             Level::High
         } else if idx >= 0.3 {
@@ -38,7 +38,7 @@ impl Level {
     }
 
     /// Classify a compute share (1 − I/O index).
-    pub fn from_compute_share(share: f64) -> Level {
+    pub(crate) fn from_compute_share(share: f64) -> Level {
         if share >= 0.6 {
             Level::High
         } else if share >= 0.3 {
@@ -88,8 +88,6 @@ pub struct WorkflowProfile {
     pub sim_device_concurrency: f64,
     /// Mean effective device concurrency of the reader's I/O phases.
     pub analytics_device_concurrency: f64,
-    /// Writer standalone aggregate device throughput (bytes/s while busy).
-    pub sim_throughput: f64,
     /// Fraction of the local write capacity the writer saturates
     /// standalone (≥ ~0.7 means the workflow is bandwidth-constrained).
     pub write_saturation: f64,

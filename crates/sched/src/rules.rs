@@ -27,22 +27,20 @@ use crate::profile::{Level, WorkflowProfile};
 use pmemflow_core::{ExecMode, Placement, SchedConfig};
 
 /// Tunable thresholds of the rule engine. Defaults follow §VIII: "low
-/// concurrency" ≈ 8 cores per component, serial above that; bandwidth
-/// constraint at ~70% of device write capacity.
+/// concurrency" ≈ 8 cores per component, serial above that. The
+/// bandwidth-constraint cut (~70% of device write capacity) is
+/// [`WorkflowProfile::is_bandwidth_constrained`].
 #[derive(Debug, Clone, Copy)]
 pub struct RuleThresholds {
     /// Combined effective device concurrency above which components must
     /// not overlap (serial execution).
     pub serial_concurrency: f64,
-    /// Write saturation above which placement prioritizes writes.
-    pub saturation_for_locw: f64,
 }
 
 impl Default for RuleThresholds {
     fn default() -> Self {
         Self {
             serial_concurrency: 11.0,
-            saturation_for_locw: 0.72,
         }
     }
 }
@@ -144,7 +142,6 @@ mod tests {
             analytics_io_index: 1.0,
             sim_device_concurrency: 20.0,
             analytics_device_concurrency: 20.0,
-            sim_throughput: 10e9,
             write_saturation: 0.95,
         }
     }

@@ -201,7 +201,6 @@ mod tests {
             analytics_io_index: 1.0,
             sim_device_concurrency: 24.0,
             analytics_device_concurrency: 24.0,
-            sim_throughput: 10e9,
             write_saturation: 1.0,
         };
         let row = classify(&p).expect("row 1 matches");
@@ -225,7 +224,6 @@ mod tests {
             analytics_io_index: 0.5,
             sim_device_concurrency: 4.0,
             analytics_device_concurrency: 4.0,
-            sim_throughput: 1e9,
             write_saturation: 0.2,
         };
         assert!(classify(&p).is_none());

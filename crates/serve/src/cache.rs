@@ -12,19 +12,9 @@
 //! slab, so hit, insert and evict are all O(1) plus the `HashMap` lookup.
 
 use pmemflow_core::sync::lock_recover;
+use pmemflow_iostack::fnv1a;
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// 64-bit FNV-1a: stable across runs (unlike `DefaultHasher`, whose
-/// `RandomState` is per-process) and good enough for shard spreading.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 const NIL: usize = usize::MAX;
 
@@ -182,16 +172,6 @@ impl<V: Clone> ShardedLru<V> {
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
     }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of shards (diagnostics).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 #[cfg(test)]
@@ -254,16 +234,14 @@ mod tests {
     }
 
     #[test]
-    fn sharding_is_stable_and_clamped() {
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c); // published FNV-1a vector
+    fn shards_and_capacity_are_clamped() {
         let c: ShardedLru<u8> = ShardedLru::new(2, 64);
-        assert!(c.shard_count() <= 2, "more shards than capacity");
+        assert!(c.shards.len() <= 2, "more shards than capacity");
         let c: ShardedLru<u8> = ShardedLru::new(0, 0);
-        assert_eq!(c.shard_count(), 1);
+        assert_eq!(c.shards.len(), 1);
         c.insert("x", 1);
         assert_eq!(c.get("x"), Some(1)); // capacity clamped to 1
-        assert!(!c.is_empty());
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 /// Where a reply came from (reported via the `x-pmemflow-cache` header;
 /// response *bodies* are source-independent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
+pub(crate) enum Source {
     /// Cache miss: this request's leader ran the computation.
     Computed,
     /// Served from the result cache.
@@ -62,7 +62,7 @@ impl Source {
 /// The in-flight leader for this key panicked instead of producing a
 /// value. Nothing was cached; retrying the request elects a new leader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ComputeFailed;
+pub(crate) struct ComputeFailed;
 
 /// A parked reply callback: invoked exactly once with the outcome and its
 /// source when the flight lands — `Ok(value)` on success,
@@ -76,7 +76,7 @@ pub struct ComputeFailed;
 pub type Waiter<V> = Box<dyn FnOnce(Result<V, ComputeFailed>, Source) + Send>;
 
 /// Cache + single-flight front over an arbitrary computation.
-pub struct Engine<V: Clone + Send + Sync + 'static> {
+pub(crate) struct Engine<V: Clone + Send + Sync + 'static> {
     cache: ShardedLru<V>,
     inflight: Mutex<HashMap<String, Vec<Waiter<V>>>>,
     metrics: Arc<Metrics>,

@@ -258,7 +258,7 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), BadRequest> {
 }
 
 /// Canonical reason phrase for the status codes the daemon uses.
-pub fn reason_phrase(status: u16) -> &'static str {
+fn reason_phrase(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -394,6 +394,9 @@ pub fn split_responses(stream: &[u8]) -> Result<(Vec<ParsedResponse>, usize), St
     }
     Ok((out, stream.len() - pos))
 }
+
+#[cfg(test)]
+mod chunking_tests;
 
 #[cfg(test)]
 mod tests {

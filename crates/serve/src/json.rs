@@ -1,8 +1,8 @@
 //! A minimal, dependency-free JSON value parser for request bodies.
 //!
 //! The daemon only needs to *read* small client-supplied documents —
-//! responses are rendered directly with [`pmemflow_des::json`] helpers —
-//! so this is a strict recursive-descent parser over the full JSON
+//! responses are rendered directly with the [`pmemflow_des::json_escape`]
+//! and [`pmemflow_des::json_f64`] helpers — so this is a strict recursive-descent parser over the full JSON
 //! grammar with a depth limit, returning a tree of [`Json`] values.
 //! Numbers are held as `f64` (every endpoint field fits), object keys
 //! keep insertion order, and duplicate keys resolve to the last value,
@@ -77,8 +77,10 @@ impl Json {
         }
     }
 
-    /// The value as a float, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    /// The value as a float, if it is a number (tests read responses
+    /// back through it).
+    #[cfg(test)]
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,

@@ -22,28 +22,28 @@
 //!
 //! Connections are multiplexed by an epoll readiness reactor
 //! ([`pmemflow_net`]): one or two io threads (`--io-threads`) own every
-//! socket, parse requests incrementally ([`http::RequestDecoder`] is
+//! socket, parse requests incrementally (the HTTP decoder is
 //! chunking-invariant — kernel read boundaries cannot change what
 //! parses), and never block. Slow clients therefore cost a slab slot
 //! and a timer-wheel entry, not a thread, so one core multiplexes
 //! 10k+ connections. Parsed requests flow through a bounded admission
-//! queue into a fixed worker pool ([`server`]); identical questions (by
-//! canonical key, [`query`]) coalesce onto one simulation ([`engine`])
-//! and land in a sharded, deterministically-evicting LRU ([`cache`]).
+//! queue into a fixed worker pool (`server`); identical questions (by
+//! canonical key, `query`) coalesce onto one simulation (`engine`)
+//! and land in a sharded, deterministically-evicting LRU (`cache`).
 //! Workers hand answers back to the owning io thread through a
 //! completion mailbox + eventfd wakeup; responses are written back in
 //! strict arrival order per connection (pipelining-safe, byte-identical
 //! for any worker count). Overload is shed at the queue with
 //! `429 + Retry-After`; per-request deadlines answer `504`; shutdown
 //! drains gracefully. The answers themselves come from the same
-//! [`pmemflow_cluster::predict::Oracle`] the campaign scheduler uses
-//! ([`model`]), so the daemon and the batch path predict bit-identical
+//! [`pmemflow_cluster::Oracle`] the campaign scheduler uses
+//! (`model`), so the daemon and the batch path predict bit-identical
 //! numbers.
 //!
 //! # Fault tolerance
 //!
 //! A panicking computation is isolated, not fatal: the engine delivers
-//! [`engine::ComputeFailed`] to the leader *and* every coalesced
+//! `ComputeFailed` to the leader *and* every coalesced
 //! follower (each answers `500`), nothing is cached, and the worker
 //! supervisor respawns the worker — all of it visible as
 //! `panics_total` / `worker_restarts_total` in `/metrics`. Mutexes that
@@ -57,22 +57,19 @@
 //! [`FaultInjectingBackend`] gives tests and CI a deterministic
 //! panic-injection hook (`--fault-rate`).
 
-pub mod cache;
-pub mod engine;
-pub mod http;
-pub mod json;
-pub mod metrics;
-pub mod model;
-pub mod query;
-pub mod rig;
-pub mod server;
+mod cache;
+mod engine;
+mod http;
+mod json;
+mod metrics;
+mod model;
+mod query;
+mod rig;
+mod server;
 
-pub use engine::{ComputeFailed, Engine, Source};
+pub use http::split_responses;
 pub use metrics::Metrics;
 pub use model::{Answer, Backend, FaultInjectingBackend, ModelBackend};
-/// The shared prediction path (re-exported so serve API users need not
-/// depend on `pmemflow_cluster` directly).
-pub use pmemflow_cluster::predict::{Oracle, TenantKey};
 pub use query::Query;
 pub use rig::{run_rig, RigBackend, RigConfig, RigReport};
 pub use server::{Server, ServerConfig};

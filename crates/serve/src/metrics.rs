@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// The endpoints the daemon tracks individually.
-pub const ENDPOINTS: [&str; 7] = [
+const ENDPOINTS: [&str; 7] = [
     "/v1/sweep",
     "/v1/recommend",
     "/v1/predict",
@@ -62,7 +62,7 @@ impl Histogram {
     }
 
     /// Sum of observations, seconds.
-    pub fn sum_seconds(&self) -> f64 {
+    fn sum_seconds(&self) -> f64 {
         self.sum_us.load(Relaxed) as f64 / 1e6
     }
 
@@ -70,7 +70,7 @@ impl Histogram {
     /// (whatever `observe_us` was fed — event counts for the dispatch
     /// batch histogram). Same interpolation and edge behavior as
     /// [`Histogram::quantile_seconds`].
-    pub fn quantile_units(&self, q: f64) -> f64 {
+    fn quantile_units(&self, q: f64) -> f64 {
         self.quantile_seconds(q) * 1e6
     }
 
@@ -119,7 +119,7 @@ impl Histogram {
 pub struct Metrics {
     /// Requests received, per endpoint (ENDPOINTS order).
     pub requests: [AtomicU64; ENDPOINTS.len()],
-    /// Responses sent, by status class bucket (see [`status_bucket`]).
+    /// Responses sent, by status class bucket (see `status_bucket`).
     pub responses: [AtomicU64; STATUS_BUCKETS.len()],
     /// Result-cache hits (includes single-flight followers).
     pub cache_hits: AtomicU64,
@@ -160,12 +160,12 @@ pub struct Metrics {
 }
 
 /// The status codes tracked individually.
-pub const STATUS_BUCKETS: [u16; 14] = [
+const STATUS_BUCKETS: [u16; 14] = [
     200, 400, 404, 405, 408, 413, 422, 429, 431, 500, 501, 503, 504, 505,
 ];
 
 /// Index into [`Metrics::responses`] for a status code.
-pub fn status_bucket(status: u16) -> usize {
+fn status_bucket(status: u16) -> usize {
     STATUS_BUCKETS
         .iter()
         .position(|&s| s == status)
@@ -174,7 +174,7 @@ pub fn status_bucket(status: u16) -> usize {
 
 impl Metrics {
     /// Index into [`Metrics::requests`] for a request path.
-    pub fn endpoint_index(path: &str) -> usize {
+    fn endpoint_index(path: &str) -> usize {
         ENDPOINTS
             .iter()
             .position(|&e| e == path)

@@ -1,18 +1,18 @@
 //! The model backend: queries → simulations → rendered JSON answers.
 //!
-//! One [`pmemflow_cluster::predict::Oracle`] per I/O stack, populated
+//! One [`pmemflow_cluster::Oracle`] per I/O stack, populated
 //! lazily as queries arrive — the same prediction path the campaign
 //! scheduler prebuilds, so `serve` and `cluster` answer with bit-identical
 //! numbers. Responses are rendered with the workspace's canonical JSON
-//! helpers ([`pmemflow_des::json`]): shortest-round-trip floats, no
+//! helpers ([`pmemflow_des::json_f64`]): shortest-round-trip floats, no
 //! locale, no timestamps — the same query always renders the same bytes,
 //! which is what makes the result cache and the replayed-loadgen
 //! byte-identity checks sound.
 
 use crate::query::{Query, QueryTenant};
-use pmemflow_cluster::predict::{Oracle, TenantKey};
+use pmemflow_cluster::{Oracle, TenantKey};
 use pmemflow_core::{ExecutionParams, SchedConfig};
-use pmemflow_des::json::{json_escape, json_f64};
+use pmemflow_des::{json_escape, json_f64};
 use pmemflow_iostack::StackKind;
 use pmemflow_sched::{classify, recommend, RuleThresholds};
 use pmemflow_workloads::Family;

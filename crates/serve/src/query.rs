@@ -36,7 +36,7 @@ impl Eq for QueryTenant {}
 
 impl Ord for QueryTenant {
     /// Orders by `(workflow name, ranks, config label)` — the exact order
-    /// [`pmemflow_cluster::predict::TenantKey`] sorts in, so the serve
+    /// [`pmemflow_cluster::TenantKey`] sorts in, so the serve
     /// canonical key and the oracle's co-run memo key agree on what the
     /// canonical tenant order is.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {

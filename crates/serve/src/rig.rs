@@ -38,6 +38,7 @@ use crate::json::Json;
 use crate::model::{Answer, Backend};
 use crate::query::Query;
 use crate::server::{Server, ServerConfig};
+use pmemflow_des::rng::SplitMix64;
 use pmemflow_net::{ChaosPlan, ChaosProxy, ChaosSpec, FaultKind, ProxyConfig, Terminal};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -61,22 +62,11 @@ impl Backend for RigBackend {
 /// SplitMix64 keyed by `(seed, client id)` — the same generator family
 /// as the chaos plan, salted differently so request scripts and fault
 /// schedules are independent draws from one master seed.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64, id: u64) -> Rng {
-        let mut rng = Rng(seed ^ 0x5249_472d_5343_5249 ^ id.wrapping_mul(0xd134_2543_de82_ef95));
-        rng.next(); // warmup: decorrelate adjacent ids
-        rng
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+fn client_rng(seed: u64, id: u64) -> SplitMix64 {
+    let mut rng =
+        SplitMix64::new(seed ^ 0x5249_472d_5343_5249 ^ id.wrapping_mul(0xd134_2543_de82_ef95));
+    rng.next_u64(); // warmup: decorrelate adjacent ids
+    rng
 }
 
 const FAMILIES: [&str; 3] = ["micro-2kb", "micro-64mb", "gtc-readonly"];
@@ -111,22 +101,22 @@ impl Script {
 }
 
 fn build_script(seed: u64, id: u64, requests: u32) -> Script {
-    let mut rng = Rng::new(seed, id);
+    let mut rng = client_rng(seed, id);
     let mut script = Script {
         bytes: Vec::new(),
         expected: Vec::new(),
         bounds: Vec::new(),
     };
     for _ in 0..requests {
-        if rng.next().is_multiple_of(4) {
+        if rng.next_u64().is_multiple_of(4) {
             // Inline path: answered by the io thread itself.
             script.push("GET", "/healthz", "", b"ok\n".to_vec());
         } else {
             // Worker path: decoded, queued, resolved through the engine.
-            let family = FAMILIES[(rng.next() % FAMILIES.len() as u64) as usize];
-            let ranks = 1 + rng.next() % 12;
-            let config = CONFIGS[(rng.next() % CONFIGS.len() as u64) as usize];
-            let nova = rng.next() % 2 == 1;
+            let family = FAMILIES[rng.range_usize(0, FAMILIES.len())];
+            let ranks = rng.range_u64(1, 13);
+            let config = CONFIGS[rng.range_usize(0, CONFIGS.len())];
+            let nova = rng.next_bool();
             let mut body = format!("{{\"workload\":\"{family}\",\"ranks\":{ranks}");
             if let Some(c) = config {
                 body.push_str(&format!(",\"config\":\"{c}\""));

@@ -39,7 +39,7 @@ use crate::metrics::Metrics;
 use crate::model::{Answer, Backend, FaultInjectingBackend, ModelBackend};
 use crate::query::Query;
 use pmemflow_core::sync::lock_recover;
-use pmemflow_des::json::json_escape;
+use pmemflow_des::json_escape;
 use pmemflow_net::{
     drain_read, is_fd_exhaustion, AcceptBackoff, ChaosListener, ChaosPlan, ChaosSpec, Interest,
     Key, NetListener, Reactor, Slab, TimerWheel, Token, Waker, WriteBuf,

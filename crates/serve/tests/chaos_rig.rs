@@ -9,8 +9,7 @@
 //! plain `cargo test`.
 
 use pmemflow_net::ChaosSpec;
-use pmemflow_serve::rig::{run_rig, RigBackend, RigConfig};
-use pmemflow_serve::{Server, ServerConfig};
+use pmemflow_serve::{run_rig, RigBackend, RigConfig, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;

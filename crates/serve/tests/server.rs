@@ -1,9 +1,6 @@
 //! End-to-end tests of the daemon over real loopback TCP.
 
-use pmemflow_serve::http::split_responses;
-use pmemflow_serve::model::{Answer, Backend};
-use pmemflow_serve::query::Query;
-use pmemflow_serve::{Server, ServerConfig};
+use pmemflow_serve::{split_responses, Answer, Backend, Query, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;

@@ -8,46 +8,46 @@
 //! kernels; each is documented with the workload property it encodes. The
 //! paper characterizes components *qualitatively* (Table II: compute
 //! high/low, I/O index high/low); the constants below are chosen so the
-//! characterization matches and can be re-derived on real hardware with
-//! [`crate::kernels::calibrate_seconds`].
+//! characterization matches and can be re-derived on real hardware by
+//! timing the [`crate::kernels`].
 
 use crate::spec::{ComponentSpec, ConcurrencyClass, IoPattern, WorkflowSpec};
 
 /// Iterations per rank for every suite workflow (§IV-B: "Each thread in
 /// the microbenchmark performs 10 iterations"; application runs use the
 /// same depth).
-pub const SUITE_ITERATIONS: u64 = 10;
+pub(crate) const SUITE_ITERATIONS: u64 = 10;
 
 /// GTC object size: a few large 2-D/3-D checkpoint arrays (§VI-A: "GTC
 /// uses 229 MB objects").
-pub const GTC_OBJECT_BYTES: u64 = 229 << 20;
+const GTC_OBJECT_BYTES: u64 = 229 << 20;
 /// GTC objects per rank snapshot (a handful of large arrays).
-pub const GTC_OBJECTS: u64 = 2;
+const GTC_OBJECTS: u64 = 2;
 /// GTC simulation compute per iteration: the paper classes GTC's
 /// simulation as compute-heavy with a *low* simulation I/O index
 /// (Table II rows 2/6/10).
-pub const GTC_COMPUTE_SECONDS: f64 = 0.544;
+const GTC_COMPUTE_SECONDS: f64 = 0.544;
 /// Compute per iteration of the GTC-coupled MatrixMult analytics: "10
 /// million matrix multiplications of large 2D arrays" — a long compute
 /// phase interleaving PMEM reads (Table II: analytics compute high).
-pub const GTC_MATMUL_SECONDS: f64 = 0.629;
+const GTC_MATMUL_SECONDS: f64 = 0.629;
 
 /// miniAMR object size: many small blocks (§VI-A: 4.5 KB objects).
-pub const MINIAMR_OBJECT_BYTES: u64 = 4608;
+const MINIAMR_OBJECT_BYTES: u64 = 4608;
 /// miniAMR objects per rank snapshot (the paper's snapshots hold 528 K
 /// small objects across the job; per-rank counts weak-scale).
-pub const MINIAMR_OBJECTS: u64 = 33_000;
+const MINIAMR_OBJECTS: u64 = 33_000;
 /// miniAMR simulation compute per iteration: a light stencil sweep —
 /// the paper classes miniAMR's simulation as I/O-heavy (sim write high,
 /// compute low; Table II rows 3/4/7/8).
-pub const MINIAMR_COMPUTE_SECONDS: f64 = 0.0127;
+const MINIAMR_COMPUTE_SECONDS: f64 = 0.0127;
 /// Compute per iteration of the miniAMR-coupled MatrixMult analytics:
 /// 5 small matrix multiplications per object × 33 K objects — "the
 /// compute phase length is still relatively large" (§IV-B).
-pub const MINIAMR_MATMUL_SECONDS: f64 = 0.307;
+const MINIAMR_MATMUL_SECONDS: f64 = 0.307;
 
 /// Microbenchmark snapshot: 1 GB per rank per iteration (§IV-B).
-pub const MICRO_SNAPSHOT_BYTES: u64 = 1 << 30;
+const MICRO_SNAPSHOT_BYTES: u64 = 1 << 30;
 
 fn micro(name: &str, object_bytes: u64, ranks: usize) -> WorkflowSpec {
     let objects = MICRO_SNAPSHOT_BYTES / object_bytes;

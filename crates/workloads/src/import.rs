@@ -123,27 +123,6 @@ pub fn parse_workflows(text: &str) -> Result<Vec<WorkflowSpec>, ParseError> {
     Ok(out)
 }
 
-/// Render workflows back to the table format (inverse of
-/// [`parse_workflows`], modulo whitespace).
-pub fn format_workflows(specs: &[WorkflowSpec]) -> String {
-    let mut out = String::from(
-        "# name, ranks, iterations, writer_compute_s, reader_compute_s, objects, object_bytes\n",
-    );
-    for s in specs {
-        out.push_str(&format!(
-            "{}, {}, {}, {}, {}, {}, {}\n",
-            s.name,
-            s.ranks,
-            s.iterations,
-            s.writer.compute_per_iteration,
-            s.reader.compute_per_iteration,
-            s.writer.io.objects_per_snapshot,
-            s.writer.io.object_bytes
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,14 +142,6 @@ ml-ingest, 8, 20, 0.0, 0.8, 50000, 2048   # trailing comment
         assert_eq!(specs[0].ranks, 16);
         assert_eq!(specs[0].writer.io.object_bytes, 4 << 20);
         assert_eq!(specs[1].reader.compute_per_iteration, 0.8);
-    }
-
-    #[test]
-    fn roundtrip() {
-        let specs = parse_workflows(SAMPLE).unwrap();
-        let text = format_workflows(&specs);
-        let again = parse_workflows(&text).unwrap();
-        assert_eq!(specs, again);
     }
 
     #[test]

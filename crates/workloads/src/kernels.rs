@@ -4,12 +4,9 @@
 //! from somewhere: these are runnable implementations of the three kernel
 //! families the paper's workflows use — a 7-point stencil (miniAMR), a
 //! particle-in-cell step (GTC), and dense matrix multiplication (the
-//! compute-heavy analytics kernel). They serve three purposes:
-//!
-//! * examples and the native executor run them for real,
-//! * [`calibrate_seconds`] measures a kernel's wall time so users can
-//!   derive `compute_per_iteration` values for their own hardware,
-//! * correctness tests pin down that the proxies compute what they claim.
+//! compute-heavy analytics kernel). Examples and the `kernels` bench run
+//! them for real, and correctness tests pin down that the proxies
+//! compute what they claim.
 
 /// Dense `n × n` matrix multiplication, `c = a · b` (row-major).
 /// The analytics kernel the paper couples with GTC and miniAMR (§IV-B).
@@ -107,19 +104,6 @@ pub fn pic_step(particles: &mut [Particle], grid: &mut [f64], dt: f64) -> f64 {
     total_charge
 }
 
-/// Wall-clock seconds for `f`, averaged over `reps` runs after one warmup.
-/// Intended for deriving `compute_per_iteration` values on real hardware;
-/// never used inside the deterministic simulator.
-pub fn calibrate_seconds(reps: u32, mut f: impl FnMut()) -> f64 {
-    assert!(reps > 0);
-    f(); // warmup
-    let start = std::time::Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_secs_f64() / reps as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,15 +190,5 @@ mod tests {
         for p in &particles {
             assert!(p.v.abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn calibrate_returns_positive() {
-        let t = calibrate_seconds(3, || {
-            let mut c = [0.0; 4];
-            matmul(2, &[1.0; 4], &[2.0; 4], &mut c);
-            std::hint::black_box(&c);
-        });
-        assert!(t >= 0.0);
     }
 }

@@ -13,7 +13,7 @@
 
 #![warn(missing_docs)]
 
-pub mod apps;
+mod apps;
 mod import;
 pub mod kernels;
 mod spec;
@@ -21,9 +21,9 @@ mod suite;
 
 pub use apps::{
     gtc_matmul, gtc_readonly, micro_2kb, micro_64mb, miniamr_matmul, miniamr_readonly,
-    paper_rank_levels, SUITE_ITERATIONS,
+    paper_rank_levels,
 };
-pub use import::{format_workflows, parse_workflows, ParseError};
+pub use import::{parse_workflows, ParseError};
 pub use spec::{ComponentSpec, ConcurrencyClass, IoPattern, SizeClass, WorkflowSpec};
 pub use suite::{
     canonical_workload_name, paper_suite, Family, SuiteEntry, WORKLOAD_ALIASES, WORKLOAD_CHOICES,

@@ -62,7 +62,7 @@ impl ConcurrencyClass {
     }
 
     /// The class for a rank count (nearest paper level).
-    pub fn from_ranks(ranks: usize) -> ConcurrencyClass {
+    fn from_ranks(ranks: usize) -> ConcurrencyClass {
         if ranks <= 11 {
             ConcurrencyClass::Low
         } else if ranks <= 20 {
@@ -241,5 +241,19 @@ mod tests {
         assert_eq!(ConcurrencyClass::from_ranks(16), ConcurrencyClass::Medium);
         assert_eq!(ConcurrencyClass::from_ranks(24), ConcurrencyClass::High);
         assert_eq!(ConcurrencyClass::High.ranks(), 24);
+    }
+
+    /// Concurrency classes partition the rank axis without gaps, and the
+    /// canonical rank of each class maps back to it.
+    #[test]
+    fn concurrency_classes_partition() {
+        for ranks in 1..56usize {
+            let c = ConcurrencyClass::from_ranks(ranks);
+            assert!(matches!(
+                c,
+                ConcurrencyClass::Low | ConcurrencyClass::Medium | ConcurrencyClass::High
+            ));
+            assert_eq!(ConcurrencyClass::from_ranks(c.ranks()), c);
+        }
     }
 }

@@ -3,8 +3,8 @@
 
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_workloads::{
-    gtc_matmul, gtc_readonly, micro_2kb, micro_64mb, miniamr_matmul, miniamr_readonly,
-    ConcurrencyClass, IoPattern, SizeClass,
+    gtc_matmul, gtc_readonly, micro_2kb, micro_64mb, miniamr_matmul, miniamr_readonly, IoPattern,
+    SizeClass,
 };
 
 /// Snapshot bytes = objects × object size for any pattern.
@@ -44,20 +44,6 @@ fn size_class_boundary() {
         } else {
             assert_eq!(io.size_class(), SizeClass::Small);
         }
-    }
-}
-
-/// Concurrency classes partition the rank axis without gaps, and the
-/// canonical rank of each class maps back to it.
-#[test]
-fn concurrency_classes_partition() {
-    for ranks in 1..56usize {
-        let c = ConcurrencyClass::from_ranks(ranks);
-        assert!(matches!(
-            c,
-            ConcurrencyClass::Low | ConcurrencyClass::Medium | ConcurrencyClass::High
-        ));
-        assert_eq!(ConcurrencyClass::from_ranks(c.ranks()), c);
     }
 }
 

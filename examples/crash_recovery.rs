@@ -12,16 +12,10 @@
 //! absent.
 
 use pmemflow::iostack::{CrashPoint, NovaFs, NvStore, ObjectStore};
-use pmemflow::pmem::{InterleaveGeometry, PmemRegion};
+use pmemflow::pmem::PmemRegion;
 
 fn region() -> PmemRegion {
-    PmemRegion::new(
-        4 << 20,
-        InterleaveGeometry {
-            dimms: 6,
-            chunk_bytes: 4096,
-        },
-    )
+    PmemRegion::new(4 << 20)
 }
 
 fn crash_label(c: CrashPoint) -> &'static str {

@@ -52,9 +52,8 @@ pub use pmemflow_serve as serve;
 pub use pmemflow_workloads as workloads;
 
 pub use pmemflow_core::{
-    execute, full_matrix, map_ordered, run_matrix, sweep, ConfigSweep, ExecMode, ExecutionParams,
-    Placement, RunMetrics, RunOutcome, RunRequest, SchedConfig,
+    execute, full_matrix, map_ordered, run_matrix, sweep, ExecutionParams, RunOutcome, RunRequest,
+    SchedConfig,
 };
-pub use pmemflow_pmem::DeviceProfile;
-pub use pmemflow_sched::{characterize, decide, explore_then_commit, recommend, RuleThresholds};
-pub use pmemflow_workloads::{paper_suite, WorkflowSpec};
+pub use pmemflow_sched::{characterize, decide, explore_then_commit};
+pub use pmemflow_workloads::paper_suite;

@@ -1,7 +1,11 @@
 //! The determinism contract in tier-1: CI's golden command lines, run
 //! through the `pmemflow` binary at `--jobs 1` and `--jobs 2`, must
-//! reproduce `tests/golden/` byte for byte. A mismatch names the first
-//! differing line and the first top-level key that moved on it.
+//! reproduce `tests/golden/` byte for byte. Any byte difference fails.
+//! The failure report classifies what moved, line by line: each moved
+//! key, its kind (key set, string, bool, `EXACT` counter or float), the
+//! largest relative float drift, and whether the drift meets the rule
+//! under which a golden may be regenerated (no key set, string, bool or
+//! `EXACT` change; floats within 1e-10 relative).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -49,8 +53,8 @@ fn check(golden: &str, args: &[&str], strip: fn(&str) -> String) {
             String::from_utf8_lossy(&status.stderr)
         );
         let got = strip(&std::fs::read_to_string(&out).expect("output written"));
-        if let Some(report) = first_difference(&want, &got) {
-            panic!("{golden} at --jobs {jobs} differs from the golden: {report}");
+        if let Some(report) = drift_report(&want, &got) {
+            panic!("{golden} at --jobs {jobs} differs from the golden:\n{report}");
         }
     }
 }
@@ -73,62 +77,334 @@ fn strip_wall_secs(s: &str) -> String {
         .collect()
 }
 
-/// The top-level `"key":value` fields of a flat JSON object line, split
-/// on commas outside strings, arrays and nested objects.
-fn fields(line: &str) -> Vec<&str> {
-    let body = line.trim().trim_start_matches('{').trim_end_matches('}');
-    let (mut out, mut depth, mut in_str, mut start) = (Vec::new(), 0i32, false, 0);
-    let bytes = body.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'"' if i == 0 || bytes[i - 1] != b'\\' => in_str = !in_str,
-            b'{' | b'[' if !in_str => depth += 1,
-            b'}' | b']' if !in_str => depth -= 1,
-            b',' if !in_str && depth == 0 => {
-                out.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
+/// The regeneration rule: a golden may be regenerated for output drift
+/// alone only when no key set, string, bool or exact counter moved and
+/// every other number moved by at most this much, relative to the larger
+/// magnitude.
+const REGEN_REL: f64 = 1e-10;
+
+/// Counters and identities: any change here is a changed decision.
+const EXACT: &[&str] = &[
+    "bytes",
+    "channel_waits",
+    "completed",
+    "events",
+    "failed",
+    "id",
+    "jobs",
+    "max_heap_depth",
+    "node",
+    "nodes",
+    "peak_concurrency",
+    "ranks",
+    "restarts",
+    "seed",
+    "staging_capacity_gib",
+    "total_restarts",
+];
+
+/// A parsed JSON value. Objects keep their key order; numbers keep
+/// their text for the report.
+#[derive(Debug, Clone, PartialEq)]
+enum Json {
+    Null,
+    Bool(bool),
+    Num(f64, String),
+    Str(String),
+    Arr(Vec<Json>),
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    fn text(&self) -> String {
+        match self {
+            Json::Null => "null".into(),
+            Json::Bool(b) => b.to_string(),
+            Json::Num(_, t) => t.clone(),
+            Json::Str(s) => format!("{s:?}"),
+            Json::Arr(v) => format!(
+                "[{}]",
+                v.iter().map(Json::text).collect::<Vec<_>>().join(",")
+            ),
+            Json::Obj(kv) => format!("{{{}}}", keys(kv).join(",")),
         }
     }
-    out.push(&body[start..]);
+}
+
+fn keys(kv: &[(String, Json)]) -> Vec<String> {
+    kv.iter().map(|(k, _)| format!("{k:?}")).collect()
+}
+
+/// Parse one JSONL line. A `,` before a closing `}` is accepted: `suite`
+/// lines stripped of `wall_secs` end in `,}`.
+fn parse_line(line: &str) -> Result<Json, String> {
+    let mut p = Parser {
+        s: line.as_bytes(),
+        at: 0,
+    };
+    let v = p.value()?;
+    p.ws();
+    if p.at != p.s.len() {
+        return Err(format!("trailing bytes at {}", p.at));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    s: &'a [u8],
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn ws(&mut self) {
+        while self.s.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        self.ws();
+        let hit = self.s.get(self.at) == Some(&b);
+        self.at += usize::from(hit);
+        hit
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        let rest = &self.s[self.at..];
+        for (word, v) in [
+            ("null", Json::Null),
+            ("true", Json::Bool(true)),
+            ("false", Json::Bool(false)),
+        ] {
+            if rest.starts_with(word.as_bytes()) {
+                self.at += word.len();
+                return Ok(v);
+            }
+        }
+        match rest.first() {
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => {
+                self.at += 1;
+                let mut items = Vec::new();
+                if !self.eat(b']') {
+                    loop {
+                        items.push(self.value()?);
+                        if self.eat(b']') {
+                            break;
+                        }
+                        if !self.eat(b',') {
+                            return Err(format!("expected , or ] at {}", self.at));
+                        }
+                    }
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                self.at += 1;
+                let mut kv = Vec::new();
+                while !self.eat(b'}') {
+                    self.ws();
+                    let k = self.string()?;
+                    if !self.eat(b':') {
+                        return Err(format!("expected : at {}", self.at));
+                    }
+                    kv.push((k, self.value()?));
+                    if !self.eat(b',') && self.s.get(self.at) != Some(&b'}') {
+                        return Err(format!("expected , or }} at {}", self.at));
+                    }
+                }
+                Ok(Json::Obj(kv))
+            }
+            _ => {
+                let len = rest
+                    .iter()
+                    .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                    .unwrap_or(rest.len());
+                let text = std::str::from_utf8(&rest[..len]).expect("ASCII digits");
+                let n = text
+                    .parse()
+                    .map_err(|_| format!("bad value at {}", self.at))?;
+                self.at += len;
+                Ok(Json::Num(n, text.to_string()))
+            }
+        }
+    }
+
+    /// A string literal; escapes are kept verbatim (both sides of a
+    /// comparison are written by the same escaper).
+    fn string(&mut self) -> Result<String, String> {
+        let start = self.at + 1;
+        let mut i = start;
+        while let Some(&b) = self.s.get(i) {
+            match b {
+                b'\\' => i += 2,
+                b'"' => {
+                    self.at = i + 1;
+                    return Ok(String::from_utf8_lossy(&self.s[start..i]).into_owned());
+                }
+                _ => i += 1,
+            }
+        }
+        Err(format!("unterminated string at {start}"))
+    }
+}
+
+/// What kind of field moved; only `Float` drift can be within the
+/// regeneration rule.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    KeySet,
+    Str,
+    Bool,
+    Exact,
+    Float(f64),
+}
+
+impl std::fmt::Display for Kind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Kind::KeySet => write!(f, "key set"),
+            Kind::Str => write!(f, "string"),
+            Kind::Bool => write!(f, "bool"),
+            Kind::Exact => write!(f, "EXACT counter"),
+            Kind::Float(rel) => write!(f, "float, rel {rel:.2e}"),
+        }
+    }
+}
+
+/// One moved field: its key path, golden and run values, and kind.
+#[derive(Debug)]
+struct Moved {
+    path: String,
+    want: String,
+    got: String,
+    kind: Kind,
+}
+
+/// Every field that differs between two parsed lines, in key order.
+/// `field` is the innermost object key, which decides `EXACT`.
+fn diff(want: &Json, got: &Json, path: &str, field: &str, out: &mut Vec<Moved>) {
+    let mut push = |kind| {
+        out.push(Moved {
+            path: path.to_string(),
+            want: want.text(),
+            got: got.text(),
+            kind,
+        })
+    };
+    match (want, got) {
+        (Json::Obj(w), Json::Obj(g)) if keys(w) != keys(g) => push(Kind::KeySet),
+        (Json::Obj(w), Json::Obj(g)) => {
+            for ((k, a), (_, b)) in w.iter().zip(g) {
+                let sub = if path.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{path}.{k}")
+                };
+                diff(a, b, &sub, k, out);
+            }
+        }
+        (Json::Arr(w), Json::Arr(g)) if w.len() != g.len() => push(Kind::KeySet),
+        (Json::Arr(w), Json::Arr(g)) => {
+            for (i, (a, b)) in w.iter().zip(g).enumerate() {
+                diff(a, b, &format!("{path}[{i}]"), field, out);
+            }
+        }
+        (Json::Num(a, _), Json::Num(b, _)) if a == b => {}
+        (Json::Num(..), Json::Num(..)) if EXACT.contains(&field) => push(Kind::Exact),
+        (Json::Num(a, _), Json::Num(b, _)) => {
+            push(Kind::Float((a - b).abs() / a.abs().max(b.abs())))
+        }
+        (Json::Bool(a), Json::Bool(b)) if a != b => push(Kind::Bool),
+        _ if want != got => push(Kind::Str),
+        _ => {}
+    }
+}
+
+/// Classify a line pair; a line that does not parse is a string change.
+fn classify(want: &str, got: &str) -> Vec<Moved> {
+    let mut out = Vec::new();
+    match (parse_line(want), parse_line(got)) {
+        (Ok(w), Ok(g)) => diff(&w, &g, "", "", &mut out),
+        _ => out.push(Moved {
+            path: "(line)".into(),
+            want: want.into(),
+            got: got.into(),
+            kind: Kind::Str,
+        }),
+    }
     out
 }
 
-/// `None` when `want == got`; otherwise the first differing line (1-based)
-/// and the first field on it that differs, old and new.
-fn first_difference(want: &str, got: &str) -> Option<String> {
+/// `None` when `want == got`; otherwise a report of every differing line
+/// (the first few in full) with each moved key and its kind, the largest
+/// relative float drift, and whether the drift meets the regeneration
+/// rule.
+fn drift_report(want: &str, got: &str) -> Option<String> {
     if want == got {
         return None;
     }
     let (w, g): (Vec<&str>, Vec<&str>) = (want.lines().collect(), got.lines().collect());
-    let Some(n) = (0..w.len().max(g.len())).find(|&i| w.get(i) != g.get(i)) else {
-        return Some("the files differ only in line endings".into());
-    };
-    let (Some(wl), Some(gl)) = (w.get(n), g.get(n)) else {
-        return Some(format!(
-            "line {}: the golden has {} lines, the run {}",
-            n + 1,
+    let mut report = Vec::new();
+    let mut within = w.len() == g.len();
+    if !within {
+        report.push(format!(
+            "the golden has {} lines, the run {}",
             w.len(),
             g.len()
         ));
-    };
-    let (wf, gf) = (fields(wl), fields(gl));
-    let moved = (0..wf.len().max(gf.len())).find(|&i| wf.get(i) != gf.get(i));
-    let show = |f: Option<&&str>| f.map_or("(absent)".to_string(), |s| s.to_string());
-    Some(match moved {
-        Some(i) => {
-            let key = wf.get(i).or(gf.get(i)).and_then(|f| f.split(':').next());
-            format!(
-                "line {}, key {}: golden {} vs run {}",
-                n + 1,
-                key.unwrap_or("?"),
-                show(wf.get(i)),
-                show(gf.get(i))
-            )
+    }
+    let (mut changed, mut max_rel) = (0, 0.0f64);
+    for (n, (wl, gl)) in w.iter().zip(&g).enumerate() {
+        if wl == gl {
+            continue;
         }
-        None => format!("line {}: {wl} vs {gl}", n + 1),
-    })
+        changed += 1;
+        let moved = classify(wl, gl);
+        for m in &moved {
+            match m.kind {
+                Kind::Float(rel) => {
+                    max_rel = max_rel.max(rel);
+                    within &= rel <= REGEN_REL;
+                }
+                _ => within = false,
+            }
+        }
+        if changed <= 5 {
+            let fields: Vec<String> = moved
+                .iter()
+                .map(|m| {
+                    format!(
+                        "key {}: golden {} vs run {} ({})",
+                        m.path, m.want, m.got, m.kind
+                    )
+                })
+                .collect();
+            let fields = if fields.is_empty() {
+                "number formatting only".to_string()
+            } else {
+                fields.join("; ")
+            };
+            report.push(format!("line {}, {fields}", n + 1));
+        }
+    }
+    if changed == 0 && w.len() == g.len() {
+        return Some("the files differ only in line endings".into());
+    }
+    let verdict = if within {
+        format!("within the {REGEN_REL:e} regeneration rule")
+    } else {
+        format!(
+            "NOT within the {REGEN_REL:e} regeneration rule (a key set, string, bool \
+             or EXACT counter moved, a float moved by more, or lines were added or lost)"
+        )
+    };
+    report.push(format!(
+        "{changed} of {} lines differ, max relative float drift {max_rel:.2e}: {verdict}",
+        w.len()
+    ));
+    Some(report.join("\n"))
 }
 
 #[test]
@@ -197,13 +473,112 @@ fn dag_faults_match_golden() {
 fn a_moved_field_is_named() {
     let want = "{\"a\":1,\"b\":[1,2],\"c\":\"x\"}\n{\"a\":2}\n";
     let got = "{\"a\":1,\"b\":[1,2],\"c\":\"y\"}\n{\"a\":2}\n";
-    let report = first_difference(want, got).expect("a difference");
-    assert!(report.starts_with("line 1, key \"c\""), "{report}");
-    assert_eq!(first_difference(want, want), None);
-    let short = first_difference(want, "{\"a\":1,\"b\":[1,2],\"c\":\"x\"}\n").unwrap();
-    assert!(short.contains("line 2"), "{short}");
+    let report = drift_report(want, got).expect("a difference");
+    assert!(
+        report.starts_with("line 1, key c: golden \"x\" vs run \"y\" (string)"),
+        "{report}"
+    );
+    assert!(report.contains("NOT within"), "{report}");
+    assert_eq!(drift_report(want, want), None);
+    let short = drift_report(want, "{\"a\":1,\"b\":[1,2],\"c\":\"x\"}\n").unwrap();
+    assert!(
+        short.contains("the golden has 2 lines, the run 1"),
+        "{short}"
+    );
     assert_eq!(
         strip_wall_secs("{\"x\":1,\"wall_secs\":0.5}\n"),
         "{\"x\":1,}\n"
     );
+}
+
+#[test]
+fn one_ulp_float_change_is_float_drift_within_the_rule() {
+    let x = 6.388198523879915f64;
+    let next = f64::from_bits(x.to_bits() + 1);
+    let want = format!("{{\"ok\":true,\"io_s\":{x},\"events\":184}}\n");
+    let got = format!("{{\"ok\":true,\"io_s\":{next},\"events\":184}}\n");
+    let moved = classify(want.trim(), got.trim());
+    assert_eq!(moved.len(), 1, "{moved:?}");
+    assert_eq!(moved[0].path, "io_s");
+    let Kind::Float(rel) = moved[0].kind else {
+        panic!("{moved:?}");
+    };
+    assert_eq!(rel, (next - x) / next);
+    assert!(rel > 0.0 && rel < 2.0 * f64::EPSILON);
+    let report = drift_report(&want, &got).unwrap();
+    assert!(report.contains("(float, rel "), "{report}");
+    assert!(
+        report.contains(": within the 1e-10 regeneration rule"),
+        "{report}"
+    );
+}
+
+#[test]
+fn counter_and_id_changes_are_exact() {
+    let moved = classify(
+        "{\"id\":3,\"writer\":{\"channel_waits\":8},\"events\":184}",
+        "{\"id\":4,\"writer\":{\"channel_waits\":9},\"events\":185}",
+    );
+    let kinds: Vec<(&str, Kind)> = moved.iter().map(|m| (m.path.as_str(), m.kind)).collect();
+    assert_eq!(
+        kinds,
+        [
+            ("id", Kind::Exact),
+            ("writer.channel_waits", Kind::Exact),
+            ("events", Kind::Exact)
+        ]
+    );
+    let report = drift_report("{\"events\":184}\n", "{\"events\":185}\n").unwrap();
+    assert!(report.contains("(EXACT counter)"), "{report}");
+    assert!(report.contains("NOT within"), "{report}");
+}
+
+#[test]
+fn renamed_or_reordered_keys_are_a_key_set_change() {
+    let renamed = classify("{\"a\":1,\"b\":2}", "{\"a\":1,\"c\":2}");
+    assert_eq!(renamed.len(), 1);
+    assert_eq!(renamed[0].kind, Kind::KeySet);
+    assert_eq!(renamed[0].want, "{\"a\",\"b\"}");
+    let reordered = classify("{\"x\":{\"a\":1,\"b\":2}}", "{\"x\":{\"b\":2,\"a\":1}}");
+    assert_eq!(reordered.len(), 1);
+    assert_eq!(
+        (reordered[0].path.as_str(), reordered[0].kind),
+        ("x", Kind::KeySet)
+    );
+    let longer = classify("{\"peak\":[1,2]}", "{\"peak\":[1,2,3]}");
+    assert_eq!(longer[0].kind, Kind::KeySet);
+}
+
+#[test]
+fn suite_line_stripped_of_wall_secs_parses() {
+    let line = "{\"workflow\":\"micro-64MB\",\"ok\":true,\"serial_split\":{\"writer_s\":6.3,\
+                \"reader_s\":5.4},\"events\":184,\"max_heap_depth\":16,\"wall_secs\":0.01}";
+    let stripped = strip_wall_secs(line);
+    assert!(stripped.trim_end().ends_with(",}"), "{stripped}");
+    let Json::Obj(kv) = parse_line(stripped.trim()).expect("a stripped suite line parses") else {
+        panic!("not an object");
+    };
+    let keys: Vec<&str> = kv.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        ["workflow", "ok", "serial_split", "events", "max_heap_depth"]
+    );
+    assert_eq!(kv[1].1, Json::Bool(true));
+    // And every committed golden line parses.
+    for golden in [
+        "suite.stripped.jsonl",
+        "cluster.jsonl",
+        "cluster_nodes.jsonl",
+        "dag.jsonl",
+        "cluster_dag_faults.jsonl",
+    ] {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(golden);
+        for (n, line) in std::fs::read_to_string(path).unwrap().lines().enumerate() {
+            if let Err(e) = parse_line(line) {
+                panic!("{golden} line {}: {e}", n + 1);
+            }
+        }
+    }
 }

@@ -9,17 +9,11 @@
 
 use pmemflow::des::rng::SplitMix64;
 use pmemflow::iostack::{CrashPoint, NovaFs, NvStore, ObjectStore, StoreError};
-use pmemflow::pmem::{InterleaveGeometry, PmemRegion};
+use pmemflow::pmem::PmemRegion;
 use std::collections::BTreeMap;
 
 fn region(len: usize) -> PmemRegion {
-    PmemRegion::new(
-        len,
-        InterleaveGeometry {
-            dimms: 6,
-            chunk_bytes: 4096,
-        },
-    )
+    PmemRegion::new(len)
 }
 
 #[derive(Debug, Clone)]
