@@ -17,6 +17,7 @@
 use pmemflow_bench::run_suite;
 use pmemflow_core::ExecutionParams;
 use pmemflow_pmem::{Curve, DeviceProfile, GB};
+use pmemflow_sched::scorecard::agreement;
 
 struct Variant {
     name: &'static str,
@@ -78,15 +79,12 @@ fn main() {
     );
     for v in variants() {
         let results = run_suite(&v.params);
-        let agree = results.iter().filter(|r| r.matches_paper()).count();
-        let worst = results
-            .iter()
-            .map(|r| r.sweep.worst_case_loss_percent())
+        let agree = agreement(&results);
+        let sweeps = results.iter().map(|r| r.completed());
+        let worst = (sweeps.clone())
+            .map(|s| s.worst_case_loss_percent())
             .fold(0.0f64, f64::max);
-        let mut winners: Vec<&str> = results
-            .iter()
-            .map(|r| r.sweep.best().config.label())
-            .collect();
+        let mut winners: Vec<&str> = sweeps.map(|s| s.best().config.label()).collect();
         winners.sort_unstable();
         winners.dedup();
         println!(

@@ -1,11 +1,11 @@
-//! Calibration harness: run the 18-workload suite and compare model
-//! winners against the paper's Table II.
+//! The paper-fidelity scorecard: every checked paper claim with the
+//! model's value and its bound, then the per-panel comparison of model
+//! winners against the paper's Table II. Both blocks are the markdown that
+//! EXPERIMENTS.md carries verbatim.
 
-use pmemflow_bench::{run_suite, suite_table};
-use pmemflow_core::ExecutionParams;
+use pmemflow_sched::scorecard::scorecard;
 
 fn main() {
-    let params = ExecutionParams::default();
-    let results = run_suite(&params);
-    print!("{}", suite_table(&results));
+    let card = scorecard();
+    print!("{}\n{}", card.claims_markdown(), card.panels_markdown());
 }

@@ -1,68 +1,9 @@
 //! Regenerate the paper's §II-B raw-device characterization: bandwidth
-//! versus concurrency per direction and locality, and the headline ratios
-//! (15× remote write drop vs 1.3× for reads at 24 ops; 90 ns write vs
-//! 169 ns read idle latency).
+//! versus concurrency per direction and locality, loaded latency, and the
+//! headline numbers (`--bin calibrate` compares them with the paper's).
 
-use pmemflow_pmem::{bandwidth_table, headline_ratios, DeviceProfile, GB};
+use pmemflow_pmem::{device_report, DeviceProfile};
 
 fn main() {
-    let profile = DeviceProfile::optane_gen1();
-    println!("Optane gen-1 model: bandwidth vs concurrency (GB/s)\n");
-    println!(
-        "{:>7} {:>10} {:>11} {:>11} {:>12} {:>14}",
-        "threads", "local-read", "local-write", "remote-read", "remote-write", "rw-random-4K"
-    );
-    for row in bandwidth_table(
-        &profile,
-        &[1.0, 2.0, 3.0, 4.0, 8.0, 12.0, 16.0, 17.0, 24.0, 48.0],
-    ) {
-        println!(
-            "{:>7.0} {:>10.1} {:>11.1} {:>11.1} {:>12.1} {:>14.2}",
-            row.threads,
-            row.local_read / GB,
-            row.local_write / GB,
-            row.remote_read / GB,
-            row.remote_write / GB,
-            row.remote_write_random / GB,
-        );
-    }
-
-    println!("\nloaded latency vs concurrency (ns):");
-    println!(
-        "{:>7} {:>11} {:>11}",
-        "threads", "read-local", "write-local"
-    );
-    for n in [0.0, 1.0, 4.0, 8.0, 17.0, 24.0] {
-        use pmemflow_des::{Direction, Locality};
-        println!(
-            "{:>7.0} {:>11.0} {:>11.0}",
-            n,
-            profile.loaded_latency(Direction::Read, Locality::Local, n) * 1e9,
-            profile.loaded_latency(Direction::Write, Locality::Local, n) * 1e9,
-        );
-    }
-
-    let h = headline_ratios(&profile);
-    println!("\n§II-B headline numbers:");
-    println!(
-        "  peak local read  {:.1} GB/s (paper: 39.4, scaling to ~17 threads)",
-        profile.local_read_bw.peak() / GB
-    );
-    println!(
-        "  peak local write {:.1} GB/s (paper: 13.9, saturating at 4 threads)",
-        profile.local_write_bw.peak() / GB
-    );
-    println!(
-        "  remote random-write drop at 24 ops: {:.1}x (paper: ~15x)",
-        h.write_drop_at_24
-    );
-    println!(
-        "  remote read slowdown at 24 ops: {:.2}x (paper: 1.3x)",
-        h.read_drop_at_24
-    );
-    println!(
-        "  idle latency: write {:.0} ns / read {:.0} ns (paper: 90 / 169)",
-        h.write_latency * 1e9,
-        h.read_latency * 1e9
-    );
+    print!("{}", device_report(&DeviceProfile::optane_gen1()));
 }

@@ -27,7 +27,8 @@ fn main() {
             "ranks", "S-LocW", "S-LocR", "P-LocW", "P-LocR"
         );
         for r in results.iter().filter(|r| r.entry.family == family) {
-            let n = |c: SchedConfig| r.sweep.normalized(c);
+            let sweep = r.completed();
+            let n = |c: SchedConfig| sweep.normalized(c);
             println!(
                 "  {:<6} {:>8.2} {:>8.2} {:>8.2} {:>8.2}   best={} paper={}",
                 r.entry.ranks,
@@ -35,10 +36,10 @@ fn main() {
                 n(SchedConfig::S_LOC_R),
                 n(SchedConfig::P_LOC_W),
                 n(SchedConfig::P_LOC_R),
-                r.model_winner().label(),
+                sweep.best().config.label(),
                 r.entry.paper_winner,
             );
-            worst_loss = worst_loss.max(r.sweep.worst_case_loss_percent());
+            worst_loss = worst_loss.max(sweep.worst_case_loss_percent());
         }
         println!();
     }

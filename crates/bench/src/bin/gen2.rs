@@ -20,7 +20,8 @@ fn main() {
     );
     let mut changed = 0;
     for (a, b) in gen1.iter().zip(gen2.iter()) {
-        let differs = a.model_winner() != b.model_winner();
+        let (sa, sb) = (a.completed(), b.completed());
+        let differs = sa.best().config != sb.best().config;
         if differs {
             changed += 1;
         }
@@ -28,10 +29,10 @@ fn main() {
             "{:<22} {:>5}  {:>8} {:>8}  {:>9.1} {:>9.1} {}",
             a.entry.family.name(),
             a.entry.ranks,
-            a.model_winner().label(),
-            b.model_winner().label(),
-            a.sweep.best().total,
-            b.sweep.best().total,
+            sa.best().config.label(),
+            sb.best().config.label(),
+            sa.best().total,
+            sb.best().total,
             if differs { "<-- flips" } else { "" },
         );
     }

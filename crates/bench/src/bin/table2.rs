@@ -5,13 +5,10 @@
 //! the model-driven oracle (simulate all four configurations), the
 //! rule-based engine (§VIII distilled), and the Table II row lookup.
 
-use pmemflow_bench::run_suite;
-use pmemflow_core::ExecutionParams;
-use pmemflow_sched::{characterize, classify, recommend, table2, RuleThresholds};
+use pmemflow_sched::scorecard::scorecard;
+use pmemflow_sched::table2;
 
 fn main() {
-    let params = ExecutionParams::default();
-
     println!("TABLE II: Configuration recommendations for Workflows\n");
     println!(
         "{:>3}  {:<11} {:<9} {:<11} {:<9} {:<7} {:<7}  Illustrated by",
@@ -38,43 +35,5 @@ fn main() {
     }
 
     println!("\nValidation against the 18-workload suite:\n");
-    println!(
-        "{:<20} {:>5}  {:>6}  {:>6}  {:>6}  {:>8}  paper",
-        "workload", "ranks", "oracle", "rules", "lookup", "row"
-    );
-    let thresholds = RuleThresholds::default();
-    let results = run_suite(&params);
-    let (mut oracle_ok, mut rules_ok, mut lookup_ok, mut lookup_n) = (0, 0, 0, 0);
-    for r in &results {
-        let profile = characterize(&r.entry.spec, &params).expect("characterize");
-        let rules = recommend(&profile, &thresholds).config;
-        let lookup = classify(&profile).map(|row| (row.row, row.config));
-        let paper = r.paper_winner();
-        if r.model_winner() == paper {
-            oracle_ok += 1;
-        }
-        if rules == paper {
-            rules_ok += 1;
-        }
-        if let Some((_, c)) = lookup {
-            lookup_n += 1;
-            if c == paper {
-                lookup_ok += 1;
-            }
-        }
-        println!(
-            "{:<20} {:>5}  {:>6}  {:>6}  {:>6}  {:>8}  {}",
-            r.entry.family.name(),
-            r.entry.ranks,
-            r.model_winner().label(),
-            rules.label(),
-            lookup.map(|(_, c)| c.label()).unwrap_or("—"),
-            lookup.map(|(n, _)| n.to_string()).unwrap_or_default(),
-            r.entry.paper_winner,
-        );
-    }
-    println!(
-        "\nagreement with the paper: oracle {oracle_ok}/18, rules {rules_ok}/18, \
-         Table II lookup {lookup_ok}/{lookup_n} (of workloads the table covers)."
-    );
+    print!("{}", scorecard().validation_table());
 }

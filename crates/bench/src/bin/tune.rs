@@ -11,10 +11,11 @@
 //! the stack cost models, and the workload constants; this tool documents
 //! how they were derived and lets anyone re-derive them.
 
-use pmemflow_core::{sweep, ExecutionParams, SchedConfig};
+use pmemflow_core::{sweep, ExecutionParams};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_iostack::{StackCostModel, StackKind};
 use pmemflow_pmem::{Curve, DeviceProfile, GB};
+use pmemflow_sched::scorecard::{agreement, panel_table, Panel};
 use pmemflow_workloads::{paper_suite, Family};
 
 #[derive(Debug, Clone, Copy)]
@@ -178,36 +179,49 @@ impl Knobs {
     }
 }
 
+/// The suite with the candidate's proxy-kernel compute, swept under its
+/// device and stack constants.
+fn suite_panels(k: &Knobs) -> Vec<Panel> {
+    let params = k.params();
+    paper_suite()
+        .into_iter()
+        .map(|mut entry| {
+            let spec = &mut entry.spec;
+            match entry.family {
+                Family::GtcReadOnly | Family::GtcMatMul => {
+                    spec.writer.compute_per_iteration = k.gtc_c;
+                    if entry.family == Family::GtcMatMul {
+                        spec.reader.compute_per_iteration = k.gtc_mm;
+                    }
+                }
+                Family::MiniAmrReadOnly | Family::MiniAmrMatMul => {
+                    spec.writer.compute_per_iteration = k.amr_c;
+                    if entry.family == Family::MiniAmrMatMul {
+                        spec.reader.compute_per_iteration = k.amr_mm;
+                    }
+                }
+                _ => {}
+            }
+            Panel {
+                sweep: sweep(spec, &params).ok(),
+                stack: params.stack,
+                entry,
+            }
+        })
+        .collect()
+}
+
 /// Score: 100 per matching winner, minus the normalized-excess of the
 /// paper winner when it loses (so near-misses rank above blowouts).
 fn evaluate(k: &Knobs) -> (usize, f64) {
-    let params = k.params();
-    let mut agree = 0usize;
     let mut score = 0.0;
-    for entry in paper_suite() {
-        let mut spec = entry.spec.clone();
-        match entry.family {
-            Family::GtcReadOnly | Family::GtcMatMul => {
-                spec.writer.compute_per_iteration = k.gtc_c;
-                if entry.family == Family::GtcMatMul {
-                    spec.reader.compute_per_iteration = k.gtc_mm;
-                }
-            }
-            Family::MiniAmrReadOnly | Family::MiniAmrMatMul => {
-                spec.writer.compute_per_iteration = k.amr_c;
-                if entry.family == Family::MiniAmrMatMul {
-                    spec.reader.compute_per_iteration = k.amr_mm;
-                }
-            }
-            _ => {}
-        }
-        let Ok(sw) = sweep(&spec, &params) else {
+    let panels = suite_panels(k);
+    for p in &panels {
+        let Some(sw) = &p.sweep else {
             return (0, f64::NEG_INFINITY);
         };
-        let paper = SchedConfig::parse(entry.paper_winner).unwrap();
-        let norm = sw.normalized(paper);
-        if sw.best().config == paper {
-            agree += 1;
+        let paper = p.paper_winner();
+        if p.agrees() {
             // Reward a decisive (but capped) margin over the runner-up so
             // ties break toward the paper.
             let second = sw
@@ -219,10 +233,10 @@ fn evaluate(k: &Knobs) -> (usize, f64) {
             let margin = (second / sw.best().total - 1.0).min(0.08);
             score += 100.0 + margin * 100.0;
         } else {
-            score -= (norm - 1.0) * 50.0;
+            score -= (sw.normalized(paper) - 1.0) * 50.0;
         }
     }
-    (agree, score)
+    (agreement(&panels), score)
 }
 
 fn main() {
@@ -265,42 +279,5 @@ fn main() {
     }
     println!("\nBEST: agree={best_agree}/18 score={best_score:.1}\n{best:#?}");
     // Per-panel detail for the best candidate.
-    let params = best.params();
-    println!("\npanel     workload              S-LocW  S-LocR  P-LocW  P-LocR  model   paper");
-    for entry in paper_suite() {
-        let mut spec = entry.spec.clone();
-        match entry.family {
-            Family::GtcReadOnly | Family::GtcMatMul => {
-                spec.writer.compute_per_iteration = best.gtc_c;
-                if entry.family == Family::GtcMatMul {
-                    spec.reader.compute_per_iteration = best.gtc_mm;
-                }
-            }
-            Family::MiniAmrReadOnly | Family::MiniAmrMatMul => {
-                spec.writer.compute_per_iteration = best.amr_c;
-                if entry.family == Family::MiniAmrMatMul {
-                    spec.reader.compute_per_iteration = best.amr_mm;
-                }
-            }
-            _ => {}
-        }
-        let sw = sweep(&spec, &params).unwrap();
-        let t = |c: SchedConfig| sw.run(c).total;
-        println!(
-            "{:<9} {:<20} {:>7.2} {:>7.2} {:>7.2} {:>7.2}  {:<7} {}{}",
-            entry.panel,
-            entry.family.name(),
-            t(SchedConfig::S_LOC_W),
-            t(SchedConfig::S_LOC_R),
-            t(SchedConfig::P_LOC_W),
-            t(SchedConfig::P_LOC_R),
-            sw.best().config.label(),
-            entry.paper_winner,
-            if sw.best().config.label() == entry.paper_winner {
-                ""
-            } else {
-                "  <-- MISS"
-            },
-        );
-    }
+    print!("\n{}", panel_table(&suite_panels(&best)));
 }

@@ -116,8 +116,9 @@ impl ConfigSweep {
         run.total / best
     }
 
-    /// Percent slowdown of the worst configuration vs the best — the
-    /// paper's headline "up to 70%" number.
+    /// Percent slowdown of the worst configuration vs the best,
+    /// worst/best − 1. The paper's "up to 69–70 %" reads as
+    /// (worst − best)/worst instead (the scorecard's `spread` row).
     pub fn worst_case_loss_percent(&self) -> f64 {
         (self.worst().total / self.best().total - 1.0) * 100.0
     }

@@ -184,7 +184,7 @@ impl OptaneAllocator {
 
         let has = |dir| s.classes.iter().any(|c| c.attrs.direction == dir);
         let mixed = has(Direction::Read) && has(Direction::Write);
-        let stripe = p.geometry.stripe_bytes();
+        let stripe = p.stripe_bytes;
         let any_small = s.classes.iter().any(|c| c.attrs.access_bytes < stripe);
 
         for _ in 0..p.duty_iterations {

@@ -13,27 +13,22 @@
 //! * [`OptaneAllocator`] — the fluid rate allocator plugged into
 //!   `pmemflow-des`, turning concurrent flow sets into per-flow bandwidth
 //!   under contention, locality, granularity and mixing effects.
-//! * [`Interleaver`] / [`simulate_random_access`] — a mechanistic
-//!   DIMM-queue model of striping, a cross-check of the calibrated
-//!   small-access efficiency.
 //! * [`PmemRegion`] — real bytes with durability tracking.
-//! * [`bandwidth_table`] / [`headline_ratios`] — §II-B characterization
-//!   tables regenerated from the model.
+//! * [`bandwidth_table`] / [`headline_ratios`] / [`device_report`] —
+//!   §II-B characterization tables regenerated from the model.
 
 #![warn(missing_docs)]
 
 mod allocator;
 mod curves;
 mod devicebench;
-mod dimmsim;
-mod interleave;
 mod profile;
 mod region;
 
 pub use allocator::OptaneAllocator;
 pub use curves::Curve;
-pub use devicebench::{bandwidth_table, headline_ratios, BandwidthRow, HeadlineRatios};
-pub use dimmsim::{granularity_sweep, simulate_random_access, DimmSimResult};
-pub use interleave::{DimmSegment, Interleaver};
-pub use profile::{DeviceProfile, InterleaveGeometry, GB};
+pub use devicebench::{
+    bandwidth_table, device_report, headline_ratios, BandwidthRow, HeadlineRatios,
+};
+pub use profile::{DeviceProfile, GB};
 pub use region::{PmemRegion, StoreMode};

@@ -12,23 +12,6 @@ use pmemflow_des::{Direction, Locality};
 /// Bytes per gigabyte (decimal, as used in device datasheets).
 pub const GB: f64 = 1e9;
 
-/// Interleaving geometry of an Optane socket (RAID-0-like striping).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterleaveGeometry {
-    /// Number of DIMM modules in the interleave set (paper: 6 per socket).
-    pub dimms: usize,
-    /// Contiguous bytes mapped to one DIMM before moving to the next
-    /// (paper: 4 KB chunks, forming a 24 KB stripe across 6 DIMMs).
-    pub chunk_bytes: u64,
-}
-
-impl InterleaveGeometry {
-    /// One full stripe: `dimms * chunk_bytes` (24 KB on the paper testbed).
-    pub fn stripe_bytes(&self) -> u64 {
-        self.dimms as u64 * self.chunk_bytes
-    }
-}
-
 /// The complete Optane performance model.
 ///
 /// Bandwidth curves map *effective concurrency* (duty-cycle-weighted number
@@ -39,8 +22,11 @@ impl InterleaveGeometry {
 pub struct DeviceProfile {
     /// Human-readable profile name.
     pub name: String,
-    /// Interleave geometry.
-    pub geometry: InterleaveGeometry,
+    /// Bytes of one interleave stripe: the DIMMs of a socket times the
+    /// contiguous chunk mapped to each (6 × 4 KB = 24 KB on the testbed,
+    /// §II-B "Access granularity"). A sub-stripe access lands on fewer
+    /// DIMMs than the set, so concurrent ones collide on modules.
+    pub stripe_bytes: u64,
     /// Capacity of one socket's PMEM in bytes (6 × 512 GB on the testbed).
     pub capacity_bytes: u64,
 
@@ -143,10 +129,7 @@ impl DeviceProfile {
     pub fn optane_gen1() -> Self {
         DeviceProfile {
             name: "optane-gen1".to_string(),
-            geometry: InterleaveGeometry {
-                dimms: 6,
-                chunk_bytes: 4096,
-            },
+            stripe_bytes: 6 * 4096,
             capacity_bytes: 6 * 512 * 1_000_000_000,
             // Aggregate local read: ~4.4 GB/s for one thread, near-linear
             // to the 39.4 GB/s peak at 17 threads, gentle XPBuffer-thrash
@@ -238,7 +221,7 @@ impl DeviceProfile {
     /// published-spec extrapolation: Intel's product brief quotes ~32 %
     /// higher memory bandwidth at the same idle latencies. Modeled as the
     /// gen-1 curves scaled 1.32× on every bandwidth axis, identical
-    /// latencies, geometry and interference structure. Lets experiments
+    /// latencies, stripe and interference structure. Lets experiments
     /// ask whether the paper's recommendations survive the generation the
     /// authors never got to test (they mostly do — the asymmetries scale
     /// together).
@@ -265,10 +248,7 @@ impl DeviceProfile {
         let flat = Curve::from_points(&[(0.0, 0.0), (1.0, bandwidth), (48.0, bandwidth)]);
         DeviceProfile {
             name: "symmetric-ideal".to_string(),
-            geometry: InterleaveGeometry {
-                dimms: 6,
-                chunk_bytes: 4096,
-            },
+            stripe_bytes: 6 * 4096,
             capacity_bytes: 6 * 512 * 1_000_000_000,
             local_read_bw: flat.clone(),
             local_write_bw: flat.clone(),
@@ -411,13 +391,13 @@ impl DeviceProfile {
                 let n = n_eff_remote
                     + self.remote_write_local_weight * (n_eff_total - n_eff_remote).max(0.0);
                 let mut cap = self.remote_write_bw.eval(n.max(1.0));
-                if (access_bytes as f64) < self.geometry.stripe_bytes() as f64 {
+                if (access_bytes as f64) < self.stripe_bytes as f64 {
                     cap *= self.remote_write_small_efficiency;
                 }
                 cap
             }
         };
-        if (access_bytes as f64) < self.geometry.stripe_bytes() as f64
+        if (access_bytes as f64) < self.stripe_bytes as f64
             && n_eff_total >= self.small_access_threads
         {
             cap *= self.small_access_efficiency;
@@ -431,47 +411,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn optane_peaks_match_paper() {
-        let p = DeviceProfile::optane_gen1();
-        assert!((p.local_read_bw.peak() - 39.4 * GB).abs() < 1e6);
-        assert!((p.local_write_bw.peak() - 13.9 * GB).abs() < 1e6);
-        assert_eq!(p.local_read_bw.peak_x(), 17.0);
-        assert_eq!(p.local_write_bw.peak_x(), 4.0);
-    }
-
-    #[test]
     fn stripe_is_24kb() {
         let p = DeviceProfile::optane_gen1();
-        assert_eq!(p.geometry.stripe_bytes(), 24 * 1024);
+        assert_eq!(p.stripe_bytes, 24 * 1024);
     }
 
     #[test]
-    fn remote_read_penalty_at_24_is_1_3() {
+    fn remote_reads_pay_more_extra_latency_than_writes() {
         let p = DeviceProfile::optane_gen1();
-        assert!((p.remote_read_penalty.eval(24.0) - 1.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn random_remote_write_collapses_below_1gbs() {
-        let p = DeviceProfile::optane_gen1();
-        assert!(p.remote_write_bw_random.eval(3.0) > 1.0 * GB);
-        for n in [4.0, 8.0, 16.0, 24.0] {
-            assert!(p.remote_write_bw_random.eval(n) < 1.1 * GB);
-        }
-        // 15× drop relative to the local write peak at 24 ops.
-        let ratio = p.local_write_bw.peak() / p.remote_write_bw_random.eval(24.0);
-        assert!(ratio > 12.0 && ratio < 18.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn latencies_match_paper() {
-        let p = DeviceProfile::optane_gen1();
-        assert_eq!(p.latency(Direction::Read, Locality::Local), 169e-9);
-        assert_eq!(p.latency(Direction::Write, Locality::Local), 90e-9);
-        // Remote reads pay far more extra latency than remote writes.
-        let dr = p.latency(Direction::Read, Locality::Remote) - 169e-9;
-        let dw = p.latency(Direction::Write, Locality::Remote) - 90e-9;
-        assert!(dr > 3.0 * dw);
+        let extra = |dir| p.latency(dir, Locality::Remote) - p.latency(dir, Locality::Local);
+        assert!(extra(Direction::Read) > 3.0 * extra(Direction::Write));
     }
 
     #[test]
@@ -538,7 +487,7 @@ mod tests {
         assert!((g2.local_write_bw.peak() / g1.local_write_bw.peak() - 1.32).abs() < 1e-9);
         assert_eq!(g2.read_latency_local, g1.read_latency_local);
         assert_eq!(g2.write_latency_local, g1.write_latency_local);
-        assert_eq!(g2.geometry, g1.geometry);
+        assert_eq!(g2.stripe_bytes, g1.stripe_bytes);
         // The asymmetry ratios are preserved.
         let r1 = g1.local_write_bw.peak() / g1.remote_write_bw.eval(24.0);
         let r2 = g2.local_write_bw.peak() / g2.remote_write_bw.eval(24.0);

@@ -267,7 +267,7 @@ fn per_flow_solve(p: &DeviceProfile, flows: &[FlowAttrs], seen: &mut Coverage) -
     let (mut order, mut class_caps) = (Vec::new(), Vec::new());
     let has = |dir| flows.iter().any(|f| f.direction == dir);
     let mixed = has(Direction::Read) && has(Direction::Write);
-    let stripe = p.geometry.stripe_bytes();
+    let stripe = p.stripe_bytes;
     let any_small = flows.iter().any(|f| f.access_bytes < stripe);
     for _ in 0..p.duty_iterations {
         let n_eff_total: f64 = duty.iter().sum();

@@ -2,7 +2,7 @@
 //! (seeded generator, reproducible failures).
 
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_pmem::{Curve, DeviceProfile, InterleaveGeometry, Interleaver, PmemRegion, StoreMode};
+use pmemflow_pmem::{Curve, DeviceProfile, PmemRegion, StoreMode};
 use std::collections::BTreeMap;
 
 /// Curve evaluation stays within the convex hull of the calibration points
@@ -23,38 +23,6 @@ fn curve_eval_is_bounded() {
         let c = Curve::new(pts);
         let y = c.eval(x);
         assert!(y >= lo - 1e-9 && y <= hi + 1e-9);
-    }
-}
-
-/// Interleaver segments partition any range exactly, each within one
-/// chunk, with consistent DIMM assignment.
-#[test]
-fn interleaver_segments_partition() {
-    let mut rng = SplitMix64::new(0xc0_0002);
-    for _case in 0..256 {
-        let dimms = rng.range_usize(1, 8);
-        let chunk = 1u64 << rng.range_u64(8, 14);
-        let offset = rng.range_u64(0, 1_000_000);
-        let len = rng.range_u64(0, 500_000);
-        let il = Interleaver::new(InterleaveGeometry {
-            dimms,
-            chunk_bytes: chunk,
-        });
-        let segs = il.segments(offset, len);
-        let total: u64 = segs.iter().map(|s| s.len).sum();
-        assert_eq!(total, len);
-        let mut pos = offset;
-        for seg in &segs {
-            assert_eq!(seg.offset, pos);
-            assert!(seg.len <= chunk);
-            assert_eq!(seg.dimm, il.dimm_of(seg.offset));
-            // A segment never crosses a chunk boundary.
-            assert_eq!(
-                seg.offset / chunk,
-                (seg.offset + seg.len - 1).max(seg.offset) / chunk
-            );
-            pos += seg.len;
-        }
     }
 }
 

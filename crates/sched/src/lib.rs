@@ -24,6 +24,7 @@ mod model_driven;
 mod planner;
 mod profile;
 mod rules;
+pub mod scorecard;
 mod table2;
 
 pub use adaptive::{explore_then_commit, AdaptiveOutcome};

@@ -25,8 +25,8 @@ use pmemflow::cluster::{
     CheckpointSpec, DagClass, FaultSpec, Oracle, Policy, DAG_CLASS_CHOICES, POLICY_CHOICES,
 };
 use pmemflow::core::report::panel_table;
-use pmemflow::pmem::{bandwidth_table, headline_ratios, DeviceProfile, GB};
-use pmemflow::sched::{characterize, classify, plan, recommend, RuleThresholds};
+use pmemflow::pmem::{device_report, DeviceProfile};
+use pmemflow::sched::{characterize, classify, plan, recommend, scorecard, RuleThresholds};
 use pmemflow::serve::{Server, ServerConfig};
 use pmemflow::{
     decide, execute, full_matrix, map_ordered, paper_suite, run_matrix, sweep, ExecutionParams,
@@ -288,43 +288,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 println!("{written} Chrome traces written to {dir}\n");
             }
 
-            // Table II covers the NVStream half of the matrix; full_matrix()
-            // is stack-major with NVStream first, so the first 72 outcomes
-            // line up with paper_suite() in chunks of four configurations.
-            let entries = paper_suite();
-            let mut agree = 0;
-            println!("panel     workload                ranks  model    paper   ");
-            for (entry, chunk) in entries.iter().zip(outcomes.chunks(SchedConfig::ALL.len())) {
-                let model = chunk
-                    .iter()
-                    .filter_map(|o| o.result.as_ref().ok().map(|m| (o.config, m.total)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("totals are finite"));
-                let Some((model, _)) = model else {
-                    println!(
-                        "{:<9} {:<23} {:>5}  (all four runs failed)",
-                        entry.panel,
-                        entry.family.name(),
-                        entry.ranks
-                    );
-                    continue;
-                };
-                let ok = model.label() == entry.paper_winner;
-                if ok {
-                    agree += 1;
-                }
-                println!(
-                    "{:<9} {:<23} {:>5}  {:<7}  {:<7} {}",
-                    entry.panel,
-                    entry.family.name(),
-                    entry.ranks,
-                    model.label(),
-                    entry.paper_winner,
-                    if ok { "" } else { "<-- differs" }
-                );
-            }
+            let panels = scorecard::panels(&outcomes);
+            print!("{}", scorecard::panel_table(&panels));
             println!(
-                "\nagreement with the paper's Table II: {agree}/{}",
-                entries.len()
+                "\nagreement with the paper's Table II: {}/{}",
+                scorecard::agreement(&panels),
+                paper_suite().len()
             );
             let failures = outcomes.iter().filter(|o| o.result.is_err()).count();
             let wall: f64 = outcomes.iter().map(|o| o.wall_secs).sum();
@@ -450,26 +419,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         "devicebench" => {
             args.reject_unread()?;
-            let profile = DeviceProfile::optane_gen1();
-            println!("threads  local-read  local-write  remote-read  remote-write (GB/s)");
-            for row in bandwidth_table(&profile, &[1.0, 4.0, 8.0, 17.0, 24.0]) {
-                println!(
-                    "{:>7.0} {:>11.1} {:>12.1} {:>12.1} {:>13.1}",
-                    row.threads,
-                    row.local_read / GB,
-                    row.local_write / GB,
-                    row.remote_read / GB,
-                    row.remote_write / GB
-                );
-            }
-            let h = headline_ratios(&profile);
-            println!(
-                "latency write/read: {:.0}/{:.0} ns; remote drop @24: write {:.1}x read {:.2}x",
-                h.write_latency * 1e9,
-                h.read_latency * 1e9,
-                h.write_drop_at_24,
-                h.read_drop_at_24
-            );
+            print!("{}", device_report(&DeviceProfile::optane_gen1()));
         }
         "help" | "--help" | "-h" => {
             args.reject_unread()?;

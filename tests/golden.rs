@@ -1,5 +1,5 @@
-//! The determinism contract in tier-1: CI's golden command lines, run
-//! through the `pmemflow` binary at `--jobs 1` and `--jobs 2`, must
+//! The determinism contract in tier-1: the golden command lines, run
+//! through the `pmemflow` binary at `--jobs 1`, `4` and `8`, must
 //! reproduce `tests/golden/` byte for byte. Any byte difference fails.
 //! The failure report classifies what moved, line by line: each moved
 //! key, its kind (key set, string, bool, `EXACT` counter or float), the
@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The chaos-smoke fault flags of CI's `cluster_dag_faults` golden.
+/// The chaos-smoke fault flags of the `cluster_dag_faults` golden.
 const FAULTS: &[&str] = &[
     "--fault-seed",
     "1234",
@@ -30,8 +30,8 @@ const FAULTS: &[&str] = &[
     "4",
 ];
 
-/// Run `args` plus `--jobs J --out F` for J in 1 and 2, and compare each
-/// output (after `strip`) with `tests/golden/<golden>`.
+/// Run `args` plus `--jobs J --out F` for J in 1, 4 and 8, and compare
+/// each output (after `strip`) with `tests/golden/<golden>`.
 fn check(golden: &str, args: &[&str], strip: fn(&str) -> String) {
     let want_path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -39,7 +39,7 @@ fn check(golden: &str, args: &[&str], strip: fn(&str) -> String) {
     let want = std::fs::read_to_string(&want_path).expect("golden file is committed");
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden");
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    for jobs in ["1", "2"] {
+    for jobs in ["1", "4", "8"] {
         let out = dir.join(format!("{golden}.jobs{jobs}"));
         let status = Command::new(env!("CARGO_BIN_EXE_pmemflow"))
             .args(args)

@@ -1,122 +1,93 @@
-//! Integration tests locking in the paper's quantitative claims that the
-//! model must reproduce (see EXPERIMENTS.md for the full index).
+//! The paper's quantitative claims that the model must reproduce. Each
+//! test asserts rows of the scorecard (`pmemflow::sched::scorecard`),
+//! which works every claim out once; EXPERIMENTS.md carries the same
+//! table, and the last test keeps its generated blocks byte-identical to
+//! the scorecard's rendering.
 
-use pmemflow::pmem::{headline_ratios, DeviceProfile, GB};
-use pmemflow::workloads::{micro_2kb, micro_64mb, miniamr_matmul, miniamr_readonly};
-use pmemflow::{sweep, ExecutionParams, SchedConfig};
-
-fn params() -> ExecutionParams {
-    ExecutionParams::default()
-}
+use pmemflow::sched::scorecard::scorecard;
 
 /// §II-B: device-level headline numbers.
 #[test]
 fn device_headlines_match_section_2b() {
-    let profile = DeviceProfile::optane_gen1();
-    assert!((profile.local_read_bw.peak() - 39.4 * GB).abs() < 0.05 * GB);
-    assert!((profile.local_write_bw.peak() - 13.9 * GB).abs() < 0.05 * GB);
-    assert_eq!(
-        profile.local_write_bw.peak_x(),
-        4.0,
-        "write saturates at 4 threads"
-    );
-    let h = headline_ratios(&profile);
-    assert!(
-        h.write_drop_at_24 > 12.0 && h.write_drop_at_24 < 18.0,
-        "~15x"
-    );
-    assert!((h.read_drop_at_24 - 1.3).abs() < 0.05, "1.3x");
-    assert_eq!(h.write_latency, 90e-9);
-    assert_eq!(h.read_latency, 169e-9);
+    scorecard().check(&[
+        "read_peak",
+        "write_peak",
+        "read_peak_threads",
+        "write_peak_threads",
+        "write_drop",
+        "read_drop",
+        "write_latency",
+        "read_latency",
+        "remote_random_write",
+        "remote_random_write_at_3",
+    ]);
 }
 
 /// §I / Fig. 1: swapping the analytics kernel while keeping the
 /// configuration tuned for the other kernel costs tens of percent.
 #[test]
 fn fig1_motivation_changing_analytics_kernel_costs_performance() {
-    let p = params();
-    let ro = sweep(&miniamr_readonly(16), &p).unwrap();
-    let mm = sweep(&miniamr_matmul(16), &p).unwrap();
-    // The two workflows share the same simulation component.
-    let cross_cost = mm
-        .normalized(ro.best().config)
-        .max(ro.normalized(mm.best().config));
-    assert!(
-        cross_cost > 1.05,
-        "using the other workflow's best config must cost >5%, got {cross_cost:.3}x"
-    );
+    scorecard().check(&["fig1_cross_cost"]);
 }
 
 /// §VII / §X: misconfiguration costs tens of percent, up to ~70%.
 #[test]
 fn misconfiguration_cost_is_large() {
-    let p = params();
-    let mut worst: f64 = 0.0;
-    for spec in [micro_64mb(24), micro_2kb(24), miniamr_readonly(24)] {
-        worst = worst.max(sweep(&spec, &p).unwrap().worst_case_loss_percent());
-    }
-    assert!(
-        worst >= 50.0,
-        "worst-case misconfiguration should cost at least ~50-70%, got {worst:.0}%"
-    );
+    scorecard().check(&["worst_case_loss"]);
 }
 
 /// §VI-A: the 64 MB microbenchmark at high concurrency prefers S-LocW by a
 /// large margin (paper: up to 2.5× better than other scenarios).
 #[test]
 fn micro64_high_concurrency_prefers_serial_local_write_strongly() {
-    let sw = sweep(&micro_64mb(24), &params()).unwrap();
-    assert_eq!(sw.best().config, SchedConfig::S_LOC_W);
-    let margin = sw.worst().total / sw.best().total;
-    assert!(
-        margin > 1.5 && margin < 5.0,
-        "expected a strong (roughly 1.5-3x) margin, got {margin:.2}x"
-    );
+    scorecard().check(&["micro64_winner", "micro64_margin"]);
 }
 
 /// §VI-A: remote writes dominate the runtime of bandwidth-bound serial
 /// runs — the writer phase under S-LocR must far exceed S-LocW's.
 #[test]
 fn remote_writes_dominate_bandwidth_bound_runs() {
-    let p = params();
-    let locw = pmemflow::execute(&micro_64mb(24), SchedConfig::S_LOC_W, &p).unwrap();
-    let locr = pmemflow::execute(&micro_64mb(24), SchedConfig::S_LOC_R, &p).unwrap();
-    let (w_local, _) = locw.serial_split();
-    let (w_remote, _) = locr.serial_split();
-    assert!(
-        w_remote / w_local > 1.5,
-        "remote write phase {w_remote:.1}s vs local {w_local:.1}s"
-    );
+    scorecard().check(&["remote_write_phase"]);
 }
 
 /// §VIII: high software overhead (2 KB objects) lowers effective PMEM
 /// contention — the device experiences far fewer effective concurrent
-/// operations than there are ranks (flow counts are equal; the duty-cycle
-/// weighted characterization shows the difference).
+/// operations than there are ranks.
 #[test]
 fn software_overhead_lowers_effective_device_concurrency() {
-    let p = params();
-    let big = pmemflow::characterize(&micro_64mb(24), &p).unwrap();
-    let small = pmemflow::characterize(&micro_2kb(24), &p).unwrap();
-    assert!(
-        small.sim_device_concurrency < 0.8 * big.sim_device_concurrency,
-        "2KB effective concurrency {:.1} should be well below 64MB's {:.1}",
-        small.sim_device_concurrency,
-        big.sim_device_concurrency
-    );
+    scorecard().check(&["small_object_concurrency"]);
 }
 
 /// §VII: no single configuration is optimal across the suite.
 #[test]
 fn no_single_optimal_configuration() {
-    let p = params();
-    let mut winners = std::collections::BTreeSet::new();
-    for entry in pmemflow::paper_suite() {
-        let sw = sweep(&entry.spec, &p).unwrap();
-        winners.insert(sw.best().config.label());
+    scorecard().check(&["distinct_winners"]);
+}
+
+/// The body of EXPERIMENTS.md's `<!-- AUTOGEN:name -->` block.
+fn autogen_block<'a>(doc: &'a str, name: &str) -> &'a str {
+    let open = format!("<!-- AUTOGEN:{name} -->\n");
+    let close = format!("<!-- /AUTOGEN:{name} -->");
+    let start = doc.find(&open).expect("block opens") + open.len();
+    let end = start + doc[start..].find(&close).expect("block closes");
+    &doc[start..end]
+}
+
+/// EXPERIMENTS.md's claims and per-panel blocks are the scorecard's
+/// rendering, byte for byte; on a mismatch the message is the block to
+/// paste.
+#[test]
+fn experiments_md_matches_the_scorecard() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/EXPERIMENTS.md"))
+        .expect("EXPERIMENTS.md is committed");
+    let card = scorecard();
+    for (name, want) in [
+        ("claims", card.claims_markdown()),
+        ("panels", card.panels_markdown()),
+    ] {
+        assert!(
+            autogen_block(&doc, name) == want,
+            "EXPERIMENTS.md's AUTOGEN:{name} block is stale; replace its body with:\n{want}"
+        );
     }
-    assert!(
-        winners.len() >= 3,
-        "at least three distinct winners expected across the suite, got {winners:?}"
-    );
 }

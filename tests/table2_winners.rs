@@ -1,75 +1,22 @@
 //! Calibration lock-in: the model must reproduce the paper's per-workload
 //! optimal configuration (Table II + §VI) for a large majority of the
 //! 18-workload suite, and every miss must be a near-tie, not a blowout.
-//!
-//! EXPERIMENTS.md records the per-panel comparison in full.
+//! The bounds live in the scorecard's rows (`pmemflow::sched::scorecard`),
+//! which EXPERIMENTS.md prints in full.
 
-use pmemflow::{paper_suite, sweep, ExecutionParams, SchedConfig};
-
-/// Minimum number of suite workloads whose modeled winner must equal the
-/// paper's. Raised as calibration improves; never lowered.
-const MIN_AGREEMENT: usize = 15;
-
-/// When the model disagrees, the paper's winner must still be within this
-/// factor of the modeled best — i.e. misses are ties, not contradictions.
-const MISS_TOLERANCE: f64 = 1.15;
+use pmemflow::sched::scorecard::scorecard;
 
 #[test]
 fn table2_winners_are_reproduced() {
-    let params = ExecutionParams::default();
-    let mut agree = 0;
-    let mut misses = Vec::new();
-    for entry in paper_suite() {
-        let sw = sweep(&entry.spec, &params).unwrap();
-        let paper = SchedConfig::parse(entry.paper_winner).unwrap();
-        if sw.best().config == paper {
-            agree += 1;
-        } else {
-            let norm = sw.normalized(paper);
-            misses.push(format!(
-                "{} {}@{}: model {} vs paper {} (paper winner at {:.2}x)",
-                entry.panel,
-                entry.family.name(),
-                entry.ranks,
-                sw.best().config,
-                entry.paper_winner,
-                norm
-            ));
-            assert!(
-                norm <= MISS_TOLERANCE,
-                "paper winner {paper} is {norm:.2}x off the model best for {} — \
-                 a contradiction, not a near-tie",
-                entry.panel
-            );
-        }
-    }
-    assert!(
-        agree >= MIN_AGREEMENT,
-        "only {agree}/18 winners agree with Table II; misses:\n{}",
-        misses.join("\n")
-    );
+    scorecard().check(&["table2_winners", "table2_misses"]);
 }
 
 /// The per-row spot checks the paper quotes explicitly.
 #[test]
 fn quoted_margins_hold_in_direction() {
-    let params = ExecutionParams::default();
-
-    // §VI-A: micro-64MB @24: S-LocW beats S-LocR clearly.
-    let sw = sweep(&pmemflow::workloads::micro_64mb(24), &params).unwrap();
-    assert!(sw.run(SchedConfig::S_LOC_R).total > 1.2 * sw.run(SchedConfig::S_LOC_W).total);
-
-    // §VI-D: 2KB @8: parallel local-read beats serial local-read
-    // (paper: 10-14% faster).
-    let sw = sweep(&pmemflow::workloads::micro_2kb(8), &params).unwrap();
-    assert!(
-        sw.run(SchedConfig::P_LOC_R).total < sw.run(SchedConfig::S_LOC_R).total,
-        "P-LocR {} !< S-LocR {}",
-        sw.run(SchedConfig::P_LOC_R).total,
-        sw.run(SchedConfig::S_LOC_R).total
-    );
-
-    // §VI-A: miniAMR+ReadOnly @24: S-LocW beats S-LocR (paper: 25%).
-    let sw = sweep(&pmemflow::workloads::miniamr_readonly(24), &params).unwrap();
-    assert!(sw.run(SchedConfig::S_LOC_W).total < sw.run(SchedConfig::S_LOC_R).total);
+    scorecard().check(&[
+        "micro64_locr_over_locw",
+        "micro2kb_parallel",
+        "miniamr_readonly_locw",
+    ]);
 }
