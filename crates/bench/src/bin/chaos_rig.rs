@@ -14,7 +14,7 @@
 //!           [--trace-out PATH] [--out PATH]
 //! ```
 
-use pmemflow_bench::{flag_value, parse_or};
+use pmemflow_bench::BenchArgs;
 use pmemflow_iostack::fnv1a;
 use pmemflow_serve::{run_rig, RigConfig, RigReport};
 use std::fmt::Write as _;
@@ -39,13 +39,16 @@ fn report_json(r: &RigReport, trace_hash: u64) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seeds: u64 = parse_or(&args, "--seeds", 8);
-    let clients: u64 = parse_or(&args, "--clients", 8);
-    let requests: u32 = parse_or(&args, "--requests", 12);
-    let io_threads: usize = parse_or(&args, "--io-threads", 1);
-    let trace_out = flag_value(&args, "--trace-out");
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_chaos_rig.json".to_string());
+    let args = BenchArgs::from_env();
+    let seeds: u64 = args.parse_or("--seeds", 8);
+    let clients: u64 = args.parse_or("--clients", 8);
+    let requests: u32 = args.parse_or("--requests", 12);
+    let io_threads: usize = args.parse_or("--io-threads", 1);
+    let trace_out = args.value("--trace-out");
+    let out = args
+        .value("--out")
+        .unwrap_or_else(|| "BENCH_chaos_rig.json".to_string());
+    args.reject_unread();
 
     println!(
         "chaos_rig: {seeds} seed(s) x2 runs, {clients} clients x {requests} requests, \

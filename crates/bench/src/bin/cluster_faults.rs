@@ -22,6 +22,7 @@
 //! cluster_faults [--jobs N]
 //! ```
 
+use pmemflow_bench::BenchArgs;
 use pmemflow_cluster::{
     all_policies, run_campaign_with_oracle, ArrivalSpec, CampaignConfig, CampaignOutcome,
     CheckpointSpec, FaultSpec, Oracle,
@@ -87,11 +88,12 @@ fn print_table(label: &str, outcomes: &[CampaignOutcome]) {
 }
 
 fn main() {
-    let jobs = std::env::args()
-        .skip_while(|a| a != "--jobs")
-        .nth(1)
-        .map(|v| v.parse().expect("--jobs expects a count"))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let args = BenchArgs::from_env();
+    let jobs = args.parse_or(
+        "--jobs",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    );
+    args.reject_unread();
 
     println!("CAMPAIGN POLICIES UNDER FAILURES — 4 nodes, 200 arrivals, fault seed 1234\n");
     println!(

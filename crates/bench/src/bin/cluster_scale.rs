@@ -18,7 +18,7 @@
 //!               [--jobs N] [--out PATH]
 //! ```
 
-use pmemflow_bench::{flag_value, parse_or};
+use pmemflow_bench::BenchArgs;
 use pmemflow_cluster::{
     run_campaign_with_oracle, ArrivalSpec, CampaignConfig, Fcfs, Oracle, TenantKey, TraceRow,
 };
@@ -33,22 +33,24 @@ const MIX: [Family; 2] = [Family::Micro64MB, Family::Micro2KB];
 const LEVELS: [usize; 3] = [8, 16, 24];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let args = BenchArgs::from_env();
+    let smoke = args.switch("--smoke");
     let (def_nodes, def_subs) = if smoke {
         (64usize, 2_000u64)
     } else {
         (1_024, 100_000)
     };
-    let nodes = parse_or(&args, "--nodes", def_nodes);
-    let submissions = parse_or(&args, "--submissions", def_subs);
-    let overload = parse_or(&args, "--overload", 1.3f64);
-    let jobs = parse_or(
-        &args,
+    let nodes = args.parse_or("--nodes", def_nodes);
+    let submissions = args.parse_or("--submissions", def_subs);
+    let overload = args.parse_or("--overload", 1.3f64);
+    let jobs = args.parse_or(
         "--jobs",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_cluster_scale.json".to_string());
+    let out = args
+        .value("--out")
+        .unwrap_or_else(|| "BENCH_cluster_scale.json".to_string());
+    args.reject_unread();
 
     let exec = ExecutionParams::default();
     let cores = exec.node.cores_per_socket();

@@ -17,7 +17,7 @@
 //!           [--staging GIB] [--jobs N] [--out PATH]
 //! ```
 
-use pmemflow_bench::{flag_value, parse_or};
+use pmemflow_bench::BenchArgs;
 use pmemflow_cluster::{
     all_policies, run_campaign_with_oracle, ArrivalSpec, CampaignConfig, DagClass, Oracle,
 };
@@ -25,23 +25,25 @@ use pmemflow_core::ExecutionParams;
 use std::time::Instant;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let args = BenchArgs::from_env();
+    let smoke = args.switch("--smoke");
     let (def_nodes, def_subs, def_rate) = if smoke {
         (2usize, 8u64, 0.002f64)
     } else {
         (8, 200, 0.01)
     };
-    let nodes = parse_or(&args, "--nodes", def_nodes);
-    let submissions = parse_or(&args, "--submissions", def_subs);
-    let rate = parse_or(&args, "--rate", def_rate);
-    let staging = parse_or(&args, "--staging", 256.0f64);
-    let jobs = parse_or(
-        &args,
+    let nodes = args.parse_or("--nodes", def_nodes);
+    let submissions = args.parse_or("--submissions", def_subs);
+    let rate = args.parse_or("--rate", def_rate);
+    let staging = args.parse_or("--staging", 256.0f64);
+    let jobs = args.parse_or(
         "--jobs",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_dag_scale.json".to_string());
+    let out = args
+        .value("--out")
+        .unwrap_or_else(|| "BENCH_dag_scale.json".to_string());
+    args.reject_unread();
 
     let config = CampaignConfig {
         nodes,

@@ -9,8 +9,9 @@
 //!
 //! Passes over the *identical* request sequence:
 //!
-//! * **cold** — empty cache: most requests pay for simulations (or
-//!   coalesce onto one);
+//! * **cold** — empty cache: the first request for each distinct query
+//!   is computed by a worker, and every later one is a cache hit (or,
+//!   if it queued behind an identical request, `coalesced`);
 //! * **warm sweep** — the same sequence replayed closed-loop at each
 //!   connection count (default 4 / 128 / 1000): everything hits the
 //!   result cache at microsecond latencies, and the sweep shows how
@@ -22,7 +23,11 @@
 //! Cross-checks that every response body is **byte-identical** between
 //! cold and warm and across `--workers 1` vs `--workers N`, and that
 //! the daemon drains cleanly (zero abandoned connections) after the
-//! full fleet disconnects — the CI `serve-smoke` gate.
+//! full fleet disconnects — the CI `serve-smoke` gate. Two checks on the
+//! daemon's own counters print a `WARNING:` line when violated: the cold
+//! pass computes at most `distinct × workers` answers, and no warm pass
+//! computes or coalesces anything (every warm request is answered on the
+//! io thread). The warm/cold throughput ratio is printed, not gated.
 //!
 //! Always writes `BENCH_serve_loadgen.json` (schema-stable, one object)
 //! so successive runs seed a perf trajectory. `--smoke` shrinks the
@@ -39,8 +44,9 @@
 //! (`FaultInjectingBackend`): every client retries 500s with seeded,
 //! jittered exponential backoff, and the pass reports **goodput** — the
 //! rate of requests that ultimately succeeded — plus the daemon's panic
-//! and worker-restart counters. The pass asserts no request hangs and no
-//! retry budget is exhausted: the daemon degrades, it does not wedge.
+//! counter. The pass asserts that panics fired, that no request hangs and
+//! that no retry budget is exhausted: the daemon degrades, it does not
+//! wedge.
 //!
 //! With `--chaos-net` an extra pass points the same client discipline
 //! at a seeded `pmemflow_net::ChaosProxy` that fragments, stalls,
@@ -49,7 +55,7 @@
 //! exponential backoff, and goodput must still reach 100% with zero
 //! exhausted retry budgets and a clean, conservation-checked drain.
 
-use pmemflow_bench::{flag_value, parse_or};
+use pmemflow_bench::BenchArgs;
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_net::{
     drain_read, ChaosPlan, ChaosProxy, ChaosSpec, Event, Interest, ProxyConfig, Reactor, Token,
@@ -71,7 +77,7 @@ struct LoadQuery {
 /// The query universe the Zipf stream draws from: every family at two
 /// rank counts across three endpoints, plus co-schedule pairs. Popular
 /// entries (low index) dominate under Zipf — exactly the redundancy the
-/// cache and single-flight are built to exploit.
+/// result cache is built to exploit.
 fn universe() -> Vec<LoadQuery> {
     let families = [
         "micro-2kb",
@@ -585,23 +591,26 @@ fn run_chaos_pass(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let chaos_net = args.iter().any(|a| a == "--chaos-net");
-    let requests: usize = parse_or(&args, "--requests", if smoke { 2048 } else { 4000 });
-    let workers: usize = parse_or(&args, "--workers", 2);
-    let io_threads: usize = parse_or(&args, "--io-threads", 1);
-    let seed: u64 = parse_or(&args, "--seed", 42);
-    let fault_rate: f64 = parse_or(&args, "--fault-rate", 0.0);
-    let open_rate: f64 = parse_or(&args, "--open-rate", 2000.0);
-    let out = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_serve_loadgen.json".to_string());
+    let args = BenchArgs::from_env();
+    let smoke = args.switch("--smoke");
+    let chaos_net = args.switch("--chaos-net");
+    let requests: usize = args.parse_or("--requests", if smoke { 2048 } else { 4000 });
+    let workers: usize = args.parse_or("--workers", 2);
+    let io_threads: usize = args.parse_or("--io-threads", 1);
+    let seed: u64 = args.parse_or("--seed", 42);
+    let fault_rate: f64 = args.parse_or("--fault-rate", 0.0);
+    let open_rate: f64 = args.parse_or("--open-rate", 2000.0);
+    let out = args
+        .value("--out")
+        .unwrap_or_else(|| "BENCH_serve_loadgen.json".to_string());
     // The warm closed-loop sweep: CI smoke gates on one 512-connection
     // pass; the full run walks 4 / 128 / 1000.
-    let sweep: Vec<usize> = match flag_value(&args, "--conns") {
-        Some(c) => vec![c.parse().expect("--conns expects a number")],
-        None if smoke => vec![512],
-        None => vec![4, 128, 1000],
+    let sweep: Vec<usize> = match args.parse_or("--conns", 0) {
+        0 if smoke => vec![512],
+        0 => vec![4, 128, 1000],
+        c => vec![c],
     };
+    args.reject_unread();
 
     let queries = universe();
     let rendered = render_requests(&queries);
@@ -629,6 +638,29 @@ fn main() {
     let cold = run_pass(addr, &rendered, &sequence, 4, Arrivals::ClosedLoop, seed);
     let cold_sum = summarize(4, &cold);
     report("cold", &cold_sum);
+    let m = server.metrics();
+    let computed = || (m.cache_misses.load(Relaxed), m.coalesced.load(Relaxed));
+    let after_cold = computed();
+    let mut warnings = Vec::new();
+    // Two workers that miss the same key at once both compute it, so a
+    // distinct query costs at most one computation per worker.
+    if after_cold.0 > (distinct.len() * workers.max(1)) as u64 {
+        warnings.push(format!(
+            "cold pass computed {} answers for {} distinct queries on {} worker(s)",
+            after_cold.0,
+            distinct.len(),
+            workers.max(1)
+        ));
+    }
+    // A warm request must be answered on the io thread, never a worker.
+    let mut check_warm = |pass: &str| {
+        let now = computed();
+        if now != after_cold {
+            warnings.push(format!(
+                "{pass} pass reached a worker: (misses, coalesced) {after_cold:?} -> {now:?}"
+            ));
+        }
+    };
 
     let mut warm_sums = Vec::new();
     let mut warm_best: Option<PassStats> = None;
@@ -646,6 +678,7 @@ fn main() {
         }
         let s = summarize(conns, &warm);
         report("warm", &s);
+        check_warm("warm");
         warm_sums.push(s);
         warm_best = Some(warm);
     }
@@ -664,9 +697,9 @@ fn main() {
     );
     let open_sum = summarize(open_conns, &open);
     report("open-loop", &open_sum);
+    check_warm("open-loop");
     println!("            (target {open_rate:.0} req/s Poisson)");
 
-    let m = server.metrics();
     let hits = m.cache_hits.load(Relaxed);
     let misses = m.cache_misses.load(Relaxed);
     let coalesced = m.coalesced.load(Relaxed);
@@ -742,11 +775,8 @@ fn main() {
         })
         .expect("chaos server boots");
         let stats = run_chaos_pass(chaos.addr(), &queries, &sequence, 4, seed);
-        // Let the last respawn land before scraping counters.
-        std::thread::sleep(Duration::from_millis(200));
         let cm = chaos.metrics();
         let panics = cm.panics.load(Relaxed);
-        let restarts = cm.worker_restarts.load(Relaxed);
         println!(
             "chaos: {}/{} ok ({} retries, {} gave up) in {:.3}s = {:.1} req/s goodput",
             stats.ok,
@@ -756,14 +786,10 @@ fn main() {
             stats.elapsed.as_secs_f64(),
             stats.ok as f64 / stats.elapsed.as_secs_f64(),
         );
-        println!("chaos: {panics} injected panics, {restarts} worker respawns, 0 hung requests");
+        println!("chaos: {panics} injected panics, 0 hung requests");
         assert!(
             panics > 0,
             "fault injection never fired; raise --requests or --fault-rate"
-        );
-        assert!(
-            restarts > 0 && restarts <= panics,
-            "respawns ({restarts}) out of line with panics ({panics})"
         );
         assert_eq!(stats.exhausted, 0, "requests exhausted their retry budget");
         assert_eq!(
@@ -775,7 +801,7 @@ fn main() {
         assert_eq!(chaos.join(), 0, "hung connections after the chaos pass");
         chaos_json = format!(
             "{{\"fault_rate\":{fault_rate},\"ok\":{},\"retries\":{},\
-             \"goodput_per_s\":{:.1},\"panics\":{panics},\"worker_restarts\":{restarts}}}",
+             \"goodput_per_s\":{:.1},\"panics\":{panics}}}",
             stats.ok,
             stats.retries,
             stats.ok as f64 / stats.elapsed.as_secs_f64()
@@ -878,7 +904,7 @@ fn main() {
     std::fs::write(&out, &json).expect("write bench JSON");
     println!("wrote {out}");
 
-    if warm_peak / cold_sum.req_per_s < 10.0 {
-        println!("WARNING: warm/cold speedup below 10x");
+    for w in &warnings {
+        println!("WARNING: {w}");
     }
 }

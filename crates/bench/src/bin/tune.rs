@@ -11,6 +11,7 @@
 //! the stack cost models, and the workload constants; this tool documents
 //! how they were derived and lets anyone re-derive them.
 
+use pmemflow_bench::BenchArgs;
 use pmemflow_core::{sweep, ExecutionParams};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_iostack::{StackCostModel, StackKind};
@@ -240,10 +241,9 @@ fn evaluate(k: &Knobs) -> (usize, f64) {
 }
 
 fn main() {
-    let iters: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(300);
+    let args = BenchArgs::from_env();
+    let iters: usize = args.positional_or(300);
+    args.reject_unread();
     let mut rng = SplitMix64::new(0x5eed);
     let mut best = Knobs::current();
     let (mut best_agree, mut best_score) = evaluate(&best);

@@ -3,7 +3,7 @@
 //! The parallel runner and the serving daemon isolate panics with
 //! `catch_unwind`, which means a `Mutex` can be poisoned while the
 //! process keeps running. All of the state those mutexes guard (result
-//! slots, cache shards, the in-flight map, the job receiver) is valid at
+//! slots, the result cache, the job receiver) is valid at
 //! every instruction boundary — each critical section either fully
 //! applies or was a read — so the right response to poison is to keep
 //! going, not to cascade the panic into every later caller. This helper

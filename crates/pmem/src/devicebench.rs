@@ -46,8 +46,10 @@ pub fn bandwidth_table(profile: &DeviceProfile, thread_counts: &[f64]) -> Vec<Ba
 /// The §II-B headline ratios computed from the model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeadlineRatios {
-    /// Remote/local write slowdown at 24 concurrent random writes
-    /// (paper: ~15×).
+    /// The local write *peak* (at its best thread count, 4) over remote
+    /// random-write bandwidth at 24 concurrent ops (paper: ~15×). The two
+    /// sides sit at different concurrencies; the scorecard row
+    /// `write_drop` also reports the drop with both at 24.
     pub write_drop_at_24: f64,
     /// Remote/local read slowdown at 24 concurrent reads (paper: ~1.3×).
     pub read_drop_at_24: f64,

@@ -556,6 +556,13 @@ fn claims(panels: &[Panel], picks: &[Picks]) -> Vec<Claim> {
             section: "§II-B",
             what: "remote random-write drop @24 ops",
             paper: "~15×",
+            model: format!(
+                "{} as local peak / remote @24; {} with both at 24 ops",
+                Unit::Times.show(h.write_drop_at_24),
+                Unit::Times.show(
+                    profile.local_write_bw.eval(24.0) / profile.remote_write_bw_random.eval(24.0)
+                ),
+            ),
             ..measured(h.write_drop_at_24, Unit::Times, Bound::Between(12.0, 18.0))
         },
         Claim {

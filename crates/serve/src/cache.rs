@@ -1,20 +1,15 @@
-//! Sharded LRU result cache.
+//! LRU result cache.
 //!
 //! Keys are canonical query strings ([`crate::query::Query::canonical_key`]);
-//! values are shared, immutable rendered responses. The key is hashed
-//! with FNV-1a — a fixed, seed-free hash, so the key→shard assignment is
-//! identical across processes and runs — and each shard is an
-//! independently locked LRU with **deterministic eviction order**: a
-//! shard at capacity evicts exactly its least-recently-*used* entry,
-//! where both inserts and hits count as uses.
+//! values are shared, immutable rendered responses. Eviction order is
+//! **deterministic**: a cache at capacity evicts exactly its
+//! least-recently-*used* entry, where both inserts and hits count as uses.
 //!
-//! The LRU itself is an intrusive doubly-linked list threaded through a
-//! slab, so hit, insert and evict are all O(1) plus the `HashMap` lookup.
+//! The LRU is an intrusive doubly-linked list threaded through a slab, so
+//! hit, insert and evict are all O(1) plus the `HashMap` lookup. The
+//! daemon guards its one instance with one `Mutex` (`server`).
 
-use pmemflow_core::sync::lock_recover;
-use pmemflow_iostack::fnv1a;
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 const NIL: usize = usize::MAX;
 
@@ -25,8 +20,8 @@ struct Entry<V> {
     next: usize,
 }
 
-/// One LRU shard: slab + index + recency list (head = most recent).
-struct Shard<V> {
+/// Slab + index + recency list (head = most recent).
+pub(crate) struct Lru<V> {
     capacity: usize,
     map: HashMap<String, usize>,
     slab: Vec<Entry<V>>,
@@ -35,10 +30,11 @@ struct Shard<V> {
     tail: usize,
 }
 
-impl<V: Clone> Shard<V> {
-    fn new(capacity: usize) -> Self {
-        Shard {
-            capacity,
+impl<V: Clone> Lru<V> {
+    /// An empty cache of `capacity` entries (clamped to ≥ 1).
+    pub fn new(capacity: usize) -> Self {
+        Lru {
+            capacity: capacity.max(1),
             map: HashMap::new(),
             slab: Vec::new(),
             free: Vec::new(),
@@ -73,7 +69,8 @@ impl<V: Clone> Shard<V> {
         }
     }
 
-    fn get(&mut self, key: &str) -> Option<V> {
+    /// Look `key` up, refreshing its recency on hit.
+    pub fn get(&mut self, key: &str) -> Option<V> {
         let &i = self.map.get(key)?;
         self.unlink(i);
         self.push_front(i);
@@ -82,7 +79,7 @@ impl<V: Clone> Shard<V> {
 
     /// Insert (or refresh) `key`; evict the LRU entry if over capacity.
     /// Returns the evicted key, if any.
-    fn insert(&mut self, key: &str, value: V) -> Option<String> {
+    pub fn insert(&mut self, key: &str, value: V) -> Option<String> {
         if let Some(&i) = self.map.get(key) {
             self.slab[i].value = value;
             self.unlink(i);
@@ -119,6 +116,11 @@ impl<V: Clone> Shard<V> {
         None
     }
 
+    /// Entries currently cached.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
     /// Keys from most- to least-recently used (test view).
     #[cfg(test)]
     fn recency_order(&self) -> Vec<String> {
@@ -132,55 +134,13 @@ impl<V: Clone> Shard<V> {
     }
 }
 
-/// A sharded LRU with a global capacity split evenly across shards.
-pub struct ShardedLru<V> {
-    shards: Vec<Mutex<Shard<V>>>,
-}
-
-impl<V: Clone> ShardedLru<V> {
-    /// `capacity` total entries (clamped to ≥ 1) spread over `shards`
-    /// independently locked shards (clamped to 1..=capacity). The first
-    /// `capacity % shards` shards hold one entry more than the rest.
-    pub fn new(capacity: usize, shards: usize) -> ShardedLru<V> {
-        let capacity = capacity.max(1);
-        let shards = shards.clamp(1, capacity);
-        ShardedLru {
-            shards: (0..shards)
-                .map(|i| {
-                    let extra = usize::from(i < capacity % shards);
-                    Mutex::new(Shard::new(capacity / shards + extra))
-                })
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<Shard<V>> {
-        &self.shards[(fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize]
-    }
-
-    /// Look `key` up, refreshing its recency on hit.
-    pub fn get(&self, key: &str) -> Option<V> {
-        lock_recover(self.shard(key)).get(key)
-    }
-
-    /// Insert `key`, possibly evicting its shard's LRU entry (returned).
-    pub fn insert(&self, key: &str, value: V) -> Option<String> {
-        lock_recover(self.shard(key)).insert(key, value)
-    }
-
-    /// Entries currently cached, across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_recover(s).map.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn hit_miss_and_refresh() {
-        let c: ShardedLru<u32> = ShardedLru::new(8, 1);
+        let mut c: Lru<u32> = Lru::new(8);
         assert_eq!(c.get("a"), None);
         assert_eq!(c.insert("a", 1), None);
         assert_eq!(c.get("a"), Some(1));
@@ -191,8 +151,8 @@ mod tests {
 
     #[test]
     fn eviction_order_is_deterministic_lru() {
-        // Single shard, capacity 3: use-order fully determines eviction.
-        let c: ShardedLru<u32> = ShardedLru::new(3, 1);
+        // Capacity 3: use-order fully determines eviction.
+        let mut c: Lru<u32> = Lru::new(3);
         c.insert("a", 1);
         c.insert("b", 2);
         c.insert("c", 3);
@@ -202,10 +162,7 @@ mod tests {
         assert_eq!(c.get("a"), Some(1));
         // Recency now (front to back): a, d, c -> inserting e evicts c.
         assert_eq!(c.insert("e", 5), Some("c".to_string()));
-        assert_eq!(
-            lock_recover(&c.shards[0]).recency_order(),
-            vec!["e", "a", "d"]
-        );
+        assert_eq!(c.recency_order(), vec!["e", "a", "d"]);
         assert_eq!(c.len(), 3);
     }
 
@@ -214,7 +171,7 @@ mod tests {
         // The same operation sequence must produce the same eviction
         // sequence on every run (no randomized hashing anywhere).
         let run = || {
-            let c: ShardedLru<usize> = ShardedLru::new(16, 4);
+            let mut c: Lru<usize> = Lru::new(16);
             let mut evictions = Vec::new();
             for i in 0..200 {
                 let key = format!("key-{}", i % 37);
@@ -234,37 +191,30 @@ mod tests {
     }
 
     #[test]
-    fn shards_and_capacity_are_clamped() {
-        let c: ShardedLru<u8> = ShardedLru::new(2, 64);
-        assert!(c.shards.len() <= 2, "more shards than capacity");
-        let c: ShardedLru<u8> = ShardedLru::new(0, 0);
-        assert_eq!(c.shards.len(), 1);
+    fn capacity_is_clamped_to_one() {
+        let mut c: Lru<u8> = Lru::new(0);
         c.insert("x", 1);
-        assert_eq!(c.get("x"), Some(1)); // capacity clamped to 1
+        assert_eq!(c.get("x"), Some(1));
+        assert_eq!(c.insert("y", 2), Some("x".to_string()));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
-    fn capacity_splits_across_shards() {
-        let c: ShardedLru<usize> = ShardedLru::new(64, 8);
-        for i in 0..64 {
-            c.insert(&format!("k{i}"), i);
+    fn hot_key_survives_eviction_pressure() {
+        // Capacity 2: every cold insert evicts the least recently used
+        // entry. Probing `hot` between cold inserts keeps it most recent,
+        // so the cold keys are what get evicted: one eviction per cold
+        // insert after the first, and never `hot`.
+        let mut c: Lru<u32> = Lru::new(2);
+        c.insert("hot", 0);
+        let mut evicted = Vec::new();
+        for i in 1..=8 {
+            assert_eq!(c.get("hot"), Some(0), "hot evicted before cold {i}");
+            evicted.extend(c.insert(&format!("cold-{i}"), i));
         }
-        // Uneven hashing may evict in hot shards, but the cache can never
-        // exceed its global capacity.
-        assert!(c.len() <= 64);
-        assert!(c.len() >= 32, "suspiciously many evictions: {}", c.len());
-    }
-
-    #[test]
-    fn uneven_capacity_never_exceeds_the_global_capacity() {
-        // 10 entries over 8 shards: two shards of 2, six of 1.
-        let c: ShardedLru<usize> = ShardedLru::new(10, 8);
-        let split: Vec<usize> = c.shards.iter().map(|s| lock_recover(s).capacity).collect();
-        assert_eq!(split, vec![2, 2, 1, 1, 1, 1, 1, 1]);
-        for i in 0..500 {
-            c.insert(&format!("k{i}"), i);
-        }
-        assert!(c.len() <= 10, "holds {} entries", c.len());
+        assert_eq!(c.get("hot"), Some(0));
+        let expected: Vec<String> = (1..=7).map(|i| format!("cold-{i}")).collect();
+        assert_eq!(evicted, expected);
+        assert_eq!(c.len(), 2);
     }
 }

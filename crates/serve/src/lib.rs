@@ -26,27 +26,29 @@
 //! chunking-invariant — kernel read boundaries cannot change what
 //! parses), and never block. Slow clients therefore cost a slab slot
 //! and a timer-wheel entry, not a thread, so one core multiplexes
-//! 10k+ connections. Parsed requests flow through a bounded admission
-//! queue into a fixed worker pool (`server`); identical questions (by
-//! canonical key, `query`) coalesce onto one simulation (`engine`)
-//! and land in a sharded, deterministically-evicting LRU (`cache`).
-//! Workers hand answers back to the owning io thread through a
-//! completion mailbox + eventfd wakeup; responses are written back in
-//! strict arrival order per connection (pipelining-safe, byte-identical
-//! for any worker count). Overload is shed at the queue with
-//! `429 + Retry-After`; per-request deadlines answer `504`; shutdown
-//! drains gracefully. The answers themselves come from the same
-//! [`pmemflow_cluster::Oracle`] the campaign scheduler uses
-//! (`model`), so the daemon and the batch path predict bit-identical
-//! numbers.
+//! 10k+ connections. Every model query resolves through one
+//! lock-guarded, deterministically-evicting LRU (`cache`) keyed by the
+//! query's canonical form (`query`): the io thread answers a hit
+//! inline, and a miss flows through a bounded admission queue to a
+//! fixed worker pool (`server`). The worker probes the cache once more
+//! (an identical request queued ahead of it may have filled it), and
+//! otherwise computes the answer and caches it. Workers hand answers
+//! back to the owning io thread through a completion mailbox + eventfd
+//! wakeup; responses are written back in strict arrival order per
+//! connection (pipelining-safe, byte-identical for any worker count).
+//! Overload is shed at the queue with `429 + Retry-After`; per-request
+//! deadlines answer `504`; shutdown drains gracefully. The answers
+//! themselves come from the same [`pmemflow_cluster::Oracle`] the
+//! campaign scheduler uses (`model`), so the daemon and the batch path
+//! predict bit-identical numbers. Two workers that miss on the same
+//! key both compute it (at most one computation per worker); the
+//! oracle's own first-wins memo keeps their bytes identical.
 //!
 //! # Fault tolerance
 //!
-//! A panicking computation is isolated, not fatal: the engine delivers
-//! `ComputeFailed` to the leader *and* every coalesced
-//! follower (each answers `500`), nothing is cached, and the worker
-//! supervisor respawns the worker — all of it visible as
-//! `panics_total` / `worker_restarts_total` in `/metrics`. Mutexes that
+//! A panicking computation is isolated, not fatal: the worker catches
+//! it, answers that request `500`, caches nothing, counts it in
+//! `panics_total` on `/metrics`, and takes the next job. Mutexes that
 //! a panic may have poisoned recover through
 //! [`pmemflow_core::sync::lock_recover`]. On the transport side, a
 //! per-request read deadline (armed at the first byte, so idle
@@ -58,7 +60,6 @@
 //! panic-injection hook (`--fault-rate`).
 
 mod cache;
-mod engine;
 mod http;
 mod json;
 mod metrics;

@@ -121,11 +121,15 @@ pub struct Metrics {
     pub requests: [AtomicU64; ENDPOINTS.len()],
     /// Responses sent, by status class bucket (see `status_bucket`).
     pub responses: [AtomicU64; STATUS_BUCKETS.len()],
-    /// Result-cache hits (includes single-flight followers).
+    /// Model requests answered from the result cache on the io thread.
     pub cache_hits: AtomicU64,
-    /// Result-cache misses that ran a simulation.
+    /// Model requests a worker computed (and cached).
     pub cache_misses: AtomicU64,
-    /// Requests coalesced onto an already-in-flight identical simulation.
+    /// Model requests that missed on the io thread but found their
+    /// answer cached by the time a worker took them: an identical
+    /// request queued ahead computed it. Every answered model request
+    /// counts once in exactly one of `cache_hits`, `coalesced` and
+    /// `cache_misses`.
     pub coalesced: AtomicU64,
     /// Cache evictions.
     pub evictions: AtomicU64,
@@ -135,8 +139,6 @@ pub struct Metrics {
     pub deadline_missed: AtomicU64,
     /// Worker panics caught while computing (each one answered 500).
     pub panics: AtomicU64,
-    /// Workers respawned by the supervisor after a panic.
-    pub worker_restarts: AtomicU64,
     /// Current depth of the admission queue.
     pub queue_depth: AtomicU64,
     /// Connections currently open across all io threads.
@@ -236,7 +238,6 @@ impl Metrics {
             ("shed_total", &self.shed),
             ("deadline_missed_total", &self.deadline_missed),
             ("panics_total", &self.panics),
-            ("worker_restarts_total", &self.worker_restarts),
             ("connections_accepted_total", &self.accepted_total),
             ("connections_closed_total", &self.closed_total),
             ("connections_reaped_total", &self.reaped_total),
@@ -393,7 +394,6 @@ mod tests {
             "pmemflow_serve_cache_misses_total 0",
             "pmemflow_serve_shed_total 0",
             "pmemflow_serve_panics_total 0",
-            "pmemflow_serve_worker_restarts_total 0",
             "pmemflow_serve_queue_depth 0",
             "pmemflow_serve_connections_active 0",
             "pmemflow_serve_connections_accepted_total 0",

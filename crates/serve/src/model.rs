@@ -41,7 +41,7 @@ impl Answer {
 
 /// Anything that can answer a [`Query`]. The daemon runs a
 /// [`ModelBackend`]; tests substitute stubs to probe queueing, shedding
-/// and coalescing without paying for simulations.
+/// and deadlines without paying for simulations.
 pub trait Backend: Send + Sync + 'static {
     /// Answer one decoded query. Must be deterministic in the query's
     /// canonical key.
@@ -222,8 +222,8 @@ impl ModelBackend {
 /// A chaos-testing decorator: panics deterministically on every
 /// `period`-th answered call, where `period = round(1 / rate)`. This is
 /// the daemon's `--fault-rate` test hook — it exercises the whole panic
-/// path (engine failure delivery to leader and coalesced followers,
-/// worker respawn, `panics_total` / `worker_restarts_total` metrics)
+/// path (the worker catches the panic, answers that request `500`,
+/// caches nothing, counts `panics_total` and takes the next job)
 /// without a special build or an unreliable timing-based injection.
 pub struct FaultInjectingBackend {
     inner: std::sync::Arc<dyn Backend>,

@@ -7,8 +7,8 @@
 //! `GTC+MatrixMult` share a cache line), the stack to its display name,
 //! and a co-schedule's tenant multiset is sorted — the same canonicalization the cluster
 //! oracle applies to co-residency pricing. Identical questions therefore
-//! hit identical cache entries and coalesce onto one simulation no
-//! matter how they were spelled or ordered.
+//! hit identical cache entries no matter how they were spelled or
+//! ordered.
 
 use crate::json::Json;
 use pmemflow_core::SchedConfig;
@@ -220,7 +220,7 @@ impl Query {
         }
     }
 
-    /// The canonical cache/single-flight key (see module docs). Two
+    /// The canonical cache key (see module docs). Two
     /// queries have equal keys iff the model would answer them with the
     /// same bytes.
     pub fn canonical_key(&self) -> String {

@@ -112,7 +112,7 @@ fn build_script(seed: u64, id: u64, requests: u32) -> Script {
             // Inline path: answered by the io thread itself.
             script.push("GET", "/healthz", "", b"ok\n".to_vec());
         } else {
-            // Worker path: decoded, queued, resolved through the engine.
+            // Worker path: decoded, queued, answered by a worker.
             let family = FAMILIES[rng.range_usize(0, FAMILIES.len())];
             let ranks = rng.range_u64(1, 13);
             let config = CONFIGS[rng.range_usize(0, CONFIGS.len())];

@@ -1,14 +1,14 @@
 //! The serving daemon: epoll reactor io threads feeding a bounded
-//! admission queue and a worker pool.
+//! admission queue and a worker pool, both in front of one LRU.
 //!
 //! ```text
 //!             ┌────────────────────── io thread (×N) ──────────────────────┐
-//!  clients ──>│ accept → Slab<Conn> → RequestDecoder → try_cached? ──hit──>│──> response
+//!  clients ──>│ accept → Slab<Conn> → RequestDecoder → LRU hit? ───hit────>│──> response
 //!             │    │         │             │ miss                          │
 //!             │ TimerWheel (408/504)       └──try_send──> bounded queue ───┼──> worker pool
-//!             │    ▲                                          │ full?      │        │
-//!             │    └── completions mailbox + eventfd waker <──┼── 429 ─────│<───────┘
-//!             └──────────────────────────────────────────────────────────-─┘
+//!             │    ▲                                          │ full?      │  LRU hit? or
+//!             │    └── completions mailbox + eventfd waker <──┼── 429 ─────│<─ backend.answer
+//!             └────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! One or two io threads multiplex every connection through an epoll
@@ -19,12 +19,15 @@
 //! deadlines (`504`), and fd-exhaustion accept backoff. io threads never
 //! simulate and workers never touch a socket: a decoded query is either
 //! answered inline from the result cache (the warm fast path) or
-//! enqueued with a completion callback; the worker resolves it through
-//! the [`Engine`] (coalesce → compute) and posts the outcome back to the
-//! owning io thread's mailbox, ringing its eventfd waker. Overload is
-//! shed at the queue with `429` and a `Retry-After`, so the daemon
-//! degrades by refusing work it could not finish in time rather than by
-//! collapsing.
+//! enqueued as a [`Job`]. The worker probes the cache once more — an
+//! identical request queued ahead of this one may have answered it
+//! meanwhile (`coalesced`) — and otherwise runs the backend under
+//! `catch_unwind`: an answer is cached (`miss`), a panic answers `500`
+//! and caches nothing. Either way the worker posts the outcome to the
+//! owning io thread's mailbox and rings its eventfd waker, then takes
+//! the next job. Overload is shed at the queue with `429` and a
+//! `Retry-After`, so the daemon degrades by refusing work it could not
+//! finish in time rather than by collapsing.
 //!
 //! Shutdown (`POST /admin/shutdown`, [`Server::shutdown`], or dropping
 //! the handle) is graceful: acceptors deregister, idle connections close
@@ -32,7 +35,7 @@
 //! period bounds the wait; [`Server::join`] returns the number of
 //! connections the grace period had to abandon (0 on a clean drain).
 
-use crate::engine::{ComputeFailed, Engine, Source, Waiter};
+use crate::cache::Lru;
 use crate::http::{render_response, Decoded, Request, RequestDecoder};
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -65,8 +68,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Result-cache capacity, entries (≥ 1).
     pub cache_capacity: usize,
-    /// Cache shards.
-    pub shards: usize,
     /// Admission-queue depth; a full queue sheds with 429.
     pub queue_capacity: usize,
     /// Per-request deadline; exceeding it answers 504.
@@ -88,7 +89,6 @@ impl Default for ServerConfig {
             io_threads: 1,
             workers: 2,
             cache_capacity: 256,
-            shards: 8,
             queue_capacity: 64,
             deadline: Duration::from_secs(30),
             read_deadline: Duration::from_secs(5),
@@ -121,21 +121,24 @@ fn error_body(msg: &str) -> Vec<u8> {
     format!("{{\"error\":\"{}\"}}", json_escape(msg)).into_bytes()
 }
 
-/// One unit of queued work: a decoded query plus the completion callback
-/// that routes the outcome back to the owning io thread.
+/// One unit of queued work: a decoded query plus the io thread, the
+/// connection and the pipeline slot its answer goes back to.
 struct Job {
     key: String,
     query: Query,
-    reply: Waiter<Arc<Answer>>,
+    mailbox: Arc<Mailbox>,
+    conn: Key,
+    seq: u64,
     expires: Instant,
 }
 
-/// A finished computation on its way back to an io thread.
+/// A worker's outcome on its way back to an io thread: the answer and
+/// its `x-pmemflow-cache` label (response *bodies* do not depend on the
+/// label), or `None` if the backend panicked.
 struct Completion {
     conn: Key,
     seq: u64,
-    result: Result<Arc<Answer>, ComputeFailed>,
-    source: Source,
+    answer: Option<(Arc<Answer>, &'static str)>,
 }
 
 /// Per-io-thread completion mailbox. Workers push and ring the waker;
@@ -145,10 +148,20 @@ struct Mailbox {
     waker: Waker,
 }
 
-/// State shared by the io threads and the [`Server`] handle.
+impl Mailbox {
+    /// Deliver `c` and wake the io thread. Safe long after the
+    /// connection (or the whole io thread) is gone.
+    fn post(&self, c: Completion) {
+        lock_recover(&self.completions).push(c);
+        self.waker.wake();
+    }
+}
+
+/// State shared by the io threads, the workers and the [`Server`] handle.
 struct Shared {
     metrics: Arc<Metrics>,
-    engine: Arc<Engine<Arc<Answer>>>,
+    /// The result cache every model query resolves through.
+    cache: Mutex<Lru<Arc<Answer>>>,
     shutdown: AtomicBool,
     deadline: Duration,
     read_deadline: Duration,
@@ -157,6 +170,11 @@ struct Shared {
 }
 
 impl Shared {
+    /// The cached answer for `key`, refreshing its recency.
+    fn cached(&self, key: &str) -> Option<Arc<Answer>> {
+        lock_recover(&self.cache).get(key)
+    }
+
     fn begin_shutdown(&self) {
         if !self.shutdown.swap(true, Relaxed) {
             for w in &self.wakers {
@@ -294,47 +312,8 @@ impl Server {
         } else {
             backend
         };
-        let metrics = Arc::new(Metrics::default());
-        let engine: Arc<Engine<Arc<Answer>>> = Arc::new(Engine::new(
-            config.cache_capacity.max(1),
-            config.shards.max(1),
-            metrics.clone(),
-        ));
         let (queue, jobs) = sync_channel::<Job>(config.queue_capacity.max(1));
         let jobs = Arc::new(Mutex::new(jobs));
-
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let (jobs, engine, backend, metrics) = (
-                    jobs.clone(),
-                    engine.clone(),
-                    backend.clone(),
-                    metrics.clone(),
-                );
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    // Supervisor: a panicking computation unwinds out of
-                    // worker_loop (the engine has already delivered
-                    // ComputeFailed to every waiter); catch it and re-enter
-                    // the loop so the pool self-heals at full strength. The
-                    // restart counter is bumped inside worker_loop's reply
-                    // wrapper *before* the failure is mailed to any client —
-                    // counting it here instead would race a client that sees
-                    // its 500 and immediately scrapes /metrics.
-                    .spawn(move || loop {
-                        // Ok: queue drained, clean shutdown. Err: the panic
-                        // was already counted; fall through and respawn.
-                        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            worker_loop(&jobs, &engine, &*backend, &metrics)
-                        }))
-                        .is_ok()
-                        {
-                            return;
-                        }
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
 
         // Build every reactor before spawning anything so Shared can hold
         // all the wakers (shutdown must be able to interrupt every poll).
@@ -343,13 +322,23 @@ impl Server {
             .map(|_| Reactor::new())
             .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
-            metrics: metrics.clone(),
-            engine: engine.clone(),
+            metrics: Arc::new(Metrics::default()),
+            cache: Mutex::new(Lru::new(config.cache_capacity)),
             shutdown: AtomicBool::new(false),
             deadline: config.deadline,
             read_deadline: config.read_deadline,
             wakers: reactors.iter().map(|r| r.waker()).collect(),
         });
+
+        let workers = (0..config.workers.max(1))
+            .map(|i| {
+                let (jobs, shared, backend) = (jobs.clone(), shared.clone(), backend.clone());
+                std::thread::Builder::new()
+                    .name(format!("serve-worker-{i}"))
+                    .spawn(move || worker_loop(&jobs, &shared, &*backend))
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
+
         let exclusive = io_threads > 1;
         let io = reactors
             .into_iter()
@@ -387,7 +376,7 @@ impl Server {
 
     /// Entries currently in the result cache.
     pub fn cache_len(&self) -> usize {
-        self.shared.engine.cache_len()
+        lock_recover(&self.shared.cache).len()
     }
 
     /// Initiate shutdown: stop accepting, let in-flight requests finish.
@@ -417,20 +406,13 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop(
-    jobs: &Mutex<Receiver<Job>>,
-    engine: &Engine<Arc<Answer>>,
-    backend: &dyn Backend,
-    metrics: &Arc<Metrics>,
-) {
+fn worker_loop(jobs: &Mutex<Receiver<Job>>, shared: &Shared, backend: &dyn Backend) {
+    let metrics = &shared.metrics;
     loop {
         // Standard Mutex<Receiver> pool: the lock holder blocks in recv,
         // the rest block on the lock; each job wakes exactly one worker.
-        // lock_recover: a worker that panicked while holding this lock
-        // must not take the whole pool down with it.
-        let job = match lock_recover(jobs).recv() {
-            Ok(job) => job,
-            Err(_) => return, // every sender gone: drained, shut down
+        let Ok(job) = lock_recover(jobs).recv() else {
+            return; // every sender gone: drained, shut down
         };
         metrics.queue_depth.fetch_sub(1, Relaxed);
         if Instant::now() > job.expires {
@@ -438,21 +420,40 @@ fn worker_loop(
             // simulation on a reply nobody is waiting for.
             continue;
         }
-        // A leader whose compute panics sees Err with Source::Computed on
-        // its own reply, synchronously, before the engine notifies any
-        // follower or resumes the unwind into the supervisor. Count the
-        // impending restart here so the increment happens-before the 500
-        // reaches a client: a scrape right after the error response must
-        // already show the pool healing.
-        let reply = job.reply;
-        let metrics_for_reply = Arc::clone(metrics);
-        let reply: Waiter<Arc<Answer>> = Box::new(move |result, source| {
-            if result.is_err() && source == Source::Computed {
-                metrics_for_reply.worker_restarts.fetch_add(1, Relaxed);
+        // An identical request queued ahead of this one may have been
+        // computed while this one waited.
+        let answer = if let Some(answer) = shared.cached(&job.key) {
+            metrics.coalesced.fetch_add(1, Relaxed);
+            Some((answer, "coalesced"))
+        } else {
+            // AssertUnwindSafe: on panic the result is discarded and no
+            // lock of ours is held across the call, so nothing the
+            // daemon owns can be observed torn.
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                backend.answer(&job.query)
+            })) {
+                Ok(answer) => {
+                    let answer = Arc::new(answer);
+                    if lock_recover(&shared.cache)
+                        .insert(&job.key, answer.clone())
+                        .is_some()
+                    {
+                        metrics.evictions.fetch_add(1, Relaxed);
+                    }
+                    metrics.cache_misses.fetch_add(1, Relaxed);
+                    Some((answer, "miss"))
+                }
+                Err(_) => {
+                    metrics.panics.fetch_add(1, Relaxed);
+                    None
+                }
             }
-            reply(result, source);
+        };
+        job.mailbox.post(Completion {
+            conn: job.conn,
+            seq: job.seq,
+            answer,
         });
-        engine.execute(&job.key, reply, || Arc::new(backend.answer(&job.query)));
     }
 }
 
@@ -825,7 +826,8 @@ impl<L: NetListener> IoThread<L> {
                 let qkey = query.canonical_key();
                 // Warm fast path: a cached answer never touches the
                 // queue or a worker — the io thread answers directly.
-                if let Some(answer) = shared.engine.try_cached(&qkey) {
+                if let Some(answer) = shared.cached(&qkey) {
+                    shared.metrics.cache_hits.fetch_add(1, Relaxed);
                     let extra = [("x-pmemflow-cache", "hit".to_string())];
                     return answer_now(
                         self,
@@ -844,11 +846,12 @@ impl<L: NetListener> IoThread<L> {
                     conn.next_seq += 1;
                     seq
                 };
-                let reply = completion_waiter(self.mailbox.clone(), key, seq);
                 let outcome = self.queue.try_send(Job {
                     key: qkey,
                     query,
-                    reply,
+                    mailbox: self.mailbox.clone(),
+                    conn: key,
+                    seq,
                     expires: Instant::now() + shared.deadline,
                 });
                 let Some(conn) = self.conns.get_mut(key) else {
@@ -940,21 +943,20 @@ impl<L: NetListener> IoThread<L> {
         let SlotState::Waiting { started, close } = *slot else {
             return false; // the 504 timer answered first; discard
         };
-        let bytes = match c.result {
-            Ok(answer) => {
+        let bytes = match c.answer {
+            Some((answer, label)) => {
                 self.shared.metrics.on_response(answer.status);
                 render_response(
                     answer.status,
                     "application/json",
-                    &[("x-pmemflow-cache", c.source.label().to_string())],
+                    &[("x-pmemflow-cache", label.to_string())],
                     answer.body.as_bytes(),
                     close,
                 )
             }
-            // The computation this request was riding on panicked (as
-            // leader or coalesced follower): a definite 500, not a hang
-            // until the 504 deadline.
-            Err(ComputeFailed) => {
+            // The backend panicked on this request: a definite 500, not a
+            // hang until the 504 deadline.
+            None => {
                 self.shared.metrics.on_response(500);
                 render_response(
                     500,
@@ -1068,19 +1070,4 @@ impl<L: NetListener> IoThread<L> {
             self.shared.metrics.connections_active.fetch_sub(1, Relaxed);
         }
     }
-}
-
-/// The completion callback handed to the engine: posts the outcome into
-/// the owning io thread's mailbox and rings its waker. Safe to invoke
-/// long after the connection (or the whole io thread) is gone.
-fn completion_waiter(mailbox: Arc<Mailbox>, conn: Key, seq: u64) -> Waiter<Arc<Answer>> {
-    Box::new(move |result, source| {
-        lock_recover(&mailbox.completions).push(Completion {
-            conn,
-            seq,
-            result,
-            source,
-        });
-        mailbox.waker.wake();
-    })
 }

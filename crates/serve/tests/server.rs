@@ -3,6 +3,7 @@
 use pmemflow_serve::{split_responses, Answer, Backend, Query, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -261,14 +262,24 @@ fn keep_alive_carries_multiple_requests() {
     server.join();
 }
 
-/// A backend that takes `delay` per answer — for probing queueing,
-/// shedding and deadlines without paying for simulations.
+/// A backend that takes `delay` per answer and counts its calls — for
+/// probing queueing, shedding and deadlines without paying for
+/// simulations.
 struct SlowBackend {
     delay: Duration,
+    calls: AtomicUsize,
+}
+
+fn slow(ms: u64) -> Arc<SlowBackend> {
+    Arc::new(SlowBackend {
+        delay: Duration::from_millis(ms),
+        calls: AtomicUsize::new(0),
+    })
 }
 
 impl Backend for SlowBackend {
     fn answer(&self, query: &Query) -> Answer {
+        self.calls.fetch_add(1, Relaxed);
         std::thread::sleep(self.delay);
         Answer {
             status: 200,
@@ -286,15 +297,13 @@ fn overload_sheds_with_429_and_retry_after() {
             deadline: Duration::from_secs(30),
             ..ServerConfig::default()
         },
-        Arc::new(SlowBackend {
-            delay: Duration::from_millis(1200),
-        }),
+        slow(1200),
     )
     .unwrap();
     let addr = server.addr();
 
-    // Distinct keys so nothing coalesces: r1 occupies the worker, r2
-    // fills the queue, r3 must be shed.
+    // Distinct keys so nothing is answered from the cache: r1 occupies
+    // the worker, r2 fills the queue, r3 must be shed.
     let fire = |ranks: usize| {
         let mut s = TcpStream::connect(addr).unwrap();
         let body = format!("{{\"workload\":\"micro-2kb\",\"ranks\":{ranks}}}");
@@ -330,9 +339,7 @@ fn deadline_miss_answers_504() {
             deadline: Duration::from_millis(100),
             ..ServerConfig::default()
         },
-        Arc::new(SlowBackend {
-            delay: Duration::from_millis(800),
-        }),
+        slow(800),
     )
     .unwrap();
     let addr = server.addr();
@@ -352,18 +359,15 @@ fn deadline_miss_answers_504() {
     server.join();
 }
 
-/// Panics exactly once — on the first `/v1/predict` for `ranks == 13` —
-/// after lingering long enough for followers to coalesce onto the doomed
-/// flight. Every other call answers instantly.
+/// Panics exactly once — on the first `/v1/predict` for `ranks == 13`.
+/// Every other call answers instantly.
 struct PanicOnceBackend {
-    tripped: std::sync::atomic::AtomicBool,
+    tripped: AtomicBool,
 }
 
 impl Backend for PanicOnceBackend {
     fn answer(&self, query: &Query) -> Answer {
-        use std::sync::atomic::Ordering::Relaxed;
         if matches!(query, Query::Predict { ranks: 13, .. }) && !self.tripped.swap(true, Relaxed) {
-            std::thread::sleep(Duration::from_millis(500));
             panic!("injected worker fault");
         }
         Answer {
@@ -374,59 +378,115 @@ impl Backend for PanicOnceBackend {
 }
 
 #[test]
-fn worker_panic_answers_500_everywhere_and_the_pool_self_heals() {
+fn worker_panic_answers_500_and_the_retry_recomputes() {
     let server = Server::start_with_backend(
-        small_config(),
+        ServerConfig {
+            workers: 1,
+            ..small_config()
+        },
         Arc::new(PanicOnceBackend {
-            tripped: std::sync::atomic::AtomicBool::new(false),
+            tripped: AtomicBool::new(false),
         }),
     )
     .unwrap();
     let addr = server.addr();
     let body = r#"{"workload":"micro-2kb","ranks":13}"#;
 
-    // Leader: its computation will panic ~500ms in.
-    let mut leader = TcpStream::connect(addr).unwrap();
-    leader
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    leader
-        .write_all(raw_request("POST", "/v1/predict", body).as_bytes())
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(200));
-    // Follower: same canonical key, coalesces onto the doomed flight.
-    let mut follower = TcpStream::connect(addr).unwrap();
-    follower
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    follower
-        .write_all(raw_request("POST", "/v1/predict", body).as_bytes())
-        .unwrap();
+    // The panicking request gets a definite 500, not a hang until the
+    // 504 deadline.
+    let failed = call(addr, "POST", "/v1/predict", body);
+    assert_eq!(failed.status, 500, "{}", failed.body);
 
-    // Both get a definite 500 — nobody hangs until the 504 deadline.
-    let lr = read_response(&mut BufReader::new(leader));
-    assert_eq!(lr.status, 500, "{}", lr.body);
-    let fr = read_response(&mut BufReader::new(follower));
-    assert_eq!(fr.status, 500, "{}", fr.body);
-
-    // The pool self-healed: the same endpoint answers 200 afterwards,
-    // and nothing poisonous was cached from the failed flight.
+    // The one worker is still serving, and nothing was cached from the
+    // failed computation: the same question is computed afresh.
     let ok = call(addr, "POST", "/v1/predict", body);
     assert_eq!(ok.status, 200, "{}", ok.body);
     assert_eq!(ok.header("x-pmemflow-cache"), Some("miss"));
 
     let metrics = call(addr, "GET", "/metrics", "");
     assert!(metrics.body.contains("pmemflow_serve_panics_total 1"));
+    assert!(metrics.body.contains("pmemflow_serve_cache_misses_total 1"));
     assert!(metrics
         .body
-        .contains("pmemflow_serve_worker_restarts_total 1"));
-    assert!(metrics
-        .body
-        .contains("pmemflow_serve_responses_total{status=\"500\"} 2"));
+        .contains("pmemflow_serve_responses_total{status=\"500\"} 1"));
     let daemon_metrics = server.metrics().clone();
     server.shutdown();
     assert_eq!(server.join(), 0, "connections leaked after a panic");
     daemon_metrics.connection_conservation().unwrap();
+}
+
+#[test]
+fn identical_queued_request_is_answered_from_the_cache_by_the_worker() {
+    let backend = slow(500);
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            ..small_config()
+        },
+        backend.clone(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let body = r#"{"workload":"micro-2kb","ranks":8}"#;
+    let send = || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        s.write_all(raw_request("POST", "/v1/predict", body).as_bytes())
+            .unwrap();
+        s
+    };
+    // The first request occupies the only worker; the second misses the
+    // cache on the io thread and queues behind it.
+    let first = send();
+    std::thread::sleep(Duration::from_millis(150));
+    let second = send();
+    let first = read_response(&mut BufReader::new(first));
+    let second = read_response(&mut BufReader::new(second));
+    assert_eq!((first.status, second.status), (200, 200));
+    assert_eq!(first.header("x-pmemflow-cache"), Some("miss"));
+    assert_eq!(second.header("x-pmemflow-cache"), Some("coalesced"));
+    assert_eq!(first.body, second.body);
+    assert_eq!(
+        backend.calls.load(Relaxed),
+        1,
+        "the queued duplicate recomputed"
+    );
+    let metrics = call(addr, "GET", "/metrics", "");
+    for needle in [
+        "pmemflow_serve_cache_misses_total 1",
+        "pmemflow_serve_coalesced_total 1",
+        "pmemflow_serve_cache_hits_total 0",
+    ] {
+        assert!(metrics.body.contains(needle), "missing {needle}");
+    }
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn evictions_are_counted_and_the_cache_stays_at_capacity() {
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            cache_capacity: 2,
+            ..ServerConfig::default()
+        },
+        slow(0),
+    )
+    .unwrap();
+    let addr = server.addr();
+    for ranks in 1..=4 {
+        let body = format!(r#"{{"workload":"micro-2kb","ranks":{ranks}}}"#);
+        let r = call(addr, "POST", "/v1/predict", &body);
+        assert_eq!(r.header("x-pmemflow-cache"), Some("miss"));
+    }
+    assert_eq!(server.cache_len(), 2);
+    let metrics = call(addr, "GET", "/metrics", "");
+    assert!(metrics
+        .body
+        .contains("pmemflow_serve_cache_evictions_total 2"));
+    server.shutdown();
+    server.join();
 }
 
 #[test]
@@ -437,9 +497,7 @@ fn slowloris_is_reaped_with_408_without_occupying_a_worker() {
             read_deadline: Duration::from_millis(700),
             ..ServerConfig::default()
         },
-        Arc::new(SlowBackend {
-            delay: Duration::from_millis(10),
-        }),
+        slow(10),
     )
     .unwrap();
     let addr = server.addr();
@@ -494,13 +552,7 @@ fn slowloris_is_reaped_with_408_without_occupying_a_worker() {
 
 #[test]
 fn content_length_smuggling_is_rejected_on_the_wire() {
-    let server = Server::start_with_backend(
-        small_config(),
-        Arc::new(SlowBackend {
-            delay: Duration::from_millis(0),
-        }),
-    )
-    .unwrap();
+    let server = Server::start_with_backend(small_config(), slow(0)).unwrap();
     let addr = server.addr();
     for raw in [
         // Two frame lengths, even agreeing ones.

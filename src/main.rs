@@ -405,7 +405,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 deadline: std::time::Duration::from_millis(deadline_ms),
                 read_deadline: std::time::Duration::from_millis(read_deadline_ms),
                 fault_rate,
-                ..ServerConfig::default()
             })?;
             println!("listening on http://{}", server.addr());
             if fault_rate > 0.0 {
