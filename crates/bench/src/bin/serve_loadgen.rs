@@ -34,7 +34,7 @@
 //! sweep to one 512-connection pass for CI.
 //!
 //! ```text
-//! serve_loadgen [--smoke] [--chaos-net] [--requests N] [--conns C]
+//! serve_loadgen [--smoke] [--requests N] [--conns C]
 //!               [--workers W] [--io-threads T] [--open-rate RPS]
 //!               [--seed S] [--fault-rate R] [--out PATH]
 //! ```
@@ -47,20 +47,10 @@
 //! counter. The pass asserts that panics fired, that no request hangs and
 //! that no retry budget is exhausted: the daemon degrades, it does not
 //! wedge.
-//!
-//! With `--chaos-net` an extra pass points the same client discipline
-//! at a seeded `pmemflow_net::ChaosProxy` that fragments, stalls,
-//! half-closes and hard-resets the request stream: a killed connection
-//! (ECONNRESET / EPIPE / EOF) forces a reconnect with the same jittered
-//! exponential backoff, and goodput must still reach 100% with zero
-//! exhausted retry budgets and a clean, conservation-checked drain.
 
 use pmemflow_bench::BenchArgs;
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_net::{
-    drain_read, ChaosPlan, ChaosProxy, ChaosSpec, Event, Interest, ProxyConfig, Reactor, Token,
-    WriteBuf,
-};
+use pmemflow_net::{drain_read, Event, Interest, Reactor, Token, WriteBuf};
 use pmemflow_serve::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -432,10 +422,8 @@ fn summary_json(s: &Summary) -> String {
     )
 }
 
-/// Blocking single-connection exchange for the chaos passes, where the
-/// per-request retry conversation is clearer thread-per-client. Any
-/// transport failure — EPIPE on the write, ECONNRESET or a clean EOF
-/// mid-response — surfaces as `Err` so the caller can reconnect.
+/// Blocking single-connection exchange for the chaos pass, where the
+/// per-request retry conversation is clearer thread-per-client.
 fn http_exchange(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
@@ -486,19 +474,16 @@ struct ChaosStats {
     elapsed: Duration,
     /// Requests that ultimately answered 200.
     ok: usize,
-    /// Retry attempts (a 500 answer or a dead connection, re-tried).
+    /// Retry attempts (a 500 answer, re-tried).
     retries: usize,
-    /// Connections re-established after ECONNRESET / EPIPE / EOF.
-    reconnects: usize,
     /// Requests that ran out of retry budget (must be 0).
     exhausted: usize,
 }
 
-/// Replay `sequence` against a hostile daemon or network: every failed
-/// attempt — a 500 from an injected panic *or* a connection killed
-/// under it (ECONNRESET, EPIPE, half-close EOF) — retries with seeded,
-/// jittered exponential backoff, reconnecting first when the transport
-/// died. Goodput is the rate of requests that ultimately succeeded.
+/// Replay `sequence` against a panicking daemon: every 500 from an
+/// injected panic retries on the same keep-alive connection with seeded,
+/// jittered exponential backoff. Goodput is the rate of requests that
+/// ultimately succeeded.
 fn run_chaos_pass(
     addr: SocketAddr,
     queries: &[LoadQuery],
@@ -509,17 +494,22 @@ fn run_chaos_pass(
     let next = AtomicUsize::new(0);
     let ok = AtomicUsize::new(0);
     let retries = AtomicUsize::new(0);
-    let reconnects = AtomicUsize::new(0);
     let exhausted = AtomicUsize::new(0);
     let started = Instant::now();
     std::thread::scope(|scope| {
         for client in 0..clients.max(1) {
-            let (next, ok, retries, reconnects, exhausted) =
-                (&next, &ok, &retries, &reconnects, &exhausted);
+            let (next, ok, retries, exhausted) = (&next, &ok, &retries, &exhausted);
             scope.spawn(move || {
                 let mut rng =
                     SplitMix64::new(seed ^ (client as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
-                let mut link: Option<(TcpStream, BufReader<TcpStream>)> = None;
+                let mut stream = TcpStream::connect(addr).expect("chaos client connects");
+                // A read timeout would panic the client: that is the
+                // no-hung-requests assertion — every outcome arrives
+                // promptly, never left to rot.
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(120)))
+                    .unwrap();
+                let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
                 loop {
                     let pos = next.fetch_add(1, Relaxed);
                     if pos >= sequence.len() {
@@ -528,25 +518,7 @@ fn run_chaos_pass(
                     let q = &queries[sequence[pos]];
                     let mut attempt = 0u32;
                     loop {
-                        if link.is_none() {
-                            if let Ok(stream) = TcpStream::connect(addr) {
-                                // A read timeout would panic the client:
-                                // that is the no-hung-requests assertion —
-                                // every outcome arrives promptly, never
-                                // left to rot.
-                                stream
-                                    .set_read_timeout(Some(Duration::from_secs(120)))
-                                    .unwrap();
-                                let reader =
-                                    BufReader::new(stream.try_clone().expect("clone stream"));
-                                link = Some((stream, reader));
-                            }
-                        }
-                        let outcome = match link.as_mut() {
-                            Some((stream, reader)) => http_exchange(stream, reader, q),
-                            None => Err(std::io::ErrorKind::ConnectionRefused.into()),
-                        };
-                        match outcome {
+                        match http_exchange(&mut stream, &mut reader, q) {
                             Ok((200, _)) => {
                                 ok.fetch_add(1, Relaxed);
                                 break;
@@ -557,12 +529,7 @@ fn run_chaos_pass(
                             Ok((status, body)) => {
                                 panic!("{}: unexpected {status}: {body}", q.path)
                             }
-                            Err(_) => {
-                                // The network killed the connection under
-                                // us; retry on a fresh one.
-                                link = None;
-                                reconnects.fetch_add(1, Relaxed);
-                            }
+                            Err(e) => panic!("{}: transport failed: {e}", q.path),
                         }
                         attempt += 1;
                         if attempt >= 10 {
@@ -585,7 +552,6 @@ fn run_chaos_pass(
         elapsed: started.elapsed(),
         ok: ok.load(Relaxed),
         retries: retries.load(Relaxed),
-        reconnects: reconnects.load(Relaxed),
         exhausted: exhausted.load(Relaxed),
     }
 }
@@ -593,7 +559,6 @@ fn run_chaos_pass(
 fn main() {
     let args = BenchArgs::from_env();
     let smoke = args.switch("--smoke");
-    let chaos_net = args.switch("--chaos-net");
     let requests: usize = args.parse_or("--requests", if smoke { 2048 } else { 4000 });
     let workers: usize = args.parse_or("--workers", 2);
     let io_threads: usize = args.parse_or("--io-threads", 1);
@@ -808,78 +773,6 @@ fn main() {
         );
     }
 
-    // Network chaos: the same client discipline pointed at a seeded
-    // ChaosProxy that fragments, stalls, half-closes and hard-resets
-    // the request stream. Every kill forces a reconnect with jittered
-    // exponential backoff; goodput must still reach 100%.
-    let mut net_chaos_json = "null".to_string();
-    if chaos_net {
-        let victim = Server::start(ServerConfig {
-            workers,
-            io_threads,
-            ..ServerConfig::default()
-        })
-        .expect("net-chaos server boots");
-        let mut spec = ChaosSpec::quiet(seed);
-        spec.window = 400; // a couple of requests deep
-        spec.max_faults = 4;
-        spec.w_short = 1.0;
-        spec.w_stall = 0.3;
-        spec.stall_ms = (1, 10);
-        spec.p_reset = 0.15;
-        spec.p_half_close = 0.15;
-        let plan = ChaosPlan::new(spec).expect("net-chaos spec validates");
-        let proxy = ChaosProxy::start(ProxyConfig {
-            upstream: victim.addr(),
-            plan,
-            identified: false, // accept-order ids: reconnects draw fresh schedules
-        })
-        .expect("net-chaos proxy boots");
-        let net_seq = &sequence[..sequence.len().min(1024)];
-        println!(
-            "\nnet-chaos: {} requests through a seeded fault proxy (seed {seed}: \
-             fragments, stalls, FINs, RSTs)",
-            net_seq.len()
-        );
-        let stats = run_chaos_pass(proxy.addr(), &queries, net_seq, 8, seed);
-        println!(
-            "net-chaos: {}/{} ok ({} retries, {} reconnects, {} gave up) in {:.3}s = {:.1} req/s goodput",
-            stats.ok,
-            net_seq.len(),
-            stats.retries,
-            stats.reconnects,
-            stats.exhausted,
-            stats.elapsed.as_secs_f64(),
-            stats.ok as f64 / stats.elapsed.as_secs_f64(),
-        );
-        assert!(
-            stats.reconnects > 0,
-            "the chaos plan never killed a connection; raise p_reset/p_half_close"
-        );
-        assert_eq!(stats.exhausted, 0, "requests exhausted their retry budget");
-        assert_eq!(
-            stats.ok,
-            net_seq.len(),
-            "every request must eventually succeed"
-        );
-        let trace = proxy.stop_and_trace();
-        let victim_metrics = victim.metrics().clone();
-        victim.shutdown();
-        assert_eq!(victim.join(), 0, "connections leaked after network chaos");
-        victim_metrics
-            .connection_conservation()
-            .expect("connection conservation after network chaos");
-        net_chaos_json = format!(
-            "{{\"ok\":{},\"retries\":{},\"reconnects\":{},\"goodput_per_s\":{:.1},\
-             \"trace_lines\":{}}}",
-            stats.ok,
-            stats.retries,
-            stats.reconnects,
-            stats.ok as f64 / stats.elapsed.as_secs_f64(),
-            trace.lines().count()
-        );
-    }
-
     let json = format!(
         "{{\"bench\":\"serve_loadgen\",\"smoke\":{smoke},\"seed\":{seed},\
          \"requests\":{requests},\"workers\":{workers},\"io_threads\":{io_threads},\
@@ -887,7 +780,7 @@ fn main() {
          \"cold\":{},\"warm\":[{}],\"open_loop\":{{\"rate_target_per_s\":{open_rate:.0},{}}},\
          \"cache\":{{\"hits\":{hits},\"misses\":{misses},\"coalesced\":{coalesced},\
          \"hit_rate\":{hit_rate:.4}}},\"byte_identity\":true,\"clean_drain\":true,\
-         \"chaos\":{chaos_json},\"net_chaos\":{net_chaos_json}}}\n",
+         \"chaos\":{chaos_json}}}\n",
         queries.len(),
         distinct_seq.len(),
         summary_json(&cold_sum),

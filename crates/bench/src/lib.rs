@@ -168,7 +168,7 @@ mod tests {
     fn reads_switches_values_and_positionals() {
         let a = args(&["--smoke", "--requests", "64", "--requests", "128", "7"]);
         assert!(a.switch("--smoke"));
-        assert!(!a.switch("--chaos-net"));
+        assert!(!a.switch("--verbose"));
         assert_eq!(a.parse_or("--requests", 0usize), 128, "last one wins");
         assert_eq!(a.parse_or("--seed", 42u64), 42);
         assert_eq!(a.positional_or(0u32), 7);

@@ -1,33 +1,8 @@
 //! Byte plumbing for nonblocking sockets: drain-reads, partial-write
-//! buffers, and the jittered accept backoff — all generic over the
-//! [`NetIo`] seam so a fault-injecting transport ([`crate::chaos`])
-//! exercises the exact code paths real sockets take.
+//! buffers, and the jittered accept backoff.
 
 use crate::rng::Sm64;
 use std::io::{self, Read, Write};
-
-/// The transport seam the byte plumbing is written against: a
-/// nonblocking duplex stream. Real sockets get it for free via the
-/// blanket impl over `Read + Write`; [`crate::chaos::ChaosIo`] wraps any
-/// `NetIo` and injects deterministic faults underneath the same
-/// interface, so [`drain_read`] / [`WriteBuf::flush`] cannot tell a
-/// torture run from production.
-pub trait NetIo {
-    /// Nonblocking read, `std::io::Read` semantics (`Ok(0)` = EOF,
-    /// `WouldBlock`, `Interrupted` all meaningful).
-    fn io_read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
-    /// Nonblocking write, `std::io::Write` semantics.
-    fn io_write(&mut self, buf: &[u8]) -> io::Result<usize>;
-}
-
-impl<T: Read + Write> NetIo for T {
-    fn io_read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.read(buf)
-    }
-    fn io_write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.write(buf)
-    }
-}
 
 /// Outcome of one [`drain_read`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +22,7 @@ pub struct ReadOutcome {
 /// batching N connections at `limit` bytes each gets real fairness, not
 /// limit-plus-one-chunk.
 pub fn drain_read(
-    stream: &mut impl NetIo,
+    stream: &mut impl Read,
     buf: &mut Vec<u8>,
     limit: usize,
 ) -> io::Result<ReadOutcome> {
@@ -55,7 +30,7 @@ pub fn drain_read(
     let mut chunk = [0u8; 16 * 1024];
     while total < limit {
         let want = chunk.len().min(limit - total);
-        match stream.io_read(&mut chunk[..want]) {
+        match stream.read(&mut chunk[..want]) {
             Ok(0) => {
                 return Ok(ReadOutcome {
                     bytes: total,
@@ -114,9 +89,9 @@ impl WriteBuf {
     /// Write as much as the socket will take. Returns `true` when the
     /// buffer drained completely, `false` when the socket filled
     /// (`WouldBlock`) — the caller should arm writable interest.
-    pub fn flush(&mut self, stream: &mut impl NetIo) -> io::Result<bool> {
+    pub fn flush(&mut self, stream: &mut impl Write) -> io::Result<bool> {
         while self.pos < self.data.len() {
-            match stream.io_write(&self.data[self.pos..]) {
+            match stream.write(&self.data[self.pos..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.pos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
@@ -214,12 +189,6 @@ mod tests {
         }
     }
 
-    impl Read for Throttled {
-        fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-            Err(io::ErrorKind::WouldBlock.into())
-        }
-    }
-
     #[test]
     fn write_buf_survives_partial_writes() {
         let mut wb = WriteBuf::new();
@@ -259,14 +228,6 @@ mod tests {
                 }
             }
         }
-        impl Write for Two {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
         let mut buf = Vec::new();
         let mut src = Two { polls: 0 };
         let out = drain_read(&mut src, &mut buf, 1 << 20).unwrap();
@@ -292,14 +253,6 @@ mod tests {
                 Ok(buf.len())
             }
         }
-        impl Write for Firehose {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
         let mut buf = Vec::new();
         // A budget that is not a multiple of the internal chunk size.
         let limit = 40_000;
@@ -307,6 +260,67 @@ mod tests {
         assert_eq!(out.bytes, limit, "must stop exactly at the budget");
         assert_eq!(buf.len(), limit);
         assert!(!out.eof);
+    }
+
+    /// A signal-happy peer: every other call fails with `EINTR`, and the
+    /// calls in between move one byte. Reads serve `input`, then block.
+    struct Interrupting {
+        input: Vec<u8>,
+        pos: usize,
+        got: Vec<u8>,
+        interrupt: bool,
+    }
+
+    impl Interrupting {
+        fn interrupted(&mut self) -> bool {
+            self.interrupt = !self.interrupt;
+            !self.interrupt
+        }
+    }
+
+    impl Read for Interrupting {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.interrupted() {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let Some(&b) = self.input.get(self.pos) else {
+                return Err(io::ErrorKind::WouldBlock.into());
+            };
+            buf[0] = b;
+            self.pos += 1;
+            Ok(1)
+        }
+    }
+
+    impl Write for Interrupting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.interrupted() {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.got.push(buf[0]);
+            Ok(1)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn eintr_is_retried_by_reads_and_writes() {
+        let mut peer = Interrupting {
+            input: b"GET / HTTP/1.1\r\n\r\n".to_vec(),
+            pos: 0,
+            got: Vec::new(),
+            interrupt: false,
+        };
+        let mut buf = Vec::new();
+        let out = drain_read(&mut peer, &mut buf, 1 << 20).expect("EINTR is not an error");
+        assert_eq!((out.bytes, out.eof), (peer.input.len(), false));
+        assert_eq!(buf, peer.input);
+        let mut wb = WriteBuf::new();
+        wb.push(b"HTTP/1.1 200 OK\r\n\r\n");
+        assert!(wb.flush(&mut peer).expect("EINTR is not an error"));
+        assert_eq!(peer.got, b"HTTP/1.1 200 OK\r\n\r\n");
     }
 
     #[test]

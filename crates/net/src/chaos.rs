@@ -1,5 +1,5 @@
-//! Deterministic network chaos: seeded fault plans, a fault-injecting
-//! transport, and a reactor-based loopback chaos proxy.
+//! Deterministic network chaos: seeded fault plans and a reactor-based
+//! loopback chaos proxy.
 //!
 //! The discipline is the same one `pmemflow-fault` applies to nodes and
 //! jobs: every fault is drawn from a [`ChaosPlan`] seeded once, each
@@ -10,36 +10,26 @@
 //! across runs of the same seed regardless of thread scheduling or
 //! kernel buffering.
 //!
-//! Three layers share the plan:
-//!
-//! * [`ChaosIo`] wraps any [`NetIo`] transport and injects EINTR storms,
-//!   1-byte short reads/writes, spurious `WouldBlock`, and EOF /
-//!   `ECONNRESET` terminals at exact offsets. [`drain_read`] /
-//!   [`WriteBuf::flush`](crate::buffer::WriteBuf::flush) cannot tell it
-//!   from a hostile kernel.
-//! * [`ChaosListener`] wraps any [`NetListener`] and fails chosen
-//!   accepts with `EMFILE`, driving the fd-exhaustion backoff path.
-//! * [`ChaosProxy`] is a loopback TCP proxy on a real epoll reactor that
-//!   fragments, stalls, half-closes, and hard-resets (`SO_LINGER 0`, a
-//!   kernel RST) the daemon side of every connection per plan, so the
-//!   daemon under test keeps its real sockets and real epoll.
-//!
-//! A caution on spurious `WouldBlock` under edge-triggered epoll: a
-//! transport that answers `WouldBlock` while bytes sit in the kernel
-//! buffer suppresses the only readiness edge that would announce them —
-//! no correct ET consumer can recover without another event. The fault
-//! is therefore meaningful in unit torture of the byte plumbing (where
-//! the caller loops) and in level-triggered setups; full-daemon chaos
-//! specs should lean on the always-progress faults (EINTR, short
-//! reads/writes, terminals, accept EMFILE) plus proxy-side timing
-//! faults, which starve no edge.
+//! [`ChaosProxy`] applies the plan: a loopback TCP proxy on a real epoll
+//! reactor that fragments, stalls, half-closes, and hard-resets
+//! (`SO_LINGER 0`, a kernel RST) the daemon side of every connection,
+//! so the daemon under test keeps its real sockets and real epoll.
+//! Syscall-level faults (`EINTR`, short counts) are unit-tested on the
+//! byte plumbing itself (`buffer`'s tests); fd exhaustion is tested
+//! against a real `RLIMIT_NOFILE`.
 
-use crate::buffer::NetIo;
-use crate::reactor::NetListener;
+use crate::buffer::{drain_read, WriteBuf};
+use crate::reactor::{Interest, Reactor, Token, Waker};
 use crate::rng::Sm64;
-use std::io;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use crate::slab::{Key, Slab};
+use crate::sys;
+use crate::timer::TimerWheel;
+use std::io::{self, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// An independent stream for one entity, derived statelessly from
 /// `(seed, salt, id)` — the `pmemflow-fault` idiom: no draw order
@@ -54,7 +44,6 @@ fn stream(seed: u64, salt: u64, id: u64) -> Sm64 {
 }
 
 const SALT_CONN: u64 = 0x43_48_41_4f_53_2d_43; // "CHAOS-C"
-const SALT_ACCEPT: u64 = 0x43_48_41_4f_53_2d_41; // "CHAOS-A"
 
 /// Knobs of one chaos campaign. All probabilities are in `[0, 1]`;
 /// weights are relative and need not sum to anything.
@@ -68,16 +57,10 @@ pub struct ChaosSpec {
     /// Upper bound on fault points per connection (the count itself is
     /// drawn uniformly in `[0, max_faults]`).
     pub max_faults: u32,
-    /// Weight of 1-byte short reads/writes (fragmentation at the proxy).
+    /// Weight of 1-byte fragments.
     pub w_short: f64,
-    /// Weight of EINTR storms.
-    pub w_eintr: f64,
-    /// Weight of spurious `WouldBlock` (see the module note on ET).
-    pub w_block: f64,
-    /// Weight of stalls (delayed readiness; applied by the proxy).
+    /// Weight of stalls.
     pub w_stall: f64,
-    /// EINTR storm length, inclusive range.
-    pub eintr_storm: (u32, u32),
     /// Stall duration in milliseconds, inclusive range.
     pub stall_ms: (u64, u64),
     /// Probability a connection's request stream is hard-reset
@@ -86,8 +69,6 @@ pub struct ChaosSpec {
     /// Probability of a half-close (FIN / EOF) at a drawn offset.
     /// A drawn reset wins over a drawn half-close.
     pub p_half_close: f64,
-    /// Probability any given accept fails with `EMFILE`.
-    pub p_accept_emfile: f64,
 }
 
 impl ChaosSpec {
@@ -98,14 +79,10 @@ impl ChaosSpec {
             window: 4096,
             max_faults: 0,
             w_short: 0.0,
-            w_eintr: 0.0,
-            w_block: 0.0,
             w_stall: 0.0,
-            eintr_storm: (1, 3),
             stall_ms: (5, 40),
             p_reset: 0.0,
             p_half_close: 0.0,
-            p_accept_emfile: 0.0,
         }
     }
 
@@ -114,18 +91,12 @@ impl ChaosSpec {
         for (name, p) in [
             ("p_reset", self.p_reset),
             ("p_half_close", self.p_half_close),
-            ("p_accept_emfile", self.p_accept_emfile),
         ] {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} must be in [0, 1], got {p}"));
             }
         }
-        for (name, w) in [
-            ("w_short", self.w_short),
-            ("w_eintr", self.w_eintr),
-            ("w_block", self.w_block),
-            ("w_stall", self.w_stall),
-        ] {
+        for (name, w) in [("w_short", self.w_short), ("w_stall", self.w_stall)] {
             if !w.is_finite() || w < 0.0 {
                 return Err(format!(
                     "{name} must be a finite non-negative weight, got {w}"
@@ -138,12 +109,6 @@ impl ChaosSpec {
                 self.window
             ));
         }
-        if self.eintr_storm.0 == 0 || self.eintr_storm.0 > self.eintr_storm.1 {
-            return Err(format!(
-                "eintr_storm range {:?} is empty or zero",
-                self.eintr_storm
-            ));
-        }
         if self.stall_ms.0 > self.stall_ms.1 {
             return Err(format!("stall_ms range {:?} is empty", self.stall_ms));
         }
@@ -154,14 +119,10 @@ impl ChaosSpec {
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Truncate the read/write at this offset to `n` bytes (1 for the
-    /// classic 1-byte fragment).
+    /// Forward only `n` bytes at this offset, as their own segment (1
+    /// for the classic 1-byte fragment).
     Short(u32),
-    /// `EINTR` this many times before the byte at the offset moves.
-    Eintr(u32),
-    /// One spurious `WouldBlock` before the byte at the offset moves.
-    SpuriousBlock,
-    /// Pause the stream for this many milliseconds (proxy-applied).
+    /// Pause the stream for this many milliseconds.
     Stall(u64),
 }
 
@@ -169,14 +130,12 @@ impl FaultKind {
     fn label(self) -> String {
         match self {
             FaultKind::Short(n) => format!("short:{n}"),
-            FaultKind::Eintr(k) => format!("eintr:{k}"),
-            FaultKind::SpuriousBlock => "block".to_string(),
             FaultKind::Stall(ms) => format!("stall:{ms}ms"),
         }
     }
 }
 
-/// A fault pinned to a byte offset of one direction of the stream.
+/// A fault pinned to a byte offset of the request stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultAt {
     /// Stream offset (bytes moved so far when the fault applies).
@@ -201,42 +160,21 @@ pub enum Terminal {
 pub struct ConnSchedule {
     /// The connection id the schedule was derived from.
     pub id: u64,
-    /// Faults on the read (request) direction, sorted by offset, at most
-    /// one per offset.
-    pub read_faults: Vec<FaultAt>,
-    /// Faults on the write (response) direction, sorted by offset.
-    pub write_faults: Vec<FaultAt>,
+    /// Faults on the request stream, sorted by offset, at most one per
+    /// offset.
+    pub faults: Vec<FaultAt>,
     /// Early termination of the request stream, if any.
     pub terminal: Terminal,
 }
 
 impl ConnSchedule {
-    /// A schedule that does nothing (pass-through).
-    pub fn quiet(id: u64) -> ConnSchedule {
-        ConnSchedule {
-            id,
-            read_faults: Vec::new(),
-            write_faults: Vec::new(),
-            terminal: Terminal::None,
-        }
-    }
-
     /// Render the schedule as stable, diffable text (one line per fault).
-    pub fn render(&self, out: &mut String) {
+    fn render(&self, out: &mut String) {
         use std::fmt::Write as _;
-        for f in &self.read_faults {
+        for f in &self.faults {
             let _ = writeln!(
                 out,
-                "conn={} dir=r off={} fault={}",
-                self.id,
-                f.offset,
-                f.kind.label()
-            );
-        }
-        for f in &self.write_faults {
-            let _ = writeln!(
-                out,
-                "conn={} dir=w off={} fault={}",
+                "conn={} off={} fault={}",
                 self.id,
                 f.offset,
                 f.kind.label()
@@ -254,8 +192,8 @@ impl ConnSchedule {
     }
 }
 
-/// A validated chaos campaign: compiles per-connection schedules and
-/// per-accept decisions from the seed, statelessly.
+/// A validated chaos campaign: compiles per-connection schedules from
+/// the seed, statelessly.
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
     spec: ChaosSpec,
@@ -268,49 +206,34 @@ impl ChaosPlan {
         Ok(ChaosPlan { spec })
     }
 
-    /// The spec this plan was built from.
-    pub fn spec(&self) -> &ChaosSpec {
-        &self.spec
-    }
-
     /// Compile the schedule of connection `id`. Pure: the same
     /// `(seed, id)` always yields the identical schedule, independent of
     /// call order or other connections.
     pub fn connection(&self, id: u64) -> ConnSchedule {
         let s = &self.spec;
         let mut rng = stream(s.seed, SALT_CONN, id);
-        let total_w = s.w_short + s.w_eintr + s.w_block + s.w_stall;
-        let draw_faults = |rng: &mut Sm64| -> Vec<FaultAt> {
-            let n = rng.range_u64(0, u64::from(s.max_faults)) as usize;
-            let mut faults = Vec::with_capacity(n);
-            for _ in 0..n {
-                let offset = rng.range_u64(0, s.window - 1);
-                // Every point burns the same number of draws no matter
-                // which kind wins, so schedules stay stable when one
-                // weight is zeroed.
-                let x = rng.next_f64() * total_w;
-                let storm = rng.range_u64(u64::from(s.eintr_storm.0), u64::from(s.eintr_storm.1));
-                let stall = rng.range_u64(s.stall_ms.0, s.stall_ms.1);
-                if total_w <= 0.0 {
-                    continue;
-                }
-                let kind = if x < s.w_short {
-                    FaultKind::Short(1)
-                } else if x < s.w_short + s.w_eintr {
-                    FaultKind::Eintr(storm as u32)
-                } else if x < s.w_short + s.w_eintr + s.w_block {
-                    FaultKind::SpuriousBlock
-                } else {
-                    FaultKind::Stall(stall)
-                };
-                faults.push(FaultAt { offset, kind });
+        let total_w = s.w_short + s.w_stall;
+        let n = rng.range_u64(0, u64::from(s.max_faults)) as usize;
+        let mut faults = Vec::with_capacity(n);
+        for _ in 0..n {
+            let offset = rng.range_u64(0, s.window - 1);
+            // Every point burns the same number of draws no matter
+            // which kind wins, so schedules stay stable when one
+            // weight is zeroed.
+            let x = rng.next_f64() * total_w;
+            let stall = rng.range_u64(s.stall_ms.0, s.stall_ms.1);
+            if total_w <= 0.0 {
+                continue;
             }
-            faults.sort_by_key(|f| f.offset);
-            faults.dedup_by_key(|f| f.offset);
-            faults
-        };
-        let read_faults = draw_faults(&mut rng);
-        let write_faults = draw_faults(&mut rng);
+            let kind = if x < s.w_short {
+                FaultKind::Short(1)
+            } else {
+                FaultKind::Stall(stall)
+            };
+            faults.push(FaultAt { offset, kind });
+        }
+        faults.sort_by_key(|f| f.offset);
+        faults.dedup_by_key(|f| f.offset);
         let t = rng.next_f64();
         let t_off = rng.range_u64(1, s.window);
         let terminal = if t < s.p_reset {
@@ -322,26 +245,14 @@ impl ChaosPlan {
         };
         ConnSchedule {
             id,
-            read_faults,
-            write_faults,
+            faults,
             terminal,
         }
     }
 
-    /// Does accept number `k` (0-based, global order) fail with
-    /// `EMFILE`? Stateless hashed draw, same idiom as per-attempt fault
-    /// decisions in `pmemflow-fault`.
-    fn accept_fails(&self, k: u64) -> bool {
-        if self.spec.p_accept_emfile <= 0.0 {
-            return false;
-        }
-        stream(self.spec.seed, SALT_ACCEPT, k).next_f64() < self.spec.p_accept_emfile
-    }
-
-    /// Render the compiled plan for connections `0..conns` and accepts
-    /// `0..accepts` as stable text — the "planned" half of the
-    /// byte-identical trace contract.
-    pub fn render(&self, conns: u64, accepts: u64) -> String {
+    /// Render the compiled plan for connections `0..conns` as stable
+    /// text — the "planned" half of the byte-identical trace contract.
+    pub fn render(&self, conns: u64) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
@@ -349,11 +260,6 @@ impl ChaosPlan {
             "plan seed={} window={}",
             self.spec.seed, self.spec.window
         );
-        for k in 0..accepts {
-            if self.accept_fails(k) {
-                let _ = writeln!(out, "accept={k} fault=emfile");
-            }
-        }
         for id in 0..conns {
             self.connection(id).render(&mut out);
         }
@@ -361,293 +267,16 @@ impl ChaosPlan {
     }
 }
 
-/// One fault as actually applied by a [`ChaosIo`] (or the proxy), in
-/// application order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AppliedFault {
-    /// `true` for the read (request) direction.
-    pub read: bool,
-    /// Stream offset at application time.
-    pub offset: u64,
-    /// What was injected.
-    pub kind: FaultKind,
-}
-
-impl AppliedFault {
-    /// Stable one-line rendering (`dir=r off=12 fault=eintr:3`).
-    pub fn label(&self) -> String {
-        format!(
-            "dir={} off={} fault={}",
-            if self.read { "r" } else { "w" },
-            self.offset,
-            self.kind.label()
-        )
-    }
-}
-
-/// A fault-injecting transport: wraps any [`NetIo`] and applies its
-/// [`ConnSchedule`] at exact byte offsets. Implements `Read`/`Write`
-/// (and therefore [`NetIo`] via the blanket impl), so it slots anywhere
-/// a socket does. Reads are clamped so no inner read skips an armed
-/// offset — faults land precisely even when the caller offers a huge
-/// buffer.
-pub struct ChaosIo<T> {
-    inner: T,
-    sched: ConnSchedule,
-    read_pos: u64,
-    write_pos: u64,
-    next_read: usize,
-    next_write: usize,
-    /// Remaining `EINTR`s of an in-progress storm, per direction.
-    read_storm: u32,
-    write_storm: u32,
-    /// A triggered reset is sticky: both directions fail forever after.
-    reset_hit: bool,
-    eof_hit: bool,
-    applied: Vec<AppliedFault>,
-}
-
-impl<T> ChaosIo<T> {
-    /// Wrap `inner` under `sched`.
-    pub fn new(inner: T, sched: ConnSchedule) -> ChaosIo<T> {
-        ChaosIo {
-            inner,
-            sched,
-            read_pos: 0,
-            write_pos: 0,
-            next_read: 0,
-            next_write: 0,
-            read_storm: 0,
-            write_storm: 0,
-            reset_hit: false,
-            eof_hit: false,
-            applied: Vec::new(),
-        }
-    }
-
-    /// Faults applied so far, in application order.
-    pub fn applied(&self) -> &[AppliedFault] {
-        &self.applied
-    }
-
-    /// First armed offset at or beyond `pos` among the remaining faults
-    /// plus the terminal — the clamp boundary for the next inner op.
-    fn next_boundary(faults: &[FaultAt], next: usize, terminal_off: Option<u64>) -> Option<u64> {
-        let f = faults.get(next).map(|f| f.offset);
-        match (f, terminal_off) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn terminal_read_off(&self) -> Option<u64> {
-        match self.sched.terminal {
-            Terminal::Eof(off) | Terminal::Reset(off) => Some(off),
-            Terminal::None => None,
-        }
-    }
-}
-
-impl<T: NetIo> std::io::Read for ChaosIo<T> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.reset_hit {
-            return Err(io::ErrorKind::ConnectionReset.into());
-        }
-        if self.read_storm > 0 {
-            self.read_storm -= 1;
-            return Err(io::ErrorKind::Interrupted.into());
-        }
-        // Terminal at this offset?
-        match self.sched.terminal {
-            Terminal::Reset(off) if self.read_pos >= off => {
-                self.reset_hit = true;
-                return Err(io::ErrorKind::ConnectionReset.into());
-            }
-            Terminal::Eof(off) if self.read_pos >= off => {
-                self.eof_hit = true;
-                return Ok(0);
-            }
-            _ => {}
-        }
-        let mut cap = buf.len();
-        if let Some(f) = self.sched.read_faults.get(self.next_read).copied() {
-            if self.read_pos >= f.offset {
-                self.next_read += 1;
-                self.applied.push(AppliedFault {
-                    read: true,
-                    offset: self.read_pos,
-                    kind: f.kind,
-                });
-                match f.kind {
-                    FaultKind::Eintr(k) => {
-                        self.read_storm = k.saturating_sub(1);
-                        return Err(io::ErrorKind::Interrupted.into());
-                    }
-                    FaultKind::SpuriousBlock => return Err(io::ErrorKind::WouldBlock.into()),
-                    FaultKind::Short(n) => cap = cap.min((n as usize).max(1)),
-                    // Stalls are timing faults; in a synchronous wrapper
-                    // the record is the observable effect.
-                    FaultKind::Stall(_) => {}
-                }
-            }
-        }
-        // Clamp so the next armed offset is never skipped.
-        if let Some(b) = Self::next_boundary(
-            &self.sched.read_faults,
-            self.next_read,
-            self.terminal_read_off(),
-        ) {
-            if b > self.read_pos {
-                cap = cap.min((b - self.read_pos) as usize);
-            }
-        }
-        if cap == 0 {
-            cap = 1;
-        }
-        let cap = cap.min(buf.len());
-        let n = self.inner.io_read(&mut buf[..cap])?;
-        self.read_pos += n as u64;
-        Ok(n)
-    }
-}
-
-impl<T: NetIo> std::io::Write for ChaosIo<T> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.reset_hit {
-            return Err(io::ErrorKind::ConnectionReset.into());
-        }
-        if self.write_storm > 0 {
-            self.write_storm -= 1;
-            return Err(io::ErrorKind::Interrupted.into());
-        }
-        let mut cap = buf.len();
-        if let Some(f) = self.sched.write_faults.get(self.next_write).copied() {
-            if self.write_pos >= f.offset {
-                self.next_write += 1;
-                self.applied.push(AppliedFault {
-                    read: false,
-                    offset: self.write_pos,
-                    kind: f.kind,
-                });
-                match f.kind {
-                    FaultKind::Eintr(k) => {
-                        self.write_storm = k.saturating_sub(1);
-                        return Err(io::ErrorKind::Interrupted.into());
-                    }
-                    FaultKind::SpuriousBlock => return Err(io::ErrorKind::WouldBlock.into()),
-                    FaultKind::Short(n) => cap = cap.min((n as usize).max(1)),
-                    FaultKind::Stall(_) => {}
-                }
-            }
-        }
-        if let Some(b) = Self::next_boundary(&self.sched.write_faults, self.next_write, None) {
-            if b > self.write_pos {
-                cap = cap.min((b - self.write_pos) as usize);
-            }
-        }
-        if cap == 0 {
-            cap = 1;
-        }
-        let n = self.inner.io_write(&buf[..cap.min(buf.len())])?;
-        self.write_pos += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl<T: std::os::fd::AsRawFd> std::os::fd::AsRawFd for ChaosIo<T> {
-    fn as_raw_fd(&self) -> std::os::fd::RawFd {
-        self.inner.as_raw_fd()
-    }
-}
-
-/// Shared accept/connection counters so every io thread's clone of the
-/// listener draws from one global order.
-struct ListenerShared {
-    plan: ChaosPlan,
-    accepts: AtomicU64,
-    conns: AtomicU64,
-}
-
-/// A fault-injecting listener: wraps any [`NetListener`], fails planned
-/// accepts with `EMFILE` (exercising the accept-backoff path without
-/// touching the real fd table), and wraps every accepted transport in a
-/// [`ChaosIo`] carrying its per-connection schedule.
-pub struct ChaosListener<L> {
-    inner: L,
-    shared: Arc<ListenerShared>,
-}
-
-impl<L: NetListener> ChaosListener<L> {
-    /// Wrap `inner` under `plan`.
-    pub fn new(inner: L, plan: ChaosPlan) -> ChaosListener<L> {
-        ChaosListener {
-            inner,
-            shared: Arc::new(ListenerShared {
-                plan,
-                accepts: AtomicU64::new(0),
-                conns: AtomicU64::new(0),
-            }),
-        }
-    }
-}
-
-impl<L: NetListener> NetListener for ChaosListener<L> {
-    type Io = ChaosIo<L::Io>;
-
-    fn accept_io(&mut self) -> io::Result<Self::Io> {
-        let k = self.shared.accepts.fetch_add(1, Relaxed);
-        if self.shared.plan.accept_fails(k) {
-            return Err(io::Error::from_raw_os_error(24)); // EMFILE
-        }
-        let io = self.inner.accept_io()?;
-        let id = self.shared.conns.fetch_add(1, Relaxed);
-        Ok(ChaosIo::new(io, self.shared.plan.connection(id)))
-    }
-
-    fn listener_fd(&self) -> std::os::fd::RawFd {
-        self.inner.listener_fd()
-    }
-
-    fn try_clone_listener(&self) -> io::Result<Self> {
-        Ok(ChaosListener {
-            inner: self.inner.try_clone_listener()?,
-            shared: self.shared.clone(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// The chaos proxy (see the module docs): real sockets, real epoll,
-// deterministic per-connection torture.
-// ---------------------------------------------------------------------
-
-use crate::buffer::{drain_read, WriteBuf};
-use crate::reactor::{Interest, Reactor, Token, Waker};
-use crate::slab::{Key, Slab};
-use crate::sys;
-use crate::timer::TimerWheel;
-use std::io::Write as _;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::AtomicBool;
-use std::time::{Duration, Instant};
-
 /// Configuration of a [`ChaosProxy`].
 pub struct ProxyConfig {
     /// Where the real daemon listens.
     pub upstream: SocketAddr,
-    /// The campaign to apply.
+    /// The campaign to apply. Each client prefixes its stream with an
+    /// 8-byte little-endian connection id (the identity preamble), which
+    /// the proxy strips — the daemon never sees it — and uses to select
+    /// the schedule, so per-connection traces are independent of
+    /// accept-order races.
     pub plan: ChaosPlan,
-    /// Identity-preamble mode: each client prefixes its stream with an
-    /// 8-byte little-endian connection id, which the proxy strips (the
-    /// daemon never sees it) and uses to select the schedule. This makes
-    /// per-connection traces independent of accept-order races; without
-    /// it, ids are assigned in accept order.
-    pub identified: bool,
 }
 
 /// Wheel tick of the proxy's stall timers.
@@ -660,15 +289,10 @@ const LISTENER: Token = Token(u64::MAX - 1);
 /// bit 63 in a proxy's lifetime.
 const UPSTREAM_BIT: u64 = 1 << 63;
 
-enum TraceLine {
-    Accept(u64),
-    Conn { id: u64, text: String },
-}
-
 struct Session {
     client: TcpStream,
     upstream: TcpStream,
-    /// `None` until the identity preamble resolves (identified mode).
+    /// `None` until the identity preamble resolves.
     sched: Option<ConnSchedule>,
     idbuf: Vec<u8>,
     /// Client bytes not yet forwarded upstream.
@@ -726,8 +350,6 @@ impl ChaosProxy {
                     sessions: Slab::new(),
                     wheel: TimerWheel::new(256),
                     start: Instant::now(),
-                    next_conn: 0,
-                    accepts: 0,
                     trace: Vec::new(),
                 }
                 .run(stop2)
@@ -774,9 +396,8 @@ struct Proxy {
     sessions: Slab<Session>,
     wheel: TimerWheel<(Key, u64)>,
     start: Instant,
-    next_conn: u64,
-    accepts: u64,
-    trace: Vec<TraceLine>,
+    /// `(connection id, applied fault)` in application order.
+    trace: Vec<(u64, String)>,
 }
 
 impl Proxy {
@@ -843,17 +464,6 @@ impl Proxy {
         loop {
             match self.listener.accept() {
                 Ok((client, _)) => {
-                    let k = self.accepts;
-                    self.accepts += 1;
-                    if self.cfg.plan.accept_fails(k) {
-                        // Simulated EMFILE refusal: RST the client so its
-                        // retry path runs (the daemon-side equivalent is
-                        // ChaosListener returning the errno itself).
-                        self.trace.push(TraceLine::Accept(k));
-                        let _ = sys::set_linger_zero(client.as_raw_fd());
-                        drop(client);
-                        continue;
-                    }
                     if client.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -866,17 +476,10 @@ impl Proxy {
                         continue;
                     }
                     let _ = upstream.set_nodelay(true);
-                    let sched = if self.cfg.identified {
-                        None
-                    } else {
-                        let id = self.next_conn;
-                        self.next_conn += 1;
-                        Some(self.cfg.plan.connection(id))
-                    };
                     let key = self.sessions.insert(Session {
                         client,
                         upstream,
-                        sched,
+                        sched: None,
                         idbuf: Vec::new(),
                         inbuf: Vec::new(),
                         forwarded: 0,
@@ -923,7 +526,7 @@ impl Proxy {
                     if out.eof {
                         s.client_eof = true;
                     }
-                    if self.cfg.identified && s.sched.is_none() {
+                    if s.sched.is_none() {
                         let need = 8usize.saturating_sub(s.idbuf.len());
                         let take = need.min(s.inbuf.len());
                         let moved: Vec<u8> = s.inbuf.drain(..take).collect();
@@ -964,23 +567,18 @@ impl Proxy {
             };
             let id = sched.id;
             let terminal = sched.terminal;
-            let fault = sched.read_faults.get(s.next_fault).copied();
+            let fault = sched.faults.get(s.next_fault).copied();
             match terminal {
                 Terminal::Reset(off) if s.forwarded >= off => {
-                    self.trace.push(TraceLine::Conn {
-                        id,
-                        text: format!("off={off} terminal=reset"),
-                    });
+                    self.trace.push((id, format!("off={off} terminal=reset")));
                     self.teardown(key, true);
                     return;
                 }
                 Terminal::Eof(off) if s.forwarded >= off && !s.fin_sent => {
                     s.fin_sent = true;
                     let _ = s.upstream.shutdown(Shutdown::Write);
-                    self.trace.push(TraceLine::Conn {
-                        id,
-                        text: format!("off={off} terminal=half_close"),
-                    });
+                    self.trace
+                        .push((id, format!("off={off} terminal=half_close")));
                     continue;
                 }
                 _ => {}
@@ -1018,26 +616,19 @@ impl Proxy {
                         FaultKind::Short(n) => {
                             cap = cap.min((n as usize).max(1));
                             frag = true;
-                            self.trace.push(TraceLine::Conn {
-                                id,
-                                text: format!("off={} fault={}", f.offset, f.kind.label()),
-                            });
+                            self.trace
+                                .push((id, format!("off={} fault={}", f.offset, f.kind.label())));
                         }
                         FaultKind::Stall(ms) => {
                             s.stalled = true;
                             s.stall_gen += 1;
                             let gen = s.stall_gen;
-                            self.trace.push(TraceLine::Conn {
-                                id,
-                                text: format!("off={} fault={}", f.offset, f.kind.label()),
-                            });
+                            self.trace
+                                .push((id, format!("off={} fault={}", f.offset, f.kind.label())));
                             self.wheel
                                 .schedule(now_tick + ms.div_ceil(TICK_MS).max(1), (key, gen));
                             return;
                         }
-                        // Syscall-level faults belong to ChaosIo; a
-                        // stream proxy has no syscall to perturb.
-                        FaultKind::Eintr(_) | FaultKind::SpuriousBlock => continue,
                     }
                 } else {
                     cap = cap.min((f.offset - s.forwarded) as usize);
@@ -1124,25 +715,13 @@ impl Proxy {
         }
     }
 
-    fn render_trace(self) -> String {
+    fn render_trace(mut self) -> String {
         use std::fmt::Write as _;
-        let mut accepts = Vec::new();
-        let mut conns = Vec::new();
-        for line in self.trace {
-            match line {
-                TraceLine::Accept(k) => accepts.push(k),
-                TraceLine::Conn { id, text } => conns.push((id, text)),
-            }
-        }
-        accepts.sort_unstable();
         // Stable by id: within one connection, lines keep application
         // order, which the offset axis makes deterministic.
-        conns.sort_by_key(|(id, _)| *id);
+        self.trace.sort_by_key(|(id, _)| *id);
         let mut out = String::new();
-        for k in accepts {
-            let _ = writeln!(out, "accept={k} fault=emfile");
-        }
-        for (id, text) in conns {
+        for (id, text) in self.trace {
             let _ = writeln!(out, "conn={id} {text}");
         }
         out
@@ -1152,61 +731,15 @@ impl Proxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::is_fd_exhaustion;
-    use crate::reactor::NetListener;
-    use std::io::{Read, Write};
-
-    /// An in-memory transport: serves scripted input (then `WouldBlock`),
-    /// swallows writes.
-    struct MemIo {
-        input: Vec<u8>,
-        pos: usize,
-        written: Vec<u8>,
-    }
-
-    impl MemIo {
-        fn with_input(n: usize) -> MemIo {
-            MemIo {
-                input: (0..n).map(|i| i as u8).collect(),
-                pos: 0,
-                written: Vec::new(),
-            }
-        }
-    }
-
-    impl Read for MemIo {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            if self.pos >= self.input.len() {
-                return Err(io::ErrorKind::WouldBlock.into());
-            }
-            let n = buf.len().min(self.input.len() - self.pos);
-            buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    impl Write for MemIo {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.written.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
+    use std::io::Read;
 
     fn busy_spec(seed: u64) -> ChaosSpec {
         ChaosSpec {
             max_faults: 6,
             w_short: 1.0,
-            w_eintr: 1.0,
-            w_block: 1.0,
             w_stall: 1.0,
             p_reset: 0.25,
             p_half_close: 0.25,
-            p_accept_emfile: 0.2,
             ..ChaosSpec::quiet(seed)
         }
     }
@@ -1217,12 +750,11 @@ mod tests {
         let b = ChaosPlan::new(busy_spec(42)).unwrap();
         for id in 0..64 {
             assert_eq!(a.connection(id), b.connection(id));
-            assert_eq!(a.accept_fails(id), b.accept_fails(id));
         }
-        assert_eq!(a.render(32, 32), b.render(32, 32));
+        assert_eq!(a.render(32), b.render(32));
         // A different seed must actually change the campaign.
         let c = ChaosPlan::new(busy_spec(43)).unwrap();
-        assert_ne!(a.render(32, 32), c.render(32, 32));
+        assert_ne!(a.render(32), c.render(32));
     }
 
     #[test]
@@ -1246,129 +778,8 @@ mod tests {
         s.window = 1;
         assert!(s.validate().is_err());
         let mut s = ChaosSpec::quiet(1);
-        s.eintr_storm = (0, 3);
+        s.stall_ms = (9, 3);
         assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn chaos_io_applies_read_faults_at_exact_offsets() {
-        let sched = ConnSchedule {
-            id: 0,
-            read_faults: vec![
-                FaultAt {
-                    offset: 10,
-                    kind: FaultKind::Short(1),
-                },
-                FaultAt {
-                    offset: 20,
-                    kind: FaultKind::Eintr(3),
-                },
-            ],
-            write_faults: Vec::new(),
-            terminal: Terminal::Eof(50),
-        };
-        let mut io = ChaosIo::new(MemIo::with_input(100), sched);
-        let mut buf = Vec::new();
-        // drain_read retries EINTR and clamps at armed offsets, so the
-        // whole gauntlet resolves in one call, ending at the EOF terminal.
-        let out = drain_read(&mut io, &mut buf, 1 << 20).unwrap();
-        assert!(out.eof, "terminal Eof(50) must read as EOF");
-        assert_eq!(out.bytes, 50, "exactly the pre-terminal bytes arrive");
-        assert_eq!(buf, (0..50u8).collect::<Vec<_>>(), "bytes uncorrupted");
-        let applied = io.applied();
-        assert_eq!(applied.len(), 2);
-        assert_eq!(applied[0].offset, 10);
-        assert_eq!(applied[0].kind, FaultKind::Short(1));
-        assert_eq!(applied[1].offset, 20);
-        assert_eq!(applied[1].kind, FaultKind::Eintr(3));
-    }
-
-    #[test]
-    fn chaos_io_spurious_block_pauses_then_resumes() {
-        let sched = ConnSchedule {
-            id: 0,
-            read_faults: vec![FaultAt {
-                offset: 5,
-                kind: FaultKind::SpuriousBlock,
-            }],
-            write_faults: Vec::new(),
-            terminal: Terminal::None,
-        };
-        let mut io = ChaosIo::new(MemIo::with_input(12), sched);
-        let mut buf = Vec::new();
-        let out = drain_read(&mut io, &mut buf, 1 << 20).unwrap();
-        assert_eq!(out.bytes, 5, "spurious WouldBlock stops the drain at 5");
-        assert!(!out.eof);
-        let out = drain_read(&mut io, &mut buf, 1 << 20).unwrap();
-        assert_eq!(out.bytes, 7, "second drain resumes and finishes");
-        assert_eq!(buf, (0..12u8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chaos_io_write_faults_do_not_corrupt_the_stream() {
-        let sched = ConnSchedule {
-            id: 0,
-            read_faults: Vec::new(),
-            write_faults: vec![
-                FaultAt {
-                    offset: 3,
-                    kind: FaultKind::Short(1),
-                },
-                FaultAt {
-                    offset: 6,
-                    kind: FaultKind::Eintr(2),
-                },
-            ],
-            terminal: Terminal::None,
-        };
-        let mut io = ChaosIo::new(MemIo::with_input(0), sched);
-        let mut wb = WriteBuf::new();
-        wb.push(&(0..32u8).collect::<Vec<_>>());
-        // flush retries Interrupted and partial writes internally.
-        assert!(wb.flush(&mut io).unwrap());
-        assert_eq!(io.inner.written, (0..32u8).collect::<Vec<_>>());
-        assert_eq!(io.applied().len(), 2);
-        assert!(!io.applied()[0].read);
-        assert_eq!(io.applied()[0].offset, 3);
-        assert_eq!(io.applied()[1].offset, 6);
-    }
-
-    #[test]
-    fn chaos_io_reset_terminal_is_sticky_on_both_directions() {
-        let sched = ConnSchedule {
-            id: 0,
-            read_faults: Vec::new(),
-            write_faults: Vec::new(),
-            terminal: Terminal::Reset(10),
-        };
-        let mut io = ChaosIo::new(MemIo::with_input(100), sched);
-        let mut buf = Vec::new();
-        let err = drain_read(&mut io, &mut buf, 1 << 20).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
-        assert_eq!(buf.len(), 10, "exactly the pre-reset bytes arrive");
-        assert_eq!(
-            io.io_write(b"x").unwrap_err().kind(),
-            io::ErrorKind::ConnectionReset,
-            "a triggered reset poisons writes too"
-        );
-        assert!(io.reset_hit && !io.eof_hit);
-        assert_eq!(io.sched.terminal, Terminal::Reset(10));
-    }
-
-    #[test]
-    fn chaos_listener_injects_emfile() {
-        let mut spec = ChaosSpec::quiet(9);
-        spec.p_accept_emfile = 1.0;
-        let plan = ChaosPlan::new(spec).unwrap();
-        let inner = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = inner.local_addr().unwrap();
-        let mut listener = ChaosListener::new(inner, plan);
-        let _client = TcpStream::connect(addr).unwrap();
-        let err = match listener.accept_io() {
-            Err(e) => e,
-            Ok(_) => panic!("accept under p_accept_emfile=1.0 must fail"),
-        };
-        assert!(is_fd_exhaustion(&err), "injected errno must read as EMFILE");
     }
 
     fn echo_upstream() -> (SocketAddr, std::thread::JoinHandle<()>) {
@@ -1398,13 +809,13 @@ mod tests {
         let proxy = ChaosProxy::start(ProxyConfig {
             upstream,
             plan: ChaosPlan::new(ChaosSpec::quiet(1)).unwrap(),
-            identified: false,
         })
         .unwrap();
         let mut client = TcpStream::connect(proxy.addr()).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
+        client.write_all(&0u64.to_le_bytes()).unwrap(); // identity preamble
         client.write_all(b"hello through the storm").unwrap();
         client.shutdown(Shutdown::Write).unwrap();
         let mut back = Vec::new();
@@ -1423,13 +834,8 @@ mod tests {
         spec.w_short = 1.0;
         spec.window = 64;
         let plan = ChaosPlan::new(spec).unwrap();
-        let expect_faults = !plan.connection(3).read_faults.is_empty();
-        let proxy = ChaosProxy::start(ProxyConfig {
-            upstream,
-            plan,
-            identified: true,
-        })
-        .unwrap();
+        let expect_faults = !plan.connection(3).faults.is_empty();
+        let proxy = ChaosProxy::start(ProxyConfig { upstream, plan }).unwrap();
         let mut client = TcpStream::connect(proxy.addr()).unwrap();
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -1462,7 +868,6 @@ mod tests {
         let proxy = ChaosProxy::start(ProxyConfig {
             upstream,
             plan: ChaosPlan::new(spec).unwrap(),
-            identified: false,
         })
         .unwrap();
         let mut client = TcpStream::connect(proxy.addr()).unwrap();
@@ -1471,6 +876,7 @@ mod tests {
             .unwrap();
         // More than 16 bytes so the terminal offset is reached; the
         // write itself may or may not error depending on timing.
+        let _ = client.write_all(&0u64.to_le_bytes());
         let _ = client.write_all(&[7u8; 64]);
         let mut back = Vec::new();
         let death = match client.read_to_end(&mut back) {
@@ -1499,7 +905,6 @@ mod tests {
             let proxy = ChaosProxy::start(ProxyConfig {
                 upstream,
                 plan: ChaosPlan::new(spec).unwrap(),
-                identified: true,
             })
             .unwrap();
             let mut client = TcpStream::connect(proxy.addr()).unwrap();

@@ -17,11 +17,9 @@
 //!
 //! The floor is also torturable: [`ChaosPlan`] compiles a seed into
 //! per-connection byte-offset fault schedules (the `pmemflow-fault`
-//! discipline applied to sockets) and injects them either inside the
-//! process — [`ChaosIo`] over the [`NetIo`] seam, [`ChaosListener`]
-//! over the [`NetListener`] seam — or from outside through a
-//! reactor-based loopback proxy ([`ChaosProxy`]) that fragments,
-//! stalls, half-closes, and RSTs real TCP connections,
+//! discipline applied to sockets), and [`ChaosProxy`], a reactor-based
+//! loopback proxy, applies them from outside the process under test:
+//! it fragments, stalls, half-closes, and RSTs real TCP connections,
 //! byte-identically per seed.
 //!
 //! ```text
@@ -40,11 +38,8 @@ mod slab;
 mod sys;
 mod timer;
 
-pub use buffer::{drain_read, is_fd_exhaustion, AcceptBackoff, NetIo, ReadOutcome, WriteBuf};
-pub use chaos::{
-    AppliedFault, ChaosIo, ChaosListener, ChaosPlan, ChaosProxy, ChaosSpec, ConnSchedule,
-    FaultKind, ProxyConfig, Terminal,
-};
-pub use reactor::{Event, Interest, NetListener, Reactor, Token, Waker};
+pub use buffer::{drain_read, is_fd_exhaustion, AcceptBackoff, ReadOutcome, WriteBuf};
+pub use chaos::{ChaosPlan, ChaosProxy, ChaosSpec, ConnSchedule, FaultKind, ProxyConfig, Terminal};
+pub use reactor::{Event, Interest, Reactor, Token, Waker};
 pub use slab::{Key, Slab};
 pub use timer::TimerWheel;

@@ -9,55 +9,11 @@
 //! the reactor knows nothing about connections, only file descriptors
 //! and cookies.
 
-use crate::buffer::NetIo;
 use crate::sys;
 use std::io;
-use std::net::TcpListener;
 use std::os::fd::{AsFd, AsRawFd, OwnedFd, RawFd};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The accept-path seam: anything a reactor loop can watch for incoming
-/// connections and accept transports from. Real `TcpListener`s implement
-/// it directly (the accepted stream comes back nonblocking with Nagle
-/// off, ready for edge-triggered registration);
-/// [`crate::chaos::ChaosListener`] wraps one and injects deterministic
-/// `EMFILE` bursts so the accept backoff path is testable without
-/// actually exhausting the fd table.
-pub trait NetListener: Send + Sized + 'static {
-    /// The connection transport this listener yields.
-    type Io: NetIo + AsRawFd + Send + 'static;
-
-    /// Nonblocking accept. All `std::net::TcpListener::accept` error
-    /// semantics apply (`WouldBlock`, `Interrupted`, `EMFILE`/`ENFILE`,
-    /// transient `ECONNABORTED`).
-    fn accept_io(&mut self) -> io::Result<Self::Io>;
-
-    /// The fd to register with the reactor.
-    fn listener_fd(&self) -> RawFd;
-
-    /// A second handle to the same listening socket (one per io thread).
-    fn try_clone_listener(&self) -> io::Result<Self>;
-}
-
-impl NetListener for TcpListener {
-    type Io = std::net::TcpStream;
-
-    fn accept_io(&mut self) -> io::Result<Self::Io> {
-        let (stream, _) = self.accept()?;
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(stream)
-    }
-
-    fn listener_fd(&self) -> RawFd {
-        self.as_raw_fd()
-    }
-
-    fn try_clone_listener(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-}
 
 /// Caller-chosen cookie identifying a registered fd. The reactor
 /// reserves `Token(u64::MAX)` for its internal eventfd.

@@ -57,7 +57,11 @@
 //! jittered exponential backoff instead of spinning or crashing
 //! (`fd_exhausted_total` counts the strikes); and
 //! [`FaultInjectingBackend`] gives tests and CI a deterministic
-//! panic-injection hook (`--fault-rate`).
+//! panic-injection hook (`--fault-rate`). The network side is tested by
+//! one harness, the chaos rig ([`run_rig`]): the real daemon behind a
+//! seeded [`pmemflow_net::ChaosProxy`] that fragments, stalls,
+//! half-closes and resets each connection at planned byte offsets, with
+//! a scripted client fleet that knows every byte the daemon owes it.
 
 mod cache;
 mod http;
@@ -72,5 +76,5 @@ pub use http::split_responses;
 pub use metrics::Metrics;
 pub use model::{Answer, Backend, FaultInjectingBackend, ModelBackend};
 pub use query::Query;
-pub use rig::{run_rig, RigBackend, RigConfig, RigReport};
+pub use rig::{run_rig, RigConfig, RigReport};
 pub use server::{Server, ServerConfig};

@@ -197,8 +197,11 @@ impl Metrics {
     /// is either still active or has been closed exactly once —
     /// `accepted_total == closed_total + connections_active`. Exact only
     /// at quiescence (no accept/close mid-flight); the chaos rig and the
-    /// e2e tests check it after drain, where any imbalance means a slab
-    /// leak or a double-close.
+    /// e2e tests check it after drain, where an imbalance means a
+    /// double-close. It cannot see a slab leak: the drain closes every
+    /// idle connection, leaked ones included, so the rig checks for
+    /// leaks *before* shutdown instead (`connections_active` reaching 0
+    /// once every client has finished).
     pub fn connection_conservation(&self) -> Result<(), String> {
         let accepted = self.accepted_total.load(Relaxed);
         let closed = self.closed_total.load(Relaxed);

@@ -1,10 +1,11 @@
 //! Deterministic network-torture rig: the daemon behind a seeded
 //! [`ChaosProxy`], a scripted client fleet, and invariant checkers.
 //!
-//! The rig is the top of the chaos stack (see `pmemflow_net::chaos`):
-//! it boots a real [`Server`] on loopback, parks a chaos proxy in front
-//! of it, and drives one blocking client per connection id through the
-//! proxy in identity-preamble mode. Every moving part is a pure
+//! The rig is the workspace's one network-chaos harness (the proxy and
+//! the plan live in `pmemflow_net::chaos`): it boots a real [`Server`]
+//! on loopback, parks a chaos proxy in front of it, and drives one
+//! blocking client per connection id through the proxy, each stream
+//! opened by its identity preamble. Every moving part is a pure
 //! function of `(seed, id)` — the fault schedules (from the
 //! [`ChaosPlan`]), the request scripts (a SplitMix64 stream salted
 //! differently), and the backend's answers ([`RigBackend`] echoes the
@@ -27,11 +28,17 @@
 //!   answer to every request completed before the FIN offset — the
 //!   proxy delivers byte-exact `off` bytes, so the expected count is
 //!   computable, not approximate. A reset connection gets a prefix.
+//! - **No leaked connection**: once every client has finished, the
+//!   daemon closes its side of every connection on its own —
+//!   `connections_active` reaches 0 within 5 s, *before* shutdown. This
+//!   is the slab-leak detector: the drain closes idle connections
+//!   itself, so a leak (say, a read error that forgets to close) is
+//!   invisible after it.
 //! - **Drain terminates**: [`Server::join`] abandons nothing.
-//! - **Connection conservation**: at quiescence,
+//! - **Connection conservation**: after the drain,
 //!   `accepted_total == closed_total + connections_active`
-//!   ([`crate::metrics::Metrics::connection_conservation`]) — the
-//!   slab-leak detector.
+//!   ([`crate::metrics::Metrics::connection_conservation`]) — nothing
+//!   is closed twice.
 
 use crate::http::split_responses;
 use crate::json::Json;
@@ -42,13 +49,14 @@ use pmemflow_des::rng::SplitMix64;
 use pmemflow_net::{ChaosPlan, ChaosProxy, ChaosSpec, FaultKind, ProxyConfig, Terminal};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The rig's backend: answers are a pure function of the query, so a
 /// client that knows its own request can compute the daemon's exact
 /// response bytes without talking to anyone.
-pub struct RigBackend;
+struct RigBackend;
 
 impl Backend for RigBackend {
     fn answer(&self, query: &Query) -> Answer {
@@ -263,10 +271,7 @@ pub fn run_rig(cfg: &RigConfig) -> RigReport {
         .min()
         .expect("at least one client");
 
-    // Proxy-safe spec: fragmentation, stalls and terminals. EINTR /
-    // spurious-WouldBlock are syscall-level (ChaosIo territory — see
-    // Server::start_with_chaos) and EMFILE churn would break the
-    // one-attempt-per-id contract this rig's exact accounting rests on.
+    // Fragmentation, stalls and terminals, all on the request stream.
     let mut spec = ChaosSpec::quiet(cfg.seed);
     // Clamp the fault window to the shortest script so every drawn
     // offset (and terminal) lands inside every stream — schedules never
@@ -297,7 +302,6 @@ pub fn run_rig(cfg: &RigConfig) -> RigReport {
     let proxy = ChaosProxy::start(ProxyConfig {
         upstream: server.addr(),
         plan: plan.clone(),
-        identified: true,
     })
     .expect("rig proxy boots");
     let paddr = proxy.addr();
@@ -337,9 +341,19 @@ pub fn run_rig(cfg: &RigConfig) -> RigReport {
         validate_client(id, &scripts[id as usize], &plan, &outcome, &mut report);
     }
 
-    // Quiesce before the conservation check: every client is done, so
-    // the daemon's side of every connection closes (FIN passthrough,
-    // planned FIN, or RST) and the drain must find nothing to abandon.
+    // Every client is done, so the daemon owes a close to every
+    // connection (FIN passthrough, planned FIN, or RST) — without help
+    // from the drain, which would close a leaked idle connection itself.
+    let settle = Instant::now() + Duration::from_secs(5);
+    while metrics.connections_active.load(Relaxed) > 0 && Instant::now() < settle {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let active = metrics.connections_active.load(Relaxed);
+    if active > 0 {
+        report.violations.push(format!(
+            "{active} connection(s) still open 5 s after every client finished"
+        ));
+    }
     server.shutdown();
     report.abandoned = server.join();
     if report.abandoned > 0 {
@@ -371,17 +385,16 @@ pub fn run_rig(cfg: &RigConfig) -> RigReport {
                 off
             }
         };
-        for f in sched.read_faults.iter().filter(|f| f.offset < cut) {
+        for f in sched.faults.iter().filter(|f| f.offset < cut) {
             match f.kind {
                 FaultKind::Short(_) => report.faults_short += 1,
                 FaultKind::Stall(_) => report.faults_stall += 1,
-                _ => {}
             }
         }
     }
 
     let applied = proxy.stop_and_trace();
-    report.trace = format!("{}applied:\n{applied}", plan.render(cfg.clients, 0));
+    report.trace = format!("{}applied:\n{applied}", plan.render(cfg.clients));
     report
 }
 

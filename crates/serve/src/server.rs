@@ -44,11 +44,11 @@ use crate::query::Query;
 use pmemflow_core::sync::lock_recover;
 use pmemflow_des::json_escape;
 use pmemflow_net::{
-    drain_read, is_fd_exhaustion, AcceptBackoff, ChaosListener, ChaosPlan, ChaosSpec, Interest,
-    Key, NetListener, Reactor, Slab, TimerWheel, Token, Waker, WriteBuf,
+    drain_read, is_fd_exhaustion, AcceptBackoff, Interest, Key, Reactor, Slab, TimerWheel, Token,
+    Waker, WriteBuf,
 };
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -195,11 +195,9 @@ enum SlotState {
     Waiting { started: Instant, close: bool },
 }
 
-/// Per-connection state machine, generic over the transport so the
-/// chaos rig can slide a fault-injecting [`pmemflow_net::ChaosIo`]
-/// under the daemon without the daemon knowing.
-struct Conn<S> {
-    stream: S,
+/// Per-connection state machine.
+struct Conn {
+    stream: TcpStream,
     /// Unparsed request bytes (always starts at a request boundary).
     buf: Vec<u8>,
     decoder: RequestDecoder,
@@ -217,8 +215,8 @@ struct Conn<S> {
     read_armed: bool,
 }
 
-impl<S> Conn<S> {
-    fn new(stream: S) -> Conn<S> {
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             buf: Vec::new(),
@@ -277,36 +275,6 @@ impl Server {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        Server::start_inner(config, backend, listener, addr)
-    }
-
-    /// Boot with seeded network chaos injected *inside* the daemon:
-    /// every accepted transport is wrapped in a fault-injecting
-    /// [`pmemflow_net::ChaosIo`] and planned accepts fail with `EMFILE`
-    /// (driving the real backoff path without exhausting fds). The spec
-    /// should stick to always-progress faults (EINTR, short reads/writes,
-    /// terminals) — a spurious `WouldBlock` under edge-triggered epoll
-    /// starves the readiness edge by design. Timing/order faults come
-    /// from the external [`pmemflow_net::ChaosProxy`] instead.
-    pub fn start_with_chaos(
-        config: ServerConfig,
-        backend: Arc<dyn Backend>,
-        spec: ChaosSpec,
-    ) -> std::io::Result<Server> {
-        let plan = ChaosPlan::new(spec)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        Server::start_inner(config, backend, ChaosListener::new(listener, plan), addr)
-    }
-
-    fn start_inner<L: NetListener>(
-        config: ServerConfig,
-        backend: Arc<dyn Backend>,
-        listener: L,
-        addr: SocketAddr,
-    ) -> std::io::Result<Server> {
         let backend: Arc<dyn Backend> = if config.fault_rate > 0.0 {
             Arc::new(FaultInjectingBackend::new(backend, config.fault_rate))
         } else {
@@ -344,7 +312,7 @@ impl Server {
             .into_iter()
             .enumerate()
             .map(|(i, reactor)| {
-                let listener = listener.try_clone_listener()?;
+                let listener = listener.try_clone()?;
                 let (shared, queue) = (shared.clone(), queue.clone());
                 let seed = u64::from(addr.port()) << 8 | i as u64;
                 std::thread::Builder::new()
@@ -460,13 +428,13 @@ fn worker_loop(jobs: &Mutex<Receiver<Job>>, shared: &Shared, backend: &dyn Backe
 /// Everything one io thread owns, bundled so the helper methods below
 /// can borrow disjoint parts without fighting the borrow checker across
 /// a dozen function arguments.
-struct IoThread<L: NetListener> {
+struct IoThread {
     reactor: Reactor,
-    listener: L,
+    listener: TcpListener,
     shared: Arc<Shared>,
     queue: SyncSender<Job>,
     mailbox: Arc<Mailbox>,
-    conns: Slab<Conn<L::Io>>,
+    conns: Slab<Conn>,
     wheel: TimerWheel<TimerItem>,
     backoff: AcceptBackoff,
     started: Instant,
@@ -476,9 +444,9 @@ struct IoThread<L: NetListener> {
     deadline_ticks: u64,
 }
 
-fn io_loop<L: NetListener>(
+fn io_loop(
     reactor: Reactor,
-    listener: L,
+    listener: TcpListener,
     shared: Arc<Shared>,
     queue: SyncSender<Job>,
     exclusive: bool,
@@ -500,7 +468,7 @@ fn io_loop<L: NetListener>(
     // A daemon whose io thread cannot watch its listener is deaf but
     // looks alive — fail loudly instead of serving nothing.
     reactor
-        .register(listener.listener_fd(), LISTENER, listener_interest)
+        .register(listener.as_raw_fd(), LISTENER, listener_interest)
         .expect("register listener with epoll");
     let mut io = IoThread {
         reactor,
@@ -581,7 +549,7 @@ fn io_loop<L: NetListener>(
             draining = true;
             drain_deadline = Instant::now() + DRAIN_GRACE;
             if io.accepting {
-                let _ = io.reactor.deregister(io.listener.listener_fd());
+                let _ = io.reactor.deregister(io.listener.as_raw_fd());
                 io.accepting = false;
             }
             for key in io.conns.keys() {
@@ -608,7 +576,7 @@ fn io_loop<L: NetListener>(
     }
 }
 
-impl<L: NetListener> IoThread<L> {
+impl IoThread {
     fn now_tick(&self) -> u64 {
         (self.started.elapsed().as_millis() / TICK.as_millis()) as u64
     }
@@ -621,8 +589,12 @@ impl<L: NetListener> IoThread<L> {
             return;
         }
         loop {
-            match self.listener.accept_io() {
-                Ok(stream) => {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue; // a blocking socket would stall the io thread
+                    }
+                    let _ = stream.set_nodelay(true);
                     self.backoff.reset();
                     self.shared.metrics.accepted_total.fetch_add(1, Relaxed);
                     self.shared.metrics.connections_active.fetch_add(1, Relaxed);
@@ -646,7 +618,7 @@ impl<L: NetListener> IoThread<L> {
                 Err(e) if is_fd_exhaustion(&e) => {
                     self.shared.metrics.fd_exhausted_total.fetch_add(1, Relaxed);
                     let pause = self.backoff.strike();
-                    let _ = self.reactor.deregister(self.listener.listener_fd());
+                    let _ = self.reactor.deregister(self.listener.as_raw_fd());
                     self.accepting = false;
                     self.wheel
                         .schedule(self.now_tick() + ticks(pause), TimerItem::ResumeAccept);
@@ -778,7 +750,7 @@ impl<L: NetListener> IoThread<L> {
         shared.metrics.on_request(&request.path);
         let close = request.wants_close() || shared.shutdown.load(Relaxed);
         let started = Instant::now();
-        let answer_now = |io: &mut IoThread<L>,
+        let answer_now = |io: &mut IoThread,
                           status: u16,
                           content_type: &str,
                           extra: &[(&str, String)],
@@ -1028,11 +1000,7 @@ impl<L: NetListener> IoThread<L> {
                 if !self.accepting && !self.shared.shutdown.load(Relaxed) {
                     self.accepting = true;
                     self.reactor
-                        .register(
-                            self.listener.listener_fd(),
-                            LISTENER,
-                            self.listener_interest,
-                        )
+                        .register(self.listener.as_raw_fd(), LISTENER, self.listener_interest)
                         .expect("re-register listener with epoll");
                     self.accept_ready();
                 }
