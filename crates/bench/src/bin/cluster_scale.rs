@@ -22,7 +22,7 @@ use pmemflow_bench::BenchArgs;
 use pmemflow_cluster::{
     run_campaign_with_oracle, ArrivalSpec, CampaignConfig, Fcfs, Oracle, TenantKey, TraceRow,
 };
-use pmemflow_core::ExecutionParams;
+use pmemflow_core::{ExecutionParams, CORES_PER_SOCKET};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_workloads::Family;
 use std::time::Instant;
@@ -53,7 +53,7 @@ fn main() {
     args.reject_unread();
 
     let exec = ExecutionParams::default();
-    let cores = exec.node.cores_per_socket();
+    let cores = CORES_PER_SOCKET;
 
     // Characterize the stream's alphabet once, outside the timed loop.
     let alphabet: Vec<(String, usize, pmemflow_workloads::WorkflowSpec)> = MIX

@@ -1,48 +1,29 @@
 //! Regenerate the paper's Fig. 2: the considered workflow deployment
-//! alternatives, rendered from the actual platform/pinning machinery (the
-//! same code the executor uses), so the diagram is guaranteed to match
-//! the implementation.
+//! alternatives, rendered from the placement map the executor uses
+//! ([`SchedConfig::writer_locality`]), so the diagram is guaranteed to
+//! match the implementation.
 
-use pmemflow_core::SchedConfig;
-use pmemflow_platform::{locality_of, Node, PinPolicy, Pinning, SocketId};
+use pmemflow_core::{SchedConfig, CORES_PER_SOCKET};
+use pmemflow_des::Locality;
 
 fn main() {
-    let node = Node::paper_testbed();
-    let ranks = 8;
     println!(
         "Fig. 2: deployment alternatives on a dual-socket node \
-         ({} cores/socket, PMEM on socket 0)\n",
-        node.cores_per_socket()
+         ({CORES_PER_SOCKET} cores/socket, PMEM on socket 0)\n"
     );
     for config in SchedConfig::ALL {
-        let writer_socket = match config.placement {
-            pmemflow_core::Placement::LocW => SocketId(0),
-            pmemflow_core::Placement::LocR => SocketId(1),
+        // The PMEM channel is on socket 0; the local component runs there.
+        let (socket0, socket1) = match config.writer_locality() {
+            Locality::Local => ("simulation", "analytics"),
+            Locality::Remote => ("analytics", "simulation"),
         };
-        let reader_socket = writer_socket.peer();
-        let wp = Pinning::new(&node, PinPolicy::Socket(writer_socket), ranks).unwrap();
-        let rp = Pinning::new(&node, PinPolicy::Socket(reader_socket), ranks).unwrap();
         println!("{} ({:?} execution):", config, config.mode);
-        println!(
-            "  socket 0 [PMEM channel here]: {}",
-            if writer_socket == SocketId(0) {
-                format!("simulation ranks on cores {:?}..", wp.cores[0].0)
-            } else {
-                format!("analytics ranks on cores {:?}..", rp.cores[0].0)
-            }
-        );
-        println!(
-            "  socket 1                    : {}",
-            if writer_socket == SocketId(1) {
-                format!("simulation ranks on cores {:?}..", wp.cores[0].0)
-            } else {
-                format!("analytics ranks on cores {:?}..", rp.cores[0].0)
-            }
-        );
+        println!("  socket 0 [PMEM channel here]: {socket0} ranks on cores 0..");
+        println!("  socket 1                    : {socket1} ranks on cores {CORES_PER_SOCKET}..");
         println!(
             "  simulation writes are {:?}, analytics reads are {:?}\n",
-            locality_of(writer_socket, SocketId(0)),
-            locality_of(reader_socket, SocketId(0)),
+            config.writer_locality(),
+            config.reader_locality(),
         );
     }
     println!(

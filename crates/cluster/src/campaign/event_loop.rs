@@ -8,6 +8,7 @@ use super::{Campaign, CampaignConfig, CampaignOutcome, ClusterError, JobRecord};
 use crate::arrivals::{arrival_for_draw, draw_submission, generate_open, Arrival, ArrivalSpec};
 use crate::policy::{Placement, Policy, QueuedJob};
 use crate::predict::Oracle;
+use pmemflow_core::{check_fit, CORES_PER_SOCKET};
 use pmemflow_dag::DagClass;
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{Direction, Locality};
@@ -53,10 +54,7 @@ impl<'a> Campaign<'a> {
         // solo-seconds, charged through the same stack cost model the
         // in-situ I/O pays — heavier software stacks tax checkpoints harder.
         let ckpt_frac = if ckpt.interval > 0.0 {
-            let cost = config
-                .exec
-                .cost_override
-                .unwrap_or_else(|| config.exec.stack.cost_model());
+            let cost = config.exec.cost_model();
             let objects = ckpt.state_bytes.div_ceil(ckpt.object_bytes);
             let latency = config
                 .exec
@@ -93,12 +91,10 @@ impl<'a> Campaign<'a> {
                 None
             }
         };
-        let cores_per_socket = config.exec.node.cores_per_socket();
         Campaign {
             config,
             policy,
             oracle,
-            cores_per_socket,
             ckpt_frac,
             ckpt_mult: 1.0 + ckpt_frac,
             plan: FaultPlan::new(&config.faults, config.nodes),
@@ -116,8 +112,8 @@ impl<'a> Campaign<'a> {
             makespan: 0.0,
             repricer: Repricer::default(),
             events: EventHeap::default(),
-            free: FreeCores::new(config.nodes, cores_per_socket),
-            views: Views::new(config.nodes, cores_per_socket, config.staging_gib),
+            free: FreeCores::new(config.nodes),
+            views: Views::new(config.nodes, config.staging_gib),
             finished_clients: Vec::new(),
         }
     }
@@ -381,7 +377,7 @@ impl<'a> Campaign<'a> {
         };
         let (node, job) = (&self.nodes[p.node], &self.queue[qi].job);
         if !node.up
-            || node.used + job.ranks > self.cores_per_socket
+            || check_fit(node.used + job.ranks).is_err()
             || job.home.is_some_and(|h| h != p.node)
             || self.staging.reserved[p.node] + job.staging > self.config.staging_gib + 1e-9
         {
@@ -562,7 +558,7 @@ impl<'a> Campaign<'a> {
             jobs: self.records,
             makespan: self.makespan,
             busy_core_secs: self.nodes.iter().map(|n| n.busy_core_secs).collect(),
-            cores_per_node: 2 * self.cores_per_socket,
+            cores_per_node: 2 * CORES_PER_SOCKET,
             staging_capacity: self.config.staging_gib,
             peak_staging_gib: self.staging.peak,
             reprice_secs: self.repricer.spent_ns as f64 / 1e9,

@@ -96,7 +96,7 @@ use crate::predict::Oracle;
 use dag::{DagRun, StagingState};
 use event_loop::ClosedLoop;
 use node::{EventHeap, FreeCores, NodeState, Repricer, Views};
-use pmemflow_core::{ExecError, ExecutionParams};
+use pmemflow_core::{check_fit, ExecError, ExecutionParams, CORES_PER_SOCKET};
 use pmemflow_fault::{CheckpointSpec, FaultPlan, FaultSpec};
 use queue::{QueueIndex, Queued};
 use std::collections::VecDeque;
@@ -104,8 +104,8 @@ use std::collections::VecDeque;
 /// Everything a campaign needs besides the policy.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Number of identical nodes (each the paper's dual-socket testbed
-    /// unless `exec.node` says otherwise).
+    /// Number of identical nodes, each the paper's dual-socket testbed
+    /// ([`pmemflow_core::CORES_PER_SOCKET`] cores per socket).
     pub nodes: usize,
     /// The arrival stream.
     pub arrivals: ArrivalSpec,
@@ -176,7 +176,6 @@ struct Campaign<'a> {
     config: &'a CampaignConfig,
     policy: &'a dyn Policy,
     oracle: &'a Oracle,
-    cores_per_socket: usize,
     /// Checkpoint tax `f` (see [`Campaign::new`]) and the wall-time
     /// multiplier `1 + f` it puts on every running job.
     ckpt_frac: f64,
@@ -222,13 +221,12 @@ fn validate(config: &CampaignConfig) -> Result<(), ClusterError> {
             "staging capacity must be positive and finite".into(),
         ));
     }
-    let cores_per_socket = config.exec.node.cores_per_socket();
     // Reject alphabet entries that cannot run even on an empty node —
     // better a config error up front than a stuck queue later.
     for (name, ranks, _) in config.arrivals.alphabet() {
-        if ranks > cores_per_socket {
+        if check_fit(ranks).is_err() {
             return Err(ClusterError::Config(format!(
-                "{name}@{ranks} can never fit a {cores_per_socket}-core socket"
+                "{name}@{ranks} can never fit a {CORES_PER_SOCKET}-core socket"
             )));
         }
     }

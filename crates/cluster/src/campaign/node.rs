@@ -9,7 +9,7 @@ use super::{Campaign, ClusterError};
 use crate::policy::{NodeView, ResidentView};
 use crate::predict::Oracle;
 use crate::pricing::PriceCache;
-use pmemflow_core::SchedConfig;
+use pmemflow_core::{SchedConfig, CORES_PER_SOCKET};
 use pmemflow_des::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -189,9 +189,9 @@ pub(super) struct FreeCores {
 }
 
 impl FreeCores {
-    /// `nodes` empty up nodes of `cores` cores per socket.
-    pub(super) fn new(nodes: usize, cores: usize) -> FreeCores {
-        let mut by_used = vec![0; cores + 1];
+    /// `nodes` empty up nodes.
+    pub(super) fn new(nodes: usize) -> FreeCores {
+        let mut by_used = vec![0; CORES_PER_SOCKET + 1];
         by_used[0] = nodes;
         FreeCores { by_used }
     }
@@ -230,10 +230,10 @@ pub(super) struct Views {
 }
 
 impl Views {
-    pub(super) fn new(nodes: usize, cores_per_socket: usize, staging_capacity: f64) -> Views {
+    pub(super) fn new(nodes: usize, staging_capacity: f64) -> Views {
         Views {
             views: (0..nodes)
-                .map(|id| empty_view(id, cores_per_socket, staging_capacity))
+                .map(|id| empty_view(id, staging_capacity))
                 .collect(),
             stale: vec![false; nodes],
             stale_list: Vec::new(),
@@ -248,10 +248,9 @@ impl Views {
     }
 }
 
-fn empty_view(id: usize, cores_per_socket: usize, staging_capacity: f64) -> NodeView {
+fn empty_view(id: usize, staging_capacity: f64) -> NodeView {
     NodeView {
         id,
-        cores_per_socket,
         up: true,
         residents: Vec::new(),
         staging_capacity,
@@ -470,7 +469,7 @@ impl Campaign<'_> {
         }
         debug_assert!(
             (0..self.nodes.len()).all(|ni| {
-                let mut fresh = empty_view(ni, self.cores_per_socket, self.config.staging_gib);
+                let mut fresh = empty_view(ni, self.config.staging_gib);
                 fill_view(&mut fresh, &self.nodes[ni], &self.staging, &self.dags);
                 fresh == self.views.views[ni]
             }),
@@ -493,7 +492,7 @@ impl Campaign<'_> {
             scan.map(f64::to_bits),
             "event heap diverged from the resident scan"
         );
-        let mut free = FreeCores::new(0, self.cores_per_socket);
+        let mut free = FreeCores::new(0);
         for (ni, n) in self.nodes.iter().enumerate() {
             let sum: usize = n.running.iter().map(|r| r.q.job.ranks).sum();
             assert_eq!(n.used, sum, "node {ni}'s used-core count diverged");

@@ -4,11 +4,12 @@
 use super::dag::StageState;
 use super::node::Running;
 use super::*;
-use crate::arrivals::{arrival_for_draw, generate_open, Draw};
+use crate::arrivals::{arrival_for_draw, generate_open, Draw, TraceRow};
 use crate::policy::{all_policies, Fcfs, Placement};
 use pmemflow_dag::{stage_io_seconds, DagClass, GIB};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_fault::{requeue_backoff, FaultEventKind};
+use pmemflow_workloads::Family;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Build the oracle with up to `jobs` parallel simulations (never
@@ -67,12 +68,19 @@ fn zero_nodes_is_a_config_error() {
 
 #[test]
 fn oversized_workload_is_rejected_up_front() {
+    let row = |ranks| TraceRow {
+        time: 0.0,
+        family: Family::Micro64MB,
+        ranks,
+    };
     let mut cfg = micro_config(3, 2);
-    cfg.exec.node = pmemflow_platform::Node::dual_socket(4, 1 << 30, 1 << 30);
-    assert!(matches!(
-        run_campaign(&cfg, &Fcfs, 1),
-        Err(ClusterError::Config(_))
-    ));
+    cfg.arrivals = ArrivalSpec::Trace(vec![row(8), row(32)]);
+    match run_campaign(&cfg, &Fcfs, 1) {
+        Err(ClusterError::Config(msg)) => {
+            assert_eq!(msg, "micro-64MB@32 can never fit a 28-core socket")
+        }
+        _ => panic!("a 32-rank trace row must be a config error"),
+    }
 }
 
 #[test]

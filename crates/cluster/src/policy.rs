@@ -40,7 +40,7 @@
 //! (where its staged inputs live) is never placed elsewhere.
 
 use crate::predict::{Oracle, TenantKey};
-use pmemflow_core::{ExecError, SchedConfig};
+use pmemflow_core::{check_fit, ExecError, SchedConfig, CORES_PER_SOCKET};
 use std::sync::Arc;
 
 /// A job waiting in the queue, as policies see it. The campaign stores
@@ -88,8 +88,6 @@ pub struct ResidentView {
 pub struct NodeView {
     /// Node id.
     pub id: usize,
-    /// Core capacity per socket.
-    pub cores_per_socket: usize,
     /// Whether the node is alive. Crashed nodes appear in the snapshot
     /// (so node ids stay stable) but hold no jobs and accept none.
     pub up: bool,
@@ -121,7 +119,7 @@ impl NodeView {
 
     /// Whether a `ranks`-wide job fits right now (never on a down node).
     pub fn fits(&self, ranks: usize) -> bool {
-        self.up && self.used_cores() + ranks <= self.cores_per_socket
+        self.up && check_fit(self.used_cores() + ranks).is_ok()
     }
 
     /// The tenant keys of the residents (for co-run pricing).
@@ -197,7 +195,6 @@ struct PlanState {
     used: Vec<usize>,
     staging_used: Vec<f64>,
     up: Vec<bool>,
-    cap: usize,
     staging_cap: f64,
 }
 
@@ -207,7 +204,6 @@ impl PlanState {
             used: nodes.iter().map(NodeView::used_cores).collect(),
             staging_used: nodes.iter().map(|n| n.staging_reserved).collect(),
             up: nodes.iter().map(|n| n.up).collect(),
-            cap: nodes.first().map_or(0, |n| n.cores_per_socket),
             staging_cap: nodes.first().map_or(0.0, |n| n.staging_capacity),
         }
     }
@@ -217,7 +213,7 @@ impl PlanState {
     fn fits(&self, node: usize, job: &QueuedJob) -> bool {
         self.up[node]
             && job.home.is_none_or(|h| h == node)
-            && self.used[node] + job.ranks <= self.cap
+            && check_fit(self.used[node] + job.ranks).is_ok()
             && self.staging_used[node] + job.staging <= self.staging_cap + STAGING_EPS
     }
 
@@ -318,7 +314,7 @@ impl Policy for EasyBackfill {
         for node in nodes {
             // A down node cannot anchor the head's reservation: nothing
             // frees on it and nothing may start on it.
-            if !node.up || plan.used[node.id] > node.cores_per_socket {
+            if !node.up || check_fit(plan.used[node.id]).is_err() {
                 continue;
             }
             if head.home.is_some_and(|h| h != node.id) {
@@ -331,7 +327,7 @@ impl Policy for EasyBackfill {
                 .collect();
             finishes.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let mut t = now;
-            let mut free = node.cores_per_socket - plan.used[node.id];
+            let mut free = CORES_PER_SOCKET - plan.used[node.id];
             let mut fits_at = None;
             if free >= head.ranks {
                 fits_at = Some(t);

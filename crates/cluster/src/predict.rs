@@ -12,7 +12,7 @@
 //!   classifies.
 //! * **Co-run pricing** — the predicted per-tenant outcome of every
 //!   candidate resident set, from
-//!   [`execute_coscheduled_with_baselines`] over the real device model.
+//!   [`execute_coscheduled`] over the real device model.
 //!   Keyed by the multiset of `(workflow, ranks, config)`, so each
 //!   distinct co-residency is simulated exactly once per oracle.
 //!
@@ -31,8 +31,8 @@
 
 use pmemflow_core::sync::lock_recover;
 use pmemflow_core::{
-    execute_coscheduled_with_baselines, map_ordered, sweep, ConfigSweep, ExecError,
-    ExecutionParams, SchedConfig, Tenant, TenantBreakdown,
+    execute_coscheduled, map_ordered, sweep, ConfigSweep, ExecError, ExecutionParams, SchedConfig,
+    Tenant, TenantBreakdown,
 };
 use pmemflow_sched::{characterize, classify, recommend, RuleThresholds, WorkflowProfile};
 use pmemflow_workloads::WorkflowSpec;
@@ -252,8 +252,7 @@ impl Oracle {
                         )
                     })
                     .collect();
-                let out =
-                    execute_coscheduled_with_baselines(&tenants, &self.exec, Some(&baselines))?;
+                let out = execute_coscheduled(&tenants, &self.exec, Some(&baselines))?;
                 // First insert wins: a racing thread that simulated the
                 // same multiset produced the same bytes.
                 Arc::clone(

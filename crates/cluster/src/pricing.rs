@@ -28,7 +28,7 @@
 //! so the oracle's own canonicalization is the identity permutation and
 //! the slowdowns come back exactly as a node-order call to the oracle
 //! would have produced them (the co-simulation itself is memoized per
-//! multiset via `execute_coscheduled_with_baselines`). The rank sort is
+//! multiset via `execute_coscheduled` with baselines). The rank sort is
 //! stable and ranks order exactly as `TenantKey`s do, so the permutation
 //! — and the un-permute back to node order — matches the inherited
 //! string sort case for case, including duplicate identities. Under

@@ -6,6 +6,7 @@ use pmemflow_cluster::{
     all_policies, run_campaign_with_oracle, ArrivalSpec, CampaignConfig, CampaignOutcome,
     CheckpointSpec, ClusterError, FaultSpec, Fcfs, Oracle, Policy,
 };
+use pmemflow_core::CORES_PER_SOCKET;
 
 /// Build the oracle with up to `jobs` parallel simulations, as the CLI
 /// does, then run the campaign.
@@ -32,7 +33,7 @@ fn contended_config(n: u64, nodes: usize, seed: u64) -> CampaignConfig {
 #[test]
 fn no_node_ever_exceeds_per_socket_capacity() {
     let cfg = contended_config(14, 2, 11);
-    let cap = cfg.exec.node.cores_per_socket();
+    let cap = CORES_PER_SOCKET;
     let oracle = Oracle::build(&cfg.arrivals.alphabet(), &cfg.exec, 2).unwrap();
     for policy in all_policies() {
         let out = run_campaign_with_oracle(&cfg, policy.as_ref(), &oracle).unwrap();

@@ -91,16 +91,20 @@ impl SchedConfig {
         }
     }
 
-    /// The writer's locality relative to the PMEM channel.
-    pub(crate) fn writer_locality(&self) -> Locality {
+    /// The writer's locality relative to the PMEM channel. The channel
+    /// lives on socket 0 and the two components on opposite sockets, so
+    /// this is the one placement → locality map: LocW puts the writer on
+    /// socket 0, LocR the reader.
+    pub fn writer_locality(&self) -> Locality {
         match self.placement {
             Placement::LocW => Locality::Local,
             Placement::LocR => Locality::Remote,
         }
     }
 
-    /// The reader's locality relative to the PMEM channel.
-    pub(crate) fn reader_locality(&self) -> Locality {
+    /// The reader's locality relative to the PMEM channel (the opposite
+    /// of [`SchedConfig::writer_locality`]).
+    pub fn reader_locality(&self) -> Locality {
         match self.placement {
             Placement::LocW => Locality::Remote,
             Placement::LocR => Locality::Local,

@@ -7,14 +7,13 @@
 //! workflows concurrently against the shared device model and quantifies
 //! exactly that.
 //!
-//! Core-capacity accounting is enforced: every workflow's writers and
-//! readers are pinned like the single-workflow executor does, and the
-//! total rank count per socket must fit the node.
+//! Core-capacity accounting is enforced: every workflow pins its writers
+//! on one socket and its readers on the other, so each socket holds every
+//! tenant's ranks, and that sum must fit one socket.
 
 use crate::config::SchedConfig;
-use crate::executor::{ExecError, ExecutionParams};
+use crate::executor::{check_fit, ExecError, ExecutionParams};
 use crate::metrics::RunMetrics;
-use pmemflow_platform::{PinError, SocketId};
 use pmemflow_workloads::WorkflowSpec;
 
 /// One tenant: a workflow and the configuration it runs under.
@@ -56,29 +55,20 @@ pub struct CoScheduleOutcome {
     pub tenants: Vec<RunMetrics>,
     /// Time until every tenant finished.
     pub makespan: f64,
-    /// Per-tenant slowdown versus running alone on the node
-    /// (`coscheduled_total / solo_total`, ≥ ~1).
-    pub interference: Vec<f64>,
-    /// Structured per-tenant attribution (same order as `tenants`).
+    /// Per-tenant attribution, including each tenant's slowdown versus
+    /// running alone (same order as `tenants`).
     pub breakdown: Vec<TenantBreakdown>,
 }
 
 /// Execute all `tenants` concurrently on one node, sharing the PMEM
-/// device. Returns per-tenant metrics plus interference factors.
-pub fn execute_coscheduled(
-    tenants: &[Tenant],
-    params: &ExecutionParams,
-) -> Result<CoScheduleOutcome, ExecError> {
-    execute_coscheduled_with_baselines(tenants, params, None)
-}
-
-/// [`execute_coscheduled`] with optional precomputed solo runtimes.
+/// device. Returns per-tenant metrics plus each tenant's slowdown versus
+/// its solo runtime.
 ///
 /// Callers that already know each tenant's solo runtime (e.g. a cluster
 /// scheduler holding a per-workload sweep cache) pass them as `baselines`
 /// (input order) and skip the per-tenant solo simulations this function
-/// would otherwise run to compute interference factors.
-pub fn execute_coscheduled_with_baselines(
+/// otherwise runs.
+pub fn execute_coscheduled(
     tenants: &[Tenant],
     params: &ExecutionParams,
     baselines: Option<&[f64]>,
@@ -95,29 +85,12 @@ pub fn execute_coscheduled_with_baselines(
             )));
         }
     }
-    // Capacity check: ranks per socket across tenants.
-    let mut per_socket = [0usize; 2];
     for t in tenants {
         t.spec.validate().map_err(ExecError::Spec)?;
-        let writer_socket = match t.config.placement {
-            crate::config::Placement::LocW => SocketId(0),
-            crate::config::Placement::LocR => SocketId(1),
-        };
-        per_socket[writer_socket.0] += t.spec.ranks;
-        per_socket[writer_socket.peer().0] += t.spec.ranks;
     }
-    let cores = params.node.cores_per_socket();
-    for (s, &used) in per_socket.iter().enumerate() {
-        if used > cores {
-            return Err(ExecError::Pin(PinError::NotEnoughCores {
-                requested: used,
-                available: cores,
-                socket: SocketId(s),
-            }));
-        }
-    }
+    check_fit(tenants.iter().map(|t| t.spec.ranks).sum())?;
 
-    // Solo baselines for the interference factors (simulated unless the
+    // Solo baselines for the slowdowns (simulated unless the
     // caller already has them).
     let solo = match baselines {
         Some(b) => b.to_vec(),
@@ -130,13 +103,9 @@ pub fn execute_coscheduled_with_baselines(
         }
     };
 
-    let metrics = crate::executor::execute_many(tenants, params)?;
+    let workflows: Vec<_> = tenants.iter().map(|t| (&t.spec, t.config)).collect();
+    let metrics = crate::executor::execute_many(&workflows, params)?;
     let makespan = metrics.iter().map(|m| m.total).fold(0.0f64, f64::max);
-    let interference: Vec<f64> = metrics
-        .iter()
-        .zip(solo.iter())
-        .map(|(m, s)| m.total / s)
-        .collect();
     let breakdown = tenants
         .iter()
         .enumerate()
@@ -147,13 +116,12 @@ pub fn execute_coscheduled_with_baselines(
             start: 0.0,
             end: metrics[index].total,
             solo_total: solo[index],
-            slowdown: interference[index],
+            slowdown: metrics[index].total / solo[index],
         })
         .collect();
     Ok(CoScheduleOutcome {
         tenants: metrics,
         makespan,
-        interference,
         breakdown,
     })
 }
@@ -179,19 +147,14 @@ mod tests {
                 config: SchedConfig::P_LOC_R,
             },
         ];
-        let out = execute_coscheduled(&tenants, &params()).unwrap();
+        let out = execute_coscheduled(&tenants, &params(), None).unwrap();
         assert_eq!(out.tenants.len(), 2);
         // Interference: each at least as slow as solo, but co-scheduling
         // must beat running them back to back.
-        for i in &out.interference {
-            assert!(*i >= 0.99, "interference {i}");
+        for b in &out.breakdown {
+            assert!(b.slowdown >= 0.99, "slowdown {}", b.slowdown);
         }
-        let serial_stack: f64 = out
-            .tenants
-            .iter()
-            .zip(out.interference.iter())
-            .map(|(m, i)| m.total / i) // solo totals
-            .sum();
+        let serial_stack: f64 = out.breakdown.iter().map(|b| b.solo_total).sum();
         assert!(
             out.makespan < serial_stack,
             "co-scheduling ({}) must beat serial stacking ({serial_stack})",
@@ -211,10 +174,14 @@ mod tests {
                 config: SchedConfig::S_LOC_W,
             },
         ];
-        let out = execute_coscheduled(&tenants, &params()).unwrap();
+        let out = execute_coscheduled(&tenants, &params(), None).unwrap();
         // Two identical bandwidth-bound tenants: strong interference.
-        for i in &out.interference {
-            assert!(*i > 1.3, "expected >30% slowdown, got {i}");
+        for b in &out.breakdown {
+            assert!(
+                b.slowdown > 1.3,
+                "expected >30% slowdown, got {}",
+                b.slowdown
+            );
         }
     }
 
@@ -232,15 +199,15 @@ mod tests {
         ];
         // 32 ranks per socket on a 28-core socket: must be rejected.
         assert!(matches!(
-            execute_coscheduled(&tenants, &params()),
-            Err(ExecError::Pin(_))
+            execute_coscheduled(&tenants, &params(), None),
+            Err(ExecError::Capacity { requested: 32 })
         ));
     }
 
     #[test]
     fn empty_tenant_list_rejected() {
         assert!(matches!(
-            execute_coscheduled(&[], &params()),
+            execute_coscheduled(&[], &params(), None),
             Err(ExecError::Spec(_))
         ));
     }
@@ -257,7 +224,7 @@ mod tests {
                 config: SchedConfig::P_LOC_R,
             },
         ];
-        let out = execute_coscheduled(&tenants, &ExecutionParams::default()).unwrap();
+        let out = execute_coscheduled(&tenants, &params(), None).unwrap();
         assert_eq!(out.breakdown.len(), 2);
         for (i, b) in out.breakdown.iter().enumerate() {
             assert_eq!(b.index, i);
@@ -265,7 +232,6 @@ mod tests {
             assert_eq!(b.config, tenants[i].config);
             assert_eq!(b.start, 0.0);
             assert!((b.end - out.tenants[i].total).abs() < 1e-12);
-            assert!((b.slowdown - out.interference[i]).abs() < 1e-12);
             assert!((b.end / b.solo_total - b.slowdown).abs() < 1e-9);
         }
     }
@@ -279,16 +245,15 @@ mod tests {
         let solo = crate::executor::execute(&tenants[0].spec, tenants[0].config, &params())
             .unwrap()
             .total;
-        let from_sim = execute_coscheduled(&tenants, &params()).unwrap();
-        let from_cache =
-            execute_coscheduled_with_baselines(&tenants, &params(), Some(&[solo])).unwrap();
+        let from_sim = execute_coscheduled(&tenants, &params(), None).unwrap();
+        let from_cache = execute_coscheduled(&tenants, &params(), Some(&[solo])).unwrap();
         assert_eq!(
-            from_sim.interference[0].to_bits(),
-            from_cache.interference[0].to_bits()
+            from_sim.breakdown[0].slowdown.to_bits(),
+            from_cache.breakdown[0].slowdown.to_bits()
         );
         // A wrong-length baseline slice is a spec error.
         assert!(matches!(
-            execute_coscheduled_with_baselines(&tenants, &params(), Some(&[solo, solo])),
+            execute_coscheduled(&tenants, &params(), Some(&[solo, solo])),
             Err(ExecError::Spec(_))
         ));
     }
@@ -300,8 +265,8 @@ mod tests {
             config: SchedConfig::P_LOC_R,
         };
         let solo = crate::executor::execute(&t.spec, t.config, &params()).unwrap();
-        let out = execute_coscheduled(std::slice::from_ref(&t), &params()).unwrap();
+        let out = execute_coscheduled(std::slice::from_ref(&t), &params(), None).unwrap();
         assert!((out.tenants[0].total - solo.total).abs() < 1e-9);
-        assert!((out.interference[0] - 1.0).abs() < 1e-9);
+        assert!((out.breakdown[0].slowdown - 1.0).abs() < 1e-9);
     }
 }

@@ -2,8 +2,9 @@
 //! for one workflow under one scheduler configuration.
 //!
 //! Deployment model (paper §II-A, Fig. 2): writer ranks are pinned to one
-//! socket, reader ranks to the other, and the streaming channel lives in
-//! the PMEM of the socket chosen by the placement decision. Serial
+//! socket, reader ranks to the other, one rank per core, and the streaming
+//! channel lives in the PMEM of socket 0; the placement decision
+//! ([`SchedConfig::writer_locality`]) picks which component runs there. Serial
 //! execution inserts a global barrier between the simulation and analytics
 //! components; parallel execution pipelines the reader one version behind
 //! its writer.
@@ -14,9 +15,22 @@ use pmemflow_des::{
     Action, Direction, FlowAttrs, ProcessReport, ScriptProcess, SimDuration, SimError, Simulation,
 };
 use pmemflow_iostack::{StackCostModel, StackKind};
-use pmemflow_platform::{locality_of, Node, PinError, PinPolicy, Pinning, SocketId};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
 use pmemflow_workloads::{ComponentSpec, WorkflowSpec};
+
+/// Physical cores per socket of the paper's dual-socket testbed (§V).
+pub const CORES_PER_SOCKET: usize = 28;
+
+/// Check that `ranks_per_socket` ranks fit one socket, one rank per core.
+#[inline]
+pub fn check_fit(ranks_per_socket: usize) -> Result<(), ExecError> {
+    if ranks_per_socket > CORES_PER_SOCKET {
+        return Err(ExecError::Capacity {
+            requested: ranks_per_socket,
+        });
+    }
+    Ok(())
+}
 
 /// Everything the executor needs besides the workflow and configuration.
 #[derive(Debug, Clone)]
@@ -25,8 +39,6 @@ pub struct ExecutionParams {
     pub profile: DeviceProfile,
     /// Which I/O stack carries the channel (defaults to NVStream).
     pub stack: StackKind,
-    /// Node topology (defaults to the paper's dual-socket 28-core testbed).
-    pub node: Node,
     /// How many batches a snapshot's objects are published in. Objects are
     /// made visible to the reader *as they are written* (the versioned
     /// stores publish per object), so in parallel mode reader I/O overlaps
@@ -56,7 +68,6 @@ impl Default for ExecutionParams {
         Self {
             profile: DeviceProfile::optane_gen1(),
             stack: StackKind::NvStream,
-            node: Node::paper_testbed(),
             batches_per_snapshot: 8,
             stagger: 2.46,
             cost_override: None,
@@ -77,6 +88,12 @@ impl ExecutionParams {
         self.profile = profile;
         self
     }
+
+    /// The I/O stack cost model: `cost_override` if set, else `stack`'s.
+    pub fn cost_model(&self) -> StackCostModel {
+        self.cost_override
+            .unwrap_or_else(|| self.stack.cost_model())
+    }
 }
 
 /// Errors from executing a workflow.
@@ -84,8 +101,11 @@ impl ExecutionParams {
 pub enum ExecError {
     /// The workflow specification failed validation.
     Spec(String),
-    /// Ranks could not be pinned (too many for a socket).
-    Pin(PinError),
+    /// More ranks on one socket than it has cores.
+    Capacity {
+        /// Ranks the socket would have to hold.
+        requested: usize,
+    },
     /// The simulation itself failed (deadlock, runaway).
     Sim(SimError),
 }
@@ -94,19 +114,16 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::Spec(s) => write!(f, "invalid workflow: {s}"),
-            ExecError::Pin(e) => write!(f, "pinning failed: {e}"),
+            ExecError::Capacity { requested } => write!(
+                f,
+                "pinning failed: a socket has {CORES_PER_SOCKET} cores, {requested} requested"
+            ),
             ExecError::Sim(e) => write!(f, "simulation failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for ExecError {}
-
-impl From<PinError> for ExecError {
-    fn from(e: PinError) -> Self {
-        ExecError::Pin(e)
-    }
-}
 
 impl From<SimError> for ExecError {
     fn from(e: SimError) -> Self {
@@ -176,17 +193,13 @@ fn build_workflow_processes(
     params: &ExecutionParams,
     prefix: &str,
 ) {
-    let w_loc = config.writer_locality();
-    let r_loc = config.reader_locality();
-    let cost = params
-        .cost_override
-        .unwrap_or_else(|| params.stack.cost_model());
+    let cost = params.cost_model();
     // Writers emit their compute as a distinct phase before the I/O phase
     // (checkpoint-style), so no per-object interleaving on the write side;
     // analytics kernels compute *between* object reads (§IV-B).
     let w_attrs = flow_attrs(
         Direction::Write,
-        w_loc,
+        config.writer_locality(),
         spec.writer.io.object_bytes,
         0.0,
         &cost,
@@ -196,7 +209,7 @@ fn build_workflow_processes(
         spec.reader.compute_per_iteration / spec.reader.io.objects_per_snapshot as f64;
     let r_attrs = flow_attrs(
         Direction::Read,
-        r_loc,
+        config.reader_locality(),
         spec.reader.io.object_bytes,
         reader_compute_per_object,
         &cost,
@@ -318,73 +331,43 @@ pub fn execute(
     params: &ExecutionParams,
 ) -> Result<RunMetrics, ExecError> {
     spec.validate().map_err(ExecError::Spec)?;
-
-    // Deployment: the PMEM channel is (by convention) on socket 0; the
-    // placement decision pins the prioritized component there.
-    let pmem_socket = SocketId(0);
-    let writer_socket = match config.placement {
-        crate::config::Placement::LocW => pmem_socket,
-        crate::config::Placement::LocR => pmem_socket.peer(),
-    };
-    let reader_socket = writer_socket.peer();
-    Pinning::new(&params.node, PinPolicy::Socket(writer_socket), spec.ranks)?;
-    Pinning::new(&params.node, PinPolicy::Socket(reader_socket), spec.ranks)?;
-    let w_loc = locality_of(writer_socket, pmem_socket);
-    let r_loc = locality_of(reader_socket, pmem_socket);
-    debug_assert_eq!(w_loc, config.writer_locality());
-    debug_assert_eq!(r_loc, config.reader_locality());
-
-    let mut sim = Simulation::new();
-    if params.record_timeline {
-        sim = sim.with_timeline();
-    }
-    let dev = sim.add_resource(Box::new(OptaneAllocator::new(params.profile.clone())));
-    build_workflow_processes(&mut sim, dev, spec, config, params, "");
-
-    let report = sim.run()?;
-    let writers: Vec<&ProcessReport> = report
-        .processes
-        .iter()
-        .filter(|p| p.name.starts_with("writer-"))
-        .collect();
-    let readers: Vec<&ProcessReport> = report
-        .processes
-        .iter()
-        .filter(|p| p.name.starts_with("reader-"))
-        .collect();
-    debug_assert_eq!(writers.len(), spec.ranks);
-    Ok(RunMetrics {
-        config,
-        total: report.end_time.seconds(),
-        writer: component_metrics(&writers),
-        reader: component_metrics(&readers),
-        device: report.resources[0].clone(),
-        events: report.events_processed,
-        max_heap_depth: report.max_heap_depth,
-        timeline: report.timeline,
-    })
+    check_fit(spec.ranks)?;
+    let mut runs = execute_many(&[(spec, config)], params)?;
+    Ok(runs.pop().expect("one metrics record per workflow"))
 }
 
 /// Execute several workflows concurrently on the same node and device
 /// (see [`crate::coschedule`] for the validated entry point). Returns one
-/// metrics record per workflow; `total` is measured from the shared t = 0.
+/// metrics record per workflow; `total` is measured from the shared t = 0
+/// to that workflow's last reader finish. A lone workflow's processes are
+/// named `writer-{r}` / `reader-{r}` and its record carries the timeline;
+/// with several, names are prefixed `wf{i}-`.
 pub(crate) fn execute_many(
-    tenants: &[crate::coschedule::Tenant],
+    workflows: &[(&WorkflowSpec, SchedConfig)],
     params: &ExecutionParams,
 ) -> Result<Vec<RunMetrics>, ExecError> {
+    let lone = workflows.len() == 1;
+    let prefix = |i: usize| {
+        if lone {
+            String::new()
+        } else {
+            format!("wf{i}-")
+        }
+    };
     let mut sim = Simulation::new();
     if params.record_timeline {
         sim = sim.with_timeline();
     }
     let dev = sim.add_resource(Box::new(OptaneAllocator::new(params.profile.clone())));
-    for (i, t) in tenants.iter().enumerate() {
-        build_workflow_processes(&mut sim, dev, &t.spec, t.config, params, &format!("wf{i}-"));
+    for (i, &(spec, config)) in workflows.iter().enumerate() {
+        build_workflow_processes(&mut sim, dev, spec, config, params, &prefix(i));
     }
-    let report = sim.run()?;
-    let mut out = Vec::with_capacity(tenants.len());
-    for (i, t) in tenants.iter().enumerate() {
-        let wp = format!("wf{i}-writer-");
-        let rp = format!("wf{i}-reader-");
+    let mut report = sim.run()?;
+    let mut timeline = if lone { report.timeline.take() } else { None };
+    let mut out = Vec::with_capacity(workflows.len());
+    for (i, &(_, config)) in workflows.iter().enumerate() {
+        let wp = format!("{}writer-", prefix(i));
+        let rp = format!("{}reader-", prefix(i));
         let writers: Vec<&ProcessReport> = report
             .processes
             .iter()
@@ -395,7 +378,7 @@ pub(crate) fn execute_many(
             .iter()
             .filter(|p| p.name.starts_with(&rp))
             .collect();
-        // A tenant whose readers never reported a finish time must not
+        // A workflow whose readers never reported a finish time must not
         // silently claim total == 0; fall back to the shared end time
         // (the engine guarantees all processes finished when run() is Ok,
         // but the prefix filter above could still come up empty).
@@ -406,14 +389,14 @@ pub(crate) fn execute_many(
             .reduce(f64::max)
             .unwrap_or_else(|| report.end_time.seconds());
         out.push(RunMetrics {
-            config: t.config,
+            config,
             total: reader_finish,
             writer: component_metrics(&writers),
             reader: component_metrics(&readers),
             device: report.resources[0].clone(),
             events: report.events_processed,
             max_heap_depth: report.max_heap_depth,
-            timeline: None,
+            timeline: timeline.take(),
         });
     }
     Ok(out)
@@ -459,10 +442,8 @@ pub fn execute_component_standalone(
             "ranks and iterations must be positive".into(),
         ));
     }
-    Pinning::new(&params.node, PinPolicy::Socket(SocketId(0)), ranks)?;
-    let cost = params
-        .cost_override
-        .unwrap_or_else(|| params.stack.cost_model());
+    check_fit(ranks)?;
+    let cost = params.cost_model();
     let attrs = flow_attrs(
         dir,
         pmemflow_des::Locality::Local,
@@ -588,8 +569,13 @@ mod tests {
         let spec = micro_64mb(29); // paper node has 28 cores/socket
         assert!(matches!(
             execute(&spec, SchedConfig::S_LOC_W, &params()),
-            Err(ExecError::Pin(_))
+            Err(ExecError::Capacity { requested: 29 })
         ));
+        assert!(matches!(
+            execute_component_standalone(&spec.writer, 29, 1, Direction::Write, &params()),
+            Err(ExecError::Capacity { requested: 29 })
+        ));
+        assert!(check_fit(CORES_PER_SOCKET).is_ok());
     }
 
     #[test]
@@ -632,17 +618,9 @@ mod tests {
     fn execute_many_totals_are_positive_and_cover_readers() {
         // Regression: a tenant whose reader finish times went missing used
         // to report total == 0.0 from the fold's 0.0 seed.
-        let tenants = vec![
-            crate::coschedule::Tenant {
-                spec: micro_2kb(4),
-                config: SchedConfig::P_LOC_R,
-            },
-            crate::coschedule::Tenant {
-                spec: micro_64mb(4),
-                config: SchedConfig::S_LOC_W,
-            },
-        ];
-        let metrics = execute_many(&tenants, &params()).unwrap();
+        let (a, b) = (micro_2kb(4), micro_64mb(4));
+        let workflows = [(&a, SchedConfig::P_LOC_R), (&b, SchedConfig::S_LOC_W)];
+        let metrics = execute_many(&workflows, &params()).unwrap();
         assert_eq!(metrics.len(), 2);
         for m in &metrics {
             assert!(m.total > 0.0, "tenant reported zero total");

@@ -31,12 +31,10 @@ mod runner;
 pub mod sync;
 
 pub use config::{ExecMode, Placement, SchedConfig};
-pub use coschedule::{
-    execute_coscheduled, execute_coscheduled_with_baselines, CoScheduleOutcome, Tenant,
-    TenantBreakdown,
-};
+pub use coschedule::{execute_coscheduled, CoScheduleOutcome, Tenant, TenantBreakdown};
 pub use executor::{
-    execute, execute_component_standalone, sweep, ExecError, ExecutionParams, StandaloneReport,
+    check_fit, execute, execute_component_standalone, sweep, ExecError, ExecutionParams,
+    StandaloneReport, CORES_PER_SOCKET,
 };
 pub use metrics::{ComponentMetrics, ConfigSweep, RunMetrics};
 pub use runner::{full_matrix, map_ordered, run_matrix, RunOutcome, RunRequest};

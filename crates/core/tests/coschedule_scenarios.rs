@@ -45,20 +45,16 @@ fn compute_bound_neighbour_is_cheap() {
         config: SchedConfig::S_LOC_W,
     };
     let with_compute =
-        execute_coscheduled(&[bw.clone(), compute_bound_tenant()], &params()).unwrap();
-    let with_bw = execute_coscheduled(&[bw.clone(), bw], &params()).unwrap();
-    assert!(
-        with_compute.interference[0] < with_bw.interference[0],
-        "{} vs {}",
-        with_compute.interference[0],
-        with_bw.interference[0]
+        execute_coscheduled(&[bw.clone(), compute_bound_tenant()], &params(), None).unwrap();
+    let with_bw = execute_coscheduled(&[bw.clone(), bw], &params(), None).unwrap();
+    let (near_compute, near_bw) = (
+        with_compute.breakdown[0].slowdown,
+        with_bw.breakdown[0].slowdown,
     );
+    assert!(near_compute < near_bw, "{near_compute} vs {near_bw}");
     // And the compute tenant itself barely notices the bandwidth hog.
-    assert!(
-        with_compute.interference[1] < 1.2,
-        "compute tenant slowed {}x",
-        with_compute.interference[1]
-    );
+    let compute = with_compute.breakdown[1].slowdown;
+    assert!(compute < 1.2, "compute tenant slowed {compute}x");
 }
 
 #[test]
@@ -77,7 +73,7 @@ fn three_tenants_fit_and_finish() {
             config: SchedConfig::P_LOC_R,
         },
     ];
-    let out = execute_coscheduled(&tenants, &params()).unwrap();
+    let out = execute_coscheduled(&tenants, &params(), None).unwrap();
     assert_eq!(out.tenants.len(), 3);
     assert!(out.makespan >= out.tenants.iter().map(|m| m.total).fold(0.0, f64::max) - 1e-9);
     for (m, t) in out.tenants.iter().zip(&tenants) {
@@ -99,8 +95,8 @@ fn coscheduling_is_deterministic() {
             config: SchedConfig::S_LOC_W,
         },
     ];
-    let a = execute_coscheduled(&tenants, &params()).unwrap();
-    let b = execute_coscheduled(&tenants, &params()).unwrap();
+    let a = execute_coscheduled(&tenants, &params(), None).unwrap();
+    let b = execute_coscheduled(&tenants, &params(), None).unwrap();
     assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
     for (x, y) in a.tenants.iter().zip(b.tenants.iter()) {
         assert_eq!(x.total.to_bits(), y.total.to_bits());
@@ -123,7 +119,7 @@ fn mixed_placements_share_the_node() {
         },
     ];
     // 14 + 14 = 28 per socket: exactly fits the paper testbed.
-    let out = execute_coscheduled(&tenants, &params()).unwrap();
+    let out = execute_coscheduled(&tenants, &params(), None).unwrap();
     assert_eq!(out.tenants.len(), 2);
     // One more rank anywhere must overflow.
     let too_many = vec![
@@ -136,5 +132,8 @@ fn mixed_placements_share_the_node() {
             config: SchedConfig::S_LOC_R,
         },
     ];
-    assert!(execute_coscheduled(&too_many, &params()).is_err());
+    assert!(matches!(
+        execute_coscheduled(&too_many, &params(), None),
+        Err(pmemflow_core::ExecError::Capacity { requested: 29 })
+    ));
 }

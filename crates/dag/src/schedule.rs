@@ -12,9 +12,7 @@ use pmemflow_des::{Direction, Locality};
 /// pattern for reads — small-object stages pay the per-op software tax
 /// on staging exactly as they do in-situ.
 pub fn stage_io_seconds(spec: &DagSpec, stage: usize, exec: &ExecutionParams) -> f64 {
-    let cost = exec
-        .cost_override
-        .unwrap_or_else(|| exec.stack.cost_model());
+    let cost = exec.cost_model();
     let mut secs = 0.0;
     let write_latency = exec.profile.latency(Direction::Write, Locality::Local);
     let read_latency = exec.profile.latency(Direction::Read, Locality::Local);

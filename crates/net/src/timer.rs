@@ -6,8 +6,7 @@
 //! an entry lands in slot `deadline % slots` and fires when
 //! [`TimerWheel::advance`] sweeps past its tick. Entries are *not*
 //! individually cancellable; callers carry a generation stamp in `T` and
-//! ignore stale firings (the standard cheap-cancel idiom — see the DES
-//! crate's hierarchical wheel for the precise-simulation variant).
+//! ignore stale firings (the standard cheap-cancel idiom).
 
 /// A hashed timer wheel over integer ticks.
 pub struct TimerWheel<T> {

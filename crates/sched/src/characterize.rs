@@ -28,9 +28,7 @@ fn effective_concurrency(
     if n_flows <= 0.0 {
         return 0.0;
     }
-    let cost = params
-        .cost_override
-        .unwrap_or_else(|| params.stack.cost_model());
+    let cost = params.cost_model();
     let sw_tpb = cost.sw_time_per_byte(
         dir,
         component.io.object_bytes,

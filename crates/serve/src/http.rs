@@ -12,8 +12,8 @@
 //! with the status to answer. A request split at *any* byte boundary —
 //! headers straddling reads, a body arriving a byte at a time, a
 //! pipelined second request in the tail of a buffer — decodes exactly
-//! like the same bytes arriving at once; the chunking property test in
-//! `tests/http_chunking.rs` locks that down.
+//! like the same bytes arriving at once; the chunking property tests in
+//! `src/http/chunking_tests.rs` lock that down.
 //!
 //! Wall-clock policy (read deadlines, slowloris reaping) deliberately
 //! lives outside: the reactor's timer wheel decides *when* to give up on

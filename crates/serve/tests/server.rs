@@ -5,7 +5,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A parsed response: status, headers (lowercased names), body.
 struct Response {
@@ -159,6 +159,19 @@ fn serves_every_endpoint_and_shuts_down_cleanly() {
         !metrics.body.contains("pmemflow_serve_nr_"),
         "stale replication metrics:\n{}",
         metrics.body
+    );
+
+    // A query the node cannot hold is the model's to reject, with 422.
+    let over = call(
+        addr,
+        "POST",
+        "/v1/predict",
+        r#"{"workload":"micro-2kb","ranks":29}"#,
+    );
+    assert_eq!(over.status, 422);
+    assert_eq!(
+        over.body,
+        r#"{"error":"invalid workflow: characterizing micro-2KB@29: pinning failed: a socket has 28 cores, 29 requested"}"#
     );
 
     // Graceful drain: in-band shutdown, then the port must refuse work.
@@ -548,6 +561,59 @@ fn slowloris_is_reaped_with_408_without_occupying_a_worker() {
     server.shutdown();
     assert_eq!(server.join(), 0, "slowloris connection leaked");
     daemon_metrics.connection_conservation().unwrap();
+}
+
+#[test]
+fn reset_mid_request_head_closes_the_connection_before_shutdown() {
+    // The read deadline is far beyond the wait below, so only the read
+    // error itself can close the connection in time.
+    let server = Server::start_with_backend(
+        ServerConfig {
+            read_deadline: Duration::from_secs(60),
+            ..small_config()
+        },
+        slow(0),
+    )
+    .unwrap();
+    let metrics = server.metrics().clone();
+
+    // One write: a whole request, then half of the next one's head. The
+    // answer to the first proves the daemon has read both and is parked
+    // on the socket, mid-head, with nothing to write.
+    let mut client = TcpStream::connect(server.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    client
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\nPOST /v1/predict HTTP/1.1\r\nContent-Len",
+        )
+        .unwrap();
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        client.peek(&mut byte).unwrap(),
+        1,
+        "the first request is answered"
+    );
+    // Closing with that answer unread makes the kernel send an RST, not
+    // a FIN, so the daemon's next read fails with ECONNRESET.
+    drop(client);
+
+    // No drain yet: the drain closes idle connections itself and would
+    // hide a leak.
+    let settle = Instant::now() + Duration::from_secs(10);
+    while metrics.connections_active.load(Relaxed) > 0 && Instant::now() < settle {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(metrics.accepted_total.load(Relaxed), 1);
+    assert_eq!(
+        metrics.connections_active.load(Relaxed),
+        0,
+        "the read error left its connection open"
+    );
+    server.shutdown();
+    assert_eq!(server.join(), 0);
+    metrics.connection_conservation().unwrap();
 }
 
 #[test]

@@ -61,15 +61,12 @@ fn main() {
     ];
 
     for (label, tenants) in pairs {
-        let out = execute_coscheduled(&tenants, &params).expect("fits the node");
+        let out = execute_coscheduled(&tenants, &params, None).expect("fits the node");
         println!("== {label} ==");
-        for (t, (m, i)) in tenants
-            .iter()
-            .zip(out.tenants.iter().zip(out.interference.iter()))
-        {
+        for b in &out.breakdown {
             println!(
                 "  {:<22} {:>7.1}s coscheduled  ({:.2}x vs solo)",
-                t.spec.name, m.total, i
+                b.workflow, b.end, b.slowdown
             );
         }
         println!("  makespan {:.1}s\n", out.makespan);

@@ -8,10 +8,9 @@
 //! |-------|------------------|
 //! | [`des`] | deterministic fluid discrete-event engine |
 //! | [`pmem`] | Optane gen-1 device model + byte-accurate region with crash semantics |
-//! | [`platform`] | dual-socket node topology and rank pinning |
 //! | [`iostack`] | functional NOVA-like fs and NVStream-like object store |
 //! | [`workloads`] | the paper's 18-workload suite + real proxy kernels |
-//! | [`core`] | Table I configurations, workflow executor, metrics, native mode |
+//! | [`core`] | Table I configurations, dual-socket deployment, workflow executor, metrics, native mode |
 //! | [`sched`] | rule-based / model-driven / adaptive PMEM-aware schedulers |
 //! | [`fault`] | deterministic seeded fault plans: crashes, degradation, job failures |
 //! | [`dag`] | workflow stage graphs with PMEM staging footprints + seeded generator |
@@ -45,7 +44,6 @@ pub use pmemflow_dag as dag;
 pub use pmemflow_des as des;
 pub use pmemflow_fault as fault;
 pub use pmemflow_iostack as iostack;
-pub use pmemflow_platform as platform;
 pub use pmemflow_pmem as pmem;
 pub use pmemflow_sched as sched;
 pub use pmemflow_serve as serve;

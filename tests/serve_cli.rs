@@ -1,11 +1,10 @@
-//! End-to-end test of `pmemflow serve`: boot the real binary on an
-//! ephemeral port, exercise each endpoint class, drain it, and check the
-//! exit status. This is the same sequence the CI `serve-smoke` step runs
-//! against the release binary.
+//! End-to-end tests of `pmemflow serve`: boot the real binary on an
+//! ephemeral port, query every endpoint, drain it, and check the exit
+//! status; and keep serving through fd exhaustion.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Duration;
 
 fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -37,70 +36,90 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     (status, body)
 }
 
-/// Spawn the daemon and scrape its address from the first banner line.
-/// The returned reader holds the stdout pipe open — dropping it would
-/// EPIPE the daemon's next `println!`.
-fn spawn_daemon() -> (Child, String, BufReader<std::process::ChildStdout>) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pmemflow"))
-        .args(["serve", "--port", "0", "--workers", "2"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("daemon spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut first_line = String::new();
-    reader
-        .read_line(&mut first_line)
-        .expect("daemon announces its address");
-    let addr = first_line
-        .trim()
-        .strip_prefix("listening on http://")
-        .unwrap_or_else(|| panic!("unexpected banner: {first_line:?}"))
-        .to_string();
-    (child, addr, reader)
+/// A running `pmemflow serve`. Dropping it kills and reaps the daemon, so
+/// a failing assertion never leaves one running.
+struct Daemon {
+    child: Child,
+    addr: String,
+    /// Holds the stdout pipe open — dropping it would EPIPE the daemon's
+    /// next `println!`.
+    stdout: BufReader<ChildStdout>,
 }
 
-/// Spawn the daemon under a lowered `RLIMIT_NOFILE` so the accept loop
-/// hits `EMFILE` for real. `sh -c 'ulimit -n N; exec "$0" ...'` applies
-/// the limit to the daemon only, not to this test process.
-fn spawn_daemon_fd_limited(limit: u32) -> (Child, String, BufReader<std::process::ChildStdout>) {
-    let mut child = Command::new("sh")
-        .arg("-c")
-        .arg(format!(
-            "ulimit -n {limit}; exec \"$0\" serve --port 0 --workers 1"
-        ))
-        .arg(env!("CARGO_BIN_EXE_pmemflow"))
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("fd-limited daemon spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut first_line = String::new();
-    reader
-        .read_line(&mut first_line)
-        .expect("daemon announces its address");
-    let addr = first_line
-        .trim()
-        .strip_prefix("listening on http://")
-        .unwrap_or_else(|| panic!("unexpected banner: {first_line:?}"))
-        .to_string();
-    (child, addr, reader)
+impl Daemon {
+    /// Spawn `pmemflow serve --port 0 --workers N` and scrape its address
+    /// from the first banner line. With `fd_limit`, the daemon runs under
+    /// a lowered `RLIMIT_NOFILE` so its accept loop hits `EMFILE` for
+    /// real: `sh -c 'ulimit -n N; exec "$0" "$@"'` applies the limit to
+    /// the daemon only, not to this test process.
+    fn spawn(workers: u32, fd_limit: Option<u32>) -> Daemon {
+        let bin = env!("CARGO_BIN_EXE_pmemflow");
+        let mut cmd = match fd_limit {
+            None => Command::new(bin),
+            Some(limit) => {
+                let mut sh = Command::new("sh");
+                sh.arg("-c")
+                    .arg(format!("ulimit -n {limit}; exec \"$0\" \"$@\""))
+                    .arg(bin);
+                sh
+            }
+        };
+        let workers = workers.to_string();
+        cmd.args(["serve", "--port", "0", "--workers", &workers]);
+        let mut child = cmd.stdout(Stdio::piped()).spawn().expect("daemon spawns");
+        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut daemon = Daemon {
+            child,
+            addr: String::new(),
+            stdout,
+        };
+        let mut first_line = String::new();
+        daemon
+            .stdout
+            .read_line(&mut first_line)
+            .expect("daemon announces its address");
+        daemon.addr = first_line
+            .trim()
+            .strip_prefix("listening on http://")
+            .unwrap_or_else(|| panic!("unexpected banner: {first_line:?}"))
+            .to_string();
+        daemon
+    }
+
+    /// Ask the daemon to drain and check that it exits cleanly.
+    fn shutdown(mut self) {
+        let (status, body) = request(&self.addr, "POST", "/admin/shutdown", "");
+        assert_eq!(status, 200);
+        assert!(body.contains("draining"), "{body}");
+        let exit = self.child.wait().expect("daemon exits after drain");
+        assert!(exit.success(), "daemon exited with {exit}");
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        // After a clean `shutdown` the child is already reaped and both
+        // calls are no-ops.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 #[test]
 fn serve_survives_fd_exhaustion() {
     // ~7 fds go to stdio, the listener, epoll, and the eventfd waker;
     // a 24-fd ceiling leaves room for roughly 17 accepted sockets.
-    let (mut child, addr, _stdout) = spawn_daemon_fd_limited(24);
+    let daemon = Daemon::spawn(1, Some(24));
+    let addr = daemon.addr.as_str();
 
-    let (status, body) = request(&addr, "GET", "/healthz", "");
+    let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     // Pile on far more connections than the daemon has fds for. TCP
     // connect succeeds out of the listen backlog even when accept(2)
     // is failing, so every one of these "connects" from our side.
     let flood: Vec<TcpStream> = (0..48)
-        .map(|i| TcpStream::connect(&addr).unwrap_or_else(|e| panic!("flood conn {i}: {e}")))
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("flood conn {i}: {e}")))
         .collect();
     // Give the acceptor time to run into EMFILE and start backing off.
     std::thread::sleep(Duration::from_millis(300));
@@ -110,7 +129,7 @@ fn serve_survives_fd_exhaustion() {
     drop(flood);
     std::thread::sleep(Duration::from_millis(500));
 
-    let (status, metrics) = request(&addr, "GET", "/metrics", "");
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200, "daemon must keep serving after fd exhaustion");
     let strikes: u64 = metrics
         .lines()
@@ -121,39 +140,62 @@ fn serve_survives_fd_exhaustion() {
         .expect("numeric counter");
     assert!(strikes >= 1, "acceptor never hit EMFILE (limit too high?)");
 
-    let (status, _) = request(&addr, "POST", "/admin/shutdown", "");
-    assert_eq!(status, 200);
-    let exit = child.wait().expect("daemon exits after drain");
-    assert!(exit.success(), "daemon exited with {exit}");
+    daemon.shutdown();
 }
 
 #[test]
 fn serve_smoke_boot_query_drain() {
-    let (mut child, addr, _stdout) = spawn_daemon();
+    let daemon = Daemon::spawn(2, None);
+    let addr = daemon.addr.as_str();
 
-    let (status, body) = request(&addr, "GET", "/healthz", "");
+    let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
-    let (status, body) = request(
-        &addr,
-        "POST",
-        "/v1/predict",
-        r#"{"workload":"micro-2kb","ranks":8}"#,
-    );
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"predicted_runtime_s\":"));
+    // One query per model endpoint, each checked for its headline field.
+    for (path, query, field) in [
+        (
+            "/v1/sweep",
+            r#"{"workload":"micro-64mb","ranks":8}"#,
+            "\"best\"",
+        ),
+        (
+            "/v1/recommend",
+            r#"{"workload":"gtc-readonly","ranks":16}"#,
+            "\"model_driven\"",
+        ),
+        (
+            "/v1/predict",
+            r#"{"workload":"micro-2kb","ranks":8}"#,
+            "\"predicted_runtime_s\":",
+        ),
+        (
+            "/v1/coschedule",
+            r#"{"tenants":[{"workload":"micro-2kb","ranks":8,"config":"S-LocW"},
+                           {"workload":"micro-64mb","ranks":8,"config":"P-LocR"}]}"#,
+            "\"makespan_s\"",
+        ),
+    ] {
+        let (status, body) = request(addr, "POST", path, query);
+        assert_eq!(status, 200, "{path}: {body}");
+        assert!(body.contains(field), "{path} lacks {field}: {body}");
+    }
 
-    let (status, body) = request(&addr, "POST", "/v1/predict", "{broken");
+    // A malformed body answers 400 and does not kill the daemon.
+    let (status, body) = request(addr, "POST", "/v1/predict", "{broken");
     assert_eq!(status, 400);
     assert!(body.contains("malformed JSON"));
 
-    let (status, body) = request(&addr, "GET", "/metrics", "");
+    let (status, body) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
-    assert!(body.contains("pmemflow_serve_requests_total{endpoint=\"/v1/predict\"} 2"));
-    assert!(body.contains("pmemflow_serve_cache_misses_total 1"));
+    for line in [
+        "pmemflow_serve_requests_total{endpoint=\"/v1/sweep\"} 1",
+        "pmemflow_serve_requests_total{endpoint=\"/v1/recommend\"} 1",
+        "pmemflow_serve_requests_total{endpoint=\"/v1/predict\"} 2",
+        "pmemflow_serve_requests_total{endpoint=\"/v1/coschedule\"} 1",
+        "pmemflow_serve_cache_misses_total 4",
+    ] {
+        assert!(body.contains(line), "/metrics lacks {line:?}:\n{body}");
+    }
 
-    let (status, _) = request(&addr, "POST", "/admin/shutdown", "");
-    assert_eq!(status, 200);
-    let exit = child.wait().expect("daemon exits after drain");
-    assert!(exit.success(), "daemon exited with {exit}");
+    daemon.shutdown();
 }
