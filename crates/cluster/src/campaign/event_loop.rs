@@ -422,12 +422,11 @@ impl<'a> Campaign<'a> {
         // written under, whatever the policy prefers now.
         let config = *q.config.get_or_insert(p.config);
         q.first_start.get_or_insert(now);
-        let prices = &mut self.repricer.prices;
-        let tenant = prices.intern(self.oracle, &q.job.workflow, q.job.ranks, config);
+        let (tenant, solo) = self.oracle.intern(&q.job.workflow, q.job.ranks, config);
         // A stage additionally pays its staged I/O (edge volumes through
         // the PMEM snapshot path) on top of the oracle solo of its
         // workflow.
-        let solo = prices.solo(tenant)
+        let solo = solo
             + q.dag
                 .map_or(0.0, |(di, si)| self.dags[di as usize].extra_solo[si]);
         let fail_at = self

@@ -14,7 +14,7 @@
 //! every job `j ∈ S` progresses at rate
 //! `1 / (slowdown_j(S) · degrade · (1 + f))`, where the slowdowns come
 //! from co-simulating `S` against the shared PMEM device
-//! ([`Oracle::corun_slowdowns`], memoized per multiset), `degrade` is the
+//! (the oracle's co-run memo, keyed on the multiset), `degrade` is the
 //! node's transient bandwidth-class penalty from the fault plan, and `f`
 //! is the checkpoint tax (below). Whenever `S` changes — an admission, a
 //! completion, or an interruption — the node is re-priced and progress

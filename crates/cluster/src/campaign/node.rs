@@ -7,8 +7,7 @@ use super::dag::{staging_holds_reference, DagRun, StagingState};
 use super::queue::Queued;
 use super::{Campaign, ClusterError};
 use crate::policy::{NodeView, ResidentView};
-use crate::predict::Oracle;
-use crate::pricing::PriceCache;
+use crate::predict::{Oracle, TenantId};
 use pmemflow_core::{SchedConfig, CORES_PER_SOCKET};
 use pmemflow_des::SimTime;
 use std::cmp::Reverse;
@@ -22,8 +21,8 @@ pub(super) struct Running {
     /// start pinned at placement; an interruption rewrites it in place
     /// for the requeue.
     pub(super) q: Queued,
-    /// Interned pricing identity of `(workflow, ranks, config)`.
-    pub(super) tenant: u32,
+    /// The oracle's interned identity of `(workflow, ranks, config)`.
+    pub(super) tenant: TenantId,
     /// Predicted solo runtime under the pinned configuration.
     pub(super) solo: f64,
     /// Solo-seconds of work banked at `anchor` (monotone within an
@@ -53,7 +52,7 @@ impl Running {
     /// unslowed until its node is re-priced.
     pub(super) fn new(
         q: Queued,
-        tenant: u32,
+        tenant: TenantId,
         solo: f64,
         fail_at: Option<f64>,
         now: f64,
@@ -294,12 +293,11 @@ fn fill_view(view: &mut NodeView, n: &NodeState, staging: &StagingState, dags: &
     );
 }
 
-/// The node re-pricing machinery: the campaign-local incremental
-/// [`PriceCache`] in front of the shared oracle.
+/// The node re-pricing machinery: scratch for the residents' ids and
+/// slowdowns, which the oracle's co-run memo prices.
 #[derive(Default)]
 pub(super) struct Repricer {
-    pub(super) prices: PriceCache,
-    ids: Vec<u32>,
+    ids: Vec<TenantId>,
     slowdowns: Vec<f64>,
     /// Wall nanoseconds spent repricing, and how many times — surfaced
     /// on [`CampaignOutcome`](super::CampaignOutcome) so benchmarks can
@@ -324,26 +322,7 @@ impl Repricer {
         self.calls += 1;
         self.ids.clear();
         self.ids.extend(node.running.iter().map(|r| r.tenant));
-        self.prices.price(oracle, &self.ids, &mut self.slowdowns)?;
-        // Every reprice in every campaign test is held bit-equal to the
-        // oracle's multiset path on the same residents in node order.
-        #[cfg(test)]
-        {
-            let keys: Vec<crate::predict::TenantKey> = node
-                .running
-                .iter()
-                .map(|r| {
-                    crate::predict::TenantKey::new(&r.q.job.workflow, r.q.job.ranks, r.config())
-                })
-                .collect();
-            let want = oracle.corun_slowdowns(&keys)?;
-            let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&self.slowdowns),
-                bits(&want),
-                "price cache diverged from the oracle for {keys:?}"
-            );
-        }
+        oracle.slowdowns(&self.ids, &mut self.slowdowns)?;
         let env = node.degrade * ckpt_mult;
         for (r, &s) in node.running.iter_mut().zip(self.slowdowns.iter()) {
             r.reanchor(now, s.max(1.0), env);

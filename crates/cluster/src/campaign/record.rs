@@ -103,8 +103,8 @@ pub struct CampaignOutcome {
     /// Per-node peak of co-reserved staging GiB over the campaign — the
     /// high-water mark the hard capacity check enforced.
     pub peak_staging_gib: Vec<f64>,
-    /// Wall seconds spent inside node re-pricing (the campaign-local
-    /// price cache). Timing diagnostics — NOT deterministic, excluded
+    /// Wall seconds spent inside node re-pricing (the oracle's co-run
+    /// memo over the residents' interned ids). Timing diagnostics — NOT deterministic, excluded
     /// from the JSONL. Pricing is a small fraction of the loop, below
     /// end-to-end timer noise, so benchmarks read its cost here.
     pub reprice_secs: f64,

@@ -264,28 +264,6 @@ fn exhausted_retry_budget_reports_failed_not_hung() {
     }
 }
 
-/// The campaign-local incremental price cache must agree with a
-/// full-node reprice through the oracle, bit for bit, across
-/// admissions, completions, crashes and degradations. `Repricer`
-/// checks every reprice against the oracle under `cfg(test)`; these
-/// fault configurations make sure that check sees churn.
-#[test]
-fn incremental_pricing_matches_oracle_under_faults() {
-    let solo = micro_solo();
-    for (seed, policy) in [(11u64, 0usize), (12, 0), (11, 3)] {
-        let mut cfg = faulty_config(solo, 2);
-        cfg.faults.seed = seed;
-        cfg.faults.degrade_mtbf = solo * 2.0;
-        cfg.faults.job_fail_prob = 0.3;
-        let policies = all_policies();
-        let out = run_campaign(&cfg, policies[policy].as_ref(), 2).unwrap();
-        assert!(
-            out.reprice_calls > 0,
-            "no reprice reached the oracle check (fault seed {seed})"
-        );
-    }
-}
-
 /// The oracle warm-up parallelism must never leak into results: the
 /// fault-campaign JSONL is byte-identical across `--jobs 1/4/8`.
 #[test]

@@ -14,8 +14,12 @@
 //!   ([`pmemflow_dag`]) that the campaign expands into dependency-gated
 //!   stage jobs.
 //! * [`Oracle`] — the shared prediction oracle: per-workload
-//!   configuration sweeps and memoized co-run pricing through the real
-//!   device model.
+//!   configuration sweeps and the one co-run memo through the real
+//!   device model. It interns each tenant identity to a dense id and
+//!   memoizes co-runs on rank-sorted id multisets; the campaign prices
+//!   resident ids directly, and the key-based entry points
+//!   ([`Oracle::corun_slowdowns`], [`Oracle::corun_breakdown`]) intern
+//!   and take the same path.
 //! * [`Policy`] + [`run_campaign_with_oracle`] — four pluggable queue
 //!   policies (FCFS, EASY backfill, Table II rules, interference-aware
 //!   best fit) driven by an event loop that re-prices node interference
@@ -60,7 +64,6 @@ mod arrivals;
 mod campaign;
 mod policy;
 mod predict;
-mod pricing;
 
 pub use arrivals::{ArrivalSpec, TraceRow};
 pub use campaign::{run_campaign_with_oracle, CampaignConfig, CampaignOutcome, ClusterError};

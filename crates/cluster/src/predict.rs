@@ -12,9 +12,13 @@
 //!   classifies.
 //! * **Co-run pricing** — the predicted per-tenant outcome of every
 //!   candidate resident set, from
-//!   [`execute_coscheduled`] over the real device model.
-//!   Keyed by the multiset of `(workflow, ranks, config)`, so each
-//!   distinct co-residency is simulated exactly once per oracle.
+//!   [`execute_coscheduled`] over the real device model. The oracle
+//!   interns each `(workflow, ranks, config)` once to a dense id with its
+//!   solo baseline and its rank in key order, and memoizes co-runs on the
+//!   rank-sorted id multiset, so each distinct co-residency is simulated
+//!   exactly once per oracle. The campaign prices resident ids directly;
+//!   [`Oracle::corun_slowdowns`] and [`Oracle::corun_breakdown`] intern
+//!   their keys and take the same path.
 //!
 //! The oracle is the **single prediction path** of the workspace: the
 //! campaign event loop prebuilds it over the arrival stream's alphabet,
@@ -23,11 +27,13 @@
 //!
 //! # Concurrency
 //!
-//! Both caches live in one `Mutex`. It is held only to look up or to
-//! insert, never across a simulation: a miss looks up, simulates
-//! unlocked, then inserts first-wins. Every value is a pure function of
-//! its key, so two threads that race on one miss simulate the same
-//! bytes and whichever inserts first is what everyone reads.
+//! Both caches and the tenant table live in one `Mutex`. It is held only
+//! to intern, look up or insert, never across a simulation: a miss
+//! looks up, simulates unlocked, then inserts first-wins. Every value is
+//! a pure function of its key, so two threads that race on one miss
+//! simulate the same bytes and whichever inserts first is what everyone
+//! reads. Tenant ids follow first sight and so may differ between runs;
+//! only rank order, which is key order, reaches a simulation.
 
 use pmemflow_core::sync::lock_recover;
 use pmemflow_core::{
@@ -36,7 +42,7 @@ use pmemflow_core::{
 };
 use pmemflow_sched::{characterize, classify, recommend, RuleThresholds, WorkflowProfile};
 use pmemflow_workloads::WorkflowSpec;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Identity of a tenant for pricing purposes: everything that affects the
@@ -68,11 +74,84 @@ struct AlphabetEntry {
     profile: WorkflowProfile,
 }
 
-/// Both memo tables of the oracle.
+/// A tenant identity interned by one [`Oracle`]: a dense index into its
+/// tenant table. Ids follow first sight, which races under parallel
+/// callers, so an id orders nothing and is never printed; only ranks
+/// (key order) reach a simulation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct TenantId(u32);
+
+/// One interned tenant identity.
+struct Interned {
+    config: SchedConfig,
+    entry: Arc<AlphabetEntry>,
+    /// Solo baseline under `config`.
+    solo: f64,
+    /// Position of the tenant's key among all interned keys in
+    /// `TenantKey` order, so sorting ids by rank sorts them by key in
+    /// integer compares.
+    rank: u32,
+}
+
+/// The oracle's tables and the scratch its co-run lookups reuse.
 #[derive(Default)]
 struct OracleMaps {
     entries: BTreeMap<(String, usize), Arc<AlphabetEntry>>,
-    corun: BTreeMap<Arc<[TenantKey]>, Arc<Vec<TenantBreakdown>>>,
+    ids: HashMap<TenantKey, TenantId>,
+    /// Indexed by [`TenantId`].
+    tenants: Vec<Interned>,
+    /// The co-run memo: rank-sorted id multiset → per-tenant breakdowns
+    /// in the same order.
+    corun: HashMap<Arc<[TenantId]>, Arc<[TenantBreakdown]>>,
+    /// Input positions in canonical (rank) order.
+    order: Vec<usize>,
+    /// The input ids in canonical order.
+    canonical: Vec<TenantId>,
+}
+
+impl OracleMaps {
+    /// The id of `key`, interned on first sight with its solo baseline;
+    /// every interned key that sorts after it moves up one rank.
+    fn intern(&mut self, key: &TenantKey) -> TenantId {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        let config = SchedConfig::parse(key.config).expect("key holds a valid label");
+        let entry = Arc::clone(self.entry(&key.workflow, key.ranks));
+        let rank = self.ids.keys().filter(|k| *k < key).count() as u32;
+        for t in &mut self.tenants {
+            if t.rank >= rank {
+                t.rank += 1;
+            }
+        }
+        let id = TenantId(self.tenants.len() as u32);
+        self.tenants.push(Interned {
+            config,
+            solo: entry.sweep.run(config).total,
+            entry,
+            rank,
+        });
+        self.ids.insert(key.clone(), id);
+        id
+    }
+
+    fn entry(&self, workflow: &str, ranks: usize) -> &Arc<AlphabetEntry> {
+        self.entries
+            .get(&(workflow.to_string(), ranks))
+            .unwrap_or_else(|| panic!("{workflow}@{ranks} not in the campaign alphabet"))
+    }
+
+    /// Fill `order` and `canonical` for `ids`. The sort is stable and
+    /// ranks order as keys do, so this is the permutation a stable sort
+    /// of the tenants' keys gives, duplicates included.
+    fn canonicalize(&mut self, ids: &[TenantId]) {
+        let tenants = &self.tenants;
+        self.order.clear();
+        self.order.extend(0..ids.len());
+        self.order.sort_by_key(|&i| tenants[ids[i].0 as usize].rank);
+        self.canonical.clear();
+        self.canonical.extend(self.order.iter().map(|&i| ids[i]));
+    }
 }
 
 /// The shared prediction oracle (see module docs).
@@ -115,7 +194,7 @@ impl Oracle {
         Ok(Oracle {
             maps: Mutex::new(OracleMaps {
                 entries,
-                corun: BTreeMap::new(),
+                ..OracleMaps::default()
             }),
             exec: exec.clone(),
         })
@@ -156,12 +235,7 @@ impl Oracle {
     }
 
     fn entry(&self, workflow: &str, ranks: usize) -> Arc<AlphabetEntry> {
-        let key = (workflow.to_string(), ranks);
-        lock_recover(&self.maps)
-            .entries
-            .get(&key)
-            .cloned()
-            .unwrap_or_else(|| panic!("{workflow}@{ranks} not in the campaign alphabet"))
+        Arc::clone(lock_recover(&self.maps).entry(workflow, ranks))
     }
 
     /// The model-driven best configuration for a workload (argmin over the
@@ -200,76 +274,107 @@ impl Oracle {
         self.entry(workflow, ranks).spec.clone()
     }
 
+    /// Intern a tenant identity, returning its id and its solo baseline
+    /// under `config`. The workload must be characterized already.
+    pub(crate) fn intern(
+        &self,
+        workflow: &str,
+        ranks: usize,
+        config: SchedConfig,
+    ) -> (TenantId, f64) {
+        let key = TenantKey::new(workflow, ranks, config);
+        let mut maps = lock_recover(&self.maps);
+        let id = maps.intern(&key);
+        (id, maps.tenants[id.0 as usize].solo)
+    }
+
+    fn intern_all(&self, set: &[TenantKey]) -> Vec<TenantId> {
+        let mut maps = lock_recover(&self.maps);
+        set.iter().map(|k| maps.intern(k)).collect()
+    }
+
+    /// Predicted per-tenant slowdowns of co-running the interned tenants
+    /// `ids` on one node, written to `out` in input order. A singleton
+    /// never interferes with itself (1.0, no simulation); larger sets are
+    /// priced through the co-run memo. A repeat multiset takes one lock
+    /// and allocates nothing.
+    pub(crate) fn slowdowns(&self, ids: &[TenantId], out: &mut Vec<f64>) -> Result<(), ExecError> {
+        out.clear();
+        if ids.len() <= 1 {
+            out.resize(ids.len(), 1.0);
+            return Ok(());
+        }
+        out.resize(ids.len(), 0.0);
+        self.corun(ids, |pos, b| out[pos] = b.slowdown)
+    }
+
+    /// Look the multiset `ids` up in the co-run memo, simulating it on a
+    /// miss, and hand each tenant's breakdown to `each` with its input
+    /// position. A miss gathers the tenants under the lock, co-simulates
+    /// the rank-sorted set with its solo baselines unlocked, inserts
+    /// first-wins, and then reads the entry back as a hit: a racing
+    /// thread that simulated the same multiset produced the same bytes.
+    fn corun(
+        &self,
+        ids: &[TenantId],
+        mut each: impl FnMut(usize, &TenantBreakdown),
+    ) -> Result<(), ExecError> {
+        loop {
+            let mut guard = lock_recover(&self.maps);
+            let maps = &mut *guard;
+            maps.canonicalize(ids);
+            if let Some(breakdowns) = maps.corun.get(maps.canonical.as_slice()) {
+                for (b, &pos) in breakdowns.iter().zip(&maps.order) {
+                    each(pos, b);
+                }
+                return Ok(());
+            }
+            let set: Arc<[TenantId]> = maps.canonical.as_slice().into();
+            let (tenants, baselines): (Vec<Tenant>, Vec<f64>) = set
+                .iter()
+                .map(|id| {
+                    let t = &maps.tenants[id.0 as usize];
+                    let tenant = Tenant {
+                        spec: t.entry.spec.clone(),
+                        config: t.config,
+                    };
+                    (tenant, t.solo)
+                })
+                .unzip();
+            drop(guard);
+            let out = execute_coscheduled(&tenants, &self.exec, Some(&baselines))?;
+            lock_recover(&self.maps)
+                .corun
+                .entry(set)
+                .or_insert_with(|| out.breakdown.into());
+        }
+    }
+
     /// Predicted per-tenant slowdowns of co-running `set` on one node, in
-    /// input order. A singleton never interferes with itself (1.0, no
-    /// simulation); larger sets are priced by co-simulating the full set
-    /// against the shared device model, memoized on the multiset of keys.
+    /// input order: [`Oracle::corun_breakdown`]'s slowdowns, except that a
+    /// singleton never interferes with itself (1.0, no simulation).
     pub fn corun_slowdowns(&self, set: &[TenantKey]) -> Result<Vec<f64>, ExecError> {
         if set.len() <= 1 {
             return Ok(vec![1.0; set.len()]);
         }
-        Ok(self
-            .corun_breakdown(set)?
-            .iter()
-            .map(|b| b.slowdown)
-            .collect())
+        let mut out = Vec::new();
+        self.slowdowns(&self.intern_all(set), &mut out)?;
+        Ok(out)
     }
 
     /// Full per-tenant attribution of co-running `set` on one node, in
     /// input order (each breakdown's `index` is rewritten to the input
-    /// position). Priced through the same memoized path as
-    /// [`Oracle::corun_slowdowns`].
+    /// position): the co-simulation of the full set against the shared
+    /// device model, memoized on the multiset of keys.
     pub fn corun_breakdown(&self, set: &[TenantKey]) -> Result<Vec<TenantBreakdown>, ExecError> {
         if set.is_empty() {
             return Ok(Vec::new());
         }
-        // Canonical order: sort keys; remember where each input key went.
-        let mut order: Vec<usize> = (0..set.len()).collect();
-        order.sort_by(|&a, &b| set[a].cmp(&set[b]));
-        let canonical: Vec<TenantKey> = order.iter().map(|&i| set[i].clone()).collect();
-
-        let cached = lock_recover(&self.maps)
-            .corun
-            .get(canonical.as_slice())
-            .cloned();
-        let breakdowns = match cached {
-            Some(b) => b,
-            None => {
-                let tenants: Vec<Tenant> = canonical
-                    .iter()
-                    .map(|k| Tenant {
-                        spec: self.entry(&k.workflow, k.ranks).spec.clone(),
-                        config: SchedConfig::parse(k.config).expect("key holds a valid label"),
-                    })
-                    .collect();
-                let baselines: Vec<f64> = canonical
-                    .iter()
-                    .map(|k| {
-                        self.solo_runtime(
-                            &k.workflow,
-                            k.ranks,
-                            SchedConfig::parse(k.config).expect("key holds a valid label"),
-                        )
-                    })
-                    .collect();
-                let out = execute_coscheduled(&tenants, &self.exec, Some(&baselines))?;
-                // First insert wins: a racing thread that simulated the
-                // same multiset produced the same bytes.
-                Arc::clone(
-                    lock_recover(&self.maps)
-                        .corun
-                        .entry(canonical.into())
-                        .or_insert_with(|| Arc::new(out.breakdown)),
-                )
-            }
-        };
-        // Un-permute back to input order, restoring input indices.
-        let mut result: Vec<TenantBreakdown> = vec![breakdowns[0].clone(); set.len()];
-        for (canon_pos, &input_pos) in order.iter().enumerate() {
-            let mut b = breakdowns[canon_pos].clone();
-            b.index = input_pos;
-            result[input_pos] = b;
-        }
+        let mut result = Vec::with_capacity(set.len());
+        self.corun(&self.intern_all(set), |index, b| {
+            result.push(TenantBreakdown { index, ..b.clone() })
+        })?;
+        result.sort_by_key(|b| b.index);
         Ok(result)
     }
 
@@ -404,7 +509,119 @@ mod tests {
         let oracle = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
         let k = TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W);
         assert_eq!(oracle.corun_slowdowns(&[k]).unwrap(), vec![1.0]);
+        let (id, _) = oracle.intern("micro-64MB", 8, SchedConfig::S_LOC_W);
+        let mut out = vec![7.0];
+        oracle.slowdowns(&[], &mut out).unwrap();
+        assert!(out.is_empty());
+        oracle.slowdowns(&[id], &mut out).unwrap();
+        assert_eq!(out, vec![1.0]);
         assert_eq!(oracle.corun_cache_len(), 0);
+    }
+
+    /// The reference for the co-run memo: a fresh, unmemoized co-run of
+    /// `node`'s tenants sorted by key, with their solo baselines, read
+    /// back in node order.
+    fn fresh_slowdowns(oracle: &Oracle, node: &[TenantKey]) -> Vec<f64> {
+        if node.len() <= 1 {
+            return vec![1.0; node.len()];
+        }
+        let mut order: Vec<usize> = (0..node.len()).collect();
+        order.sort_by(|&a, &b| node[a].cmp(&node[b]));
+        let config = |k: &TenantKey| SchedConfig::parse(k.config).unwrap();
+        let tenants: Vec<Tenant> = order
+            .iter()
+            .map(|&i| Tenant {
+                spec: oracle.spec(&node[i].workflow, node[i].ranks),
+                config: config(&node[i]),
+            })
+            .collect();
+        let baselines: Vec<f64> = order
+            .iter()
+            .map(|&i| oracle.solo_runtime(&node[i].workflow, node[i].ranks, config(&node[i])))
+            .collect();
+        let out = execute_coscheduled(&tenants, oracle.exec(), Some(&baselines)).unwrap();
+        let mut slowdowns = vec![0.0; node.len()];
+        for (b, &pos) in out.breakdown.iter().zip(&order) {
+            slowdowns[pos] = b.slowdown;
+        }
+        slowdowns
+    }
+
+    /// Seeded admission/completion/crash churn on one node: every memo
+    /// answer, in node order, is bitwise a fresh co-run of the residents.
+    #[test]
+    fn memo_answers_match_fresh_coruns_under_churn() {
+        let oracle = Oracle::build(&tiny_alphabet(), &ExecutionParams::default(), 2).unwrap();
+        let idents = [
+            ("micro-64MB", SchedConfig::S_LOC_W),
+            ("micro-64MB", SchedConfig::P_LOC_R),
+            ("micro-2KB", SchedConfig::S_LOC_W),
+            ("micro-2KB", SchedConfig::P_LOC_W),
+        ];
+        let mut rng = SplitMix64::new(0xB00C_0001);
+        let mut node: Vec<(TenantId, TenantKey)> = Vec::new();
+        let mut out = Vec::new();
+        let mut multisets = std::collections::BTreeSet::new();
+        for _ in 0..200 {
+            match rng.range_u64(0, 3) {
+                0 if node.len() < 3 => {
+                    let (wf, cfg) = idents[rng.range_usize(0, idents.len())];
+                    let (id, solo) = oracle.intern(wf, 8, cfg);
+                    assert_eq!(solo.to_bits(), oracle.solo_runtime(wf, 8, cfg).to_bits());
+                    node.push((id, TenantKey::new(wf, 8, cfg)));
+                }
+                1 if !node.is_empty() => {
+                    node.remove(rng.range_usize(0, node.len()));
+                }
+                2 => node.clear(),
+                _ => {}
+            }
+            let ids: Vec<TenantId> = node.iter().map(|(id, _)| *id).collect();
+            let keys: Vec<TenantKey> = node.iter().map(|(_, k)| k.clone()).collect();
+            oracle.slowdowns(&ids, &mut out).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&out),
+                bits(&fresh_slowdowns(&oracle, &keys)),
+                "{keys:?}"
+            );
+            if keys.len() > 1 {
+                let mut sorted = keys;
+                sorted.sort();
+                multisets.insert(sorted);
+            }
+            assert_eq!(
+                oracle.corun_cache_len(),
+                multisets.len(),
+                "one entry per multiset"
+            );
+        }
+        assert!(multisets.len() > 1, "the churn priced too few sets");
+    }
+
+    /// Ids follow each oracle's first sight, so two oracles that meet the
+    /// same identities in opposite orders number them differently; the
+    /// prices are the same all the same.
+    #[test]
+    fn oracles_interning_in_opposite_orders_price_identically() {
+        let exec = ExecutionParams::default();
+        let one = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
+        let two = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
+        let (a1, _) = one.intern("micro-64MB", 8, SchedConfig::S_LOC_W);
+        let (b1, _) = one.intern("micro-2KB", 8, SchedConfig::P_LOC_R);
+        let (b2, _) = two.intern("micro-2KB", 8, SchedConfig::P_LOC_R);
+        let (a2, _) = two.intern("micro-64MB", 8, SchedConfig::S_LOC_W);
+        assert_eq!((a1, b1), (b2, a2), "ids follow each oracle's first sight");
+        assert_eq!(one.intern("micro-64MB", 8, SchedConfig::S_LOC_W).0, a1);
+        let (mut out1, mut out2) = (Vec::new(), Vec::new());
+        one.slowdowns(&[a1, b1], &mut out1).unwrap();
+        two.slowdowns(&[a2, b2], &mut out2).unwrap();
+        assert_eq!(
+            out1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            out2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(one.corun_cache_len(), 1, "one multiset, one simulation");
+        assert_eq!(two.corun_cache_len(), 1, "one multiset, one simulation");
     }
 
     /// Threads racing to price overlapping co-residencies through one

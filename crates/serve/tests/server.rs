@@ -301,8 +301,18 @@ impl Backend for SlowBackend {
     }
 }
 
+/// Poll `done` until it holds, failing the test after ten seconds.
+fn wait_for(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 #[test]
 fn overload_sheds_with_429_and_retry_after() {
+    let backend = slow(1200);
     let server = Server::start_with_backend(
         ServerConfig {
             workers: 1,
@@ -310,7 +320,7 @@ fn overload_sheds_with_429_and_retry_after() {
             deadline: Duration::from_secs(30),
             ..ServerConfig::default()
         },
-        slow(1200),
+        backend.clone(),
     )
     .unwrap();
     let addr = server.addr();
@@ -325,9 +335,12 @@ fn overload_sheds_with_429_and_retry_after() {
         s
     };
     let _r1 = fire(1);
-    std::thread::sleep(Duration::from_millis(400)); // worker surely busy on r1
+    wait_for("the worker to take r1", || backend.calls.load(Relaxed) == 1);
     let _r2 = fire(2);
-    std::thread::sleep(Duration::from_millis(200)); // r2 parked in the queue
+    let daemon_metrics = server.metrics();
+    wait_for("r2 to queue", || {
+        daemon_metrics.queue_depth.load(Relaxed) == 1
+    });
     let shed = call(
         addr,
         "POST",
@@ -451,8 +464,14 @@ fn identical_queued_request_is_answered_from_the_cache_by_the_worker() {
     // The first request occupies the only worker; the second misses the
     // cache on the io thread and queues behind it.
     let first = send();
-    std::thread::sleep(Duration::from_millis(150));
+    wait_for("the worker to take the first", || {
+        backend.calls.load(Relaxed) == 1
+    });
     let second = send();
+    let daemon_metrics = server.metrics();
+    wait_for("the second to queue", || {
+        daemon_metrics.queue_depth.load(Relaxed) == 1
+    });
     let first = read_response(&mut BufReader::new(first));
     let second = read_response(&mut BufReader::new(second));
     assert_eq!((first.status, second.status), (200, 200));

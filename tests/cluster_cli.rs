@@ -199,10 +199,16 @@ fn fault_campaign_jsonl_is_identical_across_jobs_counts() {
         outputs[0], outputs[1],
         "fault campaign JSONL depends on --jobs"
     );
-    // Every job line carries the fault-accounting fields, and every
-    // submission is accounted as completed or failed.
+    // Every line is a job record with an outcome (completed or failed,
+    // never lost) or a campaign summary, and some job completed.
     let text = &outputs[0];
-    assert!(text.contains("\"outcome\":"), "{text}");
+    for line in text.lines() {
+        assert!(
+            line.contains("\"outcome\":") || line.contains("\"kind\":\"campaign\""),
+            "neither a job record nor a campaign summary: {line}"
+        );
+    }
+    assert!(text.contains("\"outcome\":\"completed\""), "{text}");
     assert!(text.contains("\"restarts\":"), "{text}");
     assert!(text.contains("\"lost_work_s\":"), "{text}");
     assert!(text.contains("\"ckpt_overhead_s\":"), "{text}");

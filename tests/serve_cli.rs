@@ -1,6 +1,7 @@
 //! End-to-end tests of `pmemflow serve`: boot the real binary on an
 //! ephemeral port, query every endpoint, drain it, and check the exit
-//! status; and keep serving through fd exhaustion.
+//! status; keep serving through fd exhaustion, a stalled client and
+//! injected worker panics.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -47,12 +48,13 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Spawn `pmemflow serve --port 0 --workers N` and scrape its address
-    /// from the first banner line. With `fd_limit`, the daemon runs under
-    /// a lowered `RLIMIT_NOFILE` so its accept loop hits `EMFILE` for
-    /// real: `sh -c 'ulimit -n N; exec "$0" "$@"'` applies the limit to
-    /// the daemon only, not to this test process.
-    fn spawn(workers: u32, fd_limit: Option<u32>) -> Daemon {
+    /// Spawn `pmemflow serve --port 0 --workers N`, plus `extra` flags,
+    /// and scrape its address from the first banner line. With
+    /// `fd_limit`, the daemon runs under a lowered `RLIMIT_NOFILE` so its
+    /// accept loop hits `EMFILE` for real: `sh -c 'ulimit -n N; exec "$0"
+    /// "$@"'` applies the limit to the daemon only, not to this test
+    /// process.
+    fn spawn(workers: u32, fd_limit: Option<u32>, extra: &[&str]) -> Daemon {
         let bin = env!("CARGO_BIN_EXE_pmemflow");
         let mut cmd = match fd_limit {
             None => Command::new(bin),
@@ -65,8 +67,16 @@ impl Daemon {
             }
         };
         let workers = workers.to_string();
-        cmd.args(["serve", "--port", "0", "--workers", &workers]);
-        let mut child = cmd.stdout(Stdio::piped()).spawn().expect("daemon spawns");
+        cmd.args(["serve", "--port", "0", "--workers", &workers])
+            .args(extra);
+        // Its stderr carries error and panic reports (`--fault-rate`
+        // panics on purpose); the tests read every outcome from the HTTP
+        // answers and the exit status.
+        let mut child = cmd
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("daemon spawns");
         let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
         let mut daemon = Daemon {
             child,
@@ -96,6 +106,17 @@ impl Daemon {
     }
 }
 
+/// The value of the unlabelled `/metrics` series `name`.
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing from /metrics:\n{metrics}"))
+        .trim()
+        .parse()
+        .expect("numeric counter")
+}
+
 impl Drop for Daemon {
     fn drop(&mut self) {
         // After a clean `shutdown` the child is already reaped and both
@@ -109,7 +130,7 @@ impl Drop for Daemon {
 fn serve_survives_fd_exhaustion() {
     // ~7 fds go to stdio, the listener, epoll, and the eventfd waker;
     // a 24-fd ceiling leaves room for roughly 17 accepted sockets.
-    let daemon = Daemon::spawn(1, Some(24));
+    let daemon = Daemon::spawn(1, Some(24), &[]);
     let addr = daemon.addr.as_str();
 
     let (status, body) = request(addr, "GET", "/healthz", "");
@@ -131,13 +152,7 @@ fn serve_survives_fd_exhaustion() {
 
     let (status, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200, "daemon must keep serving after fd exhaustion");
-    let strikes: u64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("pmemflow_serve_fd_exhausted_total "))
-        .expect("fd_exhausted_total series present")
-        .trim()
-        .parse()
-        .expect("numeric counter");
+    let strikes = counter(&metrics, "pmemflow_serve_fd_exhausted_total");
     assert!(strikes >= 1, "acceptor never hit EMFILE (limit too high?)");
 
     daemon.shutdown();
@@ -145,7 +160,7 @@ fn serve_survives_fd_exhaustion() {
 
 #[test]
 fn serve_smoke_boot_query_drain() {
-    let daemon = Daemon::spawn(2, None);
+    let daemon = Daemon::spawn(2, None, &[]);
     let addr = daemon.addr.as_str();
 
     let (status, body) = request(addr, "GET", "/healthz", "");
@@ -196,6 +211,67 @@ fn serve_smoke_boot_query_drain() {
     ] {
         assert!(body.contains(line), "/metrics lacks {line:?}:\n{body}");
     }
+
+    daemon.shutdown();
+}
+
+#[test]
+fn slowloris_is_answered_408_and_reaped() {
+    let daemon = Daemon::spawn(1, None, &["--read-deadline-ms", "1000"]);
+    let addr = daemon.addr.as_str();
+
+    // Half a request head, then stall: the read deadline must answer 408
+    // and close, never leave the connection parked.
+    let mut stream = TcpStream::connect(addr).expect("daemon reachable");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(b"POST /v1/predict HTTP/1.1\r\nContent-Len")
+        .unwrap();
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("the daemon closes the stalled connection");
+    assert!(raw.contains("408 Request Timeout"), "{raw:?}");
+
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(counter(&metrics, "pmemflow_serve_connections_reaped_total") >= 1);
+
+    daemon.shutdown();
+}
+
+#[test]
+fn fault_injected_server_degrades_without_wedging() {
+    let daemon = Daemon::spawn(
+        2,
+        None,
+        &["--fault-rate", "0.2", "--read-deadline-ms", "2000"],
+    );
+    let addr = daemon.addr.as_str();
+    let predict = |ranks: usize| {
+        let body = format!(r#"{{"workload":"micro-2kb","ranks":{ranks}}}"#);
+        request(addr, "POST", "/v1/predict", &body)
+    };
+
+    // Distinct queries compute until the injector fires; a panic must be
+    // a clean 500, never a hang.
+    for ranks in 2..=11 {
+        let (status, body) = predict(ranks);
+        assert!(
+            status == 200 || status == 500,
+            "ranks {ranks}: {status} {body}"
+        );
+    }
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(counter(&metrics, "pmemflow_serve_panics_total") >= 1);
+
+    // The pool keeps serving after the panics: a fresh query is the
+    // injector's 11th call (it panics on every 5th) and computes.
+    let (status, body) = predict(12);
+    assert_eq!(status, 200, "{body}");
 
     daemon.shutdown();
 }
