@@ -37,8 +37,8 @@
 
 use pmemflow_core::sync::lock_recover;
 use pmemflow_core::{
-    execute_coscheduled, map_ordered, sweep, ConfigSweep, ExecError, ExecutionParams, SchedConfig,
-    Tenant, TenantBreakdown,
+    check_fit, execute_coscheduled, map_ordered, sweep, ConfigSweep, ExecError, ExecutionParams,
+    SchedConfig, Tenant, TenantBreakdown,
 };
 use pmemflow_sched::{characterize, classify, recommend, RuleThresholds, WorkflowProfile};
 use pmemflow_workloads::WorkflowSpec;
@@ -378,6 +378,38 @@ impl Oracle {
         Ok(result)
     }
 
+    /// Whether [`Oracle::corun_breakdown`] of `set` would answer without
+    /// simulating: every tenant's workload is characterized, and either
+    /// the multiset is in the co-run memo or its summed ranks fail
+    /// [`check_fit`] (an error no simulation precedes). Read-only: it
+    /// characterizes, interns and memoizes nothing. The oracle never
+    /// evicts, so once true it stays true.
+    pub fn corun_ready(&self, set: &[TenantKey]) -> bool {
+        let maps = lock_recover(&self.maps);
+        let mut ids = Vec::with_capacity(set.len());
+        let mut ranks = 0;
+        for key in set {
+            if let Some(&id) = maps.ids.get(key) {
+                ranks += maps.tenants[id.0 as usize].entry.spec.ranks;
+                ids.push(id);
+            } else {
+                match maps.entries.get(&(key.workflow.clone(), key.ranks)) {
+                    Some(entry) => ranks += entry.spec.ranks,
+                    None => return false,
+                }
+            }
+        }
+        if check_fit(ranks).is_err() {
+            return true;
+        }
+        // A tenant never interned has never been priced.
+        if ids.len() < set.len() {
+            return false;
+        }
+        ids.sort_by_key(|id| maps.tenants[id.0 as usize].rank);
+        maps.corun.contains_key(ids.as_slice())
+    }
+
     /// Number of distinct co-residency sets priced so far (diagnostics).
     pub fn corun_cache_len(&self) -> usize {
         lock_recover(&self.maps).corun.len()
@@ -516,6 +548,35 @@ mod tests {
         oracle.slowdowns(&[id], &mut out).unwrap();
         assert_eq!(out, vec![1.0]);
         assert_eq!(oracle.corun_cache_len(), 0);
+    }
+
+    #[test]
+    fn corun_ready_is_true_exactly_when_no_simulation_is_left() {
+        let exec = ExecutionParams::default();
+        let oracle = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
+        let a = TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W);
+        let b = TenantKey::new("micro-2KB", 8, SchedConfig::P_LOC_R);
+        let unknown = TenantKey::new("micro-2KB", 16, SchedConfig::P_LOC_R);
+        let owned = |set: &[&TenantKey]| set.iter().map(|&k| k.clone()).collect::<Vec<_>>();
+        let ready = |set: &[&TenantKey]| oracle.corun_ready(&owned(set));
+        let price = |set: &[&TenantKey]| oracle.corun_breakdown(&owned(set)).unwrap();
+        let interned = || lock_recover(&oracle.maps).ids.len();
+        for set in [[&a].as_slice(), &[&a, &b], &[&b, &b], &[&a, &unknown]] {
+            assert!(!ready(set), "{set:?}");
+        }
+        // Four 8-rank tenants overflow a 28-core socket: the answer is a
+        // capacity error no simulation precedes, interned or not.
+        assert!(ready(&[&a, &a, &b, &b]));
+        assert!(!ready(&[&a, &a, &unknown, &b]));
+        assert_eq!((interned(), oracle.corun_cache_len()), (0, 0));
+
+        price(&[&b, &a]);
+        assert!(ready(&[&a, &b]), "order is canonical");
+        assert!(!ready(&[&a]), "singletons are priced too");
+        assert!(!ready(&[&b, &b]));
+        price(&[&a]);
+        assert!(ready(&[&a]));
+        assert_eq!(oracle.corun_cache_len(), 2);
     }
 
     /// The reference for the co-run memo: a fresh, unmemoized co-run of

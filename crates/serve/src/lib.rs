@@ -28,11 +28,13 @@
 //! and a timer-wheel entry, not a thread, so one core multiplexes
 //! 10k+ connections. Every model query resolves through one
 //! lock-guarded, deterministically-evicting LRU (`cache`) keyed by the
-//! query's canonical form (`query`): the io thread answers a hit
-//! inline, and a miss flows through a bounded admission queue to a
-//! fixed worker pool (`server`). The worker probes the cache once more
-//! (an identical request queued ahead of it may have filled it), and
-//! otherwise computes the answer and caches it. Workers hand answers
+//! query's canonical form (`query`): the io thread answers inline a hit
+//! and a miss that [`Backend::answer_ready`] answers without simulating
+//! (the warm oracle holds it). Only a miss that must simulate
+//! flows through a bounded admission queue to a fixed worker pool
+//! (`server`). The worker probes the cache once more (an identical
+//! request queued ahead of it may have filled it), and otherwise
+//! computes the answer and caches it. Workers hand answers
 //! back to the owning io thread through a completion mailbox + eventfd
 //! wakeup; responses are written back in strict arrival order per
 //! connection (pipelining-safe, byte-identical for any worker count).
@@ -46,9 +48,10 @@
 //!
 //! # Fault tolerance
 //!
-//! A panicking computation is isolated, not fatal: the worker catches
-//! it, answers that request `500`, caches nothing, counts it in
-//! `panics_total` on `/metrics`, and takes the next job. Mutexes that
+//! A panicking computation is isolated, not fatal: the worker (or the
+//! io thread, for a ready answer) catches it, answers that request
+//! `500`, caches nothing, counts it in `panics_total` on `/metrics`,
+//! and serves on. Mutexes that
 //! a panic may have poisoned recover through
 //! [`pmemflow_core::sync::lock_recover`]. On the transport side, a
 //! per-request read deadline (armed at the first byte, so idle

@@ -123,8 +123,13 @@ pub struct Metrics {
     pub responses: [AtomicU64; STATUS_BUCKETS.len()],
     /// Model requests answered from the result cache on the io thread.
     pub cache_hits: AtomicU64,
-    /// Model requests a worker computed (and cached).
+    /// Model requests that missed the cache and were answered (and
+    /// cached): by a worker, or on the io thread (`inline_misses`).
     pub cache_misses: AtomicU64,
+    /// Of `cache_misses`, those the io thread answered itself because
+    /// the backend held the answer without simulating; the rest are
+    /// worker computations.
+    pub inline_misses: AtomicU64,
     /// Model requests that missed on the io thread but found their
     /// answer cached by the time a worker took them: an identical
     /// request queued ahead computed it. Every answered model request
@@ -236,6 +241,7 @@ impl Metrics {
         for (name, v) in [
             ("cache_hits_total", &self.cache_hits),
             ("cache_misses_total", &self.cache_misses),
+            ("cache_misses_inline_total", &self.inline_misses),
             ("coalesced_total", &self.coalesced),
             ("cache_evictions_total", &self.evictions),
             ("shed_total", &self.shed),
@@ -395,6 +401,7 @@ mod tests {
             "pmemflow_serve_responses_total{status=\"429\"} 1",
             "pmemflow_serve_cache_hits_total 3",
             "pmemflow_serve_cache_misses_total 0",
+            "pmemflow_serve_cache_misses_inline_total 0",
             "pmemflow_serve_shed_total 0",
             "pmemflow_serve_panics_total 0",
             "pmemflow_serve_queue_depth 0",

@@ -46,6 +46,14 @@ pub trait Backend: Send + Sync + 'static {
     /// Answer one decoded query. Must be deterministic in the query's
     /// canonical key.
     fn answer(&self, query: &Query) -> Answer;
+
+    /// The answer to `query` if producing it needs no simulation, else
+    /// `None`. The daemon's io thread calls this on a result-cache miss
+    /// and queues the query for a worker only on `None`, so it must
+    /// never block. `Some` must equal what [`Backend::answer`] returns.
+    fn answer_ready(&self, _query: &Query) -> Option<Answer> {
+        None
+    }
 }
 
 /// The real backend: two lazily populated oracles, one per stack.
@@ -75,6 +83,33 @@ impl ModelBackend {
         match stack {
             StackKind::NvStream => &self.nvstream,
             StackKind::Nova => &self.nova,
+        }
+    }
+
+    /// Whether answering `query` would not simulate: its workloads are
+    /// characterized and, for a co-schedule, its tenant multiset is
+    /// priced (see [`Oracle::corun_ready`]). Read-only.
+    fn ready(&self, query: &Query) -> bool {
+        match query {
+            Query::Sweep {
+                family,
+                ranks,
+                stack,
+            }
+            | Query::Recommend {
+                family,
+                ranks,
+                stack,
+            }
+            | Query::Predict {
+                family,
+                ranks,
+                stack,
+                ..
+            } => self.oracle(*stack).contains(family.name(), *ranks),
+            Query::Coschedule { tenants, stack } => {
+                self.oracle(*stack).corun_ready(&tenant_keys(tenants))
+            }
         }
     }
 
@@ -184,13 +219,9 @@ impl ModelBackend {
         for t in &sorted {
             self.ensure(stack, t.family, t.ranks)?;
         }
-        let keys: Vec<TenantKey> = sorted
-            .iter()
-            .map(|t| TenantKey::new(t.family.name(), t.ranks, t.config))
-            .collect();
         let breakdown = self
             .oracle(stack)
-            .corun_breakdown(&keys)
+            .corun_breakdown(&tenant_keys(&sorted))
             .map_err(|e| e.to_string())?;
         let makespan = breakdown.iter().map(|b| b.end).fold(0.0f64, f64::max);
         let rows: Vec<String> = sorted
@@ -219,12 +250,22 @@ impl ModelBackend {
     }
 }
 
+fn tenant_keys(tenants: &[QueryTenant]) -> Vec<TenantKey> {
+    tenants
+        .iter()
+        .map(|t| TenantKey::new(t.family.name(), t.ranks, t.config))
+        .collect()
+}
+
 /// A chaos-testing decorator: panics deterministically on every
-/// `period`-th answered call, where `period = round(1 / rate)`. This is
+/// `period`-th answered call, where `period = round(1 / rate)`. Both
+/// paths share one call counter: every [`Backend::answer`] counts, and
+/// so does every [`Backend::answer_ready`] that has an answer. This is
 /// the daemon's `--fault-rate` test hook — it exercises the whole panic
-/// path (the worker catches the panic, answers that request `500`,
-/// caches nothing, counts `panics_total` and takes the next job)
-/// without a special build or an unreliable timing-based injection.
+/// path on the worker and on the io thread alike (the panic is caught,
+/// that request answers `500`, nothing is cached, `panics_total`
+/// counts it and the thread serves on) without a special build or an
+/// unreliable timing-based injection.
 pub struct FaultInjectingBackend {
     inner: std::sync::Arc<dyn Backend>,
     period: u64,
@@ -248,8 +289,9 @@ impl FaultInjectingBackend {
     }
 }
 
-impl Backend for FaultInjectingBackend {
-    fn answer(&self, query: &Query) -> Answer {
+impl FaultInjectingBackend {
+    /// Count one answered call, panicking on every `period`-th.
+    fn tick(&self) {
         let n = self
             .calls
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
@@ -257,7 +299,19 @@ impl Backend for FaultInjectingBackend {
         if n.is_multiple_of(self.period) {
             panic!("injected backend fault (call {n})");
         }
+    }
+}
+
+impl Backend for FaultInjectingBackend {
+    fn answer(&self, query: &Query) -> Answer {
+        self.tick();
         self.inner.answer(query)
+    }
+
+    fn answer_ready(&self, query: &Query) -> Option<Answer> {
+        let answer = self.inner.answer_ready(query)?;
+        self.tick();
+        Some(answer)
     }
 }
 
@@ -287,6 +341,12 @@ impl Backend for ModelBackend {
             Err(msg) => Answer::unprocessable(&msg),
         }
     }
+
+    /// The one renderer, behind the read-only readiness check; the
+    /// oracle never evicts, so a query found ready answers unsimulated.
+    fn answer_ready(&self, query: &Query) -> Option<Answer> {
+        self.ready(query).then(|| self.answer(query))
+    }
 }
 
 #[cfg(test)]
@@ -300,28 +360,102 @@ mod tests {
 
     #[test]
     fn fault_injection_panics_on_a_fixed_cadence() {
+        /// Answers everything; only 8-rank queries are ready.
         struct Ok200;
         impl Backend for Ok200 {
             fn answer(&self, _q: &Query) -> Answer {
-                Answer {
-                    status: 200,
-                    body: "{}".to_string(),
-                }
+                Answer::ok("{}".to_string())
+            }
+            fn answer_ready(&self, q: &Query) -> Option<Answer> {
+                matches!(q, Query::Predict { ranks: 8, .. }).then(|| self.answer(q))
             }
         }
-        // rate 0.25 → every 4th call panics: calls 4 and 8 out of 8.
-        let b = FaultInjectingBackend::new(std::sync::Arc::new(Ok200), 0.25);
-        let query = q("/v1/predict", r#"{"workload":"micro-64mb","ranks":8}"#);
-        let panics = (1..=8)
-            .filter(|_| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.answer(&query))).is_err()
+        let ready = q("/v1/predict", r#"{"workload":"micro-64mb","ranks":8}"#);
+        let cold = q("/v1/predict", r#"{"workload":"micro-64mb","ranks":9}"#);
+        // rate 1/3 → every 3rd answered call panics, on either path: call
+        // 3 is an `answer`, call 6 an `answer_ready`. A query that is not
+        // ready is not an answered call.
+        let b = FaultInjectingBackend::new(std::sync::Arc::new(Ok200), 1.0 / 3.0);
+        let panics: Vec<u32> = (1..=6)
+            .filter(|call| {
+                assert!(b.answer_ready(&cold).is_none());
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if call % 2 == 1 {
+                        drop(b.answer(&ready));
+                    } else {
+                        drop(b.answer_ready(&ready));
+                    }
+                }))
+                .is_err()
             })
-            .count();
-        assert_eq!(panics, 2);
+            .collect();
+        assert_eq!(panics, [3, 6]);
         // rate 0 never injects.
         let b = FaultInjectingBackend::new(std::sync::Arc::new(Ok200), 0.0);
         for _ in 0..64 {
-            assert_eq!(b.answer(&query).status, 200);
+            assert_eq!(b.answer(&ready).status, 200);
+            assert!(b.answer_ready(&ready).is_some());
+        }
+    }
+
+    /// Every kind of query the daemon serves: each endpoint on both
+    /// stacks, single- and duplicate-tenant co-schedules, and a set too
+    /// large for one socket (422).
+    fn every_kind_of_query() -> Vec<Query> {
+        let mut out = Vec::new();
+        for stack in ["nvstream", "nova"] {
+            let solo = format!(r#""workload":"micro-2kb","ranks":8,"stack":"{stack}""#);
+            out.push(q("/v1/sweep", &format!("{{{solo}}}")));
+            out.push(q("/v1/recommend", &format!("{{{solo}}}")));
+            out.push(q("/v1/predict", &format!("{{{solo}}}")));
+            out.push(q(
+                "/v1/predict",
+                &format!(r#"{{{solo},"config":"P-LocR"}}"#),
+            ));
+            let tenant = |config: &str| {
+                format!(r#"{{"workload":"micro-2kb","ranks":8,"config":"{config}"}}"#)
+            };
+            for tenants in [
+                vec![tenant("S-LocW")],
+                vec![tenant("S-LocW"), tenant("S-LocW")],
+                vec![tenant("P-LocR"), tenant("S-LocW")],
+                vec![tenant("S-LocW"); 4],
+            ] {
+                out.push(q(
+                    "/v1/coschedule",
+                    &format!(r#"{{"stack":"{stack}","tenants":[{}]}}"#, tenants.join(",")),
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn ready_answers_need_no_simulation_and_match_answer() {
+        let backend = ModelBackend::new();
+        let queries = every_kind_of_query();
+        for query in &queries {
+            assert_eq!(backend.answer_ready(query), None, "{query:?}");
+        }
+        for stack in [StackKind::NvStream, StackKind::Nova] {
+            let oracle = backend.oracle(stack);
+            assert!(!oracle.contains("micro-2KB", 8), "the predicate simulated");
+            assert_eq!(oracle.corun_cache_len(), 0, "the predicate priced a set");
+        }
+        let mut statuses = Vec::new();
+        for query in &queries {
+            let answer = backend.answer(query);
+            assert_eq!(
+                backend.answer_ready(query).as_ref(),
+                Some(&answer),
+                "{query:?}"
+            );
+            statuses.push(answer.status);
+        }
+        assert_eq!(statuses.iter().filter(|&&s| s == 422).count(), 2);
+        assert!(statuses.iter().all(|&s| s == 200 || s == 422));
+        for stack in [StackKind::NvStream, StackKind::Nova] {
+            assert_eq!(backend.oracle(stack).corun_cache_len(), 3);
         }
     }
 

@@ -5,6 +5,8 @@
 //!             ┌────────────────────── io thread (×N) ──────────────────────┐
 //!  clients ──>│ accept → Slab<Conn> → RequestDecoder → LRU hit? ───hit────>│──> response
 //!             │    │         │             │ miss                          │
+//!             │    │         │      backend.answer_ready? ───ready────────>│──> response
+//!             │    │         │             │ needs a simulation            │
 //!             │ TimerWheel (408/504)       └──try_send──> bounded queue ───┼──> worker pool
 //!             │    ▲                                          │ full?      │  LRU hit? or
 //!             │    └── completions mailbox + eventfd waker <──┼── 429 ─────│<─ backend.answer
@@ -17,9 +19,13 @@
 //! in-order write-back, and an integer-tick [`TimerWheel`] that owns all
 //! wall-clock policy — slowloris read deadlines (`408`), request
 //! deadlines (`504`), and fd-exhaustion accept backoff. io threads never
-//! simulate and workers never touch a socket: a decoded query is either
-//! answered inline from the result cache (the warm fast path) or
-//! enqueued as a [`Job`]. The worker probes the cache once more — an
+//! simulate and workers never touch a socket: a decoded query is
+//! answered inline from the result cache (the warm fast path) or, on a
+//! miss, from [`Backend::answer_ready`] when the backend holds the
+//! answer without simulating (a warm oracle; the answer is cached and
+//! counted as a miss and in `inline_misses`, and a panic answers `500`
+//! as on a worker). Only a query that needs a simulation is enqueued
+//! as a [`Job`]. The worker probes the cache once more — an
 //! identical request queued ahead of this one may have answered it
 //! meanwhile (`coalesced`) — and otherwise runs the backend under
 //! `catch_unwind`: an answer is cached (`miss`), a panic answers `500`
@@ -121,6 +127,9 @@ fn error_body(msg: &str) -> Vec<u8> {
     format!("{{\"error\":\"{}\"}}", json_escape(msg)).into_bytes()
 }
 
+/// The `500` message of a request whose backend call panicked.
+const PANIC_MESSAGE: &str = "model computation failed; retry may succeed";
+
 /// One unit of queued work: a decoded query plus the io thread, the
 /// connection and the pipeline slot its answer goes back to.
 struct Job {
@@ -173,6 +182,20 @@ impl Shared {
     /// The cached answer for `key`, refreshing its recency.
     fn cached(&self, key: &str) -> Option<Arc<Answer>> {
         lock_recover(&self.cache).get(key)
+    }
+
+    /// Cache a freshly computed answer for `key`, counting the miss and
+    /// any eviction it causes.
+    fn store(&self, key: &str, answer: Answer) -> Arc<Answer> {
+        let answer = Arc::new(answer);
+        if lock_recover(&self.cache)
+            .insert(key, answer.clone())
+            .is_some()
+        {
+            self.metrics.evictions.fetch_add(1, Relaxed);
+        }
+        self.metrics.cache_misses.fetch_add(1, Relaxed);
+        answer
     }
 
     fn begin_shutdown(&self) {
@@ -313,11 +336,13 @@ impl Server {
             .enumerate()
             .map(|(i, reactor)| {
                 let listener = listener.try_clone()?;
-                let (shared, queue) = (shared.clone(), queue.clone());
+                let (shared, queue, backend) = (shared.clone(), queue.clone(), backend.clone());
                 let seed = u64::from(addr.port()) << 8 | i as u64;
                 std::thread::Builder::new()
                     .name(format!("serve-io-{i}"))
-                    .spawn(move || io_loop(reactor, listener, shared, queue, exclusive, seed))
+                    .spawn(move || {
+                        io_loop(reactor, listener, shared, backend, queue, exclusive, seed)
+                    })
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         // The io threads own the only queue senders now; when they exit,
@@ -400,17 +425,7 @@ fn worker_loop(jobs: &Mutex<Receiver<Job>>, shared: &Shared, backend: &dyn Backe
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 backend.answer(&job.query)
             })) {
-                Ok(answer) => {
-                    let answer = Arc::new(answer);
-                    if lock_recover(&shared.cache)
-                        .insert(&job.key, answer.clone())
-                        .is_some()
-                    {
-                        metrics.evictions.fetch_add(1, Relaxed);
-                    }
-                    metrics.cache_misses.fetch_add(1, Relaxed);
-                    Some((answer, "miss"))
-                }
+                Ok(answer) => Some((shared.store(&job.key, answer), "miss")),
                 Err(_) => {
                     metrics.panics.fetch_add(1, Relaxed);
                     None
@@ -432,6 +447,8 @@ struct IoThread {
     reactor: Reactor,
     listener: TcpListener,
     shared: Arc<Shared>,
+    /// Asked only for answers that need no simulation.
+    backend: Arc<dyn Backend>,
     queue: SyncSender<Job>,
     mailbox: Arc<Mailbox>,
     conns: Slab<Conn>,
@@ -448,6 +465,7 @@ fn io_loop(
     reactor: Reactor,
     listener: TcpListener,
     shared: Arc<Shared>,
+    backend: Arc<dyn Backend>,
     queue: SyncSender<Job>,
     exclusive: bool,
     seed: u64,
@@ -476,6 +494,7 @@ fn io_loop(
         read_ticks: ticks(shared.read_deadline),
         deadline_ticks: ticks(shared.deadline),
         shared,
+        backend,
         queue,
         mailbox,
         conns: Slab::new(),
@@ -744,7 +763,8 @@ impl IoThread {
     }
 
     /// Route one parsed request: answer inline (admin endpoints, cache
-    /// hits, errors) or enqueue a job slot for the worker pool.
+    /// hits, answers the backend holds, errors) or enqueue a job slot
+    /// for the worker pool.
     fn dispatch(&mut self, key: Key, request: Request) {
         let shared = self.shared.clone();
         shared.metrics.on_request(&request.path);
@@ -797,10 +817,33 @@ impl IoThread {
                 };
                 let qkey = query.canonical_key();
                 // Warm fast path: a cached answer never touches the
-                // queue or a worker — the io thread answers directly.
-                if let Some(answer) = shared.cached(&qkey) {
-                    shared.metrics.cache_hits.fetch_add(1, Relaxed);
-                    let extra = [("x-pmemflow-cache", "hit".to_string())];
+                // queue or a worker — the io thread answers directly. So
+                // does a miss the backend answers without simulating (the
+                // oracle already holds it): only simulations are worth a
+                // worker round trip. Same `catch_unwind` and accounting
+                // as the worker's path.
+                let inline = match shared.cached(&qkey) {
+                    Some(answer) => {
+                        shared.metrics.cache_hits.fetch_add(1, Relaxed);
+                        Some((answer, "hit"))
+                    }
+                    None => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        self.backend.answer_ready(&query)
+                    })) {
+                        Ok(Some(answer)) => {
+                            shared.metrics.inline_misses.fetch_add(1, Relaxed);
+                            Some((shared.store(&qkey, answer), "miss"))
+                        }
+                        Ok(None) => None,
+                        Err(_) => {
+                            shared.metrics.panics.fetch_add(1, Relaxed);
+                            let body = error_body(PANIC_MESSAGE);
+                            return answer_now(self, 500, "application/json", &[], &body);
+                        }
+                    },
+                };
+                if let Some((answer, label)) = inline {
+                    let extra = [("x-pmemflow-cache", label.to_string())];
                     return answer_now(
                         self,
                         answer.status,
@@ -934,7 +977,7 @@ impl IoThread {
                     500,
                     "application/json",
                     &[],
-                    &error_body("model computation failed; retry may succeed"),
+                    &error_body(PANIC_MESSAGE),
                     close,
                 )
             }

@@ -737,3 +737,197 @@ fn two_io_threads_accept_and_answer_identically() {
     };
     assert_eq!(answers(1), answers(2), "io thread count changed the bytes");
 }
+
+/// Answers `ranks == 8` queries ready, without a worker; every other
+/// query is a cold one whose `answer` blocks until the gate opens. Logs
+/// which thread made each call.
+struct GatedBackend {
+    open: std::sync::Mutex<bool>,
+    opened: std::sync::Condvar,
+    calls: std::sync::Mutex<Vec<(&'static str, String)>>,
+}
+
+impl GatedBackend {
+    fn log(&self, call: &'static str) {
+        let thread = std::thread::current().name().unwrap_or("?").to_string();
+        self.calls.lock().unwrap().push((call, thread));
+    }
+
+    fn calls(&self, call: &str) -> Vec<String> {
+        let calls = self.calls.lock().unwrap();
+        calls
+            .iter()
+            .filter(|c| c.0 == call)
+            .map(|c| c.1.clone())
+            .collect()
+    }
+
+    fn render(query: &Query) -> Answer {
+        Answer {
+            status: 200,
+            body: format!("{{\"key\":\"{}\"}}", query.canonical_key()),
+        }
+    }
+}
+
+impl Backend for GatedBackend {
+    fn answer(&self, query: &Query) -> Answer {
+        self.log("answer");
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        Self::render(query)
+    }
+
+    fn answer_ready(&self, query: &Query) -> Option<Answer> {
+        self.log("answer_ready");
+        matches!(query, Query::Predict { ranks: 8, .. }).then(|| Self::render(query))
+    }
+}
+
+#[test]
+fn io_thread_answers_ready_misses_while_the_worker_simulates() {
+    let backend = Arc::new(GatedBackend {
+        open: std::sync::Mutex::new(false),
+        opened: std::sync::Condvar::new(),
+        calls: std::sync::Mutex::new(Vec::new()),
+    });
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            ..small_config()
+        },
+        backend.clone(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let cold = r#"{"workload":"micro-2kb","ranks":9}"#;
+    let send = || {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        s.write_all(raw_request("POST", "/v1/predict", cold).as_bytes())
+            .unwrap();
+        s
+    };
+    // The cold query blocks the only worker; its duplicate queues.
+    let first = send();
+    wait_for("the worker to take the cold query", || {
+        backend.calls("answer").len() == 1
+    });
+    let second = send();
+    let metrics = server.metrics().clone();
+    wait_for("the duplicate to queue", || {
+        metrics.queue_depth.load(Relaxed) == 1
+    });
+
+    // A ready query is answered while the worker is still blocked.
+    let ready = call(
+        addr,
+        "POST",
+        "/v1/predict",
+        r#"{"workload":"micro-2kb","ranks":8}"#,
+    );
+    assert_eq!(ready.status, 200, "{}", ready.body);
+    assert_eq!(ready.header("x-pmemflow-cache"), Some("miss"));
+    let warm = call(
+        addr,
+        "POST",
+        "/v1/predict",
+        r#"{"workload":"micro-2kb","ranks":8}"#,
+    );
+    assert_eq!(warm.header("x-pmemflow-cache"), Some("hit"));
+    assert_eq!(warm.body, ready.body);
+    assert_eq!(
+        backend.calls("answer").len(),
+        1,
+        "the worker is still blocked"
+    );
+
+    *backend.open.lock().unwrap() = true;
+    backend.opened.notify_all();
+    let first = read_response(&mut BufReader::new(first));
+    let second = read_response(&mut BufReader::new(second));
+    assert_eq!((first.status, second.status), (200, 200));
+    assert_eq!(first.header("x-pmemflow-cache"), Some("miss"));
+    assert_eq!(second.header("x-pmemflow-cache"), Some("coalesced"));
+    assert_eq!(first.body, second.body);
+
+    // Simulations ran on the worker only; the io thread only asked.
+    assert_eq!(backend.calls("answer"), ["serve-worker-0"]);
+    let asked = backend.calls("answer_ready");
+    assert_eq!(asked.len(), 3, "two cold misses and one ready one");
+    assert!(asked.iter().all(|t| t == "serve-io-0"), "{asked:?}");
+    let text = call(addr, "GET", "/metrics", "").body;
+    for needle in [
+        "pmemflow_serve_cache_hits_total 1",
+        "pmemflow_serve_cache_misses_total 2",
+        "pmemflow_serve_cache_misses_inline_total 1",
+        "pmemflow_serve_coalesced_total 1",
+    ] {
+        assert!(text.contains(needle), "missing {needle}\n{text}");
+    }
+    server.shutdown();
+    assert_eq!(server.join(), 0);
+    metrics.connection_conservation().unwrap();
+}
+
+/// Every query is ready; `answer` is never reached.
+struct ReadyBackend;
+
+impl Backend for ReadyBackend {
+    fn answer(&self, _query: &Query) -> Answer {
+        unreachable!("every query is ready on the io thread")
+    }
+
+    fn answer_ready(&self, query: &Query) -> Option<Answer> {
+        Some(Answer {
+            status: 200,
+            body: format!("{{\"key\":\"{}\"}}", query.canonical_key()),
+        })
+    }
+}
+
+#[test]
+fn io_thread_panic_answers_500_and_the_retry_succeeds() {
+    // Fault rate 0.5: the injector panics on every second answered
+    // call, here the io thread's second `answer_ready`.
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            fault_rate: 0.5,
+            ..small_config()
+        },
+        Arc::new(ReadyBackend),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let predict = |ranks: usize| {
+        let body = format!(r#"{{"workload":"micro-2kb","ranks":{ranks}}}"#);
+        call(addr, "POST", "/v1/predict", &body)
+    };
+    assert_eq!(predict(8).status, 200);
+    let failed = predict(9);
+    assert_eq!(failed.status, 500, "{}", failed.body);
+    assert!(failed.body.contains("retry may succeed"));
+    // Nothing was cached from the panic: the retry computes afresh, and
+    // the io thread that caught it is still serving.
+    let retry = predict(9);
+    assert_eq!(retry.status, 200, "{}", retry.body);
+    assert_eq!(retry.header("x-pmemflow-cache"), Some("miss"));
+
+    let text = call(addr, "GET", "/metrics", "").body;
+    for needle in [
+        "pmemflow_serve_panics_total 1",
+        "pmemflow_serve_cache_misses_total 2",
+        "pmemflow_serve_cache_misses_inline_total 2",
+        "pmemflow_serve_responses_total{status=\"500\"} 1",
+    ] {
+        assert!(text.contains(needle), "missing {needle}\n{text}");
+    }
+    assert_eq!(server.cache_len(), 2);
+    let metrics = server.metrics().clone();
+    server.shutdown();
+    assert_eq!(server.join(), 0, "connections leaked after a panic");
+    metrics.connection_conservation().unwrap();
+}
