@@ -166,7 +166,7 @@ pub fn policy_by_name(name: &str) -> Option<Box<dyn Policy>> {
         "fcfs" => Some(Box::new(Fcfs)),
         "easy" | "easy-backfill" | "backfill" => Some(Box::new(EasyBackfill)),
         "table2" => Some(Box::new(Table2Rule)),
-        "interference" | "interference-aware" => Some(Box::new(InterferenceAware::default())),
+        "interference" | "interference-aware" => Some(Box::new(InterferenceAware)),
         _ => None,
     }
 }
@@ -180,7 +180,7 @@ pub fn all_policies() -> Vec<Box<dyn Policy>> {
         Box::new(Fcfs),
         Box::new(EasyBackfill),
         Box::new(Table2Rule),
-        Box::new(InterferenceAware::default()),
+        Box::new(InterferenceAware),
     ]
 }
 
@@ -428,32 +428,24 @@ impl Policy for Table2Rule {
     }
 }
 
-/// Interference-aware best fit (see module docs).
-pub(crate) struct InterferenceAware {
-    /// Largest acceptable marginal aggregate slowdown for a non-head job
-    /// to join a node. A lone tenant costs exactly 1.0, so the default
-    /// allows co-location only while the *total* added stretch (the job's
-    /// own plus what it inflicts on residents) stays below one extra
-    /// job-equivalent. The queue head is exempt — it always takes the
-    /// cheapest node, so nothing starves.
-    pub max_marginal: f64,
-    /// Weight of the staging-pressure term: live staged intermediates
-    /// (plus the incoming job's own footprint) as a fraction of node
-    /// staging capacity, added to the marginal-slowdown score. Zero
-    /// effect on plain campaigns (no staged bytes, no footprints); on
-    /// DAG campaigns it spreads work away from nodes whose PMEM already
-    /// holds cross-stage data.
-    pub staging_weight: f64,
-}
+/// Largest acceptable marginal aggregate slowdown for a non-head job to
+/// join a node under [`InterferenceAware`]. A lone tenant costs exactly
+/// 1.0, so this allows co-location only while the *total* added stretch
+/// (the job's own plus what it inflicts on residents) stays below one
+/// extra job-equivalent. The queue head is exempt — it always takes the
+/// cheapest node, so nothing starves.
+const MAX_MARGINAL: f64 = 2.0;
 
-impl Default for InterferenceAware {
-    fn default() -> InterferenceAware {
-        InterferenceAware {
-            max_marginal: 2.0,
-            staging_weight: 1.0,
-        }
-    }
-}
+/// Weight of [`InterferenceAware`]'s staging-pressure term: live staged
+/// intermediates (plus the incoming job's own footprint) as a fraction of
+/// node staging capacity, added to the marginal-slowdown score. Zero
+/// effect on plain campaigns (no staged bytes, no footprints); on DAG
+/// campaigns it spreads work away from nodes whose PMEM already holds
+/// cross-stage data.
+const STAGING_WEIGHT: f64 = 1.0;
+
+/// Interference-aware best fit (see module docs).
+pub(crate) struct InterferenceAware;
 
 impl Policy for InterferenceAware {
     fn name(&self) -> &'static str {
@@ -493,8 +485,7 @@ impl Policy for InterferenceAware {
                 // price like load: the more of the node's PMEM staging
                 // is live (or about to be), the costlier joining it is.
                 let pressure = if nodes[node].staging_capacity > 0.0 {
-                    self.staging_weight
-                        * (nodes[node].staged_gib + planned_staging[node] + job.staging)
+                    STAGING_WEIGHT * (nodes[node].staged_gib + planned_staging[node] + job.staging)
                         / nodes[node].staging_capacity
                 } else {
                     0.0
@@ -510,7 +501,7 @@ impl Policy for InterferenceAware {
             // Non-head jobs may not join when the co-location damage
             // outweighs the service: waiting for a cheaper slot beats
             // inflating everyone's runtime.
-            if qi > 0 && cost > self.max_marginal {
+            if qi > 0 && cost > MAX_MARGINAL {
                 continue;
             }
             plan.place(node, job);

@@ -40,7 +40,7 @@ use pmemflow_core::{
     check_fit, execute_coscheduled, map_ordered, sweep, ConfigSweep, ExecError, ExecutionParams,
     SchedConfig, Tenant, TenantBreakdown,
 };
-use pmemflow_sched::{characterize, classify, recommend, RuleThresholds, WorkflowProfile};
+use pmemflow_sched::{characterize, classify, recommend, WorkflowProfile};
 use pmemflow_workloads::WorkflowSpec;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -265,7 +265,7 @@ impl Oracle {
         let profile = self.profile(workflow, ranks);
         match classify(&profile) {
             Some(row) => row.config,
-            None => recommend(&profile, &RuleThresholds::default()).config,
+            None => recommend(&profile).config,
         }
     }
 

@@ -21,9 +21,8 @@
 use crate::buffer::{drain_read, WriteBuf};
 use crate::reactor::{Interest, Reactor, Token, Waker};
 use crate::rng::Sm64;
-use crate::slab::{Key, Slab};
 use crate::sys;
-use crate::timer::TimerWheel;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -279,14 +278,17 @@ pub struct ProxyConfig {
     pub plan: ChaosPlan,
 }
 
-/// Wheel tick of the proxy's stall timers.
-const TICK_MS: u64 = 5;
+/// How long the stream is held after a fragment, so the fragment rides
+/// its own segment.
+const FRAGMENT_GAP: Duration = Duration::from_millis(1);
+/// Longest poll sleep with no stall ending sooner.
+const IDLE_POLL: Duration = Duration::from_millis(50);
 /// Per-pump byte budget, mirroring the daemon's own fairness clamp.
 const PUMP: usize = 64 * 1024;
 /// Listener token (one below [`Token::WAKER`]).
 const LISTENER: Token = Token(u64::MAX - 1);
-/// Set on tokens of upstream-side fds; slab generations never reach
-/// bit 63 in a proxy's lifetime.
+/// Set on tokens of upstream-side fds; session ids count up from 0 and
+/// never reach bit 63 in a proxy's lifetime.
 const UPSTREAM_BIT: u64 = 1 << 63;
 
 struct Session {
@@ -300,8 +302,9 @@ struct Session {
     /// Request bytes forwarded so far — the offset axis of the schedule.
     forwarded: u64,
     next_fault: usize,
-    stalled: bool,
-    stall_gen: u64,
+    /// When the current stall (or fragment gap) ends; its entry is in
+    /// `Proxy::stalls`.
+    stalled_until: Option<Instant>,
     client_eof: bool,
     /// Upstream write side shut (planned half-close or passthrough FIN).
     fin_sent: bool,
@@ -312,7 +315,7 @@ struct Session {
 
 /// An in-process loopback TCP proxy that tortures the *request*
 /// direction of every connection per plan — fragments (1-byte writes
-/// separated by a wheel tick so they land as distinct segments), stalls,
+/// separated by a short gap so they land as distinct segments), stalls,
 /// half-closes (FIN upstream at an exact request offset), and hard
 /// resets (`SO_LINGER 0` + close: the kernel emits a real RST, so the
 /// daemon observes a genuine `ECONNRESET`). Responses flow back
@@ -347,9 +350,9 @@ impl ChaosProxy {
                     reactor,
                     listener,
                     cfg,
-                    sessions: Slab::new(),
-                    wheel: TimerWheel::new(256),
-                    start: Instant::now(),
+                    sessions: BTreeMap::new(),
+                    next_id: 0,
+                    stalls: BTreeSet::new(),
                     trace: Vec::new(),
                 }
                 .run(stop2)
@@ -393,9 +396,14 @@ struct Proxy {
     reactor: Reactor,
     listener: TcpListener,
     cfg: ProxyConfig,
-    sessions: Slab<Session>,
-    wheel: TimerWheel<(Key, u64)>,
-    start: Instant,
+    /// Live sessions by id, which is also the epoll token (with
+    /// [`UPSTREAM_BIT`] on the upstream fd). Ids are never reused, so a
+    /// stale token misses.
+    sessions: BTreeMap<u64, Session>,
+    next_id: u64,
+    /// Pending `(end, session id)` stalls; a session's entry leaves when
+    /// the stall ends or the session is torn down.
+    stalls: BTreeSet<(Instant, u64)>,
     /// `(connection id, applied fault)` in application order.
     trace: Vec<(u64, String)>,
 }
@@ -404,11 +412,9 @@ impl Proxy {
     fn run(mut self, stop: Arc<AtomicBool>) -> String {
         let mut events = Vec::new();
         while !stop.load(Relaxed) {
-            let timeout = if self.wheel.is_empty() {
-                Duration::from_millis(50)
-            } else {
-                Duration::from_millis(TICK_MS)
-            };
+            let timeout = self.stalls.first().map_or(IDLE_POLL, |&(end, _)| {
+                end.saturating_duration_since(Instant::now()).min(IDLE_POLL)
+            });
             if self.reactor.poll(&mut events, Some(timeout)).is_err() {
                 break;
             }
@@ -417,47 +423,40 @@ impl Proxy {
                     self.accept_ready();
                 } else {
                     let raw = ev.token.0;
-                    let key = Key::from_u64(raw & !UPSTREAM_BIT);
-                    if self.sessions.get(key).is_none() {
+                    let key = raw & !UPSTREAM_BIT;
+                    if !self.sessions.contains_key(&key) {
                         continue;
                     }
                     if raw & UPSTREAM_BIT != 0 {
                         if ev.readable || ev.closed {
                             self.read_upstream(key);
                         }
-                        if ev.writable && self.sessions.get(key).is_some() {
+                        if ev.writable && self.sessions.contains_key(&key) {
                             self.forward(key);
                         }
                     } else {
                         if ev.readable || ev.closed {
                             self.read_client(key);
                         }
-                        if ev.writable && self.sessions.get(key).is_some() {
+                        if ev.writable && self.sessions.contains_key(&key) {
                             self.flush_client(key);
                         }
                     }
                 }
             }
-            let now = self.start.elapsed().as_millis() as u64 / TICK_MS;
-            let mut due = Vec::new();
-            self.wheel.advance(now, |t| due.push(t));
-            for (key, gen) in due {
-                let Some(s) = self.sessions.get_mut(key) else {
-                    continue;
-                };
-                // The generation stamp makes stale firings (cancel after
-                // fire, re-armed stalls) harmless.
-                if s.stalled && s.stall_gen == gen {
-                    s.stalled = false;
+            let now = Instant::now();
+            while let Some(&(end, key)) = self.stalls.first() {
+                if end > now {
+                    break;
+                }
+                self.stalls.pop_first();
+                if let Some(s) = self.sessions.get_mut(&key) {
+                    s.stalled_until = None;
                     self.forward(key);
                 }
             }
         }
         self.render_trace()
-    }
-
-    fn now_tick(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64 / TICK_MS
     }
 
     fn accept_ready(&mut self) {
@@ -476,7 +475,9 @@ impl Proxy {
                         continue;
                     }
                     let _ = upstream.set_nodelay(true);
-                    let key = self.sessions.insert(Session {
+                    let key = self.next_id;
+                    self.next_id += 1;
+                    let s = Session {
                         client,
                         upstream,
                         sched: None,
@@ -484,16 +485,14 @@ impl Proxy {
                         inbuf: Vec::new(),
                         forwarded: 0,
                         next_fault: 0,
-                        stalled: false,
-                        stall_gen: 0,
+                        stalled_until: None,
                         client_eof: false,
                         fin_sent: false,
                         backbuf: WriteBuf::new(),
                         upstream_eof: false,
-                    });
-                    let s = self.sessions.get(key).unwrap();
-                    let ct = Token(key.to_u64());
-                    let ut = Token(key.to_u64() | UPSTREAM_BIT);
+                    };
+                    let ct = Token(key);
+                    let ut = Token(key | UPSTREAM_BIT);
                     let ok = self
                         .reactor
                         .register(s.client.as_raw_fd(), ct, Interest::edge_read_write())
@@ -503,9 +502,9 @@ impl Proxy {
                             .register(s.upstream.as_raw_fd(), ut, Interest::edge_read_write())
                             .is_ok();
                     if !ok {
-                        self.sessions.remove(key);
                         continue;
                     }
+                    self.sessions.insert(key, s);
                     // Bytes may have raced ahead of the registration.
                     self.read_client(key);
                 }
@@ -516,9 +515,9 @@ impl Proxy {
         }
     }
 
-    fn read_client(&mut self, key: Key) {
+    fn read_client(&mut self, key: u64) {
         loop {
-            let Some(s) = self.sessions.get_mut(key) else {
+            let Some(s) = self.sessions.get_mut(&key) else {
                 return;
             };
             match drain_read(&mut s.client, &mut s.inbuf, PUMP) {
@@ -553,13 +552,12 @@ impl Proxy {
 
     /// Push request bytes upstream, applying schedule faults at their
     /// exact forwarded-byte offsets.
-    fn forward(&mut self, key: Key) {
+    fn forward(&mut self, key: u64) {
         loop {
-            let now_tick = self.now_tick();
-            let Some(s) = self.sessions.get_mut(key) else {
+            let Some(s) = self.sessions.get_mut(&key) else {
                 return;
             };
-            if s.stalled {
+            if s.stalled_until.is_some() {
                 return;
             }
             let Some(sched) = s.sched.as_ref() else {
@@ -620,13 +618,11 @@ impl Proxy {
                                 .push((id, format!("off={} fault={}", f.offset, f.kind.label())));
                         }
                         FaultKind::Stall(ms) => {
-                            s.stalled = true;
-                            s.stall_gen += 1;
-                            let gen = s.stall_gen;
                             self.trace
                                 .push((id, format!("off={} fault={}", f.offset, f.kind.label())));
-                            self.wheel
-                                .schedule(now_tick + ms.div_ceil(TICK_MS).max(1), (key, gen));
+                            let end = Instant::now() + Duration::from_millis(ms);
+                            s.stalled_until = Some(end);
+                            self.stalls.insert((end, key));
                             return;
                         }
                     }
@@ -639,12 +635,11 @@ impl Proxy {
                     s.forwarded += n as u64;
                     s.inbuf.drain(..n);
                     if frag {
-                        // Hold the stream one tick so the fragment rides
-                        // its own segment (nodelay flushes it now).
-                        s.stalled = true;
-                        s.stall_gen += 1;
-                        let gen = s.stall_gen;
-                        self.wheel.schedule(now_tick + 1, (key, gen));
+                        // nodelay flushes the fragment now; the gap keeps
+                        // the next write out of its segment.
+                        let end = Instant::now() + FRAGMENT_GAP;
+                        s.stalled_until = Some(end);
+                        self.stalls.insert((end, key));
                         return;
                     }
                     if n < cap {
@@ -661,10 +656,10 @@ impl Proxy {
         }
     }
 
-    fn read_upstream(&mut self, key: Key) {
+    fn read_upstream(&mut self, key: u64) {
         let mut tmp = Vec::new();
         loop {
-            let Some(s) = self.sessions.get_mut(key) else {
+            let Some(s) = self.sessions.get_mut(&key) else {
                 return;
             };
             tmp.clear();
@@ -688,8 +683,8 @@ impl Proxy {
         self.flush_client(key);
     }
 
-    fn flush_client(&mut self, key: Key) {
-        let Some(s) = self.sessions.get_mut(key) else {
+    fn flush_client(&mut self, key: u64) {
+        let Some(s) = self.sessions.get_mut(&key) else {
             return;
         };
         match s.backbuf.flush(&mut s.client) {
@@ -704,8 +699,11 @@ impl Proxy {
         }
     }
 
-    fn teardown(&mut self, key: Key, reset: bool) {
-        if let Some(s) = self.sessions.remove(key) {
+    fn teardown(&mut self, key: u64, reset: bool) {
+        if let Some(s) = self.sessions.remove(&key) {
+            if let Some(end) = s.stalled_until {
+                self.stalls.remove(&(end, key));
+            }
             if reset {
                 let _ = sys::set_linger_zero(s.client.as_raw_fd());
                 let _ = sys::set_linger_zero(s.upstream.as_raw_fd());

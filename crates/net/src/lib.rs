@@ -6,11 +6,12 @@
 //! floor: a raw syscall shim (`sys`: `epoll`/`eventfd`/`setsockopt` by
 //! number through the C library's `syscall(2)` entry point), a readiness
 //! [`Reactor`] (edge- or level-triggered interest, cross-thread
-//! [`Waker`]), an integer-tick hashed [`TimerWheel`] for connection
-//! deadlines, a generation-stamped [`Slab`] whose keys ride in epoll
-//! tokens, and the byte plumbing nonblocking sockets need
+//! [`Waker`]), and the byte plumbing nonblocking sockets need
 //! ([`drain_read`], the partial-write [`WriteBuf`], the jittered
-//! fd-exhaustion [`AcceptBackoff`]).
+//! fd-exhaustion [`AcceptBackoff`]). Connection state and deadlines are
+//! left to the caller: the daemon and the chaos proxy each keep theirs in
+//! std ordered maps, with a never-reused id as the epoll [`Token`] and
+//! the earliest deadline as the poll timeout.
 //!
 //! Nothing in here knows about HTTP or the model — the crate is the
 //! event loop floor; protocol state machines live with their protocol.
@@ -26,20 +27,16 @@
 //!    Waker (eventfd) ──┐
 //!                      ▼
 //!   fds ──register──> epoll ──poll──> [Event{token, readable, ...}]
-//!                      ▲                         │
-//!   TimerWheel ── next deadline as poll timeout ─┘ (advance on tick)
+//!                      ▲
+//!   caller's earliest deadline ── poll timeout
 //! ```
 
 mod buffer;
 mod chaos;
 mod reactor;
 mod rng;
-mod slab;
 mod sys;
-mod timer;
 
 pub use buffer::{drain_read, is_fd_exhaustion, AcceptBackoff, ReadOutcome, WriteBuf};
 pub use chaos::{ChaosPlan, ChaosProxy, ChaosSpec, ConnSchedule, FaultKind, ProxyConfig, Terminal};
 pub use reactor::{Event, Interest, Reactor, Token, Waker};
-pub use slab::{Key, Slab};
-pub use timer::TimerWheel;

@@ -33,5 +33,5 @@ pub use crossover::{sweep_axis, Axis, Crossover, SweepPoint, SweepResult};
 pub use model_driven::{decide, ModelDecision};
 pub use planner::{plan, Plan, PlanPoint};
 pub use profile::{Level, WorkflowProfile};
-pub use rules::{recommend, Decision, RuleThresholds};
+pub use rules::{recommend, Decision};
 pub use table2::{classify, table2, Table2Row};

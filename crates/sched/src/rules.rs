@@ -26,24 +26,11 @@
 use crate::profile::{Level, WorkflowProfile};
 use pmemflow_core::{ExecMode, Placement, SchedConfig};
 
-/// Tunable thresholds of the rule engine. Defaults follow §VIII: "low
-/// concurrency" ≈ 8 cores per component, serial above that. The
-/// bandwidth-constraint cut (~70% of device write capacity) is
-/// [`WorkflowProfile::is_bandwidth_constrained`].
-#[derive(Debug, Clone, Copy)]
-pub struct RuleThresholds {
-    /// Combined effective device concurrency above which components must
-    /// not overlap (serial execution).
-    pub serial_concurrency: f64,
-}
-
-impl Default for RuleThresholds {
-    fn default() -> Self {
-        Self {
-            serial_concurrency: 11.0,
-        }
-    }
-}
+/// Combined effective device concurrency above which components must not
+/// overlap (serial execution). §VIII: "low concurrency" ≈ 8 cores per
+/// component, serial above that. The bandwidth-constraint cut (~70% of
+/// device write capacity) is [`WorkflowProfile::is_bandwidth_constrained`].
+const SERIAL_CONCURRENCY: f64 = 11.0;
 
 /// Why the rule engine chose what it chose (for reports and debugging).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +42,7 @@ pub struct Decision {
 }
 
 /// Apply the §VIII rules to a characterized workflow.
-pub fn recommend(profile: &WorkflowProfile, th: &RuleThresholds) -> Decision {
+pub fn recommend(profile: &WorkflowProfile) -> Decision {
     let mut reasons = Vec::new();
 
     // Rule 1: serial vs parallel by combined effective device concurrency,
@@ -69,8 +56,7 @@ pub fn recommend(profile: &WorkflowProfile, th: &RuleThresholds) -> Decision {
     // viable at moderate concurrency where a read-only kernel would chase
     // the writer's I/O windows.
     let hiding = profile.analytics_compute >= Level::Low;
-    let mode = if combined > th.serial_concurrency
-        && !(hiding && combined <= th.serial_concurrency * 1.5)
+    let mode = if combined > SERIAL_CONCURRENCY && !(hiding && combined <= SERIAL_CONCURRENCY * 1.5)
     {
         reasons.push(
             "high effective device concurrency: serialize components to limit \
@@ -148,7 +134,7 @@ mod tests {
 
     #[test]
     fn saturated_high_concurrency_gets_s_locw() {
-        let d = recommend(&base_profile(), &RuleThresholds::default());
+        let d = recommend(&base_profile());
         assert_eq!(d.config, SchedConfig::S_LOC_W);
         assert_eq!(d.reasons.len(), 2);
     }
@@ -159,7 +145,7 @@ mod tests {
         p.write_saturation = 0.3;
         p.sim_device_concurrency = 10.0;
         p.analytics_device_concurrency = 8.0;
-        let d = recommend(&p, &RuleThresholds::default());
+        let d = recommend(&p);
         assert_eq!(d.config, SchedConfig::S_LOC_R);
     }
 
@@ -169,7 +155,7 @@ mod tests {
         p.write_saturation = 0.3;
         p.sim_device_concurrency = 4.0;
         p.analytics_device_concurrency = 3.0;
-        let d = recommend(&p, &RuleThresholds::default());
+        let d = recommend(&p);
         assert_eq!(d.config, SchedConfig::P_LOC_R);
     }
 
@@ -183,14 +169,14 @@ mod tests {
         p.analytics_compute = Level::High;
         p.analytics_read = Level::Low;
         p.sim_write = Level::High;
-        let d = recommend(&p, &RuleThresholds::default());
+        let d = recommend(&p);
         assert_eq!(d.config, SchedConfig::P_LOC_W);
         assert!(d.reasons.iter().any(|r| r.contains("rule 3")));
     }
 
     #[test]
     fn reasons_cite_rules() {
-        let d = recommend(&base_profile(), &RuleThresholds::default());
+        let d = recommend(&base_profile());
         for r in &d.reasons {
             assert!(r.contains("§VIII"));
         }

@@ -12,7 +12,7 @@
 //! markdown renderings verbatim.
 
 use crate::characterize::characterize;
-use crate::rules::{recommend, RuleThresholds};
+use crate::rules::recommend;
 use crate::table2::classify;
 use pmemflow_core::{
     full_matrix, map_ordered, run_matrix, ConfigSweep, ExecutionParams, RunOutcome, SchedConfig,
@@ -296,12 +296,11 @@ pub fn scorecard() -> &'static Scorecard {
         let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
         let params = ExecutionParams::default();
         let panels = panels(&run_matrix(full_matrix(), &params, jobs));
-        let thresholds = RuleThresholds::default();
         let picks: Vec<Picks> = map_ordered(paper_suite(), jobs, |e| {
             let profile = characterize(&e.spec, &params).expect("suite workloads characterize");
             Picks {
                 sim_concurrency: profile.sim_device_concurrency,
-                rules: recommend(&profile, &thresholds).config,
+                rules: recommend(&profile).config,
                 lookup: classify(&profile).map(|row| (row.row, row.config)),
             }
         })

@@ -2,7 +2,7 @@
 
 use pmemflow_core::{sweep, ExecutionParams, SchedConfig};
 use pmemflow_sched::scorecard::scorecard;
-use pmemflow_sched::{characterize, decide, recommend, RuleThresholds};
+use pmemflow_sched::{characterize, decide, recommend};
 use pmemflow_workloads::paper_suite;
 
 /// The rule-based engine must agree with the model-driven oracle on a
@@ -56,9 +56,8 @@ fn rule_decisions_are_pure() {
     let params = ExecutionParams::default();
     let spec = paper_suite()[0].spec.clone();
     let profile = characterize(&spec, &params).unwrap();
-    let t = RuleThresholds::default();
-    let a = recommend(&profile, &t);
-    let b = recommend(&profile, &t);
+    let a = recommend(&profile);
+    let b = recommend(&profile);
     assert_eq!(a, b);
 }
 
@@ -69,7 +68,7 @@ fn recommenders_emit_valid_configs() {
     let params = ExecutionParams::default();
     for entry in paper_suite() {
         let profile = characterize(&entry.spec, &params).unwrap();
-        let rule = recommend(&profile, &RuleThresholds::default());
+        let rule = recommend(&profile);
         assert!(SchedConfig::ALL.contains(&rule.config));
     }
 }

@@ -16,8 +16,8 @@
 //! `src/http/chunking_tests.rs` lock that down.
 //!
 //! Wall-clock policy (read deadlines, slowloris reaping) deliberately
-//! lives outside: the reactor's timer wheel decides *when* to give up on
-//! a connection; the decoder only ever judges bytes.
+//! lives outside: the io thread's deadline map decides *when* to give up
+//! on a connection; the decoder only ever judges bytes.
 
 /// Parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]

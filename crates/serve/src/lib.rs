@@ -24,8 +24,8 @@
 //! ([`pmemflow_net`]): one or two io threads (`--io-threads`) own every
 //! socket, parse requests incrementally (the HTTP decoder is
 //! chunking-invariant — kernel read boundaries cannot change what
-//! parses), and never block. Slow clients therefore cost a slab slot
-//! and a timer-wheel entry, not a thread, so one core multiplexes
+//! parses), and never block. Slow clients therefore cost a connection
+//! entry and a deadline entry, not a thread, so one core multiplexes
 //! 10k+ connections. Every model query resolves through one
 //! lock-guarded, deterministically-evicting LRU (`cache`) keyed by the
 //! query's canonical form (`query`): the io thread answers inline a hit

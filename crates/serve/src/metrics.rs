@@ -152,12 +152,13 @@ pub struct Metrics {
     pub accepted_total: AtomicU64,
     /// Connections closed, any cause (EOF, error, reap, drain).
     pub closed_total: AtomicU64,
-    /// Connections reaped by the read-deadline timer wheel (408).
+    /// Connections reaped by their read deadline (408).
     pub reaped_total: AtomicU64,
     /// Accept attempts refused by fd exhaustion (`EMFILE`/`ENFILE`);
     /// each one pauses the acceptor for a jittered backoff.
     pub fd_exhausted_total: AtomicU64,
-    /// Reactor poll returns (timer ticks, waker rings, and I/O alike).
+    /// Reactor poll returns (deadlines, idle polls, waker rings, and I/O
+    /// alike).
     pub epoll_wakeups_total: AtomicU64,
     /// Readiness events dispatched per reactor wakeup (batch size in
     /// events, not seconds).
@@ -203,8 +204,8 @@ impl Metrics {
     /// `accepted_total == closed_total + connections_active`. Exact only
     /// at quiescence (no accept/close mid-flight); the chaos rig and the
     /// e2e tests check it after drain, where an imbalance means a
-    /// double-close. It cannot see a slab leak: the drain closes every
-    /// idle connection, leaked ones included, so the rig checks for
+    /// double-close. It cannot see a leaked connection: the drain closes
+    /// every idle connection, leaked ones included, so the rig checks for
     /// leaks *before* shutdown instead (`connections_active` reaching 0
     /// once every client has finished).
     pub fn connection_conservation(&self) -> Result<(), String> {

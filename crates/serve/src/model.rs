@@ -14,7 +14,7 @@ use pmemflow_cluster::{Oracle, TenantKey};
 use pmemflow_core::{ExecutionParams, SchedConfig};
 use pmemflow_des::{json_escape, json_f64};
 use pmemflow_iostack::StackKind;
-use pmemflow_sched::{classify, recommend, RuleThresholds};
+use pmemflow_sched::{classify, recommend};
 use pmemflow_workloads::Family;
 
 /// A rendered answer: an HTTP status plus a JSON body.
@@ -157,7 +157,7 @@ impl ModelBackend {
         self.ensure(stack, family, ranks)?;
         let oracle = self.oracle(stack);
         let profile = oracle.profile(family.name(), ranks);
-        let rule = recommend(&profile, &RuleThresholds::default());
+        let rule = recommend(&profile);
         let reasons: Vec<String> = rule
             .reasons
             .iter()

@@ -31,7 +31,7 @@
 //! - **No leaked connection**: once every client has finished, the
 //!   daemon closes its side of every connection on its own —
 //!   `connections_active` reaches 0 within 5 s, *before* shutdown. This
-//!   is the slab-leak detector: the drain closes idle connections
+//!   is the connection-leak detector: the drain closes idle connections
 //!   itself, so a leak (say, a read error that forgets to close) is
 //!   invisible after it.
 //! - **Drain terminates**: [`Server::join`] abandons nothing.

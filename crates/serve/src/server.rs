@@ -3,11 +3,11 @@
 //!
 //! ```text
 //!             ┌────────────────────── io thread (×N) ──────────────────────┐
-//!  clients ──>│ accept → Slab<Conn> → RequestDecoder → LRU hit? ───hit────>│──> response
+//!  clients ──>│ accept → conns map → RequestDecoder → LRU hit? ───hit─────>│──> response
 //!             │    │         │             │ miss                          │
 //!             │    │         │      backend.answer_ready? ───ready────────>│──> response
 //!             │    │         │             │ needs a simulation            │
-//!             │ TimerWheel (408/504)       └──try_send──> bounded queue ───┼──> worker pool
+//!             │ deadlines (408/504)        └──try_send──> bounded queue ───┼──> worker pool
 //!             │    ▲                                          │ full?      │  LRU hit? or
 //!             │    └── completions mailbox + eventfd waker <──┼── 429 ─────│<─ backend.answer
 //!             └────────────────────────────────────────────────────────────┘
@@ -16,9 +16,10 @@
 //! One or two io threads multiplex every connection through an epoll
 //! [`Reactor`] (edge-triggered, [`pmemflow_net`]): nonblocking accept,
 //! incremental HTTP decode, per-connection pipelining with strict
-//! in-order write-back, and an integer-tick [`TimerWheel`] that owns all
-//! wall-clock policy — slowloris read deadlines (`408`), request
-//! deadlines (`504`), and fd-exhaustion accept backoff. io threads never
+//! in-order write-back, and one ordered deadline map that owns all
+//! wall-clock policy — slowloris read deadlines (`408`) and request
+//! deadlines (`504`); an entry leaves the map when its cause ends, and
+//! the poll sleeps until the earliest one. io threads never
 //! simulate and workers never touch a socket: a decoded query is
 //! answered inline from the result cache (the warm fast path) or, on a
 //! miss, from [`Backend::answer_ready`] when the backend holds the
@@ -50,10 +51,9 @@ use crate::query::Query;
 use pmemflow_core::sync::lock_recover;
 use pmemflow_des::json_escape;
 use pmemflow_net::{
-    drain_read, is_fd_exhaustion, AcceptBackoff, Interest, Key, Reactor, Slab, TimerWheel, Token,
-    Waker, WriteBuf,
+    drain_read, is_fd_exhaustion, AcceptBackoff, Interest, Reactor, Token, Waker, WriteBuf,
 };
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -80,7 +80,7 @@ pub struct ServerConfig {
     pub deadline: Duration,
     /// Wall-clock budget for *reading* one request, armed at its first
     /// byte: a client that starts a request but trickles it (slowloris)
-    /// is reaped with 408 by the timer wheel once this elapses. Idle
+    /// is reaped with 408 once this elapses. Idle
     /// keep-alive connections are not charged.
     pub read_deadline: Duration,
     /// Chaos hook: fraction of backend calls that panic (0 disables).
@@ -103,12 +103,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// Timer-wheel tick. Deadlines are hundreds of milliseconds; 10ms
-/// resolution is exact enough and keeps the idle poll cadence cheap.
-const TICK: Duration = Duration::from_millis(10);
-/// Reactor token for the listener (outside the slab's key space until
-/// ~4 billion generations of one slot).
+/// Reactor token for the listener (connection ids count up from 0 and
+/// never get this far).
 const LISTENER: Token = Token(u64::MAX - 1);
+/// Longest poll sleep with no deadline due sooner; wakers (completions,
+/// shutdown) interrupt it.
+const IDLE_POLL: Duration = Duration::from_millis(250);
+/// The deadline-map slot of a connection's read deadline; request
+/// deadlines use their pipeline sequence number, which counts up from 0.
+const READ_SLOT: u64 = u64::MAX;
 /// Decoded-but-unanswered requests allowed per connection before the io
 /// thread stops reading it (HTTP pipelining backpressure; the kernel
 /// socket buffer then backpressures the client).
@@ -118,10 +121,6 @@ const MAX_PIPELINE: usize = 32;
 const READ_CHUNK: usize = 64 * 1024;
 /// How long a drain waits for busy connections before abandoning them.
 const DRAIN_GRACE: Duration = Duration::from_secs(1);
-
-fn ticks(d: Duration) -> u64 {
-    (d.as_millis() as u64 / TICK.as_millis() as u64).max(1)
-}
 
 fn error_body(msg: &str) -> Vec<u8> {
     format!("{{\"error\":\"{}\"}}", json_escape(msg)).into_bytes()
@@ -136,7 +135,7 @@ struct Job {
     key: String,
     query: Query,
     mailbox: Arc<Mailbox>,
-    conn: Key,
+    conn: u64,
     seq: u64,
     expires: Instant,
 }
@@ -145,7 +144,7 @@ struct Job {
 /// its `x-pmemflow-cache` label (response *bodies* do not depend on the
 /// label), or `None` if the backend panicked.
 struct Completion {
-    conn: Key,
+    conn: u64,
     seq: u64,
     answer: Option<(Arc<Answer>, &'static str)>,
 }
@@ -212,10 +211,13 @@ impl Shared {
 enum SlotState {
     /// Rendered bytes, ready to write once everything ahead has gone out.
     Ready(Vec<u8>),
-    /// Waiting on a worker completion (or the 504 timer, whichever
-    /// fires first — the loser finds the slot already `Ready` and is
-    /// discarded).
-    Waiting { started: Instant, close: bool },
+    /// Waiting on a worker completion or its 504 deadline at `expires`,
+    /// whichever comes first (the loser finds the slot already `Ready`).
+    Waiting {
+        started: Instant,
+        expires: Instant,
+        close: bool,
+    },
 }
 
 /// Per-connection state machine.
@@ -232,10 +234,9 @@ struct Conn {
     close_after: bool,
     /// Peer sent EOF (or RDHUP): no more requests will arrive.
     read_eof: bool,
-    /// Bumped on every completed request; a read-deadline timer firing
-    /// with a stale generation is a cancelled timer.
-    read_gen: u64,
-    read_armed: bool,
+    /// When the request being read is reaped with 408; `None` between
+    /// requests.
+    read_deadline: Option<Instant>,
 }
 
 impl Conn {
@@ -249,8 +250,7 @@ impl Conn {
             wb: WriteBuf::new(),
             close_after: false,
             read_eof: false,
-            read_gen: 0,
-            read_armed: false,
+            read_deadline: None,
         }
     }
 
@@ -263,16 +263,6 @@ impl Conn {
         self.next_seq += 1;
         self.pipeline.push_back((seq, SlotState::Ready(bytes)));
     }
-}
-
-/// What the timer wheel fires.
-enum TimerItem {
-    /// The read budget for one request ran out (slowloris reap, 408).
-    ReadDeadline { conn: Key, gen: u64 },
-    /// A queued request's overall deadline ran out (504).
-    RequestDeadline { conn: Key, seq: u64 },
-    /// The fd-exhaustion backoff elapsed; re-arm the acceptor.
-    ResumeAccept,
 }
 
 /// A running daemon. Dropping the handle initiates shutdown; call
@@ -451,14 +441,19 @@ struct IoThread {
     backend: Arc<dyn Backend>,
     queue: SyncSender<Job>,
     mailbox: Arc<Mailbox>,
-    conns: Slab<Conn>,
-    wheel: TimerWheel<TimerItem>,
+    /// Live connections by id, which is also the epoll token. Ids are
+    /// never reused, so a stale token or a late completion misses.
+    conns: BTreeMap<u64, Conn>,
+    next_id: u64,
+    /// Pending `(when, connection id, slot)` deadlines: a request's
+    /// pipeline sequence number (504) or [`READ_SLOT`] (408). An entry
+    /// leaves when its cause ends, so every entry is live.
+    deadlines: BTreeSet<(Instant, u64, u64)>,
+    /// When the fd-exhaustion backoff ends and accepting resumes.
+    resume_accept: Option<Instant>,
     backoff: AcceptBackoff,
-    started: Instant,
     accepting: bool,
     listener_interest: Interest,
-    read_ticks: u64,
-    deadline_ticks: u64,
 }
 
 fn io_loop(
@@ -491,16 +486,15 @@ fn io_loop(
     let mut io = IoThread {
         reactor,
         listener,
-        read_ticks: ticks(shared.read_deadline),
-        deadline_ticks: ticks(shared.deadline),
         shared,
         backend,
         queue,
         mailbox,
-        conns: Slab::new(),
-        wheel: TimerWheel::new(512),
+        conns: BTreeMap::new(),
+        next_id: 0,
+        deadlines: BTreeSet::new(),
+        resume_accept: None,
         backoff: AcceptBackoff::new(seed),
-        started: Instant::now(),
         accepting: true,
         listener_interest,
     };
@@ -509,14 +503,16 @@ fn io_loop(
     let mut draining = false;
     let mut drain_deadline = Instant::now();
     loop {
-        // Sleep coarsely when nothing is timed; at tick resolution when
-        // the wheel has entries or a drain deadline is pending. Wakers
+        // Sleep until the earliest deadline, at most IDLE_POLL. Wakers
         // (completions, shutdown) interrupt either way.
-        let timeout = if io.wheel.is_empty() && !draining {
-            Duration::from_millis(250)
-        } else {
-            TICK
-        };
+        let due = [
+            io.deadlines.first().map(|&(at, _, _)| at),
+            io.resume_accept,
+            draining.then_some(drain_deadline),
+        ];
+        let timeout = due.into_iter().flatten().min().map_or(IDLE_POLL, |at| {
+            at.saturating_duration_since(Instant::now()).min(IDLE_POLL)
+        });
         let _ = io.reactor.poll(&mut events, Some(timeout));
         io.shared.metrics.epoll_wakeups_total.fetch_add(1, Relaxed);
         io.shared
@@ -538,8 +534,8 @@ fn io_loop(
             if ev.token == LISTENER {
                 io.accept_ready();
             } else {
-                let key = Key::from_u64(ev.token.0);
-                if io.conns.get(key).is_none() {
+                let key = ev.token.0;
+                if !io.conns.contains_key(&key) {
                     continue; // stale token: connection already gone
                 }
                 // On hangup (`closed`), pump anyway: RDHUP can arrive
@@ -555,12 +551,18 @@ fn io_loop(
             }
         }
 
-        // 3. Timers.
-        let now_tick = io.now_tick();
-        let mut fired = Vec::new();
-        io.wheel.advance(now_tick, |item| fired.push(item));
-        for item in fired {
-            io.fire(item);
+        // 3. Deadlines that have fallen due, earliest first.
+        let now = Instant::now();
+        while let Some(&(at, key, slot)) = io.deadlines.first() {
+            if at > now {
+                break;
+            }
+            io.deadlines.pop_first();
+            io.fire(key, slot);
+        }
+        if io.resume_accept.is_some_and(|at| at <= now) {
+            io.resume_accept = None;
+            io.resume_accepting();
         }
 
         // 4. Shutdown / drain.
@@ -571,11 +573,13 @@ fn io_loop(
                 let _ = io.reactor.deregister(io.listener.as_raw_fd());
                 io.accepting = false;
             }
-            for key in io.conns.keys() {
-                if io.conns.get(key).expect("live key").idle() {
+            let keys: Vec<u64> = io.conns.keys().copied().collect();
+            for key in keys {
+                let conn = io.conns.get_mut(&key).expect("live key");
+                if conn.idle() {
                     io.close(key);
                 } else {
-                    io.conns.get_mut(key).expect("live key").close_after = true;
+                    conn.close_after = true;
                 }
             }
         }
@@ -584,8 +588,8 @@ fn io_loop(
                 return 0;
             }
             if Instant::now() >= drain_deadline {
-                let abandoned = io.conns.drain();
-                for _ in &abandoned {
+                let abandoned = std::mem::take(&mut io.conns);
+                for _ in abandoned.values() {
                     io.shared.metrics.closed_total.fetch_add(1, Relaxed);
                     io.shared.metrics.connections_active.fetch_sub(1, Relaxed);
                 }
@@ -596,10 +600,6 @@ fn io_loop(
 }
 
 impl IoThread {
-    fn now_tick(&self) -> u64 {
-        (self.started.elapsed().as_millis() / TICK.as_millis()) as u64
-    }
-
     /// Accept until the listener would block. On fd exhaustion, pause
     /// accepting for a jittered backoff instead of spinning on an error
     /// that retrying cannot fix.
@@ -618,13 +618,15 @@ impl IoThread {
                     self.shared.metrics.accepted_total.fetch_add(1, Relaxed);
                     self.shared.metrics.connections_active.fetch_add(1, Relaxed);
                     let fd = stream.as_raw_fd();
-                    let key = self.conns.insert(Conn::new(stream));
+                    let key = self.next_id;
+                    self.next_id += 1;
+                    self.conns.insert(key, Conn::new(stream));
                     // Edge-triggered both ways, registered once: readable
                     // edges drive the pump, writable edges resume a
                     // flush that hit WouldBlock.
                     if self
                         .reactor
-                        .register(fd, Token(key.to_u64()), Interest::edge_read_write())
+                        .register(fd, Token(key), Interest::edge_read_write())
                         .is_err()
                     {
                         self.close(key);
@@ -639,8 +641,7 @@ impl IoThread {
                     let pause = self.backoff.strike();
                     let _ = self.reactor.deregister(self.listener.as_raw_fd());
                     self.accepting = false;
-                    self.wheel
-                        .schedule(self.now_tick() + ticks(pause), TimerItem::ResumeAccept);
+                    self.resume_accept = Some(Instant::now() + pause);
                     return;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -653,10 +654,10 @@ impl IoThread {
 
     /// Drive one connection: decode what is buffered, read more, repeat
     /// until WouldBlock / EOF / backpressure, then flush.
-    fn pump(&mut self, key: Key) {
+    fn pump(&mut self, key: u64) {
         loop {
             self.decode(key);
-            let Some(conn) = self.conns.get_mut(key) else {
+            let Some(conn) = self.conns.get_mut(&key) else {
                 return;
             };
             if conn.close_after {
@@ -670,7 +671,7 @@ impl IoThread {
                 // on workers or a clogged socket, both of which re-enter
                 // the pump via completions or writable edges.
                 self.flush(key);
-                let Some(conn) = self.conns.get_mut(key) else {
+                let Some(conn) = self.conns.get_mut(&key) else {
                     return;
                 };
                 if conn.pipeline.len() >= MAX_PIPELINE {
@@ -709,11 +710,10 @@ impl IoThread {
     /// Decode as many complete pipelined requests as the buffer holds,
     /// dispatching each; stop at partial input, backpressure, or a
     /// framing error (which answers and poisons the connection).
-    fn decode(&mut self, key: Key) {
+    fn decode(&mut self, key: u64) {
         loop {
-            let now = self.now_tick();
             let request = {
-                let Some(conn) = self.conns.get_mut(key) else {
+                let Some(conn) = self.conns.get_mut(&key) else {
                     return;
                 };
                 if conn.close_after || conn.pipeline.len() >= MAX_PIPELINE {
@@ -722,21 +722,19 @@ impl IoThread {
                 match conn.decoder.decode(&conn.buf) {
                     Ok(Decoded::Complete { request, consumed }) => {
                         conn.buf.drain(..consumed);
-                        // Completing a request cancels its read deadline
-                        // (stale generation) and resets the budget for
-                        // whatever is next in the buffer.
-                        conn.read_gen += 1;
-                        conn.read_armed = false;
+                        // Completing a request ends its read deadline;
+                        // whatever is next in the buffer gets a fresh
+                        // budget.
+                        if let Some(at) = conn.read_deadline.take() {
+                            self.deadlines.remove(&(at, key, READ_SLOT));
+                        }
                         request
                     }
                     Ok(Decoded::Partial) => {
-                        if conn.decoder.mid_request() && !conn.read_armed {
-                            conn.read_armed = true;
-                            let gen = conn.read_gen;
-                            self.wheel.schedule(
-                                now + self.read_ticks,
-                                TimerItem::ReadDeadline { conn: key, gen },
-                            );
+                        if conn.decoder.mid_request() && conn.read_deadline.is_none() {
+                            let at = Instant::now() + self.shared.read_deadline;
+                            conn.read_deadline = Some(at);
+                            self.deadlines.insert((at, key, READ_SLOT));
                         }
                         return;
                     }
@@ -765,7 +763,7 @@ impl IoThread {
     /// Route one parsed request: answer inline (admin endpoints, cache
     /// hits, answers the backend holds, errors) or enqueue a job slot
     /// for the worker pool.
-    fn dispatch(&mut self, key: Key, request: Request) {
+    fn dispatch(&mut self, key: u64, request: Request) {
         let shared = self.shared.clone();
         shared.metrics.on_request(&request.path);
         let close = request.wants_close() || shared.shutdown.load(Relaxed);
@@ -781,7 +779,7 @@ impl IoThread {
                 .latency
                 .observe_us(started.elapsed().as_micros() as u64);
             let bytes = render_response(status, content_type, extra, body, close);
-            if let Some(conn) = io.conns.get_mut(key) {
+            if let Some(conn) = io.conns.get_mut(&key) {
                 conn.push_ready(bytes);
                 if close {
                     conn.close_after = true;
@@ -796,7 +794,7 @@ impl IoThread {
             }
             ("POST", "/admin/shutdown") => {
                 answer_now(self, 200, "application/json", &[], b"{\"draining\":true}");
-                if let Some(conn) = self.conns.get_mut(key) {
+                if let Some(conn) = self.conns.get_mut(&key) {
                     conn.close_after = true;
                 }
                 shared.begin_shutdown();
@@ -852,9 +850,9 @@ impl IoThread {
                         answer.body.as_bytes(),
                     );
                 }
-                let now = self.now_tick();
+                let expires = started + shared.deadline;
                 let seq = {
-                    let Some(conn) = self.conns.get_mut(key) else {
+                    let Some(conn) = self.conns.get_mut(&key) else {
                         return;
                     };
                     let seq = conn.next_seq;
@@ -867,23 +865,26 @@ impl IoThread {
                     mailbox: self.mailbox.clone(),
                     conn: key,
                     seq,
-                    expires: Instant::now() + shared.deadline,
+                    expires,
                 });
-                let Some(conn) = self.conns.get_mut(key) else {
+                let Some(conn) = self.conns.get_mut(&key) else {
                     return;
                 };
                 match outcome {
                     Ok(()) => {
                         shared.metrics.queue_depth.fetch_add(1, Relaxed);
-                        conn.pipeline
-                            .push_back((seq, SlotState::Waiting { started, close }));
+                        conn.pipeline.push_back((
+                            seq,
+                            SlotState::Waiting {
+                                started,
+                                expires,
+                                close,
+                            },
+                        ));
                         if close {
                             conn.close_after = true;
                         }
-                        self.wheel.schedule(
-                            now + self.deadline_ticks,
-                            TimerItem::RequestDeadline { conn: key, seq },
-                        );
+                        self.deadlines.insert((expires, key, seq));
                     }
                     Err(TrySendError::Full(_)) => {
                         shared.metrics.shed.fetch_add(1, Relaxed);
@@ -949,15 +950,21 @@ impl IoThread {
     /// Land a worker completion in its slot. Returns whether the
     /// connection is still alive and worth flushing/pumping.
     fn apply_completion(&mut self, c: Completion) -> bool {
-        let Some(conn) = self.conns.get_mut(c.conn) else {
+        let Some(conn) = self.conns.get_mut(&c.conn) else {
             return false; // client long gone; drop the result
         };
         let Some((_, slot)) = conn.pipeline.iter_mut().find(|(seq, _)| *seq == c.seq) else {
             return false;
         };
-        let SlotState::Waiting { started, close } = *slot else {
-            return false; // the 504 timer answered first; discard
+        let SlotState::Waiting {
+            started,
+            expires,
+            close,
+        } = *slot
+        else {
+            return false; // the 504 deadline answered first; discard
         };
+        self.deadlines.remove(&(expires, c.conn, c.seq));
         let bytes = match c.answer {
             Some((answer, label)) => {
                 self.shared.metrics.on_response(answer.status);
@@ -990,71 +997,66 @@ impl IoThread {
         true
     }
 
-    /// Handle a timer firing.
-    fn fire(&mut self, item: TimerItem) {
-        match item {
-            TimerItem::ReadDeadline { conn: key, gen } => {
-                let Some(conn) = self.conns.get_mut(key) else {
-                    return;
-                };
-                if conn.read_gen != gen || !conn.read_armed {
-                    return; // request completed in time: cancelled
-                }
-                // Still mid-request past the budget: reap it.
-                self.shared.metrics.reaped_total.fetch_add(1, Relaxed);
-                self.shared.metrics.on_response(408);
-                let bytes = render_response(
-                    408,
-                    "application/json",
-                    &[],
-                    &error_body("request read deadline exceeded"),
-                    true,
-                );
-                conn.push_ready(bytes);
-                conn.close_after = true;
-                self.flush(key);
-            }
-            TimerItem::RequestDeadline { conn: key, seq } => {
-                let Some(conn) = self.conns.get_mut(key) else {
-                    return;
-                };
-                let Some((_, slot)) = conn.pipeline.iter_mut().find(|(s, _)| *s == seq) else {
-                    return;
-                };
-                let SlotState::Waiting { started, close } = *slot else {
-                    return; // answered in time
-                };
-                self.shared.metrics.deadline_missed.fetch_add(1, Relaxed);
-                self.shared.metrics.on_response(504);
-                self.shared
-                    .metrics
-                    .latency
-                    .observe_us(started.elapsed().as_micros() as u64);
-                *slot = SlotState::Ready(render_response(
-                    504,
-                    "application/json",
-                    &[],
-                    &error_body("deadline exceeded"),
-                    close,
-                ));
-                self.flush(key);
-            }
-            TimerItem::ResumeAccept => {
-                if !self.accepting && !self.shared.shutdown.load(Relaxed) {
-                    self.accepting = true;
-                    self.reactor
-                        .register(self.listener.as_raw_fd(), LISTENER, self.listener_interest)
-                        .expect("re-register listener with epoll");
-                    self.accept_ready();
-                }
-            }
+    /// Handle a deadline that fell due (and has left the map): a read
+    /// deadline reaps its connection with 408, a request deadline answers
+    /// its slot 504.
+    fn fire(&mut self, key: u64, slot: u64) {
+        let Some(conn) = self.conns.get_mut(&key) else {
+            return;
+        };
+        if slot == READ_SLOT {
+            // Still mid-request past the budget: reap it.
+            conn.read_deadline = None;
+            self.shared.metrics.reaped_total.fetch_add(1, Relaxed);
+            self.shared.metrics.on_response(408);
+            let bytes = render_response(
+                408,
+                "application/json",
+                &[],
+                &error_body("request read deadline exceeded"),
+                true,
+            );
+            conn.push_ready(bytes);
+            conn.close_after = true;
+        } else {
+            let Some((_, state)) = conn.pipeline.iter_mut().find(|(s, _)| *s == slot) else {
+                return;
+            };
+            let SlotState::Waiting { started, close, .. } = *state else {
+                return;
+            };
+            self.shared.metrics.deadline_missed.fetch_add(1, Relaxed);
+            self.shared.metrics.on_response(504);
+            self.shared
+                .metrics
+                .latency
+                .observe_us(started.elapsed().as_micros() as u64);
+            *state = SlotState::Ready(render_response(
+                504,
+                "application/json",
+                &[],
+                &error_body("deadline exceeded"),
+                close,
+            ));
+        }
+        self.flush(key);
+    }
+
+    /// The fd-exhaustion backoff elapsed: re-arm the acceptor.
+    fn resume_accepting(&mut self) {
+        if !self.accepting && !self.shared.shutdown.load(Relaxed) {
+            self.accepting = true;
+            self.reactor
+                .register(self.listener.as_raw_fd(), LISTENER, self.listener_interest)
+                .expect("re-register listener with epoll");
+            self.accept_ready();
         }
     }
 
     /// Move completed response slots onto the wire, in order, and close
     /// the connection if it is finished.
-    fn flush(&mut self, key: Key) {
-        let Some(conn) = self.conns.get_mut(key) else {
+    fn flush(&mut self, key: u64) {
+        let Some(conn) = self.conns.get_mut(&key) else {
             return;
         };
         while let Some((_, SlotState::Ready(_))) = conn.pipeline.front() {
@@ -1067,18 +1069,27 @@ impl IoThread {
             self.close(key);
             return;
         }
-        let conn = self.conns.get(key).expect("still live");
+        let conn = self.conns.get(&key).expect("still live");
         if conn.idle() && (conn.close_after || conn.read_eof) {
             self.close(key);
         }
     }
 
-    /// Drop a connection (the fd closes with the stream, which
-    /// deregisters it from epoll implicitly).
-    fn close(&mut self, key: Key) {
-        if self.conns.remove(key).is_some() {
-            self.shared.metrics.closed_total.fetch_add(1, Relaxed);
-            self.shared.metrics.connections_active.fetch_sub(1, Relaxed);
+    /// Drop a connection and its deadlines (the fd closes with the
+    /// stream, which deregisters it from epoll implicitly).
+    fn close(&mut self, key: u64) {
+        let Some(conn) = self.conns.remove(&key) else {
+            return;
+        };
+        if let Some(at) = conn.read_deadline {
+            self.deadlines.remove(&(at, key, READ_SLOT));
         }
+        for (seq, slot) in &conn.pipeline {
+            if let SlotState::Waiting { expires, .. } = *slot {
+                self.deadlines.remove(&(expires, key, *seq));
+            }
+        }
+        self.shared.metrics.closed_total.fetch_add(1, Relaxed);
+        self.shared.metrics.connections_active.fetch_sub(1, Relaxed);
     }
 }

@@ -385,6 +385,41 @@ fn deadline_miss_answers_504() {
     server.join();
 }
 
+/// An answered request leaves no deadline behind, so an idle io thread
+/// sleeps in its long poll instead of waking on a short cadence until a
+/// 30 s request deadline would have passed.
+#[test]
+fn idle_io_thread_sleeps_once_its_last_request_is_answered() {
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        slow(0),
+    )
+    .unwrap();
+    let r = call(
+        server.addr(),
+        "POST",
+        "/v1/predict",
+        r#"{"workload":"micro-2kb","ranks":8}"#,
+    );
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(
+        r.header("x-pmemflow-cache"),
+        Some("miss"),
+        "worker-answered"
+    );
+    std::thread::sleep(Duration::from_millis(100));
+    let wakeups = || server.metrics().epoll_wakeups_total.load(Relaxed);
+    let before = wakeups();
+    std::thread::sleep(Duration::from_secs(1));
+    let idle = wakeups() - before;
+    assert!(idle <= 8, "{idle} io-thread wakeups in one idle second");
+    server.shutdown();
+    server.join();
+}
+
 /// Panics exactly once — on the first `/v1/predict` for `ranks == 13`.
 /// Every other call answers instantly.
 struct PanicOnceBackend {

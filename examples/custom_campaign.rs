@@ -9,7 +9,7 @@
 //! plain-text table format (e.g. generated from job scripts or traces),
 //! then let the library pick concurrency and configuration per workflow.
 
-use pmemflow::sched::{plan, recommend, RuleThresholds};
+use pmemflow::sched::{plan, recommend};
 use pmemflow::workloads::parse_workflows;
 use pmemflow::{characterize, decide, ExecutionParams};
 
@@ -30,7 +30,7 @@ fn main() {
     );
     for spec in &specs {
         let profile = characterize(spec, &params).expect("characterizes");
-        let rule = recommend(&profile, &RuleThresholds::default());
+        let rule = recommend(&profile);
         let oracle = decide(spec, &params).expect("decides");
         let p = plan(spec, &[8, 16, 24], 24.0, &params).expect("plans");
         let chosen = p

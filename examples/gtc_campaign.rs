@@ -12,13 +12,12 @@
 //! serial/local-write (the workflow becomes write-bandwidth-bound) — and
 //! the scheduler must follow.
 
-use pmemflow::sched::{characterize, classify, recommend, RuleThresholds};
+use pmemflow::sched::{characterize, classify, recommend};
 use pmemflow::workloads::{gtc_matmul, gtc_readonly, kernels};
 use pmemflow::{decide, ExecutionParams};
 
 fn main() {
     let params = ExecutionParams::default();
-    let thresholds = RuleThresholds::default();
 
     // The real PIC kernel behind the proxy: one step, for flavour.
     let mut particles: Vec<kernels::Particle> = (0..10_000)
@@ -36,7 +35,7 @@ fn main() {
     for ranks in [8usize, 16, 24] {
         for spec in [gtc_readonly(ranks), gtc_matmul(ranks)] {
             let profile = characterize(&spec, &params).expect("characterization runs");
-            let rule = recommend(&profile, &thresholds);
+            let rule = recommend(&profile);
             let oracle = decide(&spec, &params).expect("model sweep runs");
             println!(
                 "{:<21} {:>5}  {:<10}  {:<12}  {:>10.1}  {:>11.0}%",

@@ -26,7 +26,7 @@ use pmemflow::cluster::{
 };
 use pmemflow::core::report::panel_table;
 use pmemflow::pmem::{device_report, DeviceProfile};
-use pmemflow::sched::{characterize, classify, plan, recommend, scorecard, RuleThresholds};
+use pmemflow::sched::{characterize, classify, plan, recommend, scorecard};
 use pmemflow::serve::{Server, ServerConfig};
 use pmemflow::{
     decide, execute, full_matrix, map_ordered, paper_suite, run_matrix, sweep, ExecutionParams,
@@ -180,7 +180,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let spec = need_workload()?;
             args.reject_unread()?;
             let profile = characterize(&spec, &params)?;
-            let rule = recommend(&profile, &RuleThresholds::default());
+            let rule = recommend(&profile);
             println!("rule-based: {}", rule.config);
             for r in &rule.reasons {
                 println!("  - {r}");

@@ -4,7 +4,7 @@
 
 use pmemflow::core::native::{run_native, NativeParams};
 use pmemflow::iostack::StackKind;
-use pmemflow::sched::{characterize, recommend, RuleThresholds};
+use pmemflow::sched::{characterize, recommend};
 use pmemflow::workloads::{ComponentSpec, IoPattern, WorkflowSpec};
 use pmemflow::{decide, execute, explore_then_commit, sweep, ExecutionParams, SchedConfig};
 
@@ -46,7 +46,7 @@ fn full_pipeline_for_a_custom_workflow() {
     assert!(profile.sim_io_index > 0.0 && profile.sim_io_index <= 1.0);
 
     // 2. Rule-based recommendation gives a valid configuration.
-    let rule = recommend(&profile, &RuleThresholds::default());
+    let rule = recommend(&profile);
     assert!(SchedConfig::ALL.contains(&rule.config));
     assert!(!rule.reasons.is_empty());
 
