@@ -1,7 +1,7 @@
 //! DAG submissions in flight, the per-node PMEM staging they reserve,
 //! and how a campaign settles their stages.
 
-use super::queue::{enqueue, seek, Queued};
+use super::queue::{JobArena, Queued};
 use super::Campaign;
 use crate::arrivals::Arrival;
 use crate::policy::QueuedJob;
@@ -183,16 +183,22 @@ impl DagRun {
     /// un-homed DAG's stages each carry the whole reservation (the first
     /// one placed homes the DAG and the siblings are rewritten pinned and
     /// weightless).
-    pub(super) fn stage_entry(&self, di: u32, si: usize, now: f64) -> Queued {
+    pub(super) fn stage_entry<'a>(
+        &self,
+        di: u32,
+        si: usize,
+        now: f64,
+        arena: &'a JobArena,
+    ) -> Queued<'a> {
         let stage = &self.spec.stages[si];
-        let job = QueuedJob {
+        let job = arena.alloc(QueuedJob {
             id: self.first_stage_id + si as u64,
-            workflow: stage.family.name().into(),
+            workflow: arena.name(stage.family.name()),
             ranks: stage.ranks,
             arrival: self.arrival,
             staging: self.entry_staging(),
             home: self.home,
-        };
+        });
         Queued::fresh(job, None, now, Some((di, si)))
     }
 }
@@ -234,8 +240,8 @@ impl Campaign<'_> {
                 if d.deps_left[succ] == 0 {
                     self.held -= 1;
                     d.state[succ] = StageState::Ready;
-                    let q = d.stage_entry(di, succ, now);
-                    enqueue(&mut self.queue, &mut self.qindex, q, now);
+                    let q = d.stage_entry(di, succ, now, self.arena);
+                    self.queue.enqueue(q, now);
                 }
             }
         }
@@ -256,10 +262,10 @@ impl Campaign<'_> {
             let q = match d.state[sj] {
                 StageState::Held => {
                     self.held -= 1;
-                    d.stage_entry(di, sj, now)
+                    d.stage_entry(di, sj, now, self.arena)
                 }
                 StageState::Ready => {
-                    let qi = seek(&self.queue, d.arrival, d.first_stage_id + sj as u64);
+                    let qi = self.queue.seek(d.arrival, d.first_stage_id + sj as u64);
                     assert!(
                         self.queue.get(qi).is_some_and(|q| q.dag == Some((di, sj))),
                         "ready stage is queued"
@@ -268,8 +274,7 @@ impl Campaign<'_> {
                         Some(qi),
                         self.queue.iter().position(|q| q.dag == Some((di, sj)))
                     );
-                    self.qindex.on_remove(&self.queue[qi], now);
-                    self.queue.remove(qi).expect("index in range")
+                    self.queue.remove(qi, now)
                 }
                 StageState::Running | StageState::Settled => continue,
             };

@@ -3,7 +3,7 @@
 
 use super::dag::{DagRun, StageState, StagingState};
 use super::node::{EventHeap, FreeCores, NodeState, Repricer, Running, Views};
-use super::queue::{backoff_expired, enqueue, next_backoff_expiry, seek, QueueIndex, Queued};
+use super::queue::{backoff_expired, next_backoff_expiry, JobArena, Queue, Queued};
 use super::{Campaign, CampaignConfig, CampaignOutcome, ClusterError, JobRecord};
 use crate::arrivals::{arrival_for_draw, draw_submission, generate_open, Arrival, ArrivalSpec};
 use crate::policy::{Placement, Policy, QueuedJob};
@@ -47,6 +47,7 @@ impl<'a> Campaign<'a> {
         config: &'a CampaignConfig,
         policy: &'a dyn Policy,
         oracle: &'a Oracle,
+        arena: &'a JobArena,
     ) -> Campaign<'a> {
         let ckpt = &config.checkpoint;
         // Checkpoint tax: one image of `state_bytes` (written as
@@ -101,8 +102,8 @@ impl<'a> Campaign<'a> {
             pending,
             closed,
             nodes: (0..config.nodes).map(|_| NodeState::new()).collect(),
-            queue: VecDeque::new(),
-            qindex: QueueIndex::default(),
+            arena,
+            queue: Queue::default(),
             records: Vec::new(),
             staging: StagingState::new(config.nodes),
             dags: Vec::new(),
@@ -154,10 +155,10 @@ impl<'a> Campaign<'a> {
             return None;
         }
         let next_arrival = self.pending.front().map(|a| a.time);
-        let next_eligible = self.qindex.next_expiry(now);
+        let next_eligible = self.queue.next_expiry(now);
         debug_assert_eq!(
             next_eligible.map(f64::to_bits),
-            next_backoff_expiry(&self.queue, now).map(f64::to_bits),
+            next_backoff_expiry(self.queue.iter(), now).map(f64::to_bits),
             "backoff index diverged from the reference scan"
         );
         let next_fault = self.plan.peek_time();
@@ -243,17 +244,17 @@ impl<'a> Campaign<'a> {
         while self.pending.front().is_some_and(|a| a.time <= now + 1e-9) {
             let mut a = self.pending.pop_front().expect("front exists");
             let Some(spec) = a.dag.take() else {
-                let job = QueuedJob {
+                let job = self.arena.alloc(QueuedJob {
                     id: self.next_job_id,
-                    workflow: a.workflow.into(),
+                    workflow: self.arena.name(&a.workflow),
                     ranks: a.ranks,
                     arrival: a.time,
                     staging: 0.0,
                     home: None,
-                };
+                });
                 self.next_job_id += 1;
-                let q = Queued::fresh(job, a.client, a.time, None);
-                enqueue(&mut self.queue, &mut self.qindex, q, now);
+                self.queue
+                    .enqueue(Queued::fresh(job, a.client, a.time, None), now);
                 continue;
             };
             let di = self.dags.len() as u32;
@@ -268,12 +269,9 @@ impl<'a> Campaign<'a> {
             for (si, &st) in d.state.iter().enumerate() {
                 match st {
                     StageState::Held => self.held += 1,
-                    _ => enqueue(
-                        &mut self.queue,
-                        &mut self.qindex,
-                        d.stage_entry(di, si, now),
-                        now,
-                    ),
+                    _ => self
+                        .queue
+                        .enqueue(d.stage_entry(di, si, now, self.arena), now),
                 }
             }
             self.dags.push(d);
@@ -290,14 +288,13 @@ impl<'a> Campaign<'a> {
         let mut touched: Vec<usize> = Vec::new();
         // Capacity precheck per round: when even the narrowest eligible
         // job cannot fit the freest up node, no capacity-respecting
-        // policy can place anything — skip building the queue and node
-        // snapshots and consulting the policy at all. (A placement that
-        // does not fit would be skipped below and the round would end
-        // with nothing placed anyway, so the outcome is identical
-        // for any deterministic policy.) Running before the snapshot
-        // build matters: on a backlogged campaign this turns a
-        // head-of-line-blocked round into an index lookup instead of an
-        // O(queue) snapshot allocation.
+        // policy can place anything — skip refreshing the node views
+        // and consulting the policy at all. (A placement that does not
+        // fit would be skipped below and the round would end with
+        // nothing placed anyway, so the outcome is identical for any
+        // deterministic policy.) On a backlogged campaign this turns a
+        // head-of-line-blocked round into an index lookup instead of a
+        // policy's walk over the nodes.
         while let Some(min_ranks) = self.min_eligible_ranks() {
             if min_ranks > self.free.max_free() {
                 break;
@@ -306,23 +303,15 @@ impl<'a> Campaign<'a> {
             // instant's settles, faults and the previous round's
             // placements — are refreshed.
             self.refresh_views();
-            // Backoff pending: the view is the eligible subset. None
-            // pending (all of a fault-free campaign): every queued entry
-            // is past its backoff, so the filter is the identity — skip
-            // the predicate and collect with an exact size hint.
-            let queue_view: Vec<&QueuedJob> = if self.qindex.has_backoff(now) {
-                self.queue
-                    .iter()
-                    .filter(|q| backoff_expired(q, now))
-                    .map(|q| &q.job)
-                    .collect()
-            } else {
-                debug_assert!(self.queue.iter().all(|q| backoff_expired(q, now)));
-                self.queue.iter().map(|q| &q.job).collect()
-            };
+            #[cfg(debug_assertions)]
+            self.check_dag_pins();
+            // The queue's own view: as it stands when no entry is in
+            // backoff (all of a fault-free campaign), else the eligible
+            // subset.
+            let view = self.queue.policy_view(now);
             let batch = self
                 .policy
-                .schedule(now, &queue_view, &self.views.views, self.oracle)?;
+                .schedule(now, view, &self.views.views, self.oracle)?;
             touched.clear();
             for p in batch {
                 if self.place(p)? && !touched.contains(&p.node) {
@@ -346,7 +335,7 @@ impl<'a> Campaign<'a> {
     /// campaign); otherwise the reference scan does.
     fn min_eligible_ranks(&mut self) -> Option<usize> {
         let now = self.now;
-        if self.qindex.has_backoff(now) {
+        if self.queue.has_backoff(now) {
             return self
                 .queue
                 .iter()
@@ -355,11 +344,32 @@ impl<'a> Campaign<'a> {
                 .min();
         }
         debug_assert_eq!(
-            self.qindex.min_ranks(),
+            self.queue.min_ranks(),
             self.queue.iter().map(|q| q.job.ranks).min(),
             "rank multiset diverged from the queue"
         );
-        self.qindex.min_ranks()
+        self.queue.min_ranks()
+    }
+
+    /// Every queued stage carries its DAG's pin, and the whole
+    /// reservation exactly while the DAG is un-homed; a plain job
+    /// carries neither. Checked before every policy round, so a stage
+    /// that missed its re-pin never reaches a policy.
+    #[cfg(debug_assertions)]
+    fn check_dag_pins(&self) {
+        for q in self.queue.iter() {
+            let want = q.dag.map_or((None, 0.0), |(di, _)| {
+                let d = &self.dags[di as usize];
+                (d.home, d.entry_staging())
+            });
+            assert!(
+                q.job.home == want.0 && q.job.staging.to_bits() == want.1.to_bits(),
+                "queued job {} carries pin {:?} and staging {}, not {want:?}",
+                q.job.id,
+                q.job.home,
+                q.job.staging
+            );
+        }
     }
 
     /// Apply one placement of the policy's batch. `false` when it no
@@ -368,14 +378,14 @@ impl<'a> Campaign<'a> {
     pub(super) fn place(&mut self, p: Placement) -> Result<bool, ClusterError> {
         // The queue is in (arrival, id) order and ids are issued in
         // admission order, so ids ascend along it (`enqueue` asserts so).
-        let Ok(qi) = self.queue.binary_search_by_key(&p.job, |q| q.job.id) else {
+        let Ok(qi) = self.queue.position(p.job) else {
             return Err(ClusterError::Config(format!(
                 "policy {} placed unknown job {}",
                 self.policy.name(),
                 p.job
             )));
         };
-        let (node, job) = (&self.nodes[p.node], &self.queue[qi].job);
+        let (node, job) = (&self.nodes[p.node], self.queue.get(qi).expect("found").job);
         if !node.up
             || check_fit(node.used + job.ranks).is_err()
             || job.home.is_some_and(|h| h != p.node)
@@ -384,8 +394,7 @@ impl<'a> Campaign<'a> {
             return Ok(false);
         }
         let now = self.now;
-        self.qindex.on_remove(&self.queue[qi], now);
-        let mut q = self.queue.remove(qi).expect("placement index in range");
+        let mut q = self.queue.remove(qi, now);
         if let Some((di, si)) = q.dag {
             let d = &mut self.dags[di as usize];
             // A queued stage carries its DAG's pin, and the whole
@@ -402,19 +411,8 @@ impl<'a> Campaign<'a> {
                 // contiguous run of the queue.
                 d.home = Some(p.node);
                 self.staging.home(p.node, di, d.reservation);
-                let run = seek(&self.queue, d.arrival, d.first_stage_id);
-                let sibling = |o: &Queued| o.dag.is_some_and(|(odi, _)| odi == di);
-                for o in self.queue.range_mut(run..).take_while(|o| sibling(o)) {
-                    o.job.home = Some(p.node);
-                    o.job.staging = 0.0;
-                }
-                debug_assert!(
-                    self.queue
-                        .iter()
-                        .filter(|o| sibling(o))
-                        .all(|o| o.job.home == Some(p.node)),
-                    "a queued sibling escaped the pinning run"
-                );
+                let run = self.queue.seek(d.arrival, d.first_stage_id);
+                self.queue.pin_dag(run, di, p.node, self.arena);
             }
             d.state[si] = StageState::Running;
         }
@@ -486,7 +484,7 @@ impl<'a> Campaign<'a> {
     /// jobs come back pinned home). Past the budget, revive it from a
     /// banked checkpoint snapshot, or fail it — and on a stage failure,
     /// fail the whole DAG.
-    pub(super) fn settle_interrupted(&mut self, r: Running, node: usize) {
+    pub(super) fn settle_interrupted(&mut self, r: Running<'a>, node: usize) {
         let config = self.config;
         let ckpt = &config.checkpoint;
         let mut q = r.q;
@@ -501,8 +499,11 @@ impl<'a> Campaign<'a> {
         // survives the crash, the attempt does not. The reservation
         // persists across restarts (it is held for the DAG's lifetime) —
         // a restarted stage carries none.
-        q.job.home = q.dag.map(|_| node);
-        q.job.staging = 0.0;
+        q.job = self.arena.alloc(QueuedJob {
+            home: q.dag.map(|_| node),
+            staging: 0.0,
+            ..q.job.clone()
+        });
         if q.restarts <= ckpt.retry_budget {
             q.resume = resume;
             q.eligible = self.now + requeue_backoff(ckpt.backoff_base, q.restarts);
@@ -527,11 +528,11 @@ impl<'a> Campaign<'a> {
     }
 
     /// Put an interrupted attempt's entry back in the queue.
-    fn requeue(&mut self, q: Queued) {
+    fn requeue(&mut self, q: Queued<'a>) {
         if let Some((di, si)) = q.dag {
             self.dags[di as usize].state[si] = StageState::Ready;
         }
-        enqueue(&mut self.queue, &mut self.qindex, q, self.now);
+        self.queue.enqueue(q, self.now);
     }
 
     /// The per-job records and campaign aggregates once the loop stops,
@@ -549,7 +550,7 @@ impl<'a> Campaign<'a> {
             self.staging.homed.iter().all(Vec::is_empty),
             "a settled DAG is still indexed as homed"
         );
-        self.records.sort_by_key(|r| r.id);
+        sort_by_dense_id(&mut self.records);
         Ok(CampaignOutcome {
             policy: self.policy.name().to_string(),
             seed: self.config.seed,
@@ -564,4 +565,21 @@ impl<'a> Campaign<'a> {
             reprice_calls: self.repricer.calls,
         })
     }
+}
+
+/// Put `records` in id order in place, in O(n) swaps: ids are dense,
+/// `0..n`, one record each, so each swap moves one record to its slot.
+fn sort_by_dense_id(records: &mut [JobRecord]) {
+    for i in 0..records.len() {
+        while records[i].id != i as u64 {
+            let j = records[i].id as usize;
+            assert!(records[j].id != j as u64, "job {j} has two records");
+            records.swap(i, j);
+        }
+    }
+    debug_assert!(
+        records.iter().enumerate().all(|(i, r)| r.id == i as u64),
+        "record ids are not a permutation of 0..{}",
+        records.len()
+    );
 }

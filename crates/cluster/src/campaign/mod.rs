@@ -98,7 +98,7 @@ use event_loop::ClosedLoop;
 use node::{EventHeap, FreeCores, NodeState, Repricer, Views};
 use pmemflow_core::{check_fit, ExecError, ExecutionParams, CORES_PER_SOCKET};
 use pmemflow_fault::{CheckpointSpec, FaultPlan, FaultSpec};
-use queue::{QueueIndex, Queued};
+use queue::{JobArena, Queue};
 use std::collections::VecDeque;
 
 /// Everything a campaign needs besides the policy.
@@ -184,9 +184,11 @@ struct Campaign<'a> {
     /// Submissions not yet admitted, sorted by `(time, id)`.
     pending: VecDeque<Arrival>,
     closed: Option<ClosedLoop>,
-    nodes: Vec<NodeState>,
-    queue: VecDeque<Queued>,
-    qindex: QueueIndex,
+    nodes: Vec<NodeState<'a>>,
+    /// Where every queued job version lives; the queue, its policy view
+    /// and the residents borrow from it.
+    arena: &'a JobArena,
+    queue: Queue<'a>,
     records: Vec<JobRecord>,
     staging: StagingState,
     dags: Vec<DagRun>,
@@ -241,7 +243,8 @@ pub fn run_campaign_with_oracle(
     oracle: &Oracle,
 ) -> Result<CampaignOutcome, ClusterError> {
     validate(config)?;
-    Campaign::new(config, policy, oracle).run()
+    let arena = JobArena::new();
+    Campaign::new(config, policy, oracle, &arena).run()
 }
 
 #[cfg(test)]

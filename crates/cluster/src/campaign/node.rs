@@ -16,11 +16,11 @@ use std::collections::BinaryHeap;
 /// One attempt resident on a node. Its progress is affine in time
 /// between re-anchors: `progress + (t - anchor) / pace` solo-seconds at
 /// time `t`, so nothing has to touch it while its rate holds.
-pub(super) struct Running {
+pub(super) struct Running<'a> {
     /// The queue entry it was placed from, its configuration and first
     /// start pinned at placement; an interruption rewrites it in place
     /// for the requeue.
-    pub(super) q: Queued,
+    pub(super) q: Queued<'a>,
     /// The oracle's interned identity of `(workflow, ranks, config)`.
     pub(super) tenant: TenantId,
     /// Predicted solo runtime under the pinned configuration.
@@ -46,18 +46,18 @@ pub(super) struct Running {
     pub(super) fail_at: Option<f64>,
 }
 
-impl Running {
+impl<'a> Running<'a> {
     /// An attempt placed at `now` on a node whose environment multiplier
     /// (degrade × checkpoint) is `env`, resuming from `q.resume`. It runs
     /// unslowed until its node is re-priced.
     pub(super) fn new(
-        q: Queued,
+        q: Queued<'a>,
         tenant: TenantId,
         solo: f64,
         fail_at: Option<f64>,
         now: f64,
         env: f64,
-    ) -> Running {
+    ) -> Running<'a> {
         let mut r = Running {
             progress: q.resume,
             q,
@@ -97,8 +97,8 @@ impl Running {
     }
 }
 
-pub(super) struct NodeState {
-    pub(super) running: Vec<Running>,
+pub(super) struct NodeState<'a> {
+    pub(super) running: Vec<Running<'a>>,
     /// Cores per socket the residents occupy, kept in step with
     /// `running`.
     pub(super) used: usize,
@@ -114,8 +114,8 @@ pub(super) struct NodeState {
     epoch: u64,
 }
 
-impl NodeState {
-    pub(super) fn new() -> NodeState {
+impl NodeState<'_> {
+    pub(super) fn new() -> Self {
         NodeState {
             running: Vec::new(),
             used: 0,
@@ -220,8 +220,6 @@ impl FreeCores {
 /// Staging changes ride along: a DAG homes with its first placement,
 /// and its holds and live bytes change only when one of its stages
 /// leaves the home node.
-/// (The queue view is still borrowed per round — it holds references
-/// into `queue`, which the loop mutates between rounds.)
 pub(super) struct Views {
     pub(super) views: Vec<NodeView>,
     stale: Vec<bool>,
@@ -332,10 +330,10 @@ impl Repricer {
     }
 }
 
-impl Campaign<'_> {
+impl<'a> Campaign<'a> {
     /// Start attempt `r` on node `ni` now. The node must be re-priced
     /// before the loop next reads its events.
-    pub(super) fn join(&mut self, ni: usize, r: Running) {
+    pub(super) fn join(&mut self, ni: usize, r: Running<'a>) {
         let node = &mut self.nodes[ni];
         node.accrue_busy(self.now);
         let used = node.used + r.q.job.ranks;
@@ -346,7 +344,7 @@ impl Campaign<'_> {
     /// Take resident `i` off node `ni` now, its progress and checkpoint
     /// tax banked to this instant. The node must be re-scheduled (or
     /// re-priced) before the loop next reads its events.
-    pub(super) fn take_resident(&mut self, ni: usize, i: usize) -> Running {
+    pub(super) fn take_resident(&mut self, ni: usize, i: usize) -> Running<'a> {
         let now = self.now;
         let node = &mut self.nodes[ni];
         node.accrue_busy(now);
@@ -420,7 +418,7 @@ impl Campaign<'_> {
 
     /// Take off every resident whose event is due by `horizon`, with
     /// its node: in node order, and within a node in placement order.
-    pub(super) fn take_due(&mut self, horizon: f64) -> Vec<(usize, Running)> {
+    pub(super) fn take_due(&mut self, horizon: f64) -> Vec<(usize, Running<'a>)> {
         let mut due = Vec::new();
         for ni in self.events.pop_due(&self.nodes, horizon) {
             let mut i = 0;

@@ -1,17 +1,85 @@
-//! The campaign queue: entries kept in `(arrival, id)` order and the
-//! [`QueueIndex`] maintained beside them.
+//! The campaign queue: entries kept in `(arrival, id)` order, the
+//! policy's view of them and the [`QueueIndex`] maintained beside them,
+//! and the [`JobArena`] the view points into.
 
 use crate::policy::QueuedJob;
 use pmemflow_core::SchedConfig;
 use pmemflow_des::SimTime;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::sync::Arc;
 
-pub(super) struct Queued {
-    /// The policy-facing fields (id, workflow, ranks, arrival), stored
-    /// in the shape policies consume so a scheduling round can hand out
-    /// `&QueuedJob` borrows instead of cloning every entry.
-    pub(super) job: QueuedJob,
+/// Append-only storage for the policy-facing [`QueuedJob`]s of one
+/// campaign. A stored job never moves or changes, so the queue, its
+/// policy view and the residents all hold plain `&'a QueuedJob`
+/// references for the campaign's lifetime; an entry whose pin or
+/// staging changes gets a new version. Slots live in fixed-size chunks,
+/// each allocated once when the previous one fills, so the arena
+/// touches at most one chunk more than it uses and every chunk comes
+/// from (and returns to) the ordinary heap; the chunks are found
+/// through tables of doubling size (table `k` holds `TABLE_BASE << k`
+/// chunks). Workflow names are kept once each, so every job of a
+/// workflow shares one name allocation.
+pub(super) struct JobArena {
+    tables: [OnceCell<Box<[OnceCell<Chunk>]>>; JobArena::TABLES],
+    len: Cell<usize>,
+    names: RefCell<Vec<Arc<str>>>,
+}
+
+type Chunk = Box<[OnceCell<QueuedJob>]>;
+
+/// `n` empty cells.
+fn cells<T>(n: usize) -> Box<[OnceCell<T>]> {
+    (0..n).map(|_| OnceCell::new()).collect()
+}
+
+impl JobArena {
+    /// Slots per chunk: 64 KiB of jobs.
+    const CHUNK: usize = 1024;
+    const TABLE_BASE: usize = 8;
+    const TABLES: usize = 40;
+
+    pub(super) fn new() -> JobArena {
+        JobArena {
+            tables: [const { OnceCell::new() }; JobArena::TABLES],
+            len: Cell::new(0),
+            names: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The shared name `workflow`. A campaign draws from a handful of
+    /// workflows, so a scan finds it.
+    pub(super) fn name(&self, workflow: &str) -> Arc<str> {
+        let mut names = self.names.borrow_mut();
+        if let Some(name) = names.iter().find(|n| ***n == *workflow) {
+            return Arc::clone(name);
+        }
+        names.push(workflow.into());
+        Arc::clone(names.last().expect("just pushed"))
+    }
+
+    /// Store `job` for the arena's lifetime.
+    pub(super) fn alloc(&self, job: QueuedJob) -> &QueuedJob {
+        let i = self.len.get();
+        self.len.set(i + 1);
+        let c = i / Self::CHUNK;
+        // Table k starts at chunk TABLE_BASE * (2^k - 1).
+        let k = (c / Self::TABLE_BASE + 1).ilog2() as usize;
+        let table = self.tables[k].get_or_init(|| cells(Self::TABLE_BASE << k));
+        let chunk = table[c - Self::TABLE_BASE * ((1 << k) - 1)].get_or_init(|| cells(Self::CHUNK));
+        let slot = &chunk[i % Self::CHUNK];
+        assert!(slot.set(job).is_ok(), "arena slot {i} filled twice");
+        slot.get().expect("slot just filled")
+    }
+}
+
+/// One queued entry: the policy-facing job and the campaign's own
+/// bookkeeping for it.
+pub(super) struct Queued<'a> {
+    /// The policy-facing fields (id, workflow, ranks, arrival, staging,
+    /// home pin), shared with the queue's policy view.
+    pub(super) job: &'a QueuedJob,
     pub(super) client: Option<usize>,
     pub(super) restarts: u32,
     /// Solo-seconds of checkpointed progress the next attempt resumes from.
@@ -29,14 +97,14 @@ pub(super) struct Queued {
     pub(super) dag: Option<(u32, usize)>,
 }
 
-impl Queued {
+impl<'a> Queued<'a> {
     /// The entry of a submission (or DAG stage) that has never run.
     pub(super) fn fresh(
-        job: QueuedJob,
+        job: &'a QueuedJob,
         client: Option<usize>,
         eligible: f64,
         dag: Option<(u32, usize)>,
-    ) -> Queued {
+    ) -> Queued<'a> {
         Queued {
             job,
             client,
@@ -52,34 +120,162 @@ impl Queued {
     }
 }
 
-/// Keep the queue sorted by (arrival, id): a restarted job re-enters at
-/// its original priority, not at the back. The index is maintained in
-/// the same breath so it can never drift from the queue. Sortedness
-/// makes the insert point a binary search, and the ring buffer makes
-/// the insert shift only the shorter side — fresh arrivals (largest
-/// key, back of the queue) cost O(log n) + O(1) even when a backlogged
-/// campaign holds tens of thousands of entries.
-pub(super) fn enqueue(queue: &mut VecDeque<Queued>, index: &mut QueueIndex, q: Queued, now: f64) {
-    index.on_enqueue(&q, now);
-    let at = queue.partition_point(|o| (o.job.arrival, o.job.id) <= (q.job.arrival, q.job.id));
-    // Ids are issued in admission order, so they ascend along the queue
-    // too: `Campaign::place` binary-searches on them.
-    debug_assert!(
-        (at == 0 || queue[at - 1].job.id < q.job.id)
-            && queue.get(at).is_none_or(|o| q.job.id < o.job.id),
-        "job {} breaks the queue's id order",
-        q.job.id
-    );
-    queue.insert(at, q);
+/// The queue: entries sorted by `(arrival, id)` — a restarted job
+/// re-enters at its original priority, not at the back — and, in
+/// lockstep, the policy's view of them (`view[i]` is `entries[i].job`)
+/// and the [`QueueIndex`]. Every change goes through the methods below,
+/// so the three never disagree. Sortedness makes each insert point a
+/// binary search, and the ring buffers shift only the shorter side —
+/// fresh arrivals (largest key, back of the queue) cost O(log n) + O(1)
+/// even when a backlogged campaign holds tens of thousands of entries.
+#[derive(Default)]
+pub(super) struct Queue<'a> {
+    entries: VecDeque<Queued<'a>>,
+    /// The jobs of `entries`, contiguous once a round asks: a
+    /// fault-free round hands it to the policy as it stands.
+    view: VecDeque<&'a QueuedJob>,
+    index: QueueIndex,
+    /// Scratch for the eligible subset while some entry is in backoff.
+    eligible: Vec<&'a QueuedJob>,
 }
 
-/// Position of the first queued entry at or past `(arrival, id)` in the
-/// queue's order. A DAG's stages share its arrival and hold contiguous
-/// ids, so its queued stages form one run starting at
-/// `seek(queue, d.arrival, d.first_stage_id)`, and stage `si` (if
-/// queued) sits at `seek(queue, d.arrival, d.first_stage_id + si)`.
-pub(super) fn seek(queue: &VecDeque<Queued>, arrival: f64, id: u64) -> usize {
-    queue.partition_point(|o| (o.job.arrival, o.job.id) < (arrival, id))
+impl<'a> Queue<'a> {
+    pub(super) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    pub(super) fn iter(&self) -> impl Iterator<Item = &Queued<'a>> {
+        self.entries.iter()
+    }
+
+    pub(super) fn get(&self, i: usize) -> Option<&Queued<'a>> {
+        self.entries.get(i)
+    }
+
+    /// Insert `q` at its `(arrival, id)` position.
+    pub(super) fn enqueue(&mut self, q: Queued<'a>, now: f64) {
+        self.index.on_enqueue(&q, now);
+        let at = self.seek(q.job.arrival, q.job.id);
+        // Ids are issued in admission order, so they ascend along the
+        // queue too: `position` binary-searches on them.
+        debug_assert!(
+            (at == 0 || self.entries[at - 1].job.id < q.job.id)
+                && self.entries.get(at).is_none_or(|o| q.job.id < o.job.id),
+            "job {} breaks the queue's id order",
+            q.job.id
+        );
+        self.view.insert(at, q.job);
+        self.entries.insert(at, q);
+    }
+
+    /// Take entry `i` out.
+    pub(super) fn remove(&mut self, i: usize, now: f64) -> Queued<'a> {
+        self.index.on_remove(&self.entries[i], now);
+        self.view.remove(i);
+        self.entries.remove(i).expect("queue index in range")
+    }
+
+    /// Position of queued job `id`: `Err` when it is not queued.
+    pub(super) fn position(&self, id: u64) -> Result<usize, usize> {
+        self.view.binary_search_by_key(&id, |j| j.id)
+    }
+
+    /// Position of the first queued entry at or past `(arrival, id)` in
+    /// the queue's order. A DAG's stages share its arrival and hold
+    /// contiguous ids, so its queued stages form one run starting at
+    /// `seek(d.arrival, d.first_stage_id)`, and stage `si` (if queued)
+    /// sits at `seek(d.arrival, d.first_stage_id + si)`.
+    pub(super) fn seek(&self, arrival: f64, id: u64) -> usize {
+        self.view
+            .partition_point(|j| (j.arrival, j.id) < (arrival, id))
+    }
+
+    /// Pin every queued stage of DAG `di` (the run from `run`) to its
+    /// home `node`, weightless: each gets a new version from `arena`,
+    /// swapped into its entry and the view alike.
+    pub(super) fn pin_dag(&mut self, run: usize, di: u32, node: usize, arena: &'a JobArena) {
+        let sibling = |o: &Queued| o.dag.is_some_and(|(odi, _)| odi == di);
+        let stages = self
+            .entries
+            .range_mut(run..)
+            .zip(self.view.range_mut(run..));
+        for (o, v) in stages.take_while(|(o, _)| sibling(o)) {
+            o.job = arena.alloc(QueuedJob {
+                home: Some(node),
+                staging: 0.0,
+                ..o.job.clone()
+            });
+            *v = o.job;
+        }
+        debug_assert!(
+            self.entries
+                .iter()
+                .filter(|o| sibling(o))
+                .all(|o| o.job.home == Some(node)),
+            "a queued sibling escaped the pinning run"
+        );
+    }
+
+    /// The jobs a policy round may place at `now`, in queue order. With
+    /// no entry in backoff (every round of a fault-free campaign) that
+    /// is the whole view, handed out as it stands; otherwise the
+    /// eligible subset, collected into reused scratch.
+    pub(super) fn policy_view(&mut self, now: f64) -> &[&'a QueuedJob] {
+        if self.index.has_backoff(now) {
+            self.eligible.clear();
+            self.eligible.extend(
+                self.entries
+                    .iter()
+                    .filter(|q| backoff_expired(q, now))
+                    .map(|q| q.job),
+            );
+            return &self.eligible;
+        }
+        debug_assert!(self.entries.iter().all(|q| backoff_expired(q, now)));
+        #[cfg(debug_assertions)]
+        self.check_view();
+        self.view.make_contiguous()
+    }
+
+    /// The view against the reference collect of the entries' jobs: the
+    /// same jobs in the same order, every field equal.
+    #[cfg(debug_assertions)]
+    fn check_view(&self) {
+        assert_eq!(self.view.len(), self.entries.len(), "view length diverged");
+        for (v, q) in self.view.iter().zip(&self.entries) {
+            let j = q.job;
+            assert!(
+                v.id == j.id
+                    && v.workflow == j.workflow
+                    && v.ranks == j.ranks
+                    && v.arrival.to_bits() == j.arrival.to_bits()
+                    && v.staging.to_bits() == j.staging.to_bits()
+                    && v.home == j.home,
+                "policy view diverged from the queue at job {}",
+                j.id
+            );
+        }
+    }
+
+    /// The earliest backoff expiry strictly after `now`, if any entry
+    /// is still in backoff.
+    pub(super) fn next_expiry(&mut self, now: f64) -> Option<f64> {
+        self.index.next_expiry(now)
+    }
+
+    /// Whether any queued entry is still inside its backoff at `now`.
+    pub(super) fn has_backoff(&mut self, now: f64) -> bool {
+        self.index.has_backoff(now)
+    }
+
+    /// Smallest `ranks` over the whole queue.
+    pub(super) fn min_ranks(&self) -> Option<usize> {
+        self.index.min_ranks()
+    }
 }
 
 /// Backoff expiries strictly in the future, as event-loop candidates.
@@ -88,9 +284,12 @@ pub(super) fn seek(queue: &VecDeque<Queued>, arrival: f64, id: u64) -> usize {
 /// expiry a nanosecond ahead must be selectable as the next event — the
 /// old `e > now + 1e-9` filter dropped it from the candidate set and
 /// parked the job on whatever unrelated event happened to come later.
-pub(super) fn next_backoff_expiry(queue: &VecDeque<Queued>, now: f64) -> Option<f64> {
-    queue
-        .iter()
+pub(super) fn next_backoff_expiry<'q, 'a: 'q>(
+    entries: impl IntoIterator<Item = &'q Queued<'a>>,
+    now: f64,
+) -> Option<f64> {
+    entries
+        .into_iter()
         .map(|q| q.eligible)
         .filter(|&e| e > now)
         .min_by(f64::total_cmp)
@@ -112,7 +311,7 @@ pub(super) fn backoff_expired(q: &Queued, now: f64) -> bool {
 /// (asserted equal under `debug_assertions`) whenever they cannot answer
 /// precisely.
 #[derive(Default)]
-pub(super) struct QueueIndex {
+struct QueueIndex {
     /// Backoff expiries of queued entries, lazily pruned. An entry is
     /// pushed when it enters the queue with `eligible` still in the
     /// future and becomes stale once `now` passes that instant. A placed
@@ -138,7 +337,7 @@ impl QueueIndex {
         }
     }
 
-    pub(super) fn on_remove(&mut self, q: &Queued, now: f64) {
+    fn on_remove(&mut self, q: &Queued, now: f64) {
         if q.eligible > now {
             self.cancelled.push(Reverse(SimTime(q.eligible)));
         }
@@ -172,7 +371,7 @@ impl QueueIndex {
 
     /// [`next_backoff_expiry`] without the scan: the earliest expiry
     /// strictly after `now`, if any entry is still in backoff.
-    pub(super) fn next_expiry(&mut self, now: f64) -> Option<f64> {
+    fn next_expiry(&mut self, now: f64) -> Option<f64> {
         self.prune(now);
         self.backoff.peek().map(|Reverse(e)| e.0)
     }
@@ -180,13 +379,13 @@ impl QueueIndex {
     /// Whether any queued entry is still inside its backoff at `now` —
     /// when false, every queued entry is eligible and the rank multiset
     /// answers eligibility-filtered queries exactly.
-    pub(super) fn has_backoff(&mut self, now: f64) -> bool {
+    fn has_backoff(&mut self, now: f64) -> bool {
         self.prune(now);
         !self.backoff.is_empty()
     }
 
     /// Smallest `ranks` over the whole queue.
-    pub(super) fn min_ranks(&self) -> Option<usize> {
+    fn min_ranks(&self) -> Option<usize> {
         self.rank_counts.keys().next().copied()
     }
 }
@@ -196,15 +395,15 @@ mod tests {
     use super::*;
     use pmemflow_des::rng::SplitMix64;
 
-    fn entry(id: u64, ranks: usize, eligible: f64) -> Queued {
-        let job = QueuedJob {
+    fn entry(arena: &JobArena, id: u64, ranks: usize, eligible: f64) -> Queued<'_> {
+        let job = arena.alloc(QueuedJob {
             id,
             workflow: "w".into(),
             ranks,
             arrival: 0.0,
             staging: 0.0,
             home: None,
-        };
+        });
         Queued::fresh(job, None, eligible, None)
     }
 
@@ -214,11 +413,12 @@ mod tests {
     /// eligibility must be exact — never a nanosecond early.
     #[test]
     fn backoff_expiry_selection_is_exact() {
-        let q = |eligible: f64| entry(0, 1, eligible);
+        let arena = JobArena::new();
+        let q = |eligible: f64| entry(&arena, 0, 1, eligible);
         let now = 100.0;
         let sub_ns = now + 1e-10;
         assert_eq!(
-            next_backoff_expiry(&VecDeque::from([q(sub_ns)]), now),
+            next_backoff_expiry(&[q(sub_ns)], now),
             Some(sub_ns),
             "a sub-nanosecond future expiry must be an event candidate"
         );
@@ -229,22 +429,36 @@ mod tests {
         // At or before now: eligible, and no longer an event candidate.
         assert!(backoff_expired(&q(now), now));
         assert!(backoff_expired(&q(now - 1.0), now));
-        assert_eq!(next_backoff_expiry(&VecDeque::from([q(now)]), now), None);
+        assert_eq!(next_backoff_expiry(&[q(now)], now), None);
         // The earliest future expiry wins.
         assert_eq!(
-            next_backoff_expiry(&VecDeque::from([q(now + 2.0), q(now + 1.0)]), now),
+            next_backoff_expiry(&[q(now + 2.0), q(now + 1.0)], now),
             Some(now + 1.0)
         );
     }
 
+    /// Arena references stay valid, and keep their values, across the
+    /// inserts that open new chunks.
+    #[test]
+    fn arena_references_survive_later_inserts() {
+        let arena = JobArena::new();
+        let held: Vec<&QueuedJob> = (0..5_000u64)
+            .map(|id| entry(&arena, id, id as usize % 7, 0.0).job)
+            .collect();
+        for (id, job) in held.iter().enumerate() {
+            assert_eq!((job.id, job.ranks), (id as u64, id % 7));
+        }
+    }
+
     /// The incremental [`QueueIndex`] must agree with the reference
     /// scans it replaces — next backoff expiry and eligible-min-ranks —
-    /// across randomized enqueue/advance/remove churn.
+    /// and the policy view with the entries, across randomized
+    /// enqueue/advance/remove churn.
     #[test]
     fn queue_index_matches_reference_scans_under_churn() {
+        let arena = JobArena::new();
         let mut rng = SplitMix64::new(0x1D_E11);
-        let mut queue: VecDeque<Queued> = VecDeque::new();
-        let mut index = QueueIndex::default();
+        let mut queue = Queue::default();
         let mut now = 0.0f64;
         for id in 0..2_000u64 {
             match rng.range_u64(0, 5) {
@@ -252,11 +466,11 @@ mod tests {
                 0 | 1 => {
                     let ranks = [8, 16, 24][rng.range_usize(0, 3)];
                     let eligible = now + rng.range_f64(-5.0, 5.0);
-                    enqueue(&mut queue, &mut index, entry(id, ranks, eligible), now);
+                    queue.enqueue(entry(&arena, id, ranks, eligible), now);
                 }
                 // Advance time, sometimes exactly onto an expiry.
                 2 => {
-                    now = match next_backoff_expiry(&queue, now) {
+                    now = match next_backoff_expiry(queue.iter(), now) {
                         Some(e) if rng.next_bool() => e,
                         _ => now + rng.range_f64(0.0, 3.0),
                     };
@@ -264,47 +478,52 @@ mod tests {
                 // Remove a random *eligible* entry, like a placement.
                 3 => {
                     let eligible: Vec<usize> = (0..queue.len())
-                        .filter(|&i| backoff_expired(&queue[i], now))
+                        .filter(|&i| backoff_expired(&queue.entries[i], now))
                         .collect();
                     if !eligible.is_empty() {
                         let qi = eligible[rng.range_usize(0, eligible.len())];
-                        index.on_remove(&queue[qi], now);
-                        queue.remove(qi);
+                        queue.remove(qi, now);
                     }
                 }
                 // Remove any entry, in backoff or not, like a DAG cascade.
                 _ => {
                     if !queue.is_empty() {
                         let qi = rng.range_usize(0, queue.len());
-                        index.on_remove(&queue[qi], now);
-                        queue.remove(qi);
+                        queue.remove(qi, now);
                     }
                 }
             }
             assert_eq!(
-                index.next_expiry(now).map(f64::to_bits),
-                next_backoff_expiry(&queue, now).map(f64::to_bits),
+                queue.next_expiry(now).map(f64::to_bits),
+                next_backoff_expiry(queue.iter(), now).map(f64::to_bits),
                 "expiry diverged at step {id}"
             );
+            let eligible: Vec<u64> = queue
+                .iter()
+                .filter(|q| backoff_expired(q, now))
+                .map(|q| q.job.id)
+                .collect();
             let scan_min = queue
                 .iter()
                 .filter(|q| backoff_expired(q, now))
                 .map(|q| q.job.ranks)
                 .min();
-            if index.has_backoff(now) {
+            if queue.has_backoff(now) {
                 assert_eq!(
-                    index.min_ranks(),
+                    queue.min_ranks(),
                     queue.iter().map(|q| q.job.ranks).min(),
                     "rank multiset diverged at step {id}"
                 );
             } else {
                 assert_eq!(
-                    index.min_ranks(),
+                    queue.min_ranks(),
                     scan_min,
                     "with no backoff pending the multiset must be the \
                      eligible min exactly (step {id})"
                 );
             }
+            let view: Vec<u64> = queue.policy_view(now).iter().map(|j| j.id).collect();
+            assert_eq!(view, eligible, "policy view diverged at step {id}");
         }
     }
 }

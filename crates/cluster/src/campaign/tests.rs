@@ -581,7 +581,7 @@ fn admit(c: &mut Campaign, arrival: Arrival) {
 
 /// Place queued job `id` on node 0 under the oracle's best
 /// configuration, and take its attempt straight back off the node.
-fn place_and_take(c: &mut Campaign, id: u64) -> Running {
+fn place_and_take<'a>(c: &mut Campaign<'a>, id: u64) -> Running<'a> {
     let job = &c.queue.iter().find(|q| q.job.id == id).unwrap().job;
     let config = c.oracle.best_config(&job.workflow, job.ranks);
     let placement = Placement {
@@ -606,7 +606,8 @@ fn complete_source(c: &mut Campaign) {
 #[test]
 fn interrupted_attempt_requeues_home_from_its_checkpoint() {
     let (cfg, oracle, arrival) = diamond_fixture();
-    let mut c = Campaign::new(&cfg, &Fcfs, &oracle);
+    let arena = JobArena::new();
+    let mut c = Campaign::new(&cfg, &Fcfs, &oracle, &arena);
     admit(&mut c, arrival);
     // The source is placed un-homed, carrying the whole reservation.
     let mut r = place_and_take(&mut c, 0);
@@ -618,7 +619,7 @@ fn interrupted_attempt_requeues_home_from_its_checkpoint() {
     c.settle_interrupted(r, 0);
     assert!(c.records.is_empty());
     assert_eq!(c.dags[0].state[0], StageState::Ready);
-    let q = &c.queue[0];
+    let q = c.queue.get(0).unwrap();
     assert_eq!(q.restarts, 1);
     assert_eq!(q.resume, 30.0, "resume at the checkpoint floor");
     assert_eq!(q.lost_work, 7.0);
@@ -633,7 +634,8 @@ fn interrupted_attempt_requeues_home_from_its_checkpoint() {
 #[test]
 fn exhausted_stage_revives_from_a_banked_checkpoint() {
     let (cfg, oracle, arrival) = diamond_fixture();
-    let mut c = Campaign::new(&cfg, &Fcfs, &oracle);
+    let arena = JobArena::new();
+    let mut c = Campaign::new(&cfg, &Fcfs, &oracle, &arena);
     admit(&mut c, arrival);
     complete_source(&mut c);
     let mut r = place_and_take(&mut c, 1);
@@ -661,7 +663,8 @@ fn exhausted_stage_revives_from_a_banked_checkpoint() {
 #[test]
 fn exhausted_stage_without_revival_fails_the_dag() {
     let (cfg, oracle, arrival) = diamond_fixture();
-    let mut c = Campaign::new(&cfg, &Fcfs, &oracle);
+    let arena = JobArena::new();
+    let mut c = Campaign::new(&cfg, &Fcfs, &oracle, &arena);
     admit(&mut c, arrival);
     complete_source(&mut c);
     let mut r = place_and_take(&mut c, 1);
@@ -738,6 +741,22 @@ fn node_indexes_match_reference_scans_under_churn() {
                 .iter()
                 .any(|j| !j.dag.is_empty() && !j.completed && j.start == j.finish),
             "{name}: no DAG failure cascaded"
+        );
+        // A fan-in producer that started after its sibling homed the DAG
+        // waited in the queue re-pinned to the home node.
+        let mut first_sim: BTreeMap<&str, f64> = BTreeMap::new();
+        let mut repinned = 0;
+        for j in out.jobs.iter().filter(|j| j.dag.starts_with("fanin#")) {
+            if j.stage.starts_with("sim") {
+                let first = first_sim.entry(&j.dag).or_insert(j.start);
+                repinned += usize::from(j.start != *first);
+                *first = first.min(j.start);
+            }
+        }
+        assert!(repinned > 0, "{name}: no queued stage was re-pinned");
+        assert!(
+            out.jobs.iter().any(|j| j.restarts > 0 && j.completed),
+            "{name}: no requeued job ran again after its backoff"
         );
         let nodes: BTreeSet<usize> = out.jobs.iter().map(|j| j.node).collect();
         assert_eq!(nodes.len(), cfg.nodes, "{name}: a node never ran a job");

@@ -2,9 +2,14 @@
 //!
 //! A policy is consulted whenever the cluster state changes (an arrival or
 //! a completion) and returns the batch of placements to make *now*. It
-//! sees an immutable snapshot of the queue and node occupancy plus the
-//! shared prediction [`Oracle`]; the campaign loop applies the batch and
-//! re-prices affected nodes.
+//! borrows the campaign's own queue (in queue order) and node views,
+//! plus the shared prediction [`Oracle`]; the campaign loop applies the
+//! batch and re-prices affected nodes. A round costs what it looks at
+//! and places: the campaign hands over its queue as it stands, and the
+//! policies plan in per-node slots, kept in a per-thread buffer reused
+//! from round to round and filled from a node's view on the round's
+//! first look, so nothing is copied or allocated per queued job or per
+//! node.
 //!
 //! Four policies ship:
 //!
@@ -41,12 +46,14 @@
 
 use crate::predict::{Oracle, TenantKey};
 use pmemflow_core::{check_fit, ExecError, SchedConfig, CORES_PER_SOCKET};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// A job waiting in the queue, as policies see it. The campaign stores
-/// one per queue entry and hands policies a borrowed snapshot
-/// (`&[&QueuedJob]`), so a scheduling round over a deep backlog costs a
-/// pointer collect, not a per-entry clone.
+/// A job waiting in the queue, as policies see it. The campaign keeps
+/// its queue as a contiguous `&QueuedJob` sequence in queue order and
+/// hands policies that slice itself (`&[&QueuedJob]`), so a scheduling
+/// round over a deep backlog copies nothing; only while some entry is
+/// inside its restart backoff is the eligible subset collected.
 #[derive(Debug, Clone)]
 pub struct QueuedJob {
     /// Submission id (arrival order).
@@ -123,11 +130,10 @@ impl NodeView {
     }
 
     /// The tenant keys of the residents (for co-run pricing).
-    fn resident_keys(&self) -> Vec<TenantKey> {
+    fn resident_keys(&self) -> impl Iterator<Item = TenantKey> + '_ {
         self.residents
             .iter()
             .map(|r| TenantKey::new(&r.workflow, r.ranks, r.config))
-            .collect()
     }
 }
 
@@ -188,49 +194,126 @@ pub fn all_policies() -> Vec<Box<dyn Policy>> {
 /// sums of exact binary volumes, but planned state accumulates floats.
 const STAGING_EPS: f64 = 1e-9;
 
-/// Mutable occupancy scratch the policies plan cumulative batches with —
-/// cores *and* staging, so a batch is internally consistent on both
-/// resources.
-struct PlanState {
-    used: Vec<usize>,
-    staging_used: Vec<f64>,
-    up: Vec<bool>,
+/// One node's planned state: up or not, cores in use and staging GiB
+/// reserved, this batch's placements included. Valid in the round it
+/// is stamped with.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    round: u64,
+    up: bool,
+    used: usize,
+    staging: f64,
+}
+
+thread_local! {
+    /// The last round's stamp and its slots, handed to the next round on
+    /// this thread: once warm, a round allocates nothing and clears
+    /// nothing, since a bumped stamp makes every slot stale at once.
+    static PLAN_SCRATCH: Cell<(u64, Vec<Cell<Slot>>)> = const { Cell::new((0, Vec::new())) };
+}
+
+/// The occupancy the policies plan cumulative batches against — cores
+/// *and* staging, so a batch is internally consistent on both
+/// resources. A node's slot is read from its view the first time the
+/// round reaches it and then carries the batch's own placements, so a
+/// round costs the nodes it looks at, and every later look is an index.
+struct PlanState<'n> {
+    nodes: &'n [NodeView],
+    round: u64,
+    slots: Vec<Cell<Slot>>,
     staging_cap: f64,
 }
 
-impl PlanState {
-    fn new(nodes: &[NodeView]) -> PlanState {
+impl<'n> PlanState<'n> {
+    fn new(nodes: &'n [NodeView]) -> PlanState<'n> {
+        let (last, mut slots) = PLAN_SCRATCH.take();
+        if slots.len() < nodes.len() {
+            slots.resize(nodes.len(), Cell::default());
+        }
         PlanState {
-            used: nodes.iter().map(NodeView::used_cores).collect(),
-            staging_used: nodes.iter().map(|n| n.staging_reserved).collect(),
-            up: nodes.iter().map(|n| n.up).collect(),
+            nodes,
+            round: last + 1,
+            slots,
             staging_cap: nodes.first().map_or(0.0, |n| n.staging_capacity),
         }
     }
 
-    /// Whether `job` fits `node` right now: the node is up, honors the
-    /// job's home pin, and has both the cores and the staging headroom.
+    /// `node`'s slot, read from its view on the round's first look.
+    #[inline]
+    fn slot(&self, node: usize) -> Slot {
+        let s = self.slots[node].get();
+        if s.round == self.round {
+            s
+        } else {
+            self.refresh(node)
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn refresh(&self, node: usize) -> Slot {
+        let n = &self.nodes[node];
+        let s = Slot {
+            round: self.round,
+            up: n.up,
+            used: n.used_cores(),
+            staging: n.staging_reserved,
+        };
+        self.slots[node].set(s);
+        s
+    }
+
+    fn used(&self, node: usize) -> usize {
+        self.slot(node).used
+    }
+
+    fn staging(&self, node: usize) -> f64 {
+        self.slot(node).staging
+    }
+
+    /// The cores in use on `node` if `job` fits it right now: the node
+    /// is up, honors the job's home pin, and has both the cores and the
+    /// staging headroom.
+    fn fit(&self, node: usize, job: &QueuedJob) -> Option<usize> {
+        if job.home.is_some_and(|h| h != node) {
+            return None;
+        }
+        let s = self.slot(node);
+        (s.up
+            && check_fit(s.used + job.ranks).is_ok()
+            && s.staging + job.staging <= self.staging_cap + STAGING_EPS)
+            .then_some(s.used)
+    }
+
     fn fits(&self, node: usize, job: &QueuedJob) -> bool {
-        self.up[node]
-            && job.home.is_none_or(|h| h == node)
-            && check_fit(self.used[node] + job.ranks).is_ok()
-            && self.staging_used[node] + job.staging <= self.staging_cap + STAGING_EPS
+        self.fit(node, job).is_some()
     }
 
     fn first_fit(&self, job: &QueuedJob) -> Option<usize> {
-        (0..self.used.len()).find(|&n| self.fits(n, job))
+        (0..self.nodes.len()).find(|&n| self.fits(n, job))
     }
 
     /// Least-loaded node with room; ties go to the lowest id.
     fn least_loaded_fit(&self, job: &QueuedJob) -> Option<usize> {
-        (0..self.used.len())
-            .filter(|&n| self.fits(n, job))
-            .min_by_key(|&n| self.used[n])
+        (0..self.nodes.len())
+            .filter_map(|n| Some((self.fit(n, job)?, n)))
+            .min()
+            .map(|(_, n)| n)
     }
 
     fn place(&mut self, node: usize, job: &QueuedJob) {
-        self.used[node] += job.ranks;
-        self.staging_used[node] += job.staging;
+        let s = self.slot(node);
+        self.slots[node].set(Slot {
+            used: s.used + job.ranks,
+            staging: s.staging + job.staging,
+            ..s
+        });
+    }
+}
+
+impl Drop for PlanState<'_> {
+    fn drop(&mut self) {
+        PLAN_SCRATCH.set((self.round, std::mem::take(&mut self.slots)));
     }
 }
 
@@ -314,7 +397,7 @@ impl Policy for EasyBackfill {
         for node in nodes {
             // A down node cannot anchor the head's reservation: nothing
             // frees on it and nothing may start on it.
-            if !node.up || check_fit(plan.used[node.id]).is_err() {
+            if !node.up || check_fit(plan.used(node.id)).is_err() {
                 continue;
             }
             if head.home.is_some_and(|h| h != node.id) {
@@ -327,7 +410,7 @@ impl Policy for EasyBackfill {
                 .collect();
             finishes.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let mut t = now;
-            let mut free = CORES_PER_SOCKET - plan.used[node.id];
+            let mut free = CORES_PER_SOCKET - plan.used(node.id);
             let mut fits_at = None;
             if free >= head.ranks {
                 fits_at = Some(t);
@@ -345,7 +428,7 @@ impl Policy for EasyBackfill {
             // Staging side: walk the node's holds in release order until
             // enough capacity is predicted free for the head's footprint.
             let mut staging_at = None;
-            let mut staging_free = node.staging_capacity - plan.staging_used[node.id];
+            let mut staging_free = node.staging_capacity - plan.staging(node.id);
             if head.staging <= staging_free + STAGING_EPS {
                 staging_at = Some(now);
             } else {
@@ -460,37 +543,43 @@ impl Policy for InterferenceAware {
         oracle: &Oracle,
     ) -> Result<Vec<Placement>, ExecError> {
         let mut plan = PlanState::new(nodes);
-        // Track this batch's own placements so scoring sees them too.
-        let mut planned: Vec<Vec<TenantKey>> = nodes.iter().map(NodeView::resident_keys).collect();
-        let mut planned_staging: Vec<f64> = vec![0.0; nodes.len()];
+        // This batch's own placements, in order, so scoring sees them
+        // too: (node, tenant key, staging GiB).
+        let mut own: Vec<(usize, TenantKey, f64)> = Vec::new();
+        // A candidate node's planned residents, rebuilt per candidate.
+        let mut set: Vec<TenantKey> = Vec::new();
         let mut batch = Vec::new();
         for (qi, job) in queue.iter().enumerate() {
             let config = oracle.best_config(&job.workflow, job.ranks);
             let key = TenantKey::new(&job.workflow, job.ranks, config);
             let mut best: Option<(f64, usize, usize)> = None; // (cost, used, node)
-            for (node, residents) in planned.iter().enumerate() {
+            for (node, view) in nodes.iter().enumerate() {
                 if !plan.fits(node, job) {
                     continue;
                 }
+                let mine = || own.iter().filter(move |o| o.0 == node);
+                set.clear();
+                set.extend(view.resident_keys());
+                set.extend(mine().map(|o| o.1.clone()));
                 // Marginal aggregate cost of joining this node: the job's
                 // own slowdown plus the extra slowdown it inflicts on the
                 // planned residents. Scoring only the incoming job's side
                 // over-packs — a newcomer can run nearly unharmed while
                 // wrecking a bandwidth-bound resident.
-                let before: f64 = oracle.corun_slowdowns(residents)?.iter().sum();
-                let mut set = residents.clone();
+                let before: f64 = oracle.corun_slowdowns(&set)?.iter().sum();
                 set.push(key.clone());
                 let after: f64 = oracle.corun_slowdowns(&set)?.iter().sum();
                 // Staged intermediates resident across stage boundaries
                 // price like load: the more of the node's PMEM staging
                 // is live (or about to be), the costlier joining it is.
-                let pressure = if nodes[node].staging_capacity > 0.0 {
-                    STAGING_WEIGHT * (nodes[node].staged_gib + planned_staging[node] + job.staging)
-                        / nodes[node].staging_capacity
+                let pressure = if view.staging_capacity > 0.0 {
+                    let planned_staging = mine().fold(0.0, |gib, o| gib + o.2);
+                    STAGING_WEIGHT * (view.staged_gib + planned_staging + job.staging)
+                        / view.staging_capacity
                 } else {
                     0.0
                 };
-                let score = (after - before + pressure, plan.used[node], node);
+                let score = (after - before + pressure, plan.used(node), node);
                 if best.is_none_or(|b| score < b) {
                     best = Some(score);
                 }
@@ -505,8 +594,7 @@ impl Policy for InterferenceAware {
                 continue;
             }
             plan.place(node, job);
-            planned[node].push(key);
-            planned_staging[node] += job.staging;
+            own.push((node, key, job.staging));
             batch.push(Placement {
                 job: job.id,
                 node,

@@ -93,10 +93,15 @@ struct Interned {
     rank: u32,
 }
 
+/// The characterized alphabet: workflow name, then ranks. Nested so a
+/// `&str` looks an entry up without building an owned key; iteration
+/// order is `(name, ranks)` order, as with a tuple key.
+type Alphabet = BTreeMap<String, BTreeMap<usize, Arc<AlphabetEntry>>>;
+
 /// The oracle's tables and the scratch its co-run lookups reuse.
 #[derive(Default)]
 struct OracleMaps {
-    entries: BTreeMap<(String, usize), Arc<AlphabetEntry>>,
+    entries: Alphabet,
     ids: HashMap<TenantKey, TenantId>,
     /// Indexed by [`TenantId`].
     tenants: Vec<Interned>,
@@ -136,9 +141,22 @@ impl OracleMaps {
     }
 
     fn entry(&self, workflow: &str, ranks: usize) -> &Arc<AlphabetEntry> {
-        self.entries
-            .get(&(workflow.to_string(), ranks))
+        self.lookup(workflow, ranks)
             .unwrap_or_else(|| panic!("{workflow}@{ranks} not in the campaign alphabet"))
+    }
+
+    fn lookup(&self, workflow: &str, ranks: usize) -> Option<&Arc<AlphabetEntry>> {
+        self.entries.get(workflow)?.get(&ranks)
+    }
+
+    /// Characterize `workflow@ranks` as `make` builds it, unless it
+    /// already is: the first insert wins.
+    fn insert(&mut self, workflow: &str, ranks: usize, make: impl FnOnce() -> AlphabetEntry) {
+        self.entries
+            .entry(workflow.to_string())
+            .or_default()
+            .entry(ranks)
+            .or_insert_with(|| Arc::new(make()));
     }
 
     /// Fill `order` and `canonical` for `ids`. The sort is stable and
@@ -178,24 +196,19 @@ impl Oracle {
     ) -> Result<Oracle, ExecError> {
         let items: Vec<(String, usize, WorkflowSpec)> = alphabet.to_vec();
         let results = map_ordered(items, jobs, |(_, _, spec)| characterize_one(spec, exec));
-        let mut entries = BTreeMap::new();
+        let mut maps = OracleMaps::default();
         for ((name, ranks, spec), result) in alphabet.iter().cloned().zip(results) {
             let (sweep, profile) = result
                 .map_err(|panic| ExecError::Spec(format!("characterization panicked: {panic}")))?
                 .map_err(|e| ExecError::Spec(format!("characterizing {name}@{ranks}: {e}")))?;
-            entries.entry((name, ranks)).or_insert_with(|| {
-                Arc::new(AlphabetEntry {
-                    spec,
-                    sweep,
-                    profile,
-                })
+            maps.insert(&name, ranks, || AlphabetEntry {
+                spec,
+                sweep,
+                profile,
             });
         }
         Ok(Oracle {
-            maps: Mutex::new(OracleMaps {
-                entries,
-                ..OracleMaps::default()
-            }),
+            maps: Mutex::new(maps),
             exec: exec.clone(),
         })
     }
@@ -215,23 +228,17 @@ impl Oracle {
         }
         let (sweep, profile) = characterize_one(spec, &self.exec)
             .map_err(|e| ExecError::Spec(format!("characterizing {workflow}@{ranks}: {e}")))?;
-        lock_recover(&self.maps)
-            .entries
-            .entry((workflow.to_string(), ranks))
-            .or_insert_with(|| {
-                Arc::new(AlphabetEntry {
-                    spec: spec.clone(),
-                    sweep,
-                    profile,
-                })
-            });
+        lock_recover(&self.maps).insert(workflow, ranks, || AlphabetEntry {
+            spec: spec.clone(),
+            sweep,
+            profile,
+        });
         Ok(())
     }
 
     /// Whether `workflow@ranks` has been characterized already.
     pub fn contains(&self, workflow: &str, ranks: usize) -> bool {
-        let key = (workflow.to_string(), ranks);
-        lock_recover(&self.maps).entries.contains_key(&key)
+        lock_recover(&self.maps).lookup(workflow, ranks).is_some()
     }
 
     fn entry(&self, workflow: &str, ranks: usize) -> Arc<AlphabetEntry> {
@@ -393,7 +400,7 @@ impl Oracle {
                 ranks += maps.tenants[id.0 as usize].entry.spec.ranks;
                 ids.push(id);
             } else {
-                match maps.entries.get(&(key.workflow.clone(), key.ranks)) {
+                match maps.lookup(&key.workflow, key.ranks) {
                     Some(entry) => ranks += entry.spec.ranks,
                     None => return false,
                 }
@@ -468,7 +475,14 @@ mod tests {
         let exec = ExecutionParams::default();
         let prebuilt = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
         let lazy = Oracle::new(&exec);
-        assert_eq!(lock_recover(&lazy.maps).entries.len(), 0);
+        let characterized = || {
+            lock_recover(&lazy.maps)
+                .entries
+                .values()
+                .map(BTreeMap::len)
+                .sum::<usize>()
+        };
+        assert_eq!(characterized(), 0);
         for (name, ranks, spec) in tiny_alphabet() {
             assert!(!lazy.contains(&name, ranks));
             lazy.ensure(&name, ranks, &spec).unwrap();
@@ -489,7 +503,7 @@ mod tests {
                 prebuilt.table2_config(&name, ranks)
             );
         }
-        assert_eq!(lock_recover(&lazy.maps).entries.len(), 2);
+        assert_eq!(characterized(), 2);
     }
 
     #[test]

@@ -130,11 +130,11 @@ pub struct Metrics {
     /// the backend held the answer without simulating; the rest are
     /// worker computations.
     pub inline_misses: AtomicU64,
-    /// Model requests that missed on the io thread but found their
-    /// answer cached by the time a worker took them: an identical
-    /// request queued ahead computed it. Every answered model request
-    /// counts once in exactly one of `cache_hits`, `coalesced` and
-    /// `cache_misses`.
+    /// Model requests answered by an identical request's computation:
+    /// parked on their io thread behind one a worker was computing, or
+    /// queued and finding the answer cached by the time a worker took
+    /// them. Every answered model request counts once in exactly one of
+    /// `cache_hits`, `coalesced` and `cache_misses`.
     pub coalesced: AtomicU64,
     /// Cache evictions.
     pub evictions: AtomicU64,
@@ -146,6 +146,9 @@ pub struct Metrics {
     pub panics: AtomicU64,
     /// Current depth of the admission queue.
     pub queue_depth: AtomicU64,
+    /// Model requests currently parked on their io thread behind an
+    /// identical query a worker is computing (they hold no queue slot).
+    pub parked: AtomicU64,
     /// Connections currently open across all io threads.
     pub connections_active: AtomicU64,
     /// Connections accepted since boot.
@@ -262,6 +265,10 @@ impl Metrics {
         out.push_str(&format!(
             "# TYPE pmemflow_serve_queue_depth gauge\npmemflow_serve_queue_depth {}\n",
             self.queue_depth.load(Relaxed)
+        ));
+        out.push_str(&format!(
+            "# TYPE pmemflow_serve_parked gauge\npmemflow_serve_parked {}\n",
+            self.parked.load(Relaxed)
         ));
         out.push_str(&format!(
             "# TYPE pmemflow_serve_connections_active gauge\npmemflow_serve_connections_active {}\n",
@@ -406,6 +413,7 @@ mod tests {
             "pmemflow_serve_shed_total 0",
             "pmemflow_serve_panics_total 0",
             "pmemflow_serve_queue_depth 0",
+            "pmemflow_serve_parked 0",
             "pmemflow_serve_connections_active 0",
             "pmemflow_serve_connections_accepted_total 0",
             "pmemflow_serve_connections_closed_total 0",

@@ -7,6 +7,7 @@
 //!             │    │         │             │ miss                          │
 //!             │    │         │      backend.answer_ready? ───ready────────>│──> response
 //!             │    │         │             │ needs a simulation            │
+//!             │    │         │             │ key in flight? park behind it │
 //!             │ deadlines (408/504)        └──try_send──> bounded queue ───┼──> worker pool
 //!             │    ▲                                          │ full?      │  LRU hit? or
 //!             │    └── completions mailbox + eventfd waker <──┼── 429 ─────│<─ backend.answer
@@ -26,15 +27,21 @@
 //! answer without simulating (a warm oracle; the answer is cached and
 //! counted as a miss and in `inline_misses`, and a panic answers `500`
 //! as on a worker). Only a query that needs a simulation is enqueued
-//! as a [`Job`]. The worker probes the cache once more — an
-//! identical request queued ahead of this one may have answered it
-//! meanwhile (`coalesced`) — and otherwise runs the backend under
-//! `catch_unwind`: an answer is cached (`miss`), a panic answers `500`
-//! and caches nothing. Either way the worker posts the outcome to the
-//! owning io thread's mailbox and rings its eventfd waker, then takes
-//! the next job. Overload is shed at the queue with `429` and a
-//! `Retry-After`, so the daemon degrades by refusing work it could not
-//! finish in time rather than by collapsing.
+//! as a [`Job`], and only once per key and io thread: a duplicate that
+//! misses while a worker computes its key parks on the io thread behind
+//! it, holding a waiting slot and its own deadline but no queue slot,
+//! and the completion answers it too (`coalesced`). The worker probes
+//! the cache once more — an identical request queued from another io
+//! thread may have answered it meanwhile (`coalesced`) — and otherwise
+//! runs the backend under `catch_unwind`: an answer is cached (`miss`),
+//! a panic answers `500` and caches nothing. A job whose deadline passed
+//! in the queue is handed back uncomputed. When nothing was computed —
+//! a panic or an expiry — the parked duplicates are routed afresh, so
+//! each gets an attempt of its own. In every case the worker posts the
+//! outcome to the owning io thread's mailbox and rings its eventfd
+//! waker, then takes the next job. Overload is shed at the queue with
+//! `429` and a `Retry-After`, so the daemon degrades by refusing work
+//! it could not finish in time rather than by collapsing.
 //!
 //! Shutdown (`POST /admin/shutdown`, [`Server::shutdown`], or dropping
 //! the handle) is graceful: acceptors deregister, idle connections close
@@ -140,13 +147,27 @@ struct Job {
     expires: Instant,
 }
 
-/// A worker's outcome on its way back to an io thread: the answer and
-/// its `x-pmemflow-cache` label (response *bodies* do not depend on the
-/// label), or `None` if the backend panicked.
+/// A worker's outcome on its way back to an io thread, for the slot
+/// that queued the job and every duplicate parked behind it under `key`.
 struct Completion {
+    key: String,
     conn: u64,
     seq: u64,
-    answer: Option<(Arc<Answer>, &'static str)>,
+    outcome: Outcome,
+}
+
+/// What a worker made of one job.
+enum Outcome {
+    /// The answer and its `x-pmemflow-cache` label (response *bodies* do
+    /// not depend on the label).
+    Answered(Arc<Answer>, &'static str),
+    /// The backend panicked; the query comes back for the duplicates
+    /// parked behind it, which get their own attempt.
+    Panicked(Query),
+    /// The job's deadline had passed when a worker took it, so nothing
+    /// was computed; the query comes back for the duplicates parked
+    /// behind it, whose own deadlines may still be ahead.
+    Expired(Query),
 }
 
 /// Per-io-thread completion mailbox. Workers push and ring the waker;
@@ -398,16 +419,15 @@ fn worker_loop(jobs: &Mutex<Receiver<Job>>, shared: &Shared, backend: &dyn Backe
             return; // every sender gone: drained, shut down
         };
         metrics.queue_depth.fetch_sub(1, Relaxed);
-        if Instant::now() > job.expires {
+        let outcome = if Instant::now() > job.expires {
             // The 504 timer has already answered this slot; don't burn a
-            // simulation on a reply nobody is waiting for.
-            continue;
-        }
-        // An identical request queued ahead of this one may have been
-        // computed while this one waited.
-        let answer = if let Some(answer) = shared.cached(&job.key) {
+            // simulation on a reply nobody may be waiting for.
+            Outcome::Expired(job.query)
+        } else if let Some(answer) = shared.cached(&job.key) {
+            // An identical request queued ahead of this one (on another
+            // io thread) may have been computed while this one waited.
             metrics.coalesced.fetch_add(1, Relaxed);
-            Some((answer, "coalesced"))
+            Outcome::Answered(answer, "coalesced")
         } else {
             // AssertUnwindSafe: on panic the result is discarded and no
             // lock of ours is held across the call, so nothing the
@@ -415,17 +435,18 @@ fn worker_loop(jobs: &Mutex<Receiver<Job>>, shared: &Shared, backend: &dyn Backe
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 backend.answer(&job.query)
             })) {
-                Ok(answer) => Some((shared.store(&job.key, answer), "miss")),
+                Ok(answer) => Outcome::Answered(shared.store(&job.key, answer), "miss"),
                 Err(_) => {
                     metrics.panics.fetch_add(1, Relaxed);
-                    None
+                    Outcome::Panicked(job.query)
                 }
             }
         };
         job.mailbox.post(Completion {
+            key: job.key,
             conn: job.conn,
             seq: job.seq,
-            answer,
+            outcome,
         });
     }
 }
@@ -449,6 +470,11 @@ struct IoThread {
     /// pipeline sequence number (504) or [`READ_SLOT`] (408). An entry
     /// leaves when its cause ends, so every entry is live.
     deadlines: BTreeSet<(Instant, u64, u64)>,
+    /// Queries a worker is computing for this io thread, by canonical
+    /// key, with the `(connection id, slot)` of each duplicate parked
+    /// behind one. Only the first miss of a key takes a queue slot; its
+    /// completion answers the duplicates too.
+    pending: BTreeMap<String, Vec<(u64, u64)>>,
     /// When the fd-exhaustion backoff ends and accepting resumes.
     resume_accept: Option<Instant>,
     backoff: AcceptBackoff,
@@ -493,6 +519,7 @@ fn io_loop(
         conns: BTreeMap::new(),
         next_id: 0,
         deadlines: BTreeSet::new(),
+        pending: BTreeMap::new(),
         resume_accept: None,
         backoff: AcceptBackoff::new(seed),
         accepting: true,
@@ -523,10 +550,7 @@ fn io_loop(
         // 1. Worker completions (and resume reads their slots blocked).
         let batch = std::mem::take(&mut *lock_recover(&io.mailbox.completions));
         for c in batch {
-            let key = c.conn;
-            if io.apply_completion(c) {
-                io.pump(key);
-            }
+            io.complete(c);
         }
 
         // 2. Readiness events.
@@ -850,74 +874,27 @@ impl IoThread {
                         answer.body.as_bytes(),
                     );
                 }
+                // Park a waiting slot with its 504 deadline, then send the
+                // query to a worker or behind an identical one in flight.
                 let expires = started + shared.deadline;
-                let seq = {
-                    let Some(conn) = self.conns.get_mut(&key) else {
-                        return;
-                    };
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    seq
-                };
-                let outcome = self.queue.try_send(Job {
-                    key: qkey,
-                    query,
-                    mailbox: self.mailbox.clone(),
-                    conn: key,
-                    seq,
-                    expires,
-                });
                 let Some(conn) = self.conns.get_mut(&key) else {
                     return;
                 };
-                match outcome {
-                    Ok(()) => {
-                        shared.metrics.queue_depth.fetch_add(1, Relaxed);
-                        conn.pipeline.push_back((
-                            seq,
-                            SlotState::Waiting {
-                                started,
-                                expires,
-                                close,
-                            },
-                        ));
-                        if close {
-                            conn.close_after = true;
-                        }
-                        self.deadlines.insert((expires, key, seq));
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        shared.metrics.shed.fetch_add(1, Relaxed);
-                        shared.metrics.on_response(429);
-                        shared
-                            .metrics
-                            .latency
-                            .observe_us(started.elapsed().as_micros() as u64);
-                        let bytes = render_response(
-                            429,
-                            "application/json",
-                            &[("Retry-After", "1".to_string())],
-                            &error_body("admission queue full; retry"),
-                            close,
-                        );
-                        conn.pipeline.push_back((seq, SlotState::Ready(bytes)));
-                        if close {
-                            conn.close_after = true;
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        shared.metrics.on_response(503);
-                        let bytes = render_response(
-                            503,
-                            "application/json",
-                            &[],
-                            &error_body("server is draining"),
-                            true,
-                        );
-                        conn.pipeline.push_back((seq, SlotState::Ready(bytes)));
-                        conn.close_after = true;
-                    }
+                let seq = conn.next_seq;
+                conn.next_seq += 1;
+                conn.pipeline.push_back((
+                    seq,
+                    SlotState::Waiting {
+                        started,
+                        expires,
+                        close,
+                    },
+                ));
+                if close {
+                    conn.close_after = true;
                 }
+                self.deadlines.insert((expires, key, seq));
+                self.route(qkey, query, key, seq, expires);
             }
             (_, "/healthz" | "/metrics") => answer_now(
                 self,
@@ -947,13 +924,121 @@ impl IoThread {
         }
     }
 
-    /// Land a worker completion in its slot. Returns whether the
-    /// connection is still alive and worth flushing/pumping.
-    fn apply_completion(&mut self, c: Completion) -> bool {
-        let Some(conn) = self.conns.get_mut(&c.conn) else {
-            return false; // client long gone; drop the result
+    /// Send the miss waiting in slot `(conn, seq)` to a worker, or park
+    /// it behind an identical query a worker already has. A full queue
+    /// sheds it with 429; a draining daemon answers 503.
+    fn route(&mut self, qkey: String, query: Query, conn: u64, seq: u64, expires: Instant) {
+        if let Some(parked) = self.pending.get_mut(&qkey) {
+            parked.push((conn, seq));
+            self.shared.metrics.parked.fetch_add(1, Relaxed);
+            return;
+        }
+        let job = Job {
+            key: qkey.clone(),
+            query,
+            mailbox: self.mailbox.clone(),
+            conn,
+            seq,
+            expires,
         };
-        let Some((_, slot)) = conn.pipeline.iter_mut().find(|(seq, _)| *seq == c.seq) else {
+        match self.queue.try_send(job) {
+            Ok(()) => {
+                self.shared.metrics.queue_depth.fetch_add(1, Relaxed);
+                self.pending.insert(qkey, Vec::new());
+            }
+            Err(TrySendError::Full(_)) => {
+                self.shared.metrics.shed.fetch_add(1, Relaxed);
+                let retry = [("Retry-After", "1".to_string())];
+                let body = error_body("admission queue full; retry");
+                self.answer_slot(conn, seq, 429, &retry, &body, false);
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                let body = error_body("server is draining");
+                self.answer_slot(conn, seq, 503, &[], &body, true);
+            }
+        }
+    }
+
+    /// Land a worker's outcome in the slot that queued the job and in
+    /// every duplicate parked behind it (labelled and counted
+    /// `coalesced`), pumping each connection that took an answer. When
+    /// nothing was computed — the backend panicked, or the job expired
+    /// in the queue — the duplicates are routed afresh, in arrival
+    /// order: the first still waiting takes a queue slot, the rest park
+    /// behind it.
+    fn complete(&mut self, c: Completion) {
+        let parked = self.pending.remove(&c.key).unwrap_or_default();
+        self.shared
+            .metrics
+            .parked
+            .fetch_sub(parked.len() as u64, Relaxed);
+        let (answer, label) = match c.outcome {
+            Outcome::Answered(answer, label) => (answer, label),
+            Outcome::Panicked(query) => {
+                // The backend panicked on this query: a definite 500,
+                // not a hang until the 504 deadline.
+                let body = error_body(PANIC_MESSAGE);
+                if self.answer_slot(c.conn, c.seq, 500, &[], &body, false) {
+                    self.pump(c.conn);
+                }
+                self.reroute(&c.key, &query, parked);
+                return;
+            }
+            Outcome::Expired(query) => {
+                self.reroute(&c.key, &query, parked);
+                return;
+            }
+        };
+        let duplicates = parked.into_iter().map(|(conn, seq)| (conn, seq, true));
+        for (conn, seq, duplicate) in std::iter::once((c.conn, c.seq, false)).chain(duplicates) {
+            let label = if duplicate { "coalesced" } else { label };
+            let extra = [("x-pmemflow-cache", label.to_string())];
+            let body = answer.body.as_bytes();
+            if self.answer_slot(conn, seq, answer.status, &extra, body, false) {
+                if duplicate {
+                    self.shared.metrics.coalesced.fetch_add(1, Relaxed);
+                }
+                self.pump(conn);
+            }
+        }
+    }
+
+    /// Route each parked duplicate of `key` that still waits again.
+    fn reroute(&mut self, key: &str, query: &Query, parked: Vec<(u64, u64)>) {
+        for (conn, seq) in parked {
+            if let Some(expires) = self.waiting(conn, seq) {
+                self.route(key.to_string(), query.clone(), conn, seq, expires);
+                self.pump(conn);
+            }
+        }
+    }
+
+    /// The 504 deadline of slot `(conn, seq)` while it still waits.
+    fn waiting(&self, conn: u64, seq: u64) -> Option<Instant> {
+        let c = self.conns.get(&conn)?;
+        match c.pipeline.iter().find(|(s, _)| *s == seq)? {
+            (_, SlotState::Waiting { expires, .. }) => Some(*expires),
+            _ => None,
+        }
+    }
+
+    /// Answer the waiting slot `(conn, seq)` and drop its deadline;
+    /// `force_close` closes the connection after it whatever the request
+    /// asked. `false` when nothing waits there any more: the connection
+    /// closed, or the slot's 504 deadline answered first.
+    fn answer_slot(
+        &mut self,
+        conn: u64,
+        seq: u64,
+        status: u16,
+        extra: &[(&str, String)],
+        body: &[u8],
+        force_close: bool,
+    ) -> bool {
+        let Some(c) = self.conns.get_mut(&conn) else {
+            return false;
+        };
+        let Some((_, slot)) = c.pipeline.iter_mut().find(|(s, _)| *s == seq) else {
             return false;
         };
         let SlotState::Waiting {
@@ -962,38 +1047,23 @@ impl IoThread {
             close,
         } = *slot
         else {
-            return false; // the 504 deadline answered first; discard
+            return false;
         };
-        self.deadlines.remove(&(expires, c.conn, c.seq));
-        let bytes = match c.answer {
-            Some((answer, label)) => {
-                self.shared.metrics.on_response(answer.status);
-                render_response(
-                    answer.status,
-                    "application/json",
-                    &[("x-pmemflow-cache", label.to_string())],
-                    answer.body.as_bytes(),
-                    close,
-                )
-            }
-            // The backend panicked on this request: a definite 500, not a
-            // hang until the 504 deadline.
-            None => {
-                self.shared.metrics.on_response(500);
-                render_response(
-                    500,
-                    "application/json",
-                    &[],
-                    &error_body(PANIC_MESSAGE),
-                    close,
-                )
-            }
-        };
+        self.deadlines.remove(&(expires, conn, seq));
+        self.shared.metrics.on_response(status);
         self.shared
             .metrics
             .latency
             .observe_us(started.elapsed().as_micros() as u64);
-        *slot = SlotState::Ready(bytes);
+        let close = close || force_close;
+        *slot = SlotState::Ready(render_response(
+            status,
+            "application/json",
+            extra,
+            body,
+            close,
+        ));
+        c.close_after |= close;
         true
     }
 

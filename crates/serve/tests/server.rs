@@ -477,7 +477,7 @@ fn worker_panic_answers_500_and_the_retry_recomputes() {
 }
 
 #[test]
-fn identical_queued_request_is_answered_from_the_cache_by_the_worker() {
+fn identical_request_parks_behind_the_first_and_shares_its_answer() {
     let backend = slow(500);
     let server = Server::start_with_backend(
         ServerConfig {
@@ -497,16 +497,17 @@ fn identical_queued_request_is_answered_from_the_cache_by_the_worker() {
         s
     };
     // The first request occupies the only worker; the second misses the
-    // cache on the io thread and queues behind it.
+    // cache on the io thread and parks behind it, holding no queue slot.
     let first = send();
     wait_for("the worker to take the first", || {
         backend.calls.load(Relaxed) == 1
     });
     let second = send();
     let daemon_metrics = server.metrics();
-    wait_for("the second to queue", || {
-        daemon_metrics.queue_depth.load(Relaxed) == 1
+    wait_for("the second to park", || {
+        daemon_metrics.parked.load(Relaxed) == 1
     });
+    assert_eq!(daemon_metrics.queue_depth.load(Relaxed), 0);
     let first = read_response(&mut BufReader::new(first));
     let second = read_response(&mut BufReader::new(second));
     assert_eq!((first.status, second.status), (200, 200));
@@ -773,13 +774,18 @@ fn two_io_threads_accept_and_answer_identically() {
     assert_eq!(answers(1), answers(2), "io thread count changed the bytes");
 }
 
-/// Answers `ranks == 8` queries ready, without a worker; every other
-/// query is a cold one whose `answer` blocks until the gate opens. Logs
-/// which thread made each call.
+/// Answers `ranks == 8` queries ready, without a worker, and
+/// `ranks == 11` or `12` ones ready once [`GatedBackend::release`]d,
+/// stalling the io thread until then; every other query is a cold one
+/// whose `answer` blocks until the gate opens, and the first
+/// `ranks == 13` one then panics. Logs which thread made each call.
 struct GatedBackend {
     open: std::sync::Mutex<bool>,
     opened: std::sync::Condvar,
+    released: std::sync::Mutex<Vec<usize>>,
+    release_cv: std::sync::Condvar,
     calls: std::sync::Mutex<Vec<(&'static str, String)>>,
+    tripped: AtomicBool,
 }
 
 impl GatedBackend {
@@ -812,22 +818,33 @@ impl Backend for GatedBackend {
         while !*open {
             open = self.opened.wait(open).unwrap();
         }
+        drop(open);
+        if matches!(query, Query::Predict { ranks: 13, .. }) && !self.tripped.swap(true, Relaxed) {
+            panic!("injected worker fault");
+        }
         Self::render(query)
     }
 
     fn answer_ready(&self, query: &Query) -> Option<Answer> {
         self.log("answer_ready");
+        if let Query::Predict {
+            ranks: ranks @ (11 | 12),
+            ..
+        } = query
+        {
+            let mut released = self.released.lock().unwrap();
+            while !released.contains(ranks) {
+                released = self.release_cv.wait(released).unwrap();
+            }
+            return Some(Self::render(query));
+        }
         matches!(query, Query::Predict { ranks: 8, .. }).then(|| Self::render(query))
     }
 }
 
 #[test]
 fn io_thread_answers_ready_misses_while_the_worker_simulates() {
-    let backend = Arc::new(GatedBackend {
-        open: std::sync::Mutex::new(false),
-        opened: std::sync::Condvar::new(),
-        calls: std::sync::Mutex::new(Vec::new()),
-    });
+    let backend = GatedBackend::closed();
     let server = Server::start_with_backend(
         ServerConfig {
             workers: 1,
@@ -845,15 +862,15 @@ fn io_thread_answers_ready_misses_while_the_worker_simulates() {
             .unwrap();
         s
     };
-    // The cold query blocks the only worker; its duplicate queues.
+    // The cold query blocks the only worker; its duplicate parks.
     let first = send();
     wait_for("the worker to take the cold query", || {
         backend.calls("answer").len() == 1
     });
     let second = send();
     let metrics = server.metrics().clone();
-    wait_for("the duplicate to queue", || {
-        metrics.queue_depth.load(Relaxed) == 1
+    wait_for("the duplicate to park", || {
+        metrics.parked.load(Relaxed) == 1
     });
 
     // A ready query is answered while the worker is still blocked.
@@ -879,8 +896,7 @@ fn io_thread_answers_ready_misses_while_the_worker_simulates() {
         "the worker is still blocked"
     );
 
-    *backend.open.lock().unwrap() = true;
-    backend.opened.notify_all();
+    backend.open();
     let first = read_response(&mut BufReader::new(first));
     let second = read_response(&mut BufReader::new(second));
     assert_eq!((first.status, second.status), (200, 200));
@@ -902,6 +918,274 @@ fn io_thread_answers_ready_misses_while_the_worker_simulates() {
     ] {
         assert!(text.contains(needle), "missing {needle}\n{text}");
     }
+    server.shutdown();
+    assert_eq!(server.join(), 0);
+    metrics.connection_conservation().unwrap();
+}
+
+impl GatedBackend {
+    fn closed() -> Arc<GatedBackend> {
+        Arc::new(GatedBackend {
+            open: std::sync::Mutex::new(false),
+            opened: std::sync::Condvar::new(),
+            released: std::sync::Mutex::new(Vec::new()),
+            release_cv: std::sync::Condvar::new(),
+            calls: std::sync::Mutex::new(Vec::new()),
+            tripped: AtomicBool::new(false),
+        })
+    }
+
+    /// Let the io thread stalled on a `ranks` query answer it.
+    fn release(&self, ranks: usize) {
+        self.released.lock().unwrap().push(ranks);
+        self.release_cv.notify_all();
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+/// Open a connection and send one `/v1/predict` with `body` on it.
+fn send_predict(addr: SocketAddr, body: &str) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    s.write_all(raw_request("POST", "/v1/predict", body).as_bytes())
+        .unwrap();
+    s
+}
+
+/// Whether the daemon's metrics text holds the line `needle`.
+fn exposes(server: &Server, needle: &str) -> bool {
+    server.metrics().exposition().lines().any(|l| l == needle)
+}
+
+/// A cold herd rides one computation: 32 connections send the same
+/// uncached query into a 4-deep queue. The first miss takes a queue slot
+/// and the other 31 park behind it on the io thread, so nothing is shed:
+/// every answer is 200 with the same body, and the backend runs once.
+#[test]
+fn cold_herd_on_one_key_is_answered_by_one_computation() {
+    const HERD: usize = 32;
+    let backend = GatedBackend::closed();
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 4,
+            ..small_config()
+        },
+        backend.clone(),
+    )
+    .unwrap();
+    let cold = r#"{"workload":"micro-2kb","ranks":9}"#;
+    let herd: Vec<TcpStream> = (0..HERD)
+        .map(|_| send_predict(server.addr(), cold))
+        .collect();
+    wait_for("the io thread to dispatch the whole herd", || {
+        let line = format!("pmemflow_serve_requests_total{{endpoint=\"/v1/predict\"}} {HERD}");
+        exposes(&server, &line)
+    });
+    backend.open();
+    let answers: Vec<Response> = herd
+        .into_iter()
+        .map(|s| read_response(&mut BufReader::new(s)))
+        .collect();
+    for (i, r) in answers.iter().enumerate() {
+        assert_eq!(r.status, 200, "connection {i}: {}", r.body);
+        assert_eq!(r.body, answers[0].body, "connection {i}");
+    }
+    let labels: Vec<&str> = answers
+        .iter()
+        .filter_map(|r| r.header("x-pmemflow-cache"))
+        .collect();
+    assert_eq!(labels.iter().filter(|&&l| l == "miss").count(), 1);
+    assert_eq!(
+        labels.iter().filter(|&&l| l == "coalesced").count(),
+        HERD - 1
+    );
+    assert_eq!(backend.calls("answer").len(), 1, "the herd recomputed");
+    for needle in [
+        "pmemflow_serve_shed_total 0".to_string(),
+        "pmemflow_serve_cache_misses_total 1".to_string(),
+        format!("pmemflow_serve_coalesced_total {}", HERD - 1),
+        "pmemflow_serve_parked 0".to_string(),
+    ] {
+        assert!(exposes(&server, &needle), "missing {needle}");
+    }
+    let metrics = server.metrics().clone();
+    server.shutdown();
+    assert_eq!(server.join(), 0);
+    metrics.connection_conservation().unwrap();
+}
+
+/// A duplicate parked behind a job whose deadline passed in the queue
+/// is not stranded: the worker hands the expired job back uncomputed,
+/// and the io thread sends the duplicate, still inside its own
+/// deadline, to a worker in its place.
+#[test]
+fn duplicate_of_an_expired_job_is_computed_in_its_place() {
+    let backend = GatedBackend::closed();
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            deadline: Duration::from_millis(500),
+            ..small_config()
+        },
+        backend.clone(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    // The gated query blocks the only worker; `queued` waits behind it
+    // until its deadline answers 504.
+    let _blocker = send_predict(addr, r#"{"workload":"micro-2kb","ranks":9}"#);
+    wait_for("the worker to take the blocker", || {
+        backend.calls("answer").len() == 1
+    });
+    let body = r#"{"workload":"micro-2kb","ranks":10}"#;
+    let queued = read_response(&mut BufReader::new(send_predict(addr, body)));
+    assert_eq!(queued.status, 504, "{}", queued.body);
+    // Its duplicate parks behind the expired job, which is still queued.
+    let duplicate = send_predict(addr, body);
+    wait_for("the duplicate to park", || {
+        exposes(&server, "pmemflow_serve_parked 1")
+    });
+    backend.open();
+    let duplicate = read_response(&mut BufReader::new(duplicate));
+    assert_eq!(duplicate.status, 200, "{}", duplicate.body);
+    assert_eq!(duplicate.header("x-pmemflow-cache"), Some("miss"));
+    assert_eq!(
+        backend.calls("answer").len(),
+        2,
+        "the blocker and the duplicate; the expired job was skipped"
+    );
+    assert!(exposes(&server, "pmemflow_serve_parked 0"));
+    server.shutdown();
+    assert_eq!(server.join(), 0);
+}
+
+/// A duplicate that another io thread queued, rather than parked: the
+/// worker probes the cache before computing it, finds the first copy's
+/// answer there and sends it back labelled `coalesced`, so the backend
+/// runs once for the key. An io thread stalled in `answer_ready` accepts
+/// nothing, so stalling each in turn steers the two copies onto
+/// different io threads.
+#[test]
+fn duplicate_queued_on_another_io_thread_is_answered_from_the_cache() {
+    let backend = GatedBackend::closed();
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            io_threads: 2,
+            ..small_config()
+        },
+        backend.clone(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let metrics = server.metrics();
+    let ready_calls = || backend.calls("answer_ready").len();
+    // The blocker holds the only worker, so both copies stay queued.
+    let blocker = send_predict(addr, r#"{"workload":"micro-2kb","ranks":9}"#);
+    wait_for("the worker to take the blocker", || {
+        backend.calls("answer").len() == 1
+    });
+    let stall = |ranks: usize, calls: usize| {
+        let conn = send_predict(
+            addr,
+            &format!(r#"{{"workload":"micro-2kb","ranks":{ranks}}}"#),
+        );
+        wait_for("an io thread to stall", || ready_calls() == calls);
+        conn
+    };
+    let body = r#"{"workload":"micro-2kb","ranks":10}"#;
+    // io thread A stalls; B takes the first copy and then stalls too;
+    // A, released, takes the second copy.
+    let stall_a = stall(11, 2);
+    let first = send_predict(addr, body);
+    wait_for("the first copy to queue", || {
+        metrics.queue_depth.load(Relaxed) == 1
+    });
+    let stall_b = stall(12, 4);
+    backend.release(11);
+    let second = send_predict(addr, body);
+    wait_for("the second copy to queue", || {
+        metrics.queue_depth.load(Relaxed) == 2
+    });
+    let threads = backend.calls("answer_ready");
+    assert_ne!(threads[2], threads[4], "both copies on one io thread");
+    backend.release(12);
+    backend.open();
+    let first = read_response(&mut BufReader::new(first));
+    let second = read_response(&mut BufReader::new(second));
+    assert_eq!((first.status, second.status), (200, 200));
+    assert_eq!(first.body, second.body);
+    assert_eq!(first.header("x-pmemflow-cache"), Some("miss"));
+    assert_eq!(second.header("x-pmemflow-cache"), Some("coalesced"));
+    assert_eq!(
+        backend.calls("answer").len(),
+        2,
+        "the blocker and the first copy; the queued duplicate recomputed"
+    );
+    assert!(exposes(&server, "pmemflow_serve_coalesced_total 1"));
+    for conn in [blocker, stall_a, stall_b] {
+        assert_eq!(read_response(&mut BufReader::new(conn)).status, 200);
+    }
+    server.shutdown();
+    assert_eq!(server.join(), 0);
+}
+
+/// A panic fails only the slot whose job panicked: the duplicates
+/// parked behind it are routed afresh, the first takes its own attempt
+/// (which succeeds, the fault being transient) and the rest park behind
+/// that one.
+#[test]
+fn duplicates_parked_behind_a_panic_get_their_own_attempt() {
+    const DUPLICATES: usize = 3;
+    let backend = GatedBackend::closed();
+    let server = Server::start_with_backend(
+        ServerConfig {
+            workers: 1,
+            ..small_config()
+        },
+        backend.clone(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let body = r#"{"workload":"micro-2kb","ranks":13}"#;
+    let first = send_predict(addr, body);
+    wait_for("the worker to take the first", || {
+        backend.calls("answer").len() == 1
+    });
+    let duplicates: Vec<TcpStream> = (0..DUPLICATES).map(|_| send_predict(addr, body)).collect();
+    wait_for("the duplicates to park", || {
+        exposes(&server, &format!("pmemflow_serve_parked {DUPLICATES}"))
+    });
+    backend.open();
+    let first = read_response(&mut BufReader::new(first));
+    assert_eq!(first.status, 500, "{}", first.body);
+    let answers: Vec<Response> = duplicates
+        .into_iter()
+        .map(|s| read_response(&mut BufReader::new(s)))
+        .collect();
+    let labels: Vec<&str> = answers
+        .iter()
+        .map(|r| r.header("x-pmemflow-cache").unwrap_or("-"))
+        .collect();
+    for (i, r) in answers.iter().enumerate() {
+        assert_eq!(r.status, 200, "duplicate {i}: {}", r.body);
+    }
+    assert_eq!(labels[0], "miss", "{labels:?}");
+    assert!(labels[1..].iter().all(|&l| l == "coalesced"), "{labels:?}");
+    assert_eq!(backend.calls("answer").len(), 2, "the panic and one retry");
+    for needle in [
+        "pmemflow_serve_panics_total 1".to_string(),
+        format!("pmemflow_serve_coalesced_total {}", DUPLICATES - 1),
+        "pmemflow_serve_parked 0".to_string(),
+    ] {
+        assert!(exposes(&server, &needle), "missing {needle}");
+    }
+    let metrics = server.metrics().clone();
     server.shutdown();
     assert_eq!(server.join(), 0);
     metrics.connection_conservation().unwrap();
