@@ -39,25 +39,15 @@
 //! ```text
 //! serve_loadgen [--smoke] [--requests N] [--conns C]
 //!               [--workers W] [--io-threads T] [--open-rate RPS]
-//!               [--seed S] [--fault-rate R] [--out PATH]
+//!               [--seed S] [--out PATH]
 //! ```
-//!
-//! With `--fault-rate R > 0` a chaos pass replays the same sequence
-//! against a server whose backend panics on a deterministic cadence
-//! (`FaultInjectingBackend`): every client retries 500s with seeded,
-//! jittered exponential backoff, and the pass reports **goodput** — the
-//! rate of requests that ultimately succeeded — plus the daemon's panic
-//! counter. The pass asserts that panics fired, that no request hangs and
-//! that no retry budget is exhausted: the daemon degrades, it does not
-//! wedge.
 
 use pmemflow_bench::BenchArgs;
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_net::{drain_read, Event, Interest, Reactor, Token, WriteBuf};
 use pmemflow_serve::{Server, ServerConfig};
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 /// One query of the universe: an endpoint plus a JSON body.
@@ -425,140 +415,6 @@ fn summary_json(s: &Summary) -> String {
     )
 }
 
-/// Blocking single-connection exchange for the chaos pass, where the
-/// per-request retry conversation is clearer thread-per-client.
-fn http_exchange(
-    stream: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    q: &LoadQuery,
-) -> std::io::Result<(u16, String)> {
-    use std::io::{Error, ErrorKind};
-    let framing = |what: &str| Error::new(ErrorKind::InvalidData, format!("bad {what}"));
-    stream.write_all(
-        format!(
-            "POST {} HTTP/1.1\r\nHost: l\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{}",
-            q.path,
-            q.body.len(),
-            q.body
-        )
-        .as_bytes(),
-    )?;
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(ErrorKind::UnexpectedEof.into());
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| framing("status line"))?;
-    let mut len = 0usize;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(ErrorKind::UnexpectedEof.into());
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            len = v.trim().parse().map_err(|_| framing("content length"))?;
-        }
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| framing("utf8 body"))?;
-    Ok((status, body))
-}
-
-/// What a chaos pass survived.
-struct ChaosStats {
-    elapsed: Duration,
-    /// Requests that ultimately answered 200.
-    ok: usize,
-    /// Retry attempts (a 500 answer, re-tried).
-    retries: usize,
-    /// Requests that ran out of retry budget (must be 0).
-    exhausted: usize,
-}
-
-/// Replay `sequence` against a panicking daemon: every 500 from an
-/// injected panic retries on the same keep-alive connection with seeded,
-/// jittered exponential backoff. Goodput is the rate of requests that
-/// ultimately succeeded.
-fn run_chaos_pass(
-    addr: SocketAddr,
-    queries: &[LoadQuery],
-    sequence: &[usize],
-    clients: usize,
-    seed: u64,
-) -> ChaosStats {
-    let next = AtomicUsize::new(0);
-    let ok = AtomicUsize::new(0);
-    let retries = AtomicUsize::new(0);
-    let exhausted = AtomicUsize::new(0);
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for client in 0..clients.max(1) {
-            let (next, ok, retries, exhausted) = (&next, &ok, &retries, &exhausted);
-            scope.spawn(move || {
-                let mut rng =
-                    SplitMix64::new(seed ^ (client as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15));
-                let mut stream = TcpStream::connect(addr).expect("chaos client connects");
-                // A read timeout would panic the client: that is the
-                // no-hung-requests assertion — every outcome arrives
-                // promptly, never left to rot.
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(120)))
-                    .unwrap();
-                let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-                loop {
-                    let pos = next.fetch_add(1, Relaxed);
-                    if pos >= sequence.len() {
-                        break;
-                    }
-                    let q = &queries[sequence[pos]];
-                    let mut attempt = 0u32;
-                    loop {
-                        match http_exchange(&mut stream, &mut reader, q) {
-                            Ok((200, _)) => {
-                                ok.fetch_add(1, Relaxed);
-                                break;
-                            }
-                            // Injected worker panic: the link is fine,
-                            // only the answer failed.
-                            Ok((500, _)) => {}
-                            Ok((status, body)) => {
-                                panic!("{}: unexpected {status}: {body}", q.path)
-                            }
-                            Err(e) => panic!("{}: transport failed: {e}", q.path),
-                        }
-                        attempt += 1;
-                        if attempt >= 10 {
-                            exhausted.fetch_add(1, Relaxed);
-                            break;
-                        }
-                        retries.fetch_add(1, Relaxed);
-                        // 2^attempt ms plus up to 1ms of seeded jitter, so
-                        // retry storms decorrelate without losing replay
-                        // determinism of the schedule itself.
-                        let backoff_us =
-                            (1u64 << attempt.min(6)) * 1000 + (rng.next_f64() * 1000.0) as u64;
-                        std::thread::sleep(Duration::from_micros(backoff_us));
-                    }
-                }
-            });
-        }
-    });
-    ChaosStats {
-        elapsed: started.elapsed(),
-        ok: ok.load(Relaxed),
-        retries: retries.load(Relaxed),
-        exhausted: exhausted.load(Relaxed),
-    }
-}
-
 fn main() {
     let args = BenchArgs::from_env();
     let smoke = args.switch("--smoke");
@@ -566,7 +422,6 @@ fn main() {
     let workers: usize = args.parse_or("--workers", 2);
     let io_threads: usize = args.parse_or("--io-threads", 1);
     let seed: u64 = args.parse_or("--seed", 42);
-    let fault_rate: f64 = args.parse_or("--fault-rate", 0.0);
     let open_rate: f64 = args.parse_or("--open-rate", 2000.0);
     let out = args
         .value("--out")
@@ -723,70 +578,13 @@ fn main() {
     reference.shutdown();
     reference.join();
 
-    let mut chaos_json = "null".to_string();
-    if fault_rate > 0.0 {
-        println!("\nchaos: same sequence against --fault-rate {fault_rate} (panic every ~{:.0}th backend answer)",
-            1.0 / fault_rate);
-        // Injected panics are the point of this pass; keep their
-        // backtraces out of the report while leaving real panics loud.
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.contains("injected backend fault"));
-            if !injected {
-                default_hook(info);
-            }
-        }));
-        let chaos = Server::start(ServerConfig {
-            workers,
-            fault_rate,
-            ..ServerConfig::default()
-        })
-        .expect("chaos server boots");
-        let stats = run_chaos_pass(chaos.addr(), &queries, &sequence, 4, seed);
-        let cm = chaos.metrics();
-        let panics = cm.panics.load(Relaxed);
-        println!(
-            "chaos: {}/{} ok ({} retries, {} gave up) in {:.3}s = {:.1} req/s goodput",
-            stats.ok,
-            sequence.len(),
-            stats.retries,
-            stats.exhausted,
-            stats.elapsed.as_secs_f64(),
-            stats.ok as f64 / stats.elapsed.as_secs_f64(),
-        );
-        println!("chaos: {panics} injected panics, 0 hung requests");
-        assert!(
-            panics > 0,
-            "fault injection never fired; raise --requests or --fault-rate"
-        );
-        assert_eq!(stats.exhausted, 0, "requests exhausted their retry budget");
-        assert_eq!(
-            stats.ok,
-            sequence.len(),
-            "every request must eventually succeed"
-        );
-        chaos.shutdown();
-        assert_eq!(chaos.join(), 0, "hung connections after the chaos pass");
-        chaos_json = format!(
-            "{{\"fault_rate\":{fault_rate},\"ok\":{},\"retries\":{},\
-             \"goodput_per_s\":{:.1},\"panics\":{panics}}}",
-            stats.ok,
-            stats.retries,
-            stats.ok as f64 / stats.elapsed.as_secs_f64()
-        );
-    }
-
     let json = format!(
         "{{\"bench\":\"serve_loadgen\",\"smoke\":{smoke},\"seed\":{seed},\
          \"requests\":{requests},\"workers\":{workers},\"io_threads\":{io_threads},\
          \"universe\":{},\"distinct\":{},\
          \"cold\":{},\"warm\":[{}],\"open_loop\":{{\"rate_target_per_s\":{open_rate:.0},{}}},\
          \"cache\":{{\"hits\":{hits},\"misses\":{misses},\"coalesced\":{coalesced},\
-         \"hit_rate\":{hit_rate:.4}}},\"byte_identity\":true,\"clean_drain\":true,\
-         \"chaos\":{chaos_json}}}\n",
+         \"hit_rate\":{hit_rate:.4}}},\"byte_identity\":true,\"clean_drain\":true}}\n",
         queries.len(),
         distinct_seq.len(),
         summary_json(&cold_sum),

@@ -12,7 +12,7 @@
 use crate::config::{ExecMode, SchedConfig};
 use crate::metrics::{ComponentMetrics, RunMetrics};
 use pmemflow_des::{
-    Action, Direction, FlowAttrs, ProcessReport, ScriptProcess, SimDuration, SimError, Simulation,
+    Action, Direction, FlowAttrs, ProcessReport, SimDuration, SimError, Simulation,
 };
 use pmemflow_iostack::{StackCostModel, StackKind};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
@@ -256,10 +256,7 @@ fn build_workflow_processes(
                 });
             }
         }
-        sim.spawn(Box::new(ScriptProcess::new(
-            format!("{prefix}writer-{rank}"),
-            actions,
-        )));
+        sim.spawn(format!("{prefix}writer-{rank}"), actions);
     }
 
     // The analytics kernel interleaves its compute between object reads
@@ -317,10 +314,7 @@ fn build_workflow_processes(
                 }
             }
         }
-        sim.spawn(Box::new(ScriptProcess::new(
-            format!("{prefix}reader-{rank}"),
-            actions,
-        )));
+        sim.spawn(format!("{prefix}reader-{rank}"), actions);
     }
 }
 
@@ -469,10 +463,7 @@ pub fn execute_component_standalone(
                 attrs,
             });
         }
-        sim.spawn(Box::new(ScriptProcess::new(
-            format!("standalone-{rank}"),
-            actions,
-        )));
+        sim.spawn(format!("standalone-{rank}"), actions);
     }
     let report = sim.run()?;
     let procs: Vec<&ProcessReport> = report.processes.iter().collect();

@@ -25,7 +25,6 @@ mod config;
 mod coschedule;
 mod executor;
 mod metrics;
-pub mod native;
 pub mod report;
 mod runner;
 pub mod sync;

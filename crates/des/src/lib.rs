@@ -22,15 +22,18 @@
 //!
 //! Everything is deterministic: same inputs, bit-identical output.
 //!
+//! A process is a script: the list of [`Action`]s a rank performs in
+//! order — compute, move bytes, publish or wait for a version — handed to
+//! [`Simulation::spawn`]. It finishes when its script runs out.
+//!
 //! ```
 //! use pmemflow_des::{
-//!     Action, FairShareAllocator, Direction, FlowAttrs, Locality,
-//!     ScriptProcess, SimDuration, Simulation,
+//!     Action, FairShareAllocator, Direction, FlowAttrs, Locality, SimDuration, Simulation,
 //! };
 //!
 //! let mut sim = Simulation::new();
 //! let dev = sim.add_resource(Box::new(FairShareAllocator::new(2e9)));
-//! sim.spawn(Box::new(ScriptProcess::new(
+//! sim.spawn(
 //!     "rank0",
 //!     vec![
 //!         Action::Compute(SimDuration(1.0)),
@@ -46,7 +49,7 @@
 //!             },
 //!         },
 //!     ],
-//! )));
+//! );
 //! let report = sim.run().unwrap();
 //! assert!(report.end_time.seconds() > 1.0);
 //! ```
@@ -68,7 +71,7 @@ pub use flow::{
     RateAllocator, UncontendedAllocator,
 };
 pub use json::{json_escape, json_f64};
-pub use process::{Action, ChannelId, Process, ProcessId, ResourceId, Resume, ScriptProcess};
+pub use process::{Action, ChannelId, ProcessId, ResourceId};
 pub use stats::{ProcessReport, ResourceReport, SimReport};
 pub use time::{SimDuration, SimTime};
 pub use trace::{ProcessTimeline, Span, SpanKind, Timeline};

@@ -1,14 +1,15 @@
 //! Processes: the actors of the simulation.
 //!
 //! A process models one execution context — in this system, one MPI rank of
-//! a workflow component. Processes are written as explicit state machines:
-//! the engine calls [`Process::next`] whenever the previous action completes,
-//! and the process returns the next [`Action`] to perform. This avoids any
-//! need for coroutines while keeping rank scripts (compute → I/O → publish →
-//! repeat) easy to express.
+//! a workflow component. A process is a script: the list of [`Action`]s
+//! handed to [`crate::Simulation::spawn`]. The engine performs them in
+//! order, starting the next one when the previous completes, and the
+//! process finishes when its script runs out. Rank scripts (compute → I/O →
+//! publish → repeat) are fully known before a run starts, so no process
+//! needs to decide anything at run time.
 
 use crate::flow::FlowAttrs;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Identifier of a process within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,7 +23,7 @@ pub struct ResourceId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId(pub usize);
 
-/// What a process asks the engine to do next.
+/// One step of a process's script.
 #[derive(Debug, Clone)]
 pub enum Action {
     /// Spend `0` seconds of pure CPU time (a compute phase). The engine
@@ -57,86 +58,4 @@ pub enum Action {
     /// Record a named instant in the process's timeline (e.g. "io-start").
     /// Instantaneous; used to split end-to-end time into phases.
     Mark(&'static str),
-    /// The process has finished.
-    Done,
-}
-
-/// Why `Process::next` is being called.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Resume {
-    /// First call after the process was spawned.
-    Start,
-    /// The previous action completed.
-    ActionDone,
-}
-
-/// A simulated actor. Implementations are state machines: each call to
-/// [`Process::next`] returns the following action. The engine guarantees
-/// `next` is called exactly once per completed action, in deterministic
-/// order.
-pub trait Process: Send {
-    /// Return the next action. `now` is the current virtual time.
-    fn next(&mut self, now: SimTime, resume: Resume) -> Action;
-
-    /// Descriptive name used in traces and per-process reports.
-    fn name(&self) -> String {
-        "proc".to_string()
-    }
-}
-
-/// A process defined by a pre-built list of actions. Convenient for tests
-/// and for simple workloads whose scripts can be fully materialized.
-pub struct ScriptProcess {
-    name: String,
-    actions: std::vec::IntoIter<Action>,
-}
-
-impl ScriptProcess {
-    /// Build from a name and an action list (executed in order).
-    pub fn new(name: impl Into<String>, actions: Vec<Action>) -> Self {
-        Self {
-            name: name.into(),
-            actions: actions.into_iter(),
-        }
-    }
-}
-
-impl Process for ScriptProcess {
-    fn next(&mut self, _now: SimTime, _resume: Resume) -> Action {
-        self.actions.next().unwrap_or(Action::Done)
-    }
-
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn script_process_replays_then_done() {
-        let mut p = ScriptProcess::new(
-            "w0",
-            vec![Action::Compute(SimDuration(1.0)), Action::Mark("io-start")],
-        );
-        assert!(matches!(
-            p.next(SimTime::ZERO, Resume::Start),
-            Action::Compute(_)
-        ));
-        assert!(matches!(
-            p.next(SimTime::ZERO, Resume::ActionDone),
-            Action::Mark("io-start")
-        ));
-        assert!(matches!(
-            p.next(SimTime::ZERO, Resume::ActionDone),
-            Action::Done
-        ));
-        // Stays Done forever.
-        assert!(matches!(
-            p.next(SimTime::ZERO, Resume::ActionDone),
-            Action::Done
-        ));
-    }
 }

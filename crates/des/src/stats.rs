@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 /// Everything measured about one process over a run.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessReport {
-    /// Name supplied by the [`crate::process::Process`] implementation.
+    /// Name the process was spawned with.
     pub name: String,
     /// Total virtual time spent in `Compute` actions.
     pub compute_time: SimDuration,

@@ -2,9 +2,7 @@
 //! engine accepts must keep the engine's conservation and termination
 //! guarantees, even adversarial ones that return pathological rates.
 
-use pmemflow_des::{
-    Action, ClassView, Direction, FlowAttrs, Locality, RateAllocator, ScriptProcess, Simulation,
-};
+use pmemflow_des::{Action, ClassView, Direction, FlowAttrs, Locality, RateAllocator, Simulation};
 
 fn attrs() -> FlowAttrs {
     FlowAttrs {
@@ -40,14 +38,14 @@ impl RateAllocator for StingyAllocator {
 fn overpromised_rates_are_clamped_to_intrinsic() {
     let mut sim = Simulation::new();
     let r = sim.add_resource(Box::new(OverpromisingAllocator));
-    sim.spawn(Box::new(ScriptProcess::new(
+    sim.spawn(
         "w",
         vec![Action::Io {
             resource: r,
             bytes: 2e9,
             attrs: attrs(),
         }],
-    )));
+    );
     let rep = sim.run().unwrap();
     // 2 GB at the 1 GB/s intrinsic cap: exactly 2 s, not instantaneous.
     assert!((rep.end_time.seconds() - 2.0).abs() < 1e-6);
@@ -57,14 +55,14 @@ fn overpromised_rates_are_clamped_to_intrinsic() {
 fn zero_rates_still_terminate() {
     let mut sim = Simulation::new();
     let r = sim.add_resource(Box::new(StingyAllocator));
-    sim.spawn(Box::new(ScriptProcess::new(
+    sim.spawn(
         "w",
         vec![Action::Io {
             resource: r,
             bytes: 10.0, // tiny: at the 1 B/s floor this takes 10 virtual s
             attrs: attrs(),
         }],
-    )));
+    );
     let rep = sim.run().unwrap();
     assert!((rep.end_time.seconds() - 10.0).abs() < 1e-6);
     assert!((rep.resources[0].total_bytes() - 10.0).abs() < 1e-9);
@@ -95,14 +93,14 @@ fn time_varying_rates_conserve_bytes() {
     let mut sim = Simulation::new();
     let r = sim.add_resource(Box::<FlipFlopAllocator>::default());
     for i in 0..4 {
-        sim.spawn(Box::new(ScriptProcess::new(
+        sim.spawn(
             format!("w{i}"),
             vec![Action::Io {
                 resource: r,
                 bytes: 1e6 * (i + 1) as f64,
                 attrs: attrs(),
             }],
-        )));
+        );
     }
     let rep = sim.run().unwrap();
     let expect: f64 = (1..=4).map(|i| 1e6 * i as f64).sum();

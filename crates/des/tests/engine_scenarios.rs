@@ -2,8 +2,8 @@
 //! producer/consumer chains, and analytically solvable timelines.
 
 use pmemflow_des::{
-    Action, Direction, FairShareAllocator, FlowAttrs, Locality, ScriptProcess, SimDuration,
-    Simulation, UncontendedAllocator,
+    Action, Direction, FairShareAllocator, FlowAttrs, Locality, SimDuration, Simulation,
+    UncontendedAllocator,
 };
 
 fn attrs(peak: f64) -> FlowAttrs {
@@ -22,22 +22,22 @@ fn two_independent_resources_do_not_interact() {
     let mut sim = Simulation::new();
     let r0 = sim.add_resource(Box::new(FairShareAllocator::new(1e9)));
     let r1 = sim.add_resource(Box::new(FairShareAllocator::new(2e9)));
-    sim.spawn(Box::new(ScriptProcess::new(
+    sim.spawn(
         "a",
         vec![Action::Io {
             resource: r0,
             bytes: 1e9,
             attrs: attrs(10e9),
         }],
-    )));
-    sim.spawn(Box::new(ScriptProcess::new(
+    );
+    sim.spawn(
         "b",
         vec![Action::Io {
             resource: r1,
             bytes: 1e9,
             attrs: attrs(10e9),
         }],
-    )));
+    );
     let rep = sim.run().unwrap();
     assert!((rep.processes[0].finished_at.unwrap().seconds() - 1.0).abs() < 1e-6);
     assert!((rep.processes[1].finished_at.unwrap().seconds() - 0.5).abs() < 1e-6);
@@ -76,9 +76,9 @@ fn three_stage_pipeline_throughput() {
         });
         consumer.push(Action::Compute(SimDuration(1.0)));
     }
-    sim.spawn(Box::new(ScriptProcess::new("producer", producer)));
-    sim.spawn(Box::new(ScriptProcess::new("relay", relay)));
-    sim.spawn(Box::new(ScriptProcess::new("consumer", consumer)));
+    sim.spawn("producer", producer);
+    sim.spawn("relay", relay);
+    sim.spawn("consumer", consumer);
     let rep = sim.run().unwrap();
     assert!((rep.end_time.seconds() - 7.0).abs() < 1e-9);
 }
@@ -91,15 +91,15 @@ fn fluid_sharing_with_arrivals_and_departures_is_exact() {
     // 1.5 GB/s -> also t=3. Both finish exactly at 3.
     let mut sim = Simulation::new();
     let r = sim.add_resource(Box::new(FairShareAllocator::new(3e9)));
-    sim.spawn(Box::new(ScriptProcess::new(
+    sim.spawn(
         "f1",
         vec![Action::Io {
             resource: r,
             bytes: 6e9,
             attrs: attrs(100e9),
         }],
-    )));
-    sim.spawn(Box::new(ScriptProcess::new(
+    );
+    sim.spawn(
         "f2",
         vec![
             Action::Compute(SimDuration(1.0)),
@@ -109,7 +109,7 @@ fn fluid_sharing_with_arrivals_and_departures_is_exact() {
                 attrs: attrs(100e9),
             },
         ],
-    )));
+    );
     let rep = sim.run().unwrap();
     for p in &rep.processes {
         assert!(
@@ -128,14 +128,14 @@ fn fluid_sharing_with_arrivals_and_departures_is_exact() {
 fn per_flow_caps_limit_even_an_idle_resource() {
     let mut sim = Simulation::new();
     let r = sim.add_resource(Box::new(FairShareAllocator::new(100e9)));
-    sim.spawn(Box::new(ScriptProcess::new(
+    sim.spawn(
         "capped",
         vec![Action::Io {
             resource: r,
             bytes: 2e9,
             attrs: attrs(1e9),
         }],
-    )));
+    );
     let rep = sim.run().unwrap();
     assert!((rep.end_time.seconds() - 2.0).abs() < 1e-6);
 }
@@ -147,14 +147,14 @@ fn many_small_flows_complete_in_submission_order_groups() {
     let mut sim = Simulation::new();
     let r = sim.add_resource(Box::new(FairShareAllocator::new(5e9)));
     for i in 0..50 {
-        sim.spawn(Box::new(ScriptProcess::new(
+        sim.spawn(
             format!("f{i}"),
             vec![Action::Io {
                 resource: r,
                 bytes: 1e8,
                 attrs: attrs(100e9),
             }],
-        )));
+        );
     }
     let rep = sim.run().unwrap();
     let expect = 50.0 * 1e8 / 5e9;
@@ -168,7 +168,7 @@ fn many_small_flows_complete_in_submission_order_groups() {
 fn mark_actions_segment_the_timeline() {
     let mut sim = Simulation::new();
     let r = sim.add_resource(Box::new(UncontendedAllocator));
-    sim.spawn(Box::new(ScriptProcess::new(
+    sim.spawn(
         "phased",
         vec![
             Action::Mark("start"),
@@ -181,7 +181,7 @@ fn mark_actions_segment_the_timeline() {
             },
             Action::Mark("io-end"),
         ],
-    )));
+    );
     let rep = sim.run().unwrap();
     let p = &rep.processes[0];
     assert_eq!(p.mark("start").unwrap().seconds(), 0.0);

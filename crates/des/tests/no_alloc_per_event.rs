@@ -5,7 +5,7 @@
 
 use pmemflow_des::{
     Action, ClassView, Direction, FairShareAllocator, FlowAttrs, Locality, RateAllocator,
-    ScriptProcess, SimDuration, Simulation,
+    SimDuration, Simulation,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,7 +96,7 @@ fn a_warm_reallocation_allocates_nothing() {
                 attrs: classes[(rank / 2 + step) % 3],
             });
         }
-        sim.spawn(Box::new(ScriptProcess::new(format!("r{rank}"), script)));
+        sim.spawn(format!("r{rank}"), script);
     }
     sim.run().unwrap();
 

@@ -8,7 +8,7 @@
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{
     water_fill, Action, ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator,
-    ScriptProcess, Simulation,
+    Simulation,
 };
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
 use std::collections::BTreeMap;
@@ -175,7 +175,7 @@ fn run(
             bytes: 1e9 * of_class.len() as f64,
             attrs,
         };
-        sim.spawn(Box::new(ScriptProcess::new(format!("r{i}"), vec![io])));
+        sim.spawn(format!("r{i}"), vec![io]);
     }
     let report = sim.run().unwrap();
     let io_time = |i: usize| report.processes[i].io_time.seconds().to_bits();

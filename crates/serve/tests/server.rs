@@ -77,6 +77,29 @@ fn call(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
     read_response(&mut BufReader::new(stream))
 }
 
+/// A keep-alive connection that carries one request after another.
+struct Conn {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    fn open(addr: SocketAddr) -> Conn {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        Conn { stream, reader }
+    }
+
+    fn call(&mut self, method: &str, path: &str, body: &str) -> Response {
+        let request = raw_request(method, path, body);
+        self.stream.write_all(request.as_bytes()).unwrap();
+        read_response(&mut self.reader)
+    }
+}
+
 fn small_config() -> ServerConfig {
     ServerConfig {
         workers: 2,
@@ -257,20 +280,13 @@ fn cached_response_is_byte_identical_to_cold() {
 #[test]
 fn keep_alive_carries_multiple_requests() {
     let server = Server::start(small_config()).unwrap();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut conn = Conn::open(server.addr());
     for _ in 0..3 {
-        stream
-            .write_all(raw_request("GET", "/healthz", "").as_bytes())
-            .unwrap();
-        let r = read_response(&mut reader);
+        let r = conn.call("GET", "/healthz", "");
         assert_eq!(r.status, 200);
         assert_eq!(r.header("connection"), Some("keep-alive"));
     }
-    drop(stream);
+    drop(conn);
     server.shutdown();
     server.join();
 }
@@ -454,15 +470,19 @@ fn worker_panic_answers_500_and_the_retry_recomputes() {
     let body = r#"{"workload":"micro-2kb","ranks":13}"#;
 
     // The panicking request gets a definite 500, not a hang until the
-    // 504 deadline.
-    let failed = call(addr, "POST", "/v1/predict", body);
+    // 504 deadline, and its keep-alive connection stays open.
+    let mut conn = Conn::open(addr);
+    let failed = conn.call("POST", "/v1/predict", body);
     assert_eq!(failed.status, 500, "{}", failed.body);
+    assert_eq!(failed.header("connection"), Some("keep-alive"));
 
     // The one worker is still serving, and nothing was cached from the
-    // failed computation: the same question is computed afresh.
-    let ok = call(addr, "POST", "/v1/predict", body);
+    // failed computation: the retry, on the same connection, is computed
+    // afresh.
+    let ok = conn.call("POST", "/v1/predict", body);
     assert_eq!(ok.status, 200, "{}", ok.body);
     assert_eq!(ok.header("x-pmemflow-cache"), Some("miss"));
+    drop(conn);
 
     let metrics = call(addr, "GET", "/metrics", "");
     assert!(metrics.body.contains("pmemflow_serve_panics_total 1"));
@@ -1221,19 +1241,23 @@ fn io_thread_panic_answers_500_and_the_retry_succeeds() {
     )
     .unwrap();
     let addr = server.addr();
-    let predict = |ranks: usize| {
+    let mut conn = Conn::open(addr);
+    let mut predict = |ranks: usize| {
         let body = format!(r#"{{"workload":"micro-2kb","ranks":{ranks}}}"#);
-        call(addr, "POST", "/v1/predict", &body)
+        conn.call("POST", "/v1/predict", &body)
     };
     assert_eq!(predict(8).status, 200);
     let failed = predict(9);
     assert_eq!(failed.status, 500, "{}", failed.body);
     assert!(failed.body.contains("retry may succeed"));
-    // Nothing was cached from the panic: the retry computes afresh, and
-    // the io thread that caught it is still serving.
+    assert_eq!(failed.header("connection"), Some("keep-alive"));
+    // Nothing was cached from the panic: the retry, on the same
+    // connection, computes afresh, and the io thread that caught it is
+    // still serving.
     let retry = predict(9);
     assert_eq!(retry.status, 200, "{}", retry.body);
     assert_eq!(retry.header("x-pmemflow-cache"), Some("miss"));
+    drop(conn);
 
     let text = call(addr, "GET", "/metrics", "").body;
     for needle in [

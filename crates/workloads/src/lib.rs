@@ -8,7 +8,7 @@
 //!
 //! The [`kernels`] module contains runnable implementations of the compute
 //! kernels the proxies stand for (7-point stencil, particle-in-cell step,
-//! dense matmul), used by the examples, the native executor, and for
+//! dense matmul), used by the examples and the kernel benches, and for
 //! calibrating virtual compute durations on real hardware.
 
 #![warn(missing_docs)]

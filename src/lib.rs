@@ -10,7 +10,7 @@
 //! | [`pmem`] | Optane gen-1 device model + byte-accurate region with crash semantics |
 //! | [`iostack`] | functional NOVA-like fs and NVStream-like object store |
 //! | [`workloads`] | the paper's 18-workload suite + real proxy kernels |
-//! | [`core`] | Table I configurations, dual-socket deployment, workflow executor, metrics, native mode |
+//! | [`core`] | Table I configurations, dual-socket deployment, workflow executor, metrics |
 //! | [`sched`] | rule-based / model-driven / adaptive PMEM-aware schedulers |
 //! | [`fault`] | deterministic seeded fault plans: crashes, degradation, job failures |
 //! | [`dag`] | workflow stage graphs with PMEM staging footprints + seeded generator |

@@ -1,12 +1,10 @@
 //! End-to-end integration: the full pipeline from workflow specification
-//! through characterization, scheduling, simulated execution, and native
-//! execution with data verification.
+//! through characterization, scheduling and simulated execution.
 
-use pmemflow::core::native::{run_native, NativeParams};
 use pmemflow::iostack::StackKind;
 use pmemflow::sched::{characterize, recommend};
 use pmemflow::workloads::{ComponentSpec, IoPattern, WorkflowSpec};
-use pmemflow::{decide, execute, explore_then_commit, sweep, ExecutionParams, SchedConfig};
+use pmemflow::{decide, explore_then_commit, sweep, ExecutionParams, SchedConfig};
 
 fn custom_workflow(
     ranks: usize,
@@ -67,53 +65,6 @@ fn full_pipeline_for_a_custom_workflow() {
     let adaptive = explore_then_commit(&spec, 1, &params).unwrap();
     assert!(adaptive.regret_ratio() >= 1.0);
     assert!(adaptive.regret_ratio() < 2.5);
-}
-
-#[test]
-fn simulated_and_native_agree_on_config_ordering_direction() {
-    // A bandwidth-heavy workflow at 16 ranks: in the write-contended
-    // regime the remote-write penalty dominates the (mild) remote-read
-    // penalty, so local-write placement must win in both the simulated
-    // and the native run. (At 1-2 ranks remote writes ride UPI at
-    // near-local speed — the calibrated model and the paper agree
-    // placement barely matters there.)
-    //
-    // Sizing: the shaper measures concurrency from real thread overlap,
-    // and the placement signal only emerges once many writers are
-    // observed in flight (below that, both configurations sit on the
-    // same single-thread cap). So the shaped sleeps must dwarf the
-    // per-op CPU work (payload generation + verification, expensive in
-    // debug builds) or an oversubscribed host starves the overlap and
-    // the measurement turns into scheduling noise. 256 KiB objects keep
-    // CPU work in the low-millisecond range while `time_scale` 400
-    // stretches every sleep to tens-to-hundreds of milliseconds —
-    // overlap, and hence the contention signal, survives even a
-    // single-core runner.
-    let spec = custom_workflow(16, 256 << 10, 1, 0.0, 0.0);
-    let params = ExecutionParams::default();
-    let sim_locw = execute(&spec, SchedConfig::S_LOC_W, &params).unwrap();
-    let sim_locr = execute(&spec, SchedConfig::S_LOC_R, &params).unwrap();
-    let (sim_w_local, _) = sim_locw.serial_split();
-    let (sim_w_remote, _) = sim_locr.serial_split();
-    assert!(sim_w_remote > sim_w_local);
-
-    let nparams = NativeParams {
-        time_scale: 400.0,
-        region_bytes: 16 << 20,
-        ..Default::default()
-    };
-    let nat_locw = run_native(&spec, SchedConfig::S_LOC_W, &nparams).unwrap();
-    let nat_locr = run_native(&spec, SchedConfig::S_LOC_R, &nparams).unwrap();
-    assert_eq!(nat_locw.verification_failures, 0);
-    assert_eq!(nat_locr.verification_failures, 0);
-    // Same direction in the device-model time (free of debug-build store
-    // overheads and scheduler noise): remote writes are slower.
-    assert!(
-        nat_locr.shaped > nat_locw.shaped,
-        "shaped: LocR {:?} !> LocW {:?}",
-        nat_locr.shaped,
-        nat_locw.shaped
-    );
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// The chaos-smoke fault flags of the `cluster_dag_faults` golden.
+/// The fault flags of the `cluster_dag_faults` golden.
 const FAULTS: &[&str] = &[
     "--fault-seed",
     "1234",

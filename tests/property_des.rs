@@ -6,7 +6,7 @@
 use pmemflow::des::rng::SplitMix64;
 use pmemflow::des::{
     Action, ClassView, Direction, FairShareAllocator, FlowAttrs, Locality, RateAllocator,
-    ScriptProcess, SimDuration, Simulation,
+    SimDuration, Simulation,
 };
 use pmemflow::pmem::{DeviceProfile, OptaneAllocator};
 
@@ -44,7 +44,7 @@ fn engine_conserves_bytes() {
             } else {
                 Locality::Local
             };
-            sim.spawn(Box::new(ScriptProcess::new(
+            sim.spawn(
                 format!("p{i}"),
                 vec![
                     Action::Compute(SimDuration::from_secs(compute_ms as f64 * 1e-3 * i as f64)),
@@ -54,7 +54,7 @@ fn engine_conserves_bytes() {
                         attrs: attrs(dir, loc, 4096, 1e-10),
                     },
                 ],
-            )));
+            );
         }
         let rep = sim.run().unwrap();
         let total = rep.resources[0].total_bytes();
@@ -82,14 +82,14 @@ fn more_capacity_is_never_slower() {
             let mut sim = Simulation::new();
             let r = sim.add_resource(Box::new(FairShareAllocator::new(capacity)));
             for i in 0..n_flows {
-                sim.spawn(Box::new(ScriptProcess::new(
+                sim.spawn(
                     format!("p{i}"),
                     vec![Action::Io {
                         resource: r,
                         bytes: (mb * 1024 * 1024) as f64,
                         attrs: attrs(Direction::Write, Locality::Local, 1 << 20, 0.0),
                     }],
-                )));
+                );
             }
             sim.run().unwrap().end_time.seconds()
         };
@@ -156,14 +156,14 @@ fn engine_is_deterministic() {
             let mut sim = Simulation::new();
             let r = sim.add_resource(Box::new(OptaneAllocator::new(DeviceProfile::optane_gen1())));
             for i in 0..n_flows {
-                sim.spawn(Box::new(ScriptProcess::new(
+                sim.spawn(
                     format!("p{i}"),
                     vec![Action::Io {
                         resource: r,
                         bytes: (kb * 1024) as f64 * (i + 1) as f64,
                         attrs: attrs(Direction::Write, Locality::Local, 4096, 1e-10),
                     }],
-                )));
+                );
             }
             sim.run().unwrap().end_time.seconds()
         };
