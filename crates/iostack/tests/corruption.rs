@@ -18,6 +18,28 @@ fn corrupt_byte(r: &mut PmemRegion, offset: u64) {
     r.fence();
 }
 
+/// A payload that no header, index or padding byte imitates.
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8).collect()
+}
+
+/// Where `payload`'s first byte is stored in the region.
+fn payload_offset(r: &mut PmemRegion, payload: &[u8]) -> u64 {
+    let mut image = vec![0u8; r.len()];
+    r.read(0, &mut image);
+    let at = image.windows(payload.len()).position(|w| w == payload);
+    at.expect("payload stored contiguously") as u64
+}
+
+fn assert_payload_mismatch<T>(result: Result<T, StoreError>) {
+    match result {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("payload checksum mismatch"), "{msg}")
+        }
+        other => panic!("payload corruption not reported: {:?}", other.err()),
+    }
+}
+
 #[test]
 fn nvstream_detects_corrupted_payload_on_recovery() {
     let mut s = NvStore::format(region(1 << 20)).unwrap();
@@ -45,31 +67,35 @@ fn nvstream_detects_bad_header_magic() {
 }
 
 #[test]
-fn nova_detects_corrupted_payload_on_recovery() {
+fn nvstream_get_detects_corrupted_payload() {
+    let payload = pattern(10_000);
+    let mut s = NvStore::format(region(1 << 20)).unwrap();
+    s.put("stream", 1, &payload).unwrap();
+    let off = payload_offset(s.region_mut(), &payload);
+    corrupt_byte(s.region_mut(), off + 5_000);
+    assert_payload_mismatch(s.get("stream", 1));
+}
+
+#[test]
+fn nova_get_detects_corrupted_payload() {
+    let payload = pattern(20_000);
     let mut s = NovaFs::format(region(1 << 20), 8, 64 * 1024).unwrap();
-    s.put("stream", 1, &vec![0x22u8; 20_000]).unwrap();
-    let data_area_guess = (1 << 20) - 10_000; // payload sits near data bump start
+    s.put("stream", 1, &payload).unwrap();
+    let off = payload_offset(s.region_mut(), &payload);
+    corrupt_byte(s.region_mut(), off + 10_000);
+    assert_payload_mismatch(s.get("stream", 1));
+}
+
+#[test]
+fn nova_detects_corrupted_payload_on_recovery() {
+    let payload = pattern(20_000);
+    let mut s = NovaFs::format(region(1 << 20), 8, 64 * 1024).unwrap();
+    s.put("stream", 1, &payload).unwrap();
     let mut r = s.into_region();
-    // Find a byte that actually belongs to the payload: the data area
-    // starts after the log area; corrupt several candidate offsets to be
-    // sure we hit it.
-    let _ = data_area_guess;
-    for off in (70_000u64..90_000).step_by(4096) {
-        corrupt_byte(&mut r, off);
-    }
+    let off = payload_offset(&mut r, &payload);
+    corrupt_byte(&mut r, off + 10_000);
     r.crash();
-    match NovaFs::recover(r) {
-        Err(StoreError::Corrupt(_)) => {}
-        Ok(mut fs) => {
-            // If recovery succeeded, the read path must still detect it.
-            match fs.get("stream", 1) {
-                Err(StoreError::Corrupt(_)) => {}
-                Ok(data) => assert_eq!(data, vec![0x22u8; 20_000], "silent corruption!"),
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        Err(e) => panic!("unexpected error {e}"),
-    }
+    assert_payload_mismatch(NovaFs::recover(r));
 }
 
 #[test]

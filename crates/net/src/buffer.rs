@@ -237,7 +237,7 @@ mod tests {
         assert!(out.eof);
     }
 
-    /// Regression (chaos rig, firehose fairness): the `limit` budget is
+    /// Regression (firehose fairness): the `limit` budget is
     /// exact. The old code requested a full 16 KiB chunk regardless of
     /// remaining budget, so one greedy connection overshot its fairness
     /// slice by up to a chunk — under a fragmenting peer that margin is

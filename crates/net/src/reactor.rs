@@ -43,6 +43,7 @@ pub struct Interest {
 
 impl Interest {
     /// Edge-triggered readable.
+    #[cfg(test)]
     pub(crate) const fn edge_read() -> Interest {
         Interest {
             readable: true,

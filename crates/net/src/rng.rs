@@ -12,16 +12,4 @@ impl Sm64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
-
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in `[lo, hi]` (inclusive; `hi < lo` collapses to `lo`).
-    pub(crate) fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        if hi <= lo {
-            return lo;
-        }
-        lo + self.next_u64() % (hi - lo + 1)
-    }
 }

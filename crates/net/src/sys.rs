@@ -5,7 +5,7 @@
 //! library, which exports the variadic `syscall(2)` entry point — this
 //! module declares that one symbol and issues the handful of calls the
 //! reactor needs (`epoll_create1`, `epoll_ctl`, `epoll_pwait`,
-//! `eventfd2`, `setsockopt`, and `read`/`write` for the eventfd) by
+//! `eventfd2`, and `read`/`write` for the eventfd) by
 //! number, with per-architecture tables for x86_64 and aarch64. File
 //! descriptors ride in and out as [`std::os::fd`] types so ownership and
 //! close-on-drop stay in std's hands.
@@ -28,7 +28,6 @@ mod nr {
     pub const EPOLL_PWAIT: super::c_long = 281;
     pub const EVENTFD2: super::c_long = 290;
     pub const EPOLL_CREATE1: super::c_long = 291;
-    pub const SETSOCKOPT: super::c_long = 54;
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -39,7 +38,6 @@ mod nr {
     pub const EPOLL_PWAIT: super::c_long = 22;
     pub const EVENTFD2: super::c_long = 19;
     pub const EPOLL_CREATE1: super::c_long = 20;
-    pub const SETSOCKOPT: super::c_long = 208;
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -200,40 +198,6 @@ pub fn eventfd_drain(fd: BorrowedFd<'_>) {
             8usize as c_long,
         )
     };
-}
-
-/// `SOL_SOCKET` / `SO_LINGER` (Linux generic socket option layer).
-const SOL_SOCKET: c_int = 1;
-const SO_LINGER: c_int = 13;
-
-/// The kernel's `struct linger`.
-#[repr(C)]
-struct Linger {
-    l_onoff: c_int,
-    l_linger: c_int,
-}
-
-/// Arm `SO_LINGER {on, 0s}` on a connected socket: the next `close(2)`
-/// discards unsent data and fires an RST at the peer instead of the
-/// orderly FIN handshake. This is how the chaos proxy manufactures a
-/// *real* `ECONNRESET` on the daemon's side of the wire — an abortive
-/// close is kernel behavior no userspace mock can fake.
-pub fn set_linger_zero(fd: RawFd) -> io::Result<()> {
-    let lg = Linger {
-        l_onoff: 1,
-        l_linger: 0,
-    };
-    cvt(unsafe {
-        syscall(
-            nr::SETSOCKOPT,
-            fd as c_long,
-            SOL_SOCKET as c_long,
-            SO_LINGER as c_long,
-            &lg as *const Linger,
-            std::mem::size_of::<Linger>() as c_long,
-        )
-    })?;
-    Ok(())
 }
 
 /// Tiny helper so call sites stay terse: a `BorrowedFd` as the `c_long`

@@ -60,11 +60,10 @@
 //! jittered exponential backoff instead of spinning or crashing
 //! (`fd_exhausted_total` counts the strikes); and
 //! [`FaultInjectingBackend`] gives tests and CI a deterministic
-//! panic-injection hook (`--fault-rate`). The network side is tested by
-//! one harness, the chaos rig ([`run_rig`]): the real daemon behind a
-//! seeded [`pmemflow_net::ChaosProxy`] that fragments, stalls,
-//! half-closes and resets each connection at planned byte offsets, with
-//! a scripted client fleet that knows every byte the daemon owes it.
+//! panic-injection hook (`--fault-rate`). The network side is tested
+//! end to end over real loopback sockets (`tests/server.rs`): requests
+//! split across reads, half-closes with answers still owed, resets
+//! mid-request, slowloris clients.
 
 mod cache;
 mod http;
@@ -72,12 +71,10 @@ mod json;
 mod metrics;
 mod model;
 mod query;
-mod rig;
 mod server;
 
 pub use http::split_responses;
 pub use metrics::Metrics;
 pub use model::{Answer, Backend, FaultInjectingBackend, ModelBackend};
 pub use query::Query;
-pub use rig::{run_rig, RigConfig, RigReport};
 pub use server::{Server, ServerConfig};

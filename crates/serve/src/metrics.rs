@@ -205,12 +205,12 @@ impl Metrics {
     /// The connection-conservation invariant: every accepted connection
     /// is either still active or has been closed exactly once —
     /// `accepted_total == closed_total + connections_active`. Exact only
-    /// at quiescence (no accept/close mid-flight); the chaos rig and the
-    /// e2e tests check it after drain, where an imbalance means a
-    /// double-close. It cannot see a leaked connection: the drain closes
-    /// every idle connection, leaked ones included, so the rig checks for
-    /// leaks *before* shutdown instead (`connections_active` reaching 0
-    /// once every client has finished).
+    /// at quiescence (no accept/close mid-flight); the e2e tests check it
+    /// after drain, where an imbalance means a double-close. It cannot
+    /// see a leaked connection: the drain closes every idle connection,
+    /// leaked ones included, so the tests check for leaks *before*
+    /// shutdown instead (`connections_active` reaching 0 once the client
+    /// has finished).
     pub fn connection_conservation(&self) -> Result<(), String> {
         let accepted = self.accepted_total.load(Relaxed);
         let closed = self.closed_total.load(Relaxed);

@@ -2,7 +2,7 @@
 
 use pmemflow_serve::{split_responses, Answer, Backend, Query, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,6 +63,26 @@ fn raw_request(method: &str, path: &str, body: &str) -> String {
         "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
+}
+
+/// Read until `n` whole responses have arrived (or the daemon closes);
+/// returns the raw bytes.
+fn read_responses(s: &mut TcpStream, n: usize) -> Vec<u8> {
+    let mut got = Vec::new();
+    let mut buf = [0u8; 4096];
+    while split_responses(&got).map_or(0, |(r, _)| r.len()) < n {
+        match s.read(&mut buf) {
+            Ok(0) => break,
+            Ok(k) => got.extend_from_slice(&buf[..k]),
+            Err(e) => panic!("read failed after {} bytes: {e}", got.len()),
+        }
+    }
+    got
+}
+
+fn predict(ranks: usize) -> String {
+    let body = format!(r#"{{"workload":"micro-2kb","ranks":{ranks}}}"#);
+    raw_request("POST", "/v1/predict", &body)
 }
 
 /// One request on a fresh connection.
@@ -227,18 +247,7 @@ fn deep_pipeline_of_inline_answers() {
         burst.extend_from_slice(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
     }
     s.write_all(&burst).unwrap();
-    let mut got = Vec::new();
-    let mut buf = [0u8; 4096];
-    while split_responses(&got).map_or(0, |(r, _)| r.len()) < N {
-        match s.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => got.extend_from_slice(&buf[..n]),
-            Err(e) => panic!(
-                "read failed after {} responses: {e}",
-                split_responses(&got).map_or(0, |(r, _)| r.len())
-            ),
-        }
-    }
+    let got = read_responses(&mut s, N);
     let (responses, leftover) = split_responses(&got).expect("well-framed response stream");
     assert_eq!(responses.len(), N, "expected all pipelined responses");
     assert_eq!(leftover, 0, "no interleaved bytes after the last response");
@@ -689,6 +698,76 @@ fn reset_mid_request_head_closes_the_connection_before_shutdown() {
     server.shutdown();
     assert_eq!(server.join(), 0);
     metrics.connection_conservation().unwrap();
+}
+
+#[test]
+fn half_close_gets_every_owed_answer() {
+    // Worker-path answers, so all three are still owed when the FIN
+    // arrives: the daemon must write them before it closes.
+    let server = Server::start_with_backend(small_config(), slow(100)).unwrap();
+    let metrics = server.metrics().clone();
+    let mut client = TcpStream::connect(server.addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut wire: String = (1..=3).map(predict).collect();
+    wire.push_str("POST /v1/predict HTTP/1.1\r\nContent-Len");
+    client.write_all(wire.as_bytes()).unwrap();
+    client.shutdown(Shutdown::Write).unwrap();
+    let mut got = Vec::new();
+    client.read_to_end(&mut got).unwrap();
+
+    let (responses, leftover) = split_responses(&got).expect("well-framed response stream");
+    assert_eq!(responses.len(), 3, "one answer per whole request");
+    assert_eq!(leftover, 0);
+    for (ranks, r) in (1..=3).zip(&responses) {
+        assert_eq!(r.status, 200);
+        let body = String::from_utf8_lossy(&r.body);
+        assert!(body.contains(&format!("@{ranks}|")), "out of order: {body}");
+    }
+    // Before the drain, which would close a leaked connection itself.
+    wait_for("the half-closed connection to close", || {
+        metrics.connections_active.load(Relaxed) == 0
+    });
+    server.shutdown();
+    assert_eq!(server.join(), 0);
+    metrics.connection_conservation().unwrap();
+}
+
+#[test]
+fn request_split_across_reads_is_answered() {
+    let server = Server::start_with_backend(small_config(), slow(0)).unwrap();
+    let wire: String = [8, 9].into_iter().map(predict).collect();
+    let open = || {
+        let s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s.set_nodelay(true).unwrap();
+        s
+    };
+    let mut whole = open();
+    whole.write_all(wire.as_bytes()).unwrap();
+    let reference = read_responses(&mut whole, 2);
+
+    // Small pieces with gaps between them: each lands in its own read.
+    let mut split = open();
+    for piece in wire.as_bytes().chunks(17) {
+        split.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(3));
+    }
+    let got = read_responses(&mut split, 2);
+
+    let (expected, _) = split_responses(&reference).unwrap();
+    assert_eq!(expected.len(), 2);
+    let (responses, leftover) = split_responses(&got).expect("well-framed response stream");
+    assert_eq!(responses.len(), 2, "both pipelined requests answered");
+    assert_eq!(leftover, 0);
+    for (r, e) in responses.iter().zip(&expected) {
+        assert_eq!(r.status, 200);
+        assert_eq!(r.body, e.body, "a split request changed its answer");
+    }
+    drop((whole, split));
+    server.shutdown();
+    assert_eq!(server.join(), 0);
 }
 
 #[test]
