@@ -5,8 +5,9 @@
 //!
 //! Reports per-policy wall time, stage throughput, mean bounded
 //! slowdown, and peak staging residency, and re-runs the FCFS campaign
-//! to assert the JSONL is byte-identical — the determinism contract the
-//! CI `dag-determinism` step also checks end-to-end through the CLI.
+//! to assert the JSONL is byte-identical — the determinism contract
+//! `tests/golden.rs` also checks end-to-end through the CLI, at
+//! `--jobs` 1, 4 and 8.
 //!
 //! Always writes `BENCH_dag_scale.json` (schema-stable, one object) so
 //! successive runs seed a perf trajectory. `--smoke` shrinks the

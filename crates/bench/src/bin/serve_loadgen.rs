@@ -45,7 +45,7 @@
 use pmemflow_bench::BenchArgs;
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_net::{drain_read, Event, Interest, Reactor, Token, WriteBuf};
-use pmemflow_serve::{Server, ServerConfig};
+use pmemflow_serve::{split_responses, Server, ServerConfig};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
@@ -137,34 +137,6 @@ fn render_requests(queries: &[LoadQuery]) -> Vec<Vec<u8>> {
             .into_bytes()
         })
         .collect()
-}
-
-/// Parse one complete HTTP/1.1 response off the front of `buf`:
-/// `(status, consumed, body)`. `None` while incomplete. The daemon
-/// always sends `Content-Length` (never chunked), so framing is exact.
-fn try_parse_response(buf: &[u8]) -> Option<(u16, usize, Vec<u8>)> {
-    let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
-    let head = std::str::from_utf8(&buf[..head_end]).expect("ascii response head");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let mut len = 0usize;
-    for line in lines {
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            len = v.trim().parse().expect("content length");
-        }
-    }
-    if buf.len() < head_end + len {
-        return None;
-    }
-    Some((
-        status,
-        head_end + len,
-        buf[head_end..head_end + len].to_vec(),
-    ))
 }
 
 /// How a pass schedules its requests.
@@ -323,17 +295,20 @@ fn run_pass(
                 let outcome =
                     drain_read(&mut conn.stream, &mut conn.rbuf, READ_LIMIT).expect("client read");
                 // A completed response hands the connection its next job.
-                while let Some((status, consumed, body)) = try_parse_response(&fleet[c].rbuf) {
-                    fleet[c].rbuf.drain(..consumed);
+                let (responses, leftover) =
+                    split_responses(&conn.rbuf).expect("well-framed response stream");
+                let consumed = conn.rbuf.len() - leftover;
+                conn.rbuf.drain(..consumed);
+                for response in responses {
                     let (pos, t0) = fleet[c].inflight.take().expect("response without request");
                     assert_eq!(
-                        status,
+                        response.status,
                         200,
                         "request #{pos}: {}",
-                        String::from_utf8_lossy(&body)
+                        String::from_utf8_lossy(&response.body)
                     );
                     latencies.push(t0.elapsed().as_micros() as u64);
-                    bodies[pos] = String::from_utf8(body).expect("utf8 body");
+                    bodies[pos] = String::from_utf8(response.body).expect("utf8 body");
                     completed += 1;
                     last_progress = Instant::now();
                     if open_loop {

@@ -12,7 +12,7 @@ use pmemflow_core::{check_fit, CORES_PER_SOCKET};
 use pmemflow_dag::DagClass;
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{Direction, Locality};
-use pmemflow_fault::{requeue_backoff, FaultEventKind, FaultPlan};
+use pmemflow_fault::{requeue_backoff, CheckpointSpec, FaultEventKind, FaultPlan};
 use std::collections::VecDeque;
 
 /// Closed-loop stream state inside the loop.
@@ -50,19 +50,19 @@ impl<'a> Campaign<'a> {
         arena: &'a JobArena,
     ) -> Campaign<'a> {
         let ckpt = &config.checkpoint;
-        // Checkpoint tax: one image of `state_bytes` (written as
-        // `object_bytes` objects) into local PMEM every `interval`
+        // Checkpoint tax: one image of `STATE_BYTES` (written as
+        // `OBJECT_BYTES` objects) into local PMEM every `interval`
         // solo-seconds, charged through the same stack cost model the
         // in-situ I/O pays — heavier software stacks tax checkpoints harder.
         let ckpt_frac = if ckpt.interval > 0.0 {
             let cost = config.exec.cost_model();
-            let objects = ckpt.state_bytes.div_ceil(ckpt.object_bytes);
+            let object_bytes = CheckpointSpec::OBJECT_BYTES;
+            let objects = CheckpointSpec::STATE_BYTES.div_ceil(object_bytes);
             let latency = config
                 .exec
                 .profile
                 .latency(Direction::Write, Locality::Local);
-            cost.snapshot_sw_time(Direction::Write, objects, ckpt.object_bytes, latency)
-                / ckpt.interval
+            cost.snapshot_sw_time(Direction::Write, objects, object_bytes, latency) / ckpt.interval
         } else {
             0.0
         };

@@ -170,7 +170,6 @@ fn faulty_config(solo: f64, nodes: usize) -> CampaignConfig {
         interval: solo / 5.0,
         retry_budget: 8,
         backoff_base: 1.0,
-        ..CheckpointSpec::default()
     };
     cfg
 }
@@ -443,7 +442,6 @@ fn dag_campaigns_conserve_submissions_under_faults() {
         interval: 10_000.0,
         retry_budget: 2,
         backoff_base: 1.0,
-        ..CheckpointSpec::default()
     };
     let out = run_campaign(&cfg, &Fcfs, 1).unwrap();
     let arrivals = generate_open(&cfg.arrivals, cfg.seed).unwrap();
@@ -563,7 +561,6 @@ fn diamond_fixture() -> (CampaignConfig, Oracle, Arrival) {
             interval: 10.0,
             retry_budget: 2,
             backoff_base: 1.0,
-            ..CheckpointSpec::default()
         },
         ..CampaignConfig::default()
     };
@@ -726,7 +723,6 @@ fn node_indexes_match_reference_scans_under_churn() {
             interval: 3.0,
             retry_budget: 1,
             backoff_base: 2.0,
-            ..CheckpointSpec::default()
         },
         ..CampaignConfig::default()
     };

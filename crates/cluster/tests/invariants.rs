@@ -116,7 +116,6 @@ fn faulty_config(n: u64, nodes: usize, seed: u64) -> CampaignConfig {
         interval: 30.0,
         retry_budget: 5,
         backoff_base: 2.0,
-        ..CheckpointSpec::default()
     };
     cfg
 }

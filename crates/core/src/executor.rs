@@ -32,6 +32,15 @@ pub fn check_fit(ranks_per_socket: usize) -> Result<(), ExecError> {
     Ok(())
 }
 
+/// How many batches a snapshot's objects are published in. Objects are
+/// made visible to the reader *as they are written* (the versioned
+/// stores publish per object), so in parallel mode reader I/O overlaps
+/// writer I/O within the same iteration — the defining property of the
+/// paper's parallel execution mode ("their I/O operations … overlap in
+/// time", §II-A). Batching bounds the event count; 8 batches per
+/// snapshot resolves the overlap to 12.5% granularity.
+const BATCHES_PER_SNAPSHOT: u64 = 8;
+
 /// Everything the executor needs besides the workflow and configuration.
 #[derive(Debug, Clone)]
 pub struct ExecutionParams {
@@ -39,14 +48,6 @@ pub struct ExecutionParams {
     pub profile: DeviceProfile,
     /// Which I/O stack carries the channel (defaults to NVStream).
     pub stack: StackKind,
-    /// How many batches a snapshot's objects are published in. Objects are
-    /// made visible to the reader *as they are written* (the versioned
-    /// stores publish per object), so in parallel mode reader I/O overlaps
-    /// writer I/O within the same iteration — the defining property of the
-    /// paper's parallel execution mode ("their I/O operations … overlap in
-    /// time", §II-A). Batching bounds the event count; 8 batches per
-    /// snapshot resolves the overlap to 12.5% granularity.
-    pub batches_per_snapshot: u64,
     /// Deterministic rank desynchronization: writer rank `i` starts with an
     /// extra delay of `i/ranks × compute_per_iteration × stagger`. Real MPI
     /// ranks drift apart over compute phases, so I/O windows spread instead
@@ -68,7 +69,6 @@ impl Default for ExecutionParams {
         Self {
             profile: DeviceProfile::optane_gen1(),
             stack: StackKind::NvStream,
-            batches_per_snapshot: 8,
             stagger: 2.46,
             cost_override: None,
             record_timeline: false,
@@ -218,8 +218,7 @@ fn build_workflow_processes(
     let channels: Vec<_> = (0..spec.ranks).map(|_| sim.add_channel()).collect();
     // A snapshot is published incrementally: objects become visible as
     // they are written. Channel versions count *batches* published so far.
-    let batches = params
-        .batches_per_snapshot
+    let batches = BATCHES_PER_SNAPSHOT
         .min(spec.writer.io.objects_per_snapshot)
         .max(1);
     let snapshot_bytes = spec.writer.io.snapshot_bytes() as f64;

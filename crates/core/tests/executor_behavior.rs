@@ -50,25 +50,6 @@ fn serial_never_overlaps_even_with_incremental_publishing() {
 }
 
 #[test]
-fn batching_granularity_does_not_change_serial_runtimes_materially() {
-    // In serial mode batches only split flows back-to-back, so runtime is
-    // insensitive to the batch count (within float noise).
-    let s = spec(8, 1 << 20, 64, 0.1, 0.0);
-    let p1 = ExecutionParams {
-        batches_per_snapshot: 1,
-        ..Default::default()
-    };
-    let p8 = ExecutionParams {
-        batches_per_snapshot: 8,
-        ..Default::default()
-    };
-    let a = execute(&s, SchedConfig::S_LOC_W, &p1).unwrap();
-    let b = execute(&s, SchedConfig::S_LOC_W, &p8).unwrap();
-    let rel = (a.total - b.total).abs() / a.total;
-    assert!(rel < 0.05, "serial runtime shifted {rel:.3} with batching");
-}
-
-#[test]
 fn stagger_spreads_write_bursts() {
     // With compute phases, staggering lowers the peak device concurrency
     // relative to lockstep ranks.

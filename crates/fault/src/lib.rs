@@ -121,11 +121,6 @@ pub struct CheckpointSpec {
     /// and the exponent is clamped so a huge retry budget cannot overflow
     /// the eligible time to `+inf` and strand the job forever.
     pub backoff_base: f64,
-    /// Checkpoint image size in bytes (application state per job).
-    pub state_bytes: u64,
-    /// Object granularity the image is written in — small objects pay the
-    /// stack's per-operation software cost, exactly the paper's coupling.
-    pub object_bytes: u64,
 }
 
 impl Default for CheckpointSpec {
@@ -134,13 +129,17 @@ impl Default for CheckpointSpec {
             interval: 0.0,
             retry_budget: 3,
             backoff_base: 5.0,
-            state_bytes: 1 << 30,
-            object_bytes: 64 << 20,
         }
     }
 }
 
 impl CheckpointSpec {
+    /// Checkpoint image size in bytes (application state per job).
+    pub const STATE_BYTES: u64 = 1 << 30;
+    /// Object granularity the image is written in — small objects pay the
+    /// stack's per-operation software cost, exactly the paper's coupling.
+    pub const OBJECT_BYTES: u64 = 64 << 20;
+
     /// Validate ranges, returning a human-readable complaint.
     pub fn validate(&self) -> Result<(), String> {
         if !self.interval.is_finite() || self.interval < 0.0 {
@@ -154,12 +153,6 @@ impl CheckpointSpec {
                 "backoff base must be finite and non-negative, got {}",
                 self.backoff_base
             ));
-        }
-        if self.interval > 0.0 && (self.state_bytes == 0 || self.object_bytes == 0) {
-            return Err("checkpoint state and object sizes must be positive".into());
-        }
-        if self.interval > 0.0 && self.object_bytes > self.state_bytes {
-            return Err("checkpoint objects cannot be larger than the image".into());
         }
         Ok(())
     }
@@ -599,12 +592,6 @@ mod tests {
             interval: -1.0,
             ..CheckpointSpec::default()
         };
-        assert!(c.validate().is_err());
-        let mut c = CheckpointSpec {
-            interval: 10.0,
-            ..CheckpointSpec::default()
-        };
-        c.object_bytes = 0;
         assert!(c.validate().is_err());
         CheckpointSpec::default().validate().unwrap();
     }

@@ -1,7 +1,6 @@
 //! Byte plumbing for nonblocking sockets: drain-reads, partial-write
-//! buffers, and the jittered accept backoff.
+//! buffers, and the accept backoff.
 
-use crate::rng::Sm64;
 use std::io::{self, Read, Write};
 
 /// Outcome of one [`drain_read`] call.
@@ -105,14 +104,13 @@ impl WriteBuf {
     }
 }
 
-/// Jittered exponential backoff for accept-loop fd exhaustion
+/// Exponential backoff for accept-loop fd exhaustion
 /// (`EMFILE`/`ENFILE`): the acceptor pauses instead of spinning on an
-/// error that retrying cannot fix, and jitter decorrelates a fleet of
-/// daemons hitting the wall together.
+/// error that retrying cannot fix.
+#[derive(Default)]
 pub struct AcceptBackoff {
     /// Consecutive exhaustion events (resets on a successful accept).
     strikes: u32,
-    rng: Sm64,
 }
 
 impl AcceptBackoff {
@@ -121,23 +119,14 @@ impl AcceptBackoff {
     /// Ceiling on the exponential part.
     const MAX_MS: u64 = 2_000;
 
-    /// A fresh backoff with a jitter seed.
-    pub fn new(seed: u64) -> AcceptBackoff {
-        AcceptBackoff {
-            strikes: 0,
-            rng: Sm64(seed | 1),
-        }
-    }
-
     /// Record one exhaustion event; returns how long to pause accepting:
-    /// `min(BASE << strikes, MAX)` plus up to 50% jitter.
+    /// `min(BASE << strikes, MAX)`.
     pub fn strike(&mut self) -> std::time::Duration {
         let exp = Self::BASE_MS
             .saturating_shl(self.strikes.min(16))
             .min(Self::MAX_MS);
         self.strikes = self.strikes.saturating_add(1);
-        let jitter = self.rng.next_u64() % (exp / 2 + 1);
-        std::time::Duration::from_millis(exp + jitter)
+        std::time::Duration::from_millis(exp)
     }
 
     /// A successful accept clears the strike count.
@@ -324,26 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_is_jittered_and_bounded() {
-        let mut b = AcceptBackoff::new(0xFEED);
-        let first = b.strike();
-        assert!(first >= std::time::Duration::from_millis(AcceptBackoff::BASE_MS));
-        // Exponential growth with a hard ceiling: base * 2^k <= MAX, and
-        // jitter adds at most 50%.
-        let mut last = first;
-        for _ in 0..12 {
-            last = b.strike();
-            assert!(
-                last <= std::time::Duration::from_millis(AcceptBackoff::MAX_MS * 3 / 2),
-                "{last:?} above jittered ceiling"
-            );
-        }
-        assert!(last >= std::time::Duration::from_millis(AcceptBackoff::MAX_MS));
-        // Distinct seeds give distinct jitter somewhere in the sequence.
-        let (mut x, mut y) = (AcceptBackoff::new(1), AcceptBackoff::new(2));
-        assert!((0..8).any(|_| x.strike() != y.strike()));
+    fn backoff_grows_and_is_bounded() {
+        let mut b = AcceptBackoff::default();
+        let ms: Vec<u128> = (0..10).map(|_| b.strike().as_millis()).collect();
+        assert_eq!(ms, [25, 50, 100, 200, 400, 800, 1600, 2000, 2000, 2000]);
         b.reset();
-        assert!(b.strike() < std::time::Duration::from_millis(AcceptBackoff::BASE_MS * 2));
+        assert_eq!(b.strike().as_millis(), 25);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! number through the C library's `syscall(2)` entry point), a readiness
 //! [`Reactor`] (edge- or level-triggered interest, cross-thread
 //! [`Waker`]), and the byte plumbing nonblocking sockets need
-//! ([`drain_read`], the partial-write [`WriteBuf`], the jittered
+//! ([`drain_read`], the partial-write [`WriteBuf`], the
 //! fd-exhaustion [`AcceptBackoff`]). Connection state and deadlines are
 //! left to the caller: the daemon keeps them in std ordered maps, with
 //! a never-reused id as the epoll [`Token`] and the earliest deadline
@@ -26,7 +26,6 @@
 
 mod buffer;
 mod reactor;
-mod rng;
 mod sys;
 
 pub use buffer::{drain_read, is_fd_exhaustion, AcceptBackoff, ReadOutcome, WriteBuf};

@@ -317,14 +317,10 @@ pub struct ParsedResponse {
     pub status: u16,
     /// Exact body bytes (per `Content-Length`).
     pub body: Vec<u8>,
-    /// The `x-pmemflow-cache` header, if present (hit/miss/coalesced).
-    pub cache: Option<String>,
-    /// Whether the response carried `Connection: close`.
-    pub close: bool,
 }
 
 /// Split a byte stream of pipelined daemon responses back into parsed
-/// responses — the invariant checker's view of the wire. Returns the
+/// responses: the one client-side response reader. Returns the
 /// responses plus the number of leftover bytes (a cleanly-truncated
 /// final response is `Ok`; leftover == 0 means the stream ended exactly
 /// on a response boundary). Any framing violation — a malformed status
@@ -359,8 +355,6 @@ pub fn split_responses(stream: &[u8]) -> Result<(Vec<ParsedResponse>, usize), St
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| format!("bad status in {status_line:?} at offset {pos}"))?;
         let mut content_length: Option<usize> = None;
-        let mut cache = None;
-        let mut close = false;
         for line in lines {
             let Some((name, value)) = line.split_once(':') else {
                 return Err(format!("malformed header line {line:?} at offset {pos}"));
@@ -372,10 +366,6 @@ pub fn split_responses(stream: &[u8]) -> Result<(Vec<ParsedResponse>, usize), St
                         .parse()
                         .map_err(|_| format!("bad Content-Length {value:?} at offset {pos}"))?,
                 );
-            } else if name.eq_ignore_ascii_case("x-pmemflow-cache") {
-                cache = Some(value.to_string());
-            } else if name.eq_ignore_ascii_case("connection") {
-                close = value.eq_ignore_ascii_case("close");
             }
         }
         let len = content_length
@@ -387,8 +377,6 @@ pub fn split_responses(stream: &[u8]) -> Result<(Vec<ParsedResponse>, usize), St
         out.push(ParsedResponse {
             status,
             body: rest[body_start..body_start + len].to_vec(),
-            cache,
-            close,
         });
         pos += body_start + len;
     }
@@ -621,10 +609,7 @@ mod tests {
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].status, 200);
         assert_eq!(parsed[0].body, b"{\"a\":1}");
-        assert_eq!(parsed[0].cache.as_deref(), Some("miss"));
-        assert!(!parsed[0].close);
         assert_eq!(parsed[1].status, 404);
-        assert!(parsed[1].close);
         assert_eq!(leftover, tail.len() - 3);
     }
 

@@ -42,9 +42,11 @@
 //! deadlines answer `504`; shutdown drains gracefully. The answers
 //! themselves come from the same [`pmemflow_cluster::Oracle`] the
 //! campaign scheduler uses (`model`), so the daemon and the batch path
-//! predict bit-identical numbers. Two workers that miss on the same
-//! key both compute it (at most one computation per worker); the
-//! oracle's own first-wins memo keeps their bytes identical.
+//! predict bit-identical numbers. Misses of one key on one io thread
+//! park behind a single worker job, whose answer serves them all; a
+//! copy queued from another io thread is answered by the worker's
+//! cache probe once the first lands, and if two workers do race on a
+//! key, the oracle's own first-wins memo keeps their bytes identical.
 //!
 //! # Fault tolerance
 //!
@@ -57,10 +59,8 @@
 //! per-request read deadline (armed at the first byte, so idle
 //! keep-alive costs nothing) reaps slowloris clients with `408`; fd
 //! exhaustion (`EMFILE`/`ENFILE`) pauses the acceptor with
-//! jittered exponential backoff instead of spinning or crashing
-//! (`fd_exhausted_total` counts the strikes); and
-//! [`FaultInjectingBackend`] gives tests and CI a deterministic
-//! panic-injection hook (`--fault-rate`). The network side is tested
+//! exponential backoff instead of spinning or crashing
+//! (`fd_exhausted_total` counts the strikes). The network side is tested
 //! end to end over real loopback sockets (`tests/server.rs`): requests
 //! split across reads, half-closes with answers still owed, resets
 //! mid-request, slowloris clients.
@@ -75,6 +75,6 @@ mod server;
 
 pub use http::split_responses;
 pub use metrics::Metrics;
-pub use model::{Answer, Backend, FaultInjectingBackend, ModelBackend};
+pub use model::{Answer, Backend, ModelBackend};
 pub use query::Query;
 pub use server::{Server, ServerConfig};

@@ -158,7 +158,7 @@ pub struct Metrics {
     /// Connections reaped by their read deadline (408).
     pub reaped_total: AtomicU64,
     /// Accept attempts refused by fd exhaustion (`EMFILE`/`ENFILE`);
-    /// each one pauses the acceptor for a jittered backoff.
+    /// each one pauses the acceptor for a backoff.
     pub fd_exhausted_total: AtomicU64,
     /// Reactor poll returns (deadlines, idle polls, waker rings, and I/O
     /// alike).

@@ -257,64 +257,6 @@ fn tenant_keys(tenants: &[QueryTenant]) -> Vec<TenantKey> {
         .collect()
 }
 
-/// A chaos-testing decorator: panics deterministically on every
-/// `period`-th answered call, where `period = round(1 / rate)`. Both
-/// paths share one call counter: every [`Backend::answer`] counts, and
-/// so does every [`Backend::answer_ready`] that has an answer. This is
-/// the daemon's `--fault-rate` test hook — it exercises the whole panic
-/// path on the worker and on the io thread alike (the panic is caught,
-/// that request answers `500`, nothing is cached, `panics_total`
-/// counts it and the thread serves on) without a special build or an
-/// unreliable timing-based injection.
-pub struct FaultInjectingBackend {
-    inner: std::sync::Arc<dyn Backend>,
-    period: u64,
-    calls: std::sync::atomic::AtomicU64,
-}
-
-impl FaultInjectingBackend {
-    /// Wrap `inner` so that roughly `rate` of calls panic (rate is
-    /// clamped into `[0, 1]`; 0 disables injection entirely).
-    pub fn new(inner: std::sync::Arc<dyn Backend>, rate: f64) -> FaultInjectingBackend {
-        let period = if rate > 0.0 {
-            (1.0 / rate.min(1.0)).round().max(1.0) as u64
-        } else {
-            u64::MAX
-        };
-        FaultInjectingBackend {
-            inner,
-            period,
-            calls: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
-
-impl FaultInjectingBackend {
-    /// Count one answered call, panicking on every `period`-th.
-    fn tick(&self) {
-        let n = self
-            .calls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1;
-        if n.is_multiple_of(self.period) {
-            panic!("injected backend fault (call {n})");
-        }
-    }
-}
-
-impl Backend for FaultInjectingBackend {
-    fn answer(&self, query: &Query) -> Answer {
-        self.tick();
-        self.inner.answer(query)
-    }
-
-    fn answer_ready(&self, query: &Query) -> Option<Answer> {
-        let answer = self.inner.answer_ready(query)?;
-        self.tick();
-        Some(answer)
-    }
-}
-
 impl Backend for ModelBackend {
     fn answer(&self, query: &Query) -> Answer {
         let rendered = match query {
@@ -356,46 +298,6 @@ mod tests {
 
     fn q(endpoint: &str, body: &str) -> Query {
         Query::from_json(endpoint, &Json::parse(body).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn fault_injection_panics_on_a_fixed_cadence() {
-        /// Answers everything; only 8-rank queries are ready.
-        struct Ok200;
-        impl Backend for Ok200 {
-            fn answer(&self, _q: &Query) -> Answer {
-                Answer::ok("{}".to_string())
-            }
-            fn answer_ready(&self, q: &Query) -> Option<Answer> {
-                matches!(q, Query::Predict { ranks: 8, .. }).then(|| self.answer(q))
-            }
-        }
-        let ready = q("/v1/predict", r#"{"workload":"micro-64mb","ranks":8}"#);
-        let cold = q("/v1/predict", r#"{"workload":"micro-64mb","ranks":9}"#);
-        // rate 1/3 → every 3rd answered call panics, on either path: call
-        // 3 is an `answer`, call 6 an `answer_ready`. A query that is not
-        // ready is not an answered call.
-        let b = FaultInjectingBackend::new(std::sync::Arc::new(Ok200), 1.0 / 3.0);
-        let panics: Vec<u32> = (1..=6)
-            .filter(|call| {
-                assert!(b.answer_ready(&cold).is_none());
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if call % 2 == 1 {
-                        drop(b.answer(&ready));
-                    } else {
-                        drop(b.answer_ready(&ready));
-                    }
-                }))
-                .is_err()
-            })
-            .collect();
-        assert_eq!(panics, [3, 6]);
-        // rate 0 never injects.
-        let b = FaultInjectingBackend::new(std::sync::Arc::new(Ok200), 0.0);
-        for _ in 0..64 {
-            assert_eq!(b.answer(&ready).status, 200);
-            assert!(b.answer_ready(&ready).is_some());
-        }
     }
 
     /// Every kind of query the daemon serves: each endpoint on both

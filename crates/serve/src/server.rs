@@ -53,7 +53,7 @@ use crate::cache::Lru;
 use crate::http::{render_response, Decoded, Request, RequestDecoder};
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::model::{Answer, Backend, FaultInjectingBackend, ModelBackend};
+use crate::model::{Answer, Backend, ModelBackend};
 use crate::query::Query;
 use pmemflow_core::sync::lock_recover;
 use pmemflow_des::json_escape;
@@ -90,9 +90,6 @@ pub struct ServerConfig {
     /// is reaped with 408 once this elapses. Idle
     /// keep-alive connections are not charged.
     pub read_deadline: Duration,
-    /// Chaos hook: fraction of backend calls that panic (0 disables).
-    /// See [`FaultInjectingBackend`].
-    pub fault_rate: f64,
 }
 
 impl Default for ServerConfig {
@@ -105,7 +102,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             deadline: Duration::from_secs(30),
             read_deadline: Duration::from_secs(5),
-            fault_rate: 0.0,
         }
     }
 }
@@ -309,11 +305,6 @@ impl Server {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let backend: Arc<dyn Backend> = if config.fault_rate > 0.0 {
-            Arc::new(FaultInjectingBackend::new(backend, config.fault_rate))
-        } else {
-            backend
-        };
         let (queue, jobs) = sync_channel::<Job>(config.queue_capacity.max(1));
         let jobs = Arc::new(Mutex::new(jobs));
 
@@ -348,12 +339,9 @@ impl Server {
             .map(|(i, reactor)| {
                 let listener = listener.try_clone()?;
                 let (shared, queue, backend) = (shared.clone(), queue.clone(), backend.clone());
-                let seed = u64::from(addr.port()) << 8 | i as u64;
                 std::thread::Builder::new()
                     .name(format!("serve-io-{i}"))
-                    .spawn(move || {
-                        io_loop(reactor, listener, shared, backend, queue, exclusive, seed)
-                    })
+                    .spawn(move || io_loop(reactor, listener, shared, backend, queue, exclusive))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         // The io threads own the only queue senders now; when they exit,
@@ -489,7 +477,6 @@ fn io_loop(
     backend: Arc<dyn Backend>,
     queue: SyncSender<Job>,
     exclusive: bool,
-    seed: u64,
 ) -> usize {
     let mailbox = Arc::new(Mailbox {
         completions: Mutex::new(Vec::new()),
@@ -521,7 +508,7 @@ fn io_loop(
         deadlines: BTreeSet::new(),
         pending: BTreeMap::new(),
         resume_accept: None,
-        backoff: AcceptBackoff::new(seed),
+        backoff: AcceptBackoff::default(),
         accepting: true,
         listener_interest,
     };
@@ -625,7 +612,7 @@ fn io_loop(
 
 impl IoThread {
     /// Accept until the listener would block. On fd exhaustion, pause
-    /// accepting for a jittered backoff instead of spinning on an error
+    /// accepting for a backoff instead of spinning on an error
     /// that retrying cannot fix.
     fn accept_ready(&mut self) {
         if !self.accepting {

@@ -1290,15 +1290,21 @@ fn duplicates_parked_behind_a_panic_get_their_own_attempt() {
     metrics.connection_conservation().unwrap();
 }
 
-/// Every query is ready; `answer` is never reached.
-struct ReadyBackend;
+/// Every query is ready; `answer` is never reached. The second
+/// `answer_ready` call panics, once.
+struct PanicOnSecondReadyBackend {
+    ready_calls: AtomicUsize,
+}
 
-impl Backend for ReadyBackend {
+impl Backend for PanicOnSecondReadyBackend {
     fn answer(&self, _query: &Query) -> Answer {
         unreachable!("every query is ready on the io thread")
     }
 
     fn answer_ready(&self, query: &Query) -> Option<Answer> {
+        if self.ready_calls.fetch_add(1, Relaxed) == 1 {
+            panic!("injected io-thread fault");
+        }
         Some(Answer {
             status: 200,
             body: format!("{{\"key\":\"{}\"}}", query.canonical_key()),
@@ -1308,15 +1314,14 @@ impl Backend for ReadyBackend {
 
 #[test]
 fn io_thread_panic_answers_500_and_the_retry_succeeds() {
-    // Fault rate 0.5: the injector panics on every second answered
-    // call, here the io thread's second `answer_ready`.
     let server = Server::start_with_backend(
         ServerConfig {
             workers: 1,
-            fault_rate: 0.5,
             ..small_config()
         },
-        Arc::new(ReadyBackend),
+        Arc::new(PanicOnSecondReadyBackend {
+            ready_calls: AtomicUsize::new(0),
+        }),
     )
     .unwrap();
     let addr = server.addr();

@@ -103,8 +103,6 @@ COMMANDS:
                   --deadline-ms MS    per-request deadline (default 30000)
                   --read-deadline-ms MS  per-request read budget; slow clients
                                          get 408 (default 5000)
-                  --fault-rate R      chaos hook: fraction of computations
-                                      that panic, in [0,1) (default 0)
                   endpoints: POST /v1/sweep /v1/recommend /v1/predict
                   /v1/coschedule; GET /healthz /metrics; POST /admin/shutdown
   devicebench   print the modeled §II-B device characterization
@@ -386,15 +384,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 args.get_positive("deadline-ms", 30_000, "a positive millisecond count")?;
             let read_deadline_ms: u64 =
                 args.get_positive("read-deadline-ms", 5_000, "a positive millisecond count")?;
-            let fault_rate: f64 = args.get_parse("fault-rate", 0.0, "a fraction in [0,1)")?;
-            if !fault_rate.is_finite() || !(0.0..1.0).contains(&fault_rate) {
-                return Err(CliError::BadValue {
-                    option: "fault-rate".into(),
-                    value: fault_rate.to_string(),
-                    expected: "a fraction in [0,1)",
-                }
-                .into());
-            }
             args.reject_unread()?;
             let server = Server::start(ServerConfig {
                 port,
@@ -404,15 +393,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 queue_capacity,
                 deadline: std::time::Duration::from_millis(deadline_ms),
                 read_deadline: std::time::Duration::from_millis(read_deadline_ms),
-                fault_rate,
             })?;
             println!("listening on http://{}", server.addr());
-            if fault_rate > 0.0 {
-                println!(
-                    "CHAOS: injecting panics into ~{:.0}% of computations",
-                    fault_rate * 100.0
-                );
-            }
             println!("{io_threads} io thread(s), {workers} worker(s), cache {cache_capacity}, queue {queue_capacity}; POST /admin/shutdown to drain");
             server.join();
         }
@@ -491,7 +473,6 @@ fn fault_flags(
             )?,
             retry_budget: args.get_parse("retry-budget", 3, "a restart count")?,
             backoff_base: args.get_parse("backoff-base", 5.0, "seconds")?,
-            ..CheckpointSpec::default()
         },
     ))
 }

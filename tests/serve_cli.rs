@@ -1,18 +1,22 @@
 //! End-to-end tests of `pmemflow serve`: boot the real binary on an
 //! ephemeral port, query every endpoint, drain it, and check the exit
-//! status; keep serving through fd exhaustion, a stalled client and
-//! injected worker panics.
+//! status; keep serving through fd exhaustion and a stalled client.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::Duration;
 
-fn request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
+/// Read timeout for calls the daemon answers without simulating
+/// (`/healthz`, `/metrics`, `/admin/shutdown`): a wedged acceptor fails
+/// the test in seconds.
+const QUICK: Duration = Duration::from_secs(10);
+/// Read timeout for model queries, which may simulate in a debug build.
+const SIMULATES: Duration = Duration::from_secs(60);
+
+fn request(addr: &str, method: &str, path: &str, body: &str, timeout: Duration) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("daemon reachable");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
+    stream.set_read_timeout(Some(timeout)).unwrap();
     stream
         .write_all(
             format!(
@@ -69,9 +73,8 @@ impl Daemon {
         let workers = workers.to_string();
         cmd.args(["serve", "--port", "0", "--workers", &workers])
             .args(extra);
-        // Its stderr carries error and panic reports (`--fault-rate`
-        // panics on purpose); the tests read every outcome from the HTTP
-        // answers and the exit status.
+        // Its stderr carries error reports; the tests read every outcome
+        // from the HTTP answers and the exit status.
         let mut child = cmd
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
@@ -98,7 +101,7 @@ impl Daemon {
 
     /// Ask the daemon to drain and check that it exits cleanly.
     fn shutdown(mut self) {
-        let (status, body) = request(&self.addr, "POST", "/admin/shutdown", "");
+        let (status, body) = request(&self.addr, "POST", "/admin/shutdown", "", QUICK);
         assert_eq!(status, 200);
         assert!(body.contains("draining"), "{body}");
         let exit = self.child.wait().expect("daemon exits after drain");
@@ -133,7 +136,7 @@ fn serve_survives_fd_exhaustion() {
     let daemon = Daemon::spawn(1, Some(24), &[]);
     let addr = daemon.addr.as_str();
 
-    let (status, body) = request(addr, "GET", "/healthz", "");
+    let (status, body) = request(addr, "GET", "/healthz", "", QUICK);
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     // Pile on far more connections than the daemon has fds for. TCP
@@ -150,7 +153,7 @@ fn serve_survives_fd_exhaustion() {
     drop(flood);
     std::thread::sleep(Duration::from_millis(500));
 
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, metrics) = request(addr, "GET", "/metrics", "", QUICK);
     assert_eq!(status, 200, "daemon must keep serving after fd exhaustion");
     let strikes = counter(&metrics, "pmemflow_serve_fd_exhausted_total");
     assert!(strikes >= 1, "acceptor never hit EMFILE (limit too high?)");
@@ -163,7 +166,7 @@ fn serve_smoke_boot_query_drain() {
     let daemon = Daemon::spawn(2, None, &[]);
     let addr = daemon.addr.as_str();
 
-    let (status, body) = request(addr, "GET", "/healthz", "");
+    let (status, body) = request(addr, "GET", "/healthz", "", QUICK);
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     // One query per model endpoint, each checked for its headline field.
@@ -190,17 +193,17 @@ fn serve_smoke_boot_query_drain() {
             "\"makespan_s\"",
         ),
     ] {
-        let (status, body) = request(addr, "POST", path, query);
+        let (status, body) = request(addr, "POST", path, query, SIMULATES);
         assert_eq!(status, 200, "{path}: {body}");
         assert!(body.contains(field), "{path} lacks {field}: {body}");
     }
 
     // A malformed body answers 400 and does not kill the daemon.
-    let (status, body) = request(addr, "POST", "/v1/predict", "{broken");
+    let (status, body) = request(addr, "POST", "/v1/predict", "{broken", QUICK);
     assert_eq!(status, 400);
     assert!(body.contains("malformed JSON"));
 
-    let (status, body) = request(addr, "GET", "/metrics", "");
+    let (status, body) = request(addr, "GET", "/metrics", "", QUICK);
     assert_eq!(status, 200);
     for line in [
         "pmemflow_serve_requests_total{endpoint=\"/v1/sweep\"} 1",
@@ -235,43 +238,9 @@ fn slowloris_is_answered_408_and_reaped() {
         .expect("the daemon closes the stalled connection");
     assert!(raw.contains("408 Request Timeout"), "{raw:?}");
 
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    let (status, metrics) = request(addr, "GET", "/metrics", "", QUICK);
     assert_eq!(status, 200);
     assert!(counter(&metrics, "pmemflow_serve_connections_reaped_total") >= 1);
-
-    daemon.shutdown();
-}
-
-#[test]
-fn fault_injected_server_degrades_without_wedging() {
-    let daemon = Daemon::spawn(
-        2,
-        None,
-        &["--fault-rate", "0.2", "--read-deadline-ms", "2000"],
-    );
-    let addr = daemon.addr.as_str();
-    let predict = |ranks: usize| {
-        let body = format!(r#"{{"workload":"micro-2kb","ranks":{ranks}}}"#);
-        request(addr, "POST", "/v1/predict", &body)
-    };
-
-    // Distinct queries compute until the injector fires; a panic must be
-    // a clean 500, never a hang.
-    for ranks in 2..=11 {
-        let (status, body) = predict(ranks);
-        assert!(
-            status == 200 || status == 500,
-            "ranks {ranks}: {status} {body}"
-        );
-    }
-    let (status, metrics) = request(addr, "GET", "/metrics", "");
-    assert_eq!(status, 200);
-    assert!(counter(&metrics, "pmemflow_serve_panics_total") >= 1);
-
-    // The pool keeps serving after the panics: a fresh query is the
-    // injector's 11th call (it panics on every 5th) and computes.
-    let (status, body) = predict(12);
-    assert_eq!(status, 200, "{body}");
 
     daemon.shutdown();
 }
