@@ -6,8 +6,7 @@ use crate::policy::QueuedJob;
 use pmemflow_core::SchedConfig;
 use pmemflow_des::SimTime;
 use std::cell::{Cell, OnceCell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Append-only storage for the policy-facing [`QueuedJob`]s of one
@@ -312,60 +311,53 @@ pub(super) fn backoff_expired(q: &Queued, now: f64) -> bool {
 /// precisely.
 #[derive(Default)]
 struct QueueIndex {
-    /// Backoff expiries of queued entries, lazily pruned. An entry is
-    /// pushed when it enters the queue with `eligible` still in the
-    /// future and becomes stale once `now` passes that instant. A placed
-    /// entry left the queue past its expiry (a job is never placed
-    /// during backoff), so it is stale by the same rule.
-    backoff: BinaryHeap<Reverse<SimTime>>,
-    /// Expiries of entries that left the queue still inside their
-    /// backoff — a failed DAG cascades its queued stages out whatever
-    /// their backoff. Each cancels one equal `backoff` entry when both
-    /// reach the top, so a removed job never surfaces as an event.
-    cancelled: BinaryHeap<Reverse<SimTime>>,
+    /// Multiset (expiry → count) of the backoff expiries of the queued
+    /// entries still in backoff. An entry joins when it enters the queue
+    /// with `eligible` in the future and leaves when its job leaves the
+    /// queue (a failed DAG cascades its queued stages out whatever their
+    /// backoff) or `now` passes its expiry, whichever comes first.
+    backoff: BTreeMap<SimTime, usize>,
     /// Multiset of `ranks` over the whole queue, backoff state ignored.
     /// Exact for eligibility-filtered queries while no backoff is
     /// pending, which is every round of a fault-free campaign.
     rank_counts: BTreeMap<usize, usize>,
 }
 
+/// Take one `key` out of the multiset `counts`.
+fn decrement<K: Ord>(counts: &mut BTreeMap<K, usize>, key: K) {
+    match counts.get_mut(&key) {
+        Some(1) => {
+            counts.remove(&key);
+        }
+        Some(n) => *n -= 1,
+        None => unreachable!("multiset out of sync with the queue"),
+    }
+}
+
 impl QueueIndex {
     fn on_enqueue(&mut self, q: &Queued, now: f64) {
         *self.rank_counts.entry(q.job.ranks).or_insert(0) += 1;
         if q.eligible > now {
-            self.backoff.push(Reverse(SimTime(q.eligible)));
+            *self.backoff.entry(SimTime(q.eligible)).or_insert(0) += 1;
         }
     }
 
     fn on_remove(&mut self, q: &Queued, now: f64) {
+        self.prune(now);
         if q.eligible > now {
-            self.cancelled.push(Reverse(SimTime(q.eligible)));
+            decrement(&mut self.backoff, SimTime(q.eligible));
         }
-        match self.rank_counts.get_mut(&q.job.ranks) {
-            Some(1) => {
-                self.rank_counts.remove(&q.job.ranks);
-            }
-            Some(n) => *n -= 1,
-            None => unreachable!("rank multiset out of sync with the queue"),
-        }
+        decrement(&mut self.rank_counts, q.job.ranks);
     }
 
-    /// Drop expiries at or before `now` and cancel removed entries at the
-    /// top; what remains are exactly the queued entries still in backoff
-    /// (`cancelled` stays a sub-multiset of `backoff`, so when their
-    /// minima differ the `backoff` minimum is live).
+    /// Drop the expiries at or before `now`: what remains are exactly
+    /// the queued entries still in backoff.
     fn prune(&mut self, now: f64) {
-        let expired =
-            |h: &BinaryHeap<Reverse<SimTime>>| h.peek().is_some_and(|Reverse(e)| e.0 <= now);
-        while expired(&self.backoff) {
-            self.backoff.pop();
-        }
-        while expired(&self.cancelled) {
-            self.cancelled.pop();
-        }
-        while self.backoff.peek().is_some() && self.backoff.peek() == self.cancelled.peek() {
-            self.backoff.pop();
-            self.cancelled.pop();
+        while let Some(first) = self.backoff.first_entry() {
+            if first.key().0 > now {
+                break;
+            }
+            first.remove();
         }
     }
 
@@ -373,7 +365,7 @@ impl QueueIndex {
     /// strictly after `now`, if any entry is still in backoff.
     fn next_expiry(&mut self, now: f64) -> Option<f64> {
         self.prune(now);
-        self.backoff.peek().map(|Reverse(e)| e.0)
+        self.backoff.first_key_value().map(|(e, _)| e.0)
     }
 
     /// Whether any queued entry is still inside its backoff at `now` —

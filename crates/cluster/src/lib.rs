@@ -72,5 +72,5 @@ pub use policy::{
 };
 pub use predict::{Oracle, TenantKey};
 
-pub use pmemflow_dag::{DagClass, DAG_CLASS_CHOICES};
+pub use pmemflow_dag::DagClass;
 pub use pmemflow_fault::{CheckpointSpec, FaultSpec};

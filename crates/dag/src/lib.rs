@@ -30,6 +30,6 @@ mod generate;
 mod graph;
 mod schedule;
 
-pub use generate::{generate, DagClass, DAG_CLASS_CHOICES};
+pub use generate::{generate, DagClass};
 pub use graph::{DagEdge, DagError, DagSpec, StageKind, StageSpec, GIB};
 pub use schedule::stage_io_seconds;

@@ -8,8 +8,7 @@
 //! counts it has never measured. This module sweeps a parameter axis and
 //! reports every flip point with the margins on both sides.
 
-use crate::model_driven::decide;
-use pmemflow_core::{ExecError, ExecutionParams, SchedConfig};
+use pmemflow_core::{sweep, ExecError, ExecutionParams, SchedConfig};
 use pmemflow_workloads::WorkflowSpec;
 
 /// The axis a sweep varies.
@@ -88,19 +87,19 @@ pub fn sweep_axis(
     for &v in values {
         let candidate = apply(spec, axis, v);
         candidate.validate().map_err(ExecError::Spec)?;
-        let d = decide(&candidate, params)?;
-        let runner_up = d
-            .sweep
+        let sw = sweep(&candidate, params)?;
+        let best = sw.best();
+        let runner_up = sw
             .runs
             .iter()
-            .filter(|r| r.config != d.config)
+            .filter(|r| r.config != best.config)
             .map(|r| r.total)
             .fold(f64::INFINITY, f64::min);
         points.push(SweepPoint {
             value: v,
-            winner: d.config,
-            runtime: d.predicted_runtime,
-            margin: runner_up / d.predicted_runtime,
+            winner: best.config,
+            runtime: best.total,
+            margin: runner_up / best.total,
         });
     }
     let crossovers = points

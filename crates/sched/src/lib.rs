@@ -8,8 +8,14 @@
 //!   decision procedure over a measured [`WorkflowProfile`]
 //!   (from [`characterize`]), with [`table2`]/[`classify`] providing the
 //!   paper's Table II verbatim as a lookup alternative.
-//! * [`decide`] — the model-driven scheduler: simulate all four Table I
-//!   configurations with the calibrated device model and take the argmin.
+//! * [`sweep`](pmemflow_core::sweep) +
+//!   [`ConfigSweep::best`](pmemflow_core::ConfigSweep::best), straight
+//!   from `pmemflow-core` — the model-driven scheduler: simulate all four
+//!   Table I configurations with the calibrated device model and take the
+//!   argmin;
+//!   [`worst_case_loss_percent`](pmemflow_core::ConfigSweep::worst_case_loss_percent)
+//!   is the price of scheduling blindly. [`plan`] and [`sweep_axis`]
+//!   build on it.
 //! * [`explore_then_commit`] — the adaptive scheduler: probe each
 //!   configuration online for a few iterations, then commit; needs no
 //!   model at all and has bounded regret on the paper's iterative
@@ -20,7 +26,6 @@
 mod adaptive;
 mod characterize;
 mod crossover;
-mod model_driven;
 mod planner;
 mod profile;
 mod rules;
@@ -30,7 +35,6 @@ mod table2;
 pub use adaptive::{explore_then_commit, AdaptiveOutcome};
 pub use characterize::characterize;
 pub use crossover::{sweep_axis, Axis, Crossover, SweepPoint, SweepResult};
-pub use model_driven::{decide, ModelDecision};
 pub use planner::{plan, Plan, PlanPoint};
 pub use profile::{Level, WorkflowProfile};
 pub use rules::{recommend, Decision};

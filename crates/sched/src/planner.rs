@@ -12,8 +12,7 @@
 //! the marginal speedup of concurrency collapses exactly where Table II
 //! flips to serial execution.
 
-use crate::model_driven::decide;
-use pmemflow_core::{ExecError, ExecutionParams, SchedConfig};
+use pmemflow_core::{sweep, ExecError, ExecutionParams, SchedConfig};
 use pmemflow_workloads::WorkflowSpec;
 
 /// One point on the concurrency/performance frontier.
@@ -60,15 +59,16 @@ pub fn plan(
     let mut base: Option<(usize, f64)> = None;
     for &ranks in &sorted {
         let candidate = spec.with_ranks(ranks);
-        let decision = decide(&candidate, params)?;
-        let runtime = decision.predicted_runtime;
+        let sw = sweep(&candidate, params)?;
+        let best = sw.best();
+        let runtime = best.total;
         if base.is_none() {
             base = Some((ranks, runtime));
         }
         let (r0, t0) = base.unwrap();
         frontier.push(PlanPoint {
             ranks,
-            config: decision.config,
+            config: best.config,
             runtime,
             core_seconds: 2.0 * ranks as f64 * runtime,
             efficiency: (t0 * r0 as f64) / (runtime * ranks as f64),

@@ -1,8 +1,8 @@
 //! Validation of the schedulers against the full 18-workload suite.
 
-use pmemflow_core::{sweep, ExecutionParams, SchedConfig};
+use pmemflow_core::{ExecutionParams, SchedConfig};
 use pmemflow_sched::scorecard::scorecard;
-use pmemflow_sched::{characterize, decide, recommend};
+use pmemflow_sched::{characterize, recommend};
 use pmemflow_workloads::paper_suite;
 
 /// The rule-based engine must agree with the model-driven oracle on a
@@ -11,19 +11,6 @@ use pmemflow_workloads::paper_suite;
 #[test]
 fn rules_track_the_oracle() {
     scorecard().check(&["rules_track_oracle", "rules_cost"]);
-}
-
-/// The model-driven decision is exactly the sweep argmin, and its reported
-/// misconfiguration loss matches the sweep.
-#[test]
-fn oracle_is_consistent_with_sweeps() {
-    let params = ExecutionParams::default();
-    for entry in paper_suite().into_iter().take(6) {
-        let d = decide(&entry.spec, &params).unwrap();
-        let sw = sweep(&entry.spec, &params).unwrap();
-        assert_eq!(d.config, sw.best().config);
-        assert!((d.misconfiguration_loss_percent - sw.worst_case_loss_percent()).abs() < 1e-9);
-    }
 }
 
 /// Table II's row classifier covers the paper's own workloads: the

@@ -1075,26 +1075,10 @@ impl IoThread {
             );
             conn.push_ready(bytes);
             conn.close_after = true;
-        } else {
-            let Some((_, state)) = conn.pipeline.iter_mut().find(|(s, _)| *s == slot) else {
-                return;
-            };
-            let SlotState::Waiting { started, close, .. } = *state else {
-                return;
-            };
+        } else if self.answer_slot(key, slot, 504, &[], &error_body("deadline exceeded"), false) {
             self.shared.metrics.deadline_missed.fetch_add(1, Relaxed);
-            self.shared.metrics.on_response(504);
-            self.shared
-                .metrics
-                .latency
-                .observe_us(started.elapsed().as_micros() as u64);
-            *state = SlotState::Ready(render_response(
-                504,
-                "application/json",
-                &[],
-                &error_body("deadline exceeded"),
-                close,
-            ));
+        } else {
+            return;
         }
         self.flush(key);
     }

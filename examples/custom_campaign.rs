@@ -11,7 +11,7 @@
 
 use pmemflow::sched::{plan, recommend};
 use pmemflow::workloads::parse_workflows;
-use pmemflow::{characterize, decide, ExecutionParams};
+use pmemflow::{characterize, sweep, ExecutionParams};
 
 const CAMPAIGN: &str = "\
 # name, ranks, iterations, writer_compute_s, reader_compute_s, objects, object_bytes
@@ -31,7 +31,8 @@ fn main() {
     for spec in &specs {
         let profile = characterize(spec, &params).expect("characterizes");
         let rule = recommend(&profile);
-        let oracle = decide(spec, &params).expect("decides");
+        let sw = sweep(spec, &params).expect("sweeps");
+        let oracle = sw.best();
         let p = plan(spec, &[8, 16, 24], 24.0, &params).expect("plans");
         let chosen = p
             .chosen
@@ -43,7 +44,7 @@ fn main() {
             spec.ranks,
             rule.config.label(),
             oracle.config.label(),
-            oracle.predicted_runtime,
+            oracle.total,
             chosen,
         );
     }

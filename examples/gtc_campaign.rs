@@ -14,7 +14,7 @@
 
 use pmemflow::sched::{characterize, classify, recommend};
 use pmemflow::workloads::{gtc_matmul, gtc_readonly, kernels};
-use pmemflow::{decide, ExecutionParams};
+use pmemflow::{sweep, ExecutionParams};
 
 fn main() {
     let params = ExecutionParams::default();
@@ -36,15 +36,16 @@ fn main() {
         for spec in [gtc_readonly(ranks), gtc_matmul(ranks)] {
             let profile = characterize(&spec, &params).expect("characterization runs");
             let rule = recommend(&profile);
-            let oracle = decide(&spec, &params).expect("model sweep runs");
+            let sw = sweep(&spec, &params).expect("model sweep runs");
+            let oracle = sw.best();
             println!(
                 "{:<21} {:>5}  {:<10}  {:<12}  {:>10.1}  {:>11.0}%",
                 spec.name,
                 ranks,
                 rule.config.label(),
                 oracle.config.label(),
-                oracle.predicted_runtime,
-                oracle.misconfiguration_loss_percent,
+                oracle.total,
+                sw.worst_case_loss_percent(),
             );
             if let Some(row) = classify(&profile) {
                 println!(

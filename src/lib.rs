@@ -11,7 +11,7 @@
 //! | [`iostack`] | functional NOVA-like fs and NVStream-like object store |
 //! | [`workloads`] | the paper's 18-workload suite + real proxy kernels |
 //! | [`core`] | Table I configurations, dual-socket deployment, workflow executor, metrics |
-//! | [`sched`] | rule-based / model-driven / adaptive PMEM-aware schedulers |
+//! | [`sched`] | rule-based and adaptive PMEM-aware schedulers; the model-driven pick is [`sweep`] + [`ConfigSweep::best`](core::ConfigSweep::best) |
 //! | [`fault`] | deterministic seeded fault plans: crashes, degradation, job failures |
 //! | [`dag`] | workflow stage graphs with PMEM staging footprints + seeded generator |
 //! | [`cluster`] | online multi-node campaign scheduling over arrival streams |
@@ -53,5 +53,5 @@ pub use pmemflow_core::{
     execute, full_matrix, map_ordered, run_matrix, sweep, ExecutionParams, RunOutcome, RunRequest,
     SchedConfig,
 };
-pub use pmemflow_sched::{characterize, decide, explore_then_commit};
+pub use pmemflow_sched::{characterize, explore_then_commit};
 pub use pmemflow_workloads::paper_suite;

@@ -9,8 +9,6 @@
 //! pmemflow suite        [--jobs N] [--out runs.jsonl] [--trace-dir DIR]
 //! pmemflow cluster      --nodes 4 --policy interference --arrivals poisson:rate=0.01,n=200 \
 //!                       --seed 42 [--staging GIB] [--jobs N] [--out campaign.jsonl]
-//! pmemflow dag          --graph fanout --policy all --nodes 2 --n 8 --staging 256 \
-//!                       --seed 42 [--jobs N] [--out dag.jsonl]
 //! pmemflow serve        --port 7777 --workers 4 --cache-capacity 256
 //! pmemflow devicebench
 //! pmemflow help
@@ -22,15 +20,14 @@ use pmemflow::cli::{
 };
 use pmemflow::cluster::{
     all_policies, policy_by_name, run_campaign_with_oracle, ArrivalSpec, CampaignConfig,
-    CheckpointSpec, DagClass, FaultSpec, Oracle, Policy, DAG_CLASS_CHOICES, POLICY_CHOICES,
+    CheckpointSpec, FaultSpec, Oracle, Policy, POLICY_CHOICES,
 };
 use pmemflow::core::report::panel_table;
 use pmemflow::pmem::{device_report, DeviceProfile};
 use pmemflow::sched::{characterize, classify, plan, recommend, scorecard};
 use pmemflow::serve::{Server, ServerConfig};
 use pmemflow::{
-    decide, execute, full_matrix, map_ordered, paper_suite, run_matrix, sweep, ExecutionParams,
-    SchedConfig,
+    execute, full_matrix, map_ordered, paper_suite, run_matrix, sweep, ExecutionParams, SchedConfig,
 };
 use std::process::ExitCode;
 
@@ -64,8 +61,13 @@ COMMANDS:
                   --arrivals SPEC   poisson:rate=R,n=N[,mix=...]
                                     closed:clients=C,think=T,n=N[,mix=...]
                                     trace:FILE  (default poisson:rate=0.01,n=24,mix=micro)
-                  --seed S          arrival-stream seed (default 42)
-                  --staging GIB     per-node PMEM staging capacity (default 1536)
+                                    mix: workloads, micro|gtc|miniamr|all, and
+                                    DAGs with PMEM staging: dag (all four
+                                    classes) or dag-CLASS, CLASS one of
+                                    pipeline|fanout|fanin|diamond
+                  --seed S          arrival-stream + DAG generator seed (default 42)
+                  --staging GIB     per-node PMEM staging capacity for DAG
+                                    stages (default 1536)
                   --jobs N          parallel prediction sims (default: cores)
                   --out FILE        per-job + campaign records (JSON Lines)
                 fault injection + checkpoint/restart (see EXPERIMENTS.md):
@@ -80,20 +82,6 @@ COMMANDS:
                                            (0 = restart from scratch)
                   --retry-budget N    restarts before a job is failed (default 3)
                   --backoff-base S    requeue backoff, doubled per restart
-  dag           schedule generated workflow DAGs with PMEM staging as a
-                second co-reserved resource (see EXPERIMENTS.md)
-                  --graph G         pipeline | fanout | fanin | diamond | all
-                                    (default all; one generated class per draw)
-                  --policy P        fcfs | easy | table2 | interference | all
-                                    (default all)
-                  --nodes N         cluster size (default 2)
-                  --n N             DAG submissions (default 8)
-                  --rate R          arrivals per second (default 0.0015)
-                  --staging GIB     per-node PMEM staging capacity (default 256)
-                  --seed S          stream + generator seed (default 42)
-                  --jobs N          parallel prediction sims (default: cores)
-                  --out FILE        per-stage + campaign records (JSON Lines)
-                  plus the cluster fault/checkpoint flags above
   serve         run the model-serving HTTP daemon (see EXPERIMENTS.md)
                   --port P            TCP port on 127.0.0.1 (default 7777; 0 = ephemeral)
                   --workers N         worker threads (default: cores)
@@ -191,10 +179,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 println!("Table II: no row covers this workload class");
             }
-            let oracle = decide(&spec, &params)?;
+            let oracle = sweep(&spec, &params)?;
             println!(
                 "model-driven: {} ({:.1}s predicted; worst config costs +{:.0}%)",
-                oracle.config, oracle.predicted_runtime, oracle.misconfiguration_loss_percent
+                oracle.best().config,
+                oracle.best().total,
+                oracle.worst_case_loss_percent()
             );
         }
         "plan" => {
@@ -312,58 +302,33 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 value: format!("{spec}: {e}"),
                 expected: "poisson:rate=R,n=N | closed:clients=C,think=T,n=N | trace:FILE",
             })?;
-            let policies = policy_list(&args, "fcfs")?;
+            let policy = args.get("policy").unwrap_or("fcfs");
+            let policies = if policy.eq_ignore_ascii_case("all") {
+                all_policies()
+            } else {
+                vec![policy_by_name(policy).ok_or(CliError::UnknownName {
+                    kind: "policy",
+                    value: policy.into(),
+                    choices: POLICY_CHOICES,
+                })?]
+            };
+            let staging_gib: f64 =
+                args.get_parse("staging", 1536.0, "staging capacity in GiB (> 0)")?;
+            if !staging_gib.is_finite() || staging_gib <= 0.0 {
+                return Err(CliError::BadValue {
+                    option: "staging".into(),
+                    value: staging_gib.to_string(),
+                    expected: "staging capacity in GiB (> 0)",
+                }
+                .into());
+            }
             let (faults, checkpoint) = fault_flags(&args, seed)?;
             let config = CampaignConfig {
                 nodes,
                 arrivals,
                 seed,
                 exec: stack_params()?,
-                staging_gib: staging_flag(&args, 1536.0)?,
-                faults,
-                checkpoint,
-            };
-            let out = args.get("out");
-            args.reject_unread()?;
-            run_policies(&config, policies, jobs, out)?;
-        }
-        "dag" => {
-            let nodes: usize = args.get_positive("nodes", 2, "a positive node count")?;
-            let jobs: usize = args.get_positive("jobs", cores, "a positive worker count")?;
-            let graph = args.get("graph").unwrap_or("all");
-            let dags: Vec<DagClass> = if graph.eq_ignore_ascii_case("all") {
-                DagClass::all().to_vec()
-            } else {
-                vec![DagClass::parse(graph).ok_or(CliError::UnknownName {
-                    kind: "graph class",
-                    value: graph.into(),
-                    choices: DAG_CLASS_CHOICES,
-                })?]
-            };
-            let count: u64 = args.get_positive("n", 8, "a positive submission count")?;
-            let rate: f64 = args.get_parse("rate", 0.0015, "arrivals per second (> 0)")?;
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err(CliError::BadValue {
-                    option: "rate".into(),
-                    value: rate.to_string(),
-                    expected: "arrivals per second (> 0)",
-                }
-                .into());
-            }
-            let seed: u64 = args.get_parse("seed", 42, "an unsigned seed")?;
-            let policies = policy_list(&args, "all")?;
-            let (faults, checkpoint) = fault_flags(&args, seed)?;
-            let config = CampaignConfig {
-                nodes,
-                arrivals: ArrivalSpec::Poisson {
-                    rate,
-                    count,
-                    mix: vec![],
-                    dags,
-                },
-                seed,
-                exec: stack_params()?,
-                staging_gib: staging_flag(&args, 256.0)?,
+                staging_gib,
                 faults,
                 checkpoint,
             };
@@ -413,39 +378,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Resolve `--policy` (default `default`): one named policy, or all four.
-fn policy_list(
-    args: &Args,
-    default: &str,
-) -> Result<Vec<Box<dyn Policy>>, Box<dyn std::error::Error>> {
-    let name = args.get("policy").unwrap_or(default);
-    if name.eq_ignore_ascii_case("all") {
-        Ok(all_policies())
-    } else {
-        Ok(vec![policy_by_name(name).ok_or(CliError::UnknownName {
-            kind: "policy",
-            value: name.into(),
-            choices: POLICY_CHOICES,
-        })?])
-    }
-}
-
-/// Parse `--staging` (GiB of per-node PMEM staging capacity); zero,
-/// negative, and non-finite values are rejected up front.
-fn staging_flag(args: &Args, default: f64) -> Result<f64, Box<dyn std::error::Error>> {
-    let staging: f64 = args.get_parse("staging", default, "staging capacity in GiB (> 0)")?;
-    if !staging.is_finite() || staging <= 0.0 {
-        return Err(CliError::BadValue {
-            option: "staging".into(),
-            value: staging.to_string(),
-            expected: "staging capacity in GiB (> 0)",
-        }
-        .into());
-    }
-    Ok(staging)
-}
-
-/// Parse the shared fault-injection + checkpoint/restart flags.
+/// Parse `cluster`'s fault-injection + checkpoint/restart flags.
 fn fault_flags(
     args: &Args,
     seed: u64,

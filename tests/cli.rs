@@ -18,18 +18,64 @@ fn run(args: &[&str]) -> (bool, String, String) {
 fn help_lists_commands() {
     let (ok, stdout, _) = run(&["help"]);
     assert!(ok);
-    for cmd in [
-        "sweep",
-        "characterize",
-        "recommend",
-        "plan",
-        "suite",
-        "serve",
-        "devicebench",
-    ] {
-        assert!(stdout.contains(cmd), "help missing {cmd}");
-    }
+    assert_eq!(
+        help_commands(&stdout),
+        [
+            "sweep",
+            "characterize",
+            "recommend",
+            "plan",
+            "gantt",
+            "suite",
+            "cluster",
+            "serve",
+            "devicebench",
+            "help",
+        ]
+    );
     assert!(stdout.contains("/v1/sweep"), "help missing serve endpoints");
+}
+
+/// The command names of `help`'s COMMANDS section: the lines indented
+/// by exactly two spaces.
+fn help_commands(help: &str) -> Vec<&str> {
+    let section = help
+        .split_once("COMMANDS:\n")
+        .and_then(|(_, rest)| rest.split_once("\n\n"))
+        .expect("help has a COMMANDS section")
+        .0;
+    section
+        .lines()
+        .filter(|l| l.starts_with("  ") && !l[2..].starts_with(' '))
+        .map(|l| l.split_whitespace().next().expect("command name"))
+        .collect()
+}
+
+#[test]
+fn every_listed_command_is_dispatched() {
+    // A listed command that dispatch does not know fails as an unknown
+    // command; one that it knows reads its options and refuses `--zzz`
+    // before doing any work. Commands with a required option get it, so
+    // the refusal is the bogus option's.
+    let (ok, help, _) = run(&["help"]);
+    assert!(ok);
+    for cmd in help_commands(&help) {
+        let mut args = vec![cmd];
+        if ["sweep", "characterize", "recommend", "plan", "gantt"].contains(&cmd) {
+            args.extend(["--workload", "micro-64mb"]);
+        }
+        args.extend(["--zzz", "1"]);
+        let (ok, _, stderr) = run(&args);
+        assert!(!ok, "`pmemflow {cmd} --zzz 1` succeeded");
+        assert!(
+            stderr.contains(&format!("`pmemflow {cmd}` takes no option --zzz")),
+            "{cmd}: {stderr}"
+        );
+    }
+    // A retired command is gone from dispatch as well as from help.
+    let (ok, _, stderr) = run(&["dag", "--nodes", "2"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown command \"dag\""), "{stderr}");
 }
 
 #[test]

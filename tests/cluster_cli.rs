@@ -65,7 +65,12 @@ fn rejects_options_it_does_not_read() {
 
 #[test]
 fn rejects_malformed_arrivals() {
-    for bad in ["uniform:rate=1,n=5", "poisson:rate=0,n=5", "poisson:rate=1"] {
+    for bad in [
+        "uniform:rate=1,n=5",
+        "poisson:rate=0,n=5",
+        "poisson:rate=1,n=0,mix=dag",
+        "poisson:rate=1",
+    ] {
         let (ok, _, stderr) = run(&["cluster", "--arrivals", bad]);
         assert!(!ok, "{bad} accepted");
         assert!(stderr.contains("--arrivals"), "{stderr}");

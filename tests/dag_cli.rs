@@ -1,5 +1,6 @@
-//! End-to-end tests of the `pmemflow dag` subcommand: argument
-//! hardening, staging capacity enforcement, and JSONL determinism.
+//! End-to-end tests of DAG campaigns, `pmemflow cluster` with a `dag`
+//! mix: DAG token and staging hardening, staging capacity enforcement,
+//! the stage record schema, and JSONL determinism.
 
 use std::process::Command;
 
@@ -18,15 +19,26 @@ fn run(args: &[&str]) -> (bool, String, String) {
 /// A small single-class campaign used by several tests; four fan-out
 /// submissions keep the oracle warm-up the dominant cost.
 const QUICK: &[&str] = &[
-    "dag", "--graph", "fanout", "--policy", "fcfs", "--nodes", "2", "--n", "4", "--seed", "42",
+    "cluster",
+    "--arrivals",
+    "poisson:rate=0.0015,n=4,mix=dag-fanout",
+    "--policy",
+    "fcfs",
+    "--nodes",
+    "2",
+    "--seed",
+    "42",
 ];
 
 #[test]
 fn rejects_unknown_graph_class() {
-    let (ok, _, stderr) = run(&["dag", "--graph", "mesh"]);
+    let (ok, _, stderr) = run(&["cluster", "--arrivals", "poisson:rate=1,n=4,mix=dag-mesh"]);
     assert!(!ok);
     assert!(
-        stderr.contains("unknown graph class") && stderr.contains("pipeline"),
+        stderr.contains("--arrivals")
+            && stderr.contains("unknown mix token")
+            && stderr.contains("dag-mesh")
+            && stderr.contains("dag-pipeline"),
         "{stderr}"
     );
 }
@@ -34,52 +46,13 @@ fn rejects_unknown_graph_class() {
 #[test]
 fn rejects_bad_staging_capacity() {
     for bad in ["0", "-16", "inf", "NaN"] {
-        let (ok, _, stderr) = run(&["dag", "--staging", bad]);
+        let (ok, _, stderr) = run(&["cluster", "--staging", bad]);
         assert!(!ok, "--staging {bad} accepted");
         assert!(
             stderr.contains("--staging") && stderr.contains("GiB"),
             "{stderr}"
         );
     }
-    // Same flag, same hardening, on the cluster subcommand.
-    let (ok, _, stderr) = run(&["cluster", "--staging", "-1"]);
-    assert!(!ok);
-    assert!(stderr.contains("--staging"), "{stderr}");
-}
-
-#[test]
-fn rejects_zero_counts_and_rates() {
-    for (flag, value) in [
-        ("--nodes", "0"),
-        ("--jobs", "0"),
-        ("--n", "0"),
-        ("--rate", "0"),
-    ] {
-        let (ok, _, stderr) = run(&["dag", flag, value]);
-        assert!(!ok, "{flag} {value} accepted");
-        assert!(stderr.contains(&flag[2..]), "{stderr}");
-    }
-}
-
-#[test]
-fn rejects_unknown_policy() {
-    let (ok, _, stderr) = run(&["dag", "--policy", "sjf"]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("unknown policy") && stderr.contains("fcfs"),
-        "{stderr}"
-    );
-}
-
-#[test]
-fn duplicate_flags_take_the_last_value() {
-    // The first --graph is bogus; last-wins must accept the rerun.
-    let mut args = QUICK.to_vec();
-    args.insert(1, "--graph");
-    args.insert(2, "mesh");
-    let (ok, stdout, stderr) = run(&args);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("fcfs"), "{stdout}");
 }
 
 #[test]
@@ -91,24 +64,24 @@ fn undersized_staging_capacity_is_a_hard_error() {
     let (ok, _, stderr) = run(&args);
     assert!(!ok);
     assert!(
-        stderr.contains("staging") && stderr.contains("GiB"),
+        stderr.contains("staging") && stderr.contains("needs") && stderr.contains("GiB"),
         "{stderr}"
     );
 }
 
 #[test]
 fn dag_jsonl_is_deterministic_and_jobs_invariant() {
-    let dir = std::env::temp_dir().join("pmemflow-dag-cli");
+    let dir = std::env::temp_dir().join(format!("pmemflow-dag-cli-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let mut outputs = Vec::new();
     for jobs in ["1", "4", "8"] {
         let path = dir.join(format!("dag-{jobs}.jsonl"));
         let mut args = QUICK.to_vec();
-        let p = path.to_str().expect("utf-8 path").to_owned();
-        let leaked: &str = Box::leak(p.into_boxed_str());
-        args.extend(["--jobs", jobs, "--out", leaked]);
-        let (ok, _, stderr) = run(&args);
+        args.extend(["--staging", "256", "--jobs", jobs, "--out"]);
+        args.push(path.to_str().expect("utf-8 path"));
+        let (ok, stdout, stderr) = run(&args);
         assert!(ok, "{stderr}");
+        assert!(stdout.contains("fcfs"), "{stdout}");
         outputs.push(std::fs::read_to_string(&path).expect("output written"));
     }
     assert_eq!(outputs[0], outputs[1], "--jobs 4 changed the JSONL");
@@ -121,4 +94,5 @@ fn dag_jsonl_is_deterministic_and_jobs_invariant() {
     let last = outputs[0].lines().last().expect("campaign line");
     assert!(last.contains("\"staging_capacity_gib\":256"), "{last}");
     assert!(last.contains("\"peak_staging_gib\":["), "{last}");
+    std::fs::remove_dir_all(&dir).ok();
 }

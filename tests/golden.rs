@@ -447,7 +447,17 @@ fn multi_node_cluster_matches_golden() {
 #[test]
 fn dag_matches_golden() {
     let args = [
-        "dag", "--graph", "all", "--policy", "all", "--nodes", "2", "--n", "8", "--seed", "42",
+        "cluster",
+        "--nodes",
+        "2",
+        "--policy",
+        "all",
+        "--arrivals",
+        "poisson:rate=0.0015,n=8,mix=dag",
+        "--staging",
+        "256",
+        "--seed",
+        "42",
     ];
     check("dag.jsonl", &args, unchanged);
 }
