@@ -74,9 +74,7 @@ fn main() {
     // snapshot and re-pricing costs dominate the loop.
     let mean_core_secs: f64 = alphabet
         .iter()
-        .map(|(name, ranks, _)| {
-            *ranks as f64 * oracle.solo_runtime(name, *ranks, oracle.best_config(name, *ranks))
-        })
+        .map(|(name, ranks, _)| *ranks as f64 * oracle.best_solo_runtime(name, *ranks))
         .sum::<f64>()
         / alphabet.len() as f64;
     let rate = overload * (nodes * cores) as f64 / mean_core_secs;

@@ -40,15 +40,40 @@ pub(crate) struct Arrival {
     pub id: u64,
     /// Virtual submission time, seconds.
     pub time: f64,
-    /// Workflow display name (suite family name).
-    pub workflow: String,
-    /// Ranks per component.
+    /// Ranks per component; for a DAG, the summed stage ranks.
     pub ranks: usize,
     /// Owning client for closed-loop streams (`None` for open streams).
     pub client: Option<usize>,
-    /// The stage graph, for DAG-shaped submissions. `workflow` is then
-    /// the DAG label (`class#id`) and `ranks` the summed stage ranks.
-    pub dag: Option<DagSpec>,
+    /// What was submitted.
+    pub what: Submission,
+}
+
+/// A submission's shape.
+#[derive(Debug, Clone)]
+pub(crate) enum Submission {
+    /// A plain coupled workflow of this family.
+    Plain(Family),
+    /// A stage graph, named by its DAG label (`class#id`).
+    Dag(DagSpec),
+}
+
+#[cfg(test)]
+impl Arrival {
+    /// Workflow display name: the family's, or the DAG label.
+    pub fn workflow(&self) -> &str {
+        match &self.what {
+            Submission::Plain(family) => family.name(),
+            Submission::Dag(spec) => &spec.name,
+        }
+    }
+
+    /// The stage graph of a DAG submission.
+    pub fn dag(&self) -> Option<&DagSpec> {
+        match &self.what {
+            Submission::Plain(_) => None,
+            Submission::Dag(spec) => Some(spec),
+        }
+    }
 }
 
 /// A parsed arrival stream specification.
@@ -364,21 +389,18 @@ pub(crate) fn arrival_for_draw(
         Draw::Plain(family, ranks) => Arrival {
             id,
             time,
-            workflow: family.name().to_string(),
             ranks,
             client,
-            dag: None,
+            what: Submission::Plain(family),
         },
         Draw::Dag(class) => {
-            let label = format!("{}#{id}", class.name());
-            let dag = generate_dag(class, &label, rng);
+            let dag = generate_dag(class, &format!("{}#{id}", class.name()), rng);
             Arrival {
                 id,
                 time,
-                workflow: label,
                 ranks: dag.stages.iter().map(|s| s.ranks).sum(),
                 client,
-                dag: Some(dag),
+                what: Submission::Dag(dag),
             }
         }
     }
@@ -412,10 +434,9 @@ pub(crate) fn generate_open(spec: &ArrivalSpec, seed: u64) -> Option<Vec<Arrival
                 .map(|(id, row)| Arrival {
                     id: id as u64,
                     time: row.time,
-                    workflow: row.family.name().to_string(),
                     ranks: row.ranks,
                     client: None,
-                    dag: None,
+                    what: Submission::Plain(row.family),
                 })
                 .collect(),
         ),
@@ -437,7 +458,7 @@ mod tests {
             assert_eq!(a.id, i as u64);
             assert!(a.time > last);
             last = a.time;
-            assert!(a.workflow.starts_with("GTC") || a.workflow.starts_with("miniAMR"));
+            assert!(a.workflow().starts_with("GTC") || a.workflow().starts_with("miniAMR"));
             assert!([8, 16, 24].contains(&a.ranks));
         }
         // Deterministic per seed, different across seeds.
@@ -445,13 +466,13 @@ mod tests {
         assert_eq!(arrivals.len(), again.len());
         for (a, b) in arrivals.iter().zip(again.iter()) {
             assert_eq!(a.time.to_bits(), b.time.to_bits());
-            assert_eq!(a.workflow, b.workflow);
+            assert_eq!(a.workflow(), b.workflow());
         }
         let other = generate_open(&spec, 8).unwrap();
         assert!(arrivals
             .iter()
             .zip(other.iter())
-            .any(|(a, b)| a.time != b.time || a.workflow != b.workflow));
+            .any(|(a, b)| a.time != b.time || a.workflow() != b.workflow()));
     }
 
     #[test]
@@ -557,12 +578,12 @@ mod tests {
         assert_eq!(dags.len(), 4);
         // A DAG-bearing stream draws both shapes and attaches specs.
         let arrivals = generate_open(&spec, 11).unwrap();
-        assert!(arrivals.iter().any(|a| a.dag.is_some()));
-        assert!(arrivals.iter().any(|a| a.dag.is_none()));
-        for a in arrivals.iter().filter(|a| a.dag.is_some()) {
-            let d = a.dag.as_ref().unwrap();
+        assert!(arrivals.iter().any(|a| a.dag().is_some()));
+        assert!(arrivals.iter().any(|a| a.dag().is_none()));
+        for a in arrivals.iter().filter(|a| a.dag().is_some()) {
+            let d = a.dag().unwrap();
             d.validate().unwrap();
-            assert_eq!(d.name, a.workflow);
+            assert_eq!(a.workflow(), format!("fanout#{}", a.id));
             assert_eq!(a.ranks, d.stages.iter().map(|s| s.ranks).sum::<usize>());
         }
     }

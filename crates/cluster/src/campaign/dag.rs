@@ -3,12 +3,10 @@
 
 use super::queue::{JobArena, Queued};
 use super::Campaign;
-use crate::arrivals::Arrival;
 use crate::policy::QueuedJob;
 use crate::predict::Oracle;
 use pmemflow_core::ExecutionParams;
 use pmemflow_dag::{stage_io_seconds, DagSpec, StageKind, GIB};
-use std::sync::Arc;
 
 /// Per-node PMEM staging occupancy — the second schedulable resource.
 /// `reserved` is what placements are checked against (hard capacity);
@@ -68,27 +66,32 @@ pub(super) enum StageState {
     Settled,
 }
 
+/// One stage of an in-flight DAG.
+pub(super) struct StageRun {
+    pub(super) state: StageState,
+    /// Predecessors not yet completed.
+    pub(super) deps_left: usize,
+    /// Estimated solo runtime (oracle best-config solo plus staged-I/O
+    /// seconds): the release-time estimate for EASY's dual shadow and
+    /// the solo of a cascade-failed record.
+    pub(super) est_solo: f64,
+    /// Staged-I/O solo-seconds, added onto the oracle solo at placement.
+    pub(super) extra_solo: f64,
+}
+
 /// One in-flight DAG submission's state.
 pub(super) struct DagRun {
-    /// DAG label ("class#id"), the JSONL `dag` field of every stage.
-    pub(super) label: Arc<str>,
+    /// The graph; its name is the DAG label ("class#id"), the JSONL
+    /// `dag` field of every stage.
     pub(super) spec: DagSpec,
     pub(super) arrival: f64,
     pub(super) client: Option<usize>,
     /// Job id of stage 0; stage `i` is `first_stage_id + i`.
     pub(super) first_stage_id: u64,
-    /// Per-stage count of predecessors not yet completed.
-    pub(super) deps_left: Vec<usize>,
-    pub(super) state: Vec<StageState>,
+    /// Per stage of `spec`, in stage order.
+    pub(super) stages: Vec<StageRun>,
     /// Stages not yet settled; 0 means the DAG is finished.
     pub(super) unsettled: usize,
-    /// Per-stage estimated solo runtime (oracle best-config solo plus
-    /// staged-I/O seconds) — release-time estimates for EASY's dual
-    /// shadow and the solo of cascade-failed records.
-    pub(super) est_solo: Vec<f64>,
-    /// Per-stage staged-I/O solo-seconds, added onto the oracle solo at
-    /// placement.
-    pub(super) extra_solo: Vec<f64>,
     /// Whole-DAG staging footprint, GiB, co-reserved on `home` from the
     /// first stage placement until the last stage settles.
     pub(super) reservation: f64,
@@ -104,50 +107,43 @@ pub(super) struct DagRun {
 }
 
 impl DagRun {
-    /// Expand DAG submission `a` (graph `spec`) into its stages, with job
-    /// ids contiguous from `first_stage_id` in stage order: sources are
-    /// ready, the rest held until their dependencies complete.
+    /// Expand DAG submission `spec`, arrived at `arrival` from `client`,
+    /// into its stages, with job ids contiguous from `first_stage_id` in
+    /// stage order: sources are ready, the rest held until their
+    /// dependencies complete.
     pub(super) fn new(
-        a: &Arrival,
         spec: DagSpec,
+        arrival: f64,
+        client: Option<usize>,
         first_stage_id: u64,
         oracle: &Oracle,
         exec: &ExecutionParams,
     ) -> DagRun {
-        let n = spec.stages.len();
-        let extra_solo: Vec<f64> = (0..n).map(|i| stage_io_seconds(&spec, i, exec)).collect();
-        let est_solo: Vec<f64> = spec
-            .stages
-            .iter()
-            .zip(&extra_solo)
-            .map(|(st, extra)| {
-                let name = st.family.name();
-                oracle.solo_runtime(name, st.ranks, oracle.best_config(name, st.ranks)) + extra
-            })
-            .collect();
-        let deps_left: Vec<usize> = (0..n).map(|i| spec.predecessors(i).len()).collect();
-        let state = deps_left
-            .iter()
-            .map(|&dl| {
-                if dl == 0 {
-                    StageState::Ready
-                } else {
-                    StageState::Held
+        let stages = (0..spec.stages.len())
+            .map(|i| {
+                let st = &spec.stages[i];
+                let extra_solo = stage_io_seconds(&spec, i, exec);
+                let deps_left = spec.predecessors(i).count();
+                StageRun {
+                    state: if deps_left == 0 {
+                        StageState::Ready
+                    } else {
+                        StageState::Held
+                    },
+                    deps_left,
+                    est_solo: oracle.best_solo_runtime(st.family.name(), st.ranks) + extra_solo,
+                    extra_solo,
                 }
             })
             .collect();
         DagRun {
-            label: Arc::from(a.workflow.as_str()),
             reservation: spec.staging_gib(),
+            unsettled: spec.stages.len(),
             spec,
-            arrival: a.time,
-            client: a.client,
+            arrival,
+            client,
             first_stage_id,
-            deps_left,
-            state,
-            unsettled: n,
-            est_solo,
-            extra_solo,
+            stages,
             home: None,
             live_gib: 0.0,
             tokens: 0,
@@ -159,11 +155,10 @@ impl DagRun {
     /// this long after any instant it is read at. It changes only when a
     /// stage settles.
     pub(super) fn remaining_solo(&self) -> f64 {
-        self.state
+        self.stages
             .iter()
-            .zip(&self.est_solo)
-            .filter(|(st, _)| **st != StageState::Settled)
-            .map(|(_, s)| s)
+            .filter(|st| st.state != StageState::Settled)
+            .map(|st| st.est_solo)
             .sum()
     }
 
@@ -207,11 +202,13 @@ impl DagRun {
 /// reference the [`StagingState::homed`] index is asserted equal to
 /// under `debug_assertions`. `home` is `Some` only while stages remain
 /// unsettled, so the second condition is a belt-and-braces check.
-pub(super) fn staging_holds_reference(dags: &[DagRun], node: usize) -> Vec<(f64, f64)> {
+pub(super) fn staging_holds_reference(
+    dags: &[DagRun],
+    node: usize,
+) -> impl Iterator<Item = (f64, f64)> + '_ {
     dags.iter()
-        .filter(|d| d.home == Some(node) && d.unsettled > 0)
+        .filter(move |d| d.home == Some(node) && d.unsettled > 0)
         .map(|d| (d.remaining_solo(), d.reservation))
-        .collect()
 }
 
 impl Campaign<'_> {
@@ -223,7 +220,7 @@ impl Campaign<'_> {
     pub(super) fn stage_completed(&mut self, di: u32, si: usize, node: usize) {
         let now = self.now;
         let d = &mut self.dags[di as usize];
-        d.state[si] = StageState::Settled;
+        d.stages[si].state = StageState::Settled;
         d.unsettled -= 1;
         if d.spec.stages[si].kind == StageKind::Checkpoint {
             d.tokens += 1;
@@ -233,13 +230,14 @@ impl Campaign<'_> {
         self.staging.live[node] += delta;
         if !d.failed {
             for succ in d.spec.successors(si) {
-                if d.state[succ] != StageState::Held {
+                let st = &mut d.stages[succ];
+                if st.state != StageState::Held {
                     continue;
                 }
-                d.deps_left[succ] -= 1;
-                if d.deps_left[succ] == 0 {
+                st.deps_left -= 1;
+                if st.deps_left == 0 {
+                    st.state = StageState::Ready;
                     self.held -= 1;
-                    d.state[succ] = StageState::Ready;
                     let q = d.stage_entry(di, succ, now, self.arena);
                     self.queue.enqueue(q, now);
                 }
@@ -254,12 +252,12 @@ impl Campaign<'_> {
     pub(super) fn fail_dag(&mut self, di: u32, si: usize) {
         let now = self.now;
         let d = &mut self.dags[di as usize];
-        d.state[si] = StageState::Settled;
+        d.stages[si].state = StageState::Settled;
         d.unsettled -= 1;
         d.failed = true;
-        for sj in 0..d.spec.stages.len() {
+        for sj in 0..d.stages.len() {
             let d = &self.dags[di as usize];
-            let q = match d.state[sj] {
+            let q = match d.stages[sj].state {
                 StageState::Held => {
                     self.held -= 1;
                     d.stage_entry(di, sj, now, self.arena)
@@ -278,10 +276,10 @@ impl Campaign<'_> {
                 }
                 StageState::Running | StageState::Settled => continue,
             };
-            let (home, solo) = (d.home.unwrap_or(0), d.est_solo[sj]);
+            let (home, solo) = (d.home.unwrap_or(0), d.stages[sj].est_solo);
             self.record(&q, home, solo, false);
             let d = &mut self.dags[di as usize];
-            d.state[sj] = StageState::Settled;
+            d.stages[sj].state = StageState::Settled;
             d.unsettled -= 1;
         }
         self.finish_dag_if_settled(di);

@@ -5,7 +5,9 @@ use super::dag::{DagRun, StageState, StagingState};
 use super::node::{EventHeap, FreeCores, NodeState, Repricer, Running, Views};
 use super::queue::{backoff_expired, next_backoff_expiry, JobArena, Queue, Queued};
 use super::{Campaign, CampaignConfig, CampaignOutcome, ClusterError, JobRecord};
-use crate::arrivals::{arrival_for_draw, draw_submission, generate_open, Arrival, ArrivalSpec};
+use crate::arrivals::{
+    arrival_for_draw, draw_submission, generate_open, Arrival, ArrivalSpec, Submission,
+};
 use crate::policy::{Placement, Policy, QueuedJob};
 use crate::predict::Oracle;
 use pmemflow_core::{check_fit, CORES_PER_SOCKET};
@@ -38,6 +40,20 @@ impl ClosedLoop {
         let arrival = arrival_for_draw(draw, id, time, Some(client), &mut self.rng);
         Some(arrival)
     }
+}
+
+/// Buffers an event instant fills and empties again, owned by the
+/// campaign so that a warm instant allocates nothing for them.
+#[derive(Default)]
+pub(super) struct Scratch<'a> {
+    /// Nodes with a resident event due, in node order.
+    pub(super) due_nodes: Vec<usize>,
+    /// Residents whose event is due, with their nodes.
+    due: Vec<(usize, Running<'a>)>,
+    /// Nodes whose residents settled at this instant.
+    changed: Vec<usize>,
+    /// Nodes a policy round placed on.
+    touched: Vec<usize>,
 }
 
 impl<'a> Campaign<'a> {
@@ -116,6 +132,7 @@ impl<'a> Campaign<'a> {
             free: FreeCores::new(config.nodes),
             views: Views::new(config.nodes, config.staging_gib),
             finished_clients: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -124,12 +141,14 @@ impl<'a> Campaign<'a> {
         while let Some(t) = self.next_event() {
             self.now = t;
             self.fire_faults();
-            let changed = self.settle_due_jobs();
+            self.settle_due_jobs();
             self.resubmit_finished_clients();
             self.admit_arrivals()?;
-            for ni in changed {
+            let changed = std::mem::take(&mut self.scratch.changed);
+            for &ni in &changed {
                 self.reprice(ni)?;
             }
+            self.scratch.changed = changed;
             self.schedule()?;
         }
         self.outcome()
@@ -199,12 +218,16 @@ impl<'a> Campaign<'a> {
     /// Per-job events due now (tolerance for float drift): completions,
     /// or the attempt's own failure. They settle in node order, residents
     /// in placement order; settling never touches `nodes`, so every due
-    /// job is taken out first. Returns the nodes whose residents changed.
-    fn settle_due_jobs(&mut self) -> Vec<usize> {
-        let due = self.take_due(self.now + 1e-9);
-        let mut changed: Vec<usize> = due.iter().map(|&(ni, _)| ni).collect();
+    /// job is taken out first. Leaves the nodes whose residents changed
+    /// in `scratch.changed`.
+    fn settle_due_jobs(&mut self) {
+        let mut due = std::mem::take(&mut self.scratch.due);
+        self.take_due(self.now + 1e-9, &mut due);
+        let changed = &mut self.scratch.changed;
+        changed.clear();
+        changed.extend(due.iter().map(|&(ni, _)| ni));
         changed.dedup();
-        for (ni, r) in due {
+        for (ni, r) in due.drain(..) {
             if r.fail_at.is_some() {
                 // The attempt dies of its own cause (fail_at < solo).
                 self.settle_interrupted(r, ni);
@@ -215,7 +238,7 @@ impl<'a> Campaign<'a> {
                 }
             }
         }
-        changed
+        self.scratch.due = due;
     }
 
     /// Closed loop: each finished submission (completed or failed)
@@ -242,32 +265,42 @@ impl<'a> Campaign<'a> {
     pub(super) fn admit_arrivals(&mut self) -> Result<(), ClusterError> {
         let now = self.now;
         while self.pending.front().is_some_and(|a| a.time <= now + 1e-9) {
-            let mut a = self.pending.pop_front().expect("front exists");
-            let Some(spec) = a.dag.take() else {
-                let job = self.arena.alloc(QueuedJob {
-                    id: self.next_job_id,
-                    workflow: self.arena.name(&a.workflow),
-                    ranks: a.ranks,
-                    arrival: a.time,
-                    staging: 0.0,
-                    home: None,
-                });
-                self.next_job_id += 1;
-                self.queue
-                    .enqueue(Queued::fresh(job, a.client, a.time, None), now);
-                continue;
+            let a = self.pending.pop_front().expect("front exists");
+            let spec = match a.what {
+                Submission::Plain(family) => {
+                    let job = self.arena.alloc(QueuedJob {
+                        id: self.next_job_id,
+                        workflow: self.arena.name(family.name()),
+                        ranks: a.ranks,
+                        arrival: a.time,
+                        staging: 0.0,
+                        home: None,
+                    });
+                    self.next_job_id += 1;
+                    self.queue
+                        .enqueue(Queued::fresh(job, a.client, a.time, None), now);
+                    continue;
+                }
+                Submission::Dag(spec) => spec,
             };
             let di = self.dags.len() as u32;
-            let d = DagRun::new(&a, spec, self.next_job_id, self.oracle, &self.config.exec);
+            let d = DagRun::new(
+                spec,
+                a.time,
+                a.client,
+                self.next_job_id,
+                self.oracle,
+                &self.config.exec,
+            );
             if d.reservation > self.config.staging_gib + 1e-9 {
                 return Err(ClusterError::Config(format!(
                     "DAG {} needs {:.1} GiB staging but nodes hold {:.1}",
-                    a.workflow, d.reservation, self.config.staging_gib
+                    d.spec.name, d.reservation, self.config.staging_gib
                 )));
             }
-            self.next_job_id += d.state.len() as u64;
-            for (si, &st) in d.state.iter().enumerate() {
-                match st {
+            self.next_job_id += d.stages.len() as u64;
+            for (si, st) in d.stages.iter().enumerate() {
+                match st.state {
                     StageState::Held => self.held += 1,
                     _ => self
                         .queue
@@ -285,7 +318,7 @@ impl<'a> Campaign<'a> {
     /// the up/down state of every node.
     fn schedule(&mut self) -> Result<(), ClusterError> {
         let now = self.now;
-        let mut touched: Vec<usize> = Vec::new();
+        let mut touched = std::mem::take(&mut self.scratch.touched);
         // Capacity precheck per round: when even the narrowest eligible
         // job cannot fit the freest up node, no capacity-respecting
         // policy can place anything — skip refreshing the node views
@@ -325,6 +358,7 @@ impl<'a> Campaign<'a> {
                 break;
             }
         }
+        self.scratch.touched = touched;
         Ok(())
     }
 
@@ -414,7 +448,7 @@ impl<'a> Campaign<'a> {
                 let run = self.queue.seek(d.arrival, d.first_stage_id);
                 self.queue.pin_dag(run, di, p.node, self.arena);
             }
-            d.state[si] = StageState::Running;
+            d.stages[si].state = StageState::Running;
         }
         // A restarted job keeps the configuration its checkpoint was
         // written under, whatever the policy prefers now.
@@ -426,7 +460,7 @@ impl<'a> Campaign<'a> {
         // workflow.
         let solo = solo
             + q.dag
-                .map_or(0.0, |(di, si)| self.dags[di as usize].extra_solo[si]);
+                .map_or(0.0, |(di, si)| self.dags[di as usize].stages[si].extra_solo);
         let fail_at = self
             .plan
             .job_failure(q.job.id, q.restarts as u64)
@@ -448,7 +482,7 @@ impl<'a> Campaign<'a> {
             Some((di, si)) => {
                 let d = &self.dags[di as usize];
                 let stage = d.spec.stages[si].name.clone();
-                (d.label.to_string(), stage, d.stage_staging_gib(si))
+                (d.spec.name.clone(), stage, d.stage_staging_gib(si))
             }
             None => (String::new(), String::new(), 0.0),
         };
@@ -530,7 +564,7 @@ impl<'a> Campaign<'a> {
     /// Put an interrupted attempt's entry back in the queue.
     fn requeue(&mut self, q: Queued<'a>) {
         if let Some((di, si)) = q.dag {
-            self.dags[di as usize].state[si] = StageState::Ready;
+            self.dags[di as usize].stages[si].state = StageState::Ready;
         }
         self.queue.enqueue(q, self.now);
     }

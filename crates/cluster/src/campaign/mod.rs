@@ -94,7 +94,7 @@ use crate::arrivals::{Arrival, ArrivalSpec};
 use crate::policy::Policy;
 use crate::predict::Oracle;
 use dag::{DagRun, StagingState};
-use event_loop::ClosedLoop;
+use event_loop::{ClosedLoop, Scratch};
 use node::{EventHeap, FreeCores, NodeState, Repricer, Views};
 use pmemflow_core::{check_fit, ExecError, ExecutionParams, CORES_PER_SOCKET};
 use pmemflow_fault::{CheckpointSpec, FaultPlan, FaultSpec};
@@ -210,6 +210,8 @@ struct Campaign<'a> {
     views: Views,
     /// Closed-loop clients whose submission ended at this instant.
     finished_clients: Vec<usize>,
+    /// Per-instant buffers, empty between uses.
+    scratch: Scratch<'a>,
 }
 
 fn validate(config: &CampaignConfig) -> Result<(), ClusterError> {

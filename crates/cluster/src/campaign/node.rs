@@ -168,16 +168,15 @@ impl EventHeap {
         self.0.peek().map(|Reverse((t, _, _))| t.0)
     }
 
-    /// Take the live entries due by `horizon`: the nodes with a resident
-    /// event due, in ascending node order.
-    fn pop_due(&mut self, nodes: &[NodeState], horizon: f64) -> Vec<usize> {
-        let mut due = Vec::new();
+    /// Take the live entries due by `horizon` into `due`: the nodes with
+    /// a resident event due, in ascending node order.
+    fn pop_due(&mut self, nodes: &[NodeState], horizon: f64, due: &mut Vec<usize>) {
+        due.clear();
         while self.next(nodes).is_some_and(|t| t <= horizon) {
             let Reverse((_, ni, _)) = self.0.pop().expect("peeked entry exists");
             due.push(ni);
         }
         due.sort_unstable();
-        due
     }
 }
 
@@ -224,6 +223,10 @@ pub(super) struct Views {
     pub(super) views: Vec<NodeView>,
     stale: Vec<bool>,
     stale_list: Vec<usize>,
+    /// A view filled afresh for each node in turn by the reference
+    /// check, reused so that the check allocates nothing once warm.
+    #[cfg(debug_assertions)]
+    reference: NodeView,
 }
 
 impl Views {
@@ -234,6 +237,8 @@ impl Views {
                 .collect(),
             stale: vec![false; nodes],
             stale_list: Vec::new(),
+            #[cfg(debug_assertions)]
+            reference: empty_view(0, staging_capacity),
         }
     }
 
@@ -284,9 +289,11 @@ fn fill_view(view: &mut NodeView, n: &NodeState, staging: &StagingState, dags: &
             let d = &dags[di as usize];
             (d.remaining_solo(), d.reservation)
         }));
-    debug_assert_eq!(
-        view.staging_holds,
-        staging_holds_reference(dags, ni),
+    debug_assert!(
+        view.staging_holds
+            .iter()
+            .copied()
+            .eq(staging_holds_reference(dags, ni)),
         "homed index diverged from the reference scan"
     );
 }
@@ -416,11 +423,13 @@ impl<'a> Campaign<'a> {
         self.views.mark(ni);
     }
 
-    /// Take off every resident whose event is due by `horizon`, with
-    /// its node: in node order, and within a node in placement order.
-    pub(super) fn take_due(&mut self, horizon: f64) -> Vec<(usize, Running<'a>)> {
-        let mut due = Vec::new();
-        for ni in self.events.pop_due(&self.nodes, horizon) {
+    /// Take off every resident whose event is due by `horizon` into
+    /// `due`, with its node: in node order, and within a node in
+    /// placement order.
+    pub(super) fn take_due(&mut self, horizon: f64, due: &mut Vec<(usize, Running<'a>)>) {
+        let mut nodes = std::mem::take(&mut self.scratch.due_nodes);
+        self.events.pop_due(&self.nodes, horizon, &mut nodes);
+        for &ni in &nodes {
             let mut i = 0;
             while i < self.nodes[ni].running.len() {
                 if self.nodes[ni].running[i].event_at <= horizon {
@@ -430,7 +439,7 @@ impl<'a> Campaign<'a> {
                 }
             }
         }
-        due
+        self.scratch.due_nodes = nodes;
     }
 
     /// Refresh every stale view before a policy round.
@@ -444,14 +453,18 @@ impl<'a> Campaign<'a> {
                 &self.dags,
             );
         }
-        debug_assert!(
-            (0..self.nodes.len()).all(|ni| {
-                let mut fresh = empty_view(ni, self.config.staging_gib);
-                fill_view(&mut fresh, &self.nodes[ni], &self.staging, &self.dags);
-                fresh == self.views.views[ni]
-            }),
-            "a node view went stale without being marked"
-        );
+        #[cfg(debug_assertions)]
+        {
+            let fresh = &mut self.views.reference;
+            for (ni, node) in self.nodes.iter().enumerate() {
+                fresh.id = ni;
+                fill_view(fresh, node, &self.staging, &self.dags);
+                assert!(
+                    *fresh == self.views.views[ni],
+                    "a node view went stale without being marked"
+                );
+            }
+        }
     }
 
     /// The per-instant reference checks: the event heap's minimum is a
@@ -469,15 +482,15 @@ impl<'a> Campaign<'a> {
             scan.map(f64::to_bits),
             "event heap diverged from the resident scan"
         );
-        let mut free = FreeCores::new(0);
+        let mut by_used = [0; CORES_PER_SOCKET + 1];
         for (ni, n) in self.nodes.iter().enumerate() {
             let sum: usize = n.running.iter().map(|r| r.q.job.ranks).sum();
             assert_eq!(n.used, sum, "node {ni}'s used-core count diverged");
             assert!(n.up || n.running.is_empty(), "node {ni} is down but busy");
             if n.up {
-                free.add(n.used);
+                by_used[n.used] += 1;
             }
         }
-        assert_eq!(self.free.by_used, free.by_used, "free-core index diverged");
+        assert_eq!(self.free.by_used, by_used, "free-core index diverged");
     }
 }

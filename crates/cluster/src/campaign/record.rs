@@ -1,7 +1,8 @@
 //! Per-job records and the campaign outcome, with its JSONL encoding.
 
 use pmemflow_core::SchedConfig;
-use pmemflow_des::{json_escape, json_f64};
+use pmemflow_des::{write_json_escaped, write_json_f64};
+use std::fmt::Write;
 
 /// Runtime threshold for bounded slowdown (seconds): jobs shorter than
 /// this are not allowed to dominate the metric (Feitelson's BSLD).
@@ -189,67 +190,119 @@ impl CampaignOutcome {
     /// job (submission order) and one closing `"kind":"campaign"` summary.
     /// Every field is deterministic.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity((self.jobs.len() + 1) * 256);
+        // A job line runs to about 470 bytes.
+        let mut out = String::with_capacity((self.jobs.len() + 1) * 512);
         for j in &self.jobs {
-            out.push_str(&format!(
-                "{{\"kind\":\"job\",\"policy\":\"{}\",\"seed\":{},\"id\":{},\"workflow\":\"{}\",\
-                 \"ranks\":{},\"config\":\"{}\",\"dag\":\"{}\",\"stage\":\"{}\",\
-                 \"staging_gib\":{},\"node\":{},\"arrival_s\":{},\"start_s\":{},\
-                 \"finish_s\":{},\"wait_s\":{},\"response_s\":{},\"solo_s\":{},\"stretch\":{},\
-                 \"bounded_slowdown\":{},\"restarts\":{},\"lost_work_s\":{},\
-                 \"ckpt_overhead_s\":{},\"outcome\":\"{}\"}}\n",
-                json_escape(&self.policy),
-                self.seed,
-                j.id,
-                json_escape(&j.workflow),
-                j.ranks,
-                j.config.label(),
-                json_escape(&j.dag),
-                json_escape(&j.stage),
-                json_f64(j.staging_gib),
-                j.node,
-                json_f64(j.arrival),
-                json_f64(j.start),
-                json_f64(j.finish),
-                json_f64(j.wait()),
-                json_f64(j.response()),
-                json_f64(j.solo),
-                json_f64(j.stretch()),
-                json_f64(j.bounded_slowdown(BSLD_TAU)),
-                j.restarts,
-                json_f64(j.lost_work),
-                json_f64(j.ckpt_overhead),
-                j.outcome(),
-            ));
+            JsonLine::open(&mut out)
+                .str("kind", "job")
+                .str("policy", &self.policy)
+                .num("seed", self.seed)
+                .num("id", j.id)
+                .str("workflow", &j.workflow)
+                .num("ranks", j.ranks)
+                .str("config", j.config.label())
+                .str("dag", &j.dag)
+                .str("stage", &j.stage)
+                .f64("staging_gib", j.staging_gib)
+                .num("node", j.node)
+                .f64("arrival_s", j.arrival)
+                .f64("start_s", j.start)
+                .f64("finish_s", j.finish)
+                .f64("wait_s", j.wait())
+                .f64("response_s", j.response())
+                .f64("solo_s", j.solo)
+                .f64("stretch", j.stretch())
+                .f64("bounded_slowdown", j.bounded_slowdown(BSLD_TAU))
+                .num("restarts", j.restarts)
+                .f64("lost_work_s", j.lost_work)
+                .f64("ckpt_overhead_s", j.ckpt_overhead)
+                .str("outcome", j.outcome())
+                .close();
         }
-        let json_list = |v: &[f64]| v.iter().map(|x| json_f64(*x)).collect::<Vec<_>>().join(",");
-        out.push_str(&format!(
-            "{{\"kind\":\"campaign\",\"policy\":\"{}\",\"seed\":{},\"nodes\":{},\"jobs\":{},\
-             \"completed\":{},\"failed\":{},\"makespan_s\":{},\"mean_wait_s\":{},\
-             \"p95_wait_s\":{},\"mean_response_s\":{},\"mean_bounded_slowdown\":{},\
-             \"max_bounded_slowdown\":{},\"total_restarts\":{},\"total_lost_work_s\":{},\
-             \"total_ckpt_overhead_s\":{},\"staging_capacity_gib\":{},\
-             \"peak_staging_gib\":[{}],\"utilization\":[{}]}}\n",
-            json_escape(&self.policy),
-            self.seed,
-            self.nodes,
-            self.jobs.len(),
-            self.completed(),
-            self.failed(),
-            json_f64(self.makespan),
-            json_f64(self.mean_wait()),
-            json_f64(self.p95_wait()),
-            json_f64(self.mean_response()),
-            json_f64(self.mean_bounded_slowdown()),
-            json_f64(self.max_bounded_slowdown()),
-            self.total_restarts(),
-            json_f64(self.total_lost_work()),
-            json_f64(self.total_ckpt_overhead()),
-            json_f64(self.staging_capacity),
-            json_list(&self.peak_staging_gib),
-            json_list(&self.utilization()),
-        ));
+        JsonLine::open(&mut out)
+            .str("kind", "campaign")
+            .str("policy", &self.policy)
+            .num("seed", self.seed)
+            .num("nodes", self.nodes)
+            .num("jobs", self.jobs.len())
+            .num("completed", self.completed())
+            .num("failed", self.failed())
+            .f64("makespan_s", self.makespan)
+            .f64("mean_wait_s", self.mean_wait())
+            .f64("p95_wait_s", self.p95_wait())
+            .f64("mean_response_s", self.mean_response())
+            .f64("mean_bounded_slowdown", self.mean_bounded_slowdown())
+            .f64("max_bounded_slowdown", self.max_bounded_slowdown())
+            .num("total_restarts", self.total_restarts())
+            .f64("total_lost_work_s", self.total_lost_work())
+            .f64("total_ckpt_overhead_s", self.total_ckpt_overhead())
+            .f64("staging_capacity_gib", self.staging_capacity)
+            .f64s("peak_staging_gib", &self.peak_staging_gib)
+            .f64s("utilization", &self.utilization())
+            .close();
         out
+    }
+}
+
+/// One JSON object being appended to a JSONL buffer, field by field:
+/// `{` when opened, a comma before every field but the first, `}` and a
+/// newline when closed.
+struct JsonLine<'o> {
+    out: &'o mut String,
+    first: bool,
+}
+
+impl<'o> JsonLine<'o> {
+    fn open(out: &'o mut String) -> JsonLine<'o> {
+        out.push('{');
+        JsonLine { out, first: true }
+    }
+
+    /// `"key":` after the separator.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        let out = self.key(key);
+        out.push('"');
+        write_json_escaped(out, value);
+        out.push('"');
+        self
+    }
+
+    fn num(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
+        write!(self.key(key), "{value}").expect("writing to a String cannot fail");
+        self
+    }
+
+    fn f64(&mut self, key: &str, value: f64) -> &mut Self {
+        write_json_f64(self.key(key), value);
+        self
+    }
+
+    fn f64s(&mut self, key: &str, values: &[f64]) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_json_f64(out, v);
+        }
+        out.push(']');
+        self
+    }
+
+    fn close(&mut self) {
+        self.out.push_str("}\n");
     }
 }
 

@@ -315,7 +315,7 @@ fn dag_specs_and_records(
     let arrivals = generate_open(&cfg.arrivals, cfg.seed).unwrap();
     arrivals
         .into_iter()
-        .filter_map(|a| a.dag)
+        .filter_map(|a| a.dag().cloned())
         .map(|spec| {
             let recs: Vec<JobRecord> = spec
                 .stages
@@ -447,7 +447,7 @@ fn dag_campaigns_conserve_submissions_under_faults() {
     let arrivals = generate_open(&cfg.arrivals, cfg.seed).unwrap();
     let expected: usize = arrivals
         .iter()
-        .map(|a| a.dag.as_ref().map_or(1, |d| d.stages.len()))
+        .map(|a| a.dag().map_or(1, |d| d.stages.len()))
         .sum();
     assert_eq!(out.jobs.len(), expected, "every stage ends in one record");
     assert_eq!(out.completed() + out.failed(), expected);
@@ -491,7 +491,7 @@ fn staging_holds_match_reference_scan_under_churn() {
     let arrivals = generate_open(&cfg.arrivals, cfg.seed).unwrap();
     let expected: usize = arrivals
         .iter()
-        .map(|a| a.dag.as_ref().map_or(1, |d| d.stages.len()))
+        .map(|a| a.dag().map_or(1, |d| d.stages.len()))
         .sum();
     let oracle = Oracle::build(&cfg.arrivals.alphabet(), &cfg.exec, 2).unwrap();
     let (mut restarts, mut cascaded, mut revived, mut out_of_order) = (0, 0, 0, 0);
@@ -543,7 +543,7 @@ fn staging_holds_match_reference_scan_under_churn() {
 fn diamond_fixture() -> (CampaignConfig, Oracle, Arrival) {
     let draw = Draw::Dag(DagClass::Diamond);
     let arrival = arrival_for_draw(draw, 0, 5.0, None, &mut SplitMix64::new(3));
-    let spec = arrival.dag.as_ref().expect("a DAG draw");
+    let spec = arrival.dag().expect("a DAG draw");
     let alphabet: Vec<_> = spec
         .stages
         .iter()
@@ -615,7 +615,7 @@ fn interrupted_attempt_requeues_home_from_its_checkpoint() {
     c.now += 50.0;
     c.settle_interrupted(r, 0);
     assert!(c.records.is_empty());
-    assert_eq!(c.dags[0].state[0], StageState::Ready);
+    assert_eq!(c.dags[0].stages[0].state, StageState::Ready);
     let q = c.queue.get(0).unwrap();
     assert_eq!(q.restarts, 1);
     assert_eq!(q.resume, 30.0, "resume at the checkpoint floor");
@@ -646,7 +646,7 @@ fn exhausted_stage_revives_from_a_banked_checkpoint() {
     assert_eq!(c.records.len(), 1, "only the source's completion is booked");
     let d = &c.dags[0];
     assert_eq!(
-        (d.tokens, d.failed, d.state[1]),
+        (d.tokens, d.failed, d.stages[1].state),
         (0, false, StageState::Ready)
     );
     let q = c.queue.iter().find(|q| q.job.id == 1).unwrap();
@@ -686,7 +686,7 @@ fn exhausted_stage_without_revival_fails_the_dag() {
     assert_eq!(ids, (0..stages).collect::<Vec<_>>());
     for j in c.records.iter().filter(|j| j.id > 0) {
         assert!(!j.completed);
-        assert_eq!((j.dag.as_str(), j.finish), (&*d.label, c.now));
+        assert_eq!((j.dag.as_str(), j.finish), (d.spec.name.as_str(), c.now));
     }
     let failed = c.records.iter().find(|j| j.id == 1).unwrap();
     assert_eq!((failed.restarts, failed.lost_work), (3, 7.0));

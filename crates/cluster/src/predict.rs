@@ -93,16 +93,40 @@ struct Interned {
     rank: u32,
 }
 
+/// One characterized workload and the tenant ids interned for it, by
+/// [`SchedConfig::ALL`] position.
+struct Characterized {
+    entry: Arc<AlphabetEntry>,
+    ids: [Option<TenantId>; 4],
+}
+
 /// The characterized alphabet: workflow name, then ranks. Nested so a
-/// `&str` looks an entry up without building an owned key; iteration
-/// order is `(name, ranks)` order, as with a tuple key.
-type Alphabet = BTreeMap<String, BTreeMap<usize, Arc<AlphabetEntry>>>;
+/// `&str` looks an entry (and its interned tenants) up without building
+/// an owned key; iteration order is `(name, ranks)` order, as with a
+/// tuple key, and with the configuration labels within it, `TenantKey`
+/// order.
+type Alphabet = BTreeMap<String, BTreeMap<usize, Characterized>>;
+
+/// `config`'s position in [`SchedConfig::ALL`].
+fn config_slot(config: SchedConfig) -> usize {
+    SchedConfig::ALL
+        .iter()
+        .position(|&c| c == config)
+        .expect("ALL lists every configuration")
+}
+
+/// The configuration `key` names, by its label as [`TenantKey::new`]
+/// writes it.
+fn key_config(key: &TenantKey) -> Option<SchedConfig> {
+    SchedConfig::ALL
+        .into_iter()
+        .find(|c| c.label() == key.config)
+}
 
 /// The oracle's tables and the scratch its co-run lookups reuse.
 #[derive(Default)]
 struct OracleMaps {
     entries: Alphabet,
-    ids: HashMap<TenantKey, TenantId>,
     /// Indexed by [`TenantId`].
     tenants: Vec<Interned>,
     /// The co-run memo: rank-sorted id multiset → per-tenant breakdowns
@@ -115,15 +139,19 @@ struct OracleMaps {
 }
 
 impl OracleMaps {
-    /// The id of `key`, interned on first sight with its solo baseline;
-    /// every interned key that sorts after it moves up one rank.
-    fn intern(&mut self, key: &TenantKey) -> TenantId {
-        if let Some(&id) = self.ids.get(key) {
+    /// The id of tenant `(workflow, ranks, config)`, interned on first
+    /// sight with its solo baseline; every interned tenant whose key
+    /// sorts after it moves up one rank. A hit is two map lookups by
+    /// `&str` and builds nothing.
+    fn intern(&mut self, workflow: &str, ranks: usize, config: SchedConfig) -> TenantId {
+        let slot = config_slot(config);
+        let known = self.characterized(workflow, ranks);
+        if let Some(id) = known.ids[slot] {
             return id;
         }
-        let config = SchedConfig::parse(key.config).expect("key holds a valid label");
-        let entry = Arc::clone(self.entry(&key.workflow, key.ranks));
-        let rank = self.ids.keys().filter(|k| *k < key).count() as u32;
+        let entry = Arc::clone(&known.entry);
+        let key = (workflow, ranks, config.label());
+        let rank = self.interned_keys().filter(|k| *k < key).count() as u32;
         for t in &mut self.tenants {
             if t.rank >= rank {
                 t.rank += 1;
@@ -136,16 +164,44 @@ impl OracleMaps {
             entry,
             rank,
         });
-        self.ids.insert(key.clone(), id);
+        self.entries
+            .get_mut(workflow)
+            .and_then(|by_ranks| by_ranks.get_mut(&ranks))
+            .expect("characterized above")
+            .ids[slot] = Some(id);
         id
     }
 
-    fn entry(&self, workflow: &str, ranks: usize) -> &Arc<AlphabetEntry> {
+    /// Every interned tenant's key as `(workflow, ranks, config label)`,
+    /// which compare as `TenantKey`s do.
+    fn interned_keys(&self) -> impl Iterator<Item = (&str, usize, &'static str)> {
+        self.entries.iter().flat_map(|(name, by_ranks)| {
+            by_ranks.iter().flat_map(move |(&ranks, known)| {
+                SchedConfig::ALL
+                    .iter()
+                    .zip(&known.ids)
+                    .filter(|(_, id)| id.is_some())
+                    .map(move |(c, _)| (name.as_str(), ranks, c.label()))
+            })
+        })
+    }
+
+    /// The id `key` was interned under, if it was.
+    fn interned(&self, key: &TenantKey) -> Option<TenantId> {
+        let config = key_config(key)?;
+        self.lookup(&key.workflow, key.ranks)?.ids[config_slot(config)]
+    }
+
+    fn characterized(&self, workflow: &str, ranks: usize) -> &Characterized {
         self.lookup(workflow, ranks)
             .unwrap_or_else(|| panic!("{workflow}@{ranks} not in the campaign alphabet"))
     }
 
-    fn lookup(&self, workflow: &str, ranks: usize) -> Option<&Arc<AlphabetEntry>> {
+    fn entry(&self, workflow: &str, ranks: usize) -> &Arc<AlphabetEntry> {
+        &self.characterized(workflow, ranks).entry
+    }
+
+    fn lookup(&self, workflow: &str, ranks: usize) -> Option<&Characterized> {
         self.entries.get(workflow)?.get(&ranks)
     }
 
@@ -156,7 +212,10 @@ impl OracleMaps {
             .entry(workflow.to_string())
             .or_default()
             .entry(ranks)
-            .or_insert_with(|| Arc::new(make()));
+            .or_insert_with(|| Characterized {
+                entry: Arc::new(make()),
+                ids: [None; 4],
+            });
     }
 
     /// Fill `order` and `canonical` for `ids`. The sort is stable and
@@ -256,6 +315,13 @@ impl Oracle {
         self.entry(workflow, ranks).sweep.run(config).total
     }
 
+    /// Predicted solo runtime under the best configuration: what
+    /// [`Oracle::solo_runtime`] answers for [`Oracle::best_config`], read
+    /// in one lookup.
+    pub fn best_solo_runtime(&self, workflow: &str, ranks: usize) -> f64 {
+        self.entry(workflow, ranks).sweep.best().total
+    }
+
     /// The full four-configuration sweep of a workload.
     pub fn config_sweep(&self, workflow: &str, ranks: usize) -> ConfigSweep {
         self.entry(workflow, ranks).sweep.clone()
@@ -289,15 +355,19 @@ impl Oracle {
         ranks: usize,
         config: SchedConfig,
     ) -> (TenantId, f64) {
-        let key = TenantKey::new(workflow, ranks, config);
         let mut maps = lock_recover(&self.maps);
-        let id = maps.intern(&key);
+        let id = maps.intern(workflow, ranks, config);
         (id, maps.tenants[id.0 as usize].solo)
     }
 
     fn intern_all(&self, set: &[TenantKey]) -> Vec<TenantId> {
         let mut maps = lock_recover(&self.maps);
-        set.iter().map(|k| maps.intern(k)).collect()
+        set.iter()
+            .map(|k| {
+                let config = key_config(k).expect("key holds a configuration label");
+                maps.intern(&k.workflow, k.ranks, config)
+            })
+            .collect()
     }
 
     /// Predicted per-tenant slowdowns of co-running the interned tenants
@@ -396,12 +466,12 @@ impl Oracle {
         let mut ids = Vec::with_capacity(set.len());
         let mut ranks = 0;
         for key in set {
-            if let Some(&id) = maps.ids.get(key) {
+            if let Some(id) = maps.interned(key) {
                 ranks += maps.tenants[id.0 as usize].entry.spec.ranks;
                 ids.push(id);
             } else {
                 match maps.lookup(&key.workflow, key.ranks) {
-                    Some(entry) => ranks += entry.spec.ranks,
+                    Some(known) => ranks += known.entry.spec.ranks,
                     None => return false,
                 }
             }
@@ -574,7 +644,7 @@ mod tests {
         let owned = |set: &[&TenantKey]| set.iter().map(|&k| k.clone()).collect::<Vec<_>>();
         let ready = |set: &[&TenantKey]| oracle.corun_ready(&owned(set));
         let price = |set: &[&TenantKey]| oracle.corun_breakdown(&owned(set)).unwrap();
-        let interned = || lock_recover(&oracle.maps).ids.len();
+        let interned = || lock_recover(&oracle.maps).tenants.len();
         for set in [[&a].as_slice(), &[&a, &b], &[&b, &b], &[&a, &unknown]] {
             assert!(!ready(set), "{set:?}");
         }

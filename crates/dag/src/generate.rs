@@ -167,10 +167,10 @@ mod tests {
                 let d = generate(class, &format!("{}#{round}", class.name()), &mut rng);
                 d.validate().unwrap();
                 let sources = (0..d.stages.len())
-                    .filter(|&i| d.predecessors(i).is_empty())
+                    .filter(|&i| d.predecessors(i).next().is_none())
                     .count();
                 let sinks = (0..d.stages.len())
-                    .filter(|&i| d.successors(i).is_empty())
+                    .filter(|&i| d.successors(i).next().is_none())
                     .count();
                 match class {
                     DagClass::Pipeline => {

@@ -53,7 +53,7 @@ impl StageSpec {
     /// Bytes one snapshot of this stage's writer side moves across all
     /// ranks — the volume an out-edge of this stage stages through PMEM.
     pub fn snapshot_bytes(&self) -> u64 {
-        self.family.build(self.ranks).writer.io.snapshot_bytes() * self.ranks as u64
+        self.family.writer_io().snapshot_bytes() * self.ranks as u64
     }
 }
 
@@ -190,22 +190,14 @@ impl DagSpec {
         order
     }
 
-    /// Direct predecessors of stage `i`.
-    pub fn predecessors(&self, i: usize) -> Vec<usize> {
-        self.edges
-            .iter()
-            .filter(|e| e.to == i)
-            .map(|e| e.from)
-            .collect()
+    /// Direct predecessors of stage `i`, in edge order.
+    pub fn predecessors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.edges.iter().filter(move |e| e.to == i).map(|e| e.from)
     }
 
-    /// Direct successors of stage `i`.
-    pub fn successors(&self, i: usize) -> Vec<usize> {
-        self.edges
-            .iter()
-            .filter(|e| e.from == i)
-            .map(|e| e.to)
-            .collect()
+    /// Direct successors of stage `i`, in edge order.
+    pub fn successors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.edges.iter().filter(move |e| e.from == i).map(|e| e.to)
     }
 
     /// Bytes staged *into* stage `i` (sum over in-edges).
@@ -274,8 +266,8 @@ mod tests {
     fn diamond_validates_and_sums_its_edges() {
         let d = diamond();
         d.validate().unwrap();
-        assert_eq!(d.predecessors(3), vec![1, 2]);
-        assert_eq!(d.successors(0), vec![1, 2]);
+        assert_eq!(d.predecessors(3).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(d.successors(0).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(d.stage_out_bytes(0), 2 << 30);
         assert_eq!(d.stage_in_bytes(3), 2 << 30);
         assert!((d.staging_gib() - 4.0).abs() < 1e-12);

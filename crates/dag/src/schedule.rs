@@ -17,24 +17,16 @@ pub fn stage_io_seconds(spec: &DagSpec, stage: usize, exec: &ExecutionParams) ->
     let write_latency = exec.profile.latency(Direction::Write, Locality::Local);
     let read_latency = exec.profile.latency(Direction::Read, Locality::Local);
     for e in &spec.edges {
+        if e.from != stage && e.to != stage {
+            continue;
+        }
+        // Both ends move the producer's objects.
+        let object_bytes = spec.stages[e.from].family.writer_io().object_bytes;
+        let objects = e.bytes.div_ceil(object_bytes).max(1);
         if e.from == stage {
-            let object_bytes = spec.stages[e.from]
-                .family
-                .build(spec.stages[e.from].ranks)
-                .writer
-                .io
-                .object_bytes;
-            let objects = e.bytes.div_ceil(object_bytes).max(1);
             secs += cost.snapshot_sw_time(Direction::Write, objects, object_bytes, write_latency);
         }
         if e.to == stage {
-            let object_bytes = spec.stages[e.from]
-                .family
-                .build(spec.stages[e.from].ranks)
-                .writer
-                .io
-                .object_bytes;
-            let objects = e.bytes.div_ceil(object_bytes).max(1);
             secs += cost.snapshot_sw_time(Direction::Read, objects, object_bytes, read_latency);
         }
     }

@@ -70,7 +70,7 @@ pub use flow::{
     water_fill, ClassView, Direction, FairShareAllocator, FlowAttrs, FlowClass, Locality,
     RateAllocator, UncontendedAllocator,
 };
-pub use json::{json_escape, json_f64};
+pub use json::{json_escape, json_f64, write_json_escaped, write_json_f64};
 pub use process::{Action, ChannelId, ProcessId, ResourceId};
 pub use stats::{ProcessReport, ResourceReport, SimReport};
 pub use time::{SimDuration, SimTime};

@@ -12,6 +12,7 @@
 //! timing the [`crate::kernels`].
 
 use crate::spec::{ComponentSpec, ConcurrencyClass, IoPattern, WorkflowSpec};
+use crate::suite::Family;
 
 /// Iterations per rank for every suite workflow (§IV-B: "Each thread in
 /// the microbenchmark performs 10 iterations"; application runs use the
@@ -49,24 +50,63 @@ const MINIAMR_MATMUL_SECONDS: f64 = 0.307;
 /// Microbenchmark snapshot: 1 GB per rank per iteration (§IV-B).
 const MICRO_SNAPSHOT_BYTES: u64 = 1 << 30;
 
-fn micro(name: &str, object_bytes: u64, ranks: usize) -> WorkflowSpec {
-    let objects = MICRO_SNAPSHOT_BYTES / object_bytes;
-    let io = IoPattern {
-        objects_per_snapshot: objects,
+/// A microbenchmark's per-iteration I/O: 1 GB snapshots of
+/// `object_bytes` objects.
+pub(crate) const fn micro_io(object_bytes: u64) -> IoPattern {
+    IoPattern {
+        objects_per_snapshot: MICRO_SNAPSHOT_BYTES / object_bytes,
         object_bytes,
+    }
+}
+
+/// GTC's per-iteration I/O: a few large checkpoint arrays.
+pub(crate) const GTC_IO: IoPattern = IoPattern {
+    objects_per_snapshot: GTC_OBJECTS,
+    object_bytes: GTC_OBJECT_BYTES,
+};
+
+/// miniAMR's per-iteration I/O: many small blocks.
+pub(crate) const MINIAMR_IO: IoPattern = IoPattern {
+    objects_per_snapshot: MINIAMR_OBJECTS,
+    object_bytes: MINIAMR_OBJECT_BYTES,
+};
+
+/// Assemble `family`'s workflow at `ranks` around its
+/// [`Family::writer_io`]; the reader consumes at the same granularity
+/// (§IV-C).
+pub(crate) fn build(family: Family, ranks: usize) -> WorkflowSpec {
+    let io = family.writer_io();
+    let component = |name: &str, compute_per_iteration| ComponentSpec {
+        name: name.into(),
+        compute_per_iteration,
+        io,
+    };
+    let gtc = || component("gtc", GTC_COMPUTE_SECONDS);
+    let miniamr = || component("miniamr", MINIAMR_COMPUTE_SECONDS);
+    let read_only = || component("readonly", 0.0);
+    let (name, writer, reader) = match family {
+        Family::Micro64MB | Family::Micro2KB => (
+            format!("{}x{ranks}", family.name()),
+            component("micro-writer", 0.0),
+            component("micro-reader", 0.0),
+        ),
+        Family::GtcReadOnly => (format!("gtc+readonly x{ranks}"), gtc(), read_only()),
+        Family::GtcMatMul => (
+            format!("gtc+matmult x{ranks}"),
+            gtc(),
+            component("matmult", GTC_MATMUL_SECONDS),
+        ),
+        Family::MiniAmrReadOnly => (format!("miniamr+readonly x{ranks}"), miniamr(), read_only()),
+        Family::MiniAmrMatMul => (
+            format!("miniamr+matmult x{ranks}"),
+            miniamr(),
+            component("matmult", MINIAMR_MATMUL_SECONDS),
+        ),
     };
     WorkflowSpec {
-        name: format!("{name}x{ranks}"),
-        writer: ComponentSpec {
-            name: "micro-writer".into(),
-            compute_per_iteration: 0.0,
-            io,
-        },
-        reader: ComponentSpec {
-            name: "micro-reader".into(),
-            compute_per_iteration: 0.0,
-            io,
-        },
+        name,
+        writer,
+        reader,
         ranks,
         iterations: SUITE_ITERATIONS,
     }
@@ -75,107 +115,37 @@ fn micro(name: &str, object_bytes: u64, ranks: usize) -> WorkflowSpec {
 /// The 64 MB-object microbenchmark (Fig. 4): pure I/O both sides, large
 /// objects, 1 GB snapshots.
 pub fn micro_64mb(ranks: usize) -> WorkflowSpec {
-    micro("micro-64MB", 64 << 20, ranks)
+    Family::Micro64MB.build(ranks)
 }
 
 /// The 2 KB-object microbenchmark (Fig. 5): pure I/O both sides, half a
 /// million objects per snapshot, software-overhead dominated.
 pub fn micro_2kb(ranks: usize) -> WorkflowSpec {
-    micro("micro-2KB", 2048, ranks)
-}
-
-fn gtc_writer() -> ComponentSpec {
-    ComponentSpec {
-        name: "gtc".into(),
-        compute_per_iteration: GTC_COMPUTE_SECONDS,
-        io: IoPattern {
-            objects_per_snapshot: GTC_OBJECTS,
-            object_bytes: GTC_OBJECT_BYTES,
-        },
-    }
-}
-
-fn miniamr_writer() -> ComponentSpec {
-    ComponentSpec {
-        name: "miniamr".into(),
-        compute_per_iteration: MINIAMR_COMPUTE_SECONDS,
-        io: IoPattern {
-            objects_per_snapshot: MINIAMR_OBJECTS,
-            object_bytes: MINIAMR_OBJECT_BYTES,
-        },
-    }
-}
-
-fn read_only(io: IoPattern) -> ComponentSpec {
-    ComponentSpec {
-        name: "readonly".into(),
-        compute_per_iteration: 0.0,
-        io,
-    }
-}
-
-fn matmul_kernel(io: IoPattern, seconds: f64) -> ComponentSpec {
-    ComponentSpec {
-        name: "matmult".into(),
-        compute_per_iteration: seconds,
-        io,
-    }
+    Family::Micro2KB.build(ranks)
 }
 
 /// GTC + Read-Only (Fig. 6): compute-heavy simulation with large objects,
 /// I/O-only analytics.
 pub fn gtc_readonly(ranks: usize) -> WorkflowSpec {
-    let w = gtc_writer();
-    let io = w.io;
-    WorkflowSpec {
-        name: format!("gtc+readonly x{ranks}"),
-        writer: w,
-        reader: read_only(io),
-        ranks,
-        iterations: SUITE_ITERATIONS,
-    }
+    Family::GtcReadOnly.build(ranks)
 }
 
 /// GTC + MatrixMult (Fig. 7): compute-heavy simulation and compute-heavy
 /// analytics.
 pub fn gtc_matmul(ranks: usize) -> WorkflowSpec {
-    let w = gtc_writer();
-    let io = w.io;
-    WorkflowSpec {
-        name: format!("gtc+matmult x{ranks}"),
-        writer: w,
-        reader: matmul_kernel(io, GTC_MATMUL_SECONDS),
-        ranks,
-        iterations: SUITE_ITERATIONS,
-    }
+    Family::GtcMatMul.build(ranks)
 }
 
 /// miniAMR + Read-Only (Fig. 8): I/O-heavy simulation with many small
 /// objects, I/O-only analytics.
 pub fn miniamr_readonly(ranks: usize) -> WorkflowSpec {
-    let w = miniamr_writer();
-    let io = w.io;
-    WorkflowSpec {
-        name: format!("miniamr+readonly x{ranks}"),
-        writer: w,
-        reader: read_only(io),
-        ranks,
-        iterations: SUITE_ITERATIONS,
-    }
+    Family::MiniAmrReadOnly.build(ranks)
 }
 
 /// miniAMR + MatrixMult (Fig. 9): I/O-heavy simulation, compute-heavy
 /// analytics.
 pub fn miniamr_matmul(ranks: usize) -> WorkflowSpec {
-    let w = miniamr_writer();
-    let io = w.io;
-    WorkflowSpec {
-        name: format!("miniamr+matmult x{ranks}"),
-        writer: w,
-        reader: matmul_kernel(io, MINIAMR_MATMUL_SECONDS),
-        ranks,
-        iterations: SUITE_ITERATIONS,
-    }
+    Family::MiniAmrMatMul.build(ranks)
 }
 
 /// Convenience: the three paper concurrency levels.

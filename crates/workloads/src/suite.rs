@@ -6,7 +6,7 @@
 //! against the paper's.
 
 use crate::apps;
-use crate::spec::WorkflowSpec;
+use crate::spec::{IoPattern, WorkflowSpec};
 
 /// The six workload families of the suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,15 +38,22 @@ impl Family {
         ]
     }
 
-    /// Build the family's workflow at the given rank count.
+    /// Build the family's workflow at the given rank count, around its
+    /// [`Family::writer_io`].
     pub fn build(self, ranks: usize) -> WorkflowSpec {
+        apps::build(self, ranks)
+    }
+
+    /// The writer's per-rank, per-iteration I/O shape, which the reader
+    /// consumes at the same granularity. It does not depend on the rank
+    /// count (weak scaling), so it is read without building a
+    /// [`WorkflowSpec`].
+    pub fn writer_io(self) -> IoPattern {
         match self {
-            Family::Micro64MB => apps::micro_64mb(ranks),
-            Family::Micro2KB => apps::micro_2kb(ranks),
-            Family::GtcReadOnly => apps::gtc_readonly(ranks),
-            Family::GtcMatMul => apps::gtc_matmul(ranks),
-            Family::MiniAmrReadOnly => apps::miniamr_readonly(ranks),
-            Family::MiniAmrMatMul => apps::miniamr_matmul(ranks),
+            Family::Micro64MB => apps::micro_io(64 << 20),
+            Family::Micro2KB => apps::micro_io(2048),
+            Family::GtcReadOnly | Family::GtcMatMul => apps::GTC_IO,
+            Family::MiniAmrReadOnly | Family::MiniAmrMatMul => apps::MINIAMR_IO,
         }
     }
 
@@ -202,6 +209,17 @@ mod tests {
         );
         assert_eq!(Family::parse("hpl"), None);
         assert_eq!(Family::parse(""), None);
+    }
+
+    #[test]
+    fn writer_io_is_what_build_puts_on_both_sides() {
+        for f in Family::all() {
+            for ranks in [8, 16, 24] {
+                let spec = f.build(ranks);
+                assert_eq!(f.writer_io(), spec.writer.io, "{f:?}@{ranks}");
+                assert_eq!(f.writer_io(), spec.reader.io, "{f:?}@{ranks}");
+            }
+        }
     }
 
     #[test]

@@ -78,12 +78,12 @@ impl std::fmt::Display for CliError {
                 option,
                 value,
                 expected,
-            } => write!(f, "--{option} {value:?}: expected {expected}"),
+            } => write!(f, "--{option} {value}: expected {expected}"),
             CliError::UnknownName {
                 kind,
                 value,
                 choices,
-            } => write!(f, "unknown {kind} {value:?}; choices: {choices}"),
+            } => write!(f, "unknown {kind} \"{value}\"; choices: {choices}"),
         }
     }
 }
@@ -340,5 +340,15 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("hpl") && msg.contains("micro-64mb"));
+        // Values are printed verbatim, not Debug-escaped.
+        let e = CliError::BadValue {
+            option: "arrivals".into(),
+            value: "mix=x: unknown mix token \"x\"".into(),
+            expected: "a spec",
+        };
+        assert_eq!(
+            e.to_string(),
+            "--arrivals mix=x: unknown mix token \"x\": expected a spec"
+        );
     }
 }

@@ -44,6 +44,18 @@ fn rejects_unknown_graph_class() {
 }
 
 #[test]
+fn arrival_errors_print_the_parser_message_verbatim() {
+    let (ok, _, stderr) = run(&["cluster", "--arrivals", "poisson:rate=1,n=4,mix=dag-mesh"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains(
+            "--arrivals poisson:rate=1,n=4,mix=dag-mesh: unknown mix token \"dag-mesh\"; families:"
+        ) && !stderr.contains('\\'),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn rejects_bad_staging_capacity() {
     for bad in ["0", "-16", "inf", "NaN"] {
         let (ok, _, stderr) = run(&["cluster", "--staging", bad]);
