@@ -276,6 +276,19 @@ impl ArrivalSpec {
         }
     }
 
+    /// The most job ids a campaign of the stream can issue: one per plain
+    /// submission, and a DAG submission's stage count, at most its
+    /// class's [`DagClass::max_stages`].
+    pub(crate) fn max_jobs(&self) -> u64 {
+        let per_submission = match self {
+            ArrivalSpec::Poisson { dags, .. } | ArrivalSpec::Closed { dags, .. } => {
+                dags.iter().map(|c| c.max_stages()).max().unwrap_or(1)
+            }
+            ArrivalSpec::Trace(_) => 1,
+        };
+        self.count().saturating_mul(per_submission as u64)
+    }
+
     /// Every distinct (workflow, ranks) the stream can draw — the
     /// alphabet a campaign pre-characterizes in parallel before serving
     /// arrivals. Suite order, deduplicated.
@@ -394,7 +407,7 @@ pub(crate) fn arrival_for_draw(
             what: Submission::Plain(family),
         },
         Draw::Dag(class) => {
-            let dag = generate_dag(class, &format!("{}#{id}", class.name()), rng);
+            let dag = generate_dag(class, format!("{}#{id}", class.name()), rng);
             Arrival {
                 id,
                 time,
@@ -500,6 +513,16 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A plain stream issues one job id per submission; a stream that
+    /// draws DAGs up to its largest class's stage count.
+    #[test]
+    fn max_jobs_bounds_the_ids_a_stream_issues() {
+        let max = |spec: &str| ArrivalSpec::parse(spec).unwrap().max_jobs();
+        assert_eq!(max("closed:clients=4,think=0,n=50,mix=micro"), 50);
+        assert_eq!(max("poisson:rate=1,n=10,mix=dag-pipeline"), 40);
+        assert_eq!(max("closed:clients=4,think=0,n=50,mix=all+dag"), 300);
     }
 
     #[test]

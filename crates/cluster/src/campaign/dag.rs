@@ -188,7 +188,7 @@ impl DagRun {
         let stage = &self.spec.stages[si];
         let job = arena.alloc(QueuedJob {
             id: self.first_stage_id + si as u64,
-            workflow: arena.name(stage.family.name()),
+            workflow: arena.name(stage.family),
             ranks: stage.ranks,
             arrival: self.arrival,
             staging: self.entry_staging(),

@@ -189,7 +189,8 @@ struct Campaign<'a> {
     /// and the residents borrow from it.
     arena: &'a JobArena,
     queue: Queue<'a>,
-    records: Vec<JobRecord>,
+    /// The booked records, each in its job id's slot.
+    records: Vec<Option<JobRecord>>,
     staging: StagingState,
     dags: Vec<DagRun>,
     /// Stages whose dependencies are unmet: invisible to policies, but

@@ -1,11 +1,12 @@
-//! The campaign queue: entries kept in `(arrival, id)` order, the
-//! policy's view of them and the [`QueueIndex`] maintained beside them,
-//! and the [`JobArena`] the view points into.
+//! The campaign queue: entries kept in `(arrival, id)` order, their
+//! keys, the policy's view of them and the [`QueueIndex`] maintained
+//! beside them, and the [`JobArena`] the view points into.
 
 use crate::policy::QueuedJob;
 use pmemflow_core::SchedConfig;
 use pmemflow_des::SimTime;
-use std::cell::{Cell, OnceCell, RefCell};
+use pmemflow_workloads::Family;
+use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -18,12 +19,12 @@ use std::sync::Arc;
 /// touches at most one chunk more than it uses and every chunk comes
 /// from (and returns to) the ordinary heap; the chunks are found
 /// through tables of doubling size (table `k` holds `TABLE_BASE << k`
-/// chunks). Workflow names are kept once each, so every job of a
-/// workflow shares one name allocation.
+/// chunks). Workflow names are kept once per [`Family`], so every job
+/// of a workflow, and every record it books, shares one name allocation.
 pub(super) struct JobArena {
     tables: [OnceCell<Box<[OnceCell<Chunk>]>>; JobArena::TABLES],
     len: Cell<usize>,
-    names: RefCell<Vec<Arc<str>>>,
+    names: [OnceCell<Arc<str>>; Family::all().len()],
 }
 
 type Chunk = Box<[OnceCell<QueuedJob>]>;
@@ -43,19 +44,13 @@ impl JobArena {
         JobArena {
             tables: [const { OnceCell::new() }; JobArena::TABLES],
             len: Cell::new(0),
-            names: RefCell::new(Vec::new()),
+            names: [const { OnceCell::new() }; Family::all().len()],
         }
     }
 
-    /// The shared name `workflow`. A campaign draws from a handful of
-    /// workflows, so a scan finds it.
-    pub(super) fn name(&self, workflow: &str) -> Arc<str> {
-        let mut names = self.names.borrow_mut();
-        if let Some(name) = names.iter().find(|n| ***n == *workflow) {
-            return Arc::clone(name);
-        }
-        names.push(workflow.into());
-        Arc::clone(names.last().expect("just pushed"))
+    /// The shared name of `family`'s workflow, made on first use.
+    pub(super) fn name(&self, family: Family) -> Arc<str> {
+        Arc::clone(self.names[family as usize].get_or_init(|| family.name().into()))
     }
 
     /// Store `job` for the arena's lifetime.
@@ -121,15 +116,22 @@ impl<'a> Queued<'a> {
 
 /// The queue: entries sorted by `(arrival, id)` — a restarted job
 /// re-enters at its original priority, not at the back — and, in
-/// lockstep, the policy's view of them (`view[i]` is `entries[i].job`)
-/// and the [`QueueIndex`]. Every change goes through the methods below,
-/// so the three never disagree. Sortedness makes each insert point a
-/// binary search, and the ring buffers shift only the shorter side —
-/// fresh arrivals (largest key, back of the queue) cost O(log n) + O(1)
-/// even when a backlogged campaign holds tens of thousands of entries.
+/// lockstep, their keys (`keys[i]` is `entries[i]`'s `(arrival, id)`),
+/// the policy's view of them (`view[i]` is `entries[i].job`) and the
+/// [`QueueIndex`]. Every change goes through the methods below, so the
+/// four never disagree. Sortedness makes each insert point a
+/// binary search over the keys, and the ring buffers shift only the
+/// shorter side — a fresh arrival (largest key, back of the queue)
+/// costs O(1) even when a backlogged campaign holds tens of thousands
+/// of entries.
 #[derive(Default)]
 pub(super) struct Queue<'a> {
     entries: VecDeque<Queued<'a>>,
+    /// Each entry's `(arrival, id)`, inline: the binary searches probe
+    /// these 16 bytes instead of following a reference into the arena.
+    /// A new version of an entry's job keeps its arrival and id, so
+    /// [`Queue::pin_dag`] leaves them as they are.
+    keys: VecDeque<(f64, u64)>,
     /// The jobs of `entries`, contiguous once a round asks: a
     /// fault-free round hands it to the policy as it stands.
     view: VecDeque<&'a QueuedJob>,
@@ -158,15 +160,22 @@ impl<'a> Queue<'a> {
     /// Insert `q` at its `(arrival, id)` position.
     pub(super) fn enqueue(&mut self, q: Queued<'a>, now: f64) {
         self.index.on_enqueue(&q, now);
-        let at = self.seek(q.job.arrival, q.job.id);
+        let key = (q.job.arrival, q.job.id);
+        // A fresh arrival has the largest key: check the back first.
+        let at = if self.keys.back().is_none_or(|&last| last < key) {
+            self.keys.len()
+        } else {
+            self.seek(key.0, key.1)
+        };
         // Ids are issued in admission order, so they ascend along the
         // queue too: `position` binary-searches on them.
         debug_assert!(
-            (at == 0 || self.entries[at - 1].job.id < q.job.id)
-                && self.entries.get(at).is_none_or(|o| q.job.id < o.job.id),
+            (at == 0 || self.keys[at - 1].1 < key.1)
+                && self.keys.get(at).is_none_or(|o| key.1 < o.1),
             "job {} breaks the queue's id order",
-            q.job.id
+            key.1
         );
+        self.keys.insert(at, key);
         self.view.insert(at, q.job);
         self.entries.insert(at, q);
     }
@@ -174,13 +183,18 @@ impl<'a> Queue<'a> {
     /// Take entry `i` out.
     pub(super) fn remove(&mut self, i: usize, now: f64) -> Queued<'a> {
         self.index.on_remove(&self.entries[i], now);
+        self.keys.remove(i);
         self.view.remove(i);
         self.entries.remove(i).expect("queue index in range")
     }
 
-    /// Position of queued job `id`: `Err` when it is not queued.
+    /// Position of queued job `id`: `Err` when it is not queued. The
+    /// head is checked first, because FCFS places it.
     pub(super) fn position(&self, id: u64) -> Result<usize, usize> {
-        self.view.binary_search_by_key(&id, |j| j.id)
+        match self.keys.front() {
+            Some(&(_, head)) if head == id => Ok(0),
+            _ => self.keys.binary_search_by_key(&id, |&(_, i)| i),
+        }
     }
 
     /// Position of the first queued entry at or past `(arrival, id)` in
@@ -189,8 +203,7 @@ impl<'a> Queue<'a> {
     /// `seek(d.arrival, d.first_stage_id)`, and stage `si` (if queued)
     /// sits at `seek(d.arrival, d.first_stage_id + si)`.
     pub(super) fn seek(&self, arrival: f64, id: u64) -> usize {
-        self.view
-            .partition_point(|j| (j.arrival, j.id) < (arrival, id))
+        self.keys.partition_point(|&key| key < (arrival, id))
     }
 
     /// Pin every queued stage of DAG `di` (the run from `run`) to its
@@ -240,13 +253,19 @@ impl<'a> Queue<'a> {
         self.view.make_contiguous()
     }
 
-    /// The view against the reference collect of the entries' jobs: the
-    /// same jobs in the same order, every field equal.
+    /// The view and the keys against the reference collect of the
+    /// entries' jobs: the same jobs in the same order, every field equal.
     #[cfg(debug_assertions)]
     fn check_view(&self) {
         assert_eq!(self.view.len(), self.entries.len(), "view length diverged");
-        for (v, q) in self.view.iter().zip(&self.entries) {
+        assert_eq!(self.keys.len(), self.entries.len(), "keys length diverged");
+        for ((v, q), &(arrival, id)) in self.view.iter().zip(&self.entries).zip(&self.keys) {
             let j = q.job;
+            assert!(
+                id == j.id && arrival.to_bits() == j.arrival.to_bits(),
+                "queue keys diverged from the entries at job {}",
+                j.id
+            );
             assert!(
                 v.id == j.id
                     && v.workflow == j.workflow
@@ -439,6 +458,152 @@ mod tests {
             .collect();
         for (id, job) in held.iter().enumerate() {
             assert_eq!((job.id, job.ranks), (id as u64, id % 7));
+        }
+    }
+
+    /// `seek` and `position` against linear scans over the entries'
+    /// jobs, and the inline keys against the entries, across churn that
+    /// mixes what a campaign does to its queue: fresh arrivals at the
+    /// back, DAG stages released at their DAG's older arrival, backoff
+    /// requeues at their original priority in the middle, head removals
+    /// (FCFS placements) and `pin_dag` re-versioning a DAG's queued
+    /// stages.
+    #[test]
+    fn seek_and_position_match_linear_scans_under_churn() {
+        /// A DAG submission: its arrival, its stage ids `first..first +
+        /// stages`, the next stage to release, and its pin.
+        struct Dag {
+            arrival: f64,
+            first: u64,
+            stages: u64,
+            released: u64,
+            home: Option<usize>,
+        }
+        let arena = JobArena::new();
+        let mut rng = SplitMix64::new(0x5EE_C0DE);
+        let mut queue = Queue::default();
+        let mut dags: Vec<Dag> = Vec::new();
+        // Entries taken off the head, waiting to be requeued.
+        let mut out: Vec<Queued> = Vec::new();
+        let (mut now, mut next_id) = (0.0f64, 0u64);
+        let job = |id: u64, arrival: f64, home: Option<usize>| {
+            arena.alloc(QueuedJob {
+                id,
+                workflow: arena.name(Family::GtcMatMul),
+                ranks: 8,
+                arrival,
+                staging: 0.0,
+                home,
+            })
+        };
+        for step in 0..2_000 {
+            match rng.range_u64(0, 7) {
+                // A plain arrival, at the back.
+                0 => {
+                    queue.enqueue(Queued::fresh(job(next_id, now, None), None, now, None), now);
+                    next_id += 1;
+                }
+                // A DAG arrival: ids for every stage, its source queued.
+                1 => {
+                    let di = dags.len() as u32;
+                    let stages = rng.range_u64(2, 6);
+                    let q = Queued::fresh(job(next_id, now, None), None, now, Some((di, 0)));
+                    queue.enqueue(q, now);
+                    dags.push(Dag {
+                        arrival: now,
+                        first: next_id,
+                        stages,
+                        released: 1,
+                        home: None,
+                    });
+                    next_id += stages;
+                }
+                // A stage release, at its DAG's arrival: half of them
+                // from the newest open DAG, which may share its instant
+                // with the back of the queue.
+                2 => {
+                    let open: Vec<usize> = (0..dags.len())
+                        .filter(|&i| dags[i].released < dags[i].stages)
+                        .collect();
+                    let pick = if rng.next_bool() {
+                        open.len().wrapping_sub(1)
+                    } else {
+                        rng.range_usize(0, open.len().max(1))
+                    };
+                    if let Some(&i) = open.get(pick) {
+                        let d = &mut dags[i];
+                        let si = d.released as usize;
+                        let j = job(d.first + d.released, d.arrival, d.home);
+                        d.released += 1;
+                        queue.enqueue(Queued::fresh(j, None, now, Some((i as u32, si))), now);
+                    }
+                }
+                // A head removal, half of them requeued later.
+                3 | 4 => {
+                    if !queue.is_empty() {
+                        let q = queue.remove(0, now);
+                        if rng.next_bool() {
+                            out.push(q);
+                        }
+                    }
+                }
+                // A backoff requeue at the entry's original priority.
+                5 => {
+                    if !out.is_empty() {
+                        let mut q = out.swap_remove(rng.range_usize(0, out.len()));
+                        q.eligible = now + rng.range_f64(0.0, 5.0);
+                        queue.enqueue(q, now);
+                    }
+                }
+                // A DAG homed: its queued stages, one run, pinned.
+                _ => {
+                    if !dags.is_empty() {
+                        let di = rng.range_usize(0, dags.len());
+                        let node = rng.range_usize(0, 64);
+                        let d = &mut dags[di];
+                        d.home = Some(node);
+                        let run = queue.seek(d.arrival, d.first);
+                        queue.pin_dag(run, di as u32, node, &arena);
+                    }
+                }
+            }
+            // Half the steps share an instant, as closed-loop clients
+            // with no think time do: equal arrivals order by id.
+            if rng.next_bool() {
+                now += rng.range_f64(0.0, 1.0);
+            }
+            #[cfg(debug_assertions)]
+            queue.check_view();
+            // Probe the queued keys, the requeue-pending ones and each
+            // DAG's first stage: a sample of each, and both ends.
+            let key = |q: &Queued| (q.job.arrival, q.job.id);
+            let keys: Vec<(f64, u64)> = queue
+                .iter()
+                .map(key)
+                .chain(out.iter().map(key))
+                .chain(dags.iter().map(|d| (d.arrival, d.first)))
+                .collect();
+            let ends = [queue.get(0), queue.get(queue.len().wrapping_sub(1))];
+            let probes = (0..16)
+                .filter_map(|_| keys.get(rng.range_usize(0, keys.len().max(1))).copied())
+                .chain(ends.into_iter().flatten().map(key));
+            for (arrival, id) in probes {
+                let scan = queue.iter().take_while(|q| key(q) < (arrival, id)).count();
+                assert_eq!(
+                    queue.seek(arrival, id),
+                    scan,
+                    "seek({arrival}, {id}) diverged at step {step}"
+                );
+                let scan = match queue.iter().position(|q| q.job.id == id) {
+                    Some(at) => Ok(at),
+                    None => Err(queue.iter().take_while(|q| q.job.id < id).count()),
+                };
+                assert_eq!(
+                    queue.position(id),
+                    scan,
+                    "position({id}) diverged at step {step}"
+                );
+            }
         }
     }
 

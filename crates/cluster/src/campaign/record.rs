@@ -2,7 +2,9 @@
 
 use pmemflow_core::SchedConfig;
 use pmemflow_des::{write_json_escaped, write_json_f64};
+use std::borrow::Cow;
 use std::fmt::Write;
+use std::sync::Arc;
 
 /// Runtime threshold for bounded slowdown (seconds): jobs shorter than
 /// this are not allowed to dominate the metric (Feitelson's BSLD).
@@ -13,8 +15,8 @@ pub(crate) const BSLD_TAU: f64 = 10.0;
 pub struct JobRecord {
     /// Submission id (arrival order).
     pub id: u64,
-    /// Workflow display name.
-    pub workflow: String,
+    /// Workflow display name, shared with every job of the workflow.
+    pub workflow: Arc<str>,
     /// Ranks per component.
     pub ranks: usize,
     /// Configuration it ran under (pinned across restarts).
@@ -43,7 +45,7 @@ pub struct JobRecord {
     pub dag: String,
     /// Stage name within the DAG (e.g. "sim", "viz"); empty for plain
     /// jobs.
-    pub stage: String,
+    pub stage: Cow<'static, str>,
     /// GiB of staged intermediates this stage moves (in + out edges);
     /// 0 for plain jobs.
     pub staging_gib: f64,

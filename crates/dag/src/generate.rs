@@ -3,6 +3,7 @@
 use crate::graph::{DagEdge, DagSpec, StageKind, StageSpec};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_workloads::{paper_rank_levels, Family};
+use std::borrow::Cow;
 
 /// The four generated DAG shapes — the in-situ workflow topologies the
 /// related work simulates (SIM-SITU, arXiv:2112.15067).
@@ -39,6 +40,15 @@ impl DagClass {
         }
     }
 
+    /// The most stages a graph of this class holds.
+    pub fn max_stages(self) -> usize {
+        match self {
+            DagClass::Pipeline => 4,
+            DagClass::FanOut | DagClass::FanIn => 5,
+            DagClass::Diamond => 6,
+        }
+    }
+
     /// Parse a class from its name (case-insensitive; accepts the
     /// `fan-out`/`fan-in` spellings too).
     pub fn parse(name: &str) -> Option<DagClass> {
@@ -52,13 +62,23 @@ impl DagClass {
     }
 }
 
+/// The numbered stage names of the wide classes: `A[j - 1]` is `aj`,
+/// `SIM[j - 1]` is `simj`, for the at most four parallel stages a class
+/// draws.
+const A: [&str; 4] = ["a1", "a2", "a3", "a4"];
+const SIM: [&str; 4] = ["sim1", "sim2", "sim3", "sim4"];
+
+/// The most edges a generated DAG holds: a diamond with three analytics
+/// stages has seven.
+const MAX_EDGES: usize = 7;
+
 /// Draw one stage: a uniform (family, paper rank level) pair.
-fn draw_stage(name: String, kind: StageKind, rng: &mut SplitMix64) -> StageSpec {
+fn draw_stage(name: &'static str, kind: StageKind, rng: &mut SplitMix64) -> StageSpec {
     let families = Family::all();
     let levels = paper_rank_levels();
     let i = rng.range_usize(0, families.len() * levels.len());
     StageSpec {
-        name,
+        name: Cow::Borrowed(name),
         kind,
         family: families[i / levels.len()],
         ranks: levels[i % levels.len()],
@@ -81,19 +101,19 @@ fn staged_edge(stages: &[StageSpec], from: usize, to: usize) -> DagEdge {
 /// state): the same seeded stream always yields the same graph. `label`
 /// becomes the DAG name and must be unique per submission (the campaign
 /// uses `class#id`).
-pub fn generate(class: DagClass, label: &str, rng: &mut SplitMix64) -> DagSpec {
-    let mut stages = Vec::new();
-    let mut edges = Vec::new();
+pub fn generate(class: DagClass, label: String, rng: &mut SplitMix64) -> DagSpec {
+    let mut stages = Vec::with_capacity(class.max_stages());
+    let mut edges = Vec::with_capacity(MAX_EDGES);
     match class {
         DagClass::Pipeline => {
             // sim -> a1 (-> ckpt) -> viz: 3 or 4 stages.
             let with_ckpt = rng.next_bool();
-            stages.push(draw_stage("sim".into(), StageKind::Writer, rng));
-            stages.push(draw_stage("a1".into(), StageKind::Analytics, rng));
+            stages.push(draw_stage("sim", StageKind::Writer, rng));
+            stages.push(draw_stage("a1", StageKind::Analytics, rng));
             if with_ckpt {
-                stages.push(draw_stage("ckpt".into(), StageKind::Checkpoint, rng));
+                stages.push(draw_stage("ckpt", StageKind::Checkpoint, rng));
             }
-            stages.push(draw_stage("viz".into(), StageKind::Reader, rng));
+            stages.push(draw_stage("viz", StageKind::Reader, rng));
             for i in 1..stages.len() {
                 edges.push(staged_edge(&stages, i - 1, i));
             }
@@ -101,9 +121,9 @@ pub fn generate(class: DagClass, label: &str, rng: &mut SplitMix64) -> DagSpec {
         DagClass::FanOut => {
             // sim -> a1..ak, k in 2..=4.
             let k = rng.range_usize(2, 5);
-            stages.push(draw_stage("sim".into(), StageKind::Writer, rng));
+            stages.push(draw_stage("sim", StageKind::Writer, rng));
             for j in 1..=k {
-                stages.push(draw_stage(format!("a{j}"), StageKind::Analytics, rng));
+                stages.push(draw_stage(A[j - 1], StageKind::Analytics, rng));
                 edges.push(staged_edge(&stages, 0, j));
             }
         }
@@ -111,9 +131,9 @@ pub fn generate(class: DagClass, label: &str, rng: &mut SplitMix64) -> DagSpec {
             // sim1..simk -> merge, k in 2..=4.
             let k = rng.range_usize(2, 5);
             for j in 1..=k {
-                stages.push(draw_stage(format!("sim{j}"), StageKind::Writer, rng));
+                stages.push(draw_stage(SIM[j - 1], StageKind::Writer, rng));
             }
-            stages.push(draw_stage("merge".into(), StageKind::Analytics, rng));
+            stages.push(draw_stage("merge", StageKind::Analytics, rng));
             for j in 0..k {
                 edges.push(staged_edge(&stages, j, k));
             }
@@ -121,22 +141,23 @@ pub fn generate(class: DagClass, label: &str, rng: &mut SplitMix64) -> DagSpec {
         DagClass::Diamond => {
             // sim -> a1..ak -> ckpt -> viz, k in 2..=3.
             let k = rng.range_usize(2, 4);
-            stages.push(draw_stage("sim".into(), StageKind::Writer, rng));
+            stages.push(draw_stage("sim", StageKind::Writer, rng));
             for j in 1..=k {
-                stages.push(draw_stage(format!("a{j}"), StageKind::Analytics, rng));
+                stages.push(draw_stage(A[j - 1], StageKind::Analytics, rng));
                 edges.push(staged_edge(&stages, 0, j));
             }
-            stages.push(draw_stage("ckpt".into(), StageKind::Checkpoint, rng));
+            stages.push(draw_stage("ckpt", StageKind::Checkpoint, rng));
             let ckpt = k + 1;
             for j in 1..=k {
                 edges.push(staged_edge(&stages, j, ckpt));
             }
-            stages.push(draw_stage("viz".into(), StageKind::Reader, rng));
+            stages.push(draw_stage("viz", StageKind::Reader, rng));
             edges.push(staged_edge(&stages, ckpt, ckpt + 1));
         }
     }
+    debug_assert!(stages.len() <= class.max_stages() && edges.len() <= MAX_EDGES);
     let spec = DagSpec {
-        name: label.to_string(),
+        name: label,
         stages,
         edges,
     };
@@ -164,7 +185,7 @@ mod tests {
         let mut rng = SplitMix64::new(42);
         for round in 0..50 {
             for class in DagClass::all() {
-                let d = generate(class, &format!("{}#{round}", class.name()), &mut rng);
+                let d = generate(class, format!("{}#{round}", class.name()), &mut rng);
                 d.validate().unwrap();
                 let sources = (0..d.stages.len())
                     .filter(|&i| d.predecessors(i).next().is_none())
@@ -195,6 +216,8 @@ mod tests {
                         assert!(d.stages.iter().any(|s| s.kind == StageKind::Checkpoint));
                     }
                 }
+                assert!(d.stages.len() <= class.max_stages());
+                assert!(d.edges.len() <= MAX_EDGES);
                 for s in &d.stages {
                     assert!(matches!(s.ranks, 8 | 16 | 24), "{}", s.ranks);
                 }
@@ -210,12 +233,15 @@ mod tests {
         let mut a = SplitMix64::new(7);
         let mut b = SplitMix64::new(7);
         for class in DagClass::all() {
-            assert_eq!(generate(class, "x", &mut a), generate(class, "x", &mut b));
+            assert_eq!(
+                generate(class, "x".into(), &mut a),
+                generate(class, "x".into(), &mut b)
+            );
         }
         let mut c = SplitMix64::new(8);
         assert_ne!(
-            generate(DagClass::Diamond, "x", &mut SplitMix64::new(7)),
-            generate(DagClass::Diamond, "x", &mut c)
+            generate(DagClass::Diamond, "x".into(), &mut SplitMix64::new(7)),
+            generate(DagClass::Diamond, "x".into(), &mut c)
         );
     }
 }

@@ -1,6 +1,7 @@
 //! Stage-graph specification and validation.
 
 use pmemflow_workloads::Family;
+use std::borrow::Cow;
 
 /// Bytes per GiB — staging volumes are reported in GiB throughout.
 pub const GIB: f64 = (1u64 << 30) as f64;
@@ -40,7 +41,8 @@ impl StageKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageSpec {
     /// Stage name, unique within the DAG (e.g. "sim", "viz", "ckpt").
-    pub name: String,
+    /// Generated stages borrow theirs from a static vocabulary.
+    pub name: Cow<'static, str>,
     /// The stage's role in the graph.
     pub kind: StageKind,
     /// Which workload family models the stage's compute + I/O behavior.
@@ -151,7 +153,7 @@ impl DagSpec {
         if order.len() != self.stages.len() {
             let stuck: Vec<&str> = (0..self.stages.len())
                 .filter(|i| !order.contains(i))
-                .map(|i| self.stages[i].name.as_str())
+                .map(|i| &*self.stages[i].name)
                 .collect();
             return Err(DagError(format!(
                 "DAG {:?} contains a cycle through stages [{}]",
@@ -232,7 +234,7 @@ impl DagSpec {
 mod tests {
     use super::*;
 
-    fn stage(name: &str, kind: StageKind) -> StageSpec {
+    fn stage(name: &'static str, kind: StageKind) -> StageSpec {
         StageSpec {
             name: name.into(),
             kind,

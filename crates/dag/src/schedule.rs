@@ -40,7 +40,7 @@ mod tests {
     use pmemflow_workloads::Family;
 
     fn chain() -> DagSpec {
-        let stage = |name: &str, kind| StageSpec {
+        let stage = |name: &'static str, kind| StageSpec {
             name: name.into(),
             kind,
             family: Family::Micro64MB,

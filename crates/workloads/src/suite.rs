@@ -27,7 +27,7 @@ pub enum Family {
 
 impl Family {
     /// All families.
-    pub fn all() -> [Family; 6] {
+    pub const fn all() -> [Family; 6] {
         [
             Family::Micro64MB,
             Family::Micro2KB,

@@ -1,9 +1,11 @@
-//! A campaign instant allocates for the job records it books and little
-//! else: on the 64-node, 4,000-client FCFS campaign of the perfbench
-//! `campaign_dag` workload, served against a warm oracle, the whole
-//! campaign makes at most five heap allocations per job record. (Building
-//! a `WorkflowSpec` per DAG edge to read one object size, a `TenantKey`
-//! `String` per placement and fresh `Vec`s per instant cost about 13.)
+//! A campaign allocates for the DAGs it draws and the stage records it
+//! books, and little else: on the 64-node, 4,000-client FCFS campaign of
+//! the perfbench `campaign_dag` workload, served against a warm oracle,
+//! the whole campaign makes at most two heap allocations per job record.
+//! (Building a `WorkflowSpec` per DAG edge to read one object size, a
+//! `TenantKey` `String` per placement and fresh `Vec`s per instant cost
+//! about 13; copying each record's workflow name, growing the record
+//! table and naming generated stages with `format!` about 3.5.)
 
 use pmemflow::cluster::{run_campaign_with_oracle, ArrivalSpec, CampaignConfig, Fcfs, Oracle};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -44,10 +46,10 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations per job record the gate allows.
-const MAX_PER_JOB: f64 = 5.0;
+const MAX_PER_JOB: f64 = 2.0;
 
 #[test]
-fn a_campaign_allocates_at_most_five_times_per_job() {
+fn a_campaign_allocates_at_most_twice_per_job() {
     let config = CampaignConfig {
         nodes: 64,
         arrivals: ArrivalSpec::parse("closed:clients=4000,think=0,n=8000,mix=all+dag").unwrap(),
