@@ -26,10 +26,10 @@
 //! `dag-fanout`, `dag-fanin`, `dag-diamond` individually). Every drawn
 //! plain workload is one of the suite's entries: a mix family at one of
 //! the paper's three rank levels (8/16/24), chosen uniformly. A drawn DAG
-//! token submits a whole generated stage graph ([`pmemflow_dag`]) as one
+//! token submits a whole generated stage graph ([`stage_graph`](crate::stage_graph)) as one
 //! submission; the campaign expands it into dependency-gated stage jobs.
 
-use pmemflow_dag::{generate as generate_dag, DagClass, DagSpec};
+use crate::stage_graph::{generate as generate_dag, DagClass, DagSpec};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_workloads::{paper_suite, Family, WorkflowSpec};
 

@@ -8,13 +8,13 @@ use super::{Campaign, CampaignConfig, CampaignOutcome, ClusterError, JobRecord};
 use crate::arrivals::{
     arrival_for_draw, draw_submission, generate_open, Arrival, ArrivalSpec, Submission,
 };
+use crate::fault::{requeue_backoff, CheckpointSpec, FaultEventKind, FaultPlan};
 use crate::policy::{Placement, Policy, QueuedJob};
 use crate::predict::Oracle;
+use crate::stage_graph::DagClass;
 use pmemflow_core::{check_fit, CORES_PER_SOCKET};
-use pmemflow_dag::DagClass;
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{Direction, Locality};
-use pmemflow_fault::{requeue_backoff, CheckpointSpec, FaultEventKind, FaultPlan};
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;

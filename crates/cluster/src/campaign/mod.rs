@@ -55,15 +55,16 @@
 //!
 //! ## Workflow DAGs and staging as a second resource
 //!
-//! A DAG-shaped submission ([`Arrival::dag`]) expands at arrival into one
-//! stage job per graph node, each a plain coupled workflow the oracle
-//! already prices. Stages with unmet dependencies are *held* (invisible
-//! to policies) and released — at the DAG's original arrival priority —
-//! the instant their last predecessor completes; each stage's solo time
-//! additionally carries its staged-I/O seconds
-//! ([`stage_io_seconds`](pmemflow_dag::stage_io_seconds)). The DAG's
+//! A DAG-shaped submission
+//! ([`Submission::Dag`](crate::arrivals::Submission::Dag)) expands at
+//! arrival into one stage job per graph node, each a plain coupled
+//! workflow the oracle already prices. Stages with unmet dependencies
+//! are *held* (invisible to policies) and released — at the DAG's
+//! original arrival priority — the instant their last predecessor
+//! completes; each stage's solo time additionally carries its staged-I/O
+//! seconds ([`stage_io_seconds`](dag::stage_io_seconds)). The DAG's
 //! whole staging footprint
-//! ([`DagSpec::staging_gib`](pmemflow_dag::DagSpec::staging_gib)) is
+//! ([`DagSpec::staging_gib`](crate::stage_graph::DagSpec::staging_gib)) is
 //! co-reserved on the node its first stage lands on (the *home* node)
 //! and held until every stage settles; later stages are pinned home,
 //! where their staged inputs live. Capacity is hard: no placement may
@@ -91,13 +92,13 @@ mod record;
 pub use record::{CampaignOutcome, JobRecord};
 
 use crate::arrivals::{Arrival, ArrivalSpec};
+use crate::fault::{CheckpointSpec, FaultPlan, FaultSpec};
 use crate::policy::Policy;
 use crate::predict::Oracle;
 use dag::{DagRun, StagingState};
 use event_loop::{ClosedLoop, Scratch};
 use node::{EventHeap, FreeCores, NodeState, Repricer, Views};
 use pmemflow_core::{check_fit, ExecError, ExecutionParams, CORES_PER_SOCKET};
-use pmemflow_fault::{CheckpointSpec, FaultPlan, FaultSpec};
 use queue::{JobArena, Queue};
 use std::collections::VecDeque;
 

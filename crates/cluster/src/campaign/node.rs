@@ -3,7 +3,7 @@
 //! read. Every per-node index here changes only when its node does, so
 //! an event instant costs work in proportion to the nodes it touches.
 
-use super::dag::{staging_holds_reference, DagRun, StagingState};
+use super::dag::{DagRun, StagingState};
 use super::queue::Queued;
 use super::{Campaign, ClusterError};
 use crate::policy::{NodeView, ResidentView};
@@ -227,6 +227,12 @@ pub(super) struct Views {
     /// check, reused so that the check allocates nothing once warm.
     #[cfg(debug_assertions)]
     reference: NodeView,
+    /// Per node, its staging holds by one scan over every DAG ever
+    /// submitted: the reference the views' holds, read from the
+    /// [`homed`](super::dag::StagingState::homed) index, are asserted
+    /// equal to. Refilled each round, reusing its allocations.
+    #[cfg(debug_assertions)]
+    reference_holds: Vec<Vec<(f64, f64)>>,
 }
 
 impl Views {
@@ -239,6 +245,8 @@ impl Views {
             stale_list: Vec::new(),
             #[cfg(debug_assertions)]
             reference: empty_view(0, staging_capacity),
+            #[cfg(debug_assertions)]
+            reference_holds: vec![Vec::new(); nodes],
         }
     }
 
@@ -289,13 +297,6 @@ fn fill_view(view: &mut NodeView, n: &NodeState, staging: &StagingState, dags: &
             let d = &dags[di as usize];
             (d.remaining_solo(), d.reservation)
         }));
-    debug_assert!(
-        view.staging_holds
-            .iter()
-            .copied()
-            .eq(staging_holds_reference(dags, ni)),
-        "homed index diverged from the reference scan"
-    );
 }
 
 /// The node re-pricing machinery: scratch for the residents' ids and
@@ -455,6 +456,15 @@ impl<'a> Campaign<'a> {
         }
         #[cfg(debug_assertions)]
         {
+            // `home` is `Some` only while stages remain unsettled, so the
+            // second condition is a belt-and-braces check.
+            let holds = &mut self.views.reference_holds;
+            holds.iter_mut().for_each(Vec::clear);
+            for d in &self.dags {
+                if let Some(h) = d.home.filter(|_| d.unsettled > 0) {
+                    holds[h].push((d.remaining_solo(), d.reservation));
+                }
+            }
             let fresh = &mut self.views.reference;
             for (ni, node) in self.nodes.iter().enumerate() {
                 fresh.id = ni;
@@ -462,6 +472,10 @@ impl<'a> Campaign<'a> {
                 assert!(
                     *fresh == self.views.views[ni],
                     "a node view went stale without being marked"
+                );
+                assert!(
+                    fresh.staging_holds == holds[ni],
+                    "homed index diverged from the reference scan"
                 );
             }
         }

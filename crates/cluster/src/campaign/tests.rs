@@ -1,14 +1,14 @@
 //! Campaign tests: end to end through the public entry points, and
 //! interruption settling on a hand-built [`Campaign`].
 
-use super::dag::StageState;
+use super::dag::{stage_io_seconds, StageState};
 use super::node::Running;
 use super::*;
 use crate::arrivals::{arrival_for_draw, generate_open, Draw, TraceRow};
+use crate::fault::{requeue_backoff, FaultEventKind};
 use crate::policy::{all_policies, Fcfs, Placement};
-use pmemflow_dag::{stage_io_seconds, DagClass, GIB};
+use crate::stage_graph::{DagClass, DagSpec, GIB};
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_fault::{requeue_backoff, FaultEventKind};
 use pmemflow_workloads::Family;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -311,7 +311,7 @@ fn dag_config(n: u64, nodes: usize) -> CampaignConfig {
 fn dag_specs_and_records(
     cfg: &CampaignConfig,
     out: &CampaignOutcome,
-) -> Vec<(pmemflow_dag::DagSpec, Vec<JobRecord>)> {
+) -> Vec<(DagSpec, Vec<JobRecord>)> {
     let arrivals = generate_open(&cfg.arrivals, cfg.seed).unwrap();
     arrivals
         .into_iter()
@@ -768,7 +768,7 @@ fn node_indexes_match_reference_scans_under_churn() {
             kinds.push(e.kind);
         }
         for kind in [FaultEventKind::Crash, FaultEventKind::DegradeStart] {
-            assert!(kinds.contains(&kind), "{name}: no {} fired", kind.label());
+            assert!(kinds.contains(&kind), "{name}: no {kind:?} fired");
         }
     }
 }

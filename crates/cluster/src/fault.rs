@@ -1,7 +1,7 @@
-//! # pmemflow-fault — deterministic fault injection
+//! Deterministic fault injection.
 //!
 //! The paper's premise is that PMEM is *persistent*, yet a best-case
-//! model never exercises that persistence. This crate provides the
+//! model never exercises that persistence. This module provides the
 //! failure side of the story as pure, seeded data: a [`FaultPlan`]
 //! expands a [`FaultSpec`] into a reproducible schedule of node crashes,
 //! repairs, and transient device-slowdown windows, plus a stateless
@@ -21,8 +21,6 @@
 //! * **Lazy, ordered expansion.** Streams are infinite; events are pulled
 //!   one at a time in `(time, node, kind)` order, so a campaign only ever
 //!   materializes the prefix it lives through.
-
-#![warn(missing_docs)]
 
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::SimTime;
@@ -72,7 +70,7 @@ impl Default for FaultSpec {
 
 impl FaultSpec {
     /// Validate ranges, returning a human-readable complaint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, v) in [
             ("mtbf", self.mtbf),
             ("repair", self.repair),
@@ -116,7 +114,7 @@ pub struct CheckpointSpec {
     pub retry_budget: u32,
     /// Base of the exponential requeue backoff: after restart `k`
     /// (1-based) the job becomes eligible again
-    /// [`requeue_backoff`]`(backoff_base, k)` = `backoff_base * 2^(k-1)`
+    /// `requeue_backoff(backoff_base, k)` = `backoff_base * 2^(k-1)`
     /// seconds later — the first restart waits exactly one base period,
     /// and the exponent is clamped so a huge retry budget cannot overflow
     /// the eligible time to `+inf` and strand the job forever.
@@ -135,13 +133,13 @@ impl Default for CheckpointSpec {
 
 impl CheckpointSpec {
     /// Checkpoint image size in bytes (application state per job).
-    pub const STATE_BYTES: u64 = 1 << 30;
+    pub(crate) const STATE_BYTES: u64 = 1 << 30;
     /// Object granularity the image is written in — small objects pay the
     /// stack's per-operation software cost, exactly the paper's coupling.
-    pub const OBJECT_BYTES: u64 = 64 << 20;
+    pub(crate) const OBJECT_BYTES: u64 = 64 << 20;
 
     /// Validate ranges, returning a human-readable complaint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.interval.is_finite() || self.interval < 0.0 {
             return Err(format!(
                 "checkpoint interval must be finite and non-negative, got {}",
@@ -164,13 +162,13 @@ impl CheckpointSpec {
 /// clamped at 32 (≈ 4.3e9 × base) — large retry budgets back off far, but
 /// never overflow the eligible time to `+inf`, which would strand the job
 /// forever. A defensive `restarts = 0` waits one base period too.
-pub fn requeue_backoff(base: f64, restarts: u32) -> f64 {
+pub(crate) fn requeue_backoff(base: f64, restarts: u32) -> f64 {
     base * 2f64.powi(restarts.saturating_sub(1).min(32) as i32)
 }
 
 /// What happened to a node at a [`FaultEvent`]'s instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultEventKind {
+pub(crate) enum FaultEventKind {
     /// The node dies; every resident job is interrupted.
     Crash,
     /// The node rejoins the cluster, empty.
@@ -181,27 +179,15 @@ pub enum FaultEventKind {
     DegradeEnd,
 }
 
-impl FaultEventKind {
-    /// Short display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultEventKind::Crash => "crash",
-            FaultEventKind::Repair => "repair",
-            FaultEventKind::DegradeStart => "degrade-start",
-            FaultEventKind::DegradeEnd => "degrade-end",
-        }
-    }
-}
-
 /// One scheduled fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
+pub(crate) struct FaultEvent {
     /// When it happens (campaign seconds).
-    pub time: f64,
+    pub(crate) time: f64,
     /// Which node it happens to.
-    pub node: usize,
+    pub(crate) node: usize,
     /// What happens.
-    pub kind: FaultEventKind,
+    pub(crate) kind: FaultEventKind,
 }
 
 /// An alternating on/off renewal process: `Exp(mean_up)` until the next
@@ -292,7 +278,7 @@ impl Alternator {
 /// [`FaultPlan::peek_time`] / [`FaultPlan::pop`]; the streams are
 /// infinite, so the consumer decides when to stop pulling (a campaign
 /// stops once no work remains).
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     spec: FaultSpec,
     streams: Vec<Alternator>,
     /// Every enabled stream's head as `(time, node, stream)`, so the next
@@ -302,7 +288,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Expand `spec` over `nodes` nodes.
-    pub fn new(spec: &FaultSpec, nodes: usize) -> FaultPlan {
+    pub(crate) fn new(spec: &FaultSpec, nodes: usize) -> FaultPlan {
         let mut streams = Vec::with_capacity(nodes * 2);
         for node in 0..nodes {
             streams.push(Alternator::new(
@@ -336,19 +322,14 @@ impl FaultPlan {
         }
     }
 
-    /// The spec this plan was expanded from.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Time of the next scheduled event, if any fault class is active.
-    pub fn peek_time(&self) -> Option<f64> {
+    pub(crate) fn peek_time(&self) -> Option<f64> {
         self.heads.peek().map(|Reverse((t, _, _))| t.0)
     }
 
     /// Consume and return the next scheduled event: the head of the
     /// stream first in total `(time, node, stream)` order.
-    pub fn pop(&mut self) -> Option<FaultEvent> {
+    pub(crate) fn pop(&mut self) -> Option<FaultEvent> {
         let Reverse((_, _, i)) = self.heads.pop()?;
         let stream = &mut self.streams[i];
         let event = stream.pop();
@@ -362,7 +343,7 @@ impl FaultPlan {
     /// (0-based) of job `job` die of its own cause, and if so at which
     /// fraction of the attempt's remaining work? Pure in
     /// `(seed, job, attempt)` — scheduling order cannot perturb it.
-    pub fn job_failure(&self, job: u64, attempt: u64) -> Option<f64> {
+    pub(crate) fn job_failure(&self, job: u64, attempt: u64) -> Option<f64> {
         if self.spec.job_fail_prob <= 0.0 {
             return None;
         }

@@ -11,7 +11,7 @@
 //! * [`ArrivalSpec`] — deterministic workflow arrival streams (Poisson,
 //!   closed-loop, trace-file) over the paper's 18-workload suite, plus
 //!   DAG-shaped submissions (`mix=dag`): whole generated stage graphs
-//!   ([`pmemflow_dag`]) that the campaign expands into dependency-gated
+//!   of a [`DagClass`] that the campaign expands into dependency-gated
 //!   stage jobs.
 //! * [`Oracle`] — the shared prediction oracle: per-workload
 //!   configuration sweeps and the one co-run memo through the real
@@ -33,8 +33,8 @@
 //! reservations; the interference-aware policy prices staging pressure),
 //! and per-node peaks are reported in the campaign JSONL.
 //!
-//! Campaigns can also run under a seeded fault plan
-//! ([`pmemflow_fault`]): node crashes and transient PMEM degradation
+//! Campaigns can also run under a seeded fault plan ([`FaultSpec`],
+//! [`CheckpointSpec`]): node crashes and transient PMEM degradation
 //! interrupt residents, jobs checkpoint into local PMEM (charged through
 //! the I/O-stack cost model) and restart from their last image with
 //! retry budgets and exponential backoff — all byte-reproducible.
@@ -62,15 +62,16 @@
 
 mod arrivals;
 mod campaign;
+mod fault;
 mod policy;
 mod predict;
+mod stage_graph;
 
 pub use arrivals::{ArrivalSpec, TraceRow};
 pub use campaign::{run_campaign_with_oracle, CampaignConfig, CampaignOutcome, ClusterError};
+pub use fault::{CheckpointSpec, FaultSpec};
 pub use policy::{
     all_policies, policy_by_name, Fcfs, NodeView, Placement, Policy, QueuedJob, POLICY_CHOICES,
 };
 pub use predict::{Oracle, TenantKey};
-
-pub use pmemflow_dag::DagClass;
-pub use pmemflow_fault::{CheckpointSpec, FaultSpec};
+pub use stage_graph::DagClass;

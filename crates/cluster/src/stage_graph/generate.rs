@@ -1,6 +1,6 @@
 //! Seeded DAG generator over the four canonical workflow shapes.
 
-use crate::graph::{DagEdge, DagSpec, StageKind, StageSpec};
+use super::{DagEdge, DagSpec, StageKind, StageSpec};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_workloads::{paper_rank_levels, Family};
 use std::borrow::Cow;
@@ -31,7 +31,7 @@ impl DagClass {
     }
 
     /// Display name; `dag-NAME` is the class's arrival mix token.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DagClass::Pipeline => "pipeline",
             DagClass::FanOut => "fanout",
@@ -41,7 +41,7 @@ impl DagClass {
     }
 
     /// The most stages a graph of this class holds.
-    pub fn max_stages(self) -> usize {
+    pub(crate) fn max_stages(self) -> usize {
         match self {
             DagClass::Pipeline => 4,
             DagClass::FanOut | DagClass::FanIn => 5,
@@ -51,7 +51,7 @@ impl DagClass {
 
     /// Parse a class from its name (case-insensitive; accepts the
     /// `fan-out`/`fan-in` spellings too).
-    pub fn parse(name: &str) -> Option<DagClass> {
+    pub(crate) fn parse(name: &str) -> Option<DagClass> {
         match name.to_ascii_lowercase().as_str() {
             "pipeline" => Some(DagClass::Pipeline),
             "fanout" | "fan-out" => Some(DagClass::FanOut),
@@ -101,7 +101,7 @@ fn staged_edge(stages: &[StageSpec], from: usize, to: usize) -> DagEdge {
 /// state): the same seeded stream always yields the same graph. `label`
 /// becomes the DAG name and must be unique per submission (the campaign
 /// uses `class#id`).
-pub fn generate(class: DagClass, label: String, rng: &mut SplitMix64) -> DagSpec {
+pub(crate) fn generate(class: DagClass, label: String, rng: &mut SplitMix64) -> DagSpec {
     let mut stages = Vec::with_capacity(class.max_stages());
     let mut edges = Vec::with_capacity(MAX_EDGES);
     match class {

@@ -1,17 +1,43 @@
-//! Stage-graph specification and validation.
+//! Workflow stage graphs with PMEM staging footprints.
+//!
+//! The paper's scheduling unit is one simulation writer coupled to one
+//! analytics reader. SIM-SITU (arXiv:2112.15067) simulates full
+//! multi-stage in-situ workflow DAGs, and Kopański (arXiv:2111.10200)
+//! co-allocates burst-buffer reservations alongside compute. This module
+//! generalizes the workload model to that shape:
+//!
+//! * [`DagSpec`] — a stage graph. Nodes ([`StageSpec`]) are
+//!   writer/reader/analytics/checkpoint stages, each an instance of one
+//!   of the six paper workload families at a paper rank level; edges
+//!   ([`DagEdge`]) carry data volumes that are staged through PMEM
+//!   between stages.
+//! * [`DagSpec::validate`] rejects cycles (Kahn's algorithm) and
+//!   malformed edges; it is the reference check on generated graphs.
+//! * A seeded generator ([`generate()`]) over four DAG classes
+//!   ([`DagClass`]: pipeline, fan-out, fan-in, diamond) that multiplies
+//!   the 18-workload suite into hundreds of scenarios.
+//!
+//! The campaign lowers each ready stage onto the co-schedule/pricing
+//! machinery and co-reserves the DAG's staging footprint (the sum of
+//! edge volumes) with compute on its home node.
+
+mod generate;
+
+pub(crate) use generate::generate;
+pub use generate::DagClass;
 
 use pmemflow_workloads::Family;
 use std::borrow::Cow;
 
 /// Bytes per GiB — staging volumes are reported in GiB throughout.
-pub const GIB: f64 = (1u64 << 30) as f64;
+pub(crate) const GIB: f64 = (1u64 << 30) as f64;
 
 /// What a stage does. Every stage still runs as a coupled
 /// writer+reader workflow on its node (that is the unit the oracle
 /// prices); the kind records the stage's *role* in the DAG, which the
 /// campaign uses for checkpoint semantics and reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
+pub(crate) enum StageKind {
     /// Produces data: a simulation writer (DAG sources are writers).
     Writer,
     /// Consumes data: a terminal analytics/visualization reader.
@@ -25,36 +51,24 @@ pub enum StageKind {
     Checkpoint,
 }
 
-impl StageKind {
-    /// Display name (lower-case, JSONL-stable).
-    pub fn name(self) -> &'static str {
-        match self {
-            StageKind::Writer => "writer",
-            StageKind::Reader => "reader",
-            StageKind::Analytics => "analytics",
-            StageKind::Checkpoint => "checkpoint",
-        }
-    }
-}
-
 /// One stage: a paper workload family at a rank level, playing a role.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageSpec {
+pub(crate) struct StageSpec {
     /// Stage name, unique within the DAG (e.g. "sim", "viz", "ckpt").
     /// Generated stages borrow theirs from a static vocabulary.
-    pub name: Cow<'static, str>,
+    pub(crate) name: Cow<'static, str>,
     /// The stage's role in the graph.
-    pub kind: StageKind,
+    pub(crate) kind: StageKind,
     /// Which workload family models the stage's compute + I/O behavior.
-    pub family: Family,
+    pub(crate) family: Family,
     /// Ranks the stage occupies while running.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
 }
 
 impl StageSpec {
     /// Bytes one snapshot of this stage's writer side moves across all
     /// ranks — the volume an out-edge of this stage stages through PMEM.
-    pub fn snapshot_bytes(&self) -> u64 {
+    pub(crate) fn snapshot_bytes(&self) -> u64 {
         self.family.writer_io().snapshot_bytes() * self.ranks as u64
     }
 }
@@ -62,36 +76,24 @@ impl StageSpec {
 /// A directed edge: stage `from` stages `bytes` of intermediates through
 /// PMEM for stage `to` to consume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DagEdge {
+pub(crate) struct DagEdge {
     /// Producer stage index.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Consumer stage index.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Staged data volume in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
-
-/// Validation / construction errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DagError(pub String);
-
-impl std::fmt::Display for DagError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for DagError {}
 
 /// A complete stage graph.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DagSpec {
+pub(crate) struct DagSpec {
     /// Workflow name (e.g. "diamond#17"), unique per submission.
-    pub name: String,
+    pub(crate) name: String,
     /// Stages, indexed by position.
-    pub stages: Vec<StageSpec>,
+    pub(crate) stages: Vec<StageSpec>,
     /// Staging edges between stages.
-    pub edges: Vec<DagEdge>,
+    pub(crate) edges: Vec<DagEdge>,
 }
 
 impl DagSpec {
@@ -99,54 +101,54 @@ impl DagSpec {
     /// unique stage names, in-range edge endpoints carrying data, no
     /// self-loops or duplicate edges, and acyclicity (Kahn's algorithm;
     /// a cycle is reported by name).
-    pub fn validate(&self) -> Result<(), DagError> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.stages.is_empty() {
-            return Err(DagError(format!("DAG {:?} has no stages", self.name)));
+            return Err(format!("DAG {:?} has no stages", self.name));
         }
         for (i, s) in self.stages.iter().enumerate() {
             if s.ranks == 0 {
-                return Err(DagError(format!(
+                return Err(format!(
                     "stage {:?} of DAG {:?} has zero ranks",
                     s.name, self.name
-                )));
+                ));
             }
             if self.stages[..i].iter().any(|o| o.name == s.name) {
-                return Err(DagError(format!(
+                return Err(format!(
                     "duplicate stage name {:?} in DAG {:?}",
                     s.name, self.name
-                )));
+                ));
             }
         }
         for (i, e) in self.edges.iter().enumerate() {
             if e.from >= self.stages.len() || e.to >= self.stages.len() {
-                return Err(DagError(format!(
+                return Err(format!(
                     "edge {} -> {} of DAG {:?} is out of range (stages: {})",
                     e.from,
                     e.to,
                     self.name,
                     self.stages.len()
-                )));
+                ));
             }
             if e.from == e.to {
-                return Err(DagError(format!(
+                return Err(format!(
                     "self-loop on stage {:?} of DAG {:?}",
                     self.stages[e.from].name, self.name
-                )));
+                ));
             }
             if e.bytes == 0 {
-                return Err(DagError(format!(
+                return Err(format!(
                     "edge {:?} -> {:?} of DAG {:?} stages zero bytes",
                     self.stages[e.from].name, self.stages[e.to].name, self.name
-                )));
+                ));
             }
             if self.edges[..i]
                 .iter()
                 .any(|o| o.from == e.from && o.to == e.to)
             {
-                return Err(DagError(format!(
+                return Err(format!(
                     "duplicate edge {:?} -> {:?} in DAG {:?}",
                     self.stages[e.from].name, self.stages[e.to].name, self.name
-                )));
+                ));
             }
         }
         let order = self.kahn_order();
@@ -155,11 +157,11 @@ impl DagSpec {
                 .filter(|i| !order.contains(i))
                 .map(|i| &*self.stages[i].name)
                 .collect();
-            return Err(DagError(format!(
+            return Err(format!(
                 "DAG {:?} contains a cycle through stages [{}]",
                 self.name,
                 stuck.join(", ")
-            )));
+            ));
         }
         Ok(())
     }
@@ -193,17 +195,17 @@ impl DagSpec {
     }
 
     /// Direct predecessors of stage `i`, in edge order.
-    pub fn predecessors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn predecessors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         self.edges.iter().filter(move |e| e.to == i).map(|e| e.from)
     }
 
     /// Direct successors of stage `i`, in edge order.
-    pub fn successors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn successors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         self.edges.iter().filter(move |e| e.from == i).map(|e| e.to)
     }
 
     /// Bytes staged *into* stage `i` (sum over in-edges).
-    pub fn stage_in_bytes(&self, i: usize) -> u64 {
+    pub(crate) fn stage_in_bytes(&self, i: usize) -> u64 {
         self.edges
             .iter()
             .filter(|e| e.to == i)
@@ -212,7 +214,7 @@ impl DagSpec {
     }
 
     /// Bytes staged *out of* stage `i` (sum over out-edges).
-    pub fn stage_out_bytes(&self, i: usize) -> u64 {
+    pub(crate) fn stage_out_bytes(&self, i: usize) -> u64 {
         self.edges
             .iter()
             .filter(|e| e.from == i)
@@ -225,7 +227,7 @@ impl DagSpec {
     /// the DAG's lifetime — a burst-buffer reservation per Kopański,
     /// sized so every intermediate the workflow can have resident at
     /// once fits.
-    pub fn staging_gib(&self) -> f64 {
+    pub(crate) fn staging_gib(&self) -> f64 {
         self.edges.iter().map(|e| e.bytes as f64).sum::<f64>() / GIB
     }
 }
@@ -279,7 +281,7 @@ mod tests {
     fn cycles_are_rejected_with_a_clear_error() {
         let mut d = diamond();
         d.edges.push(edge(3, 0));
-        let err = d.validate().unwrap_err().to_string();
+        let err = d.validate().unwrap_err();
         assert!(err.contains("cycle"), "{err}");
         assert!(err.contains("sim"), "{err}");
         // Two-node cycle too.
@@ -288,7 +290,7 @@ mod tests {
             stages: vec![stage("a", StageKind::Writer), stage("b", StageKind::Reader)],
             edges: vec![edge(0, 1), edge(1, 0)],
         };
-        assert!(d2.validate().unwrap_err().to_string().contains("cycle"));
+        assert!(d2.validate().unwrap_err().contains("cycle"));
     }
 
     #[test]
@@ -298,26 +300,17 @@ mod tests {
             stages: vec![],
             edges: vec![],
         };
-        assert!(empty
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("no stages"));
+        assert!(empty.validate().unwrap_err().contains("no stages"));
 
         let mut zero_ranks = diamond();
         zero_ranks.stages[1].ranks = 0;
-        assert!(zero_ranks
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("zero ranks"));
+        assert!(zero_ranks.validate().unwrap_err().contains("zero ranks"));
 
         let mut dup_name = diamond();
         dup_name.stages[2].name = "a1".into();
         assert!(dup_name
             .validate()
             .unwrap_err()
-            .to_string()
             .contains("duplicate stage name"));
 
         let mut out_of_range = diamond();
@@ -325,32 +318,19 @@ mod tests {
         assert!(out_of_range
             .validate()
             .unwrap_err()
-            .to_string()
             .contains("out of range"));
 
         let mut self_loop = diamond();
         self_loop.edges.push(edge(2, 2));
-        assert!(self_loop
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("self-loop"));
+        assert!(self_loop.validate().unwrap_err().contains("self-loop"));
 
         let mut dup_edge = diamond();
         dup_edge.edges.push(edge(0, 1));
-        assert!(dup_edge
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("duplicate edge"));
+        assert!(dup_edge.validate().unwrap_err().contains("duplicate edge"));
 
         let mut zero_bytes = diamond();
         zero_bytes.edges[0].bytes = 0;
-        assert!(zero_bytes
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("zero bytes"));
+        assert!(zero_bytes.validate().unwrap_err().contains("zero bytes"));
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! | [`workloads`] | the paper's 18-workload suite + real proxy kernels |
 //! | [`core`] | Table I configurations, dual-socket deployment, workflow executor, metrics |
 //! | [`sched`] | rule-based and adaptive PMEM-aware schedulers; the model-driven pick is [`sweep`] + [`ConfigSweep::best`](core::ConfigSweep::best) |
-//! | [`fault`] | deterministic seeded fault plans: crashes, degradation, job failures |
-//! | [`dag`] | workflow stage graphs with PMEM staging footprints + seeded generator |
-//! | [`cluster`] | online multi-node campaign scheduling over arrival streams |
+//! | [`cluster`] | online multi-node campaign scheduling over arrival streams, workflow stage graphs and seeded fault plans |
+//! | `net` | dependency-free epoll readiness reactor the daemon runs on |
 //! | [`serve`] | concurrent model-serving HTTP daemon with result cache + backpressure |
+//! | `bench` | one binary per paper figure/table, plus campaign and serving scale runs |
 //!
-//! This facade re-exports each crate under a short name and the most
-//! common types at the top level.
+//! This facade re-exports each linked crate under a short name and the
+//! most common types at the top level.
 //!
 //! ## Quickstart
 //!
@@ -40,9 +40,7 @@ pub mod cli;
 
 pub use pmemflow_cluster as cluster;
 pub use pmemflow_core as core;
-pub use pmemflow_dag as dag;
 pub use pmemflow_des as des;
-pub use pmemflow_fault as fault;
 pub use pmemflow_iostack as iostack;
 pub use pmemflow_pmem as pmem;
 pub use pmemflow_sched as sched;
