@@ -17,13 +17,28 @@ use pmemflow_bench::harness::bench;
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
-use std::collections::HashSet;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 
 /// Distinct flow sets the cold and permuted cases cycle through: more than
 /// the memo holds, so each set has been evicted before it comes round
 /// again.
 const COLD_SETS: usize = 300;
+
+thread_local! {
+    /// Every class this thread has met, numbered in order of first
+    /// appearance, so an id names one class for any allocator's life.
+    static IDS: RefCell<HashMap<FlowClass, u32>> = RefCell::new(HashMap::new());
+}
+
+/// The id of the class of `attrs`.
+fn id_of(attrs: &FlowAttrs) -> u32 {
+    IDS.with_borrow_mut(|ids| {
+        let next = ids.len() as u32;
+        *ids.entry(FlowClass::of(attrs)).or_insert(next)
+    })
+}
 
 /// `flows` grouped into class views, in class order, as the engine hands
 /// them to an allocator.
@@ -34,7 +49,11 @@ fn views(flows: &[FlowAttrs]) -> Vec<ClassView> {
     for attrs in sorted {
         match views.last_mut() {
             Some(v) if FlowClass::of(&v.attrs) == FlowClass::of(&attrs) => v.count += 1,
-            _ => views.push(ClassView { attrs, count: 1 }),
+            _ => views.push(ClassView {
+                id: id_of(&attrs),
+                attrs,
+                count: 1,
+            }),
         }
     }
     views

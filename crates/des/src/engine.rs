@@ -19,12 +19,19 @@
 //!
 //! Each resource keeps a class table: a flow's [`FlowClass`] is interned
 //! once, at submission, and the table counts the live flows of every class
-//! and keeps the live classes in class order, changing that order only
-//! when a class appears or empties. A reallocation hands the allocator one
+//! and keeps the live classes in class order, changing that order and the
+//! largest rate cap among them only when a class appears or empties. An
+//! entry's index is its class's id, which no other class ever takes: the
+//! table never drops an entry. A reallocation hands the allocator one
 //! [`ClassView`] per live class and takes back class-major rates; the k-th
 //! live flow of a class, in submission order, runs at its class's k-th
 //! slot. The resource also keeps the fewest bytes any live flow has left,
 //! so noting a change never walks the flows.
+//!
+//! The flows are walked once per event at most: a submission settles them
+//! (advancing each at its rate and finding the fewest bytes left), and a
+//! resource check settles them and takes out the finished ones in the
+//! same pass. A reallocation then walks them once more to hand out rates.
 //!
 //! Apart from what a run records (marks, timelines) and what an allocator
 //! keeps for itself, the per-event paths do not allocate once a run has
@@ -155,17 +162,21 @@ struct ClassEntry {
 }
 
 /// The classes a resource's flows have had, each interned at the first
-/// submission of one of its flows and kept for the rest of the run.
+/// submission of one of its flows and kept for the rest of the run, so an
+/// entry's index names its class for the whole run.
 #[derive(Default)]
 struct ClassTable {
     entries: Vec<ClassEntry>,
     /// Indices of the entries with live flows, in ascending class order.
-    live: Vec<usize>,
+    live: Vec<u32>,
+    /// The largest `cap` over the live classes (0 with none), refreshed
+    /// when a class appears or empties.
+    max_cap: f64,
 }
 
 impl ClassTable {
     /// Count a new live flow with `attrs`, returning its class's index.
-    fn join(&mut self, attrs: &FlowAttrs) -> usize {
+    fn join(&mut self, attrs: &FlowAttrs) -> u32 {
         let class = FlowClass::of(attrs);
         let c = match self.entries.iter().position(|e| e.class == class) {
             Some(c) => c,
@@ -180,26 +191,34 @@ impl ClassTable {
                 self.entries.len() - 1
             }
         };
-        self.entries[c].live += 1;
-        if self.entries[c].live == 1 {
-            let at = (self.live).partition_point(|&j| self.entries[j].class < class);
+        let e = &mut self.entries[c];
+        e.live += 1;
+        let c = u32::try_from(c).expect("fewer than 2^32 classes per resource");
+        if e.live == 1 {
+            if e.cap > self.max_cap {
+                self.max_cap = e.cap;
+            }
+            let at = (self.live).partition_point(|&j| self.entries[j as usize].class < class);
             self.live.insert(at, c);
         }
         c
     }
 
     /// Count one live flow of class `c` fewer.
-    fn leave(&mut self, c: usize) {
-        self.entries[c].live -= 1;
-        if self.entries[c].live == 0 {
+    fn leave(&mut self, c: u32) {
+        let e = &mut self.entries[c as usize];
+        e.live -= 1;
+        if e.live == 0 {
             let at = self.live.iter().position(|&j| j == c);
             self.live.remove(at.expect("an emptied class is live"));
+            self.max_cap = self.live_max_cap();
         }
     }
 
-    /// The largest rate cap over the live classes (0 if none).
-    fn max_cap(&self) -> f64 {
-        (self.live.iter()).fold(0.0, |m: f64, &c| m.max(self.entries[c].cap))
+    /// The largest rate cap over the live classes (0 if none), by a scan.
+    fn live_max_cap(&self) -> f64 {
+        let caps = self.live.iter().map(|&c| self.entries[c as usize].cap);
+        caps.fold(0.0, |m, cap| if cap > m { cap } else { m })
     }
 
     /// Write one view per live class, in class order, into `views`, and
@@ -208,10 +227,11 @@ impl ClassTable {
         views.clear();
         let mut next = 0;
         for &c in &self.live {
-            let e = &mut self.entries[c];
+            let e = &mut self.entries[c as usize];
             e.next_slot = next;
             next += e.live;
             views.push(ClassView {
+                id: c,
                 attrs: e.attrs,
                 count: e.live,
             });
@@ -244,6 +264,42 @@ impl ResourceState {
         self.class_bytes.fold_into(&mut self.report.bytes_by_class);
         self.report
     }
+
+    /// The reference checks, run at every membership change: the cached
+    /// largest cap is a fold over the live classes, and the fewest bytes
+    /// left is a scan of the flows (`f64::min`, which the kept minimum's
+    /// plain comparisons match on finite values).
+    #[cfg(debug_assertions)]
+    fn check_caches(&self) {
+        let max_cap = (self.classes.live.iter()).fold(0.0, |m: f64, &c| {
+            m.max(self.classes.entries[c as usize].cap)
+        });
+        assert_eq!(
+            self.classes.max_cap.to_bits(),
+            max_cap.to_bits(),
+            "cached max cap diverged from the live classes"
+        );
+        let min_remaining = (self.flows.iter()).fold(f64::INFINITY, |m, f| m.min(f.remaining));
+        assert_eq!(
+            self.min_remaining.to_bits(),
+            min_remaining.to_bits(),
+            "fewest bytes left diverged from a scan of the flows"
+        );
+    }
+}
+
+/// Move `fl` on by `secs` at its rate, at most to completion, and count
+/// the bytes it moved.
+#[inline]
+fn advance(fl: &mut ActiveFlow, secs: f64, class_bytes: &mut ClassBytes) {
+    let moved = fl.rate * secs;
+    let moved = if moved < fl.remaining {
+        moved
+    } else {
+        fl.remaining
+    };
+    fl.remaining -= moved;
+    class_bytes.add(fl.bytes_slot, moved);
 }
 
 #[derive(Debug, Default)]
@@ -493,11 +549,14 @@ impl Simulation {
                     self.next_flow_id += 1;
                     self.settle(resource);
                     let res = &mut self.resources[resource.0];
-                    res.min_remaining = res.min_remaining.min(bytes);
+                    if bytes < res.min_remaining {
+                        res.min_remaining = bytes;
+                    }
                     res.flows.push(ActiveFlow {
                         id: fid,
                         owner: pid,
                         class: res.classes.join(&attrs),
+                        bytes_slot: ClassBytes::slot(&attrs),
                         total: bytes,
                         remaining: bytes,
                         rate: 0.0,
@@ -574,16 +633,15 @@ impl Simulation {
         let res = &mut self.resources[rid.0];
         let dt = self.now.since(res.last_update);
         if !dt.is_zero() {
-            let n = res.flows.len();
-            res.report.record_interval(dt, n);
-            res.min_remaining = f64::INFINITY;
+            res.report.record_interval(dt, res.flows.len());
+            let mut min_remaining = f64::INFINITY;
             for fl in &mut res.flows {
-                let moved = (fl.rate * dt.seconds()).min(fl.remaining);
-                fl.remaining -= moved;
-                res.class_bytes
-                    .add(&res.classes.entries[fl.class].attrs, moved);
-                res.min_remaining = res.min_remaining.min(fl.remaining);
+                advance(fl, dt.seconds(), &mut res.class_bytes);
+                if fl.remaining < min_remaining {
+                    min_remaining = fl.remaining;
+                }
             }
+            res.min_remaining = min_remaining;
         }
         res.last_update = self.now;
     }
@@ -596,6 +654,8 @@ impl Simulation {
     /// interval.
     fn invalidate(&mut self, rid: ResourceId) {
         let res = &mut self.resources[rid.0];
+        #[cfg(debug_assertions)]
+        res.check_caches();
         res.epoch += 1;
         if res.flows.is_empty() {
             res.deferred_seq = None;
@@ -607,7 +667,7 @@ impl Simulation {
         // largest rate cap `reallocate` can give. If even that rounds to
         // `now`, the check may belong before later events of this instant,
         // so it is scheduled at once.
-        let soonest = res.min_remaining / res.classes.max_cap();
+        let soonest = res.min_remaining / res.classes.max_cap;
         if self.now + SimDuration::from_secs(soonest) == self.now {
             res.deferred_seq = None;
             self.reallocate(rid, seq);
@@ -646,11 +706,14 @@ impl Simulation {
         // Scatter: each class's members take its slots in submission order.
         let mut next_done = f64::INFINITY;
         for fl in &mut res.flows {
-            let class = &mut res.classes.entries[fl.class];
+            let class = &mut res.classes.entries[fl.class as usize];
             let r = res.rates[class.next_slot].min(class.cap).max(MIN_RATE);
             class.next_slot += 1;
             fl.rate = r;
-            next_done = next_done.min(fl.remaining / r);
+            let done = fl.remaining / r;
+            if done < next_done {
+                next_done = done;
+            }
         }
         let epoch = res.epoch;
         let t = self.now + SimDuration::from_secs(next_done);
@@ -667,7 +730,6 @@ impl Simulation {
     /// Handle a (non-stale) resource check: settle, complete finished flows,
     /// wake their owners, reallocate.
     fn resource_check(&mut self, rid: ResourceId) {
-        self.settle(rid);
         let res = &mut self.resources[rid.0];
         debug_assert!(
             res.deferred_seq.is_none(),
@@ -675,20 +737,36 @@ impl Simulation {
         );
         let finished = &mut self.finished;
         debug_assert!(finished.is_empty());
-        // Flows stay in submission (== flow-id) order, so the finished
-        // ones come out in the order their owners are woken.
-        let (classes, min_remaining) = (&mut res.classes, &mut res.min_remaining);
-        *min_remaining = f64::INFINITY;
-        res.flows.retain(|fl| {
-            let done = fl.remaining <= EPS_BYTES;
-            if done {
-                classes.leave(fl.class);
-                finished.push(*fl);
-            } else {
-                *min_remaining = min_remaining.min(fl.remaining);
+        // One pass settles every flow, takes out the finished ones and
+        // finds the fewest bytes the others have left. Flows stay in
+        // submission (== flow-id) order, so the finished ones come out in
+        // the order their owners are woken.
+        let dt = self.now.since(res.last_update);
+        let moves = !dt.is_zero();
+        if moves {
+            res.report.record_interval(dt, res.flows.len());
+        }
+        res.last_update = self.now;
+        let mut min_remaining = f64::INFINITY;
+        let mut kept = 0;
+        for i in 0..res.flows.len() {
+            let mut fl = res.flows[i];
+            if moves {
+                advance(&mut fl, dt.seconds(), &mut res.class_bytes);
             }
-            !done
-        });
+            if fl.remaining <= EPS_BYTES {
+                res.classes.leave(fl.class);
+                finished.push(fl);
+            } else {
+                if fl.remaining < min_remaining {
+                    min_remaining = fl.remaining;
+                }
+                res.flows[kept] = fl;
+                kept += 1;
+            }
+        }
+        res.flows.truncate(kept);
+        res.min_remaining = min_remaining;
         if finished.is_empty() {
             // Float residue left every flow marginally unfinished: force the
             // nearest one to completion so the clock always advances.
@@ -701,8 +779,7 @@ impl Simulation {
             {
                 let mut fl = res.flows.remove(min_idx);
                 res.classes.leave(fl.class);
-                res.class_bytes
-                    .add(&res.classes.entries[fl.class].attrs, fl.remaining);
+                res.class_bytes.add(fl.bytes_slot, fl.remaining);
                 fl.remaining = 0.0;
                 finished.push(fl);
                 res.min_remaining =
@@ -1370,5 +1447,63 @@ mod tests {
         assert_eq!(rep.processes[0].io_bytes, bytes);
         let (two, one) = (vec![(Direction::Write, 2)], vec![(Direction::Write, 1)]);
         assert_eq!(*calls.lock().unwrap(), [two, one]);
+    }
+
+    #[test]
+    fn the_cached_max_cap_follows_classes_that_empty_and_return() {
+        // The table alone: the fast class leaves while the others come
+        // and go, and the cap must fall back to the slower ones. Peaks
+        // are powers of two, so each cap is its peak exactly.
+        let (gb, x2, x4, x8) = (2f64.powi(30), 2f64.powi(31), 2f64.powi(32), 2f64.powi(33));
+        let (slow, mid, fast) = (
+            attrs(Direction::Write, gb),
+            attrs(Direction::Write, x4),
+            attrs(Direction::Read, x8),
+        );
+        let mut table = ClassTable::default();
+        let (s, f, m) = (table.join(&slow), table.join(&fast), table.join(&mid));
+        let steps: [(bool, u32, f64); 7] = [
+            (false, s, x8),
+            (true, s, x8),
+            (false, f, x4),
+            (false, m, gb),
+            (false, s, 0.0),
+            (true, m, x4),
+            (true, f, x8),
+        ];
+        assert_eq!(table.max_cap, x8);
+        for (join, c, want) in steps {
+            if join {
+                let attrs = table.entries[c as usize].attrs;
+                assert_eq!(table.join(&attrs), c, "a class keeps its id");
+            } else {
+                table.leave(c);
+            }
+            assert_eq!(table.max_cap, want);
+            assert_eq!(table.max_cap, table.live_max_cap());
+        }
+        // The same churn through the engine, whose reference checks
+        // compare the cache with a fold at every change: the fast flow
+        // ends first, then the slow class empties and returns.
+        let mut sim = Simulation::new();
+        let r = sim.add_resource(Box::new(UncontendedAllocator));
+        let io = |attrs, bytes| Action::Io {
+            resource: r,
+            bytes,
+            attrs,
+        };
+        sim.spawn("fast", vec![io(fast, x8)]);
+        sim.spawn("mid", vec![io(mid, 3.0 * x4)]);
+        let slow_twice = vec![
+            io(slow, x2),
+            Action::Compute(SimDuration(0.5)),
+            io(slow, gb),
+        ];
+        sim.spawn("slow", slow_twice);
+        let rep = sim.run().unwrap();
+        let ends: Vec<f64> = (rep.processes.iter())
+            .map(|p| p.finished_at.unwrap().seconds())
+            .collect();
+        assert_eq!(ends, [1.0, 3.0, 3.5]);
     }
 }

@@ -82,6 +82,7 @@ impl FlowAttrs {
     /// The flow's *intrinsic* end-to-end rate if the device were idle:
     /// the harmonic combination of software time and device transfer time.
     /// This is the cap the allocator may never exceed.
+    #[inline]
     pub fn intrinsic_rate(&self) -> f64 {
         debug_assert!(self.peak_device_rate > 0.0);
         1.0 / (self.sw_time_per_byte + 1.0 / self.peak_device_rate)
@@ -90,6 +91,7 @@ impl FlowAttrs {
     /// Fraction of wall time this flow occupies the device when progressing
     /// at end-to-end rate `rate` (bytes/s). 1.0 means the rank is always on
     /// the device; small values mean software dominates.
+    #[inline]
     pub fn duty_cycle(&self, rate: f64) -> f64 {
         (1.0 - rate * self.sw_time_per_byte).clamp(0.0, 1.0)
     }
@@ -110,6 +112,7 @@ pub struct FlowClass {
 
 impl FlowClass {
     /// The class of a flow with attributes `a`.
+    #[inline]
     pub fn of(a: &FlowAttrs) -> Self {
         Self {
             write: a.direction == Direction::Write,
@@ -122,8 +125,16 @@ impl FlowClass {
 }
 
 /// One class of the live flows on a resource, visible to the allocator.
+///
+/// `id` names the class for the allocator's whole life: two views with
+/// one id always carry the same [`FlowClass`]. One class may appear under
+/// several ids, which costs an allocator that keys on ids nothing but
+/// cache hits. The engine numbers a resource's classes in the order they
+/// first appear and never reuses a number.
 #[derive(Debug, Clone, Copy)]
 pub struct ClassView {
+    /// The class's id, stable for the allocator's life.
+    pub id: u32,
     /// Attributes every flow of the class shares.
     pub attrs: FlowAttrs,
     /// Number of live flows of the class; always positive.
@@ -138,7 +149,9 @@ pub(crate) struct FlowId(pub(crate) u64);
 ///
 /// Implementations receive the live flows grouped by class: one
 /// [`ClassView`] per class, in ascending [`FlowClass`] order, each with a
-/// positive count. They write an **end-to-end** rate (bytes/s, software
+/// positive count and an id that names that class and no other for as
+/// long as the allocator lives, so an allocator may key a cache on ids
+/// instead of attributes. They write an **end-to-end** rate (bytes/s, software
 /// time included) per flow into `rates`, class-major: the first class's
 /// `count` slots, then the next class's. The engine owns both slices,
 /// `classes` is non-empty and `rates` holds Σ `count` slots. The k-th live
@@ -247,11 +260,18 @@ pub(crate) struct ActiveFlow {
     pub owner: crate::process::ProcessId,
     /// Index of the flow's class in its resource's class table, which
     /// holds the flow's attributes.
-    pub class: usize,
+    pub class: u32,
+    /// The flow's slot in its resource's per-(direction, locality) byte
+    /// counters.
+    pub bytes_slot: u8,
     pub total: f64,
     pub remaining: f64,
     pub rate: f64,
 }
+
+// A flow stays within 48 bytes: settling and scattering walk every live
+// flow of a resource at each event.
+const _: () = assert!(std::mem::size_of::<ActiveFlow>() == 48);
 
 #[cfg(test)]
 mod tests {
@@ -340,6 +360,7 @@ mod tests {
     fn fair_share_allocator_splits() {
         let mut alloc = FairShareAllocator::new(10e9);
         let c = ClassView {
+            id: 0,
             attrs: attrs(0.0, 100e9),
             count: 2,
         };
@@ -353,8 +374,8 @@ mod tests {
     fn uncontended_allocator_gives_intrinsic() {
         let (a, b) = (attrs(1e-9, 1e9), attrs(0.0, 2e9));
         let mut rates = [0.0; 3];
-        let view = |attrs, count| ClassView { attrs, count };
-        UncontendedAllocator.allocate(&[view(a, 1), view(b, 2)], &mut rates);
+        let view = |id, attrs, count| ClassView { id, attrs, count };
+        UncontendedAllocator.allocate(&[view(0, a, 1), view(1, b, 2)], &mut rates);
         assert_eq!(
             rates,
             [a.intrinsic_rate(), b.intrinsic_rate(), b.intrinsic_rate()]

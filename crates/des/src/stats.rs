@@ -104,8 +104,14 @@ impl ClassBytes {
         (Direction::Write, Locality::Remote),
     ];
 
-    pub(crate) fn add(&mut self, attrs: &FlowAttrs, bytes: f64) {
-        let (touched, sum) = &mut self.0[attrs.direction as usize * 2 + attrs.locality as usize];
+    /// The counter a flow with `attrs` adds to, taken once per flow.
+    pub(crate) fn slot(attrs: &FlowAttrs) -> u8 {
+        attrs.direction as u8 * 2 + attrs.locality as u8
+    }
+
+    #[inline]
+    pub(crate) fn add(&mut self, slot: u8, bytes: f64) {
+        let (touched, sum) = &mut self.0[usize::from(slot)];
         *touched = true;
         *sum += bytes;
     }
@@ -154,8 +160,8 @@ mod tests {
             sw_time_per_byte: 0.0,
             peak_device_rate: 1e9,
         };
-        bytes.add(&attrs, 10.0);
-        bytes.add(&attrs, 5.0);
+        bytes.add(ClassBytes::slot(&attrs), 10.0);
+        bytes.add(ClassBytes::slot(&attrs), 5.0);
         bytes.fold_into(&mut r.bytes_by_class);
         assert_eq!(r.bytes_by_class.len(), 1, "untouched classes stay out");
         assert_eq!(r.busy_time.seconds(), 2.0);
@@ -175,7 +181,7 @@ mod tests {
                 sw_time_per_byte: 0.0,
                 peak_device_rate: 1e9,
             };
-            bytes.add(&attrs, i as f64 + 1.0);
+            bytes.add(ClassBytes::slot(&attrs), i as f64 + 1.0);
         }
         let mut map = BTreeMap::new();
         bytes.fold_into(&mut map);

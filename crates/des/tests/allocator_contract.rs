@@ -1,8 +1,14 @@
 //! Contract tests for the `RateAllocator` abstraction: any allocator the
 //! engine accepts must keep the engine's conservation and termination
-//! guarantees, even adversarial ones that return pathological rates.
+//! guarantees, even adversarial ones that return pathological rates, and
+//! the engine must keep its side: an id names one class for the run.
 
-use pmemflow_des::{Action, ClassView, Direction, FlowAttrs, Locality, RateAllocator, Simulation};
+use pmemflow_des::{
+    Action, ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator, SimDuration,
+    Simulation, UncontendedAllocator,
+};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex};
 
 fn attrs() -> FlowAttrs {
     FlowAttrs {
@@ -108,4 +114,60 @@ fn time_varying_rates_conserve_bytes() {
     for (i, p) in rep.processes.iter().enumerate() {
         assert!((p.io_bytes - 1e6 * (i + 1) as f64).abs() < 1.0);
     }
+}
+
+/// Checks at every call that each id names the class it named before,
+/// and that no two classes share an id, then gives every flow its
+/// intrinsic rate.
+#[derive(Default)]
+struct IdChecker {
+    named: Arc<Mutex<BTreeMap<u32, FlowClass>>>,
+}
+
+impl RateAllocator for IdChecker {
+    fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
+        let mut named = self.named.lock().unwrap();
+        for c in classes {
+            let class = *named.entry(c.id).or_insert(FlowClass::of(&c.attrs));
+            assert_eq!(class, FlowClass::of(&c.attrs), "id {} renamed", c.id);
+        }
+        let distinct: BTreeSet<FlowClass> = named.values().copied().collect();
+        assert_eq!(distinct.len(), named.len(), "two ids share a class");
+        UncontendedAllocator.allocate(classes, rates);
+    }
+}
+
+#[test]
+fn an_id_names_one_class_for_the_whole_run() {
+    // Three classes arrive in turn and each empties and comes back while
+    // the others run, so the live set and its class order keep changing.
+    let class = |direction, access_bytes| FlowAttrs {
+        direction,
+        access_bytes,
+        ..attrs()
+    };
+    let classes = [
+        class(Direction::Write, 4096),
+        class(Direction::Read, 1 << 20),
+        class(Direction::Read, 4096),
+    ];
+    let named = Arc::default();
+    let mut sim = Simulation::new();
+    let r = sim.add_resource(Box::new(IdChecker {
+        named: Arc::clone(&named),
+    }));
+    for (i, &attrs) in classes.iter().enumerate() {
+        let mut script = vec![Action::Compute(SimDuration(0.3 * i as f64))];
+        for round in 0..4 {
+            script.push(Action::Io {
+                resource: r,
+                bytes: 1e8 * (1 + (i + round) % 3) as f64,
+                attrs,
+            });
+            script.push(Action::Compute(SimDuration(0.05)));
+        }
+        sim.spawn(format!("p{i}"), script);
+    }
+    sim.run().unwrap();
+    assert_eq!(named.lock().unwrap().len(), classes.len());
 }

@@ -35,8 +35,11 @@
 //! device first, and neither does the allocator: the engine hands it the
 //! live flows grouped by [`FlowClass`], one [`ClassView`] per class in
 //! class order, and it returns class-major rates, a pure function of that
-//! multiset. The memo is keyed on it, each class with its count, built in
-//! one pass over the views; a hit copies the stored rates out.
+//! multiset. The memo is keyed on it: one word per class, its id above its
+//! count, built in one pass over the views; a hit copies the stored rates
+//! out. An id names one class for the allocator's life (the
+//! [`RateAllocator`] contract, checked in debug builds), so equal keys
+//! are equal multisets; a class seen under two ids only costs a miss.
 //!
 //! The solve runs over class-major slots. Duty sums run over the slots,
 //! and classes fill in ascending normalized cap, ties in class order: to
@@ -55,15 +58,20 @@
 //! only duty cycles stay per slot.
 
 use crate::profile::DeviceProfile;
-use pmemflow_des::{ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator};
+#[cfg(debug_assertions)]
+use pmemflow_des::FlowClass;
+use pmemflow_des::{ClassView, Direction, FlowAttrs, Locality, RateAllocator};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Most flow sets the memo holds before it is cleared.
 const MEMO_CAPACITY: usize = 256;
 
-/// A class with its number of flows in a set.
-type Counted = (FlowClass, usize);
+/// A class's memo key word: its id above its flow count.
+fn counted(view: &ClassView) -> u64 {
+    let count = u32::try_from(view.count).expect("fewer than 2^32 flows per class");
+    u64::from(view.id) << 32 | u64::from(count)
+}
 
 /// Multiply-rotate word hasher for the memo. Its keys are short runs of
 /// words the simulator derives from its workload models, never raw outside
@@ -84,7 +92,12 @@ impl Hasher for WordHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.add(b.into()));
+        // A slice of words arrives as their bytes in one call.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
     }
 
     fn write_u64(&mut self, v: u64) {
@@ -114,8 +127,8 @@ struct Class {
 /// Working arrays reused across calls.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// The memo key: each class with its flow count, in class order.
-    key: Vec<Counted>,
+    /// The memo key: one [`counted`] word per class, in class order.
+    key: Vec<u64>,
     /// Per slot: the rate and the duty cycle.
     rates: Vec<f64>,
     duty: Vec<f64>,
@@ -131,8 +144,12 @@ struct Scratch {
 #[derive(Debug, Clone)]
 pub struct OptaneAllocator {
     profile: DeviceProfile,
-    memo: HashMap<Box<[Counted]>, Box<[f64]>, Words>,
+    memo: HashMap<Box<[u64]>, Box<[f64]>, Words>,
     scratch: Scratch,
+    /// The class each id has named so far: an id that names a second
+    /// class would make the memo answer for the wrong set.
+    #[cfg(debug_assertions)]
+    named: HashMap<u32, FlowClass>,
 }
 
 impl OptaneAllocator {
@@ -142,6 +159,8 @@ impl OptaneAllocator {
             profile,
             memo: HashMap::default(),
             scratch: Scratch::default(),
+            #[cfg(debug_assertions)]
+            named: HashMap::new(),
         }
     }
 
@@ -165,7 +184,7 @@ impl OptaneAllocator {
         let s = &mut self.scratch;
         s.classes.clear();
         let mut n = 0;
-        for &ClassView { attrs, count } in views {
+        for &ClassView { attrs, count, .. } in views {
             let start = n;
             n += count;
             s.classes.push(Class {
@@ -241,12 +260,18 @@ impl OptaneAllocator {
             let x_cap = |c: usize| s.classes[c].x_cap;
             s.order
                 .sort_unstable_by(|&a, &b| x_cap(a).total_cmp(&x_cap(b)).then(a.cmp(&b)));
+            // Each slot's share waits on the slot before, so the chain
+            // is kept short: no NaN can arise (`x_cap` is in (0, 1] and
+            // `left` starts at a non-negative budget), so a comparison
+            // takes the minimum, and as `x <= left / remaining <= left`,
+            // `x` and `left` stay non-negative with no clamp.
             let mut left = budget.max(0.0);
             let mut remaining = n;
             for c in s.order.iter().map(|&c| &s.classes[c]) {
                 for i in c.start..c.end {
-                    let x = c.x_cap.min(left / remaining as f64).max(0.0);
-                    left = (left - x).max(0.0);
+                    let share = left / remaining as f64;
+                    let x = if c.x_cap < share { c.x_cap } else { share };
+                    left -= x;
                     remaining -= 1;
                     let r = (x * c.cap).min(c.intrinsic).max(1.0);
                     s.rates[i] = r;
@@ -261,9 +286,18 @@ impl OptaneAllocator {
 
 impl RateAllocator for OptaneAllocator {
     fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
+        #[cfg(debug_assertions)]
+        for c in classes {
+            let class = *self.named.entry(c.id).or_insert(FlowClass::of(&c.attrs));
+            assert!(
+                class == FlowClass::of(&c.attrs),
+                "class id {} names two classes",
+                c.id
+            );
+        }
         let key = &mut self.scratch.key;
         key.clear();
-        key.extend(classes.iter().map(|c| (FlowClass::of(&c.attrs), c.count)));
+        key.extend(classes.iter().map(counted));
         if let Some(hit) = self.memo.get(key.as_slice()) {
             rates.copy_from_slice(hit);
             return;
@@ -287,6 +321,22 @@ impl RateAllocator for OptaneAllocator {
 mod tests {
     use super::*;
     use crate::profile::GB;
+    use pmemflow_des::FlowClass;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every class this thread has met, numbered in order of first
+        /// appearance, so an id names one class for any allocator's life.
+        static IDS: RefCell<HashMap<FlowClass, u32>> = RefCell::new(HashMap::new());
+    }
+
+    /// The id of the class of `attrs`.
+    fn id_of(attrs: &FlowAttrs) -> u32 {
+        IDS.with_borrow_mut(|ids| {
+            let next = ids.len() as u32;
+            *ids.entry(FlowClass::of(attrs)).or_insert(next)
+        })
+    }
 
     fn profile() -> DeviceProfile {
         DeviceProfile::optane_gen1()
@@ -312,6 +362,7 @@ mod tests {
             match views.last_mut() {
                 Some(v) if FlowClass::of(&v.attrs) == FlowClass::of(&flows[i]) => v.count += 1,
                 _ => views.push(ClassView {
+                    id: id_of(&flows[i]),
                     attrs: flows[i],
                     count: 1,
                 }),
@@ -493,6 +544,61 @@ mod tests {
         let r2 = allocate(&mut a, &flows);
         for (a, b) in r1.iter().zip(r2.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn renumbered_ids_give_the_same_rates() {
+        // One mixed set under three numberings of its classes, each on a
+        // fresh allocator and again on one that has seen the others: the
+        // ids pick memo entries, never rates.
+        let flows = [
+            flow(Direction::Read, Locality::Local, 2048, 1e-10),
+            flow(Direction::Write, Locality::Remote, 64 << 20, 0.0),
+            flow(Direction::Write, Locality::Local, 4096, 3e-10),
+        ];
+        let views = |ids: [u32; 3]| -> Vec<ClassView> {
+            let counts = [3, 5, 2];
+            (0..3)
+                .map(|i| ClassView {
+                    id: ids[i],
+                    attrs: flows[i],
+                    count: counts[i],
+                })
+                .collect()
+        };
+        let bits = |a: &mut OptaneAllocator, v: &[ClassView]| -> Vec<u64> {
+            let mut rates = vec![0.0; 10];
+            a.allocate(v, &mut rates);
+            rates.iter().map(|r| r.to_bits()).collect()
+        };
+        let numberings = [[0, 1, 2], [7, 3, 5], [u32::MAX, 1 << 20, 9]];
+        let want = bits(&mut OptaneAllocator::new(profile()), &views(numberings[0]));
+        let mut shared = OptaneAllocator::new(profile());
+        for ids in numberings {
+            let v = views(ids);
+            assert_eq!(bits(&mut OptaneAllocator::new(profile()), &v), want);
+            assert_eq!(bits(&mut shared, &v), want, "miss under {ids:?}");
+            assert_eq!(bits(&mut shared, &v), want, "hit under {ids:?}");
+        }
+        assert_eq!(shared.memoized(), numberings.len());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "names two classes")]
+    fn an_id_naming_two_classes_is_caught() {
+        let mut a = OptaneAllocator::new(profile());
+        let read = flow(Direction::Read, Locality::Local, 2048, 0.0);
+        let write = flow(Direction::Write, Locality::Local, 2048, 0.0);
+        let mut rates = [0.0];
+        for attrs in [read, write] {
+            let view = ClassView {
+                id: 4,
+                attrs,
+                count: 1,
+            };
+            a.allocate(&[view], &mut rates);
         }
     }
 }

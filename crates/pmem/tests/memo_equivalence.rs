@@ -3,7 +3,8 @@
 //! computes, and its memo returns bit for bit what a fresh allocator
 //! computes, across seeded streams of flow sets large enough to overflow
 //! and clear the memo several times. Run in the engine, its answer depends
-//! on the multiset of flow classes, not on the order the flows arrived in.
+//! on the multiset of flow classes, not on the order the flows arrived in,
+//! and the ids it keys its memo on only pick entries, never rates.
 
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{
@@ -11,8 +12,23 @@ use pmemflow_des::{
     Simulation,
 };
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
+
+thread_local! {
+    /// Every class this thread has met, numbered in order of first
+    /// appearance, so an id names one class for any allocator's life.
+    static IDS: RefCell<HashMap<FlowClass, u32>> = RefCell::new(HashMap::new());
+}
+
+/// The id of the class of `attrs`: the same on every call of the thread.
+fn id_of(attrs: &FlowAttrs) -> u32 {
+    IDS.with_borrow_mut(|ids| {
+        let next = ids.len() as u32;
+        *ids.entry(FlowClass::of(attrs)).or_insert(next)
+    })
+}
 
 fn allocate(alloc: &mut OptaneAllocator, classes: &[ClassView]) -> Vec<f64> {
     let mut rates = vec![f64::NAN; classes.iter().map(|c| c.count).sum()];
@@ -32,7 +48,7 @@ fn bits(rates: &[f64]) -> Vec<u64> {
 }
 
 /// The allocator's input for `flows`, as the engine builds it: one view
-/// per class, in class order, with its number of flows.
+/// per class, in class order, with its id and number of flows.
 fn views_of(flows: &[FlowAttrs]) -> Vec<ClassView> {
     let mut sorted = flows.to_vec();
     sorted.sort_by_key(FlowClass::of);
@@ -40,7 +56,11 @@ fn views_of(flows: &[FlowAttrs]) -> Vec<ClassView> {
     for attrs in sorted {
         match views.last_mut() {
             Some(v) if FlowClass::of(&v.attrs) == FlowClass::of(&attrs) => v.count += 1,
-            _ => views.push(ClassView { attrs, count: 1 }),
+            _ => views.push(ClassView {
+                id: id_of(&attrs),
+                attrs,
+                count: 1,
+            }),
         }
     }
     views
@@ -128,17 +148,26 @@ fn warm_allocator_matches_fresh_allocator_bitwise() {
 }
 
 /// Forwards to a shared allocator and records every call: each class with
-/// its slots' rate bits.
+/// its slots' rate bits. The engine numbers a run's classes in the order
+/// they arrive, so an allocator that outlives the run gets each class
+/// under its [`id_of`] instead.
 struct Recorder {
     alloc: Arc<Mutex<OptaneAllocator>>,
     calls: Arc<Mutex<Vec<Call>>>,
+    views: Vec<ClassView>,
 }
 
 type Call = Vec<(FlowClass, Vec<u64>)>;
 
 impl RateAllocator for Recorder {
     fn allocate(&mut self, classes: &[ClassView], rates: &mut [f64]) {
-        self.alloc.lock().unwrap().allocate(classes, rates);
+        self.views.clear();
+        let relabel = |c: &ClassView| ClassView {
+            id: id_of(&c.attrs),
+            ..*c
+        };
+        self.views.extend(classes.iter().map(relabel));
+        self.alloc.lock().unwrap().allocate(&self.views, rates);
         let mut slots = rates.iter().map(|r| r.to_bits());
         let call = (classes.iter())
             .map(|c| {
@@ -165,6 +194,7 @@ fn run(
     let device = sim.add_resource(Box::new(Recorder {
         alloc: Arc::clone(alloc),
         calls: Arc::clone(&calls),
+        views: Vec::new(),
     }));
     let mut members: BTreeMap<FlowClass, Vec<usize>> = BTreeMap::new();
     for (i, &attrs) in flows.iter().enumerate() {

@@ -5,6 +5,22 @@
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{ClassView, Direction, FlowAttrs, FlowClass, Locality, RateAllocator};
 use pmemflow_pmem::{DeviceProfile, OptaneAllocator};
+use std::cell::RefCell;
+use std::collections::HashMap;
+
+thread_local! {
+    /// Every class this thread has met, numbered in order of first
+    /// appearance, so an id names one class for any allocator's life.
+    static IDS: RefCell<HashMap<FlowClass, u32>> = RefCell::new(HashMap::new());
+}
+
+/// The id of the class of `attrs`.
+fn id_of(attrs: &FlowAttrs) -> u32 {
+    IDS.with_borrow_mut(|ids| {
+        let next = ids.len() as u32;
+        *ids.entry(FlowClass::of(attrs)).or_insert(next)
+    })
+}
 
 fn flow(dir: Direction, loc: Locality, access: u64, sw_tpb: f64) -> FlowAttrs {
     let p = DeviceProfile::optane_gen1();
@@ -27,6 +43,7 @@ fn allocate(alloc: &mut OptaneAllocator, flows: &[FlowAttrs]) -> Vec<f64> {
         match views.last_mut() {
             Some(v) if FlowClass::of(&v.attrs) == FlowClass::of(&flows[i]) => v.count += 1,
             _ => views.push(ClassView {
+                id: id_of(&flows[i]),
                 attrs: flows[i],
                 count: 1,
             }),

@@ -54,8 +54,8 @@ fn attrs(dir: Direction, loc: Locality, access: u64, sw: f64, boost: f64) -> Flo
 }
 
 /// 64 flows of three classes, in class order: a suite-like run of small
-/// writes, and two classes that tie at a normalized cap of 1. Each `s`
-/// below 600 gives a distinct multiset.
+/// writes, and two classes that tie at a normalized cap of 1, with ids 0,
+/// 1 and 2 in every set. Each `s` below 600 gives a distinct multiset.
 fn set(s: usize) -> Vec<ClassView> {
     let (run, second) = (1 + s % 30, 1 + s / 30);
     let mut views = [
@@ -72,9 +72,12 @@ fn set(s: usize) -> Vec<ClassView> {
             64 - run - second,
         ),
     ]
-    .map(|(attrs, count)| ClassView { attrs, count });
+    .into_iter()
+    .zip(0..)
+    .map(|((attrs, count), id)| ClassView { id, attrs, count })
+    .collect::<Vec<_>>();
     views.sort_by_key(|v| FlowClass::of(&v.attrs));
-    views.into()
+    views
 }
 
 fn allocations(alloc: &mut OptaneAllocator, classes: &[ClassView], rates: &mut [f64]) -> usize {

@@ -6,7 +6,7 @@
 //!
 //! * [`recommend`] — the rule-based engine: §VIII's three rules as a
 //!   decision procedure over a measured [`WorkflowProfile`]
-//!   (from [`characterize`]), with [`table2`]/[`classify`] providing the
+//!   (from [`characterize()`]), with [`table2()`]/[`classify`] providing the
 //!   paper's Table II verbatim as a lookup alternative.
 //! * [`sweep`](pmemflow_core::sweep) +
 //!   [`ConfigSweep::best`](pmemflow_core::ConfigSweep::best), straight

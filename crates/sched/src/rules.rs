@@ -18,7 +18,7 @@
 //!    saturated (Table II row 8).
 //!
 //! The decision keys on *measured* quantities from
-//! [`crate::characterize`], not rank counts: the paper is explicit that
+//! [`crate::characterize()`], not rank counts: the paper is explicit that
 //! "the actual level of concurrency experienced by PMEM is a complex
 //! function of the number of MPI ranks, software overhead … and
 //! interleaving compute" (§VIII).

@@ -125,8 +125,9 @@ fn allocator_rates_are_bounded() {
             ),
         ]
         .into_iter()
-        .filter(|&(_, count)| count > 0)
-        .map(|(attrs, count)| ClassView { attrs, count })
+        .zip(0..)
+        .filter(|&((_, count), _)| count > 0)
+        .map(|((attrs, count), id)| ClassView { id, attrs, count })
         .collect();
         let mut alloc = OptaneAllocator::new(DeviceProfile::optane_gen1());
         let mut rates = vec![0.0; n_w + n_r];
