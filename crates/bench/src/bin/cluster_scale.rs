@@ -56,14 +56,7 @@ fn main() {
     let cores = CORES_PER_SOCKET;
 
     // Characterize the stream's alphabet once, outside the timed loop.
-    let alphabet: Vec<(String, usize, pmemflow_workloads::WorkflowSpec)> = MIX
-        .iter()
-        .flat_map(|&f| {
-            LEVELS
-                .iter()
-                .map(move |&r| (f.name().to_string(), r, f.build(r)))
-        })
-        .collect();
+    let alphabet: Vec<(Family, usize)> = MIX.iter().flat_map(|&f| LEVELS.map(|r| (f, r))).collect();
     let t0 = Instant::now();
     let oracle = Oracle::build(&alphabet, &exec, jobs).expect("oracle warm-up");
     let oracle_secs = t0.elapsed().as_secs_f64();
@@ -74,7 +67,7 @@ fn main() {
     // snapshot and re-pricing costs dominate the loop.
     let mean_core_secs: f64 = alphabet
         .iter()
-        .map(|(name, ranks, _)| *ranks as f64 * oracle.best_solo_runtime(name, *ranks))
+        .map(|&(family, ranks)| ranks as f64 * oracle.best_solo_runtime(family, ranks))
         .sum::<f64>()
         / alphabet.len() as f64;
     let rate = overload * (nodes * cores) as f64 / mean_core_secs;
@@ -103,7 +96,7 @@ fn main() {
     // simulations.
     fn warm_sets(
         oracle: &Oracle,
-        keys: &[(TenantKey, usize)],
+        keys: &[TenantKey],
         set: &mut Vec<TenantKey>,
         used: usize,
         start: usize,
@@ -112,18 +105,18 @@ fn main() {
         if set.len() > 1 {
             oracle.corun_slowdowns(set).expect("warm-up co-run");
         }
-        for (i, (key, ranks)) in keys.iter().enumerate().skip(start) {
-            if used + ranks > cap {
+        for (i, &key) in keys.iter().enumerate().skip(start) {
+            if used + key.ranks > cap {
                 continue;
             }
-            set.push(key.clone());
-            warm_sets(oracle, keys, set, used + ranks, i, cap);
+            set.push(key);
+            warm_sets(oracle, keys, set, used + key.ranks, i, cap);
             set.pop();
         }
     }
-    let keys: Vec<(TenantKey, usize)> = alphabet
+    let keys: Vec<TenantKey> = alphabet
         .iter()
-        .map(|(n, r, _)| (TenantKey::new(n, *r, oracle.best_config(n, *r)), *r))
+        .map(|&(f, r)| TenantKey::new(f, r, oracle.best_config(f, r)))
         .collect();
     let t0 = Instant::now();
     warm_sets(&oracle, &keys, &mut Vec::new(), 0, 0, cores);

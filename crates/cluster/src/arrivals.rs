@@ -31,7 +31,7 @@
 
 use crate::stage_graph::{generate as generate_dag, DagClass, DagSpec};
 use pmemflow_des::rng::SplitMix64;
-use pmemflow_workloads::{paper_suite, Family, WorkflowSpec};
+use pmemflow_workloads::{paper_suite, Family};
 
 /// One workflow submission.
 #[derive(Debug, Clone)]
@@ -289,16 +289,15 @@ impl ArrivalSpec {
         self.count().saturating_mul(per_submission as u64)
     }
 
-    /// Every distinct (workflow, ranks) the stream can draw — the
+    /// Every distinct `(family, ranks)` the stream can draw — the
     /// alphabet a campaign pre-characterizes in parallel before serving
-    /// arrivals. Suite order, deduplicated.
-    pub fn alphabet(&self) -> Vec<(String, usize, WorkflowSpec)> {
+    /// arrivals ([`crate::Oracle::build`]). Suite order, deduplicated.
+    pub fn alphabet(&self) -> Vec<(Family, usize)> {
         let suite = paper_suite();
-        let mut out: Vec<(String, usize, WorkflowSpec)> = Vec::new();
+        let mut out: Vec<(Family, usize)> = Vec::new();
         let mut push = |family: Family, ranks: usize| {
-            let name = family.name().to_string();
-            if !out.iter().any(|(n, r, _)| *n == name && *r == ranks) {
-                out.push((name, ranks, family.build(ranks)));
+            if !out.contains(&(family, ranks)) {
+                out.push((family, ranks));
             }
         };
         match self {
@@ -560,9 +559,10 @@ mod tests {
         let spec = ArrivalSpec::parse("poisson:rate=1,n=5,mix=gtc").unwrap();
         let alpha = spec.alphabet();
         assert_eq!(alpha.len(), 6); // 2 GTC families x 3 rank levels
-        for (name, ranks, wf) in &alpha {
-            assert!(name.starts_with("GTC"));
-            assert_eq!(wf.ranks, *ranks);
+        for &(family, ranks) in &alpha {
+            assert!(family.name().starts_with("GTC"));
+            let wf = family.build(ranks);
+            assert_eq!(wf.ranks, ranks);
             wf.validate().unwrap();
         }
     }

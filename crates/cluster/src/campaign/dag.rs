@@ -161,7 +161,7 @@ impl DagRun {
                         StageState::Held
                     },
                     deps_left,
-                    est_solo: oracle.best_solo_runtime(st.family.name(), st.ranks) + extra_solo,
+                    est_solo: oracle.best_solo_runtime(st.family, st.ranks) + extra_solo,
                     extra_solo,
                 }
             })
@@ -218,7 +218,7 @@ impl DagRun {
         let stage = &self.spec.stages[si];
         let job = arena.alloc(QueuedJob {
             id: self.first_stage_id + si as u64,
-            workflow: arena.name(stage.family),
+            family: stage.family,
             ranks: stage.ranks,
             arrival: self.arrival,
             staging: self.entry_staging(),

@@ -10,14 +10,13 @@ use crate::arrivals::{
 };
 use crate::fault::{requeue_backoff, CheckpointSpec, FaultEventKind, FaultPlan};
 use crate::policy::{Placement, Policy, QueuedJob};
-use crate::predict::Oracle;
+use crate::predict::{Oracle, TenantKey};
 use crate::stage_graph::DagClass;
 use pmemflow_core::{check_fit, CORES_PER_SOCKET};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_des::{Direction, Locality};
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Closed-loop stream state inside the loop.
 pub(super) struct ClosedLoop {
@@ -275,7 +274,7 @@ impl<'a> Campaign<'a> {
                 Submission::Plain(family) => {
                     let job = self.arena.alloc(QueuedJob {
                         id: self.next_job_id,
-                        workflow: self.arena.name(family),
+                        family,
                         ranks: a.ranks,
                         arrival: a.time,
                         staging: 0.0,
@@ -459,7 +458,9 @@ impl<'a> Campaign<'a> {
         // written under, whatever the policy prefers now.
         let config = *q.config.get_or_insert(p.config);
         q.first_start.get_or_insert(now);
-        let (tenant, solo) = self.oracle.intern(&q.job.workflow, q.job.ranks, config);
+        let (tenant, solo) = self
+            .oracle
+            .intern(TenantKey::new(q.job.family, q.job.ranks, config));
         // A stage additionally pays its staged I/O (edge volumes through
         // the PMEM snapshot path) on top of the oracle solo of its
         // workflow.
@@ -499,11 +500,11 @@ impl<'a> Campaign<'a> {
         }
         let booked = self.records[slot].replace(JobRecord {
             id: job.id,
-            workflow: Arc::clone(&job.workflow),
+            family: job.family,
             ranks: job.ranks,
             config: q
                 .config
-                .unwrap_or_else(|| self.oracle.best_config(&job.workflow, job.ranks)),
+                .unwrap_or_else(|| self.oracle.best_config(job.family, job.ranks)),
             node,
             arrival: job.arrival,
             start: q.first_start.unwrap_or(self.now),

@@ -229,10 +229,11 @@ fn validate(config: &CampaignConfig) -> Result<(), ClusterError> {
     }
     // Reject alphabet entries that cannot run even on an empty node —
     // better a config error up front than a stuck queue later.
-    for (name, ranks, _) in config.arrivals.alphabet() {
+    for (family, ranks) in config.arrivals.alphabet() {
         if check_fit(ranks).is_err() {
             return Err(ClusterError::Config(format!(
-                "{name}@{ranks} can never fit a {CORES_PER_SOCKET}-core socket"
+                "{}@{ranks} can never fit a {CORES_PER_SOCKET}-core socket",
+                family.name()
             )));
         }
     }

@@ -21,7 +21,8 @@ pub(super) struct Running<'a> {
     /// start pinned at placement; an interruption rewrites it in place
     /// for the requeue.
     pub(super) q: Queued<'a>,
-    /// The oracle's interned identity of `(workflow, ranks, config)`.
+    /// The oracle's interned id of the job's `TenantKey`: family, ranks and
+    /// pinned configuration.
     pub(super) tenant: TenantId,
     /// Predicted solo runtime under the pinned configuration.
     pub(super) solo: f64,
@@ -284,7 +285,7 @@ fn fill_view(view: &mut NodeView, n: &NodeState, staging: &StagingState, dags: &
     view.residents
         .extend(n.running.iter().map(|r| ResidentView {
             id: r.q.job.id,
-            workflow: r.q.job.workflow.clone(),
+            family: r.q.job.family,
             ranks: r.q.job.ranks,
             config: r.config(),
             projected_finish: r.event_at,

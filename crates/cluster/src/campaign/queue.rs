@@ -5,10 +5,8 @@
 use crate::policy::QueuedJob;
 use pmemflow_core::SchedConfig;
 use pmemflow_des::SimTime;
-use pmemflow_workloads::Family;
 use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 /// Append-only storage for the policy-facing [`QueuedJob`]s of one
 /// campaign. A stored job never moves or changes, so the queue, its
@@ -19,12 +17,10 @@ use std::sync::Arc;
 /// touches at most one chunk more than it uses and every chunk comes
 /// from (and returns to) the ordinary heap; the chunks are found
 /// through tables of doubling size (table `k` holds `TABLE_BASE << k`
-/// chunks). Workflow names are kept once per [`Family`], so every job
-/// of a workflow, and every record it books, shares one name allocation.
+/// chunks).
 pub(super) struct JobArena {
     tables: [OnceCell<Box<[OnceCell<Chunk>]>>; JobArena::TABLES],
     len: Cell<usize>,
-    names: [OnceCell<Arc<str>>; Family::all().len()],
 }
 
 type Chunk = Box<[OnceCell<QueuedJob>]>;
@@ -44,13 +40,7 @@ impl JobArena {
         JobArena {
             tables: [const { OnceCell::new() }; JobArena::TABLES],
             len: Cell::new(0),
-            names: [const { OnceCell::new() }; Family::all().len()],
         }
-    }
-
-    /// The shared name of `family`'s workflow, made on first use.
-    pub(super) fn name(&self, family: Family) -> Arc<str> {
-        Arc::clone(self.names[family as usize].get_or_init(|| family.name().into()))
     }
 
     /// Store `job` for the arena's lifetime.
@@ -268,7 +258,7 @@ impl<'a> Queue<'a> {
             );
             assert!(
                 v.id == j.id
-                    && v.workflow == j.workflow
+                    && v.family == j.family
                     && v.ranks == j.ranks
                     && v.arrival.to_bits() == j.arrival.to_bits()
                     && v.staging.to_bits() == j.staging.to_bits()
@@ -405,11 +395,12 @@ impl QueueIndex {
 mod tests {
     use super::*;
     use pmemflow_des::rng::SplitMix64;
+    use pmemflow_workloads::Family;
 
     fn entry(arena: &JobArena, id: u64, ranks: usize, eligible: f64) -> Queued<'_> {
         let job = arena.alloc(QueuedJob {
             id,
-            workflow: "w".into(),
+            family: Family::GtcMatMul,
             ranks,
             arrival: 0.0,
             staging: 0.0,
@@ -489,7 +480,7 @@ mod tests {
         let job = |id: u64, arrival: f64, home: Option<usize>| {
             arena.alloc(QueuedJob {
                 id,
-                workflow: arena.name(Family::GtcMatMul),
+                family: Family::GtcMatMul,
                 ranks: 8,
                 arrival,
                 staging: 0.0,

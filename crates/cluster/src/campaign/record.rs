@@ -2,9 +2,9 @@
 
 use pmemflow_core::SchedConfig;
 use pmemflow_des::{write_json_escaped, write_json_f64};
+use pmemflow_workloads::Family;
 use std::borrow::Cow;
 use std::fmt::Write;
-use std::sync::Arc;
 
 /// Runtime threshold for bounded slowdown (seconds): jobs shorter than
 /// this are not allowed to dominate the metric (Feitelson's BSLD).
@@ -15,8 +15,8 @@ pub(crate) const BSLD_TAU: f64 = 10.0;
 pub struct JobRecord {
     /// Submission id (arrival order).
     pub id: u64,
-    /// Workflow display name, shared with every job of the workflow.
-    pub workflow: Arc<str>,
+    /// Workload family; the JSONL `workflow` field is its display name.
+    pub family: Family,
     /// Ranks per component.
     pub ranks: usize,
     /// Configuration it ran under (pinned across restarts).
@@ -200,7 +200,7 @@ impl CampaignOutcome {
                 .str("policy", &self.policy)
                 .num("seed", self.seed)
                 .num("id", j.id)
-                .str("workflow", &j.workflow)
+                .str("workflow", j.family.name())
                 .num("ranks", j.ranks)
                 .str("config", j.config.label())
                 .str("dag", &j.dag)

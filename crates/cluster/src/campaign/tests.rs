@@ -544,17 +544,7 @@ fn diamond_fixture() -> (CampaignConfig, Oracle, Arrival) {
     let draw = Draw::Dag(DagClass::Diamond);
     let arrival = arrival_for_draw(draw, 0, 5.0, None, &mut SplitMix64::new(3));
     let spec = arrival.dag().expect("a DAG draw");
-    let alphabet: Vec<_> = spec
-        .stages
-        .iter()
-        .map(|s| {
-            (
-                s.family.name().to_string(),
-                s.ranks,
-                s.family.build(s.ranks),
-            )
-        })
-        .collect();
+    let alphabet: Vec<_> = spec.stages.iter().map(|s| (s.family, s.ranks)).collect();
     let cfg = CampaignConfig {
         arrivals: ArrivalSpec::Trace(Vec::new()),
         checkpoint: CheckpointSpec {
@@ -580,7 +570,7 @@ fn admit(c: &mut Campaign, arrival: Arrival) {
 /// configuration, and take its attempt straight back off the node.
 fn place_and_take<'a>(c: &mut Campaign<'a>, id: u64) -> Running<'a> {
     let job = &c.queue.iter().find(|q| q.job.id == id).unwrap().job;
-    let config = c.oracle.best_config(&job.workflow, job.ranks);
+    let config = c.oracle.best_config(job.family, job.ranks);
     let placement = Placement {
         job: id,
         node: 0,

@@ -46,8 +46,8 @@
 
 use crate::predict::{Oracle, TenantKey};
 use pmemflow_core::{check_fit, ExecError, SchedConfig, CORES_PER_SOCKET};
+use pmemflow_workloads::Family;
 use std::cell::Cell;
-use std::sync::Arc;
 
 /// A job waiting in the queue, as policies see it. The campaign keeps
 /// its queue as a contiguous `&QueuedJob` sequence in queue order and
@@ -58,8 +58,8 @@ use std::sync::Arc;
 pub struct QueuedJob {
     /// Submission id (arrival order).
     pub id: u64,
-    /// Workflow display name (shared, so snapshots are cheap to build).
-    pub workflow: Arc<str>,
+    /// Workload family.
+    pub family: Family,
     /// Ranks per component (the per-socket core demand).
     pub ranks: usize,
     /// Submission time.
@@ -79,8 +79,8 @@ pub struct QueuedJob {
 pub struct ResidentView {
     /// Submission id.
     pub id: u64,
-    /// Workflow display name (shared, so snapshots are cheap to build).
-    pub workflow: Arc<str>,
+    /// Workload family.
+    pub family: Family,
     /// Ranks per component.
     pub ranks: usize,
     /// Configuration it runs under.
@@ -133,7 +133,7 @@ impl NodeView {
     fn resident_keys(&self) -> impl Iterator<Item = TenantKey> + '_ {
         self.residents
             .iter()
-            .map(|r| TenantKey::new(&r.workflow, r.ranks, r.config))
+            .map(|r| TenantKey::new(r.family, r.ranks, r.config))
     }
 }
 
@@ -342,7 +342,7 @@ impl Policy for Fcfs {
             batch.push(Placement {
                 job: job.id,
                 node,
-                config: oracle.best_config(&job.workflow, job.ranks),
+                config: oracle.best_config(job.family, job.ranks),
             });
         }
         Ok(batch)
@@ -376,7 +376,7 @@ impl Policy for EasyBackfill {
             batch.push(Placement {
                 job: job.id,
                 node,
-                config: oracle.best_config(&job.workflow, job.ranks),
+                config: oracle.best_config(job.family, job.ranks),
             });
             rest = &rest[1..];
         }
@@ -461,8 +461,8 @@ impl Policy for EasyBackfill {
         // the head's capacity hostage past any runtime prediction);
         // elsewhere freely.
         for job in &rest[1..] {
-            let config = oracle.best_config(&job.workflow, job.ranks);
-            let predicted_end = now + oracle.solo_runtime(&job.workflow, job.ranks, config);
+            let config = oracle.best_config(job.family, job.ranks);
+            let predicted_end = now + oracle.solo_runtime(job.family, job.ranks, config);
             let candidate = (0..nodes.len()).filter(|&n| plan.fits(n, job)).find(|&n| {
                 n != shadow_node || (predicted_end <= shadow_time && job.staging == 0.0)
             });
@@ -504,7 +504,7 @@ impl Policy for Table2Rule {
             batch.push(Placement {
                 job: job.id,
                 node,
-                config: oracle.table2_config(&job.workflow, job.ranks),
+                config: oracle.table2_config(job.family, job.ranks),
             });
         }
         Ok(batch)
@@ -550,8 +550,8 @@ impl Policy for InterferenceAware {
         let mut set: Vec<TenantKey> = Vec::new();
         let mut batch = Vec::new();
         for (qi, job) in queue.iter().enumerate() {
-            let config = oracle.best_config(&job.workflow, job.ranks);
-            let key = TenantKey::new(&job.workflow, job.ranks, config);
+            let config = oracle.best_config(job.family, job.ranks);
+            let key = TenantKey::new(job.family, job.ranks, config);
             let mut best: Option<(f64, usize, usize)> = None; // (cost, used, node)
             for (node, view) in nodes.iter().enumerate() {
                 if !plan.fits(node, job) {
@@ -560,14 +560,14 @@ impl Policy for InterferenceAware {
                 let mine = || own.iter().filter(move |o| o.0 == node);
                 set.clear();
                 set.extend(view.resident_keys());
-                set.extend(mine().map(|o| o.1.clone()));
+                set.extend(mine().map(|o| o.1));
                 // Marginal aggregate cost of joining this node: the job's
                 // own slowdown plus the extra slowdown it inflicts on the
                 // planned residents. Scoring only the incoming job's side
                 // over-packs — a newcomer can run nearly unharmed while
                 // wrecking a bandwidth-bound resident.
                 let before: f64 = oracle.corun_slowdowns(&set)?.iter().sum();
-                set.push(key.clone());
+                set.push(key);
                 let after: f64 = oracle.corun_slowdowns(&set)?.iter().sum();
                 // Staged intermediates resident across stage boundaries
                 // price like load: the more of the node's PMEM staging

@@ -1,22 +1,25 @@
 //! Prediction services the queue policies and the serving daemon share.
 //!
-//! Two caches, both deterministic:
+//! Every workload is one of the paper's [`Family`]s at some rank count,
+//! and the oracle keys its tables by that `(family, ranks)` pair; a
+//! tenant adds its Table I configuration ([`TenantKey`]). Two caches,
+//! both deterministic:
 //!
 //! * **Solo sweeps** — for every workload the oracle knows, all four
 //!   Table I configurations are simulated (in parallel over
 //!   [`pmemflow_core::map_ordered`] when prebuilt with [`Oracle::build`],
 //!   or on demand via [`Oracle::ensure`]) together with the Table II
-//!   characterization. Callers read the model-driven best configuration,
-//!   per-config runtime predictions (the EASY-backfill reservation
-//!   estimate), and the [`WorkflowProfile`] the Table II policy
-//!   classifies.
+//!   characterization and the configuration it recommends. Callers read
+//!   the model-driven best configuration, per-config runtime predictions
+//!   (the EASY-backfill reservation estimate), the Table II pick, and
+//!   the [`WorkflowProfile`] behind it.
 //! * **Co-run pricing** — the predicted per-tenant outcome of every
 //!   candidate resident set, from
 //!   [`execute_coscheduled`] over the real device model. The oracle
-//!   interns each `(workflow, ranks, config)` once to a dense id with its
-//!   solo baseline and its rank in key order, and memoizes co-runs on the
-//!   rank-sorted id multiset, so each distinct co-residency is simulated
-//!   exactly once per oracle. The campaign prices resident ids directly;
+//!   interns each [`TenantKey`] once to a dense id with its solo baseline
+//!   and its rank in key order, and memoizes co-runs on the rank-sorted
+//!   id multiset, so each distinct co-residency is simulated exactly once
+//!   per oracle. The campaign prices resident ids directly;
 //!   [`Oracle::corun_slowdowns`] and [`Oracle::corun_breakdown`] intern
 //!   their keys and take the same path.
 //!
@@ -41,37 +44,62 @@ use pmemflow_core::{
     SchedConfig, Tenant, TenantBreakdown,
 };
 use pmemflow_sched::{characterize, classify, recommend, WorkflowProfile};
-use pmemflow_workloads::WorkflowSpec;
+use pmemflow_workloads::{Family, WorkflowSpec};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-/// Identity of a tenant for pricing purposes: everything that affects the
-/// device model sees of it.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Identity of a tenant for pricing purposes: everything the device
+/// model sees of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TenantKey {
-    /// Workflow display name.
-    pub workflow: String,
+    /// Workload family.
+    pub family: Family,
     /// Ranks per component.
     pub ranks: usize,
-    /// Configuration label (Table I).
-    pub config: &'static str,
+    /// Table I configuration.
+    pub config: SchedConfig,
 }
 
 impl TenantKey {
     /// Build a key.
-    pub fn new(workflow: &str, ranks: usize, config: SchedConfig) -> TenantKey {
+    pub fn new(family: Family, ranks: usize, config: SchedConfig) -> TenantKey {
         TenantKey {
-            workflow: workflow.to_string(),
+            family,
             ranks,
-            config: config.label(),
+            config,
         }
     }
 }
 
+impl Ord for TenantKey {
+    /// The canonical tenant order, `(workflow name, ranks, config
+    /// label)`: it orders the tenants of every co-run simulation, and so
+    /// their bytes, and the tenants of a serve co-schedule answer.
+    /// [`Family`]'s declaration order is not name order.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.family.name(), self.ranks, self.config.label()).cmp(&(
+            other.family.name(),
+            other.ranks,
+            other.config.label(),
+        ))
+    }
+}
+
+impl PartialOrd for TenantKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// One workload's full characterization.
 struct AlphabetEntry {
     spec: WorkflowSpec,
     sweep: ConfigSweep,
     profile: WorkflowProfile,
+    /// The Table II recommendation: the matching table row's
+    /// configuration when one exists, otherwise the rule engine's pick.
+    table2: SchedConfig,
 }
 
 /// A tenant identity interned by one [`Oracle`]: a dense index into its
@@ -83,9 +111,8 @@ pub(crate) struct TenantId(u32);
 
 /// One interned tenant identity.
 struct Interned {
-    config: SchedConfig,
-    entry: Arc<AlphabetEntry>,
-    /// Solo baseline under `config`.
+    key: TenantKey,
+    /// Solo baseline under the key's configuration.
     solo: f64,
     /// Position of the tenant's key among all interned keys in
     /// `TenantKey` order, so sorting ids by rank sorts them by key in
@@ -100,12 +127,9 @@ struct Characterized {
     ids: [Option<TenantId>; 4],
 }
 
-/// The characterized alphabet: workflow name, then ranks. Nested so a
-/// `&str` looks an entry (and its interned tenants) up without building
-/// an owned key; iteration order is `(name, ranks)` order, as with a
-/// tuple key, and with the configuration labels within it, `TenantKey`
-/// order.
-type Alphabet = BTreeMap<String, BTreeMap<usize, Characterized>>;
+/// The characterized alphabet: indexed by `family as usize`, then keyed
+/// by ranks.
+type Alphabet = [BTreeMap<usize, Characterized>; Family::all().len()];
 
 /// `config`'s position in [`SchedConfig::ALL`].
 fn config_slot(config: SchedConfig) -> usize {
@@ -113,14 +137,6 @@ fn config_slot(config: SchedConfig) -> usize {
         .iter()
         .position(|&c| c == config)
         .expect("ALL lists every configuration")
-}
-
-/// The configuration `key` names, by its label as [`TenantKey::new`]
-/// writes it.
-fn key_config(key: &TenantKey) -> Option<SchedConfig> {
-    SchedConfig::ALL
-        .into_iter()
-        .find(|c| c.label() == key.config)
 }
 
 /// The oracle's tables and the scratch its co-run lookups reuse.
@@ -139,81 +155,56 @@ struct OracleMaps {
 }
 
 impl OracleMaps {
-    /// The id of tenant `(workflow, ranks, config)`, interned on first
-    /// sight with its solo baseline; every interned tenant whose key
-    /// sorts after it moves up one rank. A hit is two map lookups by
-    /// `&str` and builds nothing.
-    fn intern(&mut self, workflow: &str, ranks: usize, config: SchedConfig) -> TenantId {
-        let slot = config_slot(config);
-        let known = self.characterized(workflow, ranks);
+    /// The id of `key`, interned on first sight with its solo baseline;
+    /// every interned tenant whose key sorts after it moves up one rank.
+    /// A hit is one array index and one map lookup, and builds nothing.
+    fn intern(&mut self, key: TenantKey) -> TenantId {
+        let slot = config_slot(key.config);
+        let known = self.characterized(key.family, key.ranks);
         if let Some(id) = known.ids[slot] {
             return id;
         }
-        let entry = Arc::clone(&known.entry);
-        let key = (workflow, ranks, config.label());
-        let rank = self.interned_keys().filter(|k| *k < key).count() as u32;
+        let solo = known.entry.sweep.run(key.config).total;
+        let rank = self.tenants.iter().filter(|t| t.key < key).count() as u32;
         for t in &mut self.tenants {
             if t.rank >= rank {
                 t.rank += 1;
             }
         }
         let id = TenantId(self.tenants.len() as u32);
-        self.tenants.push(Interned {
-            config,
-            solo: entry.sweep.run(config).total,
-            entry,
-            rank,
-        });
-        self.entries
-            .get_mut(workflow)
-            .and_then(|by_ranks| by_ranks.get_mut(&ranks))
+        self.tenants.push(Interned { key, solo, rank });
+        self.entries[key.family as usize]
+            .get_mut(&key.ranks)
             .expect("characterized above")
             .ids[slot] = Some(id);
         id
     }
 
-    /// Every interned tenant's key as `(workflow, ranks, config label)`,
-    /// which compare as `TenantKey`s do.
-    fn interned_keys(&self) -> impl Iterator<Item = (&str, usize, &'static str)> {
-        self.entries.iter().flat_map(|(name, by_ranks)| {
-            by_ranks.iter().flat_map(move |(&ranks, known)| {
-                SchedConfig::ALL
-                    .iter()
-                    .zip(&known.ids)
-                    .filter(|(_, id)| id.is_some())
-                    .map(move |(c, _)| (name.as_str(), ranks, c.label()))
-            })
-        })
-    }
-
     /// The id `key` was interned under, if it was.
     fn interned(&self, key: &TenantKey) -> Option<TenantId> {
-        let config = key_config(key)?;
-        self.lookup(&key.workflow, key.ranks)?.ids[config_slot(config)]
+        self.lookup(key.family, key.ranks)?.ids[config_slot(key.config)]
     }
 
-    fn characterized(&self, workflow: &str, ranks: usize) -> &Characterized {
-        self.lookup(workflow, ranks)
-            .unwrap_or_else(|| panic!("{workflow}@{ranks} not in the campaign alphabet"))
+    fn characterized(&self, family: Family, ranks: usize) -> &Characterized {
+        self.lookup(family, ranks)
+            .unwrap_or_else(|| panic!("{}@{ranks} not in the campaign alphabet", family.name()))
     }
 
-    fn entry(&self, workflow: &str, ranks: usize) -> &Arc<AlphabetEntry> {
-        &self.characterized(workflow, ranks).entry
+    fn entry(&self, family: Family, ranks: usize) -> &Arc<AlphabetEntry> {
+        &self.characterized(family, ranks).entry
     }
 
-    fn lookup(&self, workflow: &str, ranks: usize) -> Option<&Characterized> {
-        self.entries.get(workflow)?.get(&ranks)
+    fn lookup(&self, family: Family, ranks: usize) -> Option<&Characterized> {
+        self.entries[family as usize].get(&ranks)
     }
 
-    /// Characterize `workflow@ranks` as `make` builds it, unless it
-    /// already is: the first insert wins.
-    fn insert(&mut self, workflow: &str, ranks: usize, make: impl FnOnce() -> AlphabetEntry) {
-        self.entries
-            .entry(workflow.to_string())
-            .or_default()
+    /// Record `family@ranks`'s characterization, unless it is recorded
+    /// already: the first insert wins.
+    fn insert(&mut self, family: Family, ranks: usize, entry: AlphabetEntry) {
+        self.entries[family as usize]
             .entry(ranks)
             .or_insert_with(|| Characterized {
-                entry: Arc::new(make()),
+                entry: Arc::new(entry),
                 ids: [None; 4],
             });
     }
@@ -246,25 +237,22 @@ impl Oracle {
         }
     }
 
-    /// Characterize every workload of `alphabet` with up to `jobs`
-    /// parallel simulations. Results are independent of `jobs`.
+    /// Characterize every `(family, ranks)` workload of `alphabet` with up
+    /// to `jobs` parallel simulations. Results are independent of `jobs`.
     pub fn build(
-        alphabet: &[(String, usize, WorkflowSpec)],
+        alphabet: &[(Family, usize)],
         exec: &ExecutionParams,
         jobs: usize,
     ) -> Result<Oracle, ExecError> {
-        let items: Vec<(String, usize, WorkflowSpec)> = alphabet.to_vec();
-        let results = map_ordered(items, jobs, |(_, _, spec)| characterize_one(spec, exec));
+        let results = map_ordered(alphabet.to_vec(), jobs, |&(family, ranks)| {
+            characterize_one(family, ranks, exec)
+        });
         let mut maps = OracleMaps::default();
-        for ((name, ranks, spec), result) in alphabet.iter().cloned().zip(results) {
-            let (sweep, profile) = result
-                .map_err(|panic| ExecError::Spec(format!("characterization panicked: {panic}")))?
-                .map_err(|e| ExecError::Spec(format!("characterizing {name}@{ranks}: {e}")))?;
-            maps.insert(&name, ranks, || AlphabetEntry {
-                spec,
-                sweep,
-                profile,
-            });
+        for (&(family, ranks), result) in alphabet.iter().zip(results) {
+            let entry = result.map_err(|panic| {
+                ExecError::Spec(format!("characterization panicked: {panic}"))
+            })??;
+            maps.insert(family, ranks, entry);
         }
         Ok(Oracle {
             maps: Mutex::new(maps),
@@ -272,102 +260,74 @@ impl Oracle {
         })
     }
 
-    /// Make sure `workflow@ranks` is characterized, simulating the four
-    /// configurations and the Table II profile on first sight. Subsequent
-    /// calls are O(lookup). Concurrent first sights may both simulate;
-    /// results are deterministic so either insert wins harmlessly.
-    pub fn ensure(
-        &self,
-        workflow: &str,
-        ranks: usize,
-        spec: &WorkflowSpec,
-    ) -> Result<(), ExecError> {
-        if self.contains(workflow, ranks) {
+    /// Make sure `family@ranks` is characterized, building its workflow
+    /// and simulating the four configurations and the Table II profile on
+    /// first sight. Subsequent calls are O(lookup). Concurrent first
+    /// sights may both simulate; results are deterministic so either
+    /// insert wins harmlessly.
+    pub fn ensure(&self, family: Family, ranks: usize) -> Result<(), ExecError> {
+        if self.contains(family, ranks) {
             return Ok(());
         }
-        let (sweep, profile) = characterize_one(spec, &self.exec)
-            .map_err(|e| ExecError::Spec(format!("characterizing {workflow}@{ranks}: {e}")))?;
-        lock_recover(&self.maps).insert(workflow, ranks, || AlphabetEntry {
-            spec: spec.clone(),
-            sweep,
-            profile,
-        });
+        let entry = characterize_one(family, ranks, &self.exec)?;
+        lock_recover(&self.maps).insert(family, ranks, entry);
         Ok(())
     }
 
-    /// Whether `workflow@ranks` has been characterized already.
-    pub fn contains(&self, workflow: &str, ranks: usize) -> bool {
-        lock_recover(&self.maps).lookup(workflow, ranks).is_some()
+    /// Whether `family@ranks` has been characterized already.
+    pub fn contains(&self, family: Family, ranks: usize) -> bool {
+        lock_recover(&self.maps).lookup(family, ranks).is_some()
     }
 
-    fn entry(&self, workflow: &str, ranks: usize) -> Arc<AlphabetEntry> {
-        Arc::clone(lock_recover(&self.maps).entry(workflow, ranks))
+    fn entry(&self, family: Family, ranks: usize) -> Arc<AlphabetEntry> {
+        Arc::clone(lock_recover(&self.maps).entry(family, ranks))
     }
 
     /// The model-driven best configuration for a workload (argmin over the
     /// four simulated configurations).
-    pub fn best_config(&self, workflow: &str, ranks: usize) -> SchedConfig {
-        self.entry(workflow, ranks).sweep.best().config
+    pub fn best_config(&self, family: Family, ranks: usize) -> SchedConfig {
+        self.entry(family, ranks).sweep.best().config
     }
 
     /// Predicted solo runtime under a specific configuration.
-    pub fn solo_runtime(&self, workflow: &str, ranks: usize, config: SchedConfig) -> f64 {
-        self.entry(workflow, ranks).sweep.run(config).total
+    pub fn solo_runtime(&self, family: Family, ranks: usize, config: SchedConfig) -> f64 {
+        self.entry(family, ranks).sweep.run(config).total
     }
 
     /// Predicted solo runtime under the best configuration: what
     /// [`Oracle::solo_runtime`] answers for [`Oracle::best_config`], read
     /// in one lookup.
-    pub fn best_solo_runtime(&self, workflow: &str, ranks: usize) -> f64 {
-        self.entry(workflow, ranks).sweep.best().total
+    pub fn best_solo_runtime(&self, family: Family, ranks: usize) -> f64 {
+        self.entry(family, ranks).sweep.best().total
     }
 
     /// The full four-configuration sweep of a workload.
-    pub fn config_sweep(&self, workflow: &str, ranks: usize) -> ConfigSweep {
-        self.entry(workflow, ranks).sweep.clone()
+    pub fn config_sweep(&self, family: Family, ranks: usize) -> ConfigSweep {
+        self.entry(family, ranks).sweep.clone()
     }
 
     /// The Table II characterization of a workload.
-    pub fn profile(&self, workflow: &str, ranks: usize) -> WorkflowProfile {
-        self.entry(workflow, ranks).profile.clone()
+    pub fn profile(&self, family: Family, ranks: usize) -> WorkflowProfile {
+        self.entry(family, ranks).profile.clone()
     }
 
     /// The Table II recommendation: the matching table row's configuration
     /// when one exists, otherwise the rule engine's pick.
-    pub(crate) fn table2_config(&self, workflow: &str, ranks: usize) -> SchedConfig {
-        let profile = self.profile(workflow, ranks);
-        match classify(&profile) {
-            Some(row) => row.config,
-            None => recommend(&profile).config,
-        }
+    pub(crate) fn table2_config(&self, family: Family, ranks: usize) -> SchedConfig {
+        self.entry(family, ranks).table2
     }
 
-    /// The built workflow for a stream entry.
-    pub fn spec(&self, workflow: &str, ranks: usize) -> WorkflowSpec {
-        self.entry(workflow, ranks).spec.clone()
-    }
-
-    /// Intern a tenant identity, returning its id and its solo baseline
-    /// under `config`. The workload must be characterized already.
-    pub(crate) fn intern(
-        &self,
-        workflow: &str,
-        ranks: usize,
-        config: SchedConfig,
-    ) -> (TenantId, f64) {
+    /// Intern a tenant identity, returning its id and its solo baseline.
+    /// The workload must be characterized already.
+    pub(crate) fn intern(&self, key: TenantKey) -> (TenantId, f64) {
         let mut maps = lock_recover(&self.maps);
-        let id = maps.intern(workflow, ranks, config);
+        let id = maps.intern(key);
         (id, maps.tenants[id.0 as usize].solo)
     }
 
     fn intern_all(&self, set: &[TenantKey]) -> Vec<TenantId> {
         let mut maps = lock_recover(&self.maps);
-        set.iter()
-            .map(|k| {
-                let config = key_config(k).expect("key holds a configuration label");
-                maps.intern(&k.workflow, k.ranks, config)
-            })
-            .collect()
+        set.iter().map(|&key| maps.intern(key)).collect()
     }
 
     /// Predicted per-tenant slowdowns of co-running the interned tenants
@@ -412,8 +372,8 @@ impl Oracle {
                 .map(|id| {
                     let t = &maps.tenants[id.0 as usize];
                     let tenant = Tenant {
-                        spec: t.entry.spec.clone(),
-                        config: t.config,
+                        spec: maps.entry(t.key.family, t.key.ranks).spec.clone(),
+                        config: t.key.config,
                     };
                     (tenant, t.solo)
                 })
@@ -463,26 +423,20 @@ impl Oracle {
     /// evicts, so once true it stays true.
     pub fn corun_ready(&self, set: &[TenantKey]) -> bool {
         let maps = lock_recover(&self.maps);
-        let mut ids = Vec::with_capacity(set.len());
-        let mut ranks = 0;
-        for key in set {
-            if let Some(id) = maps.interned(key) {
-                ranks += maps.tenants[id.0 as usize].entry.spec.ranks;
-                ids.push(id);
-            } else {
-                match maps.lookup(&key.workflow, key.ranks) {
-                    Some(known) => ranks += known.entry.spec.ranks,
-                    None => return false,
-                }
-            }
+        if set.iter().any(|k| maps.lookup(k.family, k.ranks).is_none()) {
+            return false;
         }
-        if check_fit(ranks).is_err() {
+        if check_fit(set.iter().map(|k| k.ranks).sum()).is_err() {
             return true;
         }
         // A tenant never interned has never been priced.
-        if ids.len() < set.len() {
+        let Some(mut ids) = set
+            .iter()
+            .map(|k| maps.interned(k))
+            .collect::<Option<Vec<_>>>()
+        else {
             return false;
-        }
+        };
         ids.sort_by_key(|id| maps.tenants[id.0 as usize].rank);
         maps.corun.contains_key(ids.as_slice())
     }
@@ -498,42 +452,62 @@ impl Oracle {
     }
 }
 
-/// One workload's full characterization: the four-configuration sweep plus
-/// the Table II profile.
+/// One workload's full characterization: its built workflow, the
+/// four-configuration sweep, the Table II profile and its pick.
 fn characterize_one(
-    spec: &WorkflowSpec,
+    family: Family,
+    ranks: usize,
     exec: &ExecutionParams,
-) -> Result<(ConfigSweep, WorkflowProfile), ExecError> {
-    let sw = sweep(spec, exec)?;
-    let profile = characterize(spec, exec)?;
-    Ok((sw, profile))
+) -> Result<AlphabetEntry, ExecError> {
+    let context =
+        |e: ExecError| ExecError::Spec(format!("characterizing {}@{ranks}: {e}", family.name()));
+    let spec = family.build(ranks);
+    let sweep = sweep(&spec, exec).map_err(context)?;
+    let profile = characterize(&spec, exec).map_err(context)?;
+    let table2 = match classify(&profile) {
+        Some(row) => row.config,
+        None => recommend(&profile).config,
+    };
+    Ok(AlphabetEntry {
+        spec,
+        sweep,
+        profile,
+        table2,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pmemflow_des::rng::SplitMix64;
-    use pmemflow_workloads::Family;
     use std::sync::Barrier;
 
-    fn tiny_alphabet() -> Vec<(String, usize, WorkflowSpec)> {
-        [(Family::Micro64MB, 8usize), (Family::Micro2KB, 8usize)]
-            .into_iter()
-            .map(|(f, r)| (f.name().to_string(), r, f.build(r)))
-            .collect()
+    fn tiny_alphabet() -> Vec<(Family, usize)> {
+        vec![(Family::Micro64MB, 8), (Family::Micro2KB, 8)]
     }
+
+    const A: TenantKey = TenantKey {
+        family: Family::Micro64MB,
+        ranks: 8,
+        config: SchedConfig::S_LOC_W,
+    };
+    const B: TenantKey = TenantKey {
+        family: Family::Micro2KB,
+        ranks: 8,
+        config: SchedConfig::P_LOC_R,
+    };
 
     #[test]
     fn oracle_predictions_are_job_count_invariant() {
         let exec = ExecutionParams::default();
         let a = Oracle::build(&tiny_alphabet(), &exec, 1).unwrap();
         let b = Oracle::build(&tiny_alphabet(), &exec, 4).unwrap();
-        for (name, ranks, _) in tiny_alphabet() {
-            assert_eq!(a.best_config(&name, ranks), b.best_config(&name, ranks));
+        for (family, ranks) in tiny_alphabet() {
+            assert_eq!(a.best_config(family, ranks), b.best_config(family, ranks));
             for c in SchedConfig::ALL {
                 assert_eq!(
-                    a.solo_runtime(&name, ranks, c).to_bits(),
-                    b.solo_runtime(&name, ranks, c).to_bits()
+                    a.solo_runtime(family, ranks, c).to_bits(),
+                    b.solo_runtime(family, ranks, c).to_bits()
                 );
             }
         }
@@ -548,42 +522,85 @@ mod tests {
         let characterized = || {
             lock_recover(&lazy.maps)
                 .entries
-                .values()
+                .iter()
                 .map(BTreeMap::len)
                 .sum::<usize>()
         };
         assert_eq!(characterized(), 0);
-        for (name, ranks, spec) in tiny_alphabet() {
-            assert!(!lazy.contains(&name, ranks));
-            lazy.ensure(&name, ranks, &spec).unwrap();
-            lazy.ensure(&name, ranks, &spec).unwrap(); // idempotent
-            assert!(lazy.contains(&name, ranks));
+        for (family, ranks) in tiny_alphabet() {
+            assert!(!lazy.contains(family, ranks));
+            lazy.ensure(family, ranks).unwrap();
+            lazy.ensure(family, ranks).unwrap(); // idempotent
+            assert!(lazy.contains(family, ranks));
             assert_eq!(
-                lazy.best_config(&name, ranks),
-                prebuilt.best_config(&name, ranks)
+                lazy.best_config(family, ranks),
+                prebuilt.best_config(family, ranks)
             );
             for c in SchedConfig::ALL {
                 assert_eq!(
-                    lazy.solo_runtime(&name, ranks, c).to_bits(),
-                    prebuilt.solo_runtime(&name, ranks, c).to_bits()
+                    lazy.solo_runtime(family, ranks, c).to_bits(),
+                    prebuilt.solo_runtime(family, ranks, c).to_bits()
                 );
             }
             assert_eq!(
-                lazy.table2_config(&name, ranks),
-                prebuilt.table2_config(&name, ranks)
+                lazy.table2_config(family, ranks),
+                prebuilt.table2_config(family, ranks)
+            );
+            // The stored Table II pick is the profile's row, or the rule
+            // engine's pick where no row matches.
+            let profile = lazy.profile(family, ranks);
+            let row = classify(&profile).map(|r| r.config);
+            assert_eq!(
+                lazy.table2_config(family, ranks),
+                row.unwrap_or_else(|| recommend(&profile).config)
             );
         }
         assert_eq!(characterized(), 2);
+    }
+
+    /// The canonical tenant order is `(name, ranks, label)` over every
+    /// family, rank level and configuration, which is not the families'
+    /// declaration order: a derived `Ord` fails here.
+    #[test]
+    fn tenant_keys_sort_by_name_ranks_and_label() {
+        let mut keys: Vec<TenantKey> = Family::all()
+            .into_iter()
+            .flat_map(|family| {
+                [8, 16, 24].into_iter().flat_map(move |ranks| {
+                    SchedConfig::ALL
+                        .into_iter()
+                        .map(move |config| TenantKey::new(family, ranks, config))
+                })
+            })
+            .collect();
+        assert_eq!(keys.len(), 6 * 3 * 4);
+        let tuple = |k: &TenantKey| (k.family.name(), k.ranks, k.config.label());
+        let mut tuples: Vec<_> = keys.iter().map(tuple).collect();
+        keys.sort();
+        tuples.sort();
+        assert_eq!(keys.iter().map(tuple).collect::<Vec<_>>(), tuples);
+        let mut families: Vec<Family> = keys.iter().map(|k| k.family).collect();
+        families.dedup();
+        assert_eq!(
+            families,
+            [
+                Family::GtcMatMul,
+                Family::GtcReadOnly,
+                Family::Micro2KB,
+                Family::Micro64MB,
+                Family::MiniAmrMatMul,
+                Family::MiniAmrReadOnly,
+            ]
+        );
+        assert_ne!(families, Family::all());
     }
 
     #[test]
     fn corun_pricing_is_order_insensitive_and_cached() {
         let exec = ExecutionParams::default();
         let oracle = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
-        let a = TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W);
-        let b = TenantKey::new("micro-2KB", 8, SchedConfig::P_LOC_R);
-        let ab = oracle.corun_slowdowns(&[a.clone(), b.clone()]).unwrap();
-        let ba = oracle.corun_slowdowns(&[b, a]).unwrap();
+        let ab = oracle.corun_slowdowns(&[A, B]).unwrap();
+        let ba = oracle.corun_slowdowns(&[B, A]).unwrap();
         assert_eq!(ab[0].to_bits(), ba[1].to_bits());
         assert_eq!(ab[1].to_bits(), ba[0].to_bits());
         assert_eq!(oracle.corun_cache_len(), 1, "one multiset, one sim");
@@ -596,10 +613,8 @@ mod tests {
     fn corun_breakdown_reports_input_positions() {
         let exec = ExecutionParams::default();
         let oracle = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
-        let a = TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W);
-        let b = TenantKey::new("micro-2KB", 8, SchedConfig::P_LOC_R);
-        let ab = oracle.corun_breakdown(&[a.clone(), b.clone()]).unwrap();
-        let ba = oracle.corun_breakdown(&[b, a]).unwrap();
+        let ab = oracle.corun_breakdown(&[A, B]).unwrap();
+        let ba = oracle.corun_breakdown(&[B, A]).unwrap();
         assert_eq!(ab.len(), 2);
         for (i, bd) in ab.iter().enumerate() {
             assert_eq!(bd.index, i);
@@ -608,13 +623,7 @@ mod tests {
         assert_eq!(ab[0].end.to_bits(), ba[1].end.to_bits());
         assert_eq!(
             ab[0].slowdown.to_bits(),
-            oracle
-                .corun_slowdowns(&[
-                    TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W),
-                    TenantKey::new("micro-2KB", 8, SchedConfig::P_LOC_R)
-                ])
-                .unwrap()[0]
-                .to_bits()
+            oracle.corun_slowdowns(&[A, B]).unwrap()[0].to_bits()
         );
         assert_eq!(oracle.corun_cache_len(), 1, "breakdowns share the cache");
     }
@@ -623,9 +632,8 @@ mod tests {
     fn singletons_never_interfere() {
         let exec = ExecutionParams::default();
         let oracle = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
-        let k = TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W);
-        assert_eq!(oracle.corun_slowdowns(&[k]).unwrap(), vec![1.0]);
-        let (id, _) = oracle.intern("micro-64MB", 8, SchedConfig::S_LOC_W);
+        assert_eq!(oracle.corun_slowdowns(&[A]).unwrap(), vec![1.0]);
+        let (id, _) = oracle.intern(A);
         let mut out = vec![7.0];
         oracle.slowdowns(&[], &mut out).unwrap();
         assert!(out.is_empty());
@@ -638,28 +646,25 @@ mod tests {
     fn corun_ready_is_true_exactly_when_no_simulation_is_left() {
         let exec = ExecutionParams::default();
         let oracle = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
-        let a = TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W);
-        let b = TenantKey::new("micro-2KB", 8, SchedConfig::P_LOC_R);
-        let unknown = TenantKey::new("micro-2KB", 16, SchedConfig::P_LOC_R);
-        let owned = |set: &[&TenantKey]| set.iter().map(|&k| k.clone()).collect::<Vec<_>>();
-        let ready = |set: &[&TenantKey]| oracle.corun_ready(&owned(set));
-        let price = |set: &[&TenantKey]| oracle.corun_breakdown(&owned(set)).unwrap();
+        let unknown = TenantKey { ranks: 16, ..B };
+        let ready = |set: &[TenantKey]| oracle.corun_ready(set);
+        let price = |set: &[TenantKey]| oracle.corun_breakdown(set).unwrap();
         let interned = || lock_recover(&oracle.maps).tenants.len();
-        for set in [[&a].as_slice(), &[&a, &b], &[&b, &b], &[&a, &unknown]] {
+        for set in [[A].as_slice(), &[A, B], &[B, B], &[A, unknown]] {
             assert!(!ready(set), "{set:?}");
         }
         // Four 8-rank tenants overflow a 28-core socket: the answer is a
         // capacity error no simulation precedes, interned or not.
-        assert!(ready(&[&a, &a, &b, &b]));
-        assert!(!ready(&[&a, &a, &unknown, &b]));
+        assert!(ready(&[A, A, B, B]));
+        assert!(!ready(&[A, A, unknown, B]));
         assert_eq!((interned(), oracle.corun_cache_len()), (0, 0));
 
-        price(&[&b, &a]);
-        assert!(ready(&[&a, &b]), "order is canonical");
-        assert!(!ready(&[&a]), "singletons are priced too");
-        assert!(!ready(&[&b, &b]));
-        price(&[&a]);
-        assert!(ready(&[&a]));
+        price(&[B, A]);
+        assert!(ready(&[A, B]), "order is canonical");
+        assert!(!ready(&[A]), "singletons are priced too");
+        assert!(!ready(&[B, B]));
+        price(&[A]);
+        assert!(ready(&[A]));
         assert_eq!(oracle.corun_cache_len(), 2);
     }
 
@@ -672,17 +677,16 @@ mod tests {
         }
         let mut order: Vec<usize> = (0..node.len()).collect();
         order.sort_by(|&a, &b| node[a].cmp(&node[b]));
-        let config = |k: &TenantKey| SchedConfig::parse(k.config).unwrap();
         let tenants: Vec<Tenant> = order
             .iter()
             .map(|&i| Tenant {
-                spec: oracle.spec(&node[i].workflow, node[i].ranks),
-                config: config(&node[i]),
+                spec: node[i].family.build(node[i].ranks),
+                config: node[i].config,
             })
             .collect();
         let baselines: Vec<f64> = order
             .iter()
-            .map(|&i| oracle.solo_runtime(&node[i].workflow, node[i].ranks, config(&node[i])))
+            .map(|&i| oracle.solo_runtime(node[i].family, node[i].ranks, node[i].config))
             .collect();
         let out = execute_coscheduled(&tenants, oracle.exec(), Some(&baselines)).unwrap();
         let mut slowdowns = vec![0.0; node.len()];
@@ -698,10 +702,10 @@ mod tests {
     fn memo_answers_match_fresh_coruns_under_churn() {
         let oracle = Oracle::build(&tiny_alphabet(), &ExecutionParams::default(), 2).unwrap();
         let idents = [
-            ("micro-64MB", SchedConfig::S_LOC_W),
-            ("micro-64MB", SchedConfig::P_LOC_R),
-            ("micro-2KB", SchedConfig::S_LOC_W),
-            ("micro-2KB", SchedConfig::P_LOC_W),
+            (Family::Micro64MB, SchedConfig::S_LOC_W),
+            (Family::Micro64MB, SchedConfig::P_LOC_R),
+            (Family::Micro2KB, SchedConfig::S_LOC_W),
+            (Family::Micro2KB, SchedConfig::P_LOC_W),
         ];
         let mut rng = SplitMix64::new(0xB00C_0001);
         let mut node: Vec<(TenantId, TenantKey)> = Vec::new();
@@ -710,10 +714,14 @@ mod tests {
         for _ in 0..200 {
             match rng.range_u64(0, 3) {
                 0 if node.len() < 3 => {
-                    let (wf, cfg) = idents[rng.range_usize(0, idents.len())];
-                    let (id, solo) = oracle.intern(wf, 8, cfg);
-                    assert_eq!(solo.to_bits(), oracle.solo_runtime(wf, 8, cfg).to_bits());
-                    node.push((id, TenantKey::new(wf, 8, cfg)));
+                    let (family, config) = idents[rng.range_usize(0, idents.len())];
+                    let key = TenantKey::new(family, 8, config);
+                    let (id, solo) = oracle.intern(key);
+                    assert_eq!(
+                        solo.to_bits(),
+                        oracle.solo_runtime(family, 8, config).to_bits()
+                    );
+                    node.push((id, key));
                 }
                 1 if !node.is_empty() => {
                     node.remove(rng.range_usize(0, node.len()));
@@ -722,7 +730,7 @@ mod tests {
                 _ => {}
             }
             let ids: Vec<TenantId> = node.iter().map(|(id, _)| *id).collect();
-            let keys: Vec<TenantKey> = node.iter().map(|(_, k)| k.clone()).collect();
+            let keys: Vec<TenantKey> = node.iter().map(|(_, k)| *k).collect();
             oracle.slowdowns(&ids, &mut out).unwrap();
             let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
             assert_eq!(
@@ -752,12 +760,12 @@ mod tests {
         let exec = ExecutionParams::default();
         let one = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
         let two = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
-        let (a1, _) = one.intern("micro-64MB", 8, SchedConfig::S_LOC_W);
-        let (b1, _) = one.intern("micro-2KB", 8, SchedConfig::P_LOC_R);
-        let (b2, _) = two.intern("micro-2KB", 8, SchedConfig::P_LOC_R);
-        let (a2, _) = two.intern("micro-64MB", 8, SchedConfig::S_LOC_W);
+        let (a1, _) = one.intern(A);
+        let (b1, _) = one.intern(B);
+        let (b2, _) = two.intern(B);
+        let (a2, _) = two.intern(A);
         assert_eq!((a1, b1), (b2, a2), "ids follow each oracle's first sight");
-        assert_eq!(one.intern("micro-64MB", 8, SchedConfig::S_LOC_W).0, a1);
+        assert_eq!(one.intern(A).0, a1);
         let (mut out1, mut out2) = (Vec::new(), Vec::new());
         one.slowdowns(&[a1, b1], &mut out1).unwrap();
         two.slowdowns(&[a2, b2], &mut out2).unwrap();
@@ -777,17 +785,16 @@ mod tests {
         let sequential = Oracle::build(&tiny_alphabet(), &exec, 1).unwrap();
         let shared = Arc::new(Oracle::build(&tiny_alphabet(), &exec, 2).unwrap());
         let keys = [
-            TenantKey::new("micro-64MB", 8, SchedConfig::S_LOC_W),
-            TenantKey::new("micro-64MB", 8, SchedConfig::P_LOC_R),
-            TenantKey::new("micro-2KB", 8, SchedConfig::S_LOC_W),
-            TenantKey::new("micro-2KB", 8, SchedConfig::P_LOC_W),
+            TenantKey::new(Family::Micro64MB, 8, SchedConfig::S_LOC_W),
+            TenantKey::new(Family::Micro64MB, 8, SchedConfig::P_LOC_R),
+            TenantKey::new(Family::Micro2KB, 8, SchedConfig::S_LOC_W),
+            TenantKey::new(Family::Micro2KB, 8, SchedConfig::P_LOC_W),
         ];
         let threads = 4;
         let barrier = Arc::new(Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let shared = Arc::clone(&shared);
-                let keys = keys.clone();
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     let mut rng = SplitMix64::new(0x0A0B_0C0D ^ t as u64);
@@ -796,7 +803,7 @@ mod tests {
                     for _ in 0..25 {
                         let n = rng.range_usize(2, 4);
                         let set: Vec<TenantKey> = (0..n)
-                            .map(|_| keys[rng.range_usize(0, keys.len())].clone())
+                            .map(|_| keys[rng.range_usize(0, keys.len())])
                             .collect();
                         let priced = shared.corun_slowdowns(&set).unwrap();
                         sets.push((set, priced));

@@ -9,7 +9,7 @@
 //! which is what makes the result cache and the replayed-loadgen
 //! byte-identity checks sound.
 
-use crate::query::{Query, QueryTenant};
+use crate::query::Query;
 use pmemflow_cluster::{Oracle, TenantKey};
 use pmemflow_core::{ExecutionParams, SchedConfig};
 use pmemflow_des::{json_escape, json_f64};
@@ -106,23 +106,21 @@ impl ModelBackend {
                 ranks,
                 stack,
                 ..
-            } => self.oracle(*stack).contains(family.name(), *ranks),
-            Query::Coschedule { tenants, stack } => {
-                self.oracle(*stack).corun_ready(&tenant_keys(tenants))
-            }
+            } => self.oracle(*stack).contains(*family, *ranks),
+            Query::Coschedule { tenants, stack } => self.oracle(*stack).corun_ready(tenants),
         }
     }
 
     fn ensure(&self, stack: StackKind, family: Family, ranks: usize) -> Result<(), String> {
         self.oracle(stack)
-            .ensure(family.name(), ranks, &family.build(ranks))
+            .ensure(family, ranks)
             .map_err(|e| e.to_string())
     }
 
     fn sweep_json(&self, family: Family, ranks: usize, stack: StackKind) -> Result<String, String> {
         self.ensure(stack, family, ranks)?;
         let oracle = self.oracle(stack);
-        let sweep = oracle.config_sweep(family.name(), ranks);
+        let sweep = oracle.config_sweep(family, ranks);
         let runs: Vec<String> = sweep
             .runs
             .iter()
@@ -156,7 +154,7 @@ impl ModelBackend {
     ) -> Result<String, String> {
         self.ensure(stack, family, ranks)?;
         let oracle = self.oracle(stack);
-        let profile = oracle.profile(family.name(), ranks);
+        let profile = oracle.profile(family, ranks);
         let rule = recommend(&profile);
         let reasons: Vec<String> = rule
             .reasons
@@ -172,7 +170,7 @@ impl ModelBackend {
             ),
             None => "null".to_string(),
         };
-        let sweep = oracle.config_sweep(family.name(), ranks);
+        let sweep = oracle.config_sweep(family, ranks);
         Ok(format!(
             "{{\"workflow\":\"{}\",\"ranks\":{ranks},\"stack\":\"{}\",\
              \"rule_based\":{{\"config\":\"{}\",\"reasons\":[{}]}},\
@@ -198,8 +196,8 @@ impl ModelBackend {
     ) -> Result<String, String> {
         self.ensure(stack, family, ranks)?;
         let oracle = self.oracle(stack);
-        let config = config.unwrap_or_else(|| oracle.best_config(family.name(), ranks));
-        let runtime = oracle.solo_runtime(family.name(), ranks, config);
+        let config = config.unwrap_or_else(|| oracle.best_config(family, ranks));
+        let runtime = oracle.solo_runtime(family, ranks, config);
         Ok(format!(
             "{{\"workflow\":\"{}\",\"ranks\":{ranks},\"stack\":\"{}\",\"config\":\"{}\",\
              \"predicted_runtime_s\":{}}}",
@@ -210,7 +208,7 @@ impl ModelBackend {
         ))
     }
 
-    fn coschedule_json(&self, tenants: &[QueryTenant], stack: StackKind) -> Result<String, String> {
+    fn coschedule_json(&self, tenants: &[TenantKey], stack: StackKind) -> Result<String, String> {
         // Tenants are priced and rendered in canonical (sorted) order so
         // the body matches the canonical cache key regardless of the
         // order the request listed them in.
@@ -221,7 +219,7 @@ impl ModelBackend {
         }
         let breakdown = self
             .oracle(stack)
-            .corun_breakdown(&tenant_keys(&sorted))
+            .corun_breakdown(&sorted)
             .map_err(|e| e.to_string())?;
         let makespan = breakdown.iter().map(|b| b.end).fold(0.0f64, f64::max);
         let rows: Vec<String> = sorted
@@ -248,13 +246,6 @@ impl ModelBackend {
             rows.join(","),
         ))
     }
-}
-
-fn tenant_keys(tenants: &[QueryTenant]) -> Vec<TenantKey> {
-    tenants
-        .iter()
-        .map(|t| TenantKey::new(t.family.name(), t.ranks, t.config))
-        .collect()
 }
 
 impl Backend for ModelBackend {
@@ -341,7 +332,10 @@ mod tests {
         }
         for stack in [StackKind::NvStream, StackKind::Nova] {
             let oracle = backend.oracle(stack);
-            assert!(!oracle.contains("micro-2KB", 8), "the predicate simulated");
+            assert!(
+                !oracle.contains(Family::Micro2KB, 8),
+                "the predicate simulated"
+            );
             assert_eq!(oracle.corun_cache_len(), 0, "the predicate priced a set");
         }
         let mut statuses = Vec::new();

@@ -5,12 +5,13 @@
 //! to its display spelling through the shared alias table
 //! (`pmemflow_workloads::canonical_workload_name`, so `gtc-matmul` and
 //! `GTC+MatrixMult` share a cache line), the stack to its display name,
-//! and a co-schedule's tenant multiset is sorted — the same canonicalization the cluster
-//! oracle applies to co-residency pricing. Identical questions therefore
-//! hit identical cache entries no matter how they were spelled or
-//! ordered.
+//! and a co-schedule's tenants, each a [`TenantKey`], are sorted in
+//! `TenantKey` order — the canonical order the cluster oracle prices
+//! co-residencies in. Identical questions therefore hit identical cache
+//! entries no matter how they were spelled or ordered.
 
 use crate::json::Json;
+use pmemflow_cluster::TenantKey;
 use pmemflow_core::SchedConfig;
 use pmemflow_iostack::StackKind;
 use pmemflow_workloads::{Family, WORKLOAD_CHOICES};
@@ -20,39 +21,6 @@ use pmemflow_workloads::{Family, WORKLOAD_CHOICES};
 const MAX_RANKS: usize = 1024;
 /// Upper bound on tenants in one co-schedule query.
 const MAX_TENANTS: usize = 16;
-
-/// One tenant of a co-schedule query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryTenant {
-    /// Workload family.
-    pub family: Family,
-    /// Ranks per component.
-    pub ranks: usize,
-    /// Table I configuration.
-    pub config: SchedConfig,
-}
-
-impl Eq for QueryTenant {}
-
-impl Ord for QueryTenant {
-    /// Orders by `(workflow name, ranks, config label)` — the exact order
-    /// [`pmemflow_cluster::TenantKey`] sorts in, so the serve
-    /// canonical key and the oracle's co-run memo key agree on what the
-    /// canonical tenant order is.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.family.name(), self.ranks, self.config.label()).cmp(&(
-            other.family.name(),
-            other.ranks,
-            other.config.label(),
-        ))
-    }
-}
-
-impl PartialOrd for QueryTenant {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// A decoded, validated query.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +58,7 @@ pub enum Query {
     /// `POST /v1/coschedule` — co-run pricing of a tenant multiset.
     Coschedule {
         /// The tenants sharing one node.
-        tenants: Vec<QueryTenant>,
+        tenants: Vec<TenantKey>,
         /// I/O stack.
         stack: StackKind,
     },
@@ -208,11 +176,7 @@ impl Query {
                     let config = field_config(t, "config")?.ok_or_else(|| {
                         bad("each tenant needs an explicit \"config\" (Table I label)")
                     })?;
-                    tenants.push(QueryTenant {
-                        family: field_family(t)?,
-                        ranks: field_ranks(t)?,
-                        config,
-                    });
+                    tenants.push(TenantKey::new(field_family(t)?, field_ranks(t)?, config));
                 }
                 Ok(Query::Coschedule { tenants, stack })
             }

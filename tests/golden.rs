@@ -479,6 +479,100 @@ fn dag_faults_match_golden() {
     check("cluster_dag_faults.jsonl", &args, unchanged);
 }
 
+/// The `serve.jsonl` golden's queries, as `(endpoint, request body)`:
+/// every model endpoint on both stacks, `predict` with and without a
+/// configuration, co-schedule sets listed out of canonical (name) order
+/// and with duplicates, one set too large for a socket (422) and one
+/// unknown workload (400).
+fn serve_golden_queries() -> Vec<(&'static str, String)> {
+    let tenant = |workload: &str, config: &str| {
+        format!(r#"{{"workload":"{workload}","ranks":8,"config":"{config}"}}"#)
+    };
+    let mut out = Vec::new();
+    for stack in ["nvstream", "nova"] {
+        let solo =
+            |workload: &str| format!(r#""workload":"{workload}","ranks":8,"stack":"{stack}""#);
+        out.push(("/v1/sweep", format!("{{{}}}", solo("micro-2kb"))));
+        out.push(("/v1/recommend", format!("{{{}}}", solo("gtc-matmul"))));
+        out.push(("/v1/predict", format!("{{{}}}", solo("micro-64mb"))));
+        out.push((
+            "/v1/predict",
+            format!(r#"{{{},"config":"P-LocR"}}"#, solo("micro-64mb")),
+        ));
+        for tenants in [
+            vec![
+                tenant("micro-2kb", "S-LocW"),
+                tenant("gtc-matmul", "P-LocR"),
+                tenant("micro-2kb", "S-LocW"),
+            ],
+            vec![
+                tenant("micro-64mb", "P-LocW"),
+                tenant("gtc-readonly", "S-LocR"),
+                tenant("gtc-matmul", "S-LocW"),
+            ],
+            vec![tenant("gtc-readonly", "S-LocR"); 4],
+        ] {
+            out.push((
+                "/v1/coschedule",
+                format!(r#"{{"stack":"{stack}","tenants":[{}]}}"#, tenants.join(",")),
+            ));
+        }
+    }
+    out.push(("/v1/sweep", r#"{"workload":"hpl","ranks":8}"#.to_string()));
+    out
+}
+
+/// Every query of [`serve_golden_queries`], answered by an in-process
+/// daemon over its real model backend, one request at a time on one
+/// keep-alive connection, must reproduce `tests/golden/serve.jsonl`: one
+/// line per query with its endpoint, request, status and answer body.
+#[test]
+fn serve_answers_match_golden() {
+    use pmemflow::serve::{split_responses, Server, ServerConfig};
+    use std::io::{Read, Write};
+    use std::time::Duration;
+
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        deadline: Duration::from_secs(600),
+        ..ServerConfig::default()
+    })
+    .expect("daemon boots");
+    let mut conn = std::net::TcpStream::connect(server.addr()).expect("connects");
+    let mut got = String::new();
+    for (endpoint, body) in serve_golden_queries() {
+        let request = format!(
+            "POST {endpoint} HTTP/1.1\r\nHost: golden\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        conn.write_all(request.as_bytes()).expect("request written");
+        let mut bytes = Vec::new();
+        let mut buf = [0u8; 4096];
+        let response = loop {
+            if let Some(r) = split_responses(&bytes).expect("framed").0.pop() {
+                break r;
+            }
+            let n = conn.read(&mut buf).expect("response read");
+            assert!(n > 0, "daemon closed the connection on {endpoint} {body}");
+            bytes.extend_from_slice(&buf[..n]);
+        };
+        let answer = String::from_utf8(response.body).expect("UTF-8 body");
+        got.push_str(&format!(
+            "{{\"endpoint\":\"{endpoint}\",\"request\":{body},\"status\":{},\"answer\":{answer}}}\n",
+            response.status
+        ));
+    }
+    server.shutdown();
+    server.join();
+    let want = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/serve.jsonl"),
+    )
+    .expect("golden file is committed");
+    if let Some(report) = drift_report(&want, &got) {
+        panic!("serve answers differ from the golden:\n{report}");
+    }
+}
+
 #[test]
 fn a_moved_field_is_named() {
     let want = "{\"a\":1,\"b\":[1,2],\"c\":\"x\"}\n{\"a\":2}\n";
@@ -581,6 +675,7 @@ fn suite_line_stripped_of_wall_secs_parses() {
         "cluster_nodes.jsonl",
         "dag.jsonl",
         "cluster_dag_faults.jsonl",
+        "serve.jsonl",
     ] {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
