@@ -7,7 +7,9 @@
 //! Everything is deterministic. Besides end-to-end wall time, the bench
 //! reports how many node re-pricings the campaign made and the wall time
 //! spent inside them (`CampaignOutcome::reprice_secs`): pricing is a
-//! small fraction of the loop, below end-to-end timer noise.
+//! small fraction of the loop, below end-to-end timer noise. The bench
+//! turns the [`profiling`] switch on, so the campaign's wall time
+//! includes the re-pricing timer's clock reads.
 //!
 //! Always writes `BENCH_cluster_scale.json` (schema-stable, one object)
 //! so successive runs seed a perf trajectory. `--smoke` shrinks the
@@ -22,7 +24,7 @@ use pmemflow_bench::BenchArgs;
 use pmemflow_cluster::{
     run_campaign_with_oracle, ArrivalSpec, CampaignConfig, Fcfs, Oracle, TenantKey, TraceRow,
 };
-use pmemflow_core::{ExecutionParams, CORES_PER_SOCKET};
+use pmemflow_core::{profiling, ExecutionParams, CORES_PER_SOCKET};
 use pmemflow_des::rng::SplitMix64;
 use pmemflow_workloads::Family;
 use std::time::Instant;
@@ -129,6 +131,7 @@ fn main() {
         exec,
         ..CampaignConfig::default()
     };
+    profiling::set_enabled(true);
     let t0 = Instant::now();
     let outcome = run_campaign_with_oracle(&config, &Fcfs, &oracle).expect("campaign runs");
     let wall = t0.elapsed().as_secs_f64();

@@ -131,7 +131,7 @@ impl<'a> Campaign<'a> {
             next_job_id: 0,
             now: 0.0,
             makespan: 0.0,
-            repricer: Repricer::default(),
+            repricer: Repricer::new(pmemflow_core::profiling::enabled()),
             events: EventHeap::default(),
             free: FreeCores::new(config.nodes),
             views: Views::new(config.nodes, config.staging_gib),

@@ -302,19 +302,33 @@ fn fill_view(view: &mut NodeView, n: &NodeState, staging: &StagingState, dags: &
 
 /// The node re-pricing machinery: scratch for the residents' ids and
 /// slowdowns, which the oracle's co-run memo prices.
-#[derive(Default)]
 pub(super) struct Repricer {
     ids: Vec<TenantId>,
     slowdowns: Vec<f64>,
-    /// Wall nanoseconds spent repricing, and how many times — surfaced
-    /// on [`CampaignOutcome`](super::CampaignOutcome) so benchmarks can
-    /// time the pricing path in isolation (a few percent of the loop;
-    /// end-to-end wall can't see it).
+    /// Whether to time each re-pricing: the
+    /// [`profiling`](pmemflow_core::profiling) switch, read once when
+    /// the campaign starts. Off, no call reads the clock.
+    timed: bool,
+    /// Wall nanoseconds spent repricing (0 unless `timed`), and how
+    /// many times — surfaced on [`CampaignOutcome`](super::CampaignOutcome)
+    /// so benchmarks can time the pricing path in isolation (a few
+    /// percent of the loop; end-to-end wall can't see it).
     pub(super) spent_ns: u64,
     pub(super) calls: u64,
 }
 
 impl Repricer {
+    /// A repricer that times its calls if `timed`.
+    pub(super) fn new(timed: bool) -> Repricer {
+        Repricer {
+            ids: Vec::new(),
+            slowdowns: Vec::new(),
+            timed,
+            spent_ns: 0,
+            calls: 0,
+        }
+    }
+
     /// Re-price a node after a membership change at `now`: one
     /// co-simulation of the resident multiset (memoized), and every
     /// resident re-anchored at the new rate — progress carries over.
@@ -325,7 +339,7 @@ impl Repricer {
         now: f64,
         ckpt_mult: f64,
     ) -> Result<(), ClusterError> {
-        let t0 = std::time::Instant::now();
+        let t0 = self.timed.then(std::time::Instant::now);
         self.calls += 1;
         self.ids.clear();
         self.ids.extend(node.running.iter().map(|r| r.tenant));
@@ -334,7 +348,9 @@ impl Repricer {
         for (r, &s) in node.running.iter_mut().zip(self.slowdowns.iter()) {
             r.reanchor(now, s.max(1.0), env);
         }
-        self.spent_ns += t0.elapsed().as_nanos() as u64;
+        if let Some(t0) = t0 {
+            self.spent_ns += t0.elapsed().as_nanos() as u64;
+        }
         Ok(())
     }
 }

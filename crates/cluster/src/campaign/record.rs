@@ -107,9 +107,14 @@ pub struct CampaignOutcome {
     /// high-water mark the hard capacity check enforced.
     pub peak_staging_gib: Vec<f64>,
     /// Wall seconds spent inside node re-pricing (the oracle's co-run
-    /// memo over the residents' interned ids). Timing diagnostics — NOT deterministic, excluded
-    /// from the JSONL. Pricing is a small fraction of the loop, below
-    /// end-to-end timer noise, so benchmarks read its cost here.
+    /// memo over the residents' interned ids), measured only when the
+    /// [`profiling`](pmemflow_core::profiling) switch was on as the
+    /// campaign started, and exactly 0.0 otherwise: on a warm memo a
+    /// re-pricing takes about as long as the two clock reads that time
+    /// it. Timing
+    /// diagnostics — NOT deterministic, excluded from the JSONL. Pricing
+    /// is a small fraction of the loop, below end-to-end timer noise, so
+    /// benchmarks read its cost here.
     pub reprice_secs: f64,
     /// How many node re-pricings the campaign performed (deterministic).
     pub reprice_calls: u64,

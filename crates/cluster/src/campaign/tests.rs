@@ -457,6 +457,17 @@ fn dag_campaigns_conserve_submissions_under_faults() {
     assert_eq!(reference, got);
 }
 
+/// With the profiling switch off (the default, and no test in this
+/// binary turns it on), re-pricing reads no clock: `reprice_secs` is
+/// exactly zero while the calls are still counted.
+/// `tests/profiling_switch.rs` covers the switch turned on.
+#[test]
+fn repricing_is_untimed_while_profiling_is_off() {
+    let out = run_campaign(&dag_config(8, 2), &Fcfs, 1).unwrap();
+    assert!(out.reprice_calls > 0);
+    assert_eq!(out.reprice_secs, 0.0);
+}
+
 /// The per-node homed index behind `NodeView::staging_holds` must give
 /// the reference scan's holds, values and order, at every view
 /// refresh, and drain to empty once the campaign settles. Both are

@@ -30,24 +30,30 @@
 //!
 //! # Concurrency
 //!
-//! Both caches and the tenant table live in one `Mutex`. It is held only
-//! to intern, look up or insert, never across a simulation: a miss
-//! looks up, simulates unlocked, then inserts first-wins. Every value is
-//! a pure function of its key, so two threads that race on one miss
-//! simulate the same bytes and whichever inserts first is what everyone
-//! reads. Tenant ids follow first sight and so may differ between runs;
-//! only rank order, which is key order, reaches a simulation.
+//! Solo characterizations live in a fixed table read without a lock:
+//! one first-wins [`OnceLock`] per family and rank count in
+//! `1..=CORES_PER_SOCKET` (no larger workload fits a socket, so none
+//! characterizes). Each slot also holds the tenant interned for each of
+//! its four configurations, so a repeat [`Oracle::intern`] is lock-free
+//! too. One `Mutex` guards the rest: first-sight interning, which
+//! renumbers every interned tenant's rank, and the co-run memo. It is
+//! never held across a simulation: a miss looks up, simulates unlocked,
+//! then inserts first-wins. Every value is a pure function of its key,
+//! so two threads that race on one miss simulate the same bytes and
+//! whichever inserts first is what everyone reads. Tenant ids follow
+//! first sight and so may differ between runs; only rank order, which
+//! is key order, reaches a simulation.
 
 use pmemflow_core::sync::lock_recover;
 use pmemflow_core::{
     check_fit, execute_coscheduled, map_ordered, sweep, ConfigSweep, ExecError, ExecutionParams,
-    SchedConfig, Tenant, TenantBreakdown,
+    SchedConfig, Tenant, TenantBreakdown, CORES_PER_SOCKET,
 };
 use pmemflow_sched::{characterize, classify, recommend, WorkflowProfile};
 use pmemflow_workloads::{Family, WorkflowSpec};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Identity of a tenant for pricing purposes: everything the device
 /// model sees of it.
@@ -92,7 +98,8 @@ impl PartialOrd for TenantKey {
     }
 }
 
-/// One workload's full characterization.
+/// One workload's full characterization, and the tenants interned for
+/// it.
 struct AlphabetEntry {
     spec: WorkflowSpec,
     sweep: ConfigSweep,
@@ -100,6 +107,13 @@ struct AlphabetEntry {
     /// The Table II recommendation: the matching table row's
     /// configuration when one exists, otherwise the rule engine's pick.
     table2: SchedConfig,
+    /// `sweep.best()`'s configuration and total, found once.
+    best: SchedConfig,
+    best_total: f64,
+    /// The tenant interned for each configuration, by
+    /// [`SchedConfig::ALL`] position, with its solo baseline. Set only
+    /// under the oracle's mutex, which first-sight interning needs.
+    interned: [OnceLock<(TenantId, f64)>; 4],
 }
 
 /// A tenant identity interned by one [`Oracle`]: a dense index into its
@@ -112,24 +126,16 @@ pub(crate) struct TenantId(u32);
 /// One interned tenant identity.
 struct Interned {
     key: TenantKey,
-    /// Solo baseline under the key's configuration.
-    solo: f64,
     /// Position of the tenant's key among all interned keys in
     /// `TenantKey` order, so sorting ids by rank sorts them by key in
     /// integer compares.
     rank: u32,
 }
 
-/// One characterized workload and the tenant ids interned for it, by
-/// [`SchedConfig::ALL`] position.
-struct Characterized {
-    entry: Arc<AlphabetEntry>,
-    ids: [Option<TenantId>; 4],
-}
-
-/// The characterized alphabet: indexed by `family as usize`, then keyed
-/// by ranks.
-type Alphabet = [BTreeMap<usize, Characterized>; Family::all().len()];
+/// The characterized alphabet: indexed by `family as usize`, then by
+/// `ranks - 1`, one first-wins slot per workload. Entries are boxed so
+/// the table stays small (16 bytes a slot) while most slots stay empty.
+type Alphabet = [[OnceLock<Box<AlphabetEntry>>; CORES_PER_SOCKET]; Family::all().len()];
 
 /// `config`'s position in [`SchedConfig::ALL`].
 fn config_slot(config: SchedConfig) -> usize {
@@ -139,10 +145,10 @@ fn config_slot(config: SchedConfig) -> usize {
         .expect("ALL lists every configuration")
 }
 
-/// The oracle's tables and the scratch its co-run lookups reuse.
+/// The oracle's tables behind its mutex, and the scratch its co-run
+/// lookups reuse.
 #[derive(Default)]
 struct OracleMaps {
-    entries: Alphabet,
     /// Indexed by [`TenantId`].
     tenants: Vec<Interned>,
     /// The co-run memo: rank-sorted id multiset → per-tenant breakdowns
@@ -155,16 +161,9 @@ struct OracleMaps {
 }
 
 impl OracleMaps {
-    /// The id of `key`, interned on first sight with its solo baseline;
-    /// every interned tenant whose key sorts after it moves up one rank.
-    /// A hit is one array index and one map lookup, and builds nothing.
-    fn intern(&mut self, key: TenantKey) -> TenantId {
-        let slot = config_slot(key.config);
-        let known = self.characterized(key.family, key.ranks);
-        if let Some(id) = known.ids[slot] {
-            return id;
-        }
-        let solo = known.entry.sweep.run(key.config).total;
+    /// A new id for `key`, never interned before; every interned tenant
+    /// whose key sorts after it moves up one rank.
+    fn push(&mut self, key: TenantKey) -> TenantId {
         let rank = self.tenants.iter().filter(|t| t.key < key).count() as u32;
         for t in &mut self.tenants {
             if t.rank >= rank {
@@ -172,41 +171,8 @@ impl OracleMaps {
             }
         }
         let id = TenantId(self.tenants.len() as u32);
-        self.tenants.push(Interned { key, solo, rank });
-        self.entries[key.family as usize]
-            .get_mut(&key.ranks)
-            .expect("characterized above")
-            .ids[slot] = Some(id);
+        self.tenants.push(Interned { key, rank });
         id
-    }
-
-    /// The id `key` was interned under, if it was.
-    fn interned(&self, key: &TenantKey) -> Option<TenantId> {
-        self.lookup(key.family, key.ranks)?.ids[config_slot(key.config)]
-    }
-
-    fn characterized(&self, family: Family, ranks: usize) -> &Characterized {
-        self.lookup(family, ranks)
-            .unwrap_or_else(|| panic!("{}@{ranks} not in the campaign alphabet", family.name()))
-    }
-
-    fn entry(&self, family: Family, ranks: usize) -> &Arc<AlphabetEntry> {
-        &self.characterized(family, ranks).entry
-    }
-
-    fn lookup(&self, family: Family, ranks: usize) -> Option<&Characterized> {
-        self.entries[family as usize].get(&ranks)
-    }
-
-    /// Record `family@ranks`'s characterization, unless it is recorded
-    /// already: the first insert wins.
-    fn insert(&mut self, family: Family, ranks: usize, entry: AlphabetEntry) {
-        self.entries[family as usize]
-            .entry(ranks)
-            .or_insert_with(|| Characterized {
-                entry: Arc::new(entry),
-                ids: [None; 4],
-            });
     }
 
     /// Fill `order` and `canonical` for `ids`. The sort is stable and
@@ -224,6 +190,7 @@ impl OracleMaps {
 
 /// The shared prediction oracle (see module docs).
 pub struct Oracle {
+    entries: Alphabet,
     maps: Mutex<OracleMaps>,
     exec: ExecutionParams,
 }
@@ -232,6 +199,7 @@ impl Oracle {
     /// An empty oracle that populates on demand through [`Oracle::ensure`].
     pub fn new(exec: &ExecutionParams) -> Oracle {
         Oracle {
+            entries: std::array::from_fn(|_| std::array::from_fn(|_| OnceLock::new())),
             maps: Mutex::new(OracleMaps::default()),
             exec: exec.clone(),
         }
@@ -247,17 +215,14 @@ impl Oracle {
         let results = map_ordered(alphabet.to_vec(), jobs, |&(family, ranks)| {
             characterize_one(family, ranks, exec)
         });
-        let mut maps = OracleMaps::default();
+        let oracle = Oracle::new(exec);
         for (&(family, ranks), result) in alphabet.iter().zip(results) {
             let entry = result.map_err(|panic| {
                 ExecError::Spec(format!("characterization panicked: {panic}"))
             })??;
-            maps.insert(family, ranks, entry);
+            oracle.insert(family, ranks, entry);
         }
-        Ok(Oracle {
-            maps: Mutex::new(maps),
-            exec: exec.clone(),
-        })
+        Ok(oracle)
     }
 
     /// Make sure `family@ranks` is characterized, building its workflow
@@ -270,23 +235,44 @@ impl Oracle {
             return Ok(());
         }
         let entry = characterize_one(family, ranks, &self.exec)?;
-        lock_recover(&self.maps).insert(family, ranks, entry);
+        self.insert(family, ranks, entry);
         Ok(())
     }
 
     /// Whether `family@ranks` has been characterized already.
     pub fn contains(&self, family: Family, ranks: usize) -> bool {
-        lock_recover(&self.maps).lookup(family, ranks).is_some()
+        self.lookup(family, ranks).is_some()
     }
 
-    fn entry(&self, family: Family, ranks: usize) -> Arc<AlphabetEntry> {
-        Arc::clone(lock_recover(&self.maps).entry(family, ranks))
+    /// `family@ranks`'s slot, if the rank count fits a socket.
+    fn slot(&self, family: Family, ranks: usize) -> Option<&OnceLock<Box<AlphabetEntry>>> {
+        self.entries[family as usize].get(ranks.checked_sub(1)?)
+    }
+
+    fn lookup(&self, family: Family, ranks: usize) -> Option<&AlphabetEntry> {
+        self.slot(family, ranks)?.get().map(|entry| &**entry)
+    }
+
+    fn entry(&self, family: Family, ranks: usize) -> &AlphabetEntry {
+        self.lookup(family, ranks)
+            .unwrap_or_else(|| panic!("{}@{ranks} not in the campaign alphabet", family.name()))
+    }
+
+    /// Record `family@ranks`'s characterization, unless it is recorded
+    /// already: the first insert wins. Only a workload that fits a
+    /// socket characterizes, so it has a slot.
+    fn insert(&self, family: Family, ranks: usize, entry: AlphabetEntry) {
+        let slot = self
+            .slot(family, ranks)
+            .expect("a characterized workload fits a socket");
+        // A racing insert of the same workload holds the same bytes.
+        let _ = slot.set(Box::new(entry));
     }
 
     /// The model-driven best configuration for a workload (argmin over the
     /// four simulated configurations).
     pub fn best_config(&self, family: Family, ranks: usize) -> SchedConfig {
-        self.entry(family, ranks).sweep.best().config
+        self.entry(family, ranks).best
     }
 
     /// Predicted solo runtime under a specific configuration.
@@ -298,17 +284,17 @@ impl Oracle {
     /// [`Oracle::solo_runtime`] answers for [`Oracle::best_config`], read
     /// in one lookup.
     pub fn best_solo_runtime(&self, family: Family, ranks: usize) -> f64 {
-        self.entry(family, ranks).sweep.best().total
+        self.entry(family, ranks).best_total
     }
 
     /// The full four-configuration sweep of a workload.
-    pub fn config_sweep(&self, family: Family, ranks: usize) -> ConfigSweep {
-        self.entry(family, ranks).sweep.clone()
+    pub fn config_sweep(&self, family: Family, ranks: usize) -> &ConfigSweep {
+        &self.entry(family, ranks).sweep
     }
 
     /// The Table II characterization of a workload.
-    pub fn profile(&self, family: Family, ranks: usize) -> WorkflowProfile {
-        self.entry(family, ranks).profile.clone()
+    pub fn profile(&self, family: Family, ranks: usize) -> &WorkflowProfile {
+        &self.entry(family, ranks).profile
     }
 
     /// The Table II recommendation: the matching table row's configuration
@@ -318,16 +304,28 @@ impl Oracle {
     }
 
     /// Intern a tenant identity, returning its id and its solo baseline.
-    /// The workload must be characterized already.
+    /// The workload must be characterized already. A hit reads the
+    /// workload's slot without a lock; a first sight takes the mutex.
     pub(crate) fn intern(&self, key: TenantKey) -> (TenantId, f64) {
+        let entry = self.entry(key.family, key.ranks);
+        let slot = &entry.interned[config_slot(key.config)];
+        if let Some(&hit) = slot.get() {
+            return hit;
+        }
         let mut maps = lock_recover(&self.maps);
-        let id = maps.intern(key);
-        (id, maps.tenants[id.0 as usize].solo)
+        // Set only under the mutex: a racing first sight that got here
+        // first has interned the key, and this returns its id.
+        *slot.get_or_init(|| (maps.push(key), entry.sweep.run(key.config).total))
+    }
+
+    /// The id `key` was interned under, if it was.
+    fn interned(&self, key: &TenantKey) -> Option<TenantId> {
+        let slot = &self.lookup(key.family, key.ranks)?.interned[config_slot(key.config)];
+        slot.get().map(|&(id, _)| id)
     }
 
     fn intern_all(&self, set: &[TenantKey]) -> Vec<TenantId> {
-        let mut maps = lock_recover(&self.maps);
-        set.iter().map(|&key| maps.intern(key)).collect()
+        set.iter().map(|&key| self.intern(key).0).collect()
     }
 
     /// Predicted per-tenant slowdowns of co-running the interned tenants
@@ -370,12 +368,13 @@ impl Oracle {
             let (tenants, baselines): (Vec<Tenant>, Vec<f64>) = set
                 .iter()
                 .map(|id| {
-                    let t = &maps.tenants[id.0 as usize];
+                    let key = maps.tenants[id.0 as usize].key;
+                    let entry = self.entry(key.family, key.ranks);
                     let tenant = Tenant {
-                        spec: maps.entry(t.key.family, t.key.ranks).spec.clone(),
-                        config: t.key.config,
+                        spec: entry.spec.clone(),
+                        config: key.config,
                     };
-                    (tenant, t.solo)
+                    (tenant, entry.sweep.run(key.config).total)
                 })
                 .unzip();
             drop(guard);
@@ -422,8 +421,7 @@ impl Oracle {
     /// characterizes, interns and memoizes nothing. The oracle never
     /// evicts, so once true it stays true.
     pub fn corun_ready(&self, set: &[TenantKey]) -> bool {
-        let maps = lock_recover(&self.maps);
-        if set.iter().any(|k| maps.lookup(k.family, k.ranks).is_none()) {
+        if set.iter().any(|k| !self.contains(k.family, k.ranks)) {
             return false;
         }
         if check_fit(set.iter().map(|k| k.ranks).sum()).is_err() {
@@ -432,11 +430,12 @@ impl Oracle {
         // A tenant never interned has never been priced.
         let Some(mut ids) = set
             .iter()
-            .map(|k| maps.interned(k))
+            .map(|k| self.interned(k))
             .collect::<Option<Vec<_>>>()
         else {
             return false;
         };
+        let maps = lock_recover(&self.maps);
         ids.sort_by_key(|id| maps.tenants[id.0 as usize].rank);
         maps.corun.contains_key(ids.as_slice())
     }
@@ -468,11 +467,16 @@ fn characterize_one(
         Some(row) => row.config,
         None => recommend(&profile).config,
     };
+    let best = sweep.best();
+    let (best, best_total) = (best.config, best.total);
     Ok(AlphabetEntry {
         spec,
         sweep,
         profile,
         table2,
+        best,
+        best_total,
+        interned: Default::default(),
     })
 }
 
@@ -520,11 +524,11 @@ mod tests {
         let prebuilt = Oracle::build(&tiny_alphabet(), &exec, 2).unwrap();
         let lazy = Oracle::new(&exec);
         let characterized = || {
-            lock_recover(&lazy.maps)
-                .entries
+            lazy.entries
                 .iter()
-                .map(BTreeMap::len)
-                .sum::<usize>()
+                .flatten()
+                .filter(|s| s.get().is_some())
+                .count()
         };
         assert_eq!(characterized(), 0);
         for (family, ranks) in tiny_alphabet() {
@@ -549,13 +553,120 @@ mod tests {
             // The stored Table II pick is the profile's row, or the rule
             // engine's pick where no row matches.
             let profile = lazy.profile(family, ranks);
-            let row = classify(&profile).map(|r| r.config);
+            let row = classify(profile).map(|r| r.config);
             assert_eq!(
                 lazy.table2_config(family, ranks),
-                row.unwrap_or_else(|| recommend(&profile).config)
+                row.unwrap_or_else(|| recommend(profile).config)
             );
         }
         assert_eq!(characterized(), 2);
+    }
+
+    /// Threads racing first sights through one lazy oracle: every
+    /// characterization, intern and read overlaps another thread's on
+    /// the same workload, and every answer is bitwise the prebuilt
+    /// oracle's, with one entry per workload and one id per tenant.
+    #[test]
+    fn racing_ensure_and_intern_match_a_prebuilt_oracle() {
+        let exec = ExecutionParams::default();
+        let prebuilt = Oracle::build(&tiny_alphabet(), &exec, 1).unwrap();
+        let lazy = Arc::new(Oracle::new(&exec));
+        let threads = 4;
+        let barrier = Arc::new(Barrier::new(threads));
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let lazy = Arc::clone(&lazy);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut rng = SplitMix64::new(0x51A7_0000 ^ t as u64);
+                    let alphabet = tiny_alphabet();
+                    let mut seen = Vec::new();
+                    barrier.wait();
+                    for i in 0..24 {
+                        // Each thread's first sights start on a
+                        // different workload and configuration.
+                        let (family, ranks) = alphabet[(t + i) % alphabet.len()];
+                        let config = SchedConfig::ALL[(t + rng.range_usize(0, 4)) % 4];
+                        lazy.ensure(family, ranks).unwrap();
+                        let key = TenantKey::new(family, ranks, config);
+                        let (id, solo) = lazy.intern(key);
+                        seen.push((key, id, solo));
+                    }
+                    seen
+                })
+            })
+            .collect();
+        let mut ids = HashMap::new();
+        for handle in handles {
+            for (key, id, solo) in handle.join().unwrap() {
+                assert_eq!(*ids.entry(key).or_insert(id), id, "{key:?} has one id");
+                let want = prebuilt.solo_runtime(key.family, key.ranks, key.config);
+                assert_eq!(solo.to_bits(), want.to_bits());
+            }
+        }
+        for (family, ranks) in tiny_alphabet() {
+            assert_eq!(
+                lazy.best_config(family, ranks),
+                prebuilt.best_config(family, ranks)
+            );
+            assert_eq!(
+                lazy.best_solo_runtime(family, ranks).to_bits(),
+                prebuilt.best_solo_runtime(family, ranks).to_bits()
+            );
+            assert_eq!(
+                lazy.table2_config(family, ranks),
+                prebuilt.table2_config(family, ranks)
+            );
+            for c in SchedConfig::ALL {
+                assert_eq!(
+                    lazy.solo_runtime(family, ranks, c).to_bits(),
+                    prebuilt.solo_runtime(family, ranks, c).to_bits()
+                );
+            }
+        }
+        let characterized = lazy.entries.iter().flatten().filter(|s| s.get().is_some());
+        assert_eq!(characterized.count(), tiny_alphabet().len());
+        assert_eq!(lock_recover(&lazy.maps).tenants.len(), ids.len());
+    }
+
+    /// The stored best configuration and its total are the sweep's.
+    #[test]
+    fn stored_best_is_the_sweeps_best() {
+        let oracle = Oracle::build(&tiny_alphabet(), &ExecutionParams::default(), 2).unwrap();
+        for (family, ranks) in tiny_alphabet() {
+            let best = oracle.config_sweep(family, ranks).best();
+            assert_eq!(oracle.best_config(family, ranks), best.config);
+            assert_eq!(
+                oracle.best_solo_runtime(family, ranks).to_bits(),
+                best.total.to_bits()
+            );
+        }
+    }
+
+    /// Rank counts outside `1..=CORES_PER_SOCKET` have no slot in the
+    /// table: they fail to characterize with the workload's own error
+    /// and are never contained.
+    #[test]
+    fn ranks_outside_a_socket_fail_to_characterize() {
+        let oracle = Oracle::new(&ExecutionParams::default());
+        let over = CORES_PER_SOCKET + 1;
+        for (ranks, why) in [
+            (0, "invalid workflow: ranks must be positive".to_string()),
+            (
+                over,
+                format!("pinning failed: a socket has {CORES_PER_SOCKET} cores, {over} requested"),
+            ),
+        ] {
+            let err = oracle.ensure(Family::Micro64MB, ranks).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid workflow: characterizing micro-64MB@{ranks}: {why}")
+            );
+            assert!(!oracle.contains(Family::Micro64MB, ranks));
+            let key = TenantKey::new(Family::Micro64MB, ranks, SchedConfig::S_LOC_W);
+            assert!(!oracle.corun_ready(&[key]));
+        }
+        assert!(Oracle::build(&[(Family::Micro2KB, over)], oracle.exec(), 1).is_err());
     }
 
     /// The canonical tenant order is `(name, ranks, label)` over every

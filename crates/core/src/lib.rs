@@ -25,6 +25,7 @@ mod config;
 mod coschedule;
 mod executor;
 mod metrics;
+pub mod profiling;
 pub mod report;
 mod runner;
 pub mod sync;

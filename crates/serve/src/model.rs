@@ -155,13 +155,13 @@ impl ModelBackend {
         self.ensure(stack, family, ranks)?;
         let oracle = self.oracle(stack);
         let profile = oracle.profile(family, ranks);
-        let rule = recommend(&profile);
+        let rule = recommend(profile);
         let reasons: Vec<String> = rule
             .reasons
             .iter()
             .map(|r| format!("\"{}\"", json_escape(r)))
             .collect();
-        let table2 = match classify(&profile) {
+        let table2 = match classify(profile) {
             Some(row) => format!(
                 "{{\"row\":{},\"config\":\"{}\",\"illustrated_by\":\"{}\"}}",
                 row.row,
